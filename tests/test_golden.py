@@ -15,17 +15,32 @@ explained in the PR that makes it)::
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.campaign.store import ResultStore
 from repro.cli import main
+from repro.sim.simulator import Simulator
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "fig4_mini.json"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "fig4_mini.json"
+IDENTITY_PATH = GOLDEN_DIR / "pipeline_identity.json"
+
+
+def _regenerate_module():
+    """``tests/golden/regenerate.py``, which defines the identity cases."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_regenerate", GOLDEN_DIR / "regenerate.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +93,26 @@ class TestGoldenFig4Mini:
         ParallelExecutor(jobs=1, store=store).run(campaign_preset("fig4-mini"))
         fresh = {record["key"]: record for record in store.records()}
         assert fresh == golden["records"]
+
+
+class TestPipelineIdentity:
+    """``pipeline_identity.json`` pins the cases the scheduler, fast-forward
+    and frontend differential suites ran, as computed by their oracles (the
+    cycle-driven loop and the object frontend).  The one production path
+    must land on every recorded answer under both kernels."""
+
+    @pytest.mark.parametrize("kernel", ("specialized", "generic"))
+    def test_single_path_replays_pinned_cases(self, kernel):
+        regenerate = _regenerate_module()
+        golden = json.loads(IDENTITY_PATH.read_text())["cases"]
+        fresh = {}
+        for name, config, trace, warmup in regenerate.pipeline_identity_cases():
+            simulator = Simulator(config)
+            result = simulator.run(
+                trace, warmup_fraction=warmup, options=RunOptions(kernel=kernel)
+            )
+            assert simulator.kernel_used == (kernel == "specialized"), name
+            fresh[name] = regenerate.identity_record(result)
+        assert set(fresh) == set(golden)
+        for name, record in golden.items():
+            assert fresh[name] == record, name
