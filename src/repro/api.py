@@ -1,11 +1,6 @@
 """The programmatic run-configuration surface: :class:`RunOptions`.
 
-Historically, configuring a simulation meant a mix of loose keyword
-arguments (``frontend=``, ``kernel=``, ``collector=``, ``jobs=``,
-``store=``) and process-wide environment variables
-(``REPRO_TRACE_FRONTEND``, ``REPRO_SIM_KERNEL``) consulted at scattered
-call sites.  :class:`RunOptions` replaces that sprawl with one frozen
-dataclass that is the single way to configure
+One frozen dataclass is the single way to configure
 :meth:`repro.sim.simulator.Simulator.run`,
 :func:`repro.sim.simulator.run_configuration` and
 :class:`repro.campaign.executor.ParallelExecutor`::
@@ -16,118 +11,51 @@ dataclass that is the single way to configure
     options = RunOptions(kernel="generic", jobs=4, store="sqlite:results.db")
     ParallelExecutor(options=options).run(spec)
 
-The old spellings keep working as **deprecated fallbacks** that resolve
-into a ``RunOptions``:
-
-* loose kwargs are accepted alongside (but not mixed with) ``options=``;
-* the environment variables are consulted exactly once, in
-  :meth:`RunOptions.from_env`, and emit a :class:`DeprecationWarning`
-  when they actually supply a value.
+Every run takes the same path — columnar trace, event scheduler, then the
+kernel — so the only simulation knob is the kernel: ``"specialized"``
+(default) or the ``"generic"`` interpreted loop the kernels are held to.
+The environment is never consulted.
 
 Every field defaults to ``None`` meaning "the built-in default"
-(``columnar`` frontend, ``specialized`` kernel, ``event`` scheduler, no
-collector, serial execution, no persistence), so ``RunOptions()`` is
-always a valid, fully-specified run.
+(``specialized`` kernel, no collector, one campaign worker per CPU core,
+no persistence), so ``RunOptions()`` is always a valid, fully-specified
+run.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
-__all__ = ["RunOptions", "env_fallback"]
-
-
-def env_fallback(var: str) -> Optional[str]:
-    """The deprecated environment override of ``var``, or ``None``.
-
-    Returns the stripped value when the variable is set and non-blank —
-    and emits the one :class:`DeprecationWarning` that marks every
-    remaining environment read in the codebase.  All legacy call sites
-    (:func:`repro.workloads.columnar.resolve_frontend`,
-    :func:`repro.sim.kernels.resolve_kernel`) funnel through here, so the
-    environment is consulted in exactly one place.
-    """
-    value = os.environ.get(var)
-    if value is None or not value.strip():
-        return None
-    warnings.warn(
-        f"configuring runs through the {var} environment variable is "
-        "deprecated; pass repro.api.RunOptions (or an explicit frontend=/"
-        "kernel= argument) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return value.strip()
+__all__ = ["RunOptions"]
 
 
 @dataclass(frozen=True)
 class RunOptions:
     """Everything that configures a simulation run, in one object.
 
-    ``None`` fields mean "use the built-in default"; the ``resolved_*``
-    accessors apply defaults and validate names, raising the same
-    ``ValueError`` a bad explicit argument always raised.
+    ``None`` fields mean "use the built-in default"; :meth:`resolved_kernel`
+    applies the default and validates the name, raising ``ValueError`` on
+    a bad one.
     """
 
-    #: trace frontend: ``"columnar"`` (default) or ``"object"``
-    frontend: Optional[str] = None
     #: hot-loop kernel: ``"specialized"`` (default) or ``"generic"``
     kernel: Optional[str] = None
-    #: pipeline scheduler: ``"event"`` (default) or ``"cycle"``
-    scheduler: Optional[str] = None
     #: optional :class:`repro.obs.collector.RunCollector` (forces the
     #: generic kernel; observation is strictly additive)
     collector: Any = None
-    #: worker processes for campaign execution (``None`` = serial)
+    #: worker processes for campaign execution (``None`` = one per CPU core)
     jobs: Optional[int] = None
     #: result store: a store URL (``json:dir`` / ``sqlite:db``), a bare
     #: directory path, a live ``ResultStore``, or ``None`` (no persistence)
     store: Any = None
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_env(cls, **fields: Any) -> "RunOptions":
-        """Build options, filling unset frontend/kernel from the (deprecated)
-        environment variables — the only sanctioned environment read."""
-        options = cls(**fields)
-        if options.frontend is None:
-            from repro.workloads.columnar import FRONTEND_ENV
-
-            value = env_fallback(FRONTEND_ENV)
-            if value is not None:
-                options = replace(options, frontend=value.lower())
-        if options.kernel is None:
-            from repro.sim.kernels import KERNEL_ENV
-
-            value = env_fallback(KERNEL_ENV)
-            if value is not None:
-                options = replace(options, kernel=value.lower())
-        return options
-
-    # ------------------------------------------------------------------
-    def resolved_frontend(self) -> str:
-        """The effective trace frontend name (validated)."""
-        from repro.workloads.columnar import resolve_frontend
-
-        return resolve_frontend(self.frontend)
-
     def resolved_kernel(self) -> str:
         """The effective kernel name (validated)."""
         from repro.sim.kernels import resolve_kernel
 
         return resolve_kernel(self.kernel)
-
-    def resolved_scheduler(self) -> str:
-        """The effective pipeline scheduler name (validated)."""
-        from repro.cpu.pipeline import SCHEDULERS
-
-        choice = self.scheduler if self.scheduler is not None else SCHEDULERS[0]
-        if choice not in SCHEDULERS:
-            raise ValueError(f"scheduler {choice!r} not in {SCHEDULERS}")
-        return choice
 
     def open_store(self):
         """The live :class:`~repro.campaign.store.ResultStore` this run

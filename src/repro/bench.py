@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
+from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.obs.hostinfo import detect_revision, host_metadata
@@ -168,7 +169,10 @@ def bench_single_config_run_kernel(
 
     def workload() -> Dict[str, object]:
         outcome = run_configuration(
-            config, trace, warmup_fraction=warmup_fraction, kernel="specialized"
+            config,
+            trace,
+            warmup_fraction=warmup_fraction,
+            options=RunOptions(kernel="specialized"),
         )
         return {
             "benchmark": SINGLE_RUN_BENCHMARK,
@@ -179,7 +183,10 @@ def bench_single_config_run_kernel(
 
     def generic_workload() -> Dict[str, object]:
         outcome = run_configuration(
-            config, trace, warmup_fraction=warmup_fraction, kernel="generic"
+            config,
+            trace,
+            warmup_fraction=warmup_fraction,
+            options=RunOptions(kernel="generic"),
         )
         return {"cycles": outcome.cycles}
 
@@ -289,12 +296,11 @@ def bench_trace_columnar_decode(instructions: int, repeats: int) -> ScenarioResu
     """Time the columnar trace lift against full object materialization.
 
     The timed workload is what a campaign pool worker pays per shipped
-    payload on the default (columnar) frontend:
+    payload:
     :meth:`~repro.workloads.columnar.ColumnarTrace.from_rtrc_bytes` plus the
     batched :meth:`~repro.workloads.columnar.ColumnarTrace.pipeline_arrays`
-    interpretation pass.  The object-path equivalent — ``decode_trace`` (one
-    ``Instruction`` per record) plus ``MemoryTrace.pipeline_arrays`` — is
-    timed alongside and reported as ``object_seconds`` /
+    interpretation pass.  ``decode_trace`` alone (one ``Instruction`` per
+    record) is timed alongside and reported as ``object_seconds`` /
     ``speedup_vs_objects``, documenting what the structure-of-arrays view
     buys over per-instruction objects.
     """
@@ -316,9 +322,7 @@ def bench_trace_columnar_decode(instructions: int, repeats: int) -> ScenarioResu
         }
 
     def object_workload() -> Dict[str, object]:
-        decoded = decode_trace(payload)
-        decoded.pipeline_arrays()
-        return {"instructions": len(decoded)}
+        return {"instructions": len(decode_trace(payload))}
 
     runs, details = _time_repeats(repeats, workload)
     object_runs, _ = _time_repeats(repeats, object_workload)

@@ -13,9 +13,8 @@ into an :class:`~repro.analysis.experiments.ExperimentResults`:
   parent**, serialized to compact ``.rtrc`` bytes
   (:meth:`~repro.workloads.trace.MemoryTrace.to_bytes`, the binary codec of
   :mod:`repro.workloads.binfmt`) and shipped to the workers through the pool
-  initializer — workers decode each trace at most once per process through
-  one ``struct.iter_unpack`` pass instead of regenerating (or re-parsing)
-  it per task;
+  initializer — workers lift each trace into its columnar view at most
+  once per process instead of regenerating (or re-parsing) it per task;
 * cells are dispatched with chunked ``imap_unordered``, so scheduling
   overhead is one pickled batch per chunk rather than one round-trip per
   cell, and results stream back as they finish;
@@ -45,7 +44,7 @@ from repro.campaign.store import ResultStore, result_from_dict, result_to_dict
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
 from repro.obs.telemetry import TelemetryJournal
-from repro.sim.kernels import content_hash, prewarm
+from repro.sim.kernels import content_hash, prewarm, resolve_kernel
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.registry import registered_trace, workload_suite
@@ -60,7 +59,7 @@ logger = get_logger(__name__)
 #: ones, so a name re-registered with different trace bytes never hits a
 #: stale cache entry.  Values are either :class:`MemoryTrace` (synthetic /
 #: ingested resolution) or :class:`ColumnarTrace` (pool workers decoding
-#: shipped bytes under the columnar frontend); the simulator accepts both.
+#: shipped bytes); the simulator accepts both.
 TraceCache = Dict[Tuple[str, int, int, str], Union[MemoryTrace, ColumnarTrace]]
 
 #: key shape of the trace caches
@@ -75,29 +74,9 @@ _PROCESS_TRACES: TraceCache = {}
 #: serialized traces installed by the pool initializer (worker side)
 _WORKER_TRACE_BYTES: Dict[TraceKey, bytes] = {}
 
-#: resolved ``(frontend, kernel, scheduler)`` names installed by the pool
-#: initializer — the parent resolves its :class:`RunOptions` exactly once
-#: and ships the strings, so workers never consult the (deprecated)
-#: environment themselves
-_WORKER_RUN_OPTIONS: Optional[Tuple[str, str, str]] = None
-
-
-def _default_run_options() -> Tuple[str, str, str]:
-    """Resolved ``(frontend, kernel, scheduler)`` for bare calls.
-
-    Pool workers use the tuple their initializer installed; anything else
-    (the serial path without an executor, tests poking the helpers) falls
-    back to a fresh :meth:`RunOptions.from_env` resolution — the same
-    defaults-plus-deprecated-environment rule as everywhere else.
-    """
-    if _WORKER_RUN_OPTIONS is not None:
-        return _WORKER_RUN_OPTIONS
-    options = RunOptions.from_env()
-    return (
-        options.resolved_frontend(),
-        options.resolved_kernel(),
-        options.resolved_scheduler(),
-    )
+#: resolved kernel name installed by the pool initializer — the parent
+#: resolves its :class:`RunOptions` exactly once and ships the name
+_WORKER_KERNEL: Optional[str] = None
 
 
 #: soft cap on cached traces; a long-lived process sweeping many distinct
@@ -106,14 +85,13 @@ def _default_run_options() -> Tuple[str, str, str]:
 _TRACE_CACHE_LIMIT = 256
 
 
-def _cached_trace(cell: CampaignCell, cache: TraceCache, frontend: Optional[str] = None):
+def _cached_trace(cell: CampaignCell, cache: TraceCache):
     """Resolve (or fetch) the deterministic trace of ``cell``.
 
     Resolution order: the per-process cache, the ``.rtrc`` bytes a pool
     parent shipped, the ingested-trace registry (truncated to the cell's
     instruction budget), and finally synthetic generation from the benchmark
-    profile.  ``frontend`` decides how shipped bytes are decoded; ``None``
-    falls back to :func:`_default_run_options`.
+    profile.
     """
     key = (cell.benchmark, cell.instructions, cell.trace_seed(), cell.trace_hash)
     trace = cache.get(key)
@@ -128,16 +106,11 @@ def _cached_trace(cell: CampaignCell, cache: TraceCache, frontend: Optional[str]
         if payload is not None:
             # Pool worker: decode the bytes the parent shipped (cheaper than
             # regenerating, and the resolution cost was paid exactly once).
-            # Under the columnar frontend the bytes go straight into columns
-            # — a handful of strided slices instead of one Instruction per
-            # record — and the view (plus its cached pipeline arrays) is
-            # reused by every cell of this trace in the worker.
-            if frontend is None:
-                frontend = _default_run_options()[0]
-            if frontend == "columnar":
-                trace = ColumnarTrace.from_rtrc_bytes(payload)
-            else:
-                trace = MemoryTrace.from_bytes(payload)
+            # The bytes go straight into columns — a handful of strided
+            # slices instead of one Instruction per record — and the view
+            # (plus its cached pipeline arrays) is reused by every cell of
+            # this trace in the worker.
+            trace = ColumnarTrace.from_rtrc_bytes(payload)
         else:
             ingested = registered_trace(cell.benchmark)
             if ingested is not None:
@@ -156,35 +129,26 @@ def _cached_trace(cell: CampaignCell, cache: TraceCache, frontend: Optional[str]
 
 
 def _execute_cell(
-    cell: CampaignCell,
-    cache: TraceCache,
-    run_options: Optional[Tuple[str, str, str]] = None,
+    cell: CampaignCell, cache: TraceCache, kernel: Optional[str]
 ) -> Tuple[SimulationResult, Dict[str, object]]:
     """Run one cell's simulation using ``cache`` for trace reuse.
 
-    ``run_options`` is the resolved ``(frontend, kernel, scheduler)`` triple
-    the executor threads through (``None`` resolves fresh, see
-    :func:`_default_run_options`).  Returns the result plus the execution
-    facts the telemetry journal records per cell: which kernel was
-    requested, whether it actually ran (and why not), and the
-    scheduler/frontend the run went through.
+    ``kernel`` is the resolved kernel name the executor threads through.
+    Returns the result plus the execution facts the telemetry journal
+    records per cell: which kernel was requested and whether it actually
+    ran (and why not).
     """
-    frontend, kernel, scheduler = (
-        run_options if run_options is not None else _default_run_options()
-    )
-    trace = _cached_trace(cell, cache, frontend)
+    trace = _cached_trace(cell, cache)
     simulator = Simulator(cell.config)
     result = simulator.run(
         trace,
         warmup_fraction=cell.warmup_fraction,
-        options=RunOptions(frontend=frontend, kernel=kernel, scheduler=scheduler),
+        options=RunOptions(kernel=kernel),
     )
     info: Dict[str, object] = {
         "kernel": simulator.kernel_requested,
         "kernel_used": simulator.kernel_used,
         "kernel_fallback_reason": simulator.kernel_fallback_reason or "",
-        "scheduler": scheduler,
-        "frontend": frontend,
     }
     return result, info
 
@@ -193,10 +157,10 @@ def _init_worker(
     trace_bytes: Dict[TraceKey, bytes],
     configs=(),
     metrics_on: bool = False,
-    run_options: Optional[Tuple[str, str, str]] = None,
+    kernel: Optional[str] = None,
 ) -> None:
     """Pool initializer: install the parent's serialized traces and resolved
-    run options, compile the campaign's specialized simulation kernels up
+    kernel name, compile the campaign's specialized simulation kernels up
     front, and reset metrics.
 
     Kernels are cached per config content-hash (see :mod:`repro.sim.kernels`),
@@ -209,16 +173,15 @@ def _init_worker(
     slate either way, and the enabled flag is set explicitly from the
     parent's state (fork inherits it, spawn would not).
     """
-    global _WORKER_RUN_OPTIONS
+    global _WORKER_KERNEL
     _WORKER_TRACE_BYTES.update(trace_bytes)
-    if run_options is not None:
-        _WORKER_RUN_OPTIONS = tuple(run_options)
+    _WORKER_KERNEL = kernel
     obs_metrics.registry.clear()
     if metrics_on:
         obs_metrics.enable()
     else:
         obs_metrics.disable()
-    if configs and _default_run_options()[1] == "specialized":
+    if configs and resolve_kernel(kernel) == "specialized":
         prewarm(configs)
 
 
@@ -254,7 +217,7 @@ def _pool_cell(cell: CampaignCell):
     snapshot finally includes worker-side counters.
     """
     start = time.time()
-    result, info = _execute_cell(cell, _PROCESS_TRACES)
+    result, info = _execute_cell(cell, _PROCESS_TRACES, _WORKER_KERNEL)
     payload = result_to_dict(result)
     dump = obs_metrics.registry.dump() if obs_metrics.enabled() else None
     return cell.key(), payload, (os.getpid(), start, time.time()), info, dump
@@ -267,22 +230,19 @@ class ParallelExecutor:
     ----------
     jobs:
         Worker process count; ``None`` (default) uses one worker per CPU
-        core, ``1`` forces the serial in-process path.  Deprecated fallback
-        for ``options=``.
+        core, ``1`` forces the serial in-process path.  Shorthand for
+        ``options=RunOptions(jobs=...)``.
     store:
         Optional store: a live :class:`ResultStore`, a store URL
         (``json:dir`` / ``sqlite:db``) or a bare directory path.  When
         given, completed cells are persisted as they finish and
-        already-stored cells are skipped.  Deprecated fallback for
-        ``options=``.
+        already-stored cells are skipped.  Shorthand for
+        ``options=RunOptions(store=...)``.
     options:
-        A :class:`repro.api.RunOptions` — the preferred way to configure
-        execution (frontend, kernel, scheduler, jobs, store URL).  The
-        selections are resolved exactly once here and threaded through the
-        serial path and the pool initializer, so worker processes never
-        consult the deprecated environment variables themselves.  Mixing
-        ``options=`` with the legacy ``jobs=``/``store=`` keywords raises
-        ``ValueError``.
+        A :class:`repro.api.RunOptions` (kernel, jobs, store URL).  The
+        kernel name is resolved exactly once here and threaded through the
+        serial path and the pool initializer.  Mixing ``options=`` with the
+        ``jobs=``/``store=`` keywords raises ``ValueError``.
     progress:
         Optional ``progress(event, cell, done, total)`` callback.
     trace_cache:
@@ -315,24 +275,18 @@ class ParallelExecutor:
     ) -> None:
         if options is not None:
             if jobs is not None or store is not None:
-                raise ValueError(
-                    "pass options= or the legacy jobs=/store= keywords, not both"
-                )
+                raise ValueError("pass options= or the jobs=/store= keywords, not both")
         else:
-            options = RunOptions.from_env(jobs=jobs, store=store)
+            options = RunOptions(jobs=jobs, store=store)
         if options.collector is not None:
             raise ValueError(
                 "campaign execution does not support collectors; attach one "
                 "through Simulator.run instead"
             )
         self.options = options
-        #: resolved (frontend, kernel, scheduler) — computed once, threaded
-        #: through the serial path and shipped to pool workers
-        self._run_options: Tuple[str, str, str] = (
-            options.resolved_frontend(),
-            options.resolved_kernel(),
-            options.resolved_scheduler(),
-        )
+        #: resolved kernel name — computed once, threaded through the serial
+        #: path and shipped to pool workers
+        self._kernel = options.resolved_kernel()
         jobs = options.jobs
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -404,7 +358,7 @@ class ParallelExecutor:
             # Any cells a broken pool failed to deliver fall through to the
             # serial path, which always finishes the sweep.
             remaining = [cell for cell in pending if cell.key() not in results]
-            if remaining and self._run_options[1] == "specialized":
+            if remaining and self._kernel == "specialized":
                 # Mirror the pool initializer's prewarm so the kernel cache
                 # hit/miss counters are invariant across job counts: prewarm
                 # compiles are uncounted, per-cell probes all hit.
@@ -413,7 +367,7 @@ class ParallelExecutor:
                 )
             for cell in remaining:
                 start = time.time()
-                result, info = _execute_cell(cell, self.trace_cache, self._run_options)
+                result, info = _execute_cell(cell, self.trace_cache, self._kernel)
                 end = time.time()
                 self._observe_cell(cell, parent_pid, start, end)
                 self._journal_cell(cell, "computed", end - start, parent_pid, info)
@@ -559,9 +513,7 @@ class ParallelExecutor:
         for cell in pending:
             key = (cell.benchmark, cell.instructions, cell.trace_seed(), cell.trace_hash)
             if key not in payloads:
-                payloads[key] = _cached_trace(
-                    cell, self.trace_cache, self._run_options[0]
-                ).to_bytes()
+                payloads[key] = _cached_trace(cell, self.trace_cache).to_bytes()
         return payloads
 
     def _run_pool(
@@ -602,7 +554,7 @@ class ParallelExecutor:
                     payloads,
                     distinct_configs,
                     obs_metrics.enabled(),
-                    self._run_options,
+                    self._kernel,
                 ),
             ) as pool:
                 self.used_pool = True

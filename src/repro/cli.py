@@ -15,18 +15,18 @@ directory layout):
 
 ``sweep``
     Run a named campaign preset (``fig4``, ``fig4-mini``, ``sec6d``) through
-    the parallel campaign engine.  With ``--out DIR`` every (configuration,
-    benchmark) cell is persisted as one JSON record and a repeated
-    invocation resumes — already-completed cells are skipped.
+    the parallel campaign engine.  With ``--store URL`` every
+    (configuration, benchmark) cell is persisted as one record and a
+    repeated invocation resumes — already-completed cells are skipped.
 
 ``dse``
     Explore a named configuration search space (``malec-mini``,
     ``malec-sensitivity``) with a pluggable strategy (``grid``, ``random``,
     ``halving``) and print the Pareto frontier over the selected objectives
     (normalized runtime, L1-subsystem energy, energy-delay product).  All
-    evaluations flow through the campaign store (``--out DIR``), so an
+    evaluations flow through the campaign store (``--store URL``), so an
     interrupted exploration resumes and strategies dedupe each other's
-    cells; ``--csv FILE`` (default ``<out>/frontier.csv``) writes the
+    cells; ``--csv FILE`` (default ``<store dir>/frontier.csv``) writes the
     frontier artifact.
 
 ``ingest``
@@ -89,20 +89,20 @@ Examples::
 
     python -m repro compare gzip
     python -m repro figure4 gzip djpeg mcf --instructions 4000
-    python -m repro sweep fig4 --out results/fig4
-    python -m repro sweep sec6d --jobs 2 --out results/sec6d
+    python -m repro sweep fig4 --store results/fig4
+    python -m repro sweep sec6d --jobs 2 --store sqlite:results/sec6d.db
     python -m repro dse malec-mini --strategy random --budget 6 --instructions 500
-    python -m repro dse malec-sensitivity --strategy halving --budget 24 --out results/dse
+    python -m repro dse malec-sensitivity --strategy halving --budget 24 --store results/dse
     python -m repro ingest convert app.lackey.gz -o app.rtrc --skip 1000
     python -m repro ingest inspect app.rtrc
     python -m repro ingest interleave app.rtrc db.rtrc -o mix.rtrc
-    python -m repro sweep fig4-mini --trace-file app.rtrc --out results/app
+    python -m repro sweep fig4-mini --trace-file app.rtrc --store results/app
     python -m repro locality h263dec swim
     python -m repro bench --quick
     python -m repro bench --compare BENCH_old.json BENCH_new.json --threshold 20
     python -m repro report gzip --config MALEC --timeline timeline.json
     python -m repro --metrics sweep fig4-mini --trace-out sweep-trace.json
-    python -m repro --metrics sweep fig4-mini --jobs 4 --out results/fig4-mini
+    python -m repro --metrics sweep fig4-mini --jobs 4 --store results/fig4-mini
     python -m repro obs history results/fig4-mini
     python -m repro obs compare results/fig4-mini prev last --threshold 25
     python -m repro obs cells results/fig4-mini --slowest 5
@@ -124,10 +124,11 @@ from typing import List, Optional, Sequence
 from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.locality import PageLocalityAnalyzer
 from repro.analysis.reporting import format_frontier, format_table, frontier_csv
+from repro.api import RunOptions
 from repro.campaign.aggregate import summarize_results, summarize_store
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import PRESET_NAMES, campaign_preset
-from repro.campaign.store import ResultStore, StoreURLError, open_store
+from repro.campaign.store import StoreURLError, open_store
 from repro.dse.engine import run_dse
 from repro.dse.objectives import (
     DEFAULT_OBJECTIVES,
@@ -186,19 +187,6 @@ _STORE_HELP = (
     "same), or sqlite:FILE (single WAL database, safe for concurrent "
     "sweeps)"
 )
-
-
-def _open_store_flags(store: Optional[str], out: Optional[str]) -> Optional[ResultStore]:
-    """Resolve the ``--store URL`` / deprecated ``--out DIR`` pair.
-
-    ``--out DIR`` keeps its historical meaning (a JSON campaign directory);
-    giving both flags, or an unsupported URL scheme, raises
-    :class:`StoreURLError` — reported as a usage error (exit 2) by the
-    callers.
-    """
-    if store is not None and out is not None:
-        raise StoreURLError("pass --store URL or the deprecated --out DIR, not both")
-    return open_store(store if store is not None else out)
 
 
 def _add_trace_file_option(parser: argparse.ArgumentParser) -> None:
@@ -406,12 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: in-memory only)",
     )
     sweep.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="deprecated alias for --store json:DIR",
-    )
-    sweep.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress output"
     )
     sweep.add_argument(
@@ -426,8 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="append per-cell telemetry records to FILE regardless of "
-        "--metrics (default: <out>/telemetry.jsonl, written automatically "
-        "when both --out and --metrics are given)",
+        "--metrics (default: the store's telemetry journal, written "
+        "automatically when both --store and --metrics are given)",
     )
     _add_trace_file_option(sweep)
 
@@ -502,17 +484,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: in-memory only)",
     )
     dse.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="deprecated alias for --store json:DIR",
-    )
-    dse.add_argument(
         "--csv",
         default=None,
         metavar="FILE",
         help="write the frontier as CSV to FILE "
-        "(default: <store dir>/frontier.csv when --store/--out is given)",
+        "(default: <store dir>/frontier.csv when --store is given)",
     )
     dse.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress output"
@@ -960,7 +936,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         warmup_fraction=args.warmup,
     )
     try:
-        store = _open_store_flags(args.store, args.out)
+        store = open_store(args.store)
     except StoreURLError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
@@ -1036,7 +1012,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         print(f"repro: {error}", file=sys.stderr)
         return 2
     try:
-        store = _open_store_flags(args.store, args.out)
+        store = open_store(args.store)
     except StoreURLError as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
@@ -1274,7 +1250,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 sample_every=args.sample_every if timeline is not None else 0
             )
             result = run_configuration(
-                config, trace, warmup_fraction=args.warmup, collector=collector
+                config,
+                trace,
+                warmup_fraction=args.warmup,
+                options=RunOptions(collector=collector),
             )
             attribution = attribute_run(benchmark, result, collector)
             # The partition invariant (categories sum to total cycles) is a
@@ -1341,7 +1320,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if not journal_path.exists():
         print(
             f"repro: no telemetry journal at {journal_path} (run a sweep "
-            "with --metrics and --out, or --journal, first)",
+            "with --metrics and --store, or --journal, first)",
             file=sys.stderr,
         )
         return 2

@@ -20,14 +20,11 @@ It is not an ISA simulator: non-memory instructions are single-cycle opaque
 """
 
 from repro.cpu.instruction import Instruction, InstructionKind
-from repro.cpu.rob import ReorderBuffer, RobEntry
 from repro.cpu.pipeline import OutOfOrderPipeline, PipelineResult
 
 __all__ = [
     "Instruction",
     "InstructionKind",
-    "ReorderBuffer",
-    "RobEntry",
     "OutOfOrderPipeline",
     "PipelineResult",
 ]

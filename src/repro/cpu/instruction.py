@@ -5,14 +5,14 @@ three kinds exist: loads, stores and opaque single-cycle compute operations.
 Dependencies are expressed as *backward distances* (``deps``): a value of
 ``k`` means "this instruction consumes the result of the instruction ``k``
 positions earlier in the trace".  Distances keep traces relocatable (they can
-be sliced or concatenated) and are resolved to absolute sequence numbers by
-the pipeline at dispatch time.
+be sliced or concatenated) and are resolved to absolute sequence numbers when
+the trace is lifted into its columnar view
+(:meth:`repro.workloads.columnar.ColumnarTrace.pipeline_arrays`).
 
-Millions of :class:`Instruction` objects are alive during a sweep, and the
-pipeline inspects their kind on every issue/commit, so the class is a
-hand-rolled ``__slots__`` class (no per-instance ``__dict__``) and the kind
-predicates (``is_load`` ...) are plain attributes computed once at
-construction instead of properties.
+Trace generation and decoding build one :class:`Instruction` per record, so
+the class is a hand-rolled ``__slots__`` class (no per-instance ``__dict__``)
+and the kind predicates (``is_load`` ...) are plain attributes computed once
+at construction instead of properties.
 """
 
 from __future__ import annotations
@@ -112,39 +112,6 @@ class Instruction:
             f"Instruction(kind={self.kind!r}, address={address}, size={self.size}, "
             f"deps={self.deps!r}, seq={self.seq})"
         )
-
-
-def build_pipeline_arrays(instructions, capacity: int):
-    """Seq-indexed ``(kinds, addresses, sizes, producers)`` arrays.
-
-    ``kinds[seq]`` is 0/1/2 for compute/load/store and ``producers[seq]``
-    the tuple of absolute in-range producer seqs.  The single definition of
-    this encoding: both :meth:`repro.workloads.trace.MemoryTrace.pipeline_arrays`
-    (cached per trace) and the pipeline's ad-hoc fallback build through it,
-    so the two can never drift apart.  ``sizes[seq]`` carries the
-    instruction's size verbatim (even for computes, whose entries the
-    pipeline never reads) so these arrays are bit-equal to the columnar
-    view's (:meth:`repro.workloads.columnar.ColumnarTrace.pipeline_arrays`),
-    which lifts the size column straight off the ``.rtrc`` records.
-    """
-    kinds = bytearray(capacity)
-    addresses = [0] * capacity
-    sizes = [0] * capacity
-    producers = [()] * capacity
-    for instruction in instructions:
-        seq = instruction.seq
-        if instruction.is_load:
-            kinds[seq] = 1
-        elif instruction.is_store:
-            kinds[seq] = 2
-        sizes[seq] = instruction.size
-        if instruction.address is not None:
-            addresses[seq] = instruction.address
-        if instruction.deps:
-            producers[seq] = tuple(
-                seq - d for d in instruction.deps if seq - d >= 0
-            )
-    return kinds, addresses, sizes, producers
 
 
 def load(address: int, size: int = 4, deps: Tuple[int, ...] = ()) -> Instruction:

@@ -23,11 +23,20 @@ interface package does not need to import this module)::
 Execution time is the cycle in which the last instruction commits, which is
 what Fig. 4a normalizes across configurations.
 
-Event-driven scheduler (default)
---------------------------------
-``run`` normally executes the trace through an event-driven loop built on
-:class:`repro.sim.events.EventWheel`: instead of polling every stage every
-cycle, each source of future activity registers the cycle it next acts —
+Input
+-----
+``run`` consumes a columnar trace: a
+:class:`~repro.workloads.columnar.ColumnarTrace` or one of its ``run_slice``
+windows.  The fetch stage walks a ``range`` of sequence numbers and every
+fact comes from the view's seq-indexed arrays.  Any other input — a
+:class:`~repro.workloads.trace.MemoryTrace`, a plain list of Instructions —
+is adapted once at entry by :func:`repro.workloads.columnar.as_columnar`.
+
+Event-driven scheduler
+----------------------
+The loop is built on :class:`repro.sim.events.EventWheel`: instead of
+polling every stage every cycle, each source of future activity registers
+the cycle it next acts —
 
 * instruction completions (computes, stores, load data returns) sit in the
   wheel (or in a dedicated next-cycle bucket for the dominant one-cycle
@@ -40,23 +49,20 @@ cycle, each source of future activity registers the cycle it next acts —
 * commit and fetch are gated by their own cheap occupancy checks.
 
 When no stage has work in the current cycle and the wheel holds a future
-event, the clock jumps straight to it — the PR-2 *idle fast-forward* is the
-degenerate case of "no event scheduled before the next completion".  All
-skipped cycles are accounted into ``pipeline.cycles`` exactly as if they had
-been simulated, and intra-cycle ordering is pinned (fixed stage order, FIFO
-buckets, seq-ordered ready heap), so results are **bit-identical** to the
-cycle-driven reference loop; only wall time changes.
+event, the clock jumps straight to it.  All skipped cycles are accounted
+into ``pipeline.cycles`` exactly as if they had been simulated, and
+intra-cycle ordering is pinned (fixed stage order, FIFO buckets,
+seq-ordered ready heap), so results equal those of polling every component
+every cycle (``tests/golden/pipeline_identity.json`` pins them).
+``fast_forwarded_cycles`` records how many cycles the last run skipped.
 
-The cycle-driven loop is retained for identity testing: construct the
-pipeline with ``scheduler="cycle"`` (or ``enable_fast_forward=False``, which
-also disables the idle fast-forward) to poll every component every cycle
-exactly as the PR-2 code did.  ``fast_forwarded_cycles`` records how many
-cycles either loop skipped.
+A specialized kernel (:mod:`repro.sim.kernels`) may replace this loop; the
+loop stays as the generic oracle the kernels are held to.
 
 Hot-path notes
 --------------
 ``run`` is the innermost loop of every sweep, so its bookkeeping is arrays
-indexed by sequence number rather than dictionaries (``in_flight``,
+indexed by sequence number rather than dictionaries (``in_rob``,
 ``produced``, ``consumers``), instructions completing one cycle out
 (computes, stores, L1-hit notifications) take a bucket list instead of the
 event wheel, and per-cycle statistics are accumulated in locals and flushed
@@ -69,15 +75,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional, Tuple
+from typing import Deque, List, Optional
 
-from repro.cpu.instruction import Instruction, build_pipeline_arrays
-from repro.cpu.rob import ReorderBuffer, RobEntry
 from repro.sim.events import EventWheel
 from repro.stats import StatCounters
-
-#: recognised values of the ``scheduler`` constructor argument
-SCHEDULERS = ("event", "cycle")
 
 
 @dataclass
@@ -117,20 +118,13 @@ class OutOfOrderPipeline:
         params: PipelineParametersLite = PipelineParametersLite(),
         stats: Optional[StatCounters] = None,
         max_cycles: Optional[int] = None,
-        enable_fast_forward: bool = True,
-        scheduler: str = "event",
         collector=None,
         kernel=None,
     ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler {scheduler!r} not in {SCHEDULERS}")
         self.interface = interface
         self.params = params
         self.stats = stats if stats is not None else StatCounters()
         self.max_cycles = max_cycles
-        self.rob = ReorderBuffer(params.rob_entries)
-        self.enable_fast_forward = enable_fast_forward
-        self.scheduler = scheduler
         #: optional repro.obs.collector.RunCollector (duck-typed so this
         #: module does not import obs).  Strictly observational: category
         #: counts and occupancy samples accumulate in loop locals and flush
@@ -140,84 +134,37 @@ class OutOfOrderPipeline:
         #: optional specialized kernel entry point (see repro.sim.kernels):
         #: kernel_run(pipeline, seqs, total, capacity, trace_arrays) returning
         #: a PipelineResult, or None to decline (runtime guard mismatch), in
-        #: which case the generic event-driven loop runs instead.  Only
-        #: consulted on the event-scheduler path.
+        #: which case the generic event-driven loop runs instead.
         self.kernel = kernel
         #: whether the last run() executed through the specialized kernel
         self.kernel_used = False
         #: whether a kernel was attached but declined (guards returned None)
         self.kernel_fallback = False
-        #: idle cycles skipped (fast-forward / event jumps) in the last run()
+        #: idle cycles skipped (event jumps) in the last run()
         self.fast_forwarded_cycles = 0
 
     # ------------------------------------------------------------------
-    def run(self, trace: Iterable[Instruction], trace_arrays=None) -> PipelineResult:
+    def run(self, trace) -> PipelineResult:
         """Execute ``trace`` to completion and return the cycle count.
 
-        ``trace_arrays`` optionally carries the seq-indexed
-        ``(kinds, addresses, sizes, producers)`` arrays of the *full* trace
-        (see :meth:`repro.workloads.trace.MemoryTrace.pipeline_arrays`); when
-        omitted they are derived here.  The event-driven loop reads these
-        arrays instead of per-instruction attributes.
-
-        Columnar input — a :class:`~repro.workloads.columnar.ColumnarTrace`
-        or one of its windows (``run_slice``) — is recognised by its
-        ``columnar_pipeline_plan()`` protocol and executes without any
-        Instruction objects at all: the fetch stage walks a ``range`` of
-        sequence numbers and every fact comes from the column-built arrays.
-        The cycle-driven reference loop keeps its per-instruction shape, so
-        columnar input to ``scheduler="cycle"`` materializes objects first
-        (identity testing only; not a perf path).
+        ``trace`` is recognised as columnar by its
+        ``columnar_pipeline_plan()`` protocol; anything else is adapted
+        once through :func:`~repro.workloads.columnar.as_columnar`, which
+        never writes to the caller's Instruction objects.
         """
         plan = getattr(trace, "columnar_pipeline_plan", None)
+        if plan is None:
+            # Lazy import: the workloads package pulls in repro.obs, which
+            # imports the simulator and so this module.
+            from repro.workloads.columnar import as_columnar
+
+            plan = as_columnar(trace).columnar_pipeline_plan
+        seqs, total, capacity, trace_arrays = plan()
         self.kernel_used = False
         self.kernel_fallback = False
-        if plan is not None:
-            seqs, total, capacity, trace_arrays = plan()
-            self.fast_forwarded_cycles = 0
-            if total == 0:
-                return PipelineResult(
-                    cycles=0, instructions=0, loads=0, stores=0, computes=0
-                )
-            if self.scheduler == "cycle" or not self.enable_fast_forward:
-                return self._run_cycle_driven(
-                    trace.materialize_instructions(), total, capacity
-                )
-            kernel = self.kernel
-            if kernel is not None:
-                result = kernel(self, seqs, total, capacity, trace_arrays)
-                if result is not None:
-                    self.kernel_used = True
-                    return result
-                self.kernel_fallback = True
-            return self._run_event_driven(seqs, total, capacity, trace_arrays)
-        instructions = list(trace)
-        total = len(instructions)
         self.fast_forwarded_cycles = 0
         if total == 0:
             return PipelineResult(cycles=0, instructions=0, loads=0, stores=0, computes=0)
-        # Sequence numbers need not start at zero (a warmed-up run receives a
-        # slice of a trace whose seqs are global positions); the seq-indexed
-        # arrays below are sized to the largest seq in this run, and the
-        # event-driven fetch stage walks the seq list built here instead of
-        # touching Instruction attributes again.
-        seqs = []
-        seq_append = seqs.append
-        capacity = total
-        for position, instruction in enumerate(instructions):
-            seq = instruction.seq
-            if seq < 0:
-                seq = instruction.seq = position
-            seq_append(seq)
-            if seq >= capacity:
-                capacity = seq + 1
-        # ``enable_fast_forward=False`` selects the cycle-driven reference
-        # loop outright: it is what "no skipping at all" means, and the
-        # identity tests rely on it polling every component every cycle.
-        if self.scheduler == "cycle" or not self.enable_fast_forward:
-            return self._run_cycle_driven(instructions, total, capacity)
-        if trace_arrays is None or len(trace_arrays[0]) < capacity:
-            trace_arrays = build_pipeline_arrays(instructions, capacity)
         kernel = self.kernel
         if kernel is not None:
             result = kernel(self, seqs, total, capacity, trace_arrays)
@@ -227,9 +174,8 @@ class OutOfOrderPipeline:
             self.kernel_fallback = True
         return self._run_event_driven(seqs, total, capacity, trace_arrays)
 
-
     # ------------------------------------------------------------------
-    # Event-driven scheduler (default)
+    # Event-driven scheduler
     # ------------------------------------------------------------------
     def _run_event_driven(
         self,
@@ -240,14 +186,13 @@ class OutOfOrderPipeline:
     ) -> PipelineResult:
         """Event-driven execution: stages run only when they have events.
 
-        Bookkeeping is data-oriented: instead of per-instruction RobEntry
+        Bookkeeping is data-oriented: instead of per-instruction entry
         objects, parallel seq-indexed arrays carry the issued/completed flags
         and dependency counts, and the ROB itself is a deque of seqs.  Flag
         reads become byte loads, which matters at one-to-two million
-        instruction events per second of sweep.  ``seqs`` is any indexable
-        of the run's sequence numbers in fetch order — a list for object
-        traces, a plain ``range`` for columnar windows — the loop's only
-        view of the trace besides ``trace_arrays``.
+        instruction events per second of sweep.  ``seqs`` is the ``range``
+        of the run's sequence numbers in fetch order — the loop's only view
+        of the trace besides ``trace_arrays``.
         """
         params = self.params
         max_cycles = self.max_cycles or (200 * total + 100_000)
@@ -271,9 +216,8 @@ class OutOfOrderPipeline:
         # simply never skip a tick and never allow a clock jump).
         quiescent = getattr(interface, "quiescent", None)
 
-        rob_entries = self.rob.entries
-        #: the ROB as a deque of seqs (program order); self.rob stays empty —
-        #: the cycle-driven reference loop still goes through its RobEntry API
+        rob_entries = params.rob_entries
+        #: the ROB as a deque of seqs (program order)
         rob_q: Deque[int] = deque()
         rob_len = 0  # len(rob_q), maintained inline (hot gate checks)
         heappush = heapq.heappush
@@ -707,373 +651,6 @@ class OutOfOrderPipeline:
                 cat_ff,
             )
             collector.record_run(total_cycles, total, events_seen)
-        return PipelineResult(
-            cycles=total_cycles,
-            instructions=total,
-            loads=loads,
-            stores=stores,
-            computes=computes,
-        )
-
-    # ------------------------------------------------------------------
-    # Cycle-driven reference loop (identity testing; PR-2 behaviour)
-    # ------------------------------------------------------------------
-    def _run_cycle_driven(
-        self, instructions: List[Instruction], total: int, capacity: int
-    ) -> PipelineResult:
-        params = self.params
-        max_cycles = self.max_cycles or (200 * total + 100_000)
-        issue_width = params.issue_width
-        fetch_width = params.fetch_width
-        commit_width = params.commit_width
-        compute_latency = params.compute_latency
-
-        interface = self.interface
-        begin_cycle = interface.begin_cycle
-        can_accept_load = interface.can_accept_load
-        can_accept_store = interface.can_accept_store
-        reserve_load_slot = interface.reserve_load_slot
-        reserve_store_slot = interface.reserve_store_slot
-        submit_load = interface.submit_load
-        submit_store = interface.submit_store
-        tick = interface.tick
-        # Optional protocol extension: interfaces without quiescent() simply
-        # never fast-forward (unit-test stubs keep working unchanged).
-        quiescent = getattr(interface, "quiescent", None)
-        fast_forward = self.enable_fast_forward and quiescent is not None
-
-        rob = self.rob
-        rob_entries = rob.entries
-        rob_buffer = rob._buffer  # hot path: dispatch/commit are inlined below
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        next_fetch = 0
-        committed = 0
-        cycle = 0
-        last_commit_cycle = 0
-
-        #: seq -> in-flight RobEntry (None once committed / not yet dispatched)
-        in_flight: List[Optional[RobEntry]] = [None] * capacity
-        #: seq -> 1 once the instruction's result is available
-        produced = bytearray(capacity)
-        #: seq -> entries waiting on that producer (None when nobody waits)
-        consumers: List[Optional[List[RobEntry]]] = [None] * capacity
-        #: min-heap of ready-to-issue sequence numbers (oldest first)
-        ready_heap: List[int] = []
-        #: memory ops that were ready but found no slot this cycle
-        deferred: List[int] = []
-        #: entries completing exactly next cycle (computes, stores, L1 hits)
-        due_next: List[RobEntry] = []
-        #: min-heap of (completion_cycle, seq, entry) for longer latencies;
-        #: seq breaks ties so the entry itself is never compared
-        completion_events: List[Tuple[int, int, RobEntry]] = []
-        #: stores must claim store-buffer entries in program order (as real
-        #: store queues allocate at dispatch); otherwise younger stores can
-        #: fill the SB and deadlock an older store at the ROB head.
-        store_order: List[int] = []
-        store_order_head = 0
-
-        loads = stores = computes = 0
-        # Per-cycle counters accumulated locally, flushed at the end of run().
-        cycles_counted = 0
-        issued_total = 0
-        dispatched_total = 0
-
-        bucket_latency_ok = compute_latency == 1
-
-        # Observation plumbing (same categories as the event-driven loop so
-        # identity tests can compare attributions across schedulers; no
-        # occupancy sampling here — the reference loop is not a perf path).
-        collector = self.collector
-        collecting = collector is not None
-        cat_commit = cat_issue = cat_frontend = 0
-        cat_memory = cat_buffer = cat_idle = cat_ff = 0
-
-        while committed < total:
-            if cycle > max_cycles:
-                raise RuntimeError(
-                    f"pipeline exceeded {max_cycles} cycles; likely deadlock "
-                    f"({committed}/{total} committed)"
-                )
-            if collecting:
-                commit_before = committed
-                issue_before = issued_total
-                fetch_before = next_fetch
-            begin_cycle(cycle)
-
-            # ----------------------------------------------------------
-            # 1. Retire completions scheduled for this cycle.  Processing
-            #    order within one cycle does not affect outcomes (waking a
-            #    consumer only pushes onto the ready heap), so the bucket
-            #    of one-cycle completions is drained before the heap.
-            # ----------------------------------------------------------
-            if due_next:
-                due_now = due_next
-                due_next = []
-                for entry in due_now:
-                    if entry.completed:
-                        continue
-                    entry.completed = True
-                    entry.complete_cycle = cycle
-                    seq = entry.instruction.seq
-                    produced[seq] = 1
-                    waiting = consumers[seq]
-                    if waiting is not None:
-                        consumers[seq] = None
-                        for consumer in waiting:
-                            consumer.pending_deps -= 1
-                            if consumer.pending_deps == 0 and not consumer.issued:
-                                heappush(ready_heap, consumer.instruction.seq)
-            while completion_events and completion_events[0][0] <= cycle:
-                entry = heappop(completion_events)[2]
-                if entry.completed:
-                    continue
-                entry.completed = True
-                entry.complete_cycle = cycle
-                seq = entry.instruction.seq
-                produced[seq] = 1
-                waiting = consumers[seq]
-                if waiting is not None:
-                    consumers[seq] = None
-                    for consumer in waiting:
-                        consumer.pending_deps -= 1
-                        if consumer.pending_deps == 0 and not consumer.issued:
-                            heappush(ready_heap, consumer.instruction.seq)
-
-            # ----------------------------------------------------------
-            # 2. Issue ready instructions (oldest first, up to issue width).
-            # ----------------------------------------------------------
-            if deferred:
-                for seq in deferred:
-                    heappush(ready_heap, seq)
-                deferred = []
-            issued = 0
-            postponed: List[int] = []
-            postponed_load = False
-            loads_blocked = stores_blocked = False
-            while ready_heap and issued < issue_width:
-                seq = heappop(ready_heap)
-                entry = in_flight[seq]
-                if entry is None or entry.issued:
-                    continue
-                instruction = entry.instruction
-                if not instruction.is_memory:
-                    entry.issued = True
-                    entry.issue_cycle = cycle
-                    if bucket_latency_ok:
-                        due_next.append(entry)
-                    else:
-                        heappush(
-                            completion_events, (cycle + compute_latency, seq, entry)
-                        )
-                    issued += 1
-                elif instruction.is_load:
-                    if (
-                        not loads_blocked
-                        and can_accept_load()
-                        and reserve_load_slot()
-                    ):
-                        entry.issued = True
-                        entry.issue_cycle = cycle
-                        submit_load(seq, instruction.address, instruction.size, cycle)
-                        issued += 1
-                    else:
-                        # Out of load slots this cycle: keep the load for the
-                        # next cycle but let younger compute work proceed.
-                        loads_blocked = True
-                        postponed.append(seq)
-                        postponed_load = True
-                else:  # store
-                    in_store_order = (
-                        store_order_head < len(store_order)
-                        and store_order[store_order_head] == seq
-                    )
-                    if (
-                        not stores_blocked
-                        and in_store_order
-                        and can_accept_store()
-                        and reserve_store_slot()
-                    ):
-                        store_order_head += 1
-                        entry.issued = True
-                        entry.issue_cycle = cycle
-                        submit_store(seq, instruction.address, instruction.size, cycle)
-                        # Stores produce no register value: they are complete
-                        # (for commit purposes) once their address is computed.
-                        due_next.append(entry)
-                        issued += 1
-                    else:
-                        stores_blocked = True
-                        postponed.append(seq)
-            deferred = postponed  # drained into ready_heap above
-            deferred_has_load = postponed_load
-            issued_total += issued
-
-            # ----------------------------------------------------------
-            # 3. Advance the interface; schedule load completions.
-            # ----------------------------------------------------------
-            for tag, ready_cycle in tick(cycle):
-                entry = in_flight[tag] if 0 <= tag < capacity else None
-                if entry is None or entry.completed:
-                    continue
-                if ready_cycle <= cycle + 1:
-                    due_next.append(entry)
-                else:
-                    heappush(completion_events, (ready_cycle, tag, entry))
-
-            # ----------------------------------------------------------
-            # 4. Commit in order (inlined rob.commit_ready()).
-            # ----------------------------------------------------------
-            if rob_buffer and rob_buffer[0].completed:
-                commits = 0
-                while (
-                    commits < commit_width
-                    and rob_buffer
-                    and rob_buffer[0].completed
-                ):
-                    entry = rob_buffer.popleft()
-                    commits += 1
-                    committed += 1
-                    last_commit_cycle = cycle
-                    instruction = entry.instruction
-                    if instruction.is_load:
-                        loads += 1
-                    elif instruction.is_store:
-                        stores += 1
-                        interface.commit_store(instruction.seq, cycle)
-                    else:
-                        computes += 1
-                    in_flight[instruction.seq] = None
-                    consumers[instruction.seq] = None
-            cycles_counted += 1
-
-            # ----------------------------------------------------------
-            # 5. Fetch / dispatch into the ROB (inlined rob.dispatch(): the
-            #    capacity check below is the same one dispatch() performs).
-            # ----------------------------------------------------------
-            if next_fetch < total:
-                fetched = 0
-                while (
-                    fetched < fetch_width
-                    and next_fetch < total
-                    and len(rob_buffer) < rob_entries
-                ):
-                    instruction = instructions[next_fetch]
-                    entry = RobEntry(instruction, cycle)
-                    rob_buffer.append(entry)
-                    seq = instruction.seq
-                    in_flight[seq] = entry
-                    if instruction.is_store:
-                        store_order.append(seq)
-                    pending = 0
-                    if instruction.deps:
-                        for distance in instruction.deps:
-                            producer = seq - distance
-                            if (
-                                producer < 0
-                                or produced[producer]
-                                or in_flight[producer] is None
-                            ):
-                                continue
-                            waiting = consumers[producer]
-                            if waiting is None:
-                                waiting = consumers[producer] = []
-                            waiting.append(entry)
-                            pending += 1
-                        entry.pending_deps = pending
-                    if pending == 0:
-                        heappush(ready_heap, seq)
-                    next_fetch += 1
-                    fetched += 1
-                dispatched_total += fetched
-
-            # Observation: classify this cycle (mirrors the event-driven
-            # loop; the interface's post-tick quiescence stands in for its
-            # ``interface_active`` flag).
-            if collecting:
-                if committed > commit_before:
-                    cat_commit += 1
-                elif issued_total > issue_before:
-                    cat_issue += 1
-                elif next_fetch > fetch_before:
-                    cat_frontend += 1
-                elif quiescent is not None and not quiescent():
-                    cat_memory += 1
-                elif deferred:
-                    cat_buffer += 1
-                else:
-                    cat_idle += 1
-
-            cycle += 1
-
-            # ----------------------------------------------------------
-            # 6. Idle fast-forward: if the machine is fully stalled waiting
-            #    for a future completion event, jump the clock to it.  Each
-            #    skipped cycle would have been a complete no-op (nothing to
-            #    retire/issue/tick/commit/fetch), so only the cycle counter
-            #    needs advancing — results stay bit-identical.
-            #
-            #    Deferred memory ops require care: their issue attempt used
-            #    *pre-tick* state, but this cycle's tick may have released
-            #    the back-pressure that blocked them.  A quiescent interface
-            #    holds no unserviced loads, so its load queue is drained and
-            #    a deferred *load* would always issue next cycle — never
-            #    skip then.  A deferred *store* can only issue next cycle if
-            #    it heads the program-order store sequence and the store
-            #    buffer has room; both are stable until a commit or a
-            #    completion event, so anything else is safe to skip across.
-            # ----------------------------------------------------------
-            if (
-                fast_forward
-                and not ready_heap
-                and not due_next
-                and completion_events
-                and completion_events[0][0] > cycle
-                and (next_fetch >= total or len(rob_buffer) >= rob_entries)
-                and committed < total
-                and not (rob_buffer and rob_buffer[0].completed)
-                and (
-                    not deferred
-                    or (
-                        not deferred_has_load
-                        and (
-                            store_order_head >= len(store_order)
-                            or store_order[store_order_head] not in deferred
-                            or not can_accept_store()
-                        )
-                    )
-                )
-                and quiescent()
-            ):
-                target = completion_events[0][0]
-                skipped = target - cycle
-                cycles_counted += skipped
-                self.fast_forwarded_cycles += skipped
-                if collecting:
-                    cat_ff += skipped
-                cycle = target
-
-        total_cycles = last_commit_cycle + 1
-        interface.finalize(total_cycles)
-        # Flush the locally accumulated per-cycle counters in one shot.
-        stats = self.stats
-        stats.add("pipeline.issued", issued_total)
-        stats.add("pipeline.cycles", cycles_counted)
-        stats.add("pipeline.dispatched", dispatched_total)
-        stats.set("pipeline.total_cycles", total_cycles)
-        stats.set("pipeline.committed", committed)
-        if collecting:
-            collector.record_categories(
-                cat_commit,
-                cat_issue,
-                cat_frontend,
-                cat_memory,
-                cat_buffer,
-                cat_idle,
-                cat_ff,
-            )
-            collector.record_run(total_cycles, total, 0)
         return PipelineResult(
             cycles=total_cycles,
             instructions=total,

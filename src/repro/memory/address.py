@@ -262,7 +262,8 @@ class AddressLayout:
         Every distinct address is decomposed exactly once per layout
         instance; requests, interfaces and way-determination structures all
         read the same cached :class:`AddressParts`, and traces can pre-warm
-        the cache (:meth:`repro.workloads.trace.MemoryTrace.precompute_decompositions`)
+        the cache
+        (:meth:`repro.workloads.columnar.ColumnarTrace.precompute_decompositions`)
         so the simulation itself never decomposes an address it has seen.
         """
         cache = self._decompose_cache

@@ -1,11 +1,11 @@
 """Per-run observation collector: cycle categories and sampled occupancy.
 
 A :class:`RunCollector` rides along one pipeline run (attach it through
-``Simulator.run(..., collector=...)`` or ``run_configuration``).  The
-event-driven loop classifies every *simulated* cycle into exactly one
-category and, every ``sample_every`` counted cycles, snapshots the occupancy
-of the pipeline-visible structures (ROB, load queue, store buffer, merge
-buffer).  Both feed the two obs views:
+``Simulator.run(..., options=RunOptions(collector=...))`` or
+``run_configuration``).  The event-driven loop classifies every *simulated*
+cycle into exactly one category and, every ``sample_every`` counted cycles,
+snapshots the occupancy of the pipeline-visible structures (ROB, load queue,
+store buffer, merge buffer).  Both feed the two obs views:
 
 * the cycle-attribution report (:mod:`repro.obs.attribution`) — the
   categories below partition the run, so their counts **sum to the total

@@ -18,9 +18,10 @@ uses):
     bench harness via :mod:`repro.obs.hostinfo`), total cells, job count.
 ``cell``
     One line per cell the run touched: cell/config/trace content hashes,
-    wall seconds, worker pid, kernel used / fallback reason, scheduler and
-    trace frontend, and whether the result was computed or served from the
-    store.
+    wall seconds, worker pid, kernel used / fallback reason, and whether the
+    result was computed or served from the store.  (Journals written before
+    the run path was unified also carry ``scheduler`` and ``frontend``; the
+    schema keeps both optional so they still validate.)
 ``run_end``
     One footer per execution: totals, elapsed wall time, cells/sec, kernel
     fallback tally, and the run's merged metrics registry dump — which is

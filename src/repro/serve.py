@@ -59,6 +59,9 @@ logger = get_logger(__name__)
 #: campaign job states, in lifecycle order
 JOB_STATES = ("queued", "running", "done", "failed")
 
+#: largest request body the server reads; submissions are a few hundred bytes
+MAX_BODY_BYTES = 1 << 20
+
 
 class CampaignJob:
     """One submitted sweep: its spec, lifecycle state and results."""
@@ -140,12 +143,34 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self.app.journal_request(method, self.path, status, time.time() - started)
 
     def _body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        """The JSON object in the request body, or ``None`` without one.
+
+        The length is checked before anything is read: a negative or
+        non-numeric ``Content-Length`` is a 400 and one above
+        :data:`MAX_BODY_BYTES` a 413.  Either way the unread body leaves
+        the stream out of step, so the connection closes after the reply.
+        """
+        header = (self.headers.get("Content-Length") or "").strip()
+        if not header:
+            return None
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True
+            raise _RequestError(
+                400, f"Content-Length must be a non-negative integer, got {header!r}"
+            )
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _RequestError(
+                413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES} bytes"
+            )
         if not length:
             return None
         raw = self.rfile.read(length)

@@ -10,8 +10,9 @@ event scheduled".
 
 Determinism
 -----------
-Results must stay bit-identical to the cycle-driven reference loop, so the
-wheel is deterministic end to end:
+Results must stay bit-identical to polling every component every cycle
+(pinned by ``tests/golden/pipeline_identity.json``), so the wheel is
+deterministic end to end:
 
 * events scheduled for the same cycle are returned in a fixed order —
   first by the *component* that scheduled them (components are assigned

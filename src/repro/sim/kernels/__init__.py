@@ -12,9 +12,10 @@ version, so every sweep cell sharing a configuration shape compiles once —
 including across pool workers when the campaign executor's initializer calls
 :func:`prewarm` with the campaign's distinct configs.
 
-Selection follows the PR-7 frontend pattern: ``"specialized"`` is the
-default, ``kernel="generic"`` / ``REPRO_SIM_KERNEL=generic`` keeps the
-original interpreted loop as the differential-testing oracle.
+``"specialized"`` is the default; ``RunOptions(kernel="generic")`` runs the
+interpreted event loop of :class:`repro.cpu.pipeline.OutOfOrderPipeline`
+instead.  That loop is the one oracle the kernels are held to: the
+differential suite and the golden replays run every pinned case under both.
 
 Generated sources are registered with :mod:`linecache` under a synthetic
 ``<repro-kernel-...>`` filename, so tracebacks out of exec-compiled code show
@@ -40,7 +41,6 @@ from repro.sim.kernels.generator import (
 __all__ = [
     "GENERATOR_VERSION",
     "KERNELS",
-    "KERNEL_ENV",
     "KernelProgram",
     "compile_kernel",
     "content_hash",
@@ -49,9 +49,6 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: environment variable selecting the process-wide default kernel
-KERNEL_ENV = "REPRO_SIM_KERNEL"
-
 #: recognised kernel selections
 KERNELS = ("specialized", "generic")
 
@@ -59,20 +56,9 @@ _DEFAULT_KERNEL = "specialized"
 
 
 def resolve_kernel(explicit: Optional[str] = None) -> str:
-    """The effective kernel selection.
-
-    Explicit argument (a ``kernel=`` parameter or a
-    :class:`repro.api.RunOptions` field) beats the *deprecated*
-    ``REPRO_SIM_KERNEL`` environment variable — consulted through
-    :func:`repro.api.env_fallback`, which emits the ``DeprecationWarning``
-    — beats the built-in default (``"specialized"``), mirroring
-    :func:`repro.workloads.columnar.resolve_frontend`.
-    """
-    choice = explicit
-    if choice is None:
-        from repro.api import env_fallback
-
-        choice = (env_fallback(KERNEL_ENV) or "").lower() or _DEFAULT_KERNEL
+    """The effective kernel selection: ``explicit`` (a
+    :class:`repro.api.RunOptions` field) or the default, ``"specialized"``."""
+    choice = explicit if explicit is not None else _DEFAULT_KERNEL
     if choice not in KERNELS:
         raise ValueError(f"kernel {choice!r} not in {KERNELS}")
     return choice

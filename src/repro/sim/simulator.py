@@ -195,7 +195,7 @@ class Simulator:
 
         Lazy import: ``repro.obs`` pulls in this module (attribution), so a
         top-level import would be circular — same idiom as the columnar
-        frontend import below.
+        import in :meth:`run`.
         """
         from repro.obs import metrics as obs_metrics
 
@@ -203,7 +203,7 @@ class Simulator:
             slug = reason.replace(" ", "_")
             obs_metrics.registry.counter(f"kernel.fallback.{slug}").inc()
 
-    def _kernel_entry(self, kernel: Optional[str], collector, scheduler: str = "event"):
+    def _kernel_entry(self, kernel: Optional[str], collector):
         """Resolve the kernel selection and compile the entry point (or not).
 
         Returns the compiled ``kernel_run`` callable, or ``None`` when the
@@ -217,12 +217,6 @@ class Simulator:
         self.kernel_used = False
         self.kernel_fallback_reason = None
         if choice != "specialized":
-            return None
-        if scheduler != "event":
-            # Specialized kernels are fused event-driven loops; the cycle
-            # scheduler is the reference path and never runs one.
-            self.kernel_fallback_reason = "cycle scheduler"
-            self._count_kernel_fallback(self.kernel_fallback_reason)
             return None
         if collector is not None:
             # Attribution instruments the generic loop's stages; specialized
@@ -246,20 +240,18 @@ class Simulator:
         self,
         trace: Iterable[Instruction],
         warmup_fraction: float = 0.0,
-        collector=None,
-        frontend: Optional[str] = None,
-        kernel: Optional[str] = None,
         options: Optional[RunOptions] = None,
     ) -> SimulationResult:
         """Execute ``trace`` and return performance plus energy results.
 
-        ``options`` is the preferred way to configure the run: one
-        :class:`repro.api.RunOptions` carrying frontend, kernel, scheduler
-        and collector.  The loose ``collector=``/``frontend=``/``kernel=``
-        keywords remain as deprecated fallbacks that resolve into a
-        ``RunOptions`` (via :meth:`RunOptions.from_env`, which also absorbs
-        the deprecated environment variables); mixing them with ``options=``
-        raises ``ValueError``.
+        ``trace`` is any trace input: a
+        :class:`~repro.workloads.columnar.ColumnarTrace`, a
+        :class:`~repro.workloads.trace.MemoryTrace` or a plain iterable of
+        Instructions, adapted once to its columnar view
+        (:func:`~repro.workloads.columnar.as_columnar`).  The layout memo
+        is warmed in one batched pass over the distinct address set, and
+        the pipeline receives zero-copy ``run_slice`` windows for the
+        warm-up and measured portions.
 
         ``warmup_fraction`` runs the first part of the trace only to warm the
         caches, TLBs and way tables; its cycles and events are discarded
@@ -268,141 +260,44 @@ class Simulator:
         keep compulsory misses from dominating the (much shorter) synthetic
         traces.
 
-        ``collector`` optionally attaches a
-        :class:`repro.obs.collector.RunCollector` to the *measured* pipeline
-        (warm-up cycles are discarded from results, so they are excluded from
-        attribution too).  Observation is strictly additive — the returned
-        result is bit-identical with and without a collector.
+        ``options`` (a :class:`repro.api.RunOptions`; ``None`` means the
+        defaults) selects the kernel and an optional collector:
 
-        ``kernel`` selects the hot-loop implementation: ``"specialized"``
-        (the default; overridable process-wide through ``REPRO_SIM_KERNEL``)
-        runs a per-configuration generated kernel — the event-driven loop
-        fused with the interface tick and batched stat accounting (see
-        :mod:`repro.sim.kernels`); ``"generic"`` keeps the interpreted loop
-        as the differential oracle.  Results are bit-identical either way
-        (enforced by ``tests/test_kernel_differential.py``).  Collector runs
-        fall back to the generic loop and record why in
-        ``kernel_fallback_reason``.
-
-        ``frontend`` selects how the trace is fed to the pipeline:
-        ``"columnar"`` (the default; overridable process-wide through
-        ``REPRO_TRACE_FRONTEND``) runs traces that expose a ``columnar()``
-        view — :class:`~repro.workloads.trace.MemoryTrace` and
-        :class:`~repro.workloads.columnar.ColumnarTrace` — through the
-        column-batched path with no per-instruction objects in the loop;
-        ``"object"`` forces the original Instruction-list path, kept as the
-        differential-testing oracle.  Results are bit-identical either way
-        (enforced by ``tests/test_columnar_differential.py``).  Plain
-        iterables of Instructions always take the object path.
+        * ``kernel="specialized"`` (the default) runs a per-configuration
+          generated kernel — the event-driven loop fused with the interface
+          tick and batched stat accounting (see :mod:`repro.sim.kernels`);
+          ``"generic"`` keeps the interpreted loop as the oracle.  Results
+          are bit-identical either way.
+        * ``collector`` attaches a :class:`repro.obs.collector.RunCollector`
+          to the *measured* pipeline (warm-up cycles are discarded from
+          results, so they are excluded from attribution too).  Observation
+          is strictly additive; collector runs fall back to the generic loop
+          and record why in ``kernel_fallback_reason``.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1)")
-        if options is not None:
-            if collector is not None or frontend is not None or kernel is not None:
-                raise ValueError(
-                    "pass options= or the legacy collector=/frontend=/kernel= "
-                    "keywords, not both"
-                )
-        else:
-            options = RunOptions.from_env(
-                collector=collector, frontend=frontend, kernel=kernel
-            )
+        # Lazy import: the workloads package pulls in repro.obs, which
+        # imports this module.
+        from repro.workloads.columnar import as_columnar
+
+        if options is None:
+            options = RunOptions()
         collector = options.collector
-        scheduler = options.resolved_scheduler()
-        entry = self._kernel_entry(options.kernel, collector, scheduler)
-        if options.resolved_frontend() == "columnar":
-            as_columnar = getattr(trace, "columnar", None)
-            if as_columnar is not None:
-                return self._run_columnar(
-                    as_columnar(), warmup_fraction, collector, entry, scheduler
-                )
-        instructions = list(trace)
-        # Warm the layout's memoised address decomposition in one pass so
-        # every address is decomposed exactly once, not once per interface
-        # structure (the layout the interfaces slice with is the config's).
-        warm = getattr(trace, "precompute_decompositions", None)
-        if warm is not None:
-            warm(self.config.cache.layout)
-        else:
-            decompose = self.config.cache.layout.decompose
-            for instruction in instructions:
-                if instruction.address is not None:
-                    decompose(instruction.address)
-        warmup_count = int(len(instructions) * warmup_fraction)
-        # Seq-indexed instruction facts, built once per trace and shared by
-        # the warm-up and measured pipelines of every configuration.
-        arrays = getattr(trace, "pipeline_arrays", None)
-        trace_arrays = arrays() if arrays is not None else None
+        entry = self._kernel_entry(options.kernel, collector)
+        view = as_columnar(trace)
+        view.precompute_decompositions(self.config.cache.layout)
+        total = len(view)
+        warmup_count = int(total * warmup_fraction)
         params = self._pipeline_parameters()
-        # The cycle loop allocates short-lived objects at a rate that keeps
-        # the cyclic collector busy for nothing (the simulator builds no
+        # The loop allocates short-lived objects at a rate that keeps the
+        # cyclic collector busy for nothing (the simulator builds no
         # reference cycles); pausing it for the run is a pure wall-time win.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             if warmup_count:
                 warmup_pipeline = OutOfOrderPipeline(
-                    self.interface,
-                    params=params,
-                    stats=self.stats,
-                    scheduler=scheduler,
-                    kernel=entry,
-                )
-                warmup_pipeline.run(instructions[:warmup_count], trace_arrays)
-                self.stats.clear()
-            pipeline = OutOfOrderPipeline(
-                self.interface,
-                params=params,
-                stats=self.stats,
-                scheduler=scheduler,
-                collector=collector,
-                kernel=entry,
-            )
-            outcome = pipeline.run(instructions[warmup_count:], trace_arrays)
-            self._note_kernel_outcome(entry, pipeline)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        energy = self.accountant.report(self.stats, outcome.cycles)
-        return SimulationResult(
-            config_name=self.config.name,
-            cycles=outcome.cycles,
-            instructions=outcome.instructions,
-            loads=outcome.loads,
-            stores=outcome.stores,
-            energy=energy,
-            stats=self.stats.as_dict(),
-        )
-
-    def _run_columnar(
-        self, view, warmup_fraction: float, collector, entry=None, scheduler="event"
-    ) -> SimulationResult:
-        """The column-batched run: no Instruction lists anywhere in the loop.
-
-        The layout memo is warmed in one batched pass over the distinct
-        address set, the pipeline receives zero-copy ``run_slice`` windows
-        for the warm-up and measured portions, and the seq-indexed arrays
-        are built once per view and shared by both (and by every other
-        configuration running the same view).  Statistically and energetically
-        bit-identical to the object path — only the feeding changes.
-        """
-        view.precompute_decompositions(self.config.cache.layout)
-        total = len(view)
-        warmup_count = int(total * warmup_fraction)
-        params = self._pipeline_parameters()
-        # Same GC pause as the object path: the cycle loops allocate
-        # short-lived objects at a rate that keeps the cyclic collector busy
-        # for nothing.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            if warmup_count:
-                warmup_pipeline = OutOfOrderPipeline(
-                    self.interface,
-                    params=params,
-                    stats=self.stats,
-                    scheduler=scheduler,
-                    kernel=entry,
+                    self.interface, params=params, stats=self.stats, kernel=entry
                 )
                 warmup_pipeline.run(view.run_slice(0, warmup_count))
                 self.stats.clear()
@@ -410,7 +305,6 @@ class Simulator:
                 self.interface,
                 params=params,
                 stats=self.stats,
-                scheduler=scheduler,
                 collector=collector,
                 kernel=entry,
             )
@@ -435,22 +329,9 @@ def run_configuration(
     config: SimulationConfig,
     trace: Iterable[Instruction],
     warmup_fraction: float = 0.0,
-    collector=None,
-    frontend: Optional[str] = None,
-    kernel: Optional[str] = None,
     options: Optional[RunOptions] = None,
 ) -> SimulationResult:
-    """One-call helper: build a :class:`Simulator` for ``config`` and run ``trace``.
-
-    Prefer ``options=`` (a :class:`repro.api.RunOptions`); the loose
-    keywords remain as deprecated fallbacks, exactly as in
-    :meth:`Simulator.run`.
-    """
+    """One-call helper: build a :class:`Simulator` for ``config`` and run ``trace``."""
     return Simulator(config).run(
-        trace,
-        warmup_fraction=warmup_fraction,
-        collector=collector,
-        frontend=frontend,
-        kernel=kernel,
-        options=options,
+        trace, warmup_fraction=warmup_fraction, options=options
     )

@@ -25,7 +25,7 @@ into a deterministic :class:`~repro.workloads.trace.MemoryTrace`.
 """
 
 from repro.workloads.trace import MemoryTrace
-from repro.workloads.columnar import ColumnarTrace, resolve_frontend
+from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.profiles import BenchmarkProfile, StreamSpec, StreamKind
 from repro.workloads.synthetic import SyntheticTraceGenerator, generate_trace
 from repro.workloads.binfmt import (
@@ -72,7 +72,6 @@ from repro.workloads.suites import (
 __all__ = [
     "MemoryTrace",
     "ColumnarTrace",
-    "resolve_frontend",
     "BenchmarkProfile",
     "StreamSpec",
     "StreamKind",

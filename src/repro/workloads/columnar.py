@@ -22,7 +22,7 @@ what ``repro bench``'s ``trace_columnar_decode`` scenario measures.
 
 Batched interpretation
 ----------------------
-The frontends consume the columns in bulk rather than record-at-a-time:
+The pipeline consumes the columns in bulk rather than record-at-a-time:
 
 * :meth:`ColumnarTrace.precompute_decompositions` warms the address-layout
   memo over the *distinct* address set (one ``set()`` construction plus one
@@ -35,14 +35,12 @@ The frontends consume the columns in bulk rather than record-at-a-time:
 * the pipeline walks sequence numbers as a ``range`` — no per-instruction
   attribute loads at fetch.
 
-Results are **bit-identical** to the object path: the columns carry exactly
-the record fields, the pipeline consumes the same seq-indexed arrays either
-way, and stateful per-access work (TLB translation, cache banks) still
-happens access-by-access inside the interfaces.  The object path remains
-available as the differential-testing oracle — select it per call
-(``frontend="object"``) or process-wide (``REPRO_TRACE_FRONTEND=object``);
-``tests/test_columnar_differential.py`` holds the two frontends to full
-``StatCounters``-and-energy equality.
+This is the simulator's one input type.  :func:`as_columnar` adapts every
+other trace input once, at the edge: a
+:class:`~repro.workloads.trace.MemoryTrace` through its cached
+``columnar()`` view, a plain iterable of Instructions through the same
+``.rtrc`` codec.  Stateful per-access work (TLB translation, cache banks)
+still happens access-by-access inside the interfaces.
 
 Validation mirrors :func:`repro.workloads.binfmt.decode_trace`: truncated or
 oversized bodies, unknown kind codes, zero dependency distances, zero-size
@@ -58,10 +56,11 @@ import struct
 import sys
 from array import array
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import List, Optional, Tuple
 
 from repro.cpu.instruction import Instruction
-from repro.memory.address import AddressLayout
+from repro.memory.address import DEFAULT_LAYOUT, AddressLayout
 from repro.workloads.binfmt import (
     _KINDS_BY_CODE,
     _LAYOUT_FIELDS,
@@ -71,15 +70,10 @@ from repro.workloads.binfmt import (
     RTRC_VERSION,
     TraceFormatError,
     _open_binary,
+    encode_trace,
     fingerprint_sections,
     read_header,
 )
-
-#: environment variable selecting the process-wide default frontend
-FRONTEND_ENV = "REPRO_TRACE_FRONTEND"
-
-#: recognised frontend names: ``columnar`` (default) and the object-path oracle
-FRONTENDS = ("columnar", "object")
 
 #: bytes per ``.rtrc`` record (kind u8, ndeps u8, size u16, address u64)
 _RECORD_SIZE = _RECORD.size
@@ -91,35 +85,6 @@ _VALID_KINDS = b"\x00\x01\x02"
 _DEP_RUNS = re.compile(rb"[^\x00]+")
 
 _ZERO_U32 = b"\x00\x00\x00\x00"
-
-
-def resolve_frontend(explicit: Optional[str] = None) -> str:
-    """The trace frontend to use: ``explicit`` arg > environment > default.
-
-    ``explicit`` (a ``frontend=`` parameter or a
-    :class:`repro.api.RunOptions` field) wins when given; otherwise the
-    *deprecated* ``REPRO_TRACE_FRONTEND`` environment variable is consulted
-    through :func:`repro.api.env_fallback` (which emits the
-    ``DeprecationWarning``), and the default is ``"columnar"``.  Unknown
-    names raise ``ValueError`` so a typo never silently selects the wrong
-    path.
-    """
-    value = explicit
-    if value is None:
-        # Lazy import: repro.api is a leaf module, but keeping the env
-        # plumbing out of module scope keeps import order irrelevant.
-        from repro.api import env_fallback
-
-        value = env_fallback(FRONTEND_ENV)
-    if value is None or not value.strip():
-        return FRONTENDS[0]
-    value = value.strip().lower()
-    if value not in FRONTENDS:
-        raise ValueError(
-            f"unknown trace frontend {value!r}: expected one of {FRONTENDS} "
-            f"(explicit argument or ${FRONTEND_ENV})"
-        )
-    return value
 
 
 def _check_columns(kinds: bytes, ndeps: bytes, sizes, deps_bytes, deps_len: int) -> None:
@@ -184,13 +149,6 @@ class ColumnarSlice:
             self.stop,
             self.trace.pipeline_arrays(),
         )
-
-    def materialize_instructions(self) -> List[Instruction]:
-        """Instruction objects of this window (cycle-scheduler fallback)."""
-        return self.trace.instructions()[self.start : self.stop]
-
-    def __iter__(self):
-        return iter(self.materialize_instructions())
 
 
 class ColumnarTrace:
@@ -322,8 +280,6 @@ class ColumnarTrace:
         exactly what a worker decoding shipped bytes would see (and carry
         the same fingerprint).
         """
-        from repro.workloads.binfmt import encode_trace
-
         return cls.from_rtrc_bytes(encode_trace(trace))
 
     @classmethod
@@ -397,10 +353,6 @@ class ColumnarTrace:
         total = len(self.kinds)
         return range(total), total, total, self.pipeline_arrays()
 
-    def materialize_instructions(self) -> List[Instruction]:
-        """Instruction objects of the whole trace (cycle-scheduler fallback)."""
-        return self.instructions()
-
     def pipeline_arrays(self):
         """Seq-indexed ``(kinds, addresses, sizes, producers)``; cached.
 
@@ -436,12 +388,12 @@ class ColumnarTrace:
     def precompute_decompositions(self, layout: Optional[AddressLayout] = None) -> int:
         """Warm ``layout``'s decomposition memo over the distinct address set.
 
-        The batched counterpart of
-        :meth:`~repro.workloads.trace.MemoryTrace.precompute_decompositions`:
+        ``layout`` defaults to the trace's own.  The simulator calls this
+        before a run so no interface ever decomposes a trace address again:
         one ``set()`` pass over the address column, one ``decompose`` per
         *distinct* address (the memo is keyed per layout instance, so the
         warm is idempotent and shared across a sweep's configurations).
-        Returns the number of memory references, like the object path.
+        Returns the number of memory references.
         """
         target = layout if layout is not None else self.layout
         warmed = self._warmed_layouts
@@ -518,7 +470,7 @@ class ColumnarTrace:
         )
 
     def fingerprint(self) -> str:
-        """Content hash — bit-equal to the object path's ``trace_fingerprint``."""
+        """Content hash — equal to :func:`~repro.workloads.binfmt.trace_fingerprint`."""
         cached = self._fingerprint
         if cached is None:
             layout_bytes = struct.pack(
@@ -534,3 +486,22 @@ class ColumnarTrace:
             f"ColumnarTrace(name={self.name!r}, instructions={len(self)}, "
             f"loads={self.load_count}, stores={self.store_count})"
         )
+
+
+def as_columnar(trace) -> ColumnarTrace:
+    """The columnar view of any trace input, adapted once at the edge.
+
+    Views and :class:`~repro.workloads.trace.MemoryTrace` expose a cached
+    ``columnar()``.  Any other iterable of Instructions (stub-interface unit
+    tests, ad-hoc lists) goes through the ``.rtrc`` codec like every other
+    trace, list positions standing in for sequence numbers.  The caller's
+    Instruction objects are only read: their ``seq`` is never written.
+    """
+    columnar = getattr(trace, "columnar", None)
+    if columnar is not None:
+        return columnar()
+    return ColumnarTrace.from_trace(
+        SimpleNamespace(
+            name="", suite="", layout=DEFAULT_LAYOUT, instructions=list(trace)
+        )
+    )

@@ -13,9 +13,9 @@ import gzip
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Union
+from typing import IO, Iterable, Iterator, List, Union
 
-from repro.cpu.instruction import Instruction, InstructionKind, build_pipeline_arrays
+from repro.cpu.instruction import Instruction, InstructionKind
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 
 
@@ -69,60 +69,6 @@ class MemoryTrace:
         ]
         return MemoryTrace(name=self.name, instructions=sliced, suite=self.suite, layout=self.layout)
 
-    def precompute_decompositions(self, layout: Optional[AddressLayout] = None) -> int:
-        """Warm ``layout``'s address-decomposition cache for this trace.
-
-        Decomposes the address of every memory reference once through
-        :meth:`repro.memory.address.AddressLayout.decompose` (``layout``
-        defaults to the trace's own).  The simulator calls this before a run
-        so no interface ever decomposes a trace address again — one
-        decomposition per distinct address per layout instead of one per
-        access per structure.  Returns the number of memory references seen.
-        """
-        target = layout if layout is not None else self.layout
-        warmed = getattr(self, "_warmed_layouts", None)
-        if warmed is None:
-            warmed = self._warmed_layouts = {}
-        marker = id(target)
-        previous = warmed.get(marker)
-        if previous is not None and previous[0] is target:
-            # This exact layout object was already warmed for this trace; a
-            # campaign runs one shared trace through many configurations, so
-            # the walk would only re-hit the memo.  (Keyed by identity: the
-            # memo lives on the layout instance itself.)
-            return previous[1]
-        decompose = target.decompose
-        count = 0
-        for instruction in self.instructions:
-            address = instruction.address
-            if address is not None:
-                decompose(address)
-                count += 1
-        warmed[marker] = (target, count)
-        return count
-
-    # ------------------------------------------------------------------
-    # Pipeline-ready arrays (seq-indexed, cached)
-    # ------------------------------------------------------------------
-    def pipeline_arrays(self):
-        """Seq-indexed ``(kinds, addresses, sizes, producers)`` arrays.
-
-        ``kinds[seq]`` is 0/1/2 for compute/load/store, ``producers[seq]``
-        the tuple of absolute producer seqs (in-range only).  The pipeline
-        reads these instead of per-instruction attributes; they are built
-        once per trace and cached, so a campaign running one trace through
-        many configurations (plus warm-up slices — the arrays cover the full
-        seq space, any slice indexes into them) pays the pass exactly once.
-        Invalidated when the trace grows.
-        """
-        cached = getattr(self, "_pipeline_arrays", None)
-        if cached is not None and cached[0] == len(self.instructions):
-            return cached[1]
-        count = len(self.instructions)
-        arrays = build_pipeline_arrays(self.instructions, count)
-        self._pipeline_arrays = (count, arrays)
-        return arrays
-
     # ------------------------------------------------------------------
     # Columnar view (simulator fast path)
     # ------------------------------------------------------------------
@@ -130,10 +76,10 @@ class MemoryTrace:
         """The structure-of-arrays view of this trace, built once and cached.
 
         :class:`~repro.workloads.columnar.ColumnarTrace` carries the same
-        instruction stream as parallel columns; the simulator's default
-        (columnar) frontend converts through this accessor, so a campaign
-        running one trace through many configurations pays the conversion
-        exactly once.  Invalidated when the trace grows.
+        instruction stream as parallel columns; the simulator converts
+        through this accessor, so a campaign running one trace through many
+        configurations pays the conversion exactly once.  Invalidated when
+        the trace grows.
         """
         cached = getattr(self, "_columnar", None)
         if cached is not None and cached[0] == len(self.instructions):

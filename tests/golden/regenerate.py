@@ -9,6 +9,13 @@ exist precisely so performance work cannot drift the paper reproduction
 silently::
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+The STRESS anchors and the identity cases were first computed by reference
+oracles that no longer exist — the per-``Instruction`` object frontend and
+the cycle-driven scheduler that polled every component every cycle — and
+asserted equal to the columnar, event-driven run at the time.  Regenerating
+them now runs the one remaining path; an unchanged file is the proof that
+path still gives the oracles' answers.
 """
 
 from __future__ import annotations
@@ -20,14 +27,12 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.campaign.store import ResultStore, result_to_dict
 from repro.cpu.instruction import compute, load, store
-from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.sim.config import MalecParameters, PipelineParameters, SimulationConfig
-from repro.sim.simulator import SimulationResult, Simulator, run_configuration
+from repro.sim.simulator import SimulationResult, run_configuration
 from repro.workloads.profiles import BenchmarkProfile, StreamKind, StreamSpec
 from repro.workloads.suites import (
     STRESS_BENCHMARKS,
@@ -60,16 +65,14 @@ def regenerate(path: Path) -> int:
 
 
 def regenerate_stress(path: Path) -> int:
-    """Pin the STRESS profiles on the Fig. 4 grid (object-path oracle)."""
+    """Pin the STRESS profiles on the Fig. 4 grid."""
     records = {}
     for bench in STRESS_BENCHMARKS:
         trace = generate_trace(
             benchmark_profile(bench), instructions=STRESS_INSTRUCTIONS
         )
         for config in SimulationConfig.figure4_suite():
-            result = run_configuration(
-                config, trace, warmup_fraction=STRESS_WARMUP, frontend="object"
-            )
+            result = run_configuration(config, trace, warmup_fraction=STRESS_WARMUP)
             records[f"{bench}/{config.name}"] = {
                 "cycles": result.cycles,
                 "instructions": result.instructions,
@@ -271,59 +274,14 @@ def identity_record(result: SimulationResult) -> dict:
     }
 
 
-def _polling_result(config, trace, warmup_fraction: float) -> SimulationResult:
-    """The object frontend on the cycle loop with the idle fast-forward off:
-    every component polled every cycle."""
-    simulator = Simulator(config)
-    instructions = list(trace)
-    count = int(len(instructions) * warmup_fraction)
-    params = simulator._pipeline_parameters()
-    if count:
-        OutOfOrderPipeline(
-            simulator.interface,
-            params=params,
-            stats=simulator.stats,
-            enable_fast_forward=False,
-        ).run(instructions[:count])
-        simulator.stats.clear()
-    outcome = OutOfOrderPipeline(
-        simulator.interface,
-        params=params,
-        stats=simulator.stats,
-        enable_fast_forward=False,
-    ).run(instructions[count:])
-    return SimulationResult(
-        config_name=config.name,
-        cycles=outcome.cycles,
-        instructions=outcome.instructions,
-        loads=outcome.loads,
-        stores=outcome.stores,
-        energy=simulator.accountant.report(simulator.stats, outcome.cycles),
-        stats=simulator.stats.as_dict(),
-    )
-
-
 def regenerate_pipeline_identity(path: Path) -> int:
-    """Pin every identity case, computed by the reference oracles.
-
-    Each case runs on the object frontend through the cycle scheduler (with
-    and without its idle fast-forward) and must land on exactly what the
-    columnar frontend through the event scheduler produces.
-    """
-    cases = {}
-    for name, config, trace, warmup in pipeline_identity_cases():
-        record = identity_record(
-            run_configuration(
-                config,
-                trace,
-                warmup_fraction=warmup,
-                options=RunOptions(frontend="object", scheduler="cycle"),
-            )
+    """Pin every identity case (see :func:`pipeline_identity_cases`)."""
+    cases = {
+        name: identity_record(
+            run_configuration(config, trace, warmup_fraction=warmup)
         )
-        assert identity_record(_polling_result(config, trace, warmup)) == record, name
-        single = run_configuration(config, trace, warmup_fraction=warmup, options=RunOptions())
-        assert identity_record(single) == record, name
-        cases[name] = record
+        for name, config, trace, warmup in pipeline_identity_cases()
+    }
     path.write_text(json.dumps({"cases": cases}, indent=1, sort_keys=True) + "\n")
     return len(cases)
 

@@ -1,13 +1,14 @@
-"""Tests for :mod:`repro.api`: RunOptions resolution, env-var deprecation
-and the options=/legacy-kwarg exclusivity rules."""
+"""Tests for :mod:`repro.api`: RunOptions resolution, ``options=`` as the
+only run keyword, and the executor's options=/keyword exclusivity rule."""
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
+import inspect
 
 import pytest
 
-from repro.api import RunOptions, env_fallback
+from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.store import ResultStore
 from repro.sim.config import SimulationConfig
@@ -16,38 +17,25 @@ from repro.workloads.suites import benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
 
-@pytest.fixture
-def clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
-    monkeypatch.delenv("REPRO_TRACE_FRONTEND", raising=False)
-
-
 class TestRunOptions:
-    def test_defaults_resolve(self, clean_env):
-        options = RunOptions.from_env()
-        assert options.resolved_frontend() == "columnar"
-        assert options.resolved_kernel() == "specialized"
-        assert options.resolved_scheduler() == "event"
+    def test_defaults_resolve(self):
+        assert RunOptions().resolved_kernel() == "specialized"
 
-    def test_explicit_fields_win(self, clean_env, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "specialized")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # env must NOT be consulted
-            options = RunOptions.from_env(kernel="generic", frontend="object")
-        assert options.resolved_kernel() == "generic"
-        assert options.resolved_frontend() == "object"
+    def test_fields(self):
+        names = [field.name for field in dataclasses.fields(RunOptions)]
+        assert names == ["kernel", "collector", "jobs", "store"]
 
-    def test_bad_scheduler_is_loud(self, clean_env):
-        with pytest.raises(ValueError, match="scheduler"):
-            RunOptions(scheduler="quantum").resolved_scheduler()
+    def test_bad_kernel_is_loud(self):
+        with pytest.raises(ValueError, match="kernel"):
+            RunOptions(kernel="quantum").resolved_kernel()
 
-    def test_with_overrides(self, clean_env):
+    def test_with_overrides(self):
         options = RunOptions(kernel="generic")
         bumped = options.with_overrides(jobs=4)
         assert bumped.kernel == "generic" and bumped.jobs == 4
         assert options.jobs is None  # frozen original untouched
 
-    def test_open_store_from_url(self, clean_env, tmp_path):
+    def test_open_store_from_url(self, tmp_path):
         options = RunOptions(store=f"sqlite:{tmp_path / 's.db'}")
         store = options.open_store()
         assert isinstance(store, ResultStore)
@@ -55,59 +43,26 @@ class TestRunOptions:
         assert RunOptions().open_store() is None
 
 
-class TestEnvDeprecation:
-    def test_env_fallback_warns(self, clean_env, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "generic")
-        with pytest.warns(DeprecationWarning, match="REPRO_SIM_KERNEL"):
-            assert env_fallback("REPRO_SIM_KERNEL") == "generic"
-
-    def test_unset_env_is_silent_none(self, clean_env):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert env_fallback("REPRO_SIM_KERNEL") is None
-
-    def test_from_env_picks_up_deprecated_vars(self, clean_env, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "GENERIC")
-        monkeypatch.setenv("REPRO_TRACE_FRONTEND", "object")
-        with pytest.warns(DeprecationWarning):
-            options = RunOptions.from_env()
-        assert options.resolved_kernel() == "generic"
-        assert options.resolved_frontend() == "object"
-
-
 class TestSimulatorOptions:
-    def test_options_and_legacy_kwargs_are_exclusive(self, clean_env):
+    def test_options_is_the_only_run_knob(self):
+        for function in (Simulator.run, run_configuration):
+            parameters = inspect.signature(function).parameters.values()
+            keywords = [p.name for p in parameters if p.default is not p.empty]
+            assert keywords == ["warmup_fraction", "options"]
+
+    @pytest.mark.parametrize("keyword", ["collector", "frontend", "kernel"])
+    def test_loose_keywords_are_gone(self, keyword):
         trace = generate_trace(benchmark_profile("gzip"), 200)
-        simulator = Simulator(SimulationConfig.base_1ldst())
-        with pytest.raises(ValueError, match="not both"):
-            simulator.run(trace, kernel="generic", options=RunOptions())
-
-    def test_options_reproduce_legacy_kwargs(self, clean_env):
-        config = SimulationConfig.malec()
-        trace = generate_trace(benchmark_profile("gzip"), 1500)
-        via_kwargs = run_configuration(config, trace, kernel="generic")
-        via_options = run_configuration(
-            config, trace, options=RunOptions(kernel="generic")
-        )
-        assert via_kwargs.cycles == via_options.cycles
-        assert via_kwargs.stats == via_options.stats
-
-    def test_cycle_scheduler_via_options_matches_event(self, clean_env):
-        config = SimulationConfig.base_1ldst()
-        trace = generate_trace(benchmark_profile("gzip"), 1500)
-        event = run_configuration(config, trace, options=RunOptions())
-        cycle = run_configuration(
-            config, trace, options=RunOptions(scheduler="cycle")
-        )
-        assert event.cycles == cycle.cycles
+        with pytest.raises(TypeError):
+            run_configuration(SimulationConfig.base_1ldst(), trace, **{keyword: None})
 
 
 class TestExecutorOptions:
-    def test_executor_rejects_mixed_configuration(self, clean_env, tmp_path):
+    def test_executor_rejects_mixed_configuration(self, tmp_path):
         with pytest.raises(ValueError, match="not both"):
             ParallelExecutor(jobs=1, options=RunOptions(jobs=2))
 
-    def test_executor_options_store_url(self, clean_env, tmp_path):
+    def test_executor_options_store_url(self, tmp_path):
         executor = ParallelExecutor(
             options=RunOptions(jobs=1, store=f"json:{tmp_path / 'store'}")
         )

@@ -56,7 +56,7 @@ class TestCli:
             "sweep", "fig4-mini",
             "--benchmarks", "gzip", "djpeg",
             "--instructions", "500",
-            "--out", out,
+            "--store", out,
             "--quiet",
         ]
         assert main(argv) == 0
@@ -73,7 +73,7 @@ class TestCli:
         # A directory holding records at another trace length must not break
         # the summary: the sweep filters to its own grid parameters.
         out = str(tmp_path / "camp")
-        base = ["sweep", "fig4-mini", "--benchmarks", "gzip", "--out", out, "--quiet"]
+        base = ["sweep", "fig4-mini", "--benchmarks", "gzip", "--store", out, "--quiet"]
         assert main(base + ["--instructions", "400"]) == 0
         capsys.readouterr()
         assert main(base + ["--instructions", "500"]) == 0
@@ -96,6 +96,9 @@ class TestCli:
             ["sweep", "fig4-mini", "--instructions", "0"],
             ["sweep", "fig4-mini", "--warmup", "1.5"],
             ["figure4", "gzip", "--jobs", "-3"],
+            # --store DIR replaced the --out DIR alias on sweep and dse
+            ["sweep", "fig4-mini", "--out", "camp"],
+            ["dse", "malec-mini", "--out", "camp"],
         ):
             with pytest.raises(SystemExit):
                 main(argv)
@@ -122,7 +125,7 @@ class TestCli:
             "--instructions", "300",
             "--benchmarks", "gzip", "streamwrite",
             "--jobs", "1",
-            "--out", out,
+            "--store", out,
             "--quiet",
         ]
         assert main(argv) == 0
@@ -251,7 +254,7 @@ class TestTraceFileSweeps:
         argv = [
             "sweep", "fig4-mini",
             "--trace-file", str(rtrc),
-            "--out", str(out), "--quiet",
+            "--store", str(out), "--quiet",
         ]
         assert main(argv) == 0
         stdout = capsys.readouterr().out

@@ -1,6 +1,6 @@
 """Property tests for the zero-copy columnar ``.rtrc`` view.
 
-The structural guarantees the columnar frontend (PR 7) rests on:
+The structural guarantees the columnar trace view rests on:
 
 * **round-trip** — lifting ``.rtrc`` bytes into columns and materializing
   them back yields exactly the instruction stream the object decoder sees,
@@ -27,7 +27,10 @@ import random
 
 import pytest
 
-from repro.cpu.instruction import Instruction, InstructionKind, build_pipeline_arrays
+from repro.cpu.instruction import Instruction, InstructionKind
+from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.sim.config import SimulationConfig
+from repro.sim.simulator import Simulator
 from repro.workloads.binfmt import (
     TraceFormatError,
     decode_trace,
@@ -36,12 +39,7 @@ from repro.workloads.binfmt import (
     read_header,
     trace_fingerprint,
 )
-from repro.workloads.columnar import (
-    FRONTEND_ENV,
-    FRONTENDS,
-    ColumnarTrace,
-    resolve_frontend,
-)
+from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.trace import MemoryTrace
 
 try:  # pragma: no cover - which branch runs depends on the environment
@@ -90,6 +88,32 @@ def random_trace(seed: int, max_len: int = 60) -> MemoryTrace:
     return MemoryTrace(
         name=f"prop{seed}", instructions=instructions, suite="PROP"
     )
+
+
+def build_pipeline_arrays(instructions, capacity: int):
+    """Reference seq-indexed ``(kinds, addresses, sizes, producers)`` arrays,
+    built instruction by instruction from the object form of a trace.
+
+    ``kinds[seq]`` is 0/1/2 for compute/load/store and ``producers[seq]``
+    the tuple of absolute in-range producer seqs; ``sizes[seq]`` carries the
+    instruction's size verbatim, even for computes.
+    """
+    kinds = bytearray(capacity)
+    addresses = [0] * capacity
+    sizes = [0] * capacity
+    producers = [()] * capacity
+    for instruction in instructions:
+        seq = instruction.seq
+        if instruction.is_load:
+            kinds[seq] = 1
+        elif instruction.is_store:
+            kinds[seq] = 2
+        sizes[seq] = instruction.size
+        if instruction.address is not None:
+            addresses[seq] = instruction.address
+        if instruction.deps:
+            producers[seq] = tuple(seq - d for d in instruction.deps if seq - d >= 0)
+    return kinds, addresses, sizes, producers
 
 
 def record_offset(payload: bytes, index: int) -> int:
@@ -248,8 +272,6 @@ def check_head_and_slice_consistency(seed: int) -> None:
     stop = rng.randint(start, len(trace))
     window = view.run_slice(start, stop)
     assert len(window) == stop - start
-    materialized = window.materialize_instructions()
-    assert [i.seq for i in materialized] == list(range(start, stop))
     seqs, total, capacity, arrays = window.columnar_pipeline_plan()
     assert list(seqs) == list(range(start, stop))
     assert total == stop - start and capacity == stop
@@ -296,7 +318,7 @@ else:  # pragma: no cover - minimal environments only
 
 
 # ----------------------------------------------------------------------
-# Directed cases (exact messages, files, frontend selection)
+# Directed cases (exact messages, files, pipeline input)
 # ----------------------------------------------------------------------
 class TestColumnarDirected:
     def test_empty_trace_round_trips(self):
@@ -333,28 +355,18 @@ class TestColumnarDirected:
 
     def test_whole_view_drives_the_pipeline(self):
         # A full ColumnarTrace (not a run_slice window) is itself a valid
-        # pipeline input under both schedulers.
-        from repro.cpu.pipeline import OutOfOrderPipeline
-        from repro.sim.simulator import Simulator
-        from repro.sim.config import SimulationConfig
-
+        # pipeline input, equal to the window covering it.
         trace = random_trace(23)
-        results = {}
-        for frontend in ("columnar", "object"):
-            cycles = {}
-            for scheduler in ("event", "cycle"):
-                simulator = Simulator(SimulationConfig.malec())
-                pipeline = OutOfOrderPipeline(
-                    simulator.interface,
-                    params=simulator._pipeline_parameters(),
-                    stats=simulator.stats,
-                    scheduler=scheduler,
-                )
-                source = trace.columnar() if frontend == "columnar" else list(trace)
-                cycles[scheduler] = pipeline.run(source).cycles
-            results[frontend] = cycles
-        assert results["columnar"] == results["object"]
-        assert results["columnar"]["event"] == results["columnar"]["cycle"]
+        cycles = []
+        for source in (trace.columnar(), trace.columnar().run_slice(0, len(trace))):
+            simulator = Simulator(SimulationConfig.malec())
+            pipeline = OutOfOrderPipeline(
+                simulator.interface,
+                params=simulator._pipeline_parameters(),
+                stats=simulator.stats,
+            )
+            cycles.append(pipeline.run(source).cycles)
+        assert cycles[0] == cycles[1]
 
     def test_load_reads_rtrc_files(self, tmp_path):
         trace = random_trace(7)
@@ -388,25 +400,6 @@ class TestColumnarDirected:
             assert offsets[seq + 1] - offsets[seq] == view.ndeps[seq]
         assert offsets[len(view)] == len(view.deps_pool)
 
-    def test_resolve_frontend_precedence(self, monkeypatch):
-        monkeypatch.delenv(FRONTEND_ENV, raising=False)
-        assert resolve_frontend() == "columnar"
-        monkeypatch.setenv(FRONTEND_ENV, "object")
-        assert resolve_frontend() == "object"
-        assert resolve_frontend("columnar") == "columnar"  # explicit beats env
-        monkeypatch.setenv(FRONTEND_ENV, "  Columnar  ")
-        assert resolve_frontend() == "columnar"  # trimmed, case-insensitive
-        monkeypatch.setenv(FRONTEND_ENV, "")
-        assert resolve_frontend() == "columnar"  # empty means default
-
-    def test_resolve_frontend_rejects_unknown_names(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown trace frontend"):
-            resolve_frontend("rowwise")
-        monkeypatch.setenv(FRONTEND_ENV, "vectorized")
-        with pytest.raises(ValueError, match="vectorized"):
-            resolve_frontend()
-        assert FRONTENDS == ("columnar", "object")
-
     def test_memorytrace_columnar_is_cached_until_growth(self):
         trace = random_trace(17)
         first = trace.columnar()
@@ -415,3 +408,50 @@ class TestColumnarDirected:
         regrown = trace.columnar()
         assert regrown is not first
         assert len(regrown) == len(first) + 1
+
+
+class TestPlainListAdapter:
+    """Plain Instruction lists are adapted once, at entry, without writing
+    to the caller's objects."""
+
+    @staticmethod
+    def instructions(seed: int):
+        """Fresh Instruction objects (``seq`` still -1) for ``random_trace``."""
+        return [
+            Instruction(kind=i.kind, address=i.address, size=i.size, deps=i.deps)
+            for i in random_trace(seed)
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_simulator_list_matches_memory_trace(self, seed):
+        config = SimulationConfig.malec()
+        plain = self.instructions(seed)
+        from_list = Simulator(config).run(plain, warmup_fraction=0.25)
+        trace = MemoryTrace(name="same", instructions=self.instructions(seed))
+        from_trace = Simulator(config).run(trace, warmup_fraction=0.25)
+        assert (from_list.cycles, from_list.stats) == (from_trace.cycles, from_trace.stats)
+        assert from_list.energy == from_trace.energy
+        assert all(instruction.seq == -1 for instruction in plain)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pipeline_list_matches_memory_trace(self, seed):
+        def run(source):
+            simulator = Simulator(SimulationConfig.base_2ld1st())
+            pipeline = OutOfOrderPipeline(
+                simulator.interface,
+                params=simulator._pipeline_parameters(),
+                stats=simulator.stats,
+            )
+            return pipeline.run(source), simulator.stats.as_dict()
+
+        plain = self.instructions(seed)
+        from_list = run(plain)
+        assert from_list == run(MemoryTrace(name="same", instructions=self.instructions(seed)))
+        assert all(instruction.seq == -1 for instruction in plain)
+
+    def test_empty_list_is_a_zero_cycle_run(self):
+        result = Simulator(SimulationConfig.malec()).run([])
+        assert (result.cycles, result.instructions) == (0, 0)
+        simulator = Simulator(SimulationConfig.base_1ldst())
+        outcome = OutOfOrderPipeline(simulator.interface).run([])
+        assert (outcome.cycles, outcome.instructions) == (0, 0)

@@ -1,10 +1,9 @@
-"""Tests for instructions, the ROB and the out-of-order pipeline."""
+"""Tests for instructions and the out-of-order pipeline."""
 
 import pytest
 
 from repro.cpu.instruction import Instruction, InstructionKind, compute, load, store
 from repro.cpu.pipeline import OutOfOrderPipeline, PipelineParametersLite
-from repro.cpu.rob import ReorderBuffer
 
 
 class TestInstruction:
@@ -39,39 +38,6 @@ class TestInstruction:
     def test_producers_requires_seq(self):
         with pytest.raises(ValueError):
             compute(deps=(1,)).producers()
-
-
-class TestReorderBuffer:
-    def test_dispatch_commit_in_order(self):
-        rob = ReorderBuffer(entries=4)
-        a = rob.dispatch(load(0x0), cycle=0)
-        b = rob.dispatch(compute(), cycle=0)
-        b.completed = True
-        # Head (a) is not complete: nothing commits yet.
-        assert rob.commit_ready(4) == []
-        a.completed = True
-        committed = rob.commit_ready(4)
-        assert [e.instruction for e in committed] == [a.instruction, b.instruction]
-        assert rob.empty
-
-    def test_commit_width_respected(self):
-        rob = ReorderBuffer(entries=8)
-        entries = [rob.dispatch(compute(), 0) for _ in range(5)]
-        for entry in entries:
-            entry.completed = True
-        assert len(rob.commit_ready(2)) == 2
-        assert len(rob) == 3
-
-    def test_overflow(self):
-        rob = ReorderBuffer(entries=1)
-        rob.dispatch(compute(), 0)
-        assert rob.full
-        with pytest.raises(RuntimeError):
-            rob.dispatch(compute(), 0)
-
-    def test_zero_entries_rejected(self):
-        with pytest.raises(ValueError):
-            ReorderBuffer(entries=0)
 
 
 class FakeInterface:

@@ -1,156 +1,16 @@
-"""Event-driven scheduler: bit-identical to the cycle-driven reference loop.
+"""The event wheel's deterministic equal-timestamp tie-breaking.
 
-The pipeline's default event-driven loop (PR 3) must produce results
-indistinguishable from the cycle-driven loop that polls every component every
-cycle — the same discipline the PR-2 idle fast-forward was held to, now for
-the general case.  These tests sweep randomized configurations and traces
-through both loops and compare complete ``SimulationResult`` payloads, and
-unit-test the :class:`~repro.sim.events.EventWheel`'s deterministic
-equal-timestamp tie-breaking.
+The pipeline's event-driven loop is pinned against the answers of the
+retired cycle-driven reference loop by ``tests/golden/pipeline_identity.json``
+(replayed in ``tests/test_golden.py``); the clock-jump property is checked in
+``tests/test_fast_forward.py``.
 """
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
-from repro.cpu.instruction import compute, load, store
-from repro.cpu.pipeline import OutOfOrderPipeline, PipelineParametersLite
-from repro.sim.config import MalecParameters, SimulationConfig
 from repro.sim.events import EventWheel
-from repro.sim.simulator import Simulator
-from repro.workloads.suites import benchmark_profile
-from repro.workloads.synthetic import generate_trace
-from repro.workloads.trace import MemoryTrace
-
-
-def run_with_scheduler(config: SimulationConfig, trace, scheduler: str, warmup=0.0):
-    """One fresh simulation with the pipeline scheduler pinned."""
-    simulator = Simulator(config)
-    instructions = list(trace)
-    warmup_count = int(len(instructions) * warmup)
-    params = simulator._pipeline_parameters()
-    if warmup_count:
-        OutOfOrderPipeline(
-            simulator.interface,
-            params=params,
-            stats=simulator.stats,
-            scheduler=scheduler,
-        ).run(instructions[:warmup_count])
-        simulator.stats.clear()
-    pipeline = OutOfOrderPipeline(
-        simulator.interface, params=params, stats=simulator.stats, scheduler=scheduler
-    )
-    result = pipeline.run(instructions[warmup_count:])
-    return result, pipeline, simulator.stats.as_dict()
-
-
-def random_trace(seed: int, length: int = 350) -> MemoryTrace:
-    """Mixed loads/stores/computes with random deps, bursts and far pages."""
-    rng = random.Random(seed)
-    pages = [0x4000 * (1 + p) for p in range(4)] + [
-        (1 << 21) * (3 + p) for p in range(5)
-    ]
-    instructions = []
-    for index in range(length):
-        roll = rng.random()
-        address = rng.choice(pages) + rng.randrange(0, 4096, 4)
-        deps = ()
-        if index and rng.random() < 0.45:
-            deps = (rng.randrange(1, min(index, 10) + 1),)
-        if roll < 0.4:
-            instructions.append(load(address, deps=deps))
-        elif roll < 0.6:
-            instructions.append(store(address, deps=deps))
-        else:
-            instructions.append(compute(deps=deps))
-    return MemoryTrace(name=f"rand-{seed}", instructions=instructions)
-
-
-def random_config(seed: int) -> SimulationConfig:
-    """A randomized configuration drawn from all three interface families."""
-    rng = random.Random(1000 + seed)
-    family = rng.choice(["base1", "base2", "malec"])
-    latency = rng.choice([1, 2, 3])
-    if family == "base1":
-        return SimulationConfig.base_1ldst(l1_hit_latency=latency)
-    if family == "base2":
-        return SimulationConfig.base_2ld1st(l1_hit_latency=latency)
-    options = MalecParameters(
-        way_determination=rng.choice(["wt", "wdu", "none"]),
-        result_buses=rng.choice([2, 4]),
-        input_buffer_capacity=rng.choice([1, 2, 3]),
-    )
-    return SimulationConfig.malec(l1_hit_latency=latency, malec_options=options)
-
-
-class TestEventCycleIdentity:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_random_config_and_trace_identical(self, seed):
-        """Randomized sweep: event-driven == cycle-driven, field for field."""
-        config = random_config(seed)
-        trace = random_trace(seed)
-        ev_result, _, ev_stats = run_with_scheduler(config, trace, "event")
-        cy_result, _, cy_stats = run_with_scheduler(config, trace, "cycle")
-        assert ev_result.cycles == cy_result.cycles
-        assert (ev_result.loads, ev_result.stores, ev_result.computes) == (
-            cy_result.loads,
-            cy_result.stores,
-            cy_result.computes,
-        )
-        assert ev_stats == cy_stats
-
-    @pytest.mark.parametrize("bench_name", ["gzip", "mcf", "djpeg"])
-    def test_real_benchmark_traces_identical_with_warmup(self, bench_name):
-        """Warmed benchmark runs (the campaign shape) stay bit-identical."""
-        trace = generate_trace(benchmark_profile(bench_name), instructions=900)
-        config = SimulationConfig.malec()
-        ev_result, _, ev_stats = run_with_scheduler(config, trace, "event", warmup=0.3)
-        cy_result, _, cy_stats = run_with_scheduler(config, trace, "cycle", warmup=0.3)
-        assert ev_result.cycles == cy_result.cycles
-        assert ev_stats == cy_stats
-
-    def test_event_loop_skips_idle_stretches(self):
-        """Pointer chasing: the event loop must actually jump the clock."""
-        instructions = []
-        for index in range(50):
-            instructions.append(
-                load(0x10000 + index * (1 << 20), deps=(1,) if index else ())
-            )
-            instructions.append(compute(deps=(1,)))
-        trace = MemoryTrace(name="chase", instructions=instructions)
-        config = SimulationConfig.base_1ldst()
-        ev_result, ev_pipeline, ev_stats = run_with_scheduler(config, trace, "event")
-        cy_result, cy_pipeline, cy_stats = run_with_scheduler(config, trace, "cycle")
-        assert ev_pipeline.fast_forwarded_cycles > ev_result.cycles // 2
-        assert ev_result.cycles == cy_result.cycles
-        assert ev_stats == cy_stats
-
-    def test_tiny_pipelines_identical(self):
-        """Narrow widths force deferrals and width-exhaustion leftovers."""
-        params = PipelineParametersLite(
-            rob_entries=8, fetch_width=2, issue_width=2, commit_width=1
-        )
-        trace = random_trace(99, length=200)
-        config = SimulationConfig.base_2ld1st()
-        results = {}
-        for scheduler in ("event", "cycle"):
-            simulator = Simulator(config)
-            pipeline = OutOfOrderPipeline(
-                simulator.interface,
-                params=params,
-                stats=simulator.stats,
-                scheduler=scheduler,
-            )
-            outcome = pipeline.run(list(trace))
-            results[scheduler] = (outcome.cycles, simulator.stats.as_dict())
-        assert results["event"] == results["cycle"]
-
-    def test_unknown_scheduler_rejected(self):
-        simulator = Simulator(SimulationConfig.base_1ldst())
-        with pytest.raises(ValueError):
-            OutOfOrderPipeline(simulator.interface, scheduler="quantum")
 
 
 class TestEventWheelTieBreaking:

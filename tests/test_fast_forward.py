@@ -1,10 +1,12 @@
-"""Idle fast-forward: skipping stalled cycles must not change any result.
+"""Idle fast-forward: the event loop jumps the clock over stalled cycles.
 
-The pipeline's fast-forward jumps the clock across cycles in which nothing
-can retire, issue, tick, commit or fetch.  These tests build workloads with
-long idle gaps — pointer-chasing loads missing all the way to DRAM — and
-assert the skipped-cycle path is (a) actually exercised and (b) bit-identical
-to the cycle-by-cycle path, for every interface model.
+The pipeline jumps the clock across cycles in which nothing can retire,
+issue, tick, commit or fetch.  These tests build workloads with long idle
+gaps — pointer-chasing loads missing all the way to DRAM — and assert the
+jump is actually exercised on every interface model, and never taken by an
+interface that cannot report quiescence.  That the jumps leave every result
+unchanged is pinned by ``tests/golden/pipeline_identity.json`` (the
+``idle-gap``, ``busy`` and ``burst`` cases, computed cycle by cycle).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 from repro.cpu.instruction import compute, load, store
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.sim.config import SimulationConfig
+from repro.sim.simulator import Simulator
 from repro.workloads.trace import MemoryTrace
 
 CONFIGURATIONS = [
@@ -35,86 +38,18 @@ def pointer_chase_trace(chain_length: int = 60) -> MemoryTrace:
     return MemoryTrace(name="pointer-chase", instructions=instructions)
 
 
-def run_once(config: SimulationConfig, trace: MemoryTrace, fast_forward: bool):
-    """One fresh simulator run with the fast-forward toggled explicitly."""
-    from repro.sim.simulator import Simulator
-
-    simulator = Simulator(config)
-    pipeline = OutOfOrderPipeline(
-        simulator.interface,
-        params=simulator._pipeline_parameters(),
-        stats=simulator.stats,
-        enable_fast_forward=fast_forward,
-    )
-    result = pipeline.run(list(trace))
-    return result, pipeline, simulator.stats.as_dict()
-
-
-class TestFastForwardIdentical:
+class TestFastForward:
     @pytest.mark.parametrize("config", CONFIGURATIONS, ids=lambda c: c.name)
-    def test_idle_gap_trace_identical_with_and_without_fast_forward(self, config):
-        trace = pointer_chase_trace()
-        on_result, on_pipeline, on_stats = run_once(config, trace, fast_forward=True)
-        off_result, off_pipeline, off_stats = run_once(config, trace, fast_forward=False)
-
-        # The gap trace must actually exercise the skip path...
-        assert on_pipeline.fast_forwarded_cycles > 0
-        assert off_pipeline.fast_forwarded_cycles == 0
-        # ...and skip a meaningful share of the DRAM-bound stall cycles.
-        assert on_pipeline.fast_forwarded_cycles > on_result.cycles // 2
-
-        # Bit-identical outcomes: timing, instruction mix and every counter.
-        assert on_result.cycles == off_result.cycles
-        assert (on_result.loads, on_result.stores, on_result.computes) == (
-            off_result.loads,
-            off_result.stores,
-            off_result.computes,
+    def test_idle_gap_trace_jumps_the_clock(self, config):
+        simulator = Simulator(config)
+        pipeline = OutOfOrderPipeline(
+            simulator.interface,
+            params=simulator._pipeline_parameters(),
+            stats=simulator.stats,
         )
-        assert on_stats == off_stats
-
-    @pytest.mark.parametrize("config", CONFIGURATIONS, ids=lambda c: c.name)
-    def test_busy_trace_identical_with_and_without_fast_forward(
-        self, config, small_trace
-    ):
-        # A high-IPC trace rarely idles; the invariant must still hold.
-        on_result, _, on_stats = run_once(config, small_trace, fast_forward=True)
-        off_result, _, off_stats = run_once(config, small_trace, fast_forward=False)
-        assert on_result.cycles == off_result.cycles
-        assert on_stats == off_stats
-
-    @pytest.mark.parametrize("config", CONFIGURATIONS, ids=lambda c: c.name)
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_burst_traces_identical(self, config, seed):
-        """Randomized adversarial sweep: bursts of same-page loads, deferred
-        stores and mixed dependency chains probe the corners where a deferred
-        op's back-pressure is released by the same cycle's tick — the skip
-        must never change the outcome."""
-        import random
-
-        rng = random.Random(seed)
-        instructions = []
-        pages = [0x10000 * (1 + p) for p in range(3)] + [
-            (1 << 20) * (7 + p) for p in range(4)
-        ]
-        for index in range(400):
-            roll = rng.random()
-            page = rng.choice(pages)
-            address = page + rng.randrange(0, 4096, 4)
-            deps = ()
-            if index and rng.random() < 0.5:
-                deps = (rng.randrange(1, min(index, 12) + 1),)
-            if roll < 0.45:
-                instructions.append(load(address, deps=deps))
-            elif roll < 0.65:
-                instructions.append(store(address, deps=deps))
-            else:
-                instructions.append(compute(deps=deps))
-        trace = MemoryTrace(name=f"burst-{seed}", instructions=instructions)
-
-        on_result, _, on_stats = run_once(config, trace, fast_forward=True)
-        off_result, _, off_stats = run_once(config, trace, fast_forward=False)
-        assert on_result.cycles == off_result.cycles
-        assert on_stats == off_stats
+        result = pipeline.run(pointer_chase_trace())
+        # The jump must skip a meaningful share of the DRAM-bound stalls.
+        assert pipeline.fast_forwarded_cycles > result.cycles // 2
 
     def test_fast_forward_requires_quiescent_protocol(self):
         """Interfaces without quiescent() (test stubs) never fast-forward."""

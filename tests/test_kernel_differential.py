@@ -1,21 +1,19 @@
 """Differential net: specialized simulation kernels against the generic loop.
 
 The specialized kernels (PR 8) are the simulator's default way of running a
-configuration on the event scheduler; the generic interpreted loop stays
-behind ``kernel="generic"`` / ``REPRO_SIM_KERNEL=generic`` precisely so these
-tests can hold the two to *bit-identical* results — every ``StatCounters``
-counter and every per-structure energy value, not just cycles.  Coverage
-spans the fig4-mini grid (all five Fig. 4 configurations), both pipeline
-schedulers (the fused kernel replaces the event-driven loop; the
-cycle-driven reference loop provides an independent second oracle),
-randomized seeded synthetic profiles, and the adversarial ``STRESS``
-profiles (``tlbthrash``/``depchase``/``mlpladder``), whose absolute results
-are additionally pinned to ``tests/golden/stress_profiles.json``.
+configuration; the generic interpreted loop stays behind
+``RunOptions(kernel="generic")`` precisely so these tests can hold the two to
+*bit-identical* results — every ``StatCounters`` counter and every
+per-structure energy value, not just cycles.  Coverage spans the fig4-mini
+grid (all five Fig. 4 configurations), pipeline-level runs, randomized
+seeded synthetic profiles, and the adversarial ``STRESS`` profiles
+(``tlbthrash``/``depchase``/``mlpladder``), whose absolute results are
+additionally pinned to ``tests/golden/stress_profiles.json``.
 
 The net also locks down the fallback contract: collector runs take the
 generic path and say why, a kernel compiled for a different configuration is
 rejected by its runtime guards (falling back, never corrupting results), and
-the selection plumbing (env var, explicit argument, validation) behaves.
+the selection is validated.
 
 Regenerating the stress golden file is a deliberate act::
 
@@ -30,11 +28,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import RunOptions
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.obs import RunCollector
 from repro.sim.config import SimulationConfig
 from repro.sim.kernels import (
-    KERNEL_ENV,
     compile_kernel,
     content_hash,
     kernel_source,
@@ -75,17 +73,17 @@ def run_with_kernel(config, trace, kernel, warmup=0.0):
     vacuous.
     """
     simulator = Simulator(config)
-    result = simulator.run(trace, warmup_fraction=warmup, kernel=kernel)
+    result = simulator.run(
+        trace, warmup_fraction=warmup, options=RunOptions(kernel=kernel)
+    )
     return result, simulator
 
 
-def run_scheduler_kernel(config, trace, scheduler, kernel, warmup=0.0):
-    """One fresh simulation with both the scheduler and the kernel pinned.
+def run_pipeline_kernel(config, trace, kernel, warmup=0.0):
+    """One fresh simulation with the pipelines built here, kernel pinned.
 
-    Mirrors ``tests/test_columnar_differential.py``'s
-    ``run_scheduler_frontend``: the pipeline is constructed directly so the
-    cycle-driven reference loop can serve as a second, scheduler-independent
-    oracle for the fused kernels (which replace only the event-driven loop).
+    The pipeline is constructed directly (as the simulator does), so the
+    test can inspect the measured pipeline's own ``kernel_used`` flag.
     """
     simulator = Simulator(config)
     params = simulator._pipeline_parameters()
@@ -99,7 +97,6 @@ def run_scheduler_kernel(config, trace, scheduler, kernel, warmup=0.0):
             simulator.interface,
             params=params,
             stats=simulator.stats,
-            scheduler=scheduler,
             kernel=entry,
         ).run(view.run_slice(0, warmup_count))
         simulator.stats.clear()
@@ -107,7 +104,6 @@ def run_scheduler_kernel(config, trace, scheduler, kernel, warmup=0.0):
         simulator.interface,
         params=params,
         stats=simulator.stats,
-        scheduler=scheduler,
         kernel=entry,
     )
     result = pipeline.run(view.run_slice(warmup_count, total))
@@ -125,40 +121,35 @@ class TestFig4GridIdentity:
         assert simulator.kernel_used, f"{bench}/{config.name} fell back: " + str(
             simulator.kernel_fallback_reason
         )
-        oracle = run_configuration(config, trace, warmup_fraction=0.3, kernel="generic")
+        oracle = run_configuration(
+            config, trace, warmup_fraction=0.3, options=RunOptions(kernel="generic")
+        )
         assert_results_identical(specialized, oracle, f"{bench}/{config.name}")
 
 
-class TestSchedulerIdentity:
-    @pytest.mark.parametrize("scheduler", ("event", "cycle"))
+class TestPipelineIdentity:
     @pytest.mark.parametrize("bench", STRESS_BENCHMARKS)
-    def test_stress_profiles_identical_under_both_schedulers(self, bench, scheduler):
-        # The fused kernel replaces the event-driven loop, so the specialized
-        # run is always event-scheduled; holding it to the generic loop under
-        # *both* schedulers checks it against two independent interpreters.
+    def test_stress_profiles_identical(self, bench):
         trace = trace_for(bench)
         config = SimulationConfig.malec()
-        spec_result, spec_stats, spec_pipeline = run_scheduler_kernel(
-            config, trace, "event", "specialized", warmup=0.3
+        spec_result, spec_stats, spec_pipeline = run_pipeline_kernel(
+            config, trace, "specialized", warmup=0.3
         )
         assert spec_pipeline.kernel_used, bench
-        gen_result, gen_stats, _ = run_scheduler_kernel(
-            config, trace, scheduler, "generic", warmup=0.3
+        gen_result, gen_stats, _ = run_pipeline_kernel(
+            config, trace, "generic", warmup=0.3
         )
-        assert spec_result.cycles == gen_result.cycles, (bench, scheduler)
-        assert spec_stats == gen_stats, (bench, scheduler)
+        assert spec_result.cycles == gen_result.cycles, bench
+        assert spec_stats == gen_stats, bench
 
-    @pytest.mark.parametrize("scheduler", ("event", "cycle"))
-    def test_fig4_pick_identical_under_both_schedulers(self, scheduler):
+    def test_fig4_pick_identical(self):
         trace = trace_for("gzip")
         config = SimulationConfig.base_2ld1st()
-        spec_result, spec_stats, spec_pipeline = run_scheduler_kernel(
-            config, trace, "event", "specialized"
+        spec_result, spec_stats, spec_pipeline = run_pipeline_kernel(
+            config, trace, "specialized"
         )
         assert spec_pipeline.kernel_used
-        gen_result, gen_stats, _ = run_scheduler_kernel(
-            config, trace, scheduler, "generic"
-        )
+        gen_result, gen_stats, _ = run_pipeline_kernel(config, trace, "generic")
         assert spec_result.cycles == gen_result.cycles
         assert spec_stats == gen_stats
 
@@ -202,7 +193,7 @@ class TestRandomizedProfiles:
         )
         assert simulator.kernel_used, f"kfuzz{seed}/{config.name}"
         oracle = run_configuration(
-            config, trace, warmup_fraction=warmup, kernel="generic"
+            config, trace, warmup_fraction=warmup, options=RunOptions(kernel="generic")
         )
         assert_results_identical(specialized, oracle, f"kfuzz{seed}/{config.name}")
 
@@ -243,7 +234,8 @@ class TestStressGolden:
         # Both kernels must land on the recorded results — this pins the
         # STRESS profiles' absolute behaviour *and* re-checks the
         # differential property through an independently stored oracle
-        # (the golden records were produced on the object frontend).
+        # (the golden records were first produced on the retired object
+        # frontend).
         fresh = stress_records(kernel)
         assert set(fresh) == set(golden["records"])
         for key, golden_record in golden["records"].items():
@@ -264,11 +256,11 @@ class TestFallbackContract:
         config = SimulationConfig.malec()
         simulator = Simulator(config)
         with_collector = simulator.run(
-            trace, collector=RunCollector(), kernel="specialized"
+            trace, options=RunOptions(collector=RunCollector(), kernel="specialized")
         )
         assert not simulator.kernel_used
         assert simulator.kernel_fallback_reason == "collector attached"
-        oracle = run_configuration(config, trace, kernel="generic")
+        oracle = run_configuration(config, trace, options=RunOptions(kernel="generic"))
         assert_results_identical(with_collector, oracle, "collector fallback")
 
     def test_foreign_kernel_rejected_by_runtime_guards(self):
@@ -291,21 +283,9 @@ class TestFallbackContract:
         result = pipeline.run(view.run_slice(0, len(view)))
         assert not pipeline.kernel_used
         assert pipeline.kernel_fallback
-        _, gen_stats, _ = run_scheduler_kernel(config, trace, "event", "generic")
+        _, gen_stats, _ = run_pipeline_kernel(config, trace, "generic")
         assert simulator.stats.as_dict() == gen_stats
         assert result.instructions > 0
-
-    def test_env_var_selects_generic(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "generic")
-        assert resolve_kernel() == "generic"
-        simulator = Simulator(SimulationConfig.malec())
-        simulator.run(trace_for("gzip", instructions=300))
-        assert simulator.kernel_requested == "generic"
-        assert not simulator.kernel_used
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "generic")
-        assert resolve_kernel("specialized") == "specialized"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):

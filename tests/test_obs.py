@@ -21,6 +21,7 @@ import pstats
 
 import pytest
 
+from repro.api import RunOptions
 from repro.bench import compare_host_warnings, host_metadata, run_benchmarks
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
@@ -61,7 +62,7 @@ def _run(config, collector=None, benchmark="gzip"):
         benchmark_profile(benchmark), instructions=INSTRUCTIONS
     )
     return run_configuration(
-        config, trace, warmup_fraction=WARMUP, collector=collector
+        config, trace, warmup_fraction=WARMUP, options=RunOptions(collector=collector)
     )
 
 

@@ -4,12 +4,14 @@ A :class:`~repro.serve.ReproServer` on an ephemeral port, driven through
 :mod:`http.client`: submit the fig4-mini preset, poll to completion, fetch
 cells and the frontier, then prove the second identical submission was
 served entirely from the store (zero recompute) via the telemetry journal.
+Malformed request framing is driven over raw sockets.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import time
 
 import pytest
@@ -85,6 +87,45 @@ class TestEndpoints:
             assert conn.getresponse().status == 400
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "content_length, expected",
+        [("-1", 400), ("abc", 400), ("1000000000000", 413)],
+    )
+    def test_bad_content_length_is_answered_and_closed(
+        self, server, content_length, expected
+    ):
+        head = (
+            "POST /api/v1/campaigns HTTP/1.1\r\n"
+            f"Host: {server.host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        )
+        # The socket stays open on our side (keep-alive): the server must
+        # answer without reading a body, then close.  recv raises
+        # socket.timeout if no answer comes within 5 s.
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            response = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                response += chunk
+        status_line, _, rest = response.partition(b"\r\n")
+        assert int(status_line.split()[1]) == expected
+        assert b"Connection: close" in rest
+        assert "error" in json.loads(rest.partition(b"\r\n\r\n")[2])
+
+        lines = server.store.telemetry_path.read_text().splitlines()
+        served = [json.loads(line) for line in lines]
+        assert {
+            (rec["method"], rec["path"], rec["status"])
+            for rec in served
+            if rec["record"] == "serve_request"
+        } == {("POST", "/api/v1/campaigns", expected)}
+        status, payload = request(server, "GET", "/api/v1/health")
+        assert status == 200 and payload["status"] == "ok"
 
     def test_missing_cell_is_404(self, server):
         status, _ = request(server, "GET", "/api/v1/cells/deadbeef")

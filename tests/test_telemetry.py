@@ -23,6 +23,7 @@ import json
 
 import pytest
 
+from repro.api import RunOptions
 from repro.bench import bench_history, format_history as format_bench_history
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
@@ -191,6 +192,8 @@ class TestJournal:
             kernel="specialized",
             kernel_used=True,
             kernel_fallback_reason="",
+            # written by journals from before the single run path; the
+            # schema keeps both optional so old journals still validate
             scheduler="event",
             frontend="columnar",
         )
@@ -351,10 +354,9 @@ class TestExecutorTelemetry:
             "worker_pid",
             "kernel",
             "kernel_used",
-            "scheduler",
-            "frontend",
         ):
             assert field in cell
+        assert "scheduler" not in cell and "frontend" not in cell
 
         # Resume: the second run journals every cell as a store hit.
         executor2 = ParallelExecutor(jobs=2, store=store)
@@ -424,8 +426,7 @@ class TestKernelCounters:
             SimulationConfig.malec(),
             trace,
             warmup_fraction=0.25,
-            collector=RunCollector(),
-            kernel="specialized",
+            options=RunOptions(collector=RunCollector(), kernel="specialized"),
         )
         snapshot = obs_metrics.registry.snapshot()
         assert snapshot["kernel.fallback.collector_attached"] == 1

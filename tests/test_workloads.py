@@ -359,7 +359,7 @@ class TestPrecomputeDecompositions:
 
         layout = AddressLayout()
         trace = generate_trace(benchmark_profile("gzip"), instructions=400)
-        count = trace.precompute_decompositions(layout)
+        count = trace.columnar().precompute_decompositions(layout)
         assert count == len(trace.memory_references)
         # Every memory address decomposes straight out of the cache now.
         for instruction in trace.memory_references[:20]:
@@ -369,4 +369,4 @@ class TestPrecomputeDecompositions:
 
     def test_defaults_to_own_layout(self):
         trace = generate_trace(benchmark_profile("gzip"), instructions=200)
-        assert trace.precompute_decompositions() == len(trace.memory_references)
+        assert trace.columnar().precompute_decompositions() == len(trace.memory_references)
