@@ -95,24 +95,41 @@ class TestGoldenFig4Mini:
         assert fresh == golden["records"]
 
 
+IDENTITY_GOLDEN = json.loads(IDENTITY_PATH.read_text())["cases"]
+
+
+@pytest.fixture(scope="module")
+def regenerate():
+    return _regenerate_module()
+
+
+@pytest.fixture(scope="module")
+def identity_cases(regenerate) -> dict:
+    """``name -> (config, trace, warmup_fraction)`` of every identity case."""
+    return {
+        name: (config, trace, warmup)
+        for name, config, trace, warmup in regenerate.pipeline_identity_cases()
+    }
+
+
 class TestPipelineIdentity:
     """``pipeline_identity.json`` pins the cases the scheduler, fast-forward
     and frontend differential suites ran, as computed by their oracles (the
     cycle-driven loop and the object frontend).  The one production path
-    must land on every recorded answer under both kernels."""
+    must land on every recorded answer under both kernels, case by case."""
+
+    def test_pinned_cases_are_the_defined_cases(self, identity_cases):
+        assert set(identity_cases) == set(IDENTITY_GOLDEN)
 
     @pytest.mark.parametrize("kernel", ("specialized", "generic"))
-    def test_single_path_replays_pinned_cases(self, kernel):
-        regenerate = _regenerate_module()
-        golden = json.loads(IDENTITY_PATH.read_text())["cases"]
-        fresh = {}
-        for name, config, trace, warmup in regenerate.pipeline_identity_cases():
-            simulator = Simulator(config)
-            result = simulator.run(
-                trace, warmup_fraction=warmup, options=RunOptions(kernel=kernel)
-            )
-            assert simulator.kernel_used == (kernel == "specialized"), name
-            fresh[name] = regenerate.identity_record(result)
-        assert set(fresh) == set(golden)
-        for name, record in golden.items():
-            assert fresh[name] == record, name
+    @pytest.mark.parametrize("name", sorted(IDENTITY_GOLDEN))
+    def test_single_path_replays_pinned_case(
+        self, regenerate, identity_cases, name, kernel
+    ):
+        config, trace, warmup = identity_cases[name]
+        simulator = Simulator(config)
+        result = simulator.run(
+            trace, warmup_fraction=warmup, options=RunOptions(kernel=kernel)
+        )
+        assert simulator.kernel_used == (kernel == "specialized"), name
+        assert regenerate.identity_record(result) == IDENTITY_GOLDEN[name], name
