@@ -299,10 +299,10 @@ def bench_trace_columnar_decode(instructions: int, repeats: int) -> ScenarioResu
     payload:
     :meth:`~repro.workloads.columnar.ColumnarTrace.from_rtrc_bytes` plus the
     batched :meth:`~repro.workloads.columnar.ColumnarTrace.pipeline_arrays`
-    interpretation pass.  ``decode_trace`` alone (one ``Instruction`` per
-    record) is timed alongside and reported as ``object_seconds`` /
-    ``speedup_vs_objects``, documenting what the structure-of-arrays view
-    buys over per-instruction objects.
+    interpretation pass.  ``decode_trace`` alone (the same lift, then one
+    ``Instruction`` per record) is timed alongside and reported as
+    ``object_seconds`` / ``speedup_vs_objects``, documenting what the
+    structure-of-arrays view buys over per-instruction objects.
     """
     from repro.workloads.binfmt import decode_trace, encode_trace
     from repro.workloads.columnar import ColumnarTrace

@@ -15,7 +15,7 @@ results (it is similar across configurations).
 """
 
 from repro.buffers.load_queue import LoadQueue, LoadQueueEntry
-from repro.buffers.store_buffer import StoreBuffer, StoreBufferEntry, ForwardingResult
+from repro.buffers.store_buffer import StoreBuffer, StoreBufferEntry
 from repro.buffers.merge_buffer import MergeBuffer, MergeBufferEntry
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "LoadQueueEntry",
     "StoreBuffer",
     "StoreBufferEntry",
-    "ForwardingResult",
     "MergeBuffer",
     "MergeBufferEntry",
 ]

@@ -10,7 +10,7 @@ the same for every configuration), so no lookup events are charged here.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.stats import StatCounters
 
@@ -67,27 +67,14 @@ class LoadQueue:
         """True when no further load can be dispatched."""
         return len(self._entries) >= self.entries
 
-    def allocate(self, tag: Any, virtual_address: int, cycle: int) -> LoadQueueEntry:
-        """Insert a load at dispatch; raises when the queue is full."""
-        if self.full:
-            raise RuntimeError("load queue overflow")
-        if tag in self._entries:
-            raise ValueError(f"load {tag!r} already present in the load queue")
-        entry = LoadQueueEntry(tag=tag, virtual_address=virtual_address, dispatch_cycle=cycle)
-        self._entries[tag] = entry
-        self.stats.bump(self._h_allocate)
-        return entry
-
-    def allocate_issued(
-        self, tag: Any, virtual_address: int, cycle: int, count: bool = True
-    ) -> None:
-        """Fused :meth:`allocate` + :meth:`mark_issued` for the hot path.
+    def allocate_issued(self, tag: Any, virtual_address: int, cycle: int) -> None:
+        """Insert a load that issues to the L1 interface this ``cycle``.
 
         The interfaces submit a load the cycle its address computation
-        finishes, so dispatch and issue coincide; fusing both saves a dict
-        probe and a call per load while bumping the same counters.
-        ``count=False`` leaves the ``lq.allocate`` charge to the caller (the
-        interfaces fold it into one fused submission bump).
+        finishes, so dispatch and issue coincide.  Raises ``RuntimeError``
+        when the queue is full and ``ValueError`` for a tag already present.
+        The ``lq.allocate`` charge is left to the caller, which folds it
+        into one fused submission bump.
         """
         if len(self._entries) >= self.entries:
             raise RuntimeError("load queue overflow")
@@ -99,29 +86,15 @@ class LoadQueue:
             dispatch_cycle=cycle,
             issue_cycle=cycle,
         )
-        if count:
-            self.stats.bump(self._h_allocate)
-
-    def mark_issued(self, tag: Any, cycle: int) -> None:
-        """Record the cycle in which the load was sent to the L1 interface."""
-        self._entries[tag].issue_cycle = cycle
-
-    def mark_complete(self, tag: Any, cycle: int) -> None:
-        """Record the cycle in which the load's data returned."""
-        entry = self._entries[tag]
-        entry.complete_cycle = cycle
-        issue_cycle = entry.issue_cycle
-        if issue_cycle is not None:
-            self.stats.bump(self._h_total_latency, cycle - issue_cycle)
-            self.stats.bump(self._h_completed)
 
     def complete_release(self, tag: Any, cycle: int) -> None:
-        """Fused :meth:`mark_complete` + :meth:`release` for the hot path.
+        """Record that the load's data returned in ``cycle`` and remove it.
 
-        Like :meth:`mark_complete`, an unknown tag raises ``KeyError`` — a
-        completion for a load that was never allocated (or was already
-        released) is a scheduler defect that must surface immediately, not
-        drift the statistics.
+        Charges the issue-to-completion latency to ``lq.total_latency`` and
+        ``lq.completed``.  An unknown tag raises ``KeyError``: a completion
+        for a load that was never allocated (or was already released) is a
+        scheduler defect that must surface immediately, not drift the
+        statistics.
         """
         entry = self._entries.pop(tag)
         entry.complete_cycle = cycle
@@ -130,17 +103,9 @@ class LoadQueue:
             self.stats.bump(self._h_total_latency, cycle - issue_cycle)
             self.stats.bump(self._h_completed)
 
-    def release(self, tag: Any) -> None:
-        """Remove a committed load from the queue."""
-        self._entries.pop(tag, None)
-
     def get(self, tag: Any) -> Optional[LoadQueueEntry]:
         """Entry for ``tag`` (``None`` if not present)."""
         return self._entries.get(tag)
-
-    def outstanding(self) -> List[LoadQueueEntry]:
-        """All loads whose data has not returned yet."""
-        return [entry for entry in self._entries.values() if entry.complete_cycle is None]
 
     @property
     def average_latency(self) -> float:

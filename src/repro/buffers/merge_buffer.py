@@ -130,23 +130,9 @@ class MergeBuffer:
         return drained
 
     # ------------------------------------------------------------------
-    # Load lookups
+    # Load lookups (the per-load search of the entries is
+    # BaseL1Interface._forwarding_lookups, which charges these counters)
     # ------------------------------------------------------------------
-    def lookup(self, virtual_address: int, split: bool = False) -> Optional[MergeBufferEntry]:
-        """Search the buffer for the line containing ``virtual_address``.
-
-        ``split`` selects MALEC's shared-page + narrow-offset lookup (the
-        shared part is charged via :meth:`charge_shared_page_lookup`).
-        """
-        if split:
-            self.stats.bump(self._h_lookup_offset)
-        else:
-            self.stats.bump(self._h_lookup_full)
-        entry = self._find(self.layout.line_address(virtual_address))
-        if entry is not None:
-            self.stats.bump(self._h_forward_hit)
-        return entry
-
     def charge_shared_page_lookup(self) -> None:
         """Charge the per-cycle shared page-id comparison of the split structure."""
         self.stats.bump(self._h_lookup_page_shared)

@@ -22,9 +22,9 @@ from repro.cache.replacement import (
     TreePLRUReplacement,
     make_replacement_policy,
 )
-from repro.cache.set_assoc import CacheLineState, LookupResult, SetAssociativeArray
-from repro.cache.cache_bank import BankAccessResult, CacheBank
-from repro.cache.l1_cache import L1AccessOutcome, L1DataCache
+from repro.cache.set_assoc import CacheLineState, SetAssociativeArray
+from repro.cache.cache_bank import CacheBank
+from repro.cache.l1_cache import L1DataCache
 from repro.cache.l2_cache import L2Cache
 
 __all__ = [
@@ -35,11 +35,8 @@ __all__ = [
     "TreePLRUReplacement",
     "make_replacement_policy",
     "CacheLineState",
-    "LookupResult",
     "SetAssociativeArray",
-    "BankAccessResult",
     "CacheBank",
-    "L1AccessOutcome",
     "L1DataCache",
     "L2Cache",
 ]

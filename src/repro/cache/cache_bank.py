@@ -27,52 +27,6 @@ from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
 
-class BankAccessResult:
-    """Outcome of a bank access (slotted: one per access).
-
-    Attributes
-    ----------
-    hit:
-        Whether the line was present.
-    way:
-        Way that hit (or that was filled on a miss, once the fill happened).
-    reduced:
-        True when the access bypassed the tag arrays (way known and valid).
-    way_hint_wrong:
-        True when a supplied way hint did not match reality.  Page-Based Way
-        Determination guarantees hints are valid-or-unknown, so this should
-        stay zero for way tables; the counter exists to validate that claim
-        and to model less precise predictors.
-    evicted_line_address:
-        Line-granular physical address displaced by a fill, if any.
-    """
-
-    __slots__ = (
-        "hit",
-        "way",
-        "reduced",
-        "way_hint_wrong",
-        "evicted_line_address",
-        "evicted_dirty",
-    )
-
-    def __init__(
-        self,
-        hit: bool,
-        way: Optional[int] = None,
-        reduced: bool = False,
-        way_hint_wrong: bool = False,
-        evicted_line_address: Optional[int] = None,
-        evicted_dirty: bool = False,
-    ) -> None:
-        self.hit = hit
-        self.way = way
-        self.reduced = reduced
-        self.way_hint_wrong = way_hint_wrong
-        self.evicted_line_address = evicted_line_address
-        self.evicted_dirty = evicted_dirty
-
-
 class CacheBank:
     """One single-ported, set-associative L1 bank.
 
@@ -203,38 +157,6 @@ class CacheBank:
         if self._on_evict is not None:
             self._on_evict(address, record.way)
 
-    def lookup(self, physical_address: int, update_replacement: bool = True):
-        """Tag lookup only (no energy events); used by fills and tests."""
-        self._check_bank(physical_address)
-        parts = self.layout.decompose(physical_address)
-        return self.array.lookup(
-            parts.set_index, parts.tag, update_replacement=update_replacement
-        )
-
-    def read(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        paired_subblock: bool = True,
-    ) -> BankAccessResult:
-        """Service a load.
-
-        ``way_hint`` is the way supplied by a way table or WDU; ``None`` means
-        unknown and forces a conventional access.  ``paired_subblock`` records
-        whether the data arrays return two adjacent sub-blocks (the MALEC
-        assumption that doubles merge opportunities); it only affects event
-        accounting, not hit/miss behaviour.
-        """
-        parts = self.layout.decompose(physical_address)
-        if parts.bank_index != self.bank_index:
-            self._check_bank(physical_address)
-        hit, way, reduced, hint_wrong = self.read_parts(
-            parts.set_index, parts.tag, way_hint, paired_subblock
-        )
-        return BankAccessResult(
-            hit=hit, way=way, reduced=reduced, way_hint_wrong=hint_wrong
-        )
-
     def read_parts(
         self,
         set_index: int,
@@ -242,9 +164,20 @@ class CacheBank:
         way_hint: Optional[int],
         paired_subblock: bool = True,
     ):
-        """Allocation-free core of :meth:`read` for pre-decomposed callers.
+        """Service a load of the line ``tag`` in ``set_index``.
 
-        Returns ``(hit, way, reduced, way_hint_wrong)``.
+        ``way_hint`` is the way supplied by a way table or WDU; ``None`` means
+        unknown and forces a conventional access.  ``paired_subblock`` records
+        whether the data arrays return two adjacent sub-blocks (the MALEC
+        assumption that doubles merge opportunities); it only affects event
+        accounting, not hit/miss behaviour.  The caller has decomposed the
+        address and routed it to this bank.
+
+        Returns ``(hit, way, reduced, way_hint_wrong)``.  ``way_hint_wrong``
+        is True when a supplied hint did not match.  Page-Based Way
+        Determination guarantees hints are valid-or-unknown, so way tables
+        never set it; the ``l1.way_hint_wrong`` counter validates that claim
+        and models less precise predictors.
         """
         stats = self.stats
         if way_hint is not None:
@@ -277,23 +210,12 @@ class CacheBank:
             return True, way, False, False
         return False, None, False, False
 
-    def write(self, physical_address: int, way_hint: Optional[int] = None) -> BankAccessResult:
+    def write_parts(self, set_index: int, tag: int, way_hint: Optional[int]):
         """Service a store (or merge-buffer eviction) that writes the cache.
 
         Stores always need to know the correct way before writing; without a
         hint the tag arrays are probed first, with a valid hint the probe is
-        skipped (reduced store).
-        """
-        parts = self.layout.decompose(physical_address)
-        if parts.bank_index != self.bank_index:
-            self._check_bank(physical_address)
-        hit, way, reduced = self.write_parts(parts.set_index, parts.tag, way_hint)
-        return BankAccessResult(hit=hit, way=way, reduced=reduced)
-
-    def write_parts(self, set_index: int, tag: int, way_hint: Optional[int]):
-        """Allocation-free core of :meth:`write` for pre-decomposed callers.
-
-        Returns ``(hit, way, reduced)``.
+        skipped (reduced store).  Returns ``(hit, way, reduced)``.
         """
         stats = self.stats
         if way_hint is not None:
@@ -315,26 +237,13 @@ class CacheBank:
             return True, way, False
         return False, None, False
 
-    def fill(self, physical_address: int, dirty: bool = False) -> BankAccessResult:
-        """Install the line containing ``physical_address`` after a miss."""
-        parts = self.layout.decompose(physical_address)
-        if parts.bank_index != self.bank_index:
-            self._check_bank(physical_address)
-        way, evicted_address, evicted_dirty = self.fill_parts(
-            physical_address, parts.set_index, parts.tag, dirty
-        )
-        return BankAccessResult(
-            hit=True,
-            way=way,
-            reduced=False,
-            evicted_line_address=evicted_address,
-            evicted_dirty=evicted_dirty,
-        )
-
     def fill_parts(self, physical_address: int, set_index: int, tag: int, dirty: bool):
-        """Allocation-free core of :meth:`fill` for pre-decomposed callers.
+        """Install the line ``tag`` of ``set_index`` after a miss.
 
-        Returns ``(way, evicted_line_address, evicted_dirty)``.
+        ``physical_address`` names the line for the excluded-way rule and the
+        fill listener.  Returns ``(way, evicted_line_address,
+        evicted_dirty)``; the evicted address is ``None`` when the fill
+        displaced no valid line.
         """
         excluded = self.excluded_way_for(physical_address)
         evicted_address: Optional[int] = None
@@ -350,14 +259,19 @@ class CacheBank:
             self._on_fill(self.layout.line_address(physical_address), way)
         return way, evicted_address, evicted_dirty
 
+    def way_of(self, physical_address: int) -> Optional[int]:
+        """Way currently holding ``physical_address`` or ``None``.
+
+        A tag check only: no energy events, no replacement update.  Raises
+        ``ValueError`` for an address that belongs to another bank.
+        """
+        self._check_bank(physical_address)
+        parts = self.layout.decompose(physical_address)
+        return self.array.find_way(parts.set_index, parts.tag, update_replacement=False)
+
     def contains(self, physical_address: int) -> bool:
         """True if the line holding ``physical_address`` is resident."""
-        return self.lookup(physical_address, update_replacement=False).hit
-
-    def way_of(self, physical_address: int) -> Optional[int]:
-        """Way currently holding ``physical_address`` or ``None``."""
-        result = self.lookup(physical_address, update_replacement=False)
-        return result.way if result.hit else None
+        return self.way_of(physical_address) is not None
 
     def occupancy(self) -> int:
         """Number of valid lines in this bank."""

@@ -26,44 +26,6 @@ from repro.stats import StatCounters
 LineListener = Callable[[int, int], None]
 
 
-class L1AccessOutcome:
-    """Result of a complete L1 access, including miss handling (slotted).
-
-    Attributes
-    ----------
-    hit:
-        True when the access hit in the L1.
-    way:
-        Way holding the line after the access (filled way on a miss).
-    latency:
-        Total latency in cycles, including L2/DRAM time on a miss.
-    reduced:
-        True when the access used the reduced (tag-bypassed) mode.
-    bank:
-        Bank index that serviced the access.
-    way_hint_wrong:
-        True when a supplied hint turned out to be wrong (never for WTs).
-    """
-
-    __slots__ = ("hit", "way", "latency", "reduced", "bank", "way_hint_wrong")
-
-    def __init__(
-        self,
-        hit: bool,
-        way: Optional[int],
-        latency: int,
-        reduced: bool,
-        bank: int,
-        way_hint_wrong: bool = False,
-    ) -> None:
-        self.hit = hit
-        self.way = way
-        self.latency = latency
-        self.reduced = reduced
-        self.bank = bank
-        self.way_hint_wrong = way_hint_wrong
-
-
 class L1DataCache:
     """Four-bank L1 data cache with miss handling and fill/evict listeners."""
 
@@ -139,34 +101,20 @@ class L1DataCache:
         """Bank that owns ``physical_address``."""
         return self.banks[self.layout.decompose(physical_address).bank_index]
 
-    def load(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        allocate_on_miss: bool = True,
-    ) -> L1AccessOutcome:
-        """Service a load, handling the miss path through L2/DRAM."""
-        hit, way, latency, reduced, bank_index, hint_wrong = self.load_parts(
-            physical_address, way_hint, allocate_on_miss
-        )
-        return L1AccessOutcome(
-            hit=hit,
-            way=way,
-            latency=latency,
-            reduced=reduced,
-            bank=bank_index,
-            way_hint_wrong=hint_wrong,
-        )
-
     def load_parts(
         self,
         physical_address: int,
         way_hint: Optional[int] = None,
         allocate_on_miss: bool = True,
     ):
-        """Allocation-free core of :meth:`load` for per-access hot paths.
+        """Service a load, handling the miss path through L2/DRAM.
 
-        Returns ``(hit, way, latency, reduced, bank_index, way_hint_wrong)``.
+        ``way_hint`` (from a way table or WDU; ``None`` = unknown) selects a
+        reduced access.  A miss fetches the line from the L2 and, with
+        ``allocate_on_miss``, fills it, writing back a dirty victim.
+        Returns ``(hit, way, latency, reduced, bank_index, way_hint_wrong)``:
+        ``way`` is the hit or filled way, ``latency`` includes L2/DRAM time
+        on a miss, and ``way_hint_wrong`` flags a hint that did not match.
         """
         parts = self.layout.decompose(physical_address)
         bank_index = parts.bank_index
@@ -189,34 +137,16 @@ class L1DataCache:
                 self.l2.access(evicted_address, is_write=True)
         return False, way, self.hit_latency + miss_latency, False, bank_index, hint_wrong
 
-    def store(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        allocate_on_miss: bool = True,
-    ) -> L1AccessOutcome:
-        """Service a store (write-allocate, write-back)."""
-        hit, way, latency, reduced, bank_index = self.store_parts(
-            physical_address, way_hint, allocate_on_miss
-        )
-        return L1AccessOutcome(
-            hit=hit,
-            way=way,
-            latency=latency,
-            reduced=reduced,
-            bank=bank_index,
-            way_hint_wrong=False,
-        )
-
     def store_parts(
         self,
         physical_address: int,
         way_hint: Optional[int] = None,
         allocate_on_miss: bool = True,
     ):
-        """Allocation-free core of :meth:`store` for per-access hot paths.
+        """Service a store (write-allocate, write-back).
 
-        Returns ``(hit, way, latency, reduced, bank_index)``.
+        Returns ``(hit, way, latency, reduced, bank_index)``, as
+        :meth:`load_parts` does without the hint-mismatch flag.
         """
         parts = self.layout.decompose(physical_address)
         bank_index = parts.bank_index

@@ -103,7 +103,7 @@ class L2Cache:
     def contains(self, physical_address: int) -> bool:
         """True when the line is resident in the L2."""
         set_index, tag = self._set_and_tag(physical_address)
-        return self.array.lookup(set_index, tag, update_replacement=False).hit
+        return self.array.find_way(set_index, tag, update_replacement=False) is not None
 
     @property
     def miss_rate(self) -> float:

@@ -41,22 +41,6 @@ class CacheLineState:
         self.payload = None
 
 
-class LookupResult:
-    """Outcome of a tag lookup in one set (slotted: one per lookup)."""
-
-    __slots__ = ("hit", "way", "line")
-
-    def __init__(
-        self,
-        hit: bool,
-        way: Optional[int] = None,
-        line: Optional[CacheLineState] = None,
-    ) -> None:
-        self.hit = hit
-        self.way = way
-        self.line = line
-
-
 @dataclass
 class EvictionRecord:
     """Description of a line displaced by a fill."""
@@ -148,20 +132,13 @@ class SetAssociativeArray:
         if set_index < 0 or set_index >= self.num_sets:
             raise ValueError(f"set index {set_index} outside 0..{self.num_sets - 1}")
 
-    def lookup(self, set_index: int, tag: int, update_replacement: bool = True) -> LookupResult:
-        """Search ``set_index`` for ``tag``; optionally record the use."""
-        self._check_set(set_index)
-        tags = self._tags.get(set_index)
-        way = tags.get(tag) if tags is not None else None
-        if way is None:
-            return LookupResult(hit=False)
-        if update_replacement:
-            self._policy(set_index).touch(way)
-        return LookupResult(hit=True, way=way, line=self._sets[set_index][way])
-
     def find_way(self, set_index: int, tag: int, update_replacement: bool = True):
-        """Way index holding ``tag`` or ``None`` — :meth:`lookup` without the
-        result object, for callers on the per-access hot path."""
+        """Search ``set_index`` for ``tag``: the way holding it, or ``None``.
+
+        A hit records the use with the set's replacement policy unless
+        ``update_replacement`` is False (a probe that leaves the victim
+        order alone).  :meth:`line` gives the state of the way found.
+        """
         self._check_set(set_index)
         tags = self._tags.get(set_index)
         way = tags.get(tag) if tags is not None else None
@@ -171,24 +148,12 @@ class SetAssociativeArray:
             self._policy(set_index).touch(way)
         return way
 
-    def probe(self, set_index: int, tag: int) -> LookupResult:
-        """Lookup without disturbing replacement state (used by tests/tools)."""
-        return self.lookup(set_index, tag, update_replacement=False)
-
     def line(self, set_index: int, way: int) -> CacheLineState:
         """Direct access to the state of one way."""
         self._check_set(set_index)
         if way < 0 or way >= self.ways:
             raise ValueError(f"way {way} outside 0..{self.ways - 1}")
         return self._lines(set_index)[way]
-
-    def valid_mask(self, set_index: int) -> List[bool]:
-        """Validity of each way in ``set_index``."""
-        self._check_set(set_index)
-        lines = self._sets.get(set_index)
-        if lines is None:
-            return [False] * self.ways
-        return [line.valid for line in lines]
 
     def occupancy(self) -> int:
         """Total number of valid lines across the whole array."""
@@ -277,13 +242,13 @@ class SetAssociativeArray:
 
     def invalidate(self, set_index: int, tag: int) -> bool:
         """Invalidate ``tag`` if present; returns ``True`` when a line was dropped."""
-        result = self.lookup(set_index, tag, update_replacement=False)
-        if not result.hit:
+        way = self.find_way(set_index, tag, update_replacement=False)
+        if way is None:
             return False
-        line = result.line
+        line = self._sets[set_index][way]
         record = EvictionRecord(
             set_index=set_index,
-            way=result.way,
+            way=way,
             tag=line.tag,
             dirty=line.dirty,
             payload=line.payload,

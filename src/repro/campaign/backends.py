@@ -58,6 +58,9 @@ class StoreConflictError(RuntimeError):
 #: recognised store URL schemes, in documentation order
 STORE_SCHEMES: Tuple[str, ...] = ("json", "sqlite")
 
+#: tries at switching a freshly opened SQLite file to WAL (0.05 s apart)
+_WAL_SWITCH_ATTEMPTS = 100
+
 #: manifest bookkeeping keys the backends stamp into stored manifests;
 #: stripped again by ``manifest()`` so callers see the pure campaign spec
 _MANIFEST_META_KEYS = ("manifest_version", "manifest_writer")
@@ -368,7 +371,17 @@ class SqliteBackend(StoreBackend):
         conn = sqlite3.connect(
             str(self.path), timeout=30.0, isolation_level=None, check_same_thread=False
         )
-        conn.execute("PRAGMA journal_mode=WAL")
+        # Processes opening a fresh file at the same moment race to switch
+        # it to WAL; SQLite answers the loser "database is locked" at once
+        # (deadlock avoidance skips the busy timeout), so retry the switch.
+        for attempt in range(_WAL_SWITCH_ATTEMPTS):
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or attempt == _WAL_SWITCH_ATTEMPTS - 1:
+                    raise
+                time.sleep(0.05)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.executescript(self._SCHEMA)
         self._conn = conn

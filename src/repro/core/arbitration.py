@@ -63,18 +63,6 @@ class BankRequest:
         self.is_write = is_write
         self.way_hint = way_hint
 
-    @property
-    def loads_serviced(self) -> int:
-        """Number of loads satisfied by this single bank access."""
-        count = 1 if primary_is_load(self.primary) else 0
-        return count + len(self.merged)
-
-
-def primary_is_load(request: MemoryAccessRequest) -> bool:
-    """Helper kept module-level so dataclass methods stay trivial."""
-    return request.is_load
-
-
 @dataclass
 class ArbitrationResult:
     """Outcome of one arbitration cycle."""

@@ -104,16 +104,6 @@ class InputBuffer:
         """Loads carried over from previous cycles (highest priority)."""
         return list(self._held)
 
-    @property
-    def pending_loads(self) -> int:
-        """All loads currently waiting (held + arrived this cycle)."""
-        return len(self._held) + len(self._new)
-
-    @property
-    def has_mbe(self) -> bool:
-        """True when a merge-buffer entry is waiting to be written back."""
-        return self._mbe is not None
-
     def can_accept_load(self) -> bool:
         """True when another load may be submitted this cycle.
 

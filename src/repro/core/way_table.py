@@ -117,11 +117,6 @@ class WayTableEntry:
         self._check_line(line_in_page)
         return self._encode_tbl[line_in_page][way]
 
-    def _decode(self, line_in_page: int, code: int) -> Optional[int]:
-        """Map a 2-bit code back to a physical way (``None`` for unknown)."""
-        self._check_line(line_in_page)
-        return self._decode_tbl[line_in_page][code]
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -217,17 +212,6 @@ class WayTable:
         """Read the entry of ``slot`` (counted as one array read)."""
         self.stats.bump(self._h_read)
         return self._entries[slot]
-
-    def lookup_line(self, slot: int, line_in_page: int) -> WayPrediction:
-        """Prediction for one line of the page held in ``slot``.
-
-        The energy cost of serving any number of same-page accesses is a
-        single entry read; per-line decoding is free, so this helper does not
-        count additional events.
-        """
-        prediction = self._entries[slot].lookup(line_in_page)
-        prediction.source = self.name
-        return prediction
 
     def update_line(self, slot: int, line_in_page: int, way: int) -> bool:
         """Record a fill / feedback update for one line (one array write)."""

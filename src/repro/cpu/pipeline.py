@@ -225,7 +225,7 @@ class OutOfOrderPipeline:
 
         #: completion events further than one cycle out live in the wheel
         #: (single producer: bare payloads, FIFO per bucket)
-        wheel = EventWheel(single_component=True)
+        wheel = EventWheel()
         schedule = wheel.schedule
         pop_due = wheel.pop_due
         #: local mirror of wheel.next_cycle() (int comparisons on the hot path)

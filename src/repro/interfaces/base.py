@@ -173,7 +173,7 @@ class BaseL1Interface(ABC):
     # ------------------------------------------------------------------
     def submit_load(self, tag: Any, address: int, size: int, cycle: int) -> None:
         """Accept a load whose address computation finished this cycle."""
-        self.load_queue.allocate_issued(tag, address, cycle, count=False)
+        self.load_queue.allocate_issued(tag, address, cycle)
         self.stats.bump_many(self._combo_load_submit)
         self._enqueue_load(tag, address, size, cycle)
 
@@ -269,21 +269,19 @@ class BaseL1Interface(ABC):
     # ------------------------------------------------------------------
     # Shared helpers used by the concrete interfaces
     # ------------------------------------------------------------------
-    def _translate(self, virtual_address: int):
-        """Translate one address through the uTLB/TLB (charging lookups)."""
-        return self.translation.translate(virtual_address)
-
     def _forwarding_lookups(self, virtual_address: int, size: int, split: bool) -> None:
         """Search SB and MB for store-to-load forwarding (energy bookkeeping).
 
         All configurations perform these searches for every load; MALEC uses
-        the split page/offset structures.  Forwarding hits are counted but the
-        load still accesses the cache, keeping the cache-access counts
-        comparable across configurations (the paper excludes SB/MB energy).
-
-        The two buffer scans are inlined here (same counters as the buffers'
-        own ``probe``/``lookup`` methods, one fused charge bump): this runs
-        once per serviced load, so per-call overhead matters.
+        the split page/offset structures.  Each call charges one full-width
+        (``sb.lookup_full``/``mb.lookup_full``) or offset-segment
+        (``*.lookup_offset``, with ``split``) lookup on both buffers in one
+        fused bump.  The store buffer is scanned youngest first for a store
+        overlapping ``[virtual_address, virtual_address + size)`` and the
+        merge buffer for the load's line; each scan counts at most one
+        ``*.forward_hit``.  Forwarding hits are counted but the load still
+        accesses the cache, keeping the cache-access counts comparable
+        across configurations (the paper excludes SB/MB energy).
         """
         stats = self.stats
         store_buffer = self.store_buffer

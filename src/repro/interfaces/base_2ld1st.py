@@ -77,7 +77,7 @@ class BaselineDualLoadInterface(BaseL1Interface):
     def _on_store_submitted(self, address: int, size: int, cycle: int) -> None:
         # Each memory reference is translated individually through one of the
         # three TLB ports.
-        self.translation.translate_probe(address)
+        self.translation.translate_pair(address)
 
     # ------------------------------------------------------------------
     def _service_cycle(self, cycle: int) -> List[CompletedAccess]:
@@ -128,7 +128,7 @@ class BaselineDualLoadInterface(BaseL1Interface):
                 and bank_accesses.get(bank, 0) < self._MAX_ACCESSES_PER_BANK
             ):
                 self._pending_writebacks.popleft()
-                self.hierarchy.l1.store(writeback.physical_line_address)
+                self.hierarchy.l1.store_parts(writeback.physical_line_address)
                 self.stats.bump(self._h_mbe_written)
                 bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
                 bank_writes[bank] = bank_writes.get(bank, 0) + 1

@@ -208,12 +208,6 @@ class AddressLayout:
             self.check(address)
         return address & self._page_offset_mask
 
-    def page_base(self, address: int) -> int:
-        """Address of the first byte of the containing page."""
-        if address < 0 or address > self.max_address:
-            self.check(address)
-        return address & ~self._page_offset_mask
-
     def line_address(self, address: int) -> int:
         """Line-granular address (address with the line offset cleared)."""
         if address < 0 or address > self.max_address:

@@ -71,7 +71,3 @@ class MemoryHierarchy:
             stats=self.stats,
             seed=self.seed,
         )
-
-    def reset_stats(self) -> None:
-        """Clear all counters (structures keep their contents)."""
-        self.stats.clear()

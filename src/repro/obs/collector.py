@@ -45,7 +45,7 @@ golden bit-identity (the obs-off identity tests pin this).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = ["RunCollector", "CYCLE_CATEGORIES"]
 
@@ -131,12 +131,3 @@ class RunCollector:
     def attributed_cycles(self) -> int:
         """Sum over all categories (equals ``total_cycles`` after a run)."""
         return sum(self.cycle_categories.values())
-
-    def category_fractions(self) -> Dict[str, float]:
-        """Per-category share of the attributed cycles (0.0 when empty)."""
-        total = self.attributed_cycles
-        if not total:
-            return {name: 0.0 for name in CYCLE_CATEGORIES}
-        return {
-            name: count / total for name, count in self.cycle_categories.items()
-        }

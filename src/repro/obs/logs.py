@@ -11,8 +11,7 @@ as a library stays silent and unconfigured.
 Every record carries a **run context** — a short string like ``sweep:fig4-mini``
 set via :func:`run_context` around an entry point — so interleaved lines from
 pool workers and the parent remain attributable.  The context travels via a
-:class:`contextvars.ContextVar`, which is inherited across threads at creation
-and re-established in pool initialisers.
+:class:`contextvars.ContextVar`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import contextvars
 import json
 import logging
 import sys
-from typing import Iterator, Optional
+from typing import Iterator
 
 __all__ = ["get_logger", "configure", "run_context", "current_run_context"]
 
@@ -54,11 +53,6 @@ def run_context(context: str) -> Iterator[None]:
         yield
     finally:
         _run_context.reset(token)
-
-
-def set_run_context(context: str) -> None:
-    """Set the run context without scoping (pool-worker initialisers)."""
-    _run_context.set(context)
 
 
 class _ContextFilter(logging.Filter):
@@ -122,12 +116,6 @@ def configure(
         handler.setFormatter(logging.Formatter(_TEXT_FORMAT))
     logger.addHandler(handler)
     return logger
-
-
-def configured() -> bool:
-    """True when :func:`configure` has installed a handler."""
-    logger = logging.getLogger(ROOT_LOGGER)
-    return any(getattr(h, "_repro_obs", False) for h in logger.handlers)
 
 
 def reset() -> None:

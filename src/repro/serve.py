@@ -37,6 +37,7 @@ GET    ``/api/v1/cells/<key>``             one stored cell record, verbatim
 from __future__ import annotations
 
 import json
+import os
 import queue
 import threading
 import time
@@ -51,6 +52,7 @@ from repro.dse.objectives import DEFAULT_OBJECTIVES, resolve_objectives
 from repro.dse.pareto import ParetoPoint, pareto_frontier
 from repro.obs.logs import get_logger
 from repro.obs.telemetry import TelemetryJournal
+from repro.workloads.registry import validate_workload
 
 __all__ = ["ReproServer", "CampaignJob"]
 
@@ -61,6 +63,15 @@ JOB_STATES = ("queued", "running", "done", "failed")
 
 #: largest request body the server reads; submissions are a few hundred bytes
 MAX_BODY_BYTES = 1 << 20
+
+#: the fields a campaign submission may carry; any other key is a 400
+SUBMISSION_FIELDS = ("preset", "benchmarks", "instructions", "seed", "warmup", "jobs")
+
+#: most instructions per trace a submission may ask for (200x the presets' 5,000)
+MAX_INSTRUCTIONS = 1_000_000
+
+#: most worker processes a submission may ask for
+MAX_JOBS = os.cpu_count() or 1
 
 
 class CampaignJob:
@@ -181,6 +192,32 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(parsed, dict):
             raise _RequestError(400, "request body must be a JSON object")
         return parsed
+
+
+def _integer(field: str, value: Any, low: int, high: Optional[int] = None) -> int:
+    """``value`` if it is an integer in ``low..high``, else a 400 naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _RequestError(400, f"\"{field}\" must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bounds = f"{low}..{high}" if high is not None else f">= {low}"
+        raise _RequestError(400, f"\"{field}\" must lie in {bounds}, got {value}")
+    return value
+
+
+def _benchmarks(value: Any) -> List[str]:
+    """``value`` if it is a non-empty list of known workload names, else a 400."""
+    if not isinstance(value, list) or not value:
+        raise _RequestError(
+            400, f"\"benchmarks\" must be a non-empty list of names, got {value!r}"
+        )
+    for name in value:
+        if not isinstance(name, str):
+            raise _RequestError(400, f"\"benchmarks\" entries must be names, got {name!r}")
+        try:
+            validate_workload(name)
+        except KeyError as error:
+            raise _RequestError(400, str(error.args[0]) if error.args else str(error))
+    return value
 
 
 class ReproServer:
@@ -326,6 +363,17 @@ class ReproServer:
     # Submit + worker
     # ------------------------------------------------------------------
     def _submit(self, body: dict) -> Tuple[int, dict]:
+        """Validate a submission, then queue it; any bad field is a 400.
+
+        Nothing is queued or recorded until every field has passed.
+        """
+        unknown = sorted(set(body) - set(SUBMISSION_FIELDS))
+        if unknown:
+            raise _RequestError(
+                400,
+                f"unknown submission field(s) {', '.join(map(repr, unknown))}; "
+                f"accepted: {', '.join(SUBMISSION_FIELDS)}",
+            )
         preset = body.get("preset")
         if not isinstance(preset, str):
             raise _RequestError(
@@ -336,19 +384,30 @@ class ReproServer:
         except KeyError as error:
             raise _RequestError(400, str(error.args[0]) if error.args else str(error))
         overrides = {}
-        for field in ("benchmarks", "instructions", "seed"):
-            if field in body:
-                overrides[field] = body[field]
+        if "benchmarks" in body:
+            overrides["benchmarks"] = _benchmarks(body["benchmarks"])
+        if "instructions" in body:
+            overrides["instructions"] = _integer(
+                "instructions", body["instructions"], 1, MAX_INSTRUCTIONS
+            )
+        if "seed" in body:
+            overrides["seed"] = _integer("seed", body["seed"], 0)
         if "warmup" in body:
-            overrides["warmup_fraction"] = body["warmup"]
+            warmup = body["warmup"]
+            if (
+                isinstance(warmup, bool)
+                or not isinstance(warmup, (int, float))
+                or not 0 <= warmup < 1
+            ):
+                raise _RequestError(
+                    400, f"\"warmup\" must be a number in [0, 1), got {warmup!r}"
+                )
+            overrides["warmup_fraction"] = warmup
         if overrides:
-            try:
-                spec = spec.with_overrides(**overrides)
-            except (TypeError, ValueError) as error:
-                raise _RequestError(400, f"bad override: {error}")
-        jobs = body.get("jobs", self.jobs)
-        if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
-            raise _RequestError(400, "\"jobs\" must be a positive integer")
+            spec = spec.with_overrides(**overrides)
+        jobs = self.jobs
+        if "jobs" in body:
+            jobs = _integer("jobs", body["jobs"], 1, MAX_JOBS)
         with self._lock:
             job_id = f"c{len(self._order) + 1:04d}"
             job = CampaignJob(job_id, spec, jobs)

@@ -47,7 +47,7 @@ from __future__ import annotations
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 1
+GENERATOR_VERSION = 2
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -267,13 +267,12 @@ def _prologue(spec: dict) -> str:
         lines += [
             "    pending_loads = interface._pending_loads",
             "    writeback_to_cache = interface._writeback_to_cache",
-            "    translate_probe = translation.translate_probe",
         ]
     if kind == "Base2ld1st":
         lines += [
             "    bank_index_of = layout.bank_index",
             "    line_address_of = layout.line_address",
-            "    l1_store = l1.store",
+            "    store_parts = l1.store_parts",
         ]
     if kind == "MALEC":
         lines += [
@@ -656,7 +655,7 @@ def _issue_store(spec: dict) -> str:
     if kind == "MALEC":
         probe = ""  # MALEC does not translate at store submission
     else:
-        # _on_store_submitted: translate_probe with the uTLB-hit fast path
+        # _on_store_submitted: translate_pair with the uTLB-hit fast path
         probe = f"""
                         vpage = address >> {spec['page_shift']}
                         slot = utlb_by_vpage_get(vpage)
@@ -664,7 +663,7 @@ def _issue_store(spec: dict) -> str:
                             acc_utlb_hit += 1
                             utlb_referenced[slot] = True
                         else:
-                            translate_probe(address)"""
+                            translate_pair(address)"""
     return f"""\
                     in_store_order = (
                         store_order_head < len(store_order)
@@ -856,7 +855,7 @@ def _tick_2ld1st(spec: dict) -> str:
                     bank = bank_index_of(writeback.physical_line_address)
                     if bank_writes.get(bank, 0) < 1 and bank_accesses.get(bank, 0) < 2:
                         pending_writebacks.popleft()
-                        l1_store(writeback.physical_line_address)
+                        store_parts(writeback.physical_line_address)
                         acc_mbe_written += 1
                         bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
                         bank_writes[bank] = bank_writes.get(bank, 0) + 1

@@ -10,12 +10,11 @@ replacement, as chosen by the paper to limit uWT/WT entry transfers.
 """
 
 from repro.tlb.page_table import PageTable
-from repro.tlb.tlb import TLB, TLBEntry, TLBHierarchy, TranslationResult
+from repro.tlb.tlb import TLB, TLBEntry, TLBHierarchy
 
 __all__ = [
     "PageTable",
     "TLB",
     "TLBEntry",
     "TLBHierarchy",
-    "TranslationResult",
 ]

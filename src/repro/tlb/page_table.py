@@ -82,12 +82,6 @@ class PageTable:
         self.stats.bump(self._h_walk)
         return ppage
 
-    def translate(self, virtual_address: int) -> int:
-        """Translate a full virtual address to a physical address."""
-        vpage = self.layout.page_id(virtual_address)
-        offset = self.layout.page_offset(virtual_address)
-        return self.layout.compose(self.translate_page(vpage), offset)
-
     def reverse_translate_page(self, physical_page: int) -> Optional[int]:
         """Virtual page currently mapped to ``physical_page`` (or ``None``)."""
         for vpage, ppage in self._vpage_to_ppage.items():
@@ -99,7 +93,3 @@ class PageTable:
     def mapped_pages(self) -> int:
         """Number of virtual pages mapped so far (the workload footprint)."""
         return len(self._vpage_to_ppage)
-
-    def is_mapped(self, virtual_page: int) -> bool:
-        """True if ``virtual_page`` has already been touched."""
-        return virtual_page in self._vpage_to_ppage

@@ -35,35 +35,6 @@ class TLBEntry:
         self.physical_page = physical_page
 
 
-class TranslationResult:
-    """Outcome of a full address translation through the TLB hierarchy."""
-
-    __slots__ = (
-        "virtual_page",
-        "physical_page",
-        "physical_address",
-        "utlb_hit",
-        "tlb_hit",
-        "latency",
-    )
-
-    def __init__(
-        self,
-        virtual_page: int,
-        physical_page: int,
-        physical_address: int,
-        utlb_hit: bool,
-        tlb_hit: bool,
-        latency: int,
-    ) -> None:
-        self.virtual_page = virtual_page
-        self.physical_page = physical_page
-        self.physical_address = physical_address
-        self.utlb_hit = utlb_hit
-        self.tlb_hit = tlb_hit
-        self.latency = latency
-
-
 #: Callback fired when a TLB slot is replaced: (slot_index, old_entry, new_entry)
 EvictionCallback = Callable[[int, TLBEntry, TLBEntry], None]
 
@@ -267,95 +238,25 @@ class TLBHierarchy:
         self._h_walk = self.stats.handle("tlb.walk")
         self._page_shift = layout.page_offset_bits
 
-    def translate(self, virtual_address: int) -> TranslationResult:
-        """Translate ``virtual_address``; refills uTLB/TLB as needed.
-
-        The returned latency is the *additional* translation latency beyond
-        the pipelined uTLB access: 0 for a uTLB hit, 1 cycle for a TLB hit,
-        ``walk_latency`` cycles for a page walk.
-        """
-        parts = self.layout.decompose(virtual_address)
-        vpage = parts.page_id
-        offset = parts.page_offset
-
-        # Inlined uTLB hit path (the overwhelmingly common case): one dict
-        # probe, the hit-counter combo and the second-chance reference bit —
-        # exactly what utlb.lookup() + slot() would do, without the calls.
-        utlb = self.utlb
-        slot = utlb._by_vpage.get(vpage)
-        if slot is not None:
-            self.stats.bump_many(utlb._combo_hit)
-            utlb._policy.touch(slot)
-            ppage = utlb._slots[slot].physical_page
-            return TranslationResult(
-                virtual_page=vpage,
-                physical_page=ppage,
-                physical_address=(ppage << self._page_shift) | offset,
-                utlb_hit=True,
-                tlb_hit=True,
-                latency=0,
-            )
-        self.stats.bump_many(utlb._combo_miss)
-
-        tlb_slot = self.tlb.lookup(vpage)
-        if tlb_slot is not None:
-            ppage = self.tlb.slot(tlb_slot).physical_page
-            self.utlb.insert(vpage, ppage)
-            return TranslationResult(
-                virtual_page=vpage,
-                physical_page=ppage,
-                physical_address=(ppage << self._page_shift) | offset,
-                utlb_hit=False,
-                tlb_hit=True,
-                latency=1,
-            )
-
-        ppage = self.page_table.translate_page(vpage)
-        self.stats.bump(self._h_walk)
-        self.tlb.insert(vpage, ppage)
-        self.utlb.insert(vpage, ppage)
-        return TranslationResult(
-            virtual_page=vpage,
-            physical_page=ppage,
-            physical_address=(ppage << self._page_shift) | offset,
-            utlb_hit=False,
-            tlb_hit=False,
-            latency=self.walk_latency,
-        )
-
     def translate_pair(self, virtual_address: int):
-        """Translate, returning only ``(physical_address, latency)``.
+        """Translate a full address, returning ``(physical_address, latency)``.
 
-        Identical state changes and statistics to :meth:`translate`, without
-        the :class:`TranslationResult` allocation — the per-load path of the
-        interface models only consumes these two fields.
+        :meth:`translate_page_pair` on the address's page id, with the page
+        offset put back on the physical page.  The baselines translate every
+        load, store and merge-buffer write-back through this method.
         """
         parts = self.layout.decompose(virtual_address)
-        vpage = parts.page_id
-        offset = parts.page_offset
-        utlb = self.utlb
-        slot = utlb._by_vpage.get(vpage)
-        if slot is not None:
-            self.stats.bump_many(utlb._combo_hit)
-            utlb._policy.touch(slot)
-            return ((utlb._slots[slot].physical_page << self._page_shift) | offset, 0)
-        self.stats.bump_many(utlb._combo_miss)
-        tlb_slot = self.tlb.lookup(vpage)
-        if tlb_slot is not None:
-            ppage = self.tlb.slot(tlb_slot).physical_page
-            self.utlb.insert(vpage, ppage)
-            return ((ppage << self._page_shift) | offset, 1)
-        ppage = self.page_table.translate_page(vpage)
-        self.stats.bump(self._h_walk)
-        self.tlb.insert(vpage, ppage)
-        self.utlb.insert(vpage, ppage)
-        return ((ppage << self._page_shift) | offset, self.walk_latency)
+        physical_page, latency = self.translate_page_pair(parts.page_id)
+        return ((physical_page << self._page_shift) | parts.page_offset, latency)
 
     def translate_page_pair(self, virtual_page: int):
         """Translate a bare page id, returning ``(physical_page, latency)``.
 
-        The MALEC interface translates once per page group and only needs
-        the physical page id and the added latency.
+        The one uTLB -> TLB -> page-walk path.  The latency is the *added*
+        translation latency beyond the pipelined uTLB access: 0 for a uTLB
+        hit, 1 cycle for a TLB hit (which refills the uTLB), ``walk_latency``
+        cycles for a page walk (which refills both levels).  The MALEC
+        interface calls it once per page group.
         """
         utlb = self.utlb
         slot = utlb._by_vpage.get(virtual_page)
@@ -374,33 +275,3 @@ class TLBHierarchy:
         self.tlb.insert(virtual_page, ppage)
         self.utlb.insert(virtual_page, ppage)
         return (ppage, self.walk_latency)
-
-    def translate_probe(self, virtual_address: int) -> None:
-        """Perform a translation purely for its side effects.
-
-        Identical state changes and statistics to :meth:`translate` (uTLB/TLB
-        refills, walks, counters) without building a
-        :class:`TranslationResult`.  The baselines use this for stores, whose
-        translation result is discarded — one fewer allocation per store.
-        """
-        vpage = self.layout.decompose(virtual_address).page_id
-        utlb = self.utlb
-        slot = utlb._by_vpage.get(vpage)
-        if slot is not None:
-            self.stats.bump_many(utlb._combo_hit)
-            utlb._policy.touch(slot)
-            return
-        self.stats.bump_many(utlb._combo_miss)
-        tlb_slot = self.tlb.lookup(vpage)
-        if tlb_slot is not None:
-            ppage = self.tlb.slot(tlb_slot).physical_page
-            self.utlb.insert(vpage, ppage)
-            return
-        ppage = self.page_table.translate_page(vpage)
-        self.stats.bump(self._h_walk)
-        self.tlb.insert(vpage, ppage)
-        self.utlb.insert(vpage, ppage)
-
-    def translate_page(self, virtual_page: int) -> TranslationResult:
-        """Translate a bare virtual page id (offset 0)."""
-        return self.translate(self.layout.compose(virtual_page, 0))

@@ -4,9 +4,10 @@ The JSONL trace format (:meth:`~repro.workloads.trace.MemoryTrace.to_jsonl`)
 is human-inspectable but costs one ``json.loads`` per instruction to read —
 that parse dominates campaign/DSE worker start-up once traces stop being
 regenerated in every process.  ``.rtrc`` is the fast path: a little-endian
-binary encoding with fixed-width per-instruction records that decodes through
-``struct.iter_unpack`` (one C call for the whole record section) and
-round-trips bit-identically against the JSONL form.
+binary encoding with fixed-width per-instruction records that decodes into
+columns with a fixed number of strided byte slices
+(:meth:`~repro.workloads.columnar.ColumnarTrace.from_rtrc_bytes`, the one
+decoder) and round-trips bit-identically against the JSONL form.
 
 Layout (all integers little-endian)::
 
@@ -48,7 +49,7 @@ from array import array
 from pathlib import Path
 from typing import Tuple, Union
 
-from repro.cpu.instruction import Instruction, InstructionKind
+from repro.cpu.instruction import InstructionKind
 from repro.memory.address import AddressLayout
 
 #: file magic of every ``.rtrc`` payload
@@ -93,13 +94,42 @@ def _open_binary(path: Union[str, Path], mode: str):
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
-def _encode_body(trace) -> Tuple[bytes, bytes, bytes]:
-    """The (layout, records, deps-pool) byte sections of ``trace``.
+def pack_layout(layout: AddressLayout) -> bytes:
+    """The address layout as the prelude stores it (7 x u32)."""
+    return struct.pack("<7I", *(getattr(layout, name) for name in _LAYOUT_FIELDS))
+
+
+def pack_header(name: str, suite: str, layout: AddressLayout, count: int, deps: int) -> bytes:
+    """The prelude plus name and suite bytes: everything before the records.
+
+    ``count`` is the number of records and ``deps`` the dependency-pool
+    length in u32 entries.  The one header writer, shared by
+    :func:`encode_trace` and ``ColumnarTrace.to_bytes``; :func:`read_header`
+    is its inverse.
+    """
+    name_bytes = name.encode("utf-8")
+    suite_bytes = suite.encode("utf-8")
+    if len(name_bytes) > 0xFFFF or len(suite_bytes) > 0xFFFF:
+        raise TraceFormatError("trace name/suite longer than 65535 UTF-8 bytes")
+    prelude = _PRELUDE.pack(
+        RTRC_MAGIC,
+        RTRC_VERSION,
+        0,
+        len(name_bytes),
+        len(suite_bytes),
+        count,
+        deps,
+        *(getattr(layout, field) for field in _LAYOUT_FIELDS),
+    )
+    return prelude + name_bytes + suite_bytes
+
+
+def _encode_body(trace) -> Tuple[bytes, bytes]:
+    """The (records, deps-pool) byte sections of ``trace``.
 
     Shared by :func:`encode_trace` and :func:`trace_fingerprint`, so the
     content hash is by construction a hash of exactly what gets written.
     """
-    layout_bytes = struct.pack("<7I", *(getattr(trace.layout, name) for name in _LAYOUT_FIELDS))
     pack = _RECORD.pack
     records = bytearray()
     deps_pool = array("I")
@@ -123,27 +153,16 @@ def _encode_body(trace) -> Tuple[bytes, bytes, bytes]:
             deps_pool.extend(deps)
     if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere we run
         deps_pool.byteswap()
-    return layout_bytes, bytes(records), deps_pool.tobytes()
+    return bytes(records), deps_pool.tobytes()
 
 
 def encode_trace(trace) -> bytes:
     """Serialize ``trace`` to ``.rtrc`` bytes (see the module docstring)."""
-    name_bytes = trace.name.encode("utf-8")
-    suite_bytes = trace.suite.encode("utf-8")
-    if len(name_bytes) > 0xFFFF or len(suite_bytes) > 0xFFFF:
-        raise TraceFormatError("trace name/suite longer than 65535 UTF-8 bytes")
-    layout_bytes, records, deps_bytes = _encode_body(trace)
-    prelude = _PRELUDE.pack(
-        RTRC_MAGIC,
-        RTRC_VERSION,
-        0,
-        len(name_bytes),
-        len(suite_bytes),
-        len(trace.instructions),
-        len(deps_bytes) // 4,
-        *(getattr(trace.layout, name) for name in _LAYOUT_FIELDS),
+    records, deps_bytes = _encode_body(trace)
+    header = pack_header(
+        trace.name, trace.suite, trace.layout, len(trace.instructions), len(deps_bytes) // 4
     )
-    return b"".join((prelude, name_bytes, suite_bytes, records, deps_bytes))
+    return b"".join((header, records, deps_bytes))
 
 
 def fingerprint_sections(layout_bytes, records, deps_bytes) -> str:
@@ -170,8 +189,8 @@ def trace_fingerprint(trace) -> str:
     and suite, so the same ingested file registered twice — even under
     different names — maps to the same hash.
     """
-    layout_bytes, records, deps_bytes = _encode_body(trace)
-    return fingerprint_sections(layout_bytes, records, deps_bytes)
+    records, deps_bytes = _encode_body(trace)
+    return fingerprint_sections(pack_layout(trace.layout), records, deps_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -217,58 +236,14 @@ def read_header(data: bytes) -> dict:
 
 
 def decode_trace(data: bytes):
-    """Rebuild a :class:`~repro.workloads.trace.MemoryTrace` from ``.rtrc`` bytes."""
-    from repro.workloads.trace import MemoryTrace
+    """Rebuild a :class:`~repro.workloads.trace.MemoryTrace` from ``.rtrc`` bytes.
 
-    header = read_header(data)
-    count = header["instructions"]
-    deps_len = header["deps"]
-    records_start = header["body_offset"]
-    records_end = records_start + count * _RECORD.size
-    deps_end = records_end + deps_len * 4
-    if len(data) != deps_end:
-        raise TraceFormatError(
-            f"truncated or oversized .rtrc body: expected {deps_end} bytes "
-            f"({count} records + {deps_len} deps), got {len(data)}"
-        )
-    deps_pool = array("I")
-    deps_pool.frombytes(data[records_end:deps_end])
-    if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere we run
-        deps_pool.byteswap()
+    The columnar decoder does the work, so a malformed payload raises the
+    same :class:`TraceFormatError` (naming the offending record) either way.
+    """
+    from repro.workloads.columnar import ColumnarTrace
 
-    instructions = []
-    append = instructions.append
-    kinds_by_code = _KINDS_BY_CODE
-    cursor = 0
-    for kind_code, ndeps, size, address in _RECORD.iter_unpack(
-        memoryview(data)[records_start:records_end]
-    ):
-        kind = kinds_by_code.get(kind_code)
-        if kind is None:
-            raise TraceFormatError(f"unknown .rtrc instruction kind code {kind_code}")
-        deps: Tuple[int, ...] = ()
-        if ndeps:
-            deps = tuple(deps_pool[cursor : cursor + ndeps])
-            cursor += ndeps
-        append(
-            Instruction(
-                kind=kind,
-                address=address if kind is not InstructionKind.COMPUTE else None,
-                size=size,
-                deps=deps,
-            )
-        )
-    if cursor != deps_len:
-        raise TraceFormatError(
-            f"inconsistent .rtrc dependency pool: records consume {cursor} "
-            f"entries, pool holds {deps_len}"
-        )
-    return MemoryTrace(
-        name=header["name"],
-        instructions=instructions,
-        suite=header["suite"],
-        layout=AddressLayout(**header["layout"]),
-    )
+    return ColumnarTrace.from_rtrc_bytes(data).materialize()
 
 
 # ----------------------------------------------------------------------

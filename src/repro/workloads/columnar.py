@@ -42,17 +42,17 @@ other trace input once, at the edge: a
 ``.rtrc`` codec.  Stateful per-access work (TLB translation, cache banks)
 still happens access-by-access inside the interfaces.
 
-Validation mirrors :func:`repro.workloads.binfmt.decode_trace`: truncated or
-oversized bodies, unknown kind codes, zero dependency distances, zero-size
-memory accesses and a dependency pool inconsistent with the per-record
-``ndeps`` counts all raise :class:`~repro.workloads.binfmt.TraceFormatError`
-with the offending record/entry in the message.
+This is the one ``.rtrc`` decoder (:func:`repro.workloads.binfmt.decode_trace`
+materializes its result): truncated or oversized bodies, unknown kind codes,
+zero dependency distances, zero-size memory accesses and a dependency pool
+inconsistent with the per-record ``ndeps`` counts all raise
+:class:`~repro.workloads.binfmt.TraceFormatError` with the offending
+record/entry in the message.
 """
 
 from __future__ import annotations
 
 import re
-import struct
 import sys
 from array import array
 from itertools import accumulate
@@ -63,15 +63,13 @@ from repro.cpu.instruction import Instruction
 from repro.memory.address import DEFAULT_LAYOUT, AddressLayout
 from repro.workloads.binfmt import (
     _KINDS_BY_CODE,
-    _LAYOUT_FIELDS,
-    _PRELUDE,
     _RECORD,
-    RTRC_MAGIC,
-    RTRC_VERSION,
     TraceFormatError,
     _open_binary,
     encode_trace,
     fingerprint_sections,
+    pack_header,
+    pack_layout,
     read_header,
 )
 
@@ -216,8 +214,9 @@ class ColumnarTrace:
         """Decode ``.rtrc`` bytes into columns without building Instructions.
 
         The column lift is a fixed number of strided byte slices (one per
-        byte lane), the dependency pool a zero-copy view; validation matches
-        :func:`repro.workloads.binfmt.decode_trace` diagnostic-for-diagnostic.
+        byte lane), the dependency pool a zero-copy view; malformed payloads
+        raise :class:`~repro.workloads.binfmt.TraceFormatError` (see the
+        module docstring).
         """
         if not isinstance(data, bytes):
             data = bytes(data)
@@ -453,31 +452,17 @@ class ColumnarTrace:
 
     def to_bytes(self) -> bytes:
         """Re-encode the view as ``.rtrc`` bytes (round-trips bit-identically)."""
-        name_bytes = self.name.encode("utf-8")
-        suite_bytes = self.suite.encode("utf-8")
-        prelude = _PRELUDE.pack(
-            RTRC_MAGIC,
-            RTRC_VERSION,
-            0,
-            len(name_bytes),
-            len(suite_bytes),
-            len(self.kinds),
-            len(self._deps_bytes) // 4,
-            *(getattr(self.layout, field) for field in _LAYOUT_FIELDS),
+        header = pack_header(
+            self.name, self.suite, self.layout, len(self.kinds), len(self._deps_bytes) // 4
         )
-        return b"".join(
-            (prelude, name_bytes, suite_bytes, self._record_bytes, self._deps_bytes)
-        )
+        return b"".join((header, self._record_bytes, self._deps_bytes))
 
     def fingerprint(self) -> str:
         """Content hash — equal to :func:`~repro.workloads.binfmt.trace_fingerprint`."""
         cached = self._fingerprint
         if cached is None:
-            layout_bytes = struct.pack(
-                "<7I", *(getattr(self.layout, field) for field in _LAYOUT_FIELDS)
-            )
             cached = self._fingerprint = fingerprint_sections(
-                layout_bytes, self._record_bytes, self._deps_bytes
+                pack_layout(self.layout), self._record_bytes, self._deps_bytes
             )
         return cached
 

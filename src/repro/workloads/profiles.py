@@ -131,11 +131,6 @@ class BenchmarkProfile:
             raise ValueError("a profile must generate at least one instruction")
 
     @property
-    def total_stream_weight(self) -> float:
-        """Sum of stream weights (used for sampling)."""
-        return sum(stream.weight for stream in self.streams)
-
-    @property
     def footprint_pages(self) -> int:
         """Upper bound on the number of distinct pages the profile touches."""
         return sum(stream.footprint_pages for stream in self.streams)

@@ -100,8 +100,7 @@ class MemoryTrace:
         the parent and ships these bytes to pool workers (instead of every
         worker regenerating the trace from the profile).  The payload is the
         ``.rtrc`` binary format (:mod:`repro.workloads.binfmt`): fixed-width
-        little-endian records that decode through one ``struct.iter_unpack``
-        pass plus one :class:`Instruction` construction per record — the
+        little-endian records that workers lift straight into columns — the
         same bytes ``repro ingest`` writes to disk, so the worker path and
         the trace store share a single codec.
         """

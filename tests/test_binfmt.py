@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.cpu.instruction import compute, load, store
 from repro.workloads.binfmt import (
     RTRC_MAGIC,
@@ -97,6 +98,18 @@ class TestFileIO:
         path.write_bytes(b"RTRC")
         with pytest.raises(TraceFormatError, match="bad.rtrc"):
             load_rtrc(path)
+
+    def test_zero_size_load_names_file_and_record(self, tmp_path, capsys):
+        payload = bytearray(encode_trace(_sample_trace()))
+        size_at = read_header(bytes(payload))["body_offset"] + 2  # record 0: a load
+        payload[size_at : size_at + 2] = b"\x00\x00"
+        path = tmp_path / "zero.rtrc"
+        path.write_bytes(bytes(payload))
+        with pytest.raises(TraceFormatError, match=r"zero\.rtrc: .*record 0: load with zero size"):
+            load_rtrc(path)
+        assert main(["ingest", "inspect", str(path)]) == 2
+        error = capsys.readouterr().err
+        assert "zero.rtrc" in error and "record 0" in error
 
 
 class TestMalformedPayloads:

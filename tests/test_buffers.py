@@ -5,49 +5,65 @@ import pytest
 from repro.buffers.load_queue import LoadQueue
 from repro.buffers.merge_buffer import MergeBuffer
 from repro.buffers.store_buffer import StoreBuffer
+from repro.interfaces.base_1ldst import BaselineSingleInterface
 from repro.memory.address import DEFAULT_LAYOUT
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
+from repro.tlb.tlb import TLBHierarchy
 
 layout = DEFAULT_LAYOUT
+
+
+def forwarding_interface():
+    """A baseline interface and its stats.
+
+    Loads search its store and merge buffers through
+    ``BaseL1Interface._forwarding_lookups``, the search every simulation runs.
+    """
+    stats = StatCounters()
+    interface = BaselineSingleInterface(
+        MemoryHierarchy(stats=stats), TLBHierarchy(stats=stats), stats=stats
+    )
+    return stats, interface
 
 
 class TestLoadQueue:
     def test_allocate_and_release(self):
         lq = LoadQueue(entries=2)
-        lq.allocate("a", 0x1000, cycle=0)
+        lq.allocate_issued("a", 0x1000, cycle=0)
         assert lq.occupancy == 1 and not lq.full
-        lq.allocate("b", 0x2000, cycle=0)
+        lq.allocate_issued("b", 0x2000, cycle=0)
         assert lq.full
-        lq.release("a")
-        assert lq.occupancy == 1
+        lq.complete_release("a", 3)
+        assert lq.occupancy == 1 and lq.get("a") is None
 
     def test_overflow_raises(self):
         lq = LoadQueue(entries=1)
-        lq.allocate("a", 0, 0)
+        lq.allocate_issued("a", 0, 0)
         with pytest.raises(RuntimeError):
-            lq.allocate("b", 0, 0)
+            lq.allocate_issued("b", 0, 0)
 
     def test_duplicate_tag_rejected(self):
         lq = LoadQueue(entries=4)
-        lq.allocate("a", 0, 0)
+        lq.allocate_issued("a", 0, 0)
         with pytest.raises(ValueError):
-            lq.allocate("a", 0, 0)
+            lq.allocate_issued("a", 0, 0)
 
     def test_latency_tracking(self):
-        lq = LoadQueue()
-        lq.allocate("a", 0, 0)
-        lq.mark_issued("a", 2)
-        lq.mark_complete("a", 7)
-        assert lq.get("a").latency == 5
+        stats = StatCounters()
+        lq = LoadQueue(stats=stats)
+        lq.allocate_issued("a", 0, 2)
+        entry = lq.get("a")
+        lq.complete_release("a", 7)
+        assert entry.latency == 5
         assert lq.average_latency == 5
+        # The allocation charge belongs to the submitting interface.
+        assert stats["lq.allocate"] == 0
 
-    def test_outstanding(self):
+    def test_release_of_unknown_tag_raises(self):
         lq = LoadQueue()
-        lq.allocate("a", 0, 0)
-        lq.allocate("b", 0, 0)
-        lq.mark_issued("a", 0)
-        lq.mark_complete("a", 3)
-        assert [e.tag for e in lq.outstanding()] == ["b"]
+        with pytest.raises(KeyError):
+            lq.complete_release("missing", 3)
 
     def test_zero_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -73,25 +89,27 @@ class TestStoreBuffer:
         with pytest.raises(RuntimeError):
             sb.insert("s2", 0, 4, 0)
 
-    def test_forwarding_hits_youngest_overlapping(self):
-        sb = StoreBuffer()
-        sb.insert("old", 0x100, 4, 0)
-        sb.insert("new", 0x100, 4, 1)
-        result = sb.lookup(0x100, 4)
-        assert result.hit and result.entry.tag == "new"
+    def test_forwarding_counts_one_hit_for_overlapping_stores(self):
+        stats, interface = forwarding_interface()
+        interface.store_buffer.insert("old", 0x100, 4, 0)
+        interface.store_buffer.insert("new", 0x100, 4, 1)
+        interface._forwarding_lookups(0x100, 4, split=False)
+        # The search stops at the youngest overlapping store.
+        assert stats["sb.forward_hit"] == 1
 
     def test_forwarding_respects_overlap(self):
-        sb = StoreBuffer()
-        sb.insert("s", 0x100, 4, 0)
-        assert not sb.lookup(0x104, 4).hit
-        assert sb.lookup(0x102, 2).hit
+        stats, interface = forwarding_interface()
+        interface.store_buffer.insert("s", 0x100, 4, 0)
+        interface._forwarding_lookups(0x104, 4, split=False)
+        assert stats["sb.forward_hit"] == 0
+        interface._forwarding_lookups(0x102, 2, split=False)
+        assert stats["sb.forward_hit"] == 1
 
     def test_split_vs_full_lookup_events(self):
-        stats = StatCounters()
-        sb = StoreBuffer(stats=stats)
-        sb.lookup(0x100, split=False)
-        sb.lookup(0x100, split=True)
-        sb.charge_shared_page_lookup()
+        stats, interface = forwarding_interface()
+        interface._forwarding_lookups(0x100, 4, split=False)
+        interface._forwarding_lookups(0x100, 4, split=True)
+        interface.store_buffer.charge_shared_page_lookup()
         assert stats["sb.lookup_full"] == 1
         assert stats["sb.lookup_offset"] == 1
         assert stats["sb.lookup_page_shared"] == 1
@@ -128,18 +146,18 @@ class TestMergeBuffer:
         assert mb.occupancy == 2
 
     def test_lookup_finds_buffered_line(self):
-        stats = StatCounters()
-        mb = MergeBuffer(stats=stats)
-        mb.commit_store(0x140, 4)
-        assert mb.lookup(0x150) is not None   # same line
-        assert mb.lookup(0x100) is None
+        stats, interface = forwarding_interface()
+        interface.merge_buffer.commit_store(0x140, 4)
+        interface._forwarding_lookups(0x150, 4, split=False)  # same line
         assert stats["mb.forward_hit"] == 1
+        interface._forwarding_lookups(0x100, 4, split=False)
+        assert stats["mb.forward_hit"] == 1
+        assert stats["mb.lookup_full"] == 2
 
     def test_split_lookup_events(self):
-        stats = StatCounters()
-        mb = MergeBuffer(stats=stats)
-        mb.lookup(0x100, split=True)
-        mb.charge_shared_page_lookup()
+        stats, interface = forwarding_interface()
+        interface._forwarding_lookups(0x100, 4, split=True)
+        interface.merge_buffer.charge_shared_page_lookup()
         assert stats["mb.lookup_offset"] == 1
         assert stats["mb.lookup_page_shared"] == 1
 
@@ -161,6 +179,6 @@ class TestMergeBuffer:
         mb = MergeBuffer()
         mb.commit_store(0x200, 4)
         mb.commit_store(0x208, 8)
-        entry = mb.lookup(0x200)
+        [entry] = mb.drain()
         assert entry.store_count == 2
         assert entry.dirty_bytes == 12

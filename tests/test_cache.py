@@ -16,15 +16,34 @@ def addr(page: int, line: int, offset: int = 0) -> int:
     return layout.compose_line(page, line, offset)
 
 
+def read(bank: CacheBank, address: int, way_hint=None):
+    """``bank.read_parts`` on a whole address: ``(hit, way, reduced, hint_wrong)``."""
+    parts = layout.decompose(address)
+    return bank.read_parts(parts.set_index, parts.tag, way_hint)
+
+
+def write(bank: CacheBank, address: int, way_hint=None):
+    """``bank.write_parts`` on a whole address: ``(hit, way, reduced)``."""
+    parts = layout.decompose(address)
+    return bank.write_parts(parts.set_index, parts.tag, way_hint)
+
+
+def fill(bank: CacheBank, address: int, dirty: bool = False) -> int:
+    """``bank.fill_parts`` on a whole address; returns the filled way."""
+    parts = layout.decompose(address)
+    way, _, _ = bank.fill_parts(address, parts.set_index, parts.tag, dirty)
+    return way
+
+
 class TestCacheBank:
     def test_rejects_foreign_bank_address(self):
         bank = CacheBank(bank_index=0)
         with pytest.raises(ValueError):
-            bank.read(addr(1, 1))  # line 1 belongs to bank 1
+            bank.contains(addr(1, 1))  # line 1 belongs to bank 1
 
     def test_conventional_read_counts_all_ways(self, stats):
         bank = CacheBank(bank_index=0, stats=stats)
-        bank.read(addr(1, 0))
+        read(bank, addr(1, 0))
         assert stats["l1.tag_read"] == layout.l1_associativity
         assert stats["l1.data_read"] == layout.l1_associativity
         assert stats["l1.conventional_access"] == 1
@@ -32,20 +51,20 @@ class TestCacheBank:
 
     def test_reduced_read_counts_single_data_array(self, stats):
         bank = CacheBank(bank_index=0, stats=stats)
-        fill = bank.fill(addr(1, 0))
+        way = fill(bank, addr(1, 0))
         stats.clear()
-        result = bank.read(addr(1, 0), way_hint=fill.way)
-        assert result.hit and result.reduced
+        hit, _, reduced, _ = read(bank, addr(1, 0), way_hint=way)
+        assert hit and reduced
         assert stats["l1.tag_read"] == 0
         assert stats["l1.data_read"] == 1
         assert stats["l1.reduced_access"] == 1
 
     def test_wrong_way_hint_falls_back_to_conventional(self, stats):
         bank = CacheBank(bank_index=0, stats=stats)
-        fill = bank.fill(addr(1, 0))
-        wrong = (fill.way + 1) % layout.l1_associativity
-        result = bank.read(addr(1, 0), way_hint=wrong)
-        assert result.hit and result.way_hint_wrong
+        way = fill(bank, addr(1, 0))
+        wrong = (way + 1) % layout.l1_associativity
+        hit, _, _, hint_wrong = read(bank, addr(1, 0), way_hint=wrong)
+        assert hit and hint_wrong
         assert stats["l1.way_hint_wrong"] == 1
         assert stats["l1.conventional_access"] == 1
 
@@ -59,7 +78,7 @@ class TestCacheBank:
         # Fill more lines than the set holds (same set, different tags).
         set_span = layout.l1_banks * layout.l1_sets_per_bank  # lines between same-set addresses
         for i in range(layout.l1_associativity + 1):
-            bank.fill(layout.address_of_line(i * set_span))
+            fill(bank, layout.address_of_line(i * set_span))
         assert len(fills) == layout.l1_associativity + 1
         assert len(evicts) == 1
 
@@ -75,72 +94,72 @@ class TestCacheBank:
         bank = CacheBank(bank_index=0, restrict_way_allocation=True)
         set_span = layout.l1_banks * layout.l1_sets_per_bank
         for i in range(16):
-            result = bank.fill(layout.address_of_line(i * set_span))
-            assert result.way != 0  # line-in-page 0 excludes way 0
+            way = fill(bank, layout.address_of_line(i * set_span))
+            assert way != 0  # line-in-page 0 excludes way 0
 
     def test_store_write_marks_dirty_and_hits(self, stats):
         bank = CacheBank(bank_index=0, stats=stats)
-        bank.fill(addr(1, 0))
-        result = bank.write(addr(1, 0))
-        assert result.hit
+        fill(bank, addr(1, 0))
+        hit, way, _ = write(bank, addr(1, 0))
+        assert hit
         assert stats["l1.data_write"] >= 1
+        assert bank.array.line(layout.decompose(addr(1, 0)).set_index, way).dirty
 
     def test_way_of_and_contains(self):
         bank = CacheBank(bank_index=0)
         assert not bank.contains(addr(2, 0))
-        fill = bank.fill(addr(2, 0))
+        way = fill(bank, addr(2, 0))
         assert bank.contains(addr(2, 0))
-        assert bank.way_of(addr(2, 0)) == fill.way
+        assert bank.way_of(addr(2, 0)) == way
 
 
 class TestL1DataCache:
     def test_load_miss_then_hit(self, stats):
         l1 = L1DataCache(stats=stats)
-        first = l1.load(addr(3, 5))
-        assert not first.hit and first.latency > l1.hit_latency
-        second = l1.load(addr(3, 5))
-        assert second.hit and second.latency == l1.hit_latency
+        hit, _, latency, _, _, _ = l1.load_parts(addr(3, 5))
+        assert not hit and latency > l1.hit_latency
+        hit, _, latency, _, _, _ = l1.load_parts(addr(3, 5))
+        assert hit and latency == l1.hit_latency
         assert stats["l1.load_miss"] == 1 and stats["l1.load_hit"] == 1
 
     def test_store_allocates_line(self):
         l1 = L1DataCache()
-        outcome = l1.store(addr(4, 2))
-        assert not outcome.hit
+        assert not l1.store_parts(addr(4, 2))[0]
         assert l1.contains(addr(4, 2))
-        assert l1.store(addr(4, 2)).hit
+        assert l1.store_parts(addr(4, 2))[0]
 
     def test_bank_routing(self):
         l1 = L1DataCache()
-        outcome = l1.load(addr(1, 6))
-        assert outcome.bank == 6 % 4
+        bank_index = l1.load_parts(addr(1, 6))[4]
+        assert bank_index == 6 % 4
 
     def test_fill_listeners_reach_way_consumers(self):
         l1 = L1DataCache()
         seen = []
         l1.add_fill_listener(lambda a, w: seen.append(("fill", a, w)))
         l1.add_evict_listener(lambda a, w: seen.append(("evict", a, w)))
-        l1.load(addr(5, 0))
+        l1.load_parts(addr(5, 0))
         assert seen and seen[0][0] == "fill"
 
     def test_miss_rates(self):
         l1 = L1DataCache()
-        l1.load(addr(6, 0))
-        l1.load(addr(6, 0))
+        l1.load_parts(addr(6, 0))
+        l1.load_parts(addr(6, 0))
         assert l1.load_miss_rate == 0.5
         assert 0 < l1.miss_rate <= 0.5
 
     def test_occupancy_grows_with_distinct_lines(self):
         l1 = L1DataCache()
         for line in range(10):
-            l1.load(addr(7, line))
+            l1.load_parts(addr(7, line))
         assert l1.occupancy() == 10
 
     def test_reduced_access_via_hint(self, stats):
         l1 = L1DataCache(stats=stats)
-        outcome = l1.load(addr(8, 1))
+        way = l1.load_parts(addr(8, 1))[1]
         stats.clear()
-        hit = l1.load(addr(8, 1), way_hint=outcome.way)
-        assert hit.hit and hit.reduced
+        hit, _, _, reduced, _, _ = l1.load_parts(addr(8, 1), way_hint=way)
+        assert hit and reduced
         assert stats["l1.tag_read"] == 0
 
 
@@ -185,21 +204,21 @@ class TestL2AndDRAM:
 class TestMemoryHierarchy:
     def test_l1_miss_fills_both_levels(self):
         hierarchy = MemoryHierarchy()
-        outcome = hierarchy.l1.load(addr(10, 0))
-        assert not outcome.hit
+        hit, _, latency, _, _, _ = hierarchy.l1.load_parts(addr(10, 0))
+        assert not hit
         # The miss latency includes L2 and DRAM.
-        assert outcome.latency == 2 + 12 + 54
+        assert latency == 2 + 12 + 54
         assert hierarchy.l1.contains(addr(10, 0))
         assert hierarchy.l2.contains(addr(10, 0))
 
     def test_shared_stats_object(self):
         hierarchy = MemoryHierarchy()
-        hierarchy.l1.load(addr(10, 0))
+        hierarchy.l1.load_parts(addr(10, 0))
         assert hierarchy.stats["l1.load"] == 1
         assert hierarchy.stats["l2.access"] == 1
         assert hierarchy.stats["dram.read"] == 1
 
     def test_latency_overrides(self):
         hierarchy = MemoryHierarchy(l1_hit_latency=1, l2_latency=5, dram_latency=10)
-        outcome = hierarchy.l1.load(addr(11, 0))
-        assert outcome.latency == 1 + 5 + 10
+        latency = hierarchy.l1.load_parts(addr(11, 0))[2]
+        assert latency == 1 + 5 + 10

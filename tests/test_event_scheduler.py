@@ -1,4 +1,4 @@
-"""The event wheel's deterministic equal-timestamp tie-breaking.
+"""The event wheel's deterministic drain order (FIFO within a cycle).
 
 The pipeline's event-driven loop is pinned against the answers of the
 retired cycle-driven reference loop by ``tests/golden/pipeline_identity.json``
@@ -7,8 +7,6 @@ retired cycle-driven reference loop by ``tests/golden/pipeline_identity.json``
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.sim.events import EventWheel
 
@@ -20,19 +18,6 @@ class TestEventWheelTieBreaking:
         wheel.schedule(5, "b")
         wheel.schedule(5, "c")
         assert wheel.pop_due(5) == ["a", "b", "c"]
-
-    def test_component_order_beats_insertion_order(self):
-        wheel = EventWheel()
-        first = wheel.register("pipeline")
-        second = wheel.register("interface")
-        assert (first, second) == (0, 1)
-        # Inserted out of component order; drained in component order.
-        wheel.schedule(7, "iface-1", component_id=second)
-        wheel.schedule(7, "pipe-1", component_id=first)
-        wheel.schedule(7, "iface-2", component_id=second)
-        wheel.schedule(7, "pipe-2", component_id=first)
-        assert wheel.pop_due(7) == ["pipe-1", "pipe-2", "iface-1", "iface-2"]
-        assert wheel.component_name(first) == "pipeline"
 
     def test_cycle_order_across_buckets(self):
         wheel = EventWheel()
@@ -52,11 +37,8 @@ class TestEventWheelTieBreaking:
         assert wheel.pop_due(9) == []
         assert len(wheel) == 1
 
-    def test_single_component_mode(self):
-        wheel = EventWheel(single_component=True)
-        wheel.register("only")
-        with pytest.raises(ValueError):
-            wheel.register("second")
+    def test_pop_due_drains_earlier_cycles_first(self):
+        wheel = EventWheel()
         wheel.schedule(2, 11)
         wheel.schedule(2, 12)
         wheel.schedule(1, 10)

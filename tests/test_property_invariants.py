@@ -58,9 +58,10 @@ def check_lookup_after_insert_hits(num_sets: int, ways: int, seed: int) -> None:
         set_index = rng.randrange(num_sets)
         tag = rng.randrange(8 * ways)
         way, _ = array.fill(set_index, tag)
-        result = array.lookup(set_index, tag, update_replacement=False)
-        assert result.hit, (set_index, tag)
-        assert result.way == way
+        assert array.find_way(set_index, tag, update_replacement=False) == way, (
+            set_index,
+            tag,
+        )
         assert array.line(set_index, way).tag == tag
         assert tag in array.valid_tags(set_index)
 
@@ -102,17 +103,17 @@ def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
             rng.randrange(layout.lines_per_page),
             rng.randrange(0, layout.line_bytes, 4),
         )
-        result = translation.translate(virtual)
+        physical, _ = translation.translate_pair(virtual)
         line_in_page = layout.line_in_page(virtual)
-        prediction = way_tables.predict_line(result.virtual_page, line_in_page)
-        physical_line = layout.line_address(result.physical_address)
+        prediction = way_tables.predict_line(layout.page_id(virtual), line_in_page)
+        physical_line = layout.line_address(physical)
         if prediction.known:
             assert hierarchy.l1.way_of(physical_line) == prediction.way, (
                 hex(virtual),
                 prediction.way,
             )
         # Access (and possibly fill) the line, mutating cache + way tables.
-        hierarchy.l1.load(result.physical_address)
+        hierarchy.l1.load_parts(physical)
 
 
 def check_tlb_insert_lookup_consistency(entries: int, seed: int) -> None:

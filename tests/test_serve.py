@@ -18,7 +18,7 @@ import pytest
 
 from repro.campaign.spec import campaign_preset
 from repro.obs import telemetry
-from repro.serve import ReproServer
+from repro.serve import MAX_JOBS, ReproServer, _RequestError
 
 POLL_TIMEOUT = 300.0
 
@@ -29,6 +29,14 @@ def server(tmp_path):
     server.start()
     yield server
     server.shutdown()
+
+
+@pytest.fixture
+def idle_server(tmp_path):
+    """A server that is never started: ``dispatch`` answers, no sweep runs."""
+    server = ReproServer(f"sqlite:{tmp_path / 'idle.db'}", port=0, jobs=1)
+    yield server
+    server._httpd.server_close()
 
 
 def request(server, method, path, body=None):
@@ -126,6 +134,59 @@ class TestEndpoints:
         } == {("POST", "/api/v1/campaigns", expected)}
         status, payload = request(server, "GET", "/api/v1/health")
         assert status == 200 and payload["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            pytest.param({"benchmarks": ["nope"]}, "nope", id="unknown-benchmark"),
+            pytest.param({"benchmarks": "gzip"}, "benchmarks", id="benchmarks-not-a-list"),
+            pytest.param({"instructions": 1.5}, "instructions", id="fractional-instructions"),
+            pytest.param({"instructions": 10**12}, "instructions", id="huge-instructions"),
+            pytest.param({"instructions": True}, "instructions", id="bool-instructions"),
+            pytest.param({"seed": "x"}, "seed", id="string-seed"),
+            pytest.param({"seed": -1}, "seed", id="negative-seed"),
+            pytest.param({"seed": True}, "seed", id="bool-seed"),
+            pytest.param({"jobs": True}, "jobs", id="bool-jobs"),
+            pytest.param({"jobs": MAX_JOBS + 1}, "jobs", id="jobs-above-cpu-count"),
+            pytest.param({"instrucions": 800}, "instrucions", id="misspelt-key"),
+        ],
+    )
+    def test_malformed_submission_is_400_and_queues_nothing(
+        self, idle_server, override, named
+    ):
+        body = {"preset": "fig4-mini", **override}
+        with pytest.raises(_RequestError) as excinfo:
+            idle_server.dispatch("POST", "/api/v1/campaigns", body)
+        assert excinfo.value.status == 400
+        assert named in str(excinfo.value)
+        assert idle_server.dispatch("GET", "/api/v1/campaigns", None) == (
+            200,
+            {"campaigns": []},
+        )
+        assert idle_server._queue.empty()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"seed": 3},
+            {"warmup": 0},
+            {
+                "benchmarks": ["gzip"],
+                "instructions": 800,
+                "seed": 0,
+                "warmup": 0.2,
+                "jobs": 1,
+            },
+        ],
+        ids=["seed", "integer-warmup", "every-field"],
+    )
+    def test_valid_submission_is_queued(self, idle_server, override):
+        status, job = idle_server.dispatch(
+            "POST", "/api/v1/campaigns", {"preset": "fig4-mini", **override}
+        )
+        assert status == 202 and job["state"] == "queued"
+        _, listing = idle_server.dispatch("GET", "/api/v1/campaigns", None)
+        assert [entry["id"] for entry in listing["campaigns"]] == [job["id"]]
 
     def test_missing_cell_is_404(self, server):
         status, _ = request(server, "GET", "/api/v1/cells/deadbeef")

@@ -10,18 +10,18 @@ from repro.cache.set_assoc import SetAssociativeArray
 class TestLookupAndFill:
     def test_miss_then_hit(self):
         array = SetAssociativeArray(num_sets=4, ways=2)
-        assert not array.lookup(0, tag=7).hit
+        assert array.find_way(0, tag=7, update_replacement=False) is None
         way, eviction = array.fill(0, tag=7)
         assert eviction is None
-        result = array.lookup(0, tag=7)
-        assert result.hit and result.way == way
+        assert array.find_way(0, tag=7, update_replacement=False) == way
 
     def test_fill_existing_refreshes_payload(self):
         array = SetAssociativeArray(num_sets=1, ways=2)
         way1, _ = array.fill(0, tag=1, payload="a")
         way2, eviction = array.fill(0, tag=1, payload="b")
         assert way1 == way2 and eviction is None
-        assert array.lookup(0, tag=1).line.payload == "b"
+        way = array.find_way(0, tag=1, update_replacement=False)
+        assert array.line(0, way).payload == "b"
 
     def test_eviction_when_set_full(self):
         array = SetAssociativeArray(num_sets=1, ways=2)
@@ -36,7 +36,7 @@ class TestLookupAndFill:
         array = SetAssociativeArray(num_sets=1, ways=2, replacement="lru")
         array.fill(0, tag=1)
         array.fill(0, tag=2)
-        array.lookup(0, tag=1)  # make tag 1 most recently used
+        array.find_way(0, tag=1)  # make tag 1 most recently used
         _, eviction = array.fill(0, tag=3)
         assert eviction.tag == 2
 
@@ -61,7 +61,7 @@ class TestLookupAndFill:
         array = SetAssociativeArray(num_sets=1, ways=2, replacement="lru")
         array.fill(0, tag=1)
         array.fill(0, tag=2)
-        array.probe(0, tag=1)  # non-updating probe
+        array.find_way(0, tag=1, update_replacement=False)  # non-updating probe
         _, eviction = array.fill(0, tag=3)
         assert eviction.tag == 1  # tag 1 stayed LRU despite the probe
 
@@ -82,7 +82,7 @@ class TestDirtyAndInvalidate:
         array = SetAssociativeArray(num_sets=2, ways=2)
         array.fill(1, tag=9)
         assert array.invalidate(1, tag=9)
-        assert not array.lookup(1, tag=9).hit
+        assert array.find_way(1, tag=9, update_replacement=False) is None
         assert not array.invalidate(1, tag=9)
 
     def test_invalidate_all(self):
@@ -114,7 +114,7 @@ class TestValidation:
     def test_bad_set_index(self):
         array = SetAssociativeArray(num_sets=2, ways=2)
         with pytest.raises(ValueError):
-            array.lookup(2, tag=0)
+            array.find_way(2, tag=0)
 
     def test_bad_way_index(self):
         array = SetAssociativeArray(num_sets=2, ways=2)
@@ -145,6 +145,6 @@ class TestProperties:
         for tag in tags:
             set_index = tag % 2
             array.fill(set_index, tag)
-            assert array.lookup(set_index, tag).hit
+            assert array.find_way(set_index, tag) is not None
             valid = array.valid_tags(set_index)
             assert len(valid) == len(set(valid))

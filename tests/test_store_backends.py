@@ -250,3 +250,35 @@ class TestConcurrentSqliteWriters:
         shared.check_manifest()
         serial_store.close()
         shared.close()
+
+    def test_open_retries_a_lost_wal_switch(self, tmp_path, monkeypatch):
+        """Processes opening a fresh file at once race to switch it to WAL;
+        the loser's "database is locked" is retried, not raised."""
+        import repro.campaign.backends as backends
+
+        connect = sqlite3.connect
+        refusals = []
+
+        class LosesTheWalSwitchOnce:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def execute(self, sql, *args):
+                if sql == "PRAGMA journal_mode=WAL" and not refusals:
+                    refusals.append(sql)
+                    raise sqlite3.OperationalError("database is locked")
+                return self._conn.execute(sql, *args)
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        monkeypatch.setattr(
+            backends.sqlite3,
+            "connect",
+            lambda *args, **kwargs: LosesTheWalSwitchOnce(connect(*args, **kwargs)),
+        )
+        backend = SqliteBackend(tmp_path / "fresh.db")
+        assert refusals
+        (mode,) = backend._connect().execute("PRAGMA journal_mode").fetchone()
+        assert mode == "wal"
+        backend.close()

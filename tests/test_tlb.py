@@ -31,8 +31,9 @@ class TestPageTable:
     def test_translate_preserves_offset(self):
         table = PageTable()
         vaddr = layout.compose(5, 123)
-        paddr = table.translate(vaddr)
+        paddr, _ = TLBHierarchy(page_table=table).translate_pair(vaddr)
         assert layout.page_offset(paddr) == 123
+        assert layout.page_id(paddr) == table.translate_page(5)
 
     def test_reverse_translate(self):
         table = PageTable()
@@ -114,34 +115,39 @@ class TestTLBHierarchy:
     def test_first_access_walks_then_hits(self, stats):
         hierarchy = TLBHierarchy(stats=stats)
         vaddr = layout.compose(77, 10)
-        first = hierarchy.translate(vaddr)
-        assert not first.utlb_hit and not first.tlb_hit
-        assert first.latency == hierarchy.walk_latency
-        second = hierarchy.translate(vaddr)
-        assert second.utlb_hit and second.latency == 0
-        assert second.physical_page == first.physical_page
+        first, latency = hierarchy.translate_pair(vaddr)
+        assert latency == hierarchy.walk_latency
+        assert stats["tlb.walk"] == 1
+        assert stats["utlb.miss"] == 1 and stats["tlb.miss"] == 1
+        second, latency = hierarchy.translate_pair(vaddr)
+        assert latency == 0
+        assert stats["utlb.hit"] == 1 and stats["tlb.lookup"] == 1
+        assert second == first
 
     def test_tlb_hit_refills_utlb(self, stats):
         hierarchy = TLBHierarchy(utlb_entries=2, tlb_entries=64, stats=stats)
         pages = list(range(10))
         for page in pages:
-            hierarchy.translate(layout.compose(page, 0))
+            hierarchy.translate_pair(layout.compose(page, 0))
+        stats.clear()
         # Page 0 has long since left the 2-entry uTLB but stays in the TLB.
-        result = hierarchy.translate(layout.compose(0, 0))
-        assert not result.utlb_hit and result.tlb_hit
-        assert result.latency == 1
+        _, latency = hierarchy.translate_pair(layout.compose(0, 0))
+        assert latency == 1
+        assert stats["utlb.miss"] == 1 and stats["tlb.hit"] == 1
+        assert stats["tlb.walk"] == 0
+        assert hierarchy.utlb.translation(0) is not None
 
     def test_offset_preserved(self):
         hierarchy = TLBHierarchy()
-        result = hierarchy.translate(layout.compose(55, 321))
-        assert layout.page_offset(result.physical_address) == 321
+        paddr, _ = hierarchy.translate_pair(layout.compose(55, 321))
+        assert layout.page_offset(paddr) == 321
 
     def test_translation_is_stable(self):
         hierarchy = TLBHierarchy()
-        a = hierarchy.translate(layout.compose(5, 0)).physical_page
+        a, _ = hierarchy.translate_pair(layout.compose(5, 0))
         for page in range(200):
-            hierarchy.translate(layout.compose(page, 0))
-        assert hierarchy.translate(layout.compose(5, 0)).physical_page == a
+            hierarchy.translate_pair(layout.compose(page, 0))
+        assert hierarchy.translate_pair(layout.compose(5, 0))[0] == a
 
     def test_utlb_uses_second_chance_and_tlb_random(self):
         hierarchy = TLBHierarchy()
@@ -152,13 +158,17 @@ class TestTLBHierarchy:
 
     def test_lookup_event_counting(self, stats):
         hierarchy = TLBHierarchy(stats=stats)
-        hierarchy.translate(layout.compose(3, 0))
-        hierarchy.translate(layout.compose(3, 0))
+        hierarchy.translate_pair(layout.compose(3, 0))
+        hierarchy.translate_pair(layout.compose(3, 0))
         assert stats["utlb.lookup"] == 2
         assert stats["utlb.hit"] == 1
         assert stats["tlb.walk"] == 1
 
-    def test_translate_page_helper(self):
-        hierarchy = TLBHierarchy()
-        result = hierarchy.translate_page(12)
-        assert result.virtual_page == 12
+    def test_translate_page_helper(self, stats):
+        hierarchy = TLBHierarchy(stats=stats)
+        physical_page, latency = hierarchy.translate_page_pair(12)
+        assert latency == hierarchy.walk_latency
+        assert hierarchy.utlb.translation(12) == physical_page
+        assert hierarchy.tlb.translation(12) == physical_page
+        assert hierarchy.translate_page_pair(12) == (physical_page, 0)
+        assert stats["tlb.walk"] == 1
