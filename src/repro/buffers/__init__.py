@@ -14,15 +14,13 @@ them, even though the paper ultimately excludes LQ/SB/MB energy from its
 results (it is similar across configurations).
 """
 
-from repro.buffers.load_queue import LoadQueue, LoadQueueEntry
+from repro.buffers.load_queue import LoadQueue
 from repro.buffers.store_buffer import StoreBuffer, StoreBufferEntry
-from repro.buffers.merge_buffer import MergeBuffer, MergeBufferEntry
+from repro.buffers.merge_buffer import MergeBuffer
 
 __all__ = [
     "LoadQueue",
-    "LoadQueueEntry",
     "StoreBuffer",
     "StoreBufferEntry",
     "MergeBuffer",
-    "MergeBufferEntry",
 ]

@@ -15,42 +15,20 @@ from typing import Any, Dict, Optional
 from repro.stats import StatCounters
 
 
-class LoadQueueEntry:
-    """Book-keeping for one in-flight load (slotted: one entry per load)."""
-
-    __slots__ = ("tag", "virtual_address", "dispatch_cycle", "issue_cycle", "complete_cycle")
-
-    def __init__(
-        self,
-        tag: Any,
-        virtual_address: int,
-        dispatch_cycle: int,
-        issue_cycle: Optional[int] = None,
-        complete_cycle: Optional[int] = None,
-    ) -> None:
-        self.tag = tag
-        self.virtual_address = virtual_address
-        self.dispatch_cycle = dispatch_cycle
-        self.issue_cycle = issue_cycle
-        self.complete_cycle = complete_cycle
-
-    @property
-    def latency(self) -> Optional[int]:
-        """Cycles from issue to data return, when both are known."""
-        if self.issue_cycle is None or self.complete_cycle is None:
-            return None
-        return self.complete_cycle - self.issue_cycle
-
-
 class LoadQueue:
-    """Fixed-capacity queue of in-flight loads keyed by an opaque tag."""
+    """Fixed-capacity queue of in-flight loads keyed by an opaque tag.
+
+    Each entry is the load's issue cycle, the one fact the latency
+    statistics need.
+    """
 
     def __init__(self, entries: int = 40, stats: Optional[StatCounters] = None) -> None:
         if entries <= 0:
             raise ValueError("the load queue needs at least one entry")
         self.entries = entries
         self.stats = stats if stats is not None else StatCounters()
-        self._entries: Dict[Any, LoadQueueEntry] = {}
+        #: tag -> issue cycle
+        self._entries: Dict[Any, int] = {}
         # Per-access counters resolved to integer slots once (hot path).
         self._h_allocate = self.stats.handle("lq.allocate")
         self._h_total_latency = self.stats.handle("lq.total_latency")
@@ -67,7 +45,7 @@ class LoadQueue:
         """True when no further load can be dispatched."""
         return len(self._entries) >= self.entries
 
-    def allocate_issued(self, tag: Any, virtual_address: int, cycle: int) -> None:
+    def allocate_issued(self, tag: Any, cycle: int) -> None:
         """Insert a load that issues to the L1 interface this ``cycle``.
 
         The interfaces submit a load the cycle its address computation
@@ -80,12 +58,7 @@ class LoadQueue:
             raise RuntimeError("load queue overflow")
         if tag in self._entries:
             raise ValueError(f"load {tag!r} already present in the load queue")
-        self._entries[tag] = LoadQueueEntry(
-            tag=tag,
-            virtual_address=virtual_address,
-            dispatch_cycle=cycle,
-            issue_cycle=cycle,
-        )
+        self._entries[tag] = cycle
 
     def complete_release(self, tag: Any, cycle: int) -> None:
         """Record that the load's data returned in ``cycle`` and remove it.
@@ -96,18 +69,6 @@ class LoadQueue:
         scheduler defect that must surface immediately, not drift the
         statistics.
         """
-        entry = self._entries.pop(tag)
-        entry.complete_cycle = cycle
-        issue_cycle = entry.issue_cycle
-        if issue_cycle is not None:
-            self.stats.bump(self._h_total_latency, cycle - issue_cycle)
-            self.stats.bump(self._h_completed)
-
-    def get(self, tag: Any) -> Optional[LoadQueueEntry]:
-        """Entry for ``tag`` (``None`` if not present)."""
-        return self._entries.get(tag)
-
-    @property
-    def average_latency(self) -> float:
-        """Mean issue-to-completion latency of completed loads."""
-        return self.stats.ratio("lq.total_latency", "lq.completed")
+        issue_cycle = self._entries.pop(tag)
+        self.stats.bump(self._h_total_latency, cycle - issue_cycle)
+        self.stats.bump(self._h_completed)

@@ -20,26 +20,12 @@ from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
 
-class MergeBufferEntry:
-    """One cache line's worth of merged, committed store data (slotted)."""
-
-    __slots__ = ("line_address", "store_count", "dirty_bytes", "allocation_cycle")
-
-    def __init__(
-        self,
-        line_address: int,
-        store_count: int = 1,
-        dirty_bytes: int = 0,
-        allocation_cycle: int = 0,
-    ) -> None:
-        self.line_address = line_address
-        self.store_count = store_count
-        self.dirty_bytes = dirty_bytes
-        self.allocation_cycle = allocation_cycle
-
-
 class MergeBuffer:
-    """Fixed-capacity, line-granular write-combining buffer."""
+    """Fixed-capacity, line-granular write-combining buffer.
+
+    Each entry is the line address of one cache line's worth of merged,
+    committed store data, oldest first.
+    """
 
     def __init__(
         self,
@@ -52,7 +38,7 @@ class MergeBuffer:
         self.entries = entries
         self.layout = layout
         self.stats = stats if stats is not None else StatCounters()
-        self._entries: List[MergeBufferEntry] = []
+        self._entries: List[int] = []
         # Per-access counters resolved to integer slots once (hot path).
         self._h_merged_store = self.stats.handle("mb.merged_store")
         self._h_eviction = self.stats.handle("mb.eviction")
@@ -73,56 +59,34 @@ class MergeBuffer:
         """True when an incoming store to a new line would force an eviction."""
         return len(self._entries) >= self.entries
 
-    def _find(self, line_address: int) -> Optional[MergeBufferEntry]:
-        for entry in self._entries:
-            if entry.line_address == line_address:
-                return entry
-        return None
-
     # ------------------------------------------------------------------
     # Commit path
     # ------------------------------------------------------------------
-    def commit_store(
-        self, virtual_address: int, size: int = 4, cycle: int = 0
-    ) -> Optional[MergeBufferEntry]:
+    def commit_store(self, virtual_address: int) -> Optional[int]:
         """Place a committed store into the buffer.
 
-        Returns the evicted :class:`MergeBufferEntry` when the buffer had to
-        make room (the caller forwards it to the cache / Input Buffer), or
-        ``None`` when the store merged or a free slot existed.
+        Returns the evicted entry's line address when the buffer had to make
+        room (the caller forwards it to the cache / Input Buffer), or
+        ``None`` when the store merged or a free slot existed.  Line address
+        0 is a valid eviction, so callers test the result with ``is not
+        None``.
         """
         line_address = self.layout.line_address(virtual_address)
-        existing = self._find(line_address)
-        if existing is not None:
-            existing.store_count += 1
-            existing.dirty_bytes += size
+        entries = self._entries
+        if line_address in entries:
             self.stats.bump(self._h_merged_store)
             return None
 
-        evicted: Optional[MergeBufferEntry] = None
-        if self.full:
-            evicted = self._entries.pop(0)
+        evicted: Optional[int] = None
+        if len(entries) >= self.entries:
+            evicted = entries.pop(0)
             self.stats.bump(self._h_eviction)
-        self._entries.append(
-            MergeBufferEntry(
-                line_address=line_address,
-                store_count=1,
-                dirty_bytes=size,
-                allocation_cycle=cycle,
-            )
-        )
+        entries.append(line_address)
         self.stats.bump(self._h_allocate)
         return evicted
 
-    def pop_oldest(self) -> Optional[MergeBufferEntry]:
-        """Explicitly evict the oldest entry (used when draining the buffer)."""
-        if not self._entries:
-            return None
-        self.stats.bump(self._h_eviction)
-        return self._entries.pop(0)
-
-    def drain(self) -> List[MergeBufferEntry]:
-        """Remove and return every entry (end-of-simulation flush)."""
+    def drain(self) -> List[int]:
+        """Remove and return every entry's line address (end-of-simulation flush)."""
         drained = self._entries
         self._entries = []
         if drained:
@@ -136,10 +100,3 @@ class MergeBuffer:
     def charge_shared_page_lookup(self) -> None:
         """Charge the per-cycle shared page-id comparison of the split structure."""
         self.stats.bump(self._h_lookup_page_shared)
-
-    @property
-    def merge_rate(self) -> float:
-        """Fraction of committed stores that merged into an existing entry."""
-        merged = self.stats.get("mb.merged_store")
-        total = merged + self.stats.get("mb.allocate")
-        return merged / total if total else 0.0

@@ -23,21 +23,13 @@ from repro.stats import StatCounters
 class StoreBufferEntry:
     """A speculative store waiting to commit (slotted: one entry per store)."""
 
-    __slots__ = ("tag", "virtual_address", "size", "cycle", "committed")
+    __slots__ = ("tag", "virtual_address", "size", "committed")
 
-    def __init__(
-        self,
-        tag: Any,
-        virtual_address: int,
-        size: int,
-        cycle: int,
-        committed: bool = False,
-    ) -> None:
+    def __init__(self, tag: Any, virtual_address: int, size: int) -> None:
         self.tag = tag
         self.virtual_address = virtual_address
         self.size = size
-        self.cycle = cycle
-        self.committed = committed
+        self.committed = False
 
 
 class StoreBuffer:
@@ -78,11 +70,11 @@ class StoreBuffer:
         """True when no further store can be accepted."""
         return len(self._entries) >= self.entries
 
-    def insert(self, tag: Any, virtual_address: int, size: int, cycle: int) -> StoreBufferEntry:
+    def insert(self, tag: Any, virtual_address: int, size: int) -> StoreBufferEntry:
         """Add a store that finished address computation."""
         if self.full:
             raise RuntimeError("store buffer overflow")
-        entry = StoreBufferEntry(tag=tag, virtual_address=virtual_address, size=size, cycle=cycle)
+        entry = StoreBufferEntry(tag, virtual_address, size)
         self._entries.append(entry)
         self._by_tag[tag] = entry
         self.stats.bump(self._h_insert)
@@ -126,13 +118,3 @@ class StoreBuffer:
                     del self._by_tag[entry.tag]
                 return entry
         return None
-
-    def flush_speculative(self) -> int:
-        """Drop all uncommitted stores (pipeline squash); returns the count."""
-        before = len(self._entries)
-        self._entries = [entry for entry in self._entries if entry.committed]
-        self._by_tag = {entry.tag: entry for entry in self._entries}
-        dropped = before - len(self._entries)
-        if dropped:
-            self.stats.add("sb.squashed", dropped)
-        return dropped

@@ -4,14 +4,13 @@
 banks, the L2 cache and (as a degenerate fully-associative case) the TLBs:
 tag match, fill with victim selection, eviction and explicit invalidation.
 It stores *metadata only* — the reproduction is a timing/energy model, so no
-actual data bytes are kept, only tags, validity, dirtiness and an optional
-opaque payload (used e.g. by the TLB to hold translations).
+actual data bytes are kept, only tags, validity and dirtiness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
 
@@ -19,26 +18,18 @@ from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
 class CacheLineState:
     """State of a single way within a set (slotted: one per resident line)."""
 
-    __slots__ = ("valid", "dirty", "tag", "payload")
+    __slots__ = ("valid", "dirty", "tag")
 
-    def __init__(
-        self,
-        valid: bool = False,
-        dirty: bool = False,
-        tag: int = 0,
-        payload: Any = None,
-    ) -> None:
+    def __init__(self, valid: bool = False, dirty: bool = False, tag: int = 0) -> None:
         self.valid = valid
         self.dirty = dirty
         self.tag = tag
-        self.payload = payload
 
     def reset(self) -> None:
-        """Invalidate the line and clear its payload."""
+        """Invalidate the line."""
         self.valid = False
         self.dirty = False
         self.tag = 0
-        self.payload = None
 
 
 @dataclass
@@ -49,7 +40,6 @@ class EvictionRecord:
     way: int
     tag: int
     dirty: bool
-    payload: Any = None
 
 
 class SetAssociativeArray:
@@ -176,15 +166,14 @@ class SetAssociativeArray:
         self,
         set_index: int,
         tag: int,
-        payload: Any = None,
         dirty: bool = False,
         excluded_way: Optional[int] = None,
         preferred_way: Optional[int] = None,
     ) -> tuple[int, Optional[EvictionRecord]]:
         """Insert ``tag`` into ``set_index`` and return ``(way, eviction)``.
 
-        If the tag is already present its payload/dirtiness are refreshed in
-        place.  Otherwise a victim is chosen (honouring ``excluded_way`` and
+        If the tag is already present its dirtiness is refreshed in place.
+        Otherwise a victim is chosen (honouring ``excluded_way`` and
         ``preferred_way``) and, if it held a valid line, an
         :class:`EvictionRecord` is produced and the ``on_evict`` callback
         fired.
@@ -196,7 +185,6 @@ class SetAssociativeArray:
         if existing_way is not None:
             self._policy(set_index).touch(existing_way)
             line = lines[existing_way]
-            line.payload = payload if payload is not None else line.payload
             line.dirty = line.dirty or dirty
             return existing_way, None
 
@@ -219,7 +207,6 @@ class SetAssociativeArray:
                 way=way,
                 tag=line.tag,
                 dirty=line.dirty,
-                payload=line.payload,
             )
             del tags[line.tag]
             if self.on_evict is not None:
@@ -228,7 +215,6 @@ class SetAssociativeArray:
         line.valid = True
         line.tag = tag
         line.dirty = dirty
-        line.payload = payload
         tags[tag] = way
         policy.touch(way)
         return way, eviction
@@ -251,7 +237,6 @@ class SetAssociativeArray:
             way=way,
             tag=line.tag,
             dirty=line.dirty,
-            payload=line.payload,
         )
         del self._tags[set_index][line.tag]
         line.reset()

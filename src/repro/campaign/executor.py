@@ -6,18 +6,19 @@ into an :class:`~repro.analysis.experiments.ExperimentResults`:
 * cells already present in the attached :class:`~repro.campaign.store.ResultStore`
   are loaded instead of re-simulated (incremental resume);
 * pending cells run either serially in-process or on a
-  ``multiprocessing`` pool (``jobs > 1``), with graceful fallback to the
-  serial path when the platform cannot spawn worker processes (restricted
-  sandboxes) or the pool breaks mid-sweep;
+  :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs > 1``), with
+  graceful fallback to the serial path when the platform cannot spawn worker
+  processes (restricted sandboxes) or the pool breaks mid-sweep (a killed
+  worker raises ``BrokenProcessPool`` instead of hanging the sweep);
 * every workload trace — synthetic *or* ingested — is resolved **once in the
   parent**, serialized to compact ``.rtrc`` bytes
   (:meth:`~repro.workloads.trace.MemoryTrace.to_bytes`, the binary codec of
   :mod:`repro.workloads.binfmt`) and shipped to the workers through the pool
   initializer — workers lift each trace into its columnar view at most
   once per process instead of regenerating (or re-parsing) it per task;
-* cells are dispatched with chunked ``imap_unordered``, so scheduling
-  overhead is one pickled batch per chunk rather than one round-trip per
-  cell, and results stream back as they finish;
+* cells are dispatched as one pool task per chunk, so scheduling overhead is
+  one pickled batch per chunk rather than one round-trip per cell, and
+  results stream back chunk by chunk as they finish;
 * the serial path shares one process-wide trace cache (the same cache the
   workers use), so repeated sweeps in one process — the perf harness's
   best-of-N runs, an interactive session re-running presets — never
@@ -32,7 +33,6 @@ Progress is reported through an optional callback
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -202,25 +202,28 @@ def _dump_total(dump: Dict[str, dict]) -> float:
     return total
 
 
-def _pool_cell(cell: CampaignCell):
-    """Process-pool task: simulate one cell.
+def _pool_chunk(cells: List[CampaignCell]) -> list:
+    """Process-pool task: simulate a chunk of cells, one record per cell.
 
-    The worker finds the cell's trace in its per-process cache (decoded once
-    from the initializer's bytes).  Results cross the process boundary as
-    plain dictionaries (the store's JSON shape) rather than live objects,
+    The worker finds each cell's trace in its per-process cache (decoded
+    once from the initializer's bytes).  Results cross the process boundary
+    as plain dictionaries (the store's JSON shape) rather than live objects,
     keeping the pickled payload small and identical to what lands on disk.
-    The remaining elements are observation payloads: the ``(worker pid,
-    start, end)`` epoch timing (two clock reads per multi-millisecond cell,
-    so it rides along unconditionally), the execution-facts dict for the
-    telemetry journal, and — only with metrics on — a cumulative dump of
-    this worker's registry, which the parent merges so a ``jobs=4`` metrics
-    snapshot finally includes worker-side counters.
+    The remaining elements of a record are observation payloads: the
+    ``(worker pid, start, end)`` epoch timing (two clock reads per
+    multi-millisecond cell, so it rides along unconditionally), the
+    execution-facts dict for the telemetry journal, and — only with metrics
+    on — a cumulative dump of this worker's registry, which the parent
+    merges so a ``jobs=4`` metrics snapshot includes worker-side counters.
     """
-    start = time.time()
-    result, info = _execute_cell(cell, _PROCESS_TRACES, _WORKER_KERNEL)
-    payload = result_to_dict(result)
-    dump = obs_metrics.registry.dump() if obs_metrics.enabled() else None
-    return cell.key(), payload, (os.getpid(), start, time.time()), info, dump
+    records = []
+    for cell in cells:
+        start = time.time()
+        result, info = _execute_cell(cell, _PROCESS_TRACES, _WORKER_KERNEL)
+        payload = result_to_dict(result)
+        dump = obs_metrics.registry.dump() if obs_metrics.enabled() else None
+        records.append((cell.key(), payload, (os.getpid(), start, time.time()), info, dump))
+    return records
 
 
 class ParallelExecutor:
@@ -525,10 +528,15 @@ class ParallelExecutor:
     ) -> int:
         """Run ``pending`` on a process pool; returns the updated done count.
 
-        Pool failures (platforms without working multiprocessing, workers
-        killed mid-sweep) are swallowed: whatever cells did not complete stay
-        absent from ``results`` and the caller re-runs them serially.
+        Pool failures (platforms without working multiprocessing, a worker
+        killed mid-sweep, which breaks the pool with ``BrokenProcessPool``)
+        are swallowed: whatever cells did not complete stay absent from
+        ``results`` and the caller re-runs them serially.
         """
+        # Imported here, not at module level, so importing the executor
+        # costs no more than before.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         by_key = {cell.key(): cell for cell in pending}
         # Most recent cumulative metrics dump per worker pid (largest total
         # wins, see _dump_total); merged after the pool drains so the parent
@@ -545,10 +553,10 @@ class ParallelExecutor:
                 {cell.config.with_name("kernel-prewarm"): None for cell in pending}
             )
             # One pickled batch per chunk instead of one round-trip per cell;
-            # results stream back in completion order.
+            # chunks come back in completion order.
             chunksize = max(1, len(pending) // (workers * 4))
-            with multiprocessing.Pool(
-                processes=workers,
+            with ProcessPoolExecutor(
+                max_workers=workers,
                 initializer=_init_worker,
                 initargs=(
                     payloads,
@@ -558,23 +566,37 @@ class ParallelExecutor:
                 ),
             ) as pool:
                 self.used_pool = True
-                for key, payload, (pid, start, end), info, dump in (
-                    pool.imap_unordered(_pool_cell, pending, chunksize=chunksize)
-                ):
-                    cell = by_key[key]
-                    self._observe_cell(cell, pid, start, end)
-                    self._journal_cell(cell, "computed", end - start, pid, info)
-                    if dump is not None and _dump_total(dump) >= dump_totals.get(
-                        pid, -1.0
-                    ):
-                        dumps_by_pid[pid] = dump
-                        dump_totals[pid] = _dump_total(dump)
-                    done = self._record(
-                        cell, result_from_dict(payload), results, done, total
-                    )
+                try:
+                    futures = [
+                        pool.submit(_pool_chunk, pending[index : index + chunksize])
+                        for index in range(0, len(pending), chunksize)
+                    ]
+                    for future in as_completed(futures):
+                        for key, payload, (pid, start, end), info, dump in future.result():
+                            cell = by_key[key]
+                            self._observe_cell(cell, pid, start, end)
+                            self._journal_cell(cell, "computed", end - start, pid, info)
+                            if dump is not None:
+                                dump_total = _dump_total(dump)
+                                if dump_total >= dump_totals.get(pid, -1.0):
+                                    dumps_by_pid[pid] = dump
+                                    dump_totals[pid] = dump_total
+                            done = self._record(
+                                cell, result_from_dict(payload), results, done, total
+                            )
+                except BaseException:
+                    # Cut short (an interrupt, a failed store write, a broken
+                    # pool): stop the workers now, as Pool.terminate() did,
+                    # instead of letting the pool's shutdown wait for chunks
+                    # whose results are dropped.  Before Python 3.14 the
+                    # executor has no public call for this.
+                    for process in list((pool._processes or {}).values()):
+                        process.terminate()
+                    raise
         except (OSError, PermissionError, RuntimeError, ImportError) as error:
-            # BrokenProcessPool/BrokenPipe style failures land here; finish
-            # serially with whatever is left.
+            # BrokenProcessPool (a RuntimeError: a worker died) and
+            # BrokenPipe style failures land here; finish serially with
+            # whatever is left.
             logger.warning(
                 "campaign: process pool failed (%s: %s); finishing the "
                 "remaining cells serially",

@@ -21,27 +21,19 @@ comparison in Sec. VI-C).
 """
 
 from repro.core.request import AccessKind, MemoryAccessRequest
-from repro.core.way_table import (
-    WayPrediction,
-    WayTable,
-    WayTableEntry,
-    WayTableHierarchy,
-)
+from repro.core.way_table import WayTable, WayTableEntry, WayTableHierarchy
 from repro.core.wdu import WayDeterminationUnit
-from repro.core.input_buffer import InputBuffer, PageGroup
-from repro.core.arbitration import ArbitrationUnit, BankRequest, ArbitrationResult
+from repro.core.input_buffer import InputBuffer
+from repro.core.arbitration import ArbitrationUnit, BankRequest
 
 __all__ = [
     "AccessKind",
     "MemoryAccessRequest",
-    "WayPrediction",
     "WayTable",
     "WayTableEntry",
     "WayTableHierarchy",
     "WayDeterminationUnit",
     "InputBuffer",
-    "PageGroup",
     "ArbitrationUnit",
     "BankRequest",
-    "ArbitrationResult",
 ]

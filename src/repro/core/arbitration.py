@@ -1,7 +1,7 @@
 """Arbitration Unit: bank selection, load merging and way assignment (Sec. IV).
 
-Given the page group selected by the Input Buffer, the Arbitration Unit
-decides which accesses actually reach the L1 this cycle:
+Given the members of the page group selected by the Input Buffer, the
+Arbitration Unit decides which accesses actually reach the L1 this cycle:
 
 * for every cache bank it picks the highest-priority access mapping to it
   (the banks are single-ported, so one access per bank per cycle);
@@ -26,10 +26,8 @@ granularity is available for ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.input_buffer import PageGroup
 from repro.core.request import MemoryAccessRequest
 from repro.core.way_table import WayTableEntry
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
@@ -42,40 +40,19 @@ MERGE_GRANULARITIES = ("line", "subblock_pair", "subblock", "none")
 class BankRequest:
     """One access issued to a cache bank this cycle (slotted: one per access).
 
-    ``primary`` is the request that drives the access; ``merged`` lists loads
-    that share its returned data.  ``way_hint`` is the way supplied by the
-    page's way-table entry (``None`` = unknown, conventional access).
+    ``primary`` is the request that drives the access (its ``bank_index``
+    names the bank); ``merged`` lists loads that share its returned data.
+    ``way_hint`` is the way supplied by the page's way-table entry (``None``
+    = unknown, conventional access).
     """
 
-    __slots__ = ("bank", "primary", "merged", "is_write", "way_hint")
+    __slots__ = ("primary", "merged", "is_write", "way_hint")
 
-    def __init__(
-        self,
-        bank: int,
-        primary: MemoryAccessRequest,
-        merged: Optional[List[MemoryAccessRequest]] = None,
-        is_write: bool = False,
-        way_hint: Optional[int] = None,
-    ) -> None:
-        self.bank = bank
+    def __init__(self, primary: MemoryAccessRequest, is_write: bool = False) -> None:
         self.primary = primary
-        self.merged = [] if merged is None else merged
+        self.merged: List[MemoryAccessRequest] = []
         self.is_write = is_write
-        self.way_hint = way_hint
-
-@dataclass
-class ArbitrationResult:
-    """Outcome of one arbitration cycle."""
-
-    bank_requests: List[BankRequest] = field(default_factory=list)
-    serviced: List[MemoryAccessRequest] = field(default_factory=list)
-    rejected: List[MemoryAccessRequest] = field(default_factory=list)
-    merged_pairs: int = 0
-
-    @property
-    def serviced_loads(self) -> List[MemoryAccessRequest]:
-        """All loads serviced this cycle (primaries and merged)."""
-        return [request for request in self.serviced if request.is_load]
+        self.way_hint: Optional[int] = None
 
 
 class ArbitrationUnit:
@@ -130,36 +107,42 @@ class ArbitrationUnit:
 
     def arbitrate(
         self,
-        group: PageGroup,
+        members: List[MemoryAccessRequest],
         way_entry: Optional[WayTableEntry] = None,
-    ) -> ArbitrationResult:
-        """Distribute the page group over the banks.
+    ) -> Tuple[List[BankRequest], List[MemoryAccessRequest], int]:
+        """Distribute a page group over the banks.
 
         Parameters
         ----------
-        group:
-            Output of :meth:`repro.core.input_buffer.InputBuffer.select_group`.
+        members:
+            The group's requests in priority order, as returned by
+            :meth:`repro.core.input_buffer.InputBuffer.select_group`.
         way_entry:
             Way-table entry covering the group's page (``None`` when way
             determination is disabled); used to attach way hints.
+
+        Returns ``(bank_requests, serviced, loads_granted)``: the accesses
+        issued to the banks, every request they service (primaries and
+        merged loads; the members left out stay in the Input Buffer), and
+        the number of serviced loads.
         """
-        result = ArbitrationResult()
+        bank_requests: List[BankRequest] = []
+        serviced: List[MemoryAccessRequest] = []
         bank_owner: Dict[int, BankRequest] = {}
         loads_granted = 0
 
-        for position, request in enumerate(group.members):
+        for position, request in enumerate(members):
             bank = request.bank_index
 
             if request.is_mbe:
                 # The MBE writes the cache; it needs its bank but no result bus.
                 if bank in bank_owner:
                     self.stats.bump(self._h_mbe_bank_conflict)
-                    result.rejected.append(request)
                     continue
-                bank_request = BankRequest(bank=bank, primary=request, is_write=True)
+                bank_request = BankRequest(request, is_write=True)
                 bank_owner[bank] = bank_request
-                result.bank_requests.append(bank_request)
-                result.serviced.append(request)
+                bank_requests.append(bank_request)
+                serviced.append(request)
                 continue
 
             # ----------------------------------------------------------
@@ -175,8 +158,7 @@ class ArbitrationUnit:
                         if loads_granted >= self.result_buses:
                             break
                         bank_request.merged.append(request)
-                        result.serviced.append(request)
-                        result.merged_pairs += 1
+                        serviced.append(request)
                         loads_granted += 1
                         merged = True
                         self.stats.bump(self._h_merged_load)
@@ -186,29 +168,27 @@ class ArbitrationUnit:
 
             if loads_granted >= self.result_buses:
                 self.stats.bump(self._h_rejected_result_bus)
-                result.rejected.append(request)
                 continue
 
             if bank in bank_owner:
                 self.stats.bump(self._h_rejected_bank_conflict)
-                result.rejected.append(request)
                 continue
 
-            bank_request = BankRequest(bank=bank, primary=request, is_write=False)
+            bank_request = BankRequest(request)
             bank_owner[bank] = bank_request
-            result.bank_requests.append(bank_request)
-            result.serviced.append(request)
+            bank_requests.append(bank_request)
+            serviced.append(request)
             loads_granted += 1
             self.stats.bump(self._h_granted_load)
 
-        self._assign_way_hints(result, way_entry)
+        self._assign_way_hints(bank_requests, way_entry)
         self.stats.bump(self._h_cycles)
-        self.stats.bump(self._h_bank_accesses, len(result.bank_requests))
-        return result
+        self.stats.bump(self._h_bank_accesses, len(bank_requests))
+        return bank_requests, serviced, loads_granted
 
     # ------------------------------------------------------------------
     def _assign_way_hints(
-        self, result: ArbitrationResult, way_entry: Optional[WayTableEntry]
+        self, bank_requests: List[BankRequest], way_entry: Optional[WayTableEntry]
     ) -> None:
         """Attach way-table information to every selected bank access.
 
@@ -219,7 +199,7 @@ class ArbitrationUnit:
         """
         if way_entry is None:
             return
-        for bank_request in result.bank_requests:
+        for bank_request in bank_requests:
             way = way_entry.way_of(bank_request.primary.line_in_page)
             if way is not None:
                 bank_request.way_hint = way

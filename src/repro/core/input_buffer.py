@@ -21,40 +21,10 @@ storage would overflow, address computation stalls (modelled through
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.core.request import MemoryAccessRequest
 from repro.stats import StatCounters
-
-
-@dataclass
-class PageGroup:
-    """The set of same-page requests selected for one cycle.
-
-    Attributes
-    ----------
-    virtual_page:
-        Page shared by every member; translated once for the whole group.
-    members:
-        Requests in priority order.  The first member is the leader whose
-        page id was sent to the uTLB.
-    mbe:
-        The merge-buffer entry included in the group, if any (also present in
-        ``members``).
-    """
-
-    virtual_page: int
-    members: List[MemoryAccessRequest] = field(default_factory=list)
-    mbe: Optional[MemoryAccessRequest] = None
-
-    @property
-    def loads(self) -> List[MemoryAccessRequest]:
-        """Members that are loads (excludes the MBE)."""
-        return [request for request in self.members if request.is_load]
-
-    def __len__(self) -> int:
-        return len(self.members)
 
 
 class InputBuffer:
@@ -99,11 +69,6 @@ class InputBuffer:
     # ------------------------------------------------------------------
     # Occupancy and back-pressure
     # ------------------------------------------------------------------
-    @property
-    def held_loads(self) -> List[MemoryAccessRequest]:
-        """Loads carried over from previous cycles (highest priority)."""
-        return list(self._held)
-
     def can_accept_load(self) -> bool:
         """True when another load may be submitted this cycle.
 
@@ -144,21 +109,16 @@ class InputBuffer:
     # ------------------------------------------------------------------
     # Page-group selection
     # ------------------------------------------------------------------
-    def _candidates(self) -> List[MemoryAccessRequest]:
-        """All waiting entries in priority order (held, new, MBE)."""
-        ordered: List[MemoryAccessRequest] = list(self._held) + list(self._new)
-        if self._mbe is not None:
-            ordered.append(self._mbe)
-        return ordered
-
-    def select_group(self) -> Optional[PageGroup]:
-        """Identify this cycle's page group.
+    def select_group(self) -> Optional[Tuple[int, List[MemoryAccessRequest]]]:
+        """Identify this cycle's page group as ``(page, members)``.
 
         The highest-priority entry becomes the leader; its virtual page id is
-        what the interface sends to the uTLB.  Every other currently valid
-        entry is compared against that page id (one narrow comparator per
-        entry — counted for completeness even though the paper deems the
-        energy negligible) and matching entries join the group.
+        what the interface sends to the uTLB, translated once for the whole
+        group.  Every other currently valid entry is compared against that
+        page id (one narrow comparator per entry — counted for completeness
+        even though the paper deems the energy negligible) and matching
+        entries join the group.  ``members`` is in priority order, so the
+        leader comes first and a matching MBE last.
 
         Returns ``None`` when nothing is waiting.
         """
@@ -174,37 +134,33 @@ class InputBuffer:
         else:
             return None
         page = leader.virtual_page
-        group = PageGroup(virtual_page=page)
-        members = group.members
+        members = []
         stats = self.stats
         compares = -1  # the leader compares against nobody
         for source in (held, new, (mbe,) if mbe is not None else ()):
             for request in source:
                 compares += 1
-                if request.virtual_page != page:
-                    continue
-                members.append(request)
-                if request.is_mbe:
-                    group.mbe = request
+                if request.virtual_page == page:
+                    members.append(request)
         if compares:  # integer sum: one bump of n is bit-identical to n bumps
             stats.bump(self._h_page_compare, compares)
         stats.bump(self._h_group_selected)
         stats.bump(self._h_group_size, len(members))
-        return group
+        return page, members
 
     # ------------------------------------------------------------------
     # End-of-cycle bookkeeping
     # ------------------------------------------------------------------
     def retire(self, serviced: List[MemoryAccessRequest]) -> None:
-        """Remove requests that were serviced (sent to the cache) this cycle."""
-        serviced_ids = {request.request_id for request in serviced}
-        self._held = deque(
-            request for request in self._held if request.request_id not in serviced_ids
-        )
-        self._new = [
-            request for request in self._new if request.request_id not in serviced_ids
-        ]
-        if self._mbe is not None and self._mbe.request_id in serviced_ids:
+        """Remove requests that were serviced (sent to the cache) this cycle.
+
+        Requests are matched by identity (they define no equality), so a
+        waiting request with the same fields as a serviced one stays.
+        """
+        gone = set(serviced)
+        self._held = deque(request for request in self._held if request not in gone)
+        self._new = [request for request in self._new if request not in gone]
+        if self._mbe is not None and self._mbe in gone:
             self._mbe = None
             self.stats.bump(self._h_mbe_out)
 

@@ -1,11 +1,10 @@
 """Memory access requests flowing through the L1 interface models.
 
-A :class:`MemoryAccessRequest` wraps one dynamic memory operation (a load, a
-store, or a merge-buffer entry being written back) on its way from address
-computation to the cache.  It carries the virtual address produced by the
-address-computation units, the physical address once translation has
-happened, and bookkeeping used by the Input Buffer and Arbitration Unit
-(priority, arrival cycle, merge parent).
+A :class:`MemoryAccessRequest` wraps one dynamic memory operation (a load or
+a merge-buffer entry being written back) on its way from address computation
+to the cache.  It carries the virtual address produced by the
+address-computation units, its page, line and bank, the physical address once
+translation has happened, and the way hint the Arbitration Unit attaches.
 
 Interface models create requests from pipeline instructions; the ``tag``
 field carries an opaque reference back to whatever issued the request (a
@@ -16,25 +15,22 @@ One request is allocated per in-flight memory operation, so the class uses
 ``__slots__`` and resolves its address decomposition exactly once at
 construction through the layout's memoised :meth:`~repro.memory.address.AddressLayout.decompose`
 — the grouping and arbitration logic then reads plain attributes instead of
-re-slicing the address per comparison.
+re-slicing the address per comparison.  Requests carry no identifier: the
+Input Buffer retires them by object identity.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any, Optional
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
-
-_request_ids = itertools.count()
 
 
 class AccessKind(enum.Enum):
     """Type of memory access serviced by the L1 interface."""
 
     LOAD = "load"
-    STORE = "store"
     #: A merge-buffer entry evicted towards the cache (a committed store
     #: group); never time critical (Sec. IV).
     MBE = "mbe"
@@ -46,22 +42,17 @@ class MemoryAccessRequest:
     Attributes
     ----------
     kind:
-        Load, store or merge-buffer eviction.
+        Load or merge-buffer eviction.
     virtual_address:
         Address produced by address computation.
     size:
-        Access width in bytes (informational).
-    arrival_cycle:
-        Cycle in which address computation finished.
+        Access width in bytes (the store-to-load forwarding search uses it).
     tag:
         Opaque reference back to the issuing instruction.
     physical_address:
         Filled in once the translation for the request's page is available.
     way_hint:
         Way supplied by the way tables / WDU (``None`` = unknown).
-    merged_into:
-        When this load was merged with an earlier load to the same line, the
-        request that actually accessed the cache.
     virtual_page / line_in_page / bank_index:
         Cached fields of the virtual address, decomposed once at construction.
     """
@@ -70,15 +61,11 @@ class MemoryAccessRequest:
         "kind",
         "virtual_address",
         "size",
-        "arrival_cycle",
         "tag",
         "layout",
         "physical_address",
         "way_hint",
-        "merged_into",
-        "request_id",
         "is_load",
-        "is_store",
         "is_mbe",
         "virtual_page",
         "line_in_page",
@@ -92,26 +79,19 @@ class MemoryAccessRequest:
         kind: AccessKind,
         virtual_address: int,
         size: int = 4,
-        arrival_cycle: int = 0,
         tag: Any = None,
         layout: AddressLayout = DEFAULT_LAYOUT,
         physical_address: Optional[int] = None,
         way_hint: Optional[int] = None,
-        merged_into: Optional["MemoryAccessRequest"] = None,
-        request_id: Optional[int] = None,
     ) -> None:
         self.kind = kind
         self.virtual_address = virtual_address
         self.size = size
-        self.arrival_cycle = arrival_cycle
         self.tag = tag
         self.layout = layout
         self.physical_address = physical_address
         self.way_hint = way_hint
-        self.merged_into = merged_into
-        self.request_id = next(_request_ids) if request_id is None else request_id
         self.is_load = kind is AccessKind.LOAD
-        self.is_store = kind is AccessKind.STORE
         self.is_mbe = kind is AccessKind.MBE
         # Decompose the virtual address exactly once (memoised per layout);
         # the Input Buffer and Arbitration Unit compare these plain fields.
@@ -158,7 +138,4 @@ class MemoryAccessRequest:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"MemoryAccessRequest({self.kind.value}, va={self.virtual_address:#x}, "
-            f"id={self.request_id})"
-        )
+        return f"MemoryAccessRequest({self.kind.value}, va={self.virtual_address:#x})"

@@ -24,27 +24,11 @@ feedback raises coverage from 75 % to 94 %.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLB, TLBEntry, TLBHierarchy
-
-
-@dataclass
-class WayPrediction:
-    """Result of consulting the way tables for one cache line.
-
-    ``known`` distinguishes a *determination* (the line is guaranteed to be in
-    ``way``, the tag arrays can be bypassed) from "unknown" (fall back to a
-    conventional access).  ``source`` records which structure produced the
-    prediction (``uwt``, ``wt`` or ``none``) for the coverage statistics.
-    """
-
-    known: bool
-    way: Optional[int] = None
-    source: str = "none"
 
 
 #: (banks, associativity, lines_per_page) -> per-line encode/decode tables
@@ -121,17 +105,9 @@ class WayTableEntry:
     # Access
     # ------------------------------------------------------------------
     def way_of(self, line_in_page: int) -> Optional[int]:
-        """Determined way of ``line_in_page`` or ``None`` — the hot-path
-        :meth:`lookup` without the :class:`WayPrediction` allocation."""
+        """Determined way of ``line_in_page``, or ``None`` when unknown (the
+        line must then take a conventional access)."""
         return self._decode_tbl[line_in_page][self._codes[line_in_page]]
-
-    def lookup(self, line_in_page: int) -> WayPrediction:
-        """Way prediction for one line of the page."""
-        self._check_line(line_in_page)
-        way = self._decode_tbl[line_in_page][self._codes[line_in_page]]
-        if way is None:
-            return WayPrediction(known=False)
-        return WayPrediction(known=True, way=way)
 
     def update(self, line_in_page: int, way: int) -> bool:
         """Record that ``line_in_page`` now resides in ``way``.
@@ -334,19 +310,6 @@ class WayTableHierarchy:
             return self.wt.entry(tlb_slot)
         return None
 
-    def predict_line(self, virtual_page: int, line_in_page: int) -> WayPrediction:
-        """Prediction for a single line (convenience wrapper)."""
-        entry = self.predict_page(virtual_page)
-        if entry is None:
-            self.stats.add("way_pred.no_entry")
-            return WayPrediction(known=False, source="none")
-        prediction = entry.lookup(line_in_page)
-        prediction.source = "uwt" if self._last_uwt_slot is not None else "wt"
-        self.stats.add("way_pred.lookup")
-        if prediction.known:
-            self.stats.add("way_pred.known")
-        return prediction
-
     # ------------------------------------------------------------------
     # Feedback and cache-coherence updates
     # ------------------------------------------------------------------
@@ -402,11 +365,6 @@ class WayTableHierarchy:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    @property
-    def coverage(self) -> float:
-        """Fraction of predictions that returned a known, valid way."""
-        return self.stats.ratio("way_pred.known", "way_pred.lookup")
-
     @property
     def total_storage_bits(self) -> int:
         """Combined uWT + WT data-array storage."""

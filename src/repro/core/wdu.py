@@ -23,7 +23,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Optional
 
-from repro.core.way_table import WayPrediction
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
@@ -59,8 +58,9 @@ class WayDeterminationUnit:
         self._table: "OrderedDict[int, int]" = OrderedDict()
 
     # ------------------------------------------------------------------
-    def predict(self, physical_address: int) -> WayPrediction:
-        """Way prediction for the line containing ``physical_address``.
+    def predict(self, physical_address: int) -> Optional[int]:
+        """Way of the line containing ``physical_address``, or ``None`` when
+        the WDU does not know it.
 
         Each call models one fully-associative lookup (one port's worth of
         energy); callers invoke it once per parallel access.
@@ -69,11 +69,10 @@ class WayDeterminationUnit:
         self.stats.add(f"{self.name}.lookup")
         self.stats.add("way_pred.lookup")
         way = self._table.get(line)
-        if way is None:
-            return WayPrediction(known=False, source=self.name)
-        self._table.move_to_end(line)
-        self.stats.add("way_pred.known")
-        return WayPrediction(known=True, way=way, source=self.name)
+        if way is not None:
+            self._table.move_to_end(line)
+            self.stats.add("way_pred.known")
+        return way
 
     def record(self, physical_address: int, way: int) -> None:
         """Insert/update the entry for a line after an access resolved its way."""

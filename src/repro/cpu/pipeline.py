@@ -133,13 +133,11 @@ class OutOfOrderPipeline:
         self.collector = collector
         #: optional specialized kernel entry point (see repro.sim.kernels):
         #: kernel_run(pipeline, seqs, total, capacity, trace_arrays) returning
-        #: a PipelineResult, or None to decline (runtime guard mismatch), in
-        #: which case the generic event-driven loop runs instead.
+        #: a PipelineResult; it raises RuntimeError when its runtime guards
+        #: find a pipeline it was not generated for.
         self.kernel = kernel
         #: whether the last run() executed through the specialized kernel
         self.kernel_used = False
-        #: whether a kernel was attached but declined (guards returned None)
-        self.kernel_fallback = False
         #: idle cycles skipped (event jumps) in the last run()
         self.fast_forwarded_cycles = 0
 
@@ -161,17 +159,14 @@ class OutOfOrderPipeline:
             plan = as_columnar(trace).columnar_pipeline_plan
         seqs, total, capacity, trace_arrays = plan()
         self.kernel_used = False
-        self.kernel_fallback = False
         self.fast_forwarded_cycles = 0
         if total == 0:
             return PipelineResult(cycles=0, instructions=0, loads=0, stores=0, computes=0)
         kernel = self.kernel
         if kernel is not None:
             result = kernel(self, seqs, total, capacity, trace_arrays)
-            if result is not None:
-                self.kernel_used = True
-                return result
-            self.kernel_fallback = True
+            self.kernel_used = True
+            return result
         return self._run_event_driven(seqs, total, capacity, trace_arrays)
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
 from repro.buffers.load_queue import LoadQueue
-from repro.buffers.merge_buffer import MergeBuffer, MergeBufferEntry
+from repro.buffers.merge_buffer import MergeBuffer
 from repro.buffers.store_buffer import StoreBuffer
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.memory.hierarchy import MemoryHierarchy
@@ -30,30 +30,14 @@ from repro.tlb.tlb import TLBHierarchy
 CompletedAccess = Tuple[Any, int]
 
 
-class PendingLoad:
-    """A load waiting for (or undergoing) its cache access (slotted)."""
-
-    __slots__ = ("tag", "virtual_address", "size", "submit_cycle")
-
-    def __init__(self, tag: Any, virtual_address: int, size: int, submit_cycle: int) -> None:
-        self.tag = tag
-        self.virtual_address = virtual_address
-        self.size = size
-        self.submit_cycle = submit_cycle
-
-
 class PendingWriteback:
     """A merge-buffer entry waiting for a cache write slot (slotted)."""
 
     __slots__ = ("virtual_line_address", "physical_line_address")
 
-    def __init__(
-        self,
-        virtual_line_address: int,
-        physical_line_address: Optional[int] = None,
-    ) -> None:
+    def __init__(self, virtual_line_address: int) -> None:
         self.virtual_line_address = virtual_line_address
-        self.physical_line_address = physical_line_address
+        self.physical_line_address: Optional[int] = None
 
 
 class BaseL1Interface(ABC):
@@ -173,13 +157,13 @@ class BaseL1Interface(ABC):
     # ------------------------------------------------------------------
     def submit_load(self, tag: Any, address: int, size: int, cycle: int) -> None:
         """Accept a load whose address computation finished this cycle."""
-        self.load_queue.allocate_issued(tag, address, cycle)
+        self.load_queue.allocate_issued(tag, cycle)
         self.stats.bump_many(self._combo_load_submit)
-        self._enqueue_load(tag, address, size, cycle)
+        self._enqueue_load(tag, address, size)
 
     def submit_store(self, tag: Any, address: int, size: int, cycle: int) -> None:
         """Accept a store whose address computation finished this cycle."""
-        self.store_buffer.insert(tag, address, size, cycle)
+        self.store_buffer.insert(tag, address, size)
         self.stats.bump(self._h_stores_submitted)
         self._on_store_submitted(address, size, cycle)
 
@@ -190,21 +174,19 @@ class BaseL1Interface(ABC):
     # ------------------------------------------------------------------
     # Store drain path (SB -> MB -> pending write-back)
     # ------------------------------------------------------------------
-    def _drain_committed_stores(self, cycle: int, max_stores: int = 1) -> None:
+    def _drain_committed_stores(self, max_stores: int = 1) -> None:
         """Move committed stores into the merge buffer (Fig. 2b right path)."""
         for _ in range(max_stores):
             entry = self.store_buffer.pop_committed()
             if entry is None:
                 return
-            evicted = self.merge_buffer.commit_store(entry.virtual_address, entry.size, cycle)
+            evicted = self.merge_buffer.commit_store(entry.virtual_address)
             if evicted is not None:
                 self._queue_writeback(evicted)
 
-    def _queue_writeback(self, mbe: MergeBufferEntry) -> None:
-        """Queue an evicted merge-buffer entry for its cache write."""
-        self._pending_writebacks.append(
-            PendingWriteback(virtual_line_address=mbe.line_address)
-        )
+    def _queue_writeback(self, line_address: int) -> None:
+        """Queue the line of an evicted merge-buffer entry for its cache write."""
+        self._pending_writebacks.append(PendingWriteback(line_address))
         self.stats.bump(self._h_mbe_queued)
 
     # ------------------------------------------------------------------
@@ -213,7 +195,7 @@ class BaseL1Interface(ABC):
     def tick(self, cycle: int) -> List[CompletedAccess]:
         """Advance the interface by one cycle; return load completions."""
         if self.store_buffer.committed_count:
-            self._drain_committed_stores(cycle)
+            self._drain_committed_stores()
         completions = self._service_cycle(cycle)
         if completions:
             complete_release = self.load_queue.complete_release
@@ -250,13 +232,13 @@ class BaseL1Interface(ABC):
         return True
 
     @abstractmethod
-    def _enqueue_load(self, tag: Any, address: int, size: int, cycle: int) -> None:
+    def _enqueue_load(self, tag: Any, address: int, size: int) -> None:
         """Store a submitted load until it can access the cache.
 
         Receives the raw submission fields so each interface builds exactly
-        the queue record it needs (a :class:`PendingLoad` for the baselines,
-        a :class:`~repro.core.request.MemoryAccessRequest` for MALEC) without
-        an intermediate allocation.
+        the queue record it needs (a ``(tag, address, size)`` tuple for the
+        baselines, a :class:`~repro.core.request.MemoryAccessRequest` for
+        MALEC) without an intermediate allocation.
         """
 
     def _on_store_submitted(self, address: int, size: int, cycle: int) -> None:
@@ -293,13 +275,8 @@ class BaseL1Interface(ABC):
             if start < end and virtual_address < start + entry.size:
                 stats.bump(store_buffer._h_forward_hit)
                 break
-        mb_entries = merge_buffer._entries
-        if mb_entries:
-            line_address = virtual_address & ~(self.layout._line_offset_mask)
-            for entry in mb_entries:
-                if entry.line_address == line_address:
-                    stats.bump(merge_buffer._h_forward_hit)
-                    break
+        if (virtual_address & ~self.layout._line_offset_mask) in merge_buffer._entries:
+            stats.bump(merge_buffer._h_forward_hit)
 
     def _writeback_to_cache(self, writeback: PendingWriteback, way_hint: Optional[int] = None) -> None:
         """Perform the cache write of an evicted merge-buffer entry."""
@@ -324,16 +301,10 @@ class BaseL1Interface(ABC):
             entry = self.store_buffer.pop_committed()
             if entry is None:
                 break
-            evicted = self.merge_buffer.commit_store(entry.virtual_address, entry.size, cycle)
+            evicted = self.merge_buffer.commit_store(entry.virtual_address)
             if evicted is not None:
                 self._queue_writeback(evicted)
-        for mbe in self.merge_buffer.drain():
-            self._queue_writeback(mbe)
+        for line_address in self.merge_buffer.drain():
+            self._queue_writeback(line_address)
         while self._pending_writebacks:
             self._writeback_to_cache(self._pending_writebacks.popleft())
-
-    # ------------------------------------------------------------------
-    @property
-    def pending_work(self) -> bool:
-        """True when loads or write-backs are still waiting (used in tests)."""
-        return bool(self._pending_writebacks)

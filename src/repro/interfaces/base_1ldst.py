@@ -10,13 +10,9 @@ is what makes this configuration the energy reference of Fig. 4b.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Any, Deque, List, Optional, Tuple
 
-from repro.interfaces.base import (
-    BaseL1Interface,
-    CompletedAccess,
-    PendingLoad,
-)
+from repro.interfaces.base import BaseL1Interface, CompletedAccess
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
@@ -43,7 +39,8 @@ class BaselineSingleInterface(BaseL1Interface):
             flexible_slots=1,
             **kwargs,
         )
-        self._pending_loads: Deque[PendingLoad] = deque()
+        #: (tag, address, size) of loads waiting for the cache port
+        self._pending_loads: Deque[Tuple[Any, int, int]] = deque()
 
     # ------------------------------------------------------------------
     def _can_accept_load_extra(self) -> bool:
@@ -56,10 +53,8 @@ class BaselineSingleInterface(BaseL1Interface):
         lq = self.load_queue
         return len(lq._entries) < lq.entries and len(self._pending_loads) < 4
 
-    def _enqueue_load(self, tag, address, size, cycle) -> None:
-        self._pending_loads.append(
-            PendingLoad(tag=tag, virtual_address=address, size=size, submit_cycle=cycle)
-        )
+    def _enqueue_load(self, tag, address, size) -> None:
+        self._pending_loads.append((tag, address, size))
 
     def _loads_quiescent(self) -> bool:
         return not self._pending_loads
@@ -75,12 +70,11 @@ class BaselineSingleInterface(BaseL1Interface):
         """Use the single cache port: demand loads first, then write-backs."""
         completions: List[CompletedAccess] = []
         if self._pending_loads:
-            load = self._pending_loads.popleft()
-            address = load.virtual_address
+            tag, address, size = self._pending_loads.popleft()
             physical, translation_latency = self.translation.translate_pair(address)
-            self._forwarding_lookups(address, load.size, split=False)
+            self._forwarding_lookups(address, size, split=False)
             latency = self.hierarchy.l1.load_parts(physical)[2]
-            completions.append((load.tag, cycle + translation_latency + latency))
+            completions.append((tag, cycle + translation_latency + latency))
             self.stats.bump(self._h_load_accesses)
         elif self._pending_writebacks:
             self._writeback_to_cache(self._pending_writebacks.popleft())

@@ -12,13 +12,9 @@ exactly what drives its higher dynamic and leakage energy in Fig. 4b.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.interfaces.base import (
-    BaseL1Interface,
-    CompletedAccess,
-    PendingLoad,
-)
+from repro.interfaces.base import BaseL1Interface, CompletedAccess
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
@@ -51,7 +47,8 @@ class BaselineDualLoadInterface(BaseL1Interface):
             **kwargs,
         )
         self.loads_per_cycle = loads_per_cycle
-        self._pending_loads: Deque[PendingLoad] = deque()
+        #: (tag, address, size) of loads waiting for a read port
+        self._pending_loads: Deque[Tuple[Any, int, int]] = deque()
         self._h_bank_conflict = self.stats.handle("interface.bank_conflict")
 
     # ------------------------------------------------------------------
@@ -66,10 +63,8 @@ class BaselineDualLoadInterface(BaseL1Interface):
             and len(self._pending_loads) < 2 * self.loads_per_cycle
         )
 
-    def _enqueue_load(self, tag, address, size, cycle) -> None:
-        self._pending_loads.append(
-            PendingLoad(tag=tag, virtual_address=address, size=size, submit_cycle=cycle)
-        )
+    def _enqueue_load(self, tag, address, size) -> None:
+        self._pending_loads.append((tag, address, size))
 
     def _loads_quiescent(self) -> bool:
         return not self._pending_loads
@@ -95,20 +90,20 @@ class BaselineDualLoadInterface(BaseL1Interface):
 
         # Demand loads: oldest first, up to the number of read ports.
         serviced = 0
-        deferred: List[PendingLoad] = []
+        deferred: List[Tuple[Any, int, int]] = []
         while pending_loads and serviced < self.loads_per_cycle:
             load = pending_loads.popleft()
-            address = load.virtual_address
+            tag, address, size = load
             bank = bank_index(address)
             if bank_accesses.get(bank, 0) >= self._MAX_ACCESSES_PER_BANK:
                 deferred.append(load)
                 stats.bump(self._h_bank_conflict)
                 continue
             physical, translation_latency = translate_pair(address)
-            self._forwarding_lookups(address, load.size, split=False)
+            self._forwarding_lookups(address, size, split=False)
             latency = load_parts(physical)[2]
             bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
-            completions.append((load.tag, cycle + translation_latency + latency))
+            completions.append((tag, cycle + translation_latency + latency))
             stats.bump(self._h_load_accesses)
             serviced += 1
         for load in reversed(deferred):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.buffers.merge_buffer import MergeBufferEntry
 from repro.core.arbitration import ArbitrationUnit, BankRequest
 from repro.core.input_buffer import InputBuffer
 from repro.core.request import AccessKind, MemoryAccessRequest
@@ -109,8 +108,8 @@ class MalecInterface(BaseL1Interface):
                 stats=self.stats,
             )
             self.wdu.attach_to_cache(hierarchy.l1)
-        #: MBEs waiting for the Input Buffer's single MBE slot
-        self._mbe_backlog: Deque[MergeBufferEntry] = deque()
+        #: line addresses of MBEs waiting for the Input Buffer's single MBE slot
+        self._mbe_backlog: Deque[int] = deque()
         # Per-cycle counters resolved to integer slots once (hot path).
         self._h_group_cycles = self.stats.handle("malec.group_cycles")
         self._h_group_loads = self.stats.handle("malec.group_loads")
@@ -151,33 +150,30 @@ class MalecInterface(BaseL1Interface):
         # statistic staying bit-identical.
         return self.input_buffer.empty and not self._mbe_backlog
 
-    def _enqueue_load(self, tag, address, size, cycle) -> None:
+    def _enqueue_load(self, tag, address, size) -> None:
         request = MemoryAccessRequest(
             kind=AccessKind.LOAD,
             virtual_address=address,
             size=size,
-            arrival_cycle=cycle,
             tag=tag,
             layout=self.layout,
         )
         self.input_buffer.add_load(request)
 
-    def _queue_writeback(self, mbe: MergeBufferEntry) -> None:
+    def _queue_writeback(self, line_address: int) -> None:
         # Unlike the baselines, evicted MBEs travel through the Input Buffer
         # so their cache write can share a page group's translation.
-        self._mbe_backlog.append(mbe)
+        self._mbe_backlog.append(line_address)
         self.stats.bump(self._h_mbe_queued)
 
-    def _feed_mbe_slot(self, cycle: int) -> None:
+    def _feed_mbe_slot(self) -> None:
         """Move one backlogged MBE into the Input Buffer's MBE slot."""
         if not self._mbe_backlog or not self.input_buffer.can_accept_mbe():
             return
-        mbe = self._mbe_backlog.popleft()
         request = MemoryAccessRequest(
             kind=AccessKind.MBE,
-            virtual_address=mbe.line_address,
+            virtual_address=self._mbe_backlog.popleft(),
             size=self.layout.line_bytes,
-            arrival_cycle=cycle,
             tag=None,
             layout=self.layout,
         )
@@ -194,39 +190,40 @@ class MalecInterface(BaseL1Interface):
             # not calling it keeps the quiescent tick side-effect free, which
             # is what lets the event-driven pipeline skip it altogether.)
             return completions
-        self._feed_mbe_slot(cycle)
+        self._feed_mbe_slot()
         group = self.input_buffer.select_group()
         if group is None:
             self.input_buffer.end_cycle()
             return completions
+        page, members = group
 
         # One translation per cycle, shared by the whole page group.
-        physical_page, translation_latency = self.translation.translate_page_pair(
-            group.virtual_page
-        )
+        physical_page, translation_latency = self.translation.translate_page_pair(page)
         way_entry = None
         if self.way_tables is not None:
-            way_entry = self.way_tables.predict_page(group.virtual_page)
+            way_entry = self.way_tables.predict_page(page)
 
-        result = self.arbitration.arbitrate(group, way_entry)
+        bank_requests, serviced, loads_granted = self.arbitration.arbitrate(
+            members, way_entry
+        )
 
-        if result.serviced_loads:
+        if loads_granted:
             # The split SB/MB lookup structures compare the shared page id
             # once per cycle; the narrow offset segments are charged per load.
             self.store_buffer.charge_shared_page_lookup()
             self.merge_buffer.charge_shared_page_lookup()
 
-        for bank_request in result.bank_requests:
+        for bank_request in bank_requests:
             completions.extend(
                 self._service_bank_request(
                     bank_request, physical_page, translation_latency, cycle
                 )
             )
 
-        self.input_buffer.retire(result.serviced)
+        self.input_buffer.retire(serviced)
         self.input_buffer.end_cycle()
         self.stats.bump(self._h_group_cycles)
-        self.stats.bump(self._h_group_loads, len(result.serviced_loads))
+        self.stats.bump(self._h_group_loads, loads_granted)
         return completions
 
     def _service_bank_request(
@@ -243,9 +240,9 @@ class MalecInterface(BaseL1Interface):
         way_hint = bank_request.way_hint
 
         if self.wdu is not None:
-            prediction = self.wdu.predict(primary.physical_address)
-            if prediction.known:
-                way_hint = prediction.way
+            way = self.wdu.predict(primary.physical_address)
+            if way is not None:
+                way_hint = way
 
         if bank_request.is_write:
             reduced = self.hierarchy.l1.store_parts(
@@ -317,29 +314,15 @@ class MalecInterface(BaseL1Interface):
         total = merged + accesses
         return merged / total if total else 0.0
 
-    @property
-    def pending_work(self) -> bool:
-        """True when loads, MBEs or write-backs are still in flight."""
-        return (
-            not self.input_buffer.empty
-            or bool(self._mbe_backlog)
-            or bool(self._pending_writebacks)
-        )
-
     def finalize(self, cycle: int) -> None:
         """Drain the Input Buffer's MBE backlog in addition to the base drain."""
         # An MBE may still sit in the Input Buffer's single MBE slot.
         waiting = self.input_buffer.take_mbe()
         if waiting is not None:
-            self._pending_writebacks.append(
-                PendingWriteback(virtual_line_address=waiting.virtual_address)
-            )
+            self._pending_writebacks.append(PendingWriteback(waiting.virtual_address))
         # Convert backlogged MBEs into ordinary write-backs first.
         while self._mbe_backlog:
-            mbe = self._mbe_backlog.popleft()
-            self._pending_writebacks.append(
-                PendingWriteback(virtual_line_address=mbe.line_address)
-            )
+            self._pending_writebacks.append(PendingWriteback(self._mbe_backlog.popleft()))
         # Any loads still sitting in the Input Buffer have already been
         # reported complete or the pipeline would not have committed them;
         # by construction the buffer is empty of loads here.
@@ -347,7 +330,4 @@ class MalecInterface(BaseL1Interface):
         # The base drain routes freshly evicted MBEs back through our
         # overridden _queue_writeback (i.e. into the backlog); flush them too.
         while self._mbe_backlog:
-            mbe = self._mbe_backlog.popleft()
-            self._writeback_to_cache(
-                PendingWriteback(virtual_line_address=mbe.line_address)
-            )
+            self._writeback_to_cache(PendingWriteback(self._mbe_backlog.popleft()))

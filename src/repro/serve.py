@@ -44,6 +44,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.analysis.experiments import ExperimentResults
 from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import PRESET_NAMES, CampaignSpec, campaign_preset
@@ -75,7 +76,7 @@ MAX_JOBS = os.cpu_count() or 1
 
 
 class CampaignJob:
-    """One submitted sweep: its spec, lifecycle state and results."""
+    """One submitted sweep: its spec, lifecycle state and frontier."""
 
     def __init__(self, job_id: str, spec: CampaignSpec, jobs: Optional[int]) -> None:
         self.id = job_id
@@ -88,8 +89,9 @@ class CampaignJob:
         self.cells_computed = 0
         self.cells_skipped = 0
         self.run_id: Optional[str] = None
-        #: config name -> {benchmark -> SimulationResult}, set when done
-        self.results: Optional[Dict[str, Dict[str, Any]]] = None
+        #: the frontier endpoint's payload, computed once when the sweep
+        #: finishes (the job keeps no SimulationResult)
+        self.frontier: Optional[dict] = None
 
     def describe(self) -> dict:
         """The JSON shape every campaign endpoint returns."""
@@ -441,7 +443,7 @@ class ReproServer:
             journal=journal,
         )
         try:
-            results = executor.run(job.spec)
+            frontier = _frontier_payload(job, executor.run(job.spec))
         except Exception as error:
             logger.exception("serve: campaign %s failed", job.id)
             with self._lock:
@@ -453,61 +455,64 @@ class ReproServer:
             job.cells_computed = len(executor.completed_cells)
             job.cells_skipped = len(executor.skipped_cells)
             job.done = job.total
-            job.results = {
-                run.benchmark: dict(run.results) for run in results.runs
-            }
+            job.frontier = frontier
             job.state = "done"
 
     # ------------------------------------------------------------------
     # Frontier
     # ------------------------------------------------------------------
     def _frontier(self, job_id: str) -> Tuple[int, dict]:
-        """Pareto frontier of a finished sweep on the runtime/energy plane.
-
-        The first configuration of the campaign is the normalization
-        baseline (the campaign presets put the paper's Base1ldst first), so
-        the baseline itself sits at ``(1.0, 1.0)``.
-        """
+        """The stored Pareto frontier of a finished sweep (409 before)."""
         job = self._job(job_id)
         with self._lock:
-            state, by_benchmark = job.state, job.results
-        if state != "done" or by_benchmark is None:
+            state, frontier = job.state, job.frontier
+        if state != "done" or frontier is None:
             raise _RequestError(
                 409, f"campaign {job_id!r} is {state}; the frontier needs state done"
             )
-        config_names = job.spec.configuration_names()
-        objectives = resolve_objectives(DEFAULT_OBJECTIVES)
-        baseline_name = config_names[0]
-        baseline = {
-            benchmark: results[baseline_name]
-            for benchmark, results in by_benchmark.items()
-        }
-        points = []
-        for name in config_names:
-            candidate = {
-                benchmark: results[name]
-                for benchmark, results in by_benchmark.items()
-            }
-            values = tuple(
-                objective.evaluate(candidate, baseline) for objective in objectives
-            )
-            points.append(ParetoPoint(label=name, values=values))
-        frontier = pareto_frontier(points)
+        return 200, frontier
 
-        def as_dict(point: ParetoPoint) -> dict:
-            return {
-                "config": point.label,
-                "values": {
-                    objective.key: point.values[index]
-                    for index, objective in enumerate(objectives)
-                },
-            }
 
-        return 200, {
-            "id": job.id,
-            "campaign": job.spec.name,
-            "baseline": baseline_name,
-            "objectives": [objective.key for objective in objectives],
-            "points": [as_dict(point) for point in points],
-            "frontier": [as_dict(point) for point in frontier],
+def _frontier_payload(job: CampaignJob, results: ExperimentResults) -> dict:
+    """Pareto frontier of a finished sweep on the runtime/energy plane.
+
+    The first configuration of the campaign is the normalization baseline
+    (the campaign presets put the paper's Base1ldst first), so the baseline
+    itself sits at ``(1.0, 1.0)``.
+    """
+    by_benchmark = {run.benchmark: run.results for run in results.runs}
+    config_names = job.spec.configuration_names()
+    objectives = resolve_objectives(DEFAULT_OBJECTIVES)
+    baseline_name = config_names[0]
+    baseline = {
+        benchmark: by_config[baseline_name]
+        for benchmark, by_config in by_benchmark.items()
+    }
+    points = []
+    for name in config_names:
+        candidate = {
+            benchmark: by_config[name] for benchmark, by_config in by_benchmark.items()
         }
+        values = tuple(
+            objective.evaluate(candidate, baseline) for objective in objectives
+        )
+        points.append(ParetoPoint(label=name, values=values))
+    frontier = pareto_frontier(points)
+
+    def as_dict(point: ParetoPoint) -> dict:
+        return {
+            "config": point.label,
+            "values": {
+                objective.key: point.values[index]
+                for index, objective in enumerate(objectives)
+            },
+        }
+
+    return {
+        "id": job.id,
+        "campaign": job.spec.name,
+        "baseline": baseline_name,
+        "objectives": [objective.key for objective in objectives],
+        "points": [as_dict(point) for point in points],
+        "frontier": [as_dict(point) for point in frontier],
+    }

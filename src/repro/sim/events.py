@@ -34,7 +34,7 @@ __all__ = ["EventWheel"]
 
 
 class EventWheel:
-    """Calendar queue of (cycle, payload) events from a single producer.
+    """Calendar queue of (cycle, item) events from a single producer.
 
     Events due in the same cycle drain in insertion order (FIFO per cycle).
     """
@@ -42,7 +42,7 @@ class EventWheel:
     __slots__ = ("_buckets", "_cycle_heap", "_len")
 
     def __init__(self) -> None:
-        #: cycle -> payloads in insertion order
+        #: cycle -> items in insertion order
         self._buckets: Dict[int, List[Any]] = {}
         #: min-heap with exactly one entry per non-empty bucket cycle
         self._cycle_heap: List[int] = []
@@ -51,14 +51,14 @@ class EventWheel:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, cycle: int, payload: Any) -> None:
-        """Schedule ``payload`` for ``cycle``."""
+    def schedule(self, cycle: int, item: Any) -> None:
+        """Schedule ``item`` for ``cycle``."""
         bucket = self._buckets.get(cycle)
         if bucket is None:
-            self._buckets[cycle] = [payload]
+            self._buckets[cycle] = [item]
             heapq.heappush(self._cycle_heap, cycle)
         else:
-            bucket.append(payload)
+            bucket.append(item)
         self._len += 1
 
     # ------------------------------------------------------------------
@@ -79,7 +79,7 @@ class EventWheel:
     # Draining
     # ------------------------------------------------------------------
     def pop_due(self, cycle: int) -> List[Any]:
-        """Remove and return payloads of every event due at or before ``cycle``.
+        """Remove and return the items of every event due at or before ``cycle``.
 
         Events are returned cycle by cycle, each cycle's in insertion order.
         """

@@ -17,6 +17,15 @@ interpreted event loop of :class:`repro.cpu.pipeline.OutOfOrderPipeline`
 instead.  That loop is the one oracle the kernels are held to: the
 differential suite and the golden replays run every pinned case under both.
 
+Both paths hold the same canonical state: one plain value per in-flight
+access wherever a value suffices (a tag's issue cycle in the load queue,
+``(tag, address, size)`` tuples in the baselines' load queues, line
+addresses in the merge buffer and MALEC's MBE backlog) and the same
+``StoreBufferEntry``/``MemoryAccessRequest``/``BankRequest``/
+``PendingWriteback`` records elsewhere.  A kernel attached to a pipeline it was not generated for raises
+``RuntimeError`` naming the failed runtime guard; it never falls back to
+the generic loop on its own.
+
 Generated sources are registered with :mod:`linecache` under a synthetic
 ``<repro-kernel-...>`` filename, so tracebacks out of exec-compiled code show
 real source lines; ``repro report --kernel-source CONFIG`` dumps the same
@@ -84,8 +93,7 @@ def content_hash(config: SimulationConfig) -> str:
     hash over.
     """
     spec = build_spec(config)
-    payload = repr(sorted(spec.items())).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(repr(sorted(spec.items())).encode("utf-8")).hexdigest()
 
 
 #: per-process program cache, keyed by content hash

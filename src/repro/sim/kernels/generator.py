@@ -5,7 +5,7 @@ extracts every value the hot loop branches on into a flat dict of
 primitives, and :func:`generate_source` emits the text of a standalone
 Python module whose single entry point::
 
-    kernel_run(pipeline, seqs, total, capacity, trace_arrays) -> PipelineResult | None
+    kernel_run(pipeline, seqs, total, capacity, trace_arrays) -> PipelineResult
 
 is the event-driven pipeline loop of
 :meth:`repro.cpu.pipeline.OutOfOrderPipeline._run_event_driven` with the
@@ -29,17 +29,20 @@ when the whole probe succeeds does the kernel apply the inline effects;
 otherwise it calls the exact original method before having mutated anything,
 so slow paths (TLB misses, cache misses, way-hint mismatches, structure
 materialization) run the canonical code and charge the canonical counters.
-All simulation state stays canonical — the kernel creates and mutates the
-same ``LoadQueueEntry``/``StoreBufferEntry``/``MemoryAccessRequest``/
-``BankRequest`` objects the generic loop would, so a collector run, a
-fast-forward, or a later generic run over the same interface observes
-identical structures.
+All simulation state stays canonical — the kernel writes the same plain
+values into the same containers the generic loop does: the load queue maps
+each tag to its issue cycle, the baselines queue ``(tag, address, size)``
+tuples, the merge buffer and MALEC's MBE backlog hold line addresses, and
+the records left (``StoreBufferEntry``, ``MemoryAccessRequest``,
+``BankRequest``, ``PendingWriteback``) are the objects the generic loop
+builds too.  So a collector run, a fast-forward, or a later generic run
+over the same interface observes identical structures.
 
 The emitted module also begins with a battery of *runtime guards*: if the
 live pipeline/interface does not match the generation-time spec (someone
 swapped the replacement policy, resized a buffer, attached a collector, …)
-``kernel_run`` returns ``None`` before touching anything and the caller
-falls back to the generic loop.
+``kernel_run`` raises ``RuntimeError`` naming the failed check before
+touching anything.  There is no silent fallback to the generic loop.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from __future__ import annotations
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 2
+GENERATOR_VERSION = 3
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -114,8 +117,6 @@ def _header(spec: dict, content_hash: str) -> str:
             "AK_LOAD = AccessKind.LOAD\n"
             "AK_MBE = AccessKind.MBE\n"
         )
-    else:
-        extra = "from repro.interfaces.base import PendingLoad\n"
     return (
         f'"""Specialized {kind} simulation kernel '
         f"(repro.sim.kernels generator v{spec['generator']}).\n"
@@ -128,7 +129,6 @@ def _header(spec: dict, content_hash: str) -> str:
         f"import heapq\n"
         f"from collections import deque\n"
         f"\n"
-        f"from repro.buffers.load_queue import LoadQueueEntry\n"
         f"from repro.buffers.store_buffer import StoreBufferEntry\n"
         f"from repro.cpu.pipeline import PipelineResult\n"
         f"{extra}"
@@ -152,89 +152,76 @@ def _quiescent_expr(spec: dict) -> str:
     )
 
 
+def _check(condition: str) -> str:
+    """One runtime guard: raise, naming ``condition``, when it holds."""
+    message = f"specialized kernel guard failed: {condition}"
+    return f"    if {condition}:\n        raise RuntimeError({message!r})"
+
+
 def _guards(spec: dict) -> str:
     kind = spec["kind"]
     lines = [
-        "    # ---- runtime guards: any mismatch falls back to the generic loop ----",
+        "    # ---- runtime guards: a mismatch raises, naming the failed check ----",
         "    interface = pipeline.interface",
         "    params = pipeline.params",
         "    stats = pipeline.stats",
-        "    if pipeline.collector is not None:",
-        "        return None",
-        f'    if type(interface).__name__ != "{spec["class_name"]}":',
-        "        return None",
-        "    if interface.stats is not stats:",
-        "        return None",
-        "    if (",
-        f"        params.rob_entries != {spec['rob']}",
-        f"        or params.fetch_width != {spec['fetch']}",
-        f"        or params.issue_width != {spec['issue']}",
-        f"        or params.commit_width != {spec['commit']}",
-        "        or params.compute_latency != 1",
-        "    ):",
-        "        return None",
+        _check("pipeline.collector is not None"),
+        _check(f'type(interface).__name__ != "{spec["class_name"]}"'),
+        _check("interface.stats is not stats"),
+        _check(f"params.rob_entries != {spec['rob']}"),
+        _check(f"params.fetch_width != {spec['fetch']}"),
+        _check(f"params.issue_width != {spec['issue']}"),
+        _check(f"params.commit_width != {spec['commit']}"),
+        _check("params.compute_latency != 1"),
         "    layout = interface.layout",
-        "    if (",
-        f"        layout.page_offset_bits != {spec['page_shift']}",
-        f"        or layout._page_offset_mask != {spec['page_off_mask']}",
-        f"        or layout._line_offset_mask != {spec['line_mask']}",
-        f"        or layout.l1_banks != {spec['nbanks']}",
-        "    ):",
-        "        return None",
+        _check(f"layout.page_offset_bits != {spec['page_shift']}"),
+        _check(f"layout._page_offset_mask != {spec['page_off_mask']}"),
+        _check(f"layout._line_offset_mask != {spec['line_mask']}"),
+        _check(f"layout.l1_banks != {spec['nbanks']}"),
         "    load_queue = interface.load_queue",
         "    store_buffer = interface.store_buffer",
         "    merge_buffer = interface.merge_buffer",
-        f"    if load_queue.entries != {spec['lq']} or store_buffer.entries != {spec['sb']}:",
-        "        return None",
+        _check(f"load_queue.entries != {spec['lq']}"),
+        _check(f"store_buffer.entries != {spec['sb']}"),
         "    l1 = interface.hierarchy.l1",
         "    banks = l1.banks",
-        f"    if l1.hit_latency != {spec['hit_latency']} or len(banks) != {spec['nbanks']}:",
-        "        return None",
+        _check(f"l1.hit_latency != {spec['hit_latency']}"),
+        _check(f"len(banks) != {spec['nbanks']}"),
         "    bank0 = banks[0]",
-        f'    if bank0.array._replacement != "lru" or bank0.array.ways != {spec["ways"]}:',
-        "        return None",
+        _check('bank0.array._replacement != "lru"'),
+        _check(f"bank0.array.ways != {spec['ways']}"),
         "    translation = interface.translation",
         "    utlb = translation.utlb",
-        '    if type(utlb._policy).__name__ != "SecondChanceReplacement":',
-        "        return None",
+        _check('type(utlb._policy).__name__ != "SecondChanceReplacement"'),
     ]
     if kind == "Base1ldst":
         lines += [
-            "    if (",
-            "        interface.load_slots != 0",
-            "        or interface.store_slots != 0",
-            "        or interface.flexible_slots != 1",
-            "    ):",
-            "        return None",
+            _check("interface.load_slots != 0"),
+            _check("interface.store_slots != 0"),
+            _check("interface.flexible_slots != 1"),
         ]
     elif kind == "Base2ld1st":
         lines += [
-            "    if (",
-            "        interface.load_slots != 2",
-            "        or interface.store_slots != 1",
-            "        or interface.flexible_slots != 0",
-            "        or interface.loads_per_cycle != 2",
-            "        or interface._MAX_ACCESSES_PER_BANK != 2",
-            "        or interface._MAX_WRITES_PER_BANK != 1",
-            "    ):",
-            "        return None",
+            _check("interface.load_slots != 2"),
+            _check("interface.store_slots != 1"),
+            _check("interface.flexible_slots != 0"),
+            _check("interface.loads_per_cycle != 2"),
+            _check("interface._MAX_ACCESSES_PER_BANK != 2"),
+            _check("interface._MAX_WRITES_PER_BANK != 1"),
         ]
     else:  # MALEC
         lines += [
             "    ib = interface.input_buffer",
             "    arbitration = interface.arbitration",
-            "    if (",
-            "        interface.load_slots != 1",
-            "        or interface.store_slots != 0",
-            "        or interface.flexible_slots != 2",
-            f'        or interface.way_determination != "{spec["way_determination"]}"',
-            f"        or ib.held_capacity != {spec['held_capacity']}",
-            f"        or ib.new_loads_per_cycle != {spec['new_loads_per_cycle']}",
-            f"        or arbitration.result_buses != {spec['result_buses']}",
-            f"        or arbitration.merge_window != {spec['merge_window']}",
-            f'        or arbitration.merge_granularity != "{spec["merge_granularity"]}"',
-            "    ):",
-            "        return None",
+            _check("interface.load_slots != 1"),
+            _check("interface.store_slots != 0"),
+            _check("interface.flexible_slots != 2"),
+            _check(f'interface.way_determination != "{spec["way_determination"]}"'),
+            _check(f"ib.held_capacity != {spec['held_capacity']}"),
+            _check(f"ib.new_loads_per_cycle != {spec['new_loads_per_cycle']}"),
+            _check(f"arbitration.result_buses != {spec['result_buses']}"),
+            _check(f"arbitration.merge_window != {spec['merge_window']}"),
+            _check(f'arbitration.merge_granularity != "{spec["merge_granularity"]}"'),
         ]
     return "\n".join(lines) + "\n"
 
@@ -586,21 +573,14 @@ def _issue_load(spec: dict) -> str:
                             accepted = True
                     if accepted:
                         issued_f[seq] = 1
-                        address = addresses[seq]
-                        lq_entries[seq] = LoadQueueEntry(
-                            tag=seq,
-                            virtual_address=address,
-                            dispatch_cycle=cycle,
-                            issue_cycle=cycle,
-                        )
+                        lq_entries[seq] = cycle
                         acc_load_submit += 1
                         acc_ib_load_in += 1
                         ib._new.append(
                             MemoryAccessRequest(
                                 kind=AK_LOAD,
-                                virtual_address=address,
+                                virtual_address=addresses[seq],
                                 size=sizes[seq],
-                                arrival_cycle=cycle,
                                 tag=seq,
                                 layout=layout,
                             )
@@ -617,22 +597,9 @@ def _issue_load(spec: dict) -> str:
                     ):
                         {consume}
                         issued_f[seq] = 1
-                        address = addresses[seq]
-                        lq_entries[seq] = LoadQueueEntry(
-                            tag=seq,
-                            virtual_address=address,
-                            dispatch_cycle=cycle,
-                            issue_cycle=cycle,
-                        )
+                        lq_entries[seq] = cycle
                         acc_load_submit += 1
-                        pending_loads.append(
-                            PendingLoad(
-                                tag=seq,
-                                virtual_address=address,
-                                size=sizes[seq],
-                                submit_cycle=cycle,
-                            )
-                        )
+                        pending_loads.append((seq, addresses[seq], sizes[seq]))
                         interface_active = True
                         issued += 1
                     else:
@@ -679,12 +646,7 @@ def _issue_store(spec: dict) -> str:
                         store_order_head += 1
                         issued_f[seq] = 1
                         address = addresses[seq]
-                        sb_entry = StoreBufferEntry(
-                            tag=seq,
-                            virtual_address=address,
-                            size=sizes[seq],
-                            cycle=cycle,
-                        )
+                        sb_entry = StoreBufferEntry(seq, address, sizes[seq])
                         sb_entries.append(sb_entry)
                         sb_by_tag[seq] = sb_entry
                         acc_store_submit += 1{probe}
@@ -730,12 +692,8 @@ for fw_entry in reversed(sb_entries):
     if fw_start < fwd_end and {addr} < fw_start + fw_entry.size:
         acc_sb_forward += 1
         break
-if mb_entries:
-    fw_line = {addr} & {spec['line_neg_mask']}
-    for fw_entry in mb_entries:
-        if fw_entry.line_address == fw_line:
-            acc_mb_forward += 1
-            break"""
+if ({addr} & {spec['line_neg_mask']}) in mb_entries:
+    acc_mb_forward += 1"""
     return _shift(text, indent)
 
 
@@ -769,12 +727,8 @@ def _release_and_schedule(indent: int, tag: str, ready: str) -> str:
     scheduling (independent state, so interleaving them per completion is
     equivalent to the generic release-all-then-schedule-all order)."""
     text = f"""\
-lq_entry = lq_entries.pop({tag})
-lq_entry.complete_cycle = {ready}
-lq_issue = lq_entry.issue_cycle
-if lq_issue is not None:
-    acc_lq_latency += {ready} - lq_issue
-    acc_lq_completed += 1
+acc_lq_latency += {ready} - lq_entries.pop({tag})
+acc_lq_completed += 1
 if 0 <= {tag} < capacity and in_rob[{tag}] and not completed_f[{tag}]:
     if {ready} <= cycle + 1:
         due_next.append({tag})
@@ -802,15 +756,13 @@ def _tick(spec: dict) -> str:
 def _tick_1ldst(spec: dict) -> str:
     return f"""\
             if store_buffer._committed_count:
-                drain_committed(cycle)
+                drain_committed()
             if pending_loads:
-                load = pending_loads.popleft()
-                address = load.virtual_address
+                tag, address, size = pending_loads.popleft()
 {_translate_pair_inline(spec, "address", 16)}
-{_forwarding_inline(spec, "address", "load.size", "acc_fwd_full", 16)}
+{_forwarding_inline(spec, "address", "size", "acc_fwd_full", 16)}
 {_l1_conventional_inline(spec, "physical", 16)}
                 acc_load_accesses += 1
-                tag = load.tag
                 ready_cycle = cycle + translation_latency + latency
 {_release_and_schedule(16, "tag", "ready_cycle")}
             elif pending_writebacks:
@@ -821,7 +773,7 @@ def _tick_1ldst(spec: dict) -> str:
 def _tick_2ld1st(spec: dict) -> str:
     return f"""\
             if store_buffer._committed_count:
-                drain_committed(cycle)
+                drain_committed()
             if pending_loads or pending_writebacks:
                 completions = []
                 bank_accesses = {{}}
@@ -830,19 +782,17 @@ def _tick_2ld1st(spec: dict) -> str:
                 deferred_loads = []
                 while pending_loads and serviced < 2:
                     load = pending_loads.popleft()
-                    address = load.virtual_address
+                    tag, address, size = load
                     bank = bank_index_of(address)
                     if bank_accesses.get(bank, 0) >= 2:
                         deferred_loads.append(load)
                         acc_bank_conflict += 1
                         continue
 {_translate_pair_inline(spec, "address", 20)}
-{_forwarding_inline(spec, "address", "load.size", "acc_fwd_full", 20)}
+{_forwarding_inline(spec, "address", "size", "acc_fwd_full", 20)}
 {_l1_conventional_inline(spec, "physical", 20)}
                     bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
-                    completions.append(
-                        (load.tag, cycle + translation_latency + latency)
-                    )
+                    completions.append((tag, cycle + translation_latency + latency))
                     acc_load_accesses += 1
                     serviced += 1
                 for load in reversed(deferred_loads):
@@ -969,9 +919,9 @@ def _wdu_predict(spec: dict) -> str:
     if spec["way_determination"] != "wdu":
         return ""
     return """
-                    prediction = wdu_predict(physical_address)
-                    if prediction.known:
-                        way_hint = prediction.way"""
+                    wdu_way = wdu_predict(physical_address)
+                    if wdu_way is not None:
+                        way_hint = wdu_way"""
 
 
 def _tick_malec(spec: dict) -> str:
@@ -980,10 +930,10 @@ def _tick_malec(spec: dict) -> str:
         subblock_hoist = "\n                subblock_of = layout.subblock_in_line"
     return f"""\
             if store_buffer._committed_count:
-                drain_committed(cycle)
+                drain_committed()
             if mbe_backlog or ib._held or ib._new or ib._mbe is not None:
                 if mbe_backlog and ib._mbe is None:
-                    feed_mbe_slot(cycle)
+                    feed_mbe_slot()
                 held = ib._held
                 new = ib._new
                 mbe = ib._mbe{subblock_hoist}
@@ -1034,9 +984,7 @@ def _tick_malec(spec: dict) -> str:
                         if bank in bank_owner:
                             acc_arb_mbe_conflict += 1
                             continue
-                        bank_request = BankRequest(
-                            bank=bank, primary=request, is_write=True
-                        )
+                        bank_request = BankRequest(request, is_write=True)
                         bank_owner[bank] = bank_request
                         bank_requests.append(bank_request)
                         serviced.append(request)
@@ -1050,9 +998,7 @@ def _tick_malec(spec: dict) -> str:
                     if bank in bank_owner:
                         acc_rej_bank += 1
                         continue
-                    bank_request = BankRequest(
-                        bank=bank, primary=request, is_write=False
-                    )
+                    bank_request = BankRequest(request)
                     bank_owner[bank] = bank_request
                     bank_requests.append(bank_request)
                     serviced.append(request)
@@ -1144,18 +1090,10 @@ def _tick_malec(spec: dict) -> str:
                         if request.tag is not None:
                             completions.append((request.tag, ready_cycle))
                 # ---- InputBuffer.retire + end_cycle ----
-                serviced_ids = {{request.request_id for request in serviced}}
-                held2 = mk_deque(
-                    request
-                    for request in held
-                    if request.request_id not in serviced_ids
-                )
-                new2 = [
-                    request
-                    for request in new
-                    if request.request_id not in serviced_ids
-                ]
-                if mbe is not None and mbe.request_id in serviced_ids:
+                gone = set(serviced)
+                held2 = mk_deque(request for request in held if request not in gone)
+                new2 = [request for request in new if request not in gone]
+                if mbe is not None and mbe in gone:
                     ib._mbe = None
                     acc_mbe_out += 1
                 if new2:

@@ -227,15 +227,6 @@ class Simulator:
             return None
         return compile_kernel(self.config).entry
 
-    def _note_kernel_outcome(self, entry, pipeline) -> None:
-        """Record whether the measured pipeline actually used ``entry``."""
-        if entry is None:
-            return
-        self.kernel_used = pipeline.kernel_used
-        if pipeline.kernel_fallback:
-            self.kernel_fallback_reason = "runtime guard mismatch"
-            self._count_kernel_fallback(self.kernel_fallback_reason)
-
     def run(
         self,
         trace: Iterable[Instruction],
@@ -309,7 +300,7 @@ class Simulator:
                 kernel=entry,
             )
             outcome = pipeline.run(view.run_slice(warmup_count, total))
-            self._note_kernel_outcome(entry, pipeline)
+            self.kernel_used = pipeline.kernel_used
         finally:
             if gc_was_enabled:
                 gc.enable()

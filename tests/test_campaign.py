@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.campaign.aggregate import results_from_store, summarize_store
 from repro.campaign.executor import ParallelExecutor
@@ -49,6 +57,22 @@ def a_cell(**overrides) -> CampaignCell:
     )
     defaults.update(overrides)
     return CampaignCell(**defaults)
+
+
+def run_python(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this ``repro``.
+
+    A hang fails the test through ``subprocess.TimeoutExpired``.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def assert_results_equal(left, right) -> None:
@@ -208,6 +232,86 @@ class TestExecutor:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=0)
+
+    def test_killed_workers_end_in_a_serial_finish(self):
+        # Every pool worker SIGKILLs itself on its first cell.  The sweep
+        # must not hang: the broken pool raises and the serial pass
+        # computes every cell, exactly as a jobs=1 sweep does.
+        if multiprocessing.get_all_start_methods()[0] != "fork":
+            pytest.skip("the patched executor reaches workers only by fork")
+        script = """
+import json, os, signal
+from dataclasses import replace
+import repro.campaign.executor as executor_mod
+from repro.campaign.spec import campaign_preset
+from repro.campaign.store import result_to_dict
+
+parent = os.getpid()
+execute_cell = executor_mod._execute_cell
+
+def die_in_workers(cell, cache, kernel):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return execute_cell(cell, cache, kernel)
+
+executor_mod._execute_cell = die_in_workers
+executor = executor_mod.ParallelExecutor(jobs=2)
+results = executor.run(replace(campaign_preset("fig4-mini"), instructions=300))
+cells = {
+    f"{run.benchmark}/{name}": result_to_dict(result)
+    for run in results.runs
+    for name, result in run.results.items()
+}
+print(json.dumps({"used_pool": executor.used_pool, "cells": cells}))
+"""
+        child = run_python(script)
+        assert child.returncode == 0, child.stderr
+        out = json.loads(child.stdout.splitlines()[-1])
+        assert out["used_pool"]
+        serial = ParallelExecutor(jobs=1).run(
+            replace(campaign_preset("fig4-mini"), instructions=300)
+        )
+        expected = {
+            f"{run.benchmark}/{name}": result_to_dict(result)
+            for run in serial.runs
+            for name, result in run.results.items()
+        }
+        assert out["cells"] == json.loads(json.dumps(expected))
+
+    def test_interrupted_sweep_stops_its_workers(self):
+        # The first cell finishes and the progress callback interrupts the
+        # sweep while the other worker is stalled in its chunk: run() must
+        # raise at once instead of waiting for a chunk it would drop.
+        if multiprocessing.get_all_start_methods()[0] != "fork":
+            pytest.skip("the patched executor reaches workers only by fork")
+        script = """
+import os, time
+from dataclasses import replace
+import repro.campaign.executor as executor_mod
+from repro.campaign.spec import campaign_preset
+
+parent = os.getpid()
+execute_cell = executor_mod._execute_cell
+
+def stall_in_workers(cell, cache, kernel):
+    first = cell.benchmark == "gzip" and cell.config.name == "Base1ldst"
+    if os.getpid() != parent and not first:
+        time.sleep(600)
+    return execute_cell(cell, cache, kernel)
+
+def interrupt(event, cell, done, total):
+    raise KeyboardInterrupt
+
+executor_mod._execute_cell = stall_in_workers
+executor = executor_mod.ParallelExecutor(jobs=2, progress=interrupt)
+try:
+    executor.run(replace(campaign_preset("fig4-mini"), instructions=300))
+except KeyboardInterrupt:
+    print("interrupted", executor.used_pool)
+"""
+        child = run_python(script)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["interrupted", "True"]
 
 
 class TestAggregate:

@@ -34,6 +34,26 @@ def run_cycles(interface, cycles, start=0):
     return completions
 
 
+@pytest.mark.parametrize(
+    "interface_cls",
+    [BaselineSingleInterface, BaselineDualLoadInterface, MalecInterface],
+)
+def test_line_zero_eviction_is_written_back(interface_cls):
+    # Line address 0 is falsy: the merge-buffer eviction that returns it
+    # must still be queued and then written to the cache.
+    stats, interface = build(interface_cls, mb_entries=1)
+    for index, address in enumerate((addr(0, 0, 8), addr(0, 1))):
+        interface.begin_cycle(index)
+        interface.submit_store(f"st{index}", address, 4, index)
+        interface.commit_store(f"st{index}", index)
+        interface.tick(index)
+    assert stats["mb.eviction"] == 1
+    assert stats["interface.mbe_queued"] == 1
+    run_cycles(interface, 6, start=2)
+    assert stats["interface.mbe_written"] == 1
+    assert interface.quiescent()
+
+
 class TestSlotAccounting:
     def test_base1ldst_single_shared_slot(self):
         _, interface = build(BaselineSingleInterface)
@@ -113,7 +133,7 @@ class TestBaselineSingle:
         interface.commit_store("st", 0)
         interface.finalize(10)
         assert stats["interface.mbe_written"] == 1
-        assert not interface.pending_work
+        assert interface.quiescent()
 
 
 class TestBaselineDual:
@@ -252,7 +272,7 @@ class TestMalecInterface:
             interface.commit_store(f"st{index}", index)
             interface.tick(index)
         interface.finalize(100)
-        assert not interface.pending_work
+        assert interface.quiescent()
         assert stats["interface.mbe_written"] == 3
 
     def test_back_pressure_from_input_buffer(self):

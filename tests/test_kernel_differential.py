@@ -12,8 +12,8 @@ additionally pinned to ``tests/golden/stress_profiles.json``.
 
 The net also locks down the fallback contract: collector runs take the
 generic path and say why, a kernel compiled for a different configuration is
-rejected by its runtime guards (falling back, never corrupting results), and
-the selection is validated.
+rejected by its runtime guards (raising before it touches any state, never
+running the generic loop in its place), and the selection is validated.
 
 Regenerating the stress golden file is a deliberate act::
 
@@ -265,8 +265,8 @@ class TestFallbackContract:
 
     def test_foreign_kernel_rejected_by_runtime_guards(self):
         # A kernel compiled for MALEC attached to a baseline pipeline must
-        # refuse to run (guards return None) and leave the generic loop to
-        # produce the exact same result as a plain generic run.
+        # refuse to run: a guard raises, naming the failed check, before the
+        # simulator's state or stats are touched.
         trace = trace_for("gzip")
         config = SimulationConfig.base_1ldst()
         foreign = compile_kernel(SimulationConfig.malec()).entry
@@ -280,12 +280,28 @@ class TestFallbackContract:
             stats=simulator.stats,
             kernel=foreign,
         )
-        result = pipeline.run(view.run_slice(0, len(view)))
+        before = simulator.stats.as_dict()
+        with pytest.raises(RuntimeError, match='__name__ != "MalecInterface"'):
+            pipeline.run(view.run_slice(0, len(view)))
         assert not pipeline.kernel_used
-        assert pipeline.kernel_fallback
-        _, gen_stats, _ = run_pipeline_kernel(config, trace, "generic")
-        assert simulator.stats.as_dict() == gen_stats
-        assert result.instructions > 0
+        assert simulator.stats.as_dict() == before
+
+    def test_collector_guard_raises(self):
+        # The simulator never hands a kernel to a collector run; a pipeline
+        # built with both must refuse rather than run either loop.
+        trace = trace_for("gzip")
+        config = SimulationConfig.malec()
+        simulator = Simulator(config)
+        pipeline = OutOfOrderPipeline(
+            simulator.interface,
+            params=simulator._pipeline_parameters(),
+            stats=simulator.stats,
+            collector=RunCollector(),
+            kernel=compile_kernel(config).entry,
+        )
+        with pytest.raises(RuntimeError, match="pipeline.collector is not None"):
+            pipeline.run(trace)
+        assert not pipeline.kernel_used
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):

@@ -105,13 +105,10 @@ def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
         )
         physical, _ = translation.translate_pair(virtual)
         line_in_page = layout.line_in_page(virtual)
-        prediction = way_tables.predict_line(layout.page_id(virtual), line_in_page)
+        way = way_tables.predict_page(layout.page_id(virtual)).way_of(line_in_page)
         physical_line = layout.line_address(physical)
-        if prediction.known:
-            assert hierarchy.l1.way_of(physical_line) == prediction.way, (
-                hex(virtual),
-                prediction.way,
-            )
+        if way is not None:
+            assert hierarchy.l1.way_of(physical_line) == way, (hex(virtual), way)
         # Access (and possibly fill) the line, mutating cache + way tables.
         hierarchy.l1.load_parts(physical)
 

@@ -19,6 +19,7 @@ import pytest
 from repro.campaign.spec import campaign_preset
 from repro.obs import telemetry
 from repro.serve import MAX_JOBS, ReproServer, _RequestError
+from repro.sim.simulator import SimulationResult
 
 POLL_TIMEOUT = 300.0
 
@@ -272,3 +273,30 @@ class TestRoundTrip:
         status, listing = request(server, "GET", "/api/v1/campaigns")
         assert status == 200
         assert [job["id"] for job in listing["campaigns"]] == ["c0001"]
+
+    def test_finished_job_keeps_its_frontier_not_its_results(self, idle_server):
+        status, submitted = idle_server.dispatch(
+            "POST",
+            "/api/v1/campaigns",
+            {"preset": "fig4-mini", "benchmarks": ["gzip"], "instructions": 300},
+        )
+        assert status == 202
+        frontier_path = f"/api/v1/campaigns/{submitted['id']}/frontier"
+        with pytest.raises(_RequestError) as queued:
+            idle_server.dispatch("GET", frontier_path, None)
+        assert queued.value.status == 409
+        job = idle_server._job(submitted["id"])
+        idle_server._run_job(job)  # the worker thread's step, run inline
+        assert job.state == "done"
+        held, values = [], list(vars(job).values())
+        while values:
+            value = values.pop()
+            if isinstance(value, dict):
+                values += [*value.keys(), *value.values()]
+            elif isinstance(value, (list, tuple)):
+                values += value
+            elif isinstance(value, SimulationResult):
+                held.append(value)
+        assert not held
+        status, frontier = idle_server.dispatch("GET", frontier_path, None)
+        assert status == 200 and frontier is job.frontier

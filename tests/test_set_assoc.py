@@ -15,13 +15,14 @@ class TestLookupAndFill:
         assert eviction is None
         assert array.find_way(0, tag=7, update_replacement=False) == way
 
-    def test_fill_existing_refreshes_payload(self):
+    def test_fill_existing_refreshes_dirtiness(self):
         array = SetAssociativeArray(num_sets=1, ways=2)
-        way1, _ = array.fill(0, tag=1, payload="a")
-        way2, eviction = array.fill(0, tag=1, payload="b")
+        way1, _ = array.fill(0, tag=1)
+        way2, eviction = array.fill(0, tag=1, dirty=True)
         assert way1 == way2 and eviction is None
-        way = array.find_way(0, tag=1, update_replacement=False)
-        assert array.line(0, way).payload == "b"
+        assert array.line(0, way1).dirty
+        array.fill(0, tag=1)  # a clean refill keeps the line dirty
+        assert array.line(0, way1).dirty
 
     def test_eviction_when_set_full(self):
         array = SetAssociativeArray(num_sets=1, ways=2)

@@ -18,17 +18,21 @@ def addr(page: int, line: int, offset: int = 0) -> int:
     return layout.compose_line(page, line, offset)
 
 
+def predicted_way(tables, virtual_page: int, line_in_page: int):
+    """The way the tables determine for one line of a translated page."""
+    return tables.predict_page(virtual_page).way_of(line_in_page)
+
+
 class TestWayTableEntry:
     def test_initially_unknown(self):
         entry = WayTableEntry()
         for line in range(layout.lines_per_page):
-            assert not entry.lookup(line).known
+            assert entry.way_of(line) is None
 
     def test_update_and_lookup(self):
         entry = WayTableEntry()
         assert entry.update(5, way=3)
-        prediction = entry.lookup(5)
-        assert prediction.known and prediction.way == 3
+        assert entry.way_of(5) == 3
 
     def test_excluded_way_rotates_per_line_group(self):
         entry = WayTableEntry()
@@ -43,13 +47,13 @@ class TestWayTableEntry:
         entry = WayTableEntry()
         # Line 4 excludes way 1 (Sec. V).
         assert not entry.update(4, way=1)
-        assert not entry.lookup(4).known
+        assert entry.way_of(4) is None
 
     def test_invalidate_line(self):
         entry = WayTableEntry()
         entry.update(7, way=2)
         entry.invalidate_line(7)
-        assert not entry.lookup(7).known
+        assert entry.way_of(7) is None
 
     def test_clear(self):
         entry = WayTableEntry()
@@ -62,7 +66,7 @@ class TestWayTableEntry:
         a, b = WayTableEntry(), WayTableEntry()
         a.update(1, way=2)
         b.copy_from(a)
-        assert b.lookup(1).way == 2
+        assert b.way_of(1) == 2
 
     def test_storage_bits_match_paper(self):
         entry = WayTableEntry()
@@ -73,7 +77,7 @@ class TestWayTableEntry:
     def test_bad_line_index_rejected(self):
         entry = WayTableEntry()
         with pytest.raises(ValueError):
-            entry.lookup(64)
+            entry.invalidate_line(64)
         with pytest.raises(ValueError):
             entry.update(-1, 0)
         with pytest.raises(ValueError):
@@ -88,12 +92,11 @@ class TestWayTableEntry:
         """Any (line, way) either round-trips exactly or reports unknown."""
         entry = WayTableEntry()
         encoded = entry.update(line, way)
-        prediction = entry.lookup(line)
         if encoded:
-            assert prediction.known and prediction.way == way
+            assert entry.way_of(line) == way
         else:
             assert way == entry.excluded_way(line)
-            assert not prediction.known
+            assert entry.way_of(line) is None
 
 
 class TestWayTableHierarchy:
@@ -109,9 +112,7 @@ class TestWayTableHierarchy:
         stats, translation, l1, tables = self._system()
         paddr, _ = translation.translate_pair(addr(5, 0))
         way = l1.load_parts(paddr)[1]  # miss + fill -> tables learn the way
-        prediction = tables.predict_line(5, layout.line_in_page(paddr))
-        assert prediction.known
-        assert prediction.way == way
+        assert predicted_way(tables, 5, layout.line_in_page(paddr)) == way
 
     def test_eviction_clears_validity(self):
         stats, translation, l1, tables = self._system()
@@ -119,14 +120,15 @@ class TestWayTableHierarchy:
         paddr, _ = translation.translate_pair(addr(5, 0))
         way = l1.load_parts(paddr)[1]
         tables.on_line_evict(layout.line_address(paddr), way)
-        assert not tables.predict_line(5, layout.line_in_page(paddr)).known
+        assert predicted_way(tables, 5, layout.line_in_page(paddr)) is None
 
     def test_prediction_allows_reduced_access(self):
         stats, translation, l1, tables = self._system()
         paddr, _ = translation.translate_pair(addr(6, 3))
         l1.load_parts(paddr)
-        prediction = tables.predict_line(6, layout.line_in_page(paddr))
-        hit, _, _, reduced, _, hint_wrong = l1.load_parts(paddr, way_hint=prediction.way)
+        way = predicted_way(tables, 6, layout.line_in_page(paddr))
+        assert way is not None
+        hit, _, _, reduced, _, hint_wrong = l1.load_parts(paddr, way_hint=way)
         assert hit and reduced and not hint_wrong
 
     def test_feedback_update_after_unknown_conventional_hit(self):
@@ -137,9 +139,9 @@ class TestWayTableHierarchy:
         # Forget the way (simulates a page whose WT entry was lost).
         slot = translation.utlb.reverse_lookup(layout.page_id(paddr), count_event=False)
         tables.uwt.clear_entry(slot)
-        assert not tables.predict_line(7, line).known
+        assert predicted_way(tables, 7, line) is None
         tables.feedback_conventional_hit(paddr, way)
-        assert tables.predict_line(7, line).known
+        assert predicted_way(tables, 7, line) == way
 
     def test_feedback_disabled_is_a_noop(self):
         stats, translation, l1, tables = self._system(feedback=False)
@@ -147,22 +149,21 @@ class TestWayTableHierarchy:
         way = l1.load_parts(paddr)[1]
         slot = translation.utlb.reverse_lookup(layout.page_id(paddr), count_event=False)
         tables.uwt.clear_entry(slot)
-        tables.predict_line(7, layout.line_in_page(paddr))
+        assert predicted_way(tables, 7, layout.line_in_page(paddr)) is None
         tables.feedback_conventional_hit(paddr, way)
-        assert not tables.predict_line(7, layout.line_in_page(paddr)).known
+        assert predicted_way(tables, 7, layout.line_in_page(paddr)) is None
 
     def test_utlb_eviction_writes_entry_back_to_wt(self):
         stats, translation, l1, tables = self._system()
         # Touch page 0 and learn a way.
         paddr, _ = translation.translate_pair(addr(0, 1))
-        l1.load_parts(paddr)
+        way = l1.load_parts(paddr)[1]
         line = layout.line_in_page(paddr)
         # Touch enough other pages to push page 0 out of the 16-entry uTLB.
         for page in range(1, 40):
             translation.translate_pair(addr(page, 0))
         # The information must survive in the WT and refill the uWT on re-touch.
-        prediction = tables.predict_line(0, line)
-        assert prediction.known
+        assert predicted_way(tables, 0, line) == way
 
     def test_tlb_eviction_loses_way_information(self):
         stats = StatCounters()
@@ -174,16 +175,12 @@ class TestWayTableHierarchy:
         l1.load_parts(paddr)
         for page in range(1, 30):
             translation.translate_pair(addr(page, 0))
-        # Page 0 left the 4-entry TLB entirely: a fresh entry starts invalid.
-        assert not tables.predict_line(0, layout.line_in_page(paddr)).known
+        # Page 0 left the 4-entry TLB entirely: no entry covers it any more,
+        # and re-translating it allocates a fresh, all-invalid entry.
+        assert tables.predict_page(0) is None
+        translation.translate_pair(addr(0, 1))
+        assert predicted_way(tables, 0, layout.line_in_page(paddr)) is None
         assert stats["wt.page_invalidated"] >= 1
-
-    def test_coverage_property(self):
-        stats, translation, l1, tables = self._system()
-        paddr, _ = translation.translate_pair(addr(9, 0))
-        l1.load_parts(paddr)
-        tables.predict_line(9, 0)
-        assert 0.0 <= tables.coverage <= 1.0
 
     def test_storage_accounting(self):
         stats, translation, l1, tables = self._system()
@@ -195,25 +192,24 @@ class TestWayDeterminationUnit:
     def test_unknown_then_known(self):
         wdu = WayDeterminationUnit(entries=4)
         address = addr(3, 1)
-        assert not wdu.predict(address).known
+        assert wdu.predict(address) is None
         wdu.record(address, way=2)
-        prediction = wdu.predict(address)
-        assert prediction.known and prediction.way == 2
+        assert wdu.predict(address) == 2
 
     def test_lru_eviction_by_capacity(self):
         wdu = WayDeterminationUnit(entries=2)
         wdu.record(addr(1, 0), 0)
         wdu.record(addr(1, 1), 1)
         wdu.record(addr(1, 2), 2)  # evicts the oldest entry
-        assert not wdu.predict(addr(1, 0)).known
-        assert wdu.predict(addr(1, 2)).known
+        assert wdu.predict(addr(1, 0)) is None
+        assert wdu.predict(addr(1, 2)) == 2
         assert wdu.occupancy == 2
 
     def test_cache_eviction_invalidates_entry(self):
         wdu = WayDeterminationUnit(entries=8)
         wdu.record(addr(2, 0), 1)
         wdu.on_line_evict(addr(2, 0), 1)
-        assert not wdu.predict(addr(2, 0)).known
+        assert wdu.predict(addr(2, 0)) is None
 
     def test_attach_to_cache_tracks_fills(self):
         stats = StatCounters()
@@ -221,8 +217,7 @@ class TestWayDeterminationUnit:
         wdu = WayDeterminationUnit(entries=16, stats=stats)
         wdu.attach_to_cache(l1)
         way = l1.load_parts(addr(4, 0))[1]
-        prediction = wdu.predict(addr(4, 0))
-        assert prediction.known and prediction.way == way
+        assert wdu.predict(addr(4, 0)) == way
 
     def test_rejects_bad_way(self):
         wdu = WayDeterminationUnit(entries=4)
