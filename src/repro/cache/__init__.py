@@ -19,7 +19,6 @@ from repro.cache.replacement import (
     RandomReplacement,
     ReplacementPolicy,
     SecondChanceReplacement,
-    TreePLRUReplacement,
     make_replacement_policy,
 )
 from repro.cache.set_assoc import CacheLineState, SetAssociativeArray
@@ -32,7 +31,6 @@ __all__ = [
     "LRUReplacement",
     "RandomReplacement",
     "SecondChanceReplacement",
-    "TreePLRUReplacement",
     "make_replacement_policy",
     "CacheLineState",
     "SetAssociativeArray",

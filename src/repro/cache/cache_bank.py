@@ -13,9 +13,10 @@ A bank exposes the two access modes of Sec. V:
   WDU) so the tag arrays are bypassed and exactly one data array is read.
 
 The bank counts the array-level events (``tag_read``, ``data_read``,
-``data_write`` …) that the energy model converts into joules, and tracks how
-many ports were used each cycle so that the single-ported restriction can be
-enforced by the interface models.
+``data_write`` …) that the energy model converts into joules.  Port limits
+are the interface models' business: each interface decides which accesses
+reach which bank in a cycle, and the energy model takes the port count from
+:attr:`repro.sim.config.SimulationConfig.l1_read_ports`.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ class CacheBank:
         naming and address reconstruction.
     layout:
         Shared address geometry.
-    read_ports / write_ports:
-        Number of read and write ports.  The MALEC and Base1ldst
-        configurations use 1 read/write port; Base2ld1st adds one read port
-        (Table I).  Port usage is tracked per cycle by the interface models.
     stats:
         Shared counters; events are prefixed with ``l1.``.
     restrict_way_allocation:
@@ -52,10 +49,6 @@ class CacheBank:
         self,
         bank_index: int,
         layout: AddressLayout = DEFAULT_LAYOUT,
-        read_ports: int = 1,
-        write_ports: int = 1,
-        replacement: str = "lru",
-        seed: int = 0,
         stats: Optional[StatCounters] = None,
         restrict_way_allocation: bool = False,
         on_evict: Optional[Callable[[int, int], None]] = None,
@@ -63,8 +56,6 @@ class CacheBank:
     ) -> None:
         self.bank_index = bank_index
         self.layout = layout
-        self.read_ports = read_ports
-        self.write_ports = write_ports
         self.stats = stats if stats is not None else StatCounters()
         self.restrict_way_allocation = restrict_way_allocation
         self._on_evict = on_evict
@@ -72,8 +63,6 @@ class CacheBank:
         self.array = SetAssociativeArray(
             num_sets=layout.l1_sets_per_bank,
             ways=layout.l1_associativity,
-            replacement=replacement,
-            seed=seed,
             on_evict=self._handle_eviction,
         )
         # Per-access counters resolved to integer slots once (hot path).
@@ -97,11 +86,13 @@ class CacheBank:
             (self._h_tag_read, ways),
             (self._h_data_read, ways),
             (self._h_conventional_access, 1),
+            (self._h_subblock_pair_read, 1),
         )
         self._combo_reduced_read = (
             (self._h_ctrl, 1),
             (self._h_data_read, 1),
             (self._h_reduced_access, 1),
+            (self._h_subblock_pair_read, 1),
         )
         self._combo_conv_write = (
             (self._h_ctrl, 1),
@@ -157,21 +148,14 @@ class CacheBank:
         if self._on_evict is not None:
             self._on_evict(address, record.way)
 
-    def read_parts(
-        self,
-        set_index: int,
-        tag: int,
-        way_hint: Optional[int],
-        paired_subblock: bool = True,
-    ):
+    def read_parts(self, set_index: int, tag: int, way_hint: Optional[int]):
         """Service a load of the line ``tag`` in ``set_index``.
 
         ``way_hint`` is the way supplied by a way table or WDU; ``None`` means
-        unknown and forces a conventional access.  ``paired_subblock`` records
-        whether the data arrays return two adjacent sub-blocks (the MALEC
-        assumption that doubles merge opportunities); it only affects event
-        accounting, not hit/miss behaviour.  The caller has decomposed the
-        address and routed it to this bank.
+        unknown and forces a conventional access.  Every read returns two
+        adjacent sub-blocks (the MALEC assumption that doubles merge
+        opportunities) and counts one ``l1.subblock_pair_read``.  The caller
+        has decomposed the address and routed it to this bank.
 
         Returns ``(hit, way, reduced, way_hint_wrong)``.  ``way_hint_wrong``
         is True when a supplied hint did not match.  Page-Based Way
@@ -187,8 +171,6 @@ class CacheBank:
             # an earlier fill touched it.)
             line = self.array._lines(set_index)[way_hint]
             stats.bump_many(self._combo_reduced_read)
-            if paired_subblock:
-                stats.bump(self._h_subblock_pair_read)
             if line.valid and line.tag == tag:
                 self.array.find_way(set_index, tag)  # refresh replacement state
                 return True, way_hint, True, False
@@ -196,15 +178,11 @@ class CacheBank:
             # never produce this (validity is tracked), but WDU-style
             # predictors might.
             stats.bump(self._h_way_hint_wrong)
-            hit, way, reduced, _ = self.read_parts(
-                set_index, tag, None, paired_subblock
-            )
+            hit, way, reduced, _ = self.read_parts(set_index, tag, None)
             return hit, way, reduced, True
 
         # Conventional access: all tag arrays and all data arrays probed.
         stats.bump_many(self._combo_conv_read)
-        if paired_subblock:
-            stats.bump(self._h_subblock_pair_read)
         way = self.array.find_way(set_index, tag)
         if way is not None:
             return True, way, False, False

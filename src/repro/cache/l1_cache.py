@@ -33,28 +33,20 @@ class L1DataCache:
         self,
         layout: AddressLayout = DEFAULT_LAYOUT,
         hit_latency: int = 2,
-        read_ports_per_bank: int = 1,
-        write_ports_per_bank: int = 1,
-        replacement: str = "lru",
         restrict_way_allocation: bool = False,
         l2: Optional[L2Cache] = None,
         stats: Optional[StatCounters] = None,
-        seed: int = 0,
     ) -> None:
         self.layout = layout
         self.hit_latency = hit_latency
         self.stats = stats if stats is not None else StatCounters()
-        self.l2 = l2 if l2 is not None else L2Cache(layout=layout, stats=self.stats, seed=seed)
+        self.l2 = l2 if l2 is not None else L2Cache(layout=layout, stats=self.stats)
         self._fill_listeners: List[LineListener] = []
         self._evict_listeners: List[LineListener] = []
         self.banks: List[CacheBank] = [
             CacheBank(
                 bank_index=index,
                 layout=layout,
-                read_ports=read_ports_per_bank,
-                write_ports=write_ports_per_bank,
-                replacement=replacement,
-                seed=seed + index,
                 stats=self.stats,
                 restrict_way_allocation=restrict_way_allocation,
                 on_evict=self._notify_evict,
@@ -101,17 +93,12 @@ class L1DataCache:
         """Bank that owns ``physical_address``."""
         return self.banks[self.layout.decompose(physical_address).bank_index]
 
-    def load_parts(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        allocate_on_miss: bool = True,
-    ):
+    def load_parts(self, physical_address: int, way_hint: Optional[int] = None):
         """Service a load, handling the miss path through L2/DRAM.
 
         ``way_hint`` (from a way table or WDU; ``None`` = unknown) selects a
-        reduced access.  A miss fetches the line from the L2 and, with
-        ``allocate_on_miss``, fills it, writing back a dirty victim.
+        reduced access.  A miss fetches the line from the L2 and fills it,
+        writing back a dirty victim.
         Returns ``(hit, way, latency, reduced, bank_index, way_hint_wrong)``:
         ``way`` is the hit or filled way, ``latency`` includes L2/DRAM time
         on a miss, and ``way_hint_wrong`` flags a hint that did not match.
@@ -128,21 +115,14 @@ class L1DataCache:
 
         self.stats.bump_many(self._combo_load_miss)
         miss_latency = self.l2.access(physical_address, is_write=False)
-        way = None
-        if allocate_on_miss:
-            way, evicted_address, evicted_dirty = bank.fill_parts(
-                physical_address, parts.set_index, parts.tag, False
-            )
-            if evicted_dirty:
-                self.l2.access(evicted_address, is_write=True)
+        way, evicted_address, evicted_dirty = bank.fill_parts(
+            physical_address, parts.set_index, parts.tag, False
+        )
+        if evicted_dirty:
+            self.l2.access(evicted_address, is_write=True)
         return False, way, self.hit_latency + miss_latency, False, bank_index, hint_wrong
 
-    def store_parts(
-        self,
-        physical_address: int,
-        way_hint: Optional[int] = None,
-        allocate_on_miss: bool = True,
-    ):
+    def store_parts(self, physical_address: int, way_hint: Optional[int] = None):
         """Service a store (write-allocate, write-back).
 
         Returns ``(hit, way, latency, reduced, bank_index)``, as
@@ -158,14 +138,12 @@ class L1DataCache:
 
         self.stats.bump_many(self._combo_store_miss)
         miss_latency = self.l2.access(physical_address, is_write=False)
-        way = None
-        if allocate_on_miss:
-            way, evicted_address, evicted_dirty = bank.fill_parts(
-                physical_address, parts.set_index, parts.tag, True
-            )
-            self.stats.bump(self._h_data_write, 1)
-            if evicted_dirty:
-                self.l2.access(evicted_address, is_write=True)
+        way, evicted_address, evicted_dirty = bank.fill_parts(
+            physical_address, parts.set_index, parts.tag, True
+        )
+        self.stats.bump(self._h_data_write, 1)
+        if evicted_dirty:
+            self.l2.access(evicted_address, is_write=True)
         return False, way, self.hit_latency + miss_latency, False, bank_index
 
     # ------------------------------------------------------------------

@@ -20,47 +20,38 @@ from repro.stats import StatCounters
 class L2Cache:
     """Single-array unified L2 backed by a DRAM model.
 
+    The geometry is Table II's: :attr:`CAPACITY_BYTES` (1 MByte) in
+    :attr:`ASSOCIATIVITY` (16) ways, so 64-byte lines give 1024 sets.
+    Capacity, ways and line size are powers of two, so the set count is one
+    too and the set index is a mask of the line number.
+
     Parameters
     ----------
-    capacity_bytes / associativity / latency_cycles:
-        Table II values by default (1 MByte, 16-way, 12 cycles).
+    latency_cycles:
+        Access latency (Table II: 12 cycles).
     dram:
         Backing store; a default :class:`~repro.memory.dram.DRAMModel` is
         created when omitted.
     """
 
+    CAPACITY_BYTES = 1024 * 1024
+    ASSOCIATIVITY = 16
+
     def __init__(
         self,
-        capacity_bytes: int = 1024 * 1024,
-        associativity: int = 16,
         latency_cycles: int = 12,
         layout: AddressLayout = DEFAULT_LAYOUT,
         dram: Optional[DRAMModel] = None,
-        replacement: str = "lru",
         stats: Optional[StatCounters] = None,
-        seed: int = 0,
     ) -> None:
-        if capacity_bytes % (associativity * layout.line_bytes):
-            raise ValueError("L2 capacity must divide into ways and lines")
         self.layout = layout
         self.latency_cycles = latency_cycles
         self.stats = stats if stats is not None else StatCounters()
         self.dram = dram if dram is not None else DRAMModel(layout=layout, stats=self.stats)
-        self.num_sets = capacity_bytes // (associativity * layout.line_bytes)
-        self.associativity = associativity
-        # Power-of-two set counts (the default geometry) split with masks.
-        if self.num_sets & (self.num_sets - 1) == 0:
-            self._set_mask = self.num_sets - 1
-            self._set_bits = self.num_sets.bit_length() - 1
-        else:
-            self._set_mask = None
-            self._set_bits = 0
-        self.array = SetAssociativeArray(
-            num_sets=self.num_sets,
-            ways=associativity,
-            replacement=replacement,
-            seed=seed,
-        )
+        self.num_sets = self.CAPACITY_BYTES // (self.ASSOCIATIVITY * layout.line_bytes)
+        self._set_mask = self.num_sets - 1
+        self._set_bits = self.num_sets.bit_length() - 1
+        self.array = SetAssociativeArray(num_sets=self.num_sets, ways=self.ASSOCIATIVITY)
         # Per-access counters resolved to integer slots once (hot path).
         self._h_access = self.stats.handle("l2.access")
         self._h_hit = self.stats.handle("l2.hit")
@@ -73,9 +64,7 @@ class L2Cache:
     # ------------------------------------------------------------------
     def _set_and_tag(self, physical_address: int) -> tuple[int, int]:
         line = self.layout.line_number(physical_address)
-        if self._set_mask is not None:
-            return line & self._set_mask, line >> self._set_bits
-        return line % self.num_sets, line // self.num_sets
+        return line & self._set_mask, line >> self._set_bits
 
     def access(self, physical_address: int, is_write: bool = False) -> int:
         """Access the L2 for a line; returns the total latency in cycles.

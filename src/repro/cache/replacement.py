@@ -1,9 +1,8 @@
 """Replacement policies for set-associative structures.
 
-The reproduction needs several policies:
+The reproduction needs three policies:
 
-* **LRU** for the L1 data cache and L2 (a common, deterministic default).
-* **Tree-PLRU** as a cheaper alternative used in ablations.
+* **LRU** for every cache array: the L1 banks and the L2.
 * **Random** for the main TLB (Sec. V: "random replacement for the TLB").
 * **Second chance** for the uTLB (Sec. V chooses it specifically to reduce
   the number of full uWT→WT entry transfers on eviction).
@@ -54,18 +53,14 @@ class ReplacementPolicy(ABC):
         if way < 0 or way >= self.ways:
             raise ValueError(f"way {way} outside 0..{self.ways - 1}")
 
+    @abstractmethod
     def victim_full(self) -> int:
         """Victim when every way is valid and nothing is excluded.
 
         Semantically identical to ``victim([True] * ways)``; containers that
-        track their valid count call this to skip building the mask (and, in
-        subclasses with a dedicated override, the candidate filtering) on the
-        steady-state fill path.
+        track their valid count call this to skip building the mask and the
+        candidate filtering on the steady-state fill path.
         """
-        mask = getattr(self, "_full_mask", None)
-        if mask is None:
-            mask = self._full_mask = [True] * self.ways
-        return self.victim(mask)
 
     def _candidates(
         self, valid_mask: Sequence[bool], excluded_way: Optional[int]
@@ -126,46 +121,6 @@ class LRUReplacement(ReplacementPolicy):
             if way != excluded_way:
                 return way
         raise RuntimeError("LRU stack lost track of ways")  # pragma: no cover
-
-
-class TreePLRUReplacement(ReplacementPolicy):
-    """Tree pseudo-LRU (binary decision tree), the classic low-cost policy."""
-
-    def __init__(self, ways: int) -> None:
-        super().__init__(ways)
-        if ways & (ways - 1):
-            raise ValueError("tree-PLRU requires a power-of-two number of ways")
-        self._bits = [False] * max(ways - 1, 1)
-
-    def touch(self, way: int) -> None:
-        self._check_way(way)
-        node = 0
-        size = self.ways
-        while size > 1:
-            half = size // 2
-            go_right = way >= half
-            # Point the bit away from the touched way.
-            self._bits[node] = not go_right
-            node = 2 * node + (2 if go_right else 1)
-            way -= half if go_right else 0
-            size = half
-
-    def victim(self, valid_mask: Sequence[bool], excluded_way: Optional[int] = None) -> int:
-        candidates = self._candidates(valid_mask, excluded_way)
-        if len(candidates) == 1:
-            return candidates[0]
-        # Follow the tree; if the pointed-to way is not a candidate fall back
-        # to the lowest-numbered candidate (keeps the policy deterministic).
-        node = 0
-        base = 0
-        size = self.ways
-        while size > 1:
-            half = size // 2
-            go_right = self._bits[node]
-            node = 2 * node + (2 if go_right else 1)
-            base += half if go_right else 0
-            size = half
-        return base if base in candidates else candidates[0]
 
 
 class RandomReplacement(ReplacementPolicy):
@@ -249,7 +204,6 @@ class SecondChanceReplacement(ReplacementPolicy):
 
 _POLICIES = {
     "lru": LRUReplacement,
-    "plru": TreePLRUReplacement,
     "random": RandomReplacement,
     "second_chance": SecondChanceReplacement,
 }
@@ -258,7 +212,7 @@ _POLICIES = {
 def make_replacement_policy(name: str, ways: int, seed: int = 0) -> ReplacementPolicy:
     """Factory used by configuration code.
 
-    ``name`` is one of ``lru``, ``plru``, ``random`` or ``second_chance``.
+    ``name`` is one of ``lru``, ``random`` or ``second_chance``.
     """
     try:
         cls = _POLICIES[name]

@@ -4,7 +4,8 @@
 banks, the L2 cache and (as a degenerate fully-associative case) the TLBs:
 tag match, fill with victim selection, eviction and explicit invalidation.
 It stores *metadata only* — the reproduction is a timing/energy model, so no
-actual data bytes are kept, only tags, validity and dirtiness.
+actual data bytes are kept, only tags, validity and dirtiness.  Every cache
+array replaces true-LRU; no configuration selects another policy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.cache.replacement import ReplacementPolicy, make_replacement_policy
+from repro.cache.replacement import LRUReplacement
 
 
 class CacheLineState:
@@ -51,11 +52,6 @@ class SetAssociativeArray:
         Number of sets (1 gives a fully-associative structure).
     ways:
         Associativity.
-    replacement:
-        Replacement policy name understood by
-        :func:`repro.cache.replacement.make_replacement_policy`.
-    seed:
-        Seed forwarded to stochastic replacement policies.
     on_evict:
         Optional callback invoked with an :class:`EvictionRecord` whenever a
         valid line is displaced or invalidated.  The L1 uses it to keep the
@@ -66,8 +62,6 @@ class SetAssociativeArray:
         self,
         num_sets: int,
         ways: int,
-        replacement: str = "lru",
-        seed: int = 0,
         on_evict: Optional[Callable[[EvictionRecord], None]] = None,
     ) -> None:
         if num_sets <= 0:
@@ -77,23 +71,19 @@ class SetAssociativeArray:
         self.num_sets = num_sets
         self.ways = ways
         self.on_evict = on_evict
-        self._replacement = replacement
-        self._seed = seed
         # Sets are materialised lazily on first touch: a 1 MByte L2 would
         # otherwise allocate 16 K line-state objects and 1 K policies per
-        # simulator even though short runs touch a fraction of them.  Each
-        # set's replacement policy is still seeded ``seed + set_index``, so
-        # lazy construction is bit-identical to the eager one.
+        # simulator even though short runs touch a fraction of them.  A fresh
+        # LRU stack is the same whenever it is built, so lazy construction is
+        # bit-identical to the eager one.
         self._sets: Dict[int, List[CacheLineState]] = {}
-        self._policies: Dict[int, ReplacementPolicy] = {}
+        self._policies: Dict[int, LRUReplacement] = {}
         # Per-set tag -> way index, kept coherent by every mutator; lookups
         # are a dict probe instead of an O(ways) scan over line objects.
         # (All line-state mutation flows through fill/mark_dirty/invalidate*,
         # so the index can never go stale.)  len(tags) doubles as the set's
         # valid count, so the steady-state fill path skips mask building.
         self._tags: Dict[int, Dict[int, int]] = {}
-        # Validate the policy name eagerly (and keep the error site here):
-        make_replacement_policy(replacement, ways, seed=seed)
 
     # ------------------------------------------------------------------
     # Lazy set materialisation
@@ -106,13 +96,11 @@ class SetAssociativeArray:
             self._tags[set_index] = {}
         return lines
 
-    def _policy(self, set_index: int) -> ReplacementPolicy:
-        """The replacement policy of ``set_index`` (lazily constructed)."""
+    def _policy(self, set_index: int) -> LRUReplacement:
+        """The LRU state of ``set_index`` (lazily constructed)."""
         policy = self._policies.get(set_index)
         if policy is None:
-            policy = self._policies[set_index] = make_replacement_policy(
-                self._replacement, self.ways, seed=self._seed + set_index
-            )
+            policy = self._policies[set_index] = LRUReplacement(self.ways)
         return policy
 
     # ------------------------------------------------------------------
@@ -168,15 +156,13 @@ class SetAssociativeArray:
         tag: int,
         dirty: bool = False,
         excluded_way: Optional[int] = None,
-        preferred_way: Optional[int] = None,
     ) -> tuple[int, Optional[EvictionRecord]]:
         """Insert ``tag`` into ``set_index`` and return ``(way, eviction)``.
 
         If the tag is already present its dirtiness is refreshed in place.
-        Otherwise a victim is chosen (honouring ``excluded_way`` and
-        ``preferred_way``) and, if it held a valid line, an
-        :class:`EvictionRecord` is produced and the ``on_evict`` callback
-        fired.
+        Otherwise a victim is chosen (honouring ``excluded_way``) and, if it
+        held a valid line, an :class:`EvictionRecord` is produced and the
+        ``on_evict`` callback fired.
         """
         self._check_set(set_index)
         lines = self._lines(set_index)
@@ -189,11 +175,7 @@ class SetAssociativeArray:
             return existing_way, None
 
         policy = self._policy(set_index)
-        if preferred_way is not None:
-            if preferred_way == excluded_way:
-                raise ValueError("preferred way conflicts with excluded way")
-            way = preferred_way
-        elif excluded_way is None and len(tags) == self.ways:
+        if excluded_way is None and len(tags) == self.ways:
             # Steady state (every way valid, nothing excluded): skip the mask.
             way = policy.victim_full()
         else:

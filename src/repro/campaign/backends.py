@@ -66,6 +66,19 @@ _WAL_SWITCH_ATTEMPTS = 100
 _MANIFEST_META_KEYS = ("manifest_version", "manifest_writer")
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: stage it, then ``os.replace``.
+
+    Each write stages under a name no other write uses,
+    ``<stem>.<random hex>.tmp``, so two writers of one path (two processes,
+    or two stores of one directory in one process) never rename each
+    other's staging file away; the last rename wins.
+    """
+    tmp = path.with_name(f"{path.stem}.{uuid.uuid4().hex}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
 def parse_store_url(url: Union[str, Path]) -> Tuple[str, str]:
     """Split a store URL into ``(scheme, path)``.
 
@@ -204,7 +217,9 @@ class JsonDirectoryBackend(StoreBackend):
             cells/
                 <key>.json         # one record per completed cell
 
-    Records are written atomically (temp file + ``os.replace``).  The single
+    Records are written atomically (:func:`atomic_write_text`: a staging
+    file of its own per write, then ``os.replace``), so two writers of one
+    key or of the manifest both succeed and the last rename wins.  The single
     manifest file makes concurrent manifest writes last-writer-wins; every
     write stamps a version counter and a per-instance writer token, and
     :meth:`check_manifest` fails loudly when another writer with *different
@@ -243,11 +258,6 @@ class JsonDirectoryBackend(StoreBackend):
     def _cell_path(self, key: str) -> Path:
         return self.cell_dir / f"{key}.json"
 
-    def _atomic_write(self, path: Path, text: str) -> None:
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
-
     # ------------------------------------------------------------------
     def has(self, key: str) -> bool:
         return self._cell_path(key).exists()
@@ -259,7 +269,7 @@ class JsonDirectoryBackend(StoreBackend):
         return json.loads(path.read_text())
 
     def put(self, key: str, record: dict) -> None:
-        self._atomic_write(self._cell_path(key), _dump_record(record))
+        atomic_write_text(self._cell_path(key), _dump_record(record))
 
     def keys(self) -> List[str]:
         return sorted(path.stem for path in self.cell_dir.glob("*.json"))
@@ -282,7 +292,7 @@ class JsonDirectoryBackend(StoreBackend):
         payload = dict(manifest)
         payload["manifest_version"] = version + 1
         payload["manifest_writer"] = self._writer_token
-        self._atomic_write(
+        atomic_write_text(
             self.root / self.MANIFEST, json.dumps(payload, indent=1, sort_keys=True)
         )
         self._written_manifest = dict(manifest)

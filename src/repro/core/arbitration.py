@@ -203,7 +203,4 @@ class ArbitrationUnit:
             way = way_entry.way_of(bank_request.primary.line_in_page)
             if way is not None:
                 bank_request.way_hint = way
-                bank_request.primary.way_hint = way
-                for merged in bank_request.merged:
-                    merged.way_hint = way
                 self.stats.bump(self._h_way_hint_assigned)

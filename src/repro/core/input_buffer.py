@@ -14,8 +14,9 @@ Priorities, from high to low (Sec. IV):
 
 Unmatched loads — and loads rejected by the Arbitration Unit because of bank
 conflicts or result-bus limits — are held for the next cycle.  If the held
-storage would overflow, address computation stalls (modelled through
-:meth:`InputBuffer.can_accept_load`).
+storage would overflow, address computation stalls; that back-pressure, and
+the cap of three arrivals per cycle set by the address-computation slots,
+live in :meth:`repro.interfaces.malec.MalecInterface.can_accept_load`.
 """
 
 from __future__ import annotations
@@ -36,22 +37,16 @@ class InputBuffer:
         Storage for loads left over from previous cycles.  The evaluated
         MALEC configuration uses storage for two loads (Sec. VI-A); the
         scalable design of Fig. 2a allows three.
-    new_loads_per_cycle:
-        Maximum number of loads arriving from address computation per cycle.
     """
 
     def __init__(
         self,
         held_capacity: int = 2,
-        new_loads_per_cycle: int = 4,
         stats: Optional[StatCounters] = None,
     ) -> None:
         if held_capacity < 0:
             raise ValueError("held capacity cannot be negative")
-        if new_loads_per_cycle <= 0:
-            raise ValueError("at least one new load per cycle must be possible")
         self.held_capacity = held_capacity
-        self.new_loads_per_cycle = new_loads_per_cycle
         self.stats = stats if stats is not None else StatCounters()
         self._held: Deque[MemoryAccessRequest] = deque()
         self._new: List[MemoryAccessRequest] = []
@@ -67,20 +62,8 @@ class InputBuffer:
         self._h_mbe_out = self.stats.handle("input_buffer.mbe_out")
 
     # ------------------------------------------------------------------
-    # Occupancy and back-pressure
+    # Occupancy
     # ------------------------------------------------------------------
-    def can_accept_load(self) -> bool:
-        """True when another load may be submitted this cycle.
-
-        Address computation must stall when the buffer's storage would be
-        insufficient to hold unserviced loads (Sec. IV), which is the case
-        when the held storage is already full or this cycle's arrival slots
-        are exhausted.
-        """
-        if len(self._new) >= self.new_loads_per_cycle:
-            return False
-        return len(self._held) < self.held_capacity + 1
-
     def can_accept_mbe(self) -> bool:
         """True when the single MBE slot is free."""
         return self._mbe is None
@@ -92,8 +75,6 @@ class InputBuffer:
         """Submit a load that finished address computation this cycle."""
         if not request.is_load:
             raise ValueError("add_load expects a load request")
-        if len(self._new) >= self.new_loads_per_cycle:
-            raise RuntimeError("too many loads submitted this cycle")
         self._new.append(request)
         self.stats.bump(self._h_load_in)
 
@@ -167,8 +148,7 @@ class InputBuffer:
     def end_cycle(self) -> int:
         """Carry unserviced loads over to the next cycle.
 
-        Returns the number of loads now held; the caller may use it to model
-        address-computation stalls (via :meth:`can_accept_load`).
+        Returns the number of loads now held.
         """
         if self._new:
             self._held.extend(self._new)

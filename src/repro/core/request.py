@@ -3,8 +3,9 @@
 A :class:`MemoryAccessRequest` wraps one dynamic memory operation (a load or
 a merge-buffer entry being written back) on its way from address computation
 to the cache.  It carries the virtual address produced by the
-address-computation units, its page, line and bank, the physical address once
-translation has happened, and the way hint the Arbitration Unit attaches.
+address-computation units, its page, line and bank, and the physical address
+once translation has happened.  The way hint the Arbitration Unit attaches
+lives on the :class:`~repro.core.arbitration.BankRequest` that services it.
 
 Interface models create requests from pipeline instructions; the ``tag``
 field carries an opaque reference back to whatever issued the request (a
@@ -51,8 +52,6 @@ class MemoryAccessRequest:
         Opaque reference back to the issuing instruction.
     physical_address:
         Filled in once the translation for the request's page is available.
-    way_hint:
-        Way supplied by the way tables / WDU (``None`` = unknown).
     virtual_page / line_in_page / bank_index:
         Cached fields of the virtual address, decomposed once at construction.
     """
@@ -64,7 +63,6 @@ class MemoryAccessRequest:
         "tag",
         "layout",
         "physical_address",
-        "way_hint",
         "is_load",
         "is_mbe",
         "virtual_page",
@@ -81,16 +79,13 @@ class MemoryAccessRequest:
         size: int = 4,
         tag: Any = None,
         layout: AddressLayout = DEFAULT_LAYOUT,
-        physical_address: Optional[int] = None,
-        way_hint: Optional[int] = None,
     ) -> None:
         self.kind = kind
         self.virtual_address = virtual_address
         self.size = size
         self.tag = tag
         self.layout = layout
-        self.physical_address = physical_address
-        self.way_hint = way_hint
+        self.physical_address: Optional[int] = None
         self.is_load = kind is AccessKind.LOAD
         self.is_mbe = kind is AccessKind.MBE
         # Decompose the virtual address exactly once (memoised per layout);
@@ -105,11 +100,6 @@ class MemoryAccessRequest:
     # ------------------------------------------------------------------
     # Convenience accessors used by the grouping / arbitration logic
     # ------------------------------------------------------------------
-    @property
-    def translated(self) -> bool:
-        """True once a physical address has been attached."""
-        return self.physical_address is not None
-
     def attach_translation(self, physical_page: int) -> None:
         """Fill in the physical address from a translated page id.
 
@@ -121,10 +111,6 @@ class MemoryAccessRequest:
         self.physical_address = (physical_page << layout.page_offset_bits) | (
             self.virtual_address & layout._page_offset_mask
         )
-
-    def same_page_as(self, other: "MemoryAccessRequest") -> bool:
-        """True when both requests touch the same virtual page."""
-        return self.virtual_page == other.virtual_page
 
     def same_line_as(self, other: "MemoryAccessRequest") -> bool:
         """True when both requests touch the same cache line."""

@@ -34,25 +34,22 @@ class WayDeterminationUnit:
     ----------
     entries:
         Number of line entries (the paper evaluates 8, 16 and 32).
-    lookup_ports:
-        Number of parallel lookups the structure must support; only affects
-        the energy model (port scaling), not functional behaviour.
+
+    Its lookup ports (one per result bus) matter only to the energy model,
+    which takes them from :class:`repro.sim.config.MalecParameters`.
+    Counters are named ``wdu.*``.
     """
 
     def __init__(
         self,
         entries: int = 16,
-        lookup_ports: int = 4,
         layout: AddressLayout = DEFAULT_LAYOUT,
         stats: Optional[StatCounters] = None,
-        name: str = "wdu",
     ) -> None:
         if entries <= 0:
             raise ValueError("the WDU needs at least one entry")
         self.entries = entries
-        self.lookup_ports = lookup_ports
         self.layout = layout
-        self.name = name
         self.stats = stats if stats is not None else StatCounters()
         #: line_number -> way, ordered oldest-first for LRU replacement.
         self._table: "OrderedDict[int, int]" = OrderedDict()
@@ -66,7 +63,7 @@ class WayDeterminationUnit:
         energy); callers invoke it once per parallel access.
         """
         line = self.layout.line_number(physical_address)
-        self.stats.add(f"{self.name}.lookup")
+        self.stats.add("wdu.lookup")
         self.stats.add("way_pred.lookup")
         way = self._table.get(line)
         if way is not None:
@@ -79,14 +76,14 @@ class WayDeterminationUnit:
         if way < 0 or way >= self.layout.l1_associativity:
             raise ValueError(f"way {way} outside the cache associativity")
         line = self.layout.line_number(physical_address)
-        self.stats.add(f"{self.name}.update")
+        self.stats.add("wdu.update")
         if line in self._table:
             self._table[line] = way
             self._table.move_to_end(line)
             return
         if len(self._table) >= self.entries:
             self._table.popitem(last=False)
-            self.stats.add(f"{self.name}.eviction")
+            self.stats.add("wdu.eviction")
         self._table[line] = way
 
     # ------------------------------------------------------------------
@@ -101,7 +98,7 @@ class WayDeterminationUnit:
         line = self.layout.line_number(line_address)
         if line in self._table:
             del self._table[line]
-            self.stats.add(f"{self.name}.invalidate")
+            self.stats.add("wdu.invalidate")
 
     def attach_to_cache(self, l1_cache) -> None:
         """Register fill/evict listeners on an :class:`L1DataCache`."""

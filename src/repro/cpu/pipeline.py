@@ -18,7 +18,15 @@ interface package does not need to import this module)::
     commit_store(tag, cycle)
     tick(cycle)  -> list[(tag, data_ready_cycle)]
     finalize(cycle)                                (drain write buffers)
-    quiescent() -> bool                            (optional, idle detection)
+    quiescent() -> bool                            (idle detection)
+
+and, for a run with a collector that samples occupancy, the ``load_queue``,
+``store_buffer`` and ``merge_buffer`` attributes, each with an
+``occupancy`` count.  An interface whose ``quiescent()`` is always False is
+ticked every cycle and never lets the clock jump.
+
+Pipeline widths come from :class:`repro.sim.config.PipelineParameters`.  A
+compute instruction always completes the cycle after it issues.
 
 Execution time is the cycle in which the last instruction commits, which is
 what Fig. 4a normalizes across configurations.
@@ -38,9 +46,9 @@ The loop is built on :class:`repro.sim.events.EventWheel`: instead of
 polling every stage every cycle, each source of future activity registers
 the cycle it next acts —
 
-* instruction completions (computes, stores, load data returns) sit in the
-  wheel (or in a dedicated next-cycle bucket for the dominant one-cycle
-  case);
+* instruction completions sit in a next-cycle bucket (computes, stores,
+  L1-hit load returns) or, further out, in the wheel (load returns that
+  miss or wait for a translation);
 * the issue stage runs only while ready or deferred instructions exist;
 * the L1 interface ticks only while it reports itself non-quiescent (it
   aggregates its components — load queue, store buffer, merge buffer, input
@@ -77,20 +85,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List, Optional
 
+from repro.sim.config import PipelineParameters
 from repro.sim.events import EventWheel
 from repro.stats import StatCounters
-
-
-@dataclass
-class PipelineParametersLite:
-    """Pipeline widths (Table II defaults); kept separate from sim config to
-    allow unit tests to build tiny pipelines."""
-
-    rob_entries: int = 168
-    fetch_width: int = 6
-    issue_width: int = 8
-    commit_width: int = 6
-    compute_latency: int = 1
 
 
 @dataclass
@@ -115,7 +112,7 @@ class OutOfOrderPipeline:
     def __init__(
         self,
         interface,
-        params: PipelineParametersLite = PipelineParametersLite(),
+        params: PipelineParameters = PipelineParameters(),
         stats: Optional[StatCounters] = None,
         max_cycles: Optional[int] = None,
         collector=None,
@@ -194,7 +191,6 @@ class OutOfOrderPipeline:
         issue_width = params.issue_width
         fetch_width = params.fetch_width
         commit_width = params.commit_width
-        compute_latency = params.compute_latency
 
         interface = self.interface
         begin_cycle = interface.begin_cycle
@@ -206,10 +202,7 @@ class OutOfOrderPipeline:
         submit_store = interface.submit_store
         commit_store = interface.commit_store
         tick = interface.tick
-        # Optional protocol extension: an interface without quiescent() is
-        # treated as active every cycle (unit-test stubs keep working; they
-        # simply never skip a tick and never allow a clock jump).
-        quiescent = getattr(interface, "quiescent", None)
+        quiescent = interface.quiescent
 
         rob_entries = params.rob_entries
         #: the ROB as a deque of seqs (program order)
@@ -218,7 +211,7 @@ class OutOfOrderPipeline:
         heappush = heapq.heappush
         heappop = heapq.heappop
 
-        #: completion events further than one cycle out live in the wheel
+        #: load returns further than one cycle out live in the wheel
         #: (single producer: bare payloads, FIFO per bucket)
         wheel = EventWheel()
         schedule = wheel.schedule
@@ -272,8 +265,6 @@ class OutOfOrderPipeline:
         issued_total = 0
         dispatched_total = 0
 
-        bucket_latency_ok = compute_latency == 1
-
         # Observation plumbing: every cycle is classified into exactly one
         # category (deltas of the loop's own counters decide which), tallied
         # in locals and flushed into the collector once after the run.
@@ -285,13 +276,13 @@ class OutOfOrderPipeline:
         sample_every = collector.sample_every if collecting else 0
         next_sample = sample_every if sample_every else NEVER
         if sample_every:
-            occ_lq = getattr(interface, "load_queue", None)
-            occ_sb = getattr(interface, "store_buffer", None)
-            occ_mb = getattr(interface, "merge_buffer", None)
+            occ_lq = interface.load_queue
+            occ_sb = interface.store_buffer
+            occ_mb = interface.merge_buffer
 
         # The interface may carry state from a warm-up run of the same trace;
         # start ticking it unless it positively reports itself idle.
-        interface_active = quiescent is None or not quiescent()
+        interface_active = not quiescent()
 
         while committed < total:
             if cycle > max_cycles:
@@ -394,15 +385,9 @@ class OutOfOrderPipeline:
                     if not in_rob[seq] or issued_f[seq]:
                         continue
                     kind = kinds[seq]
-                    if kind == 0:  # compute
+                    if kind == 0:  # compute: completes next cycle
                         issued_f[seq] = 1
-                        if bucket_latency_ok:
-                            due_next.append(seq)
-                        else:
-                            target = cycle + compute_latency
-                            schedule(target, seq)
-                            if target < wheel_next:
-                                wheel_next = target
+                        due_next.append(seq)
                         issued += 1
                     elif kind == 1:  # load
                         if (
@@ -559,9 +544,9 @@ class OutOfOrderPipeline:
                     collector.sample(
                         cycle,
                         rob_len,
-                        occ_lq.occupancy if occ_lq is not None else 0,
-                        occ_sb.occupancy if occ_sb is not None else 0,
-                        occ_mb.occupancy if occ_mb is not None else 0,
+                        occ_lq.occupancy,
+                        occ_sb.occupancy,
+                        occ_mb.occupancy,
                     )
 
             cycle += 1
@@ -572,7 +557,7 @@ class OutOfOrderPipeline:
             #    cycle or reports itself quiescent, in which case its event
             #    is descheduled until a submit or commit re-arms it.
             # ----------------------------------------------------------
-            if interface_active and quiescent is not None and quiescent():
+            if interface_active and quiescent():
                 interface_active = False
 
             # ----------------------------------------------------------
@@ -597,7 +582,6 @@ class OutOfOrderPipeline:
                 and not ready_heap
                 and not due_next
                 and not interface_active
-                and quiescent is not None
                 and wheel_next is not NEVER
                 and wheel_next > cycle
                 and (next_fetch >= total or rob_len >= rob_entries)

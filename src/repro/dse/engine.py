@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.campaign.backends import atomic_write_text
 from repro.campaign.executor import ParallelExecutor, ProgressCallback
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, open_store
@@ -285,8 +286,8 @@ def run_dse(
     )
     store = evaluator.store
     if store is not None:
-        manifest_path = store.root / "dse.json"
-        tmp = manifest_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(result.describe(), indent=1, sort_keys=True))
-        tmp.replace(manifest_path)
+        atomic_write_text(
+            store.root / "dse.json",
+            json.dumps(result.describe(), indent=1, sort_keys=True),
+        )
     return result

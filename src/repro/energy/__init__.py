@@ -19,11 +19,7 @@ structured :class:`~repro.energy.accounting.EnergyReport`.
 """
 
 from repro.energy.cacti import CactiParameters, SRAMArraySpec, SRAMEnergyModel
-from repro.energy.energy_model import (
-    EnergyModelConfig,
-    InterfaceEnergyModel,
-    build_energy_model,
-)
+from repro.energy.energy_model import EnergyModelConfig, InterfaceEnergyModel
 from repro.energy.accounting import EnergyAccountant, EnergyReport, StructureEnergy
 
 __all__ = [
@@ -32,7 +28,6 @@ __all__ = [
     "SRAMEnergyModel",
     "EnergyModelConfig",
     "InterfaceEnergyModel",
-    "build_energy_model",
     "EnergyAccountant",
     "EnergyReport",
     "StructureEnergy",

@@ -85,9 +85,8 @@ class EnergyReport:
 class EnergyAccountant:
     """Computes :class:`EnergyReport` objects for one configuration."""
 
-    def __init__(self, model: InterfaceEnergyModel, cycle_time_ns: float = 1.0) -> None:
+    def __init__(self, model: InterfaceEnergyModel) -> None:
         self.model = model
-        self.cycle_time_ns = cycle_time_ns
 
     def report(self, stats: StatCounters, cycles: int) -> EnergyReport:
         """Build the energy report for a finished simulation.
@@ -99,7 +98,9 @@ class EnergyAccountant:
         cycles:
             Total execution time in cycles; leakage scales linearly with it
             (this is why the faster configurations recover part of their
-            higher dynamic energy in Fig. 4b).
+            higher dynamic energy in Fig. 4b).  A cycle is 1 ns (Table II's
+            1 GHz clock) and 1 mW over 1 ns is 1 pJ, so leakage energy is
+            leakage power times cycles.
         """
         if cycles < 0:
             raise ValueError("cycle count cannot be negative")
@@ -109,6 +110,6 @@ class EnergyAccountant:
         for name in sorted(set(dynamic) | set(leakage_power)):
             report.structures[name] = StructureEnergy(
                 dynamic_pj=dynamic.get(name, 0.0),
-                leakage_pj=leakage_power.get(name, 0.0) * cycles * self.cycle_time_ns,
+                leakage_pj=leakage_power.get(name, 0.0) * cycles,
             )
         return report

@@ -141,11 +141,11 @@ class SRAMEnergyModel:
     The model is deterministic and purely analytic; it exposes the individual
     energy components so that tests can check monotonicity properties
     (bigger arrays cost more, more ports cost more, CAM searches cost more
-    than RAM reads of the same geometry, and so on).
+    than RAM reads of the same geometry, and so on).  Its fit is the one
+    :class:`CactiParameters` default.
     """
 
-    def __init__(self, parameters: CactiParameters = CactiParameters()) -> None:
-        self.parameters = parameters
+    parameters = CactiParameters()
 
     # ------------------------------------------------------------------
     def read_energy_pj(self, spec: SRAMArraySpec) -> float:
@@ -171,13 +171,3 @@ class SRAMEnergyModel:
         p = self.parameters
         leakage_nw = p.leakage_nw_per_bit * spec.total_bits
         return leakage_nw * 1e-6 * p.leakage_port_scale(spec.ports)
-
-    def leakage_energy_pj(self, spec: SRAMArraySpec, cycles: int, cycle_time_ns: float = 1.0) -> float:
-        """Leakage energy over ``cycles`` cycles of ``cycle_time_ns`` each.
-
-        1 mW over 1 ns is exactly 1 pJ, which keeps the unit conversion
-        trivial for the paper's 1 GHz clock.
-        """
-        if cycles < 0:
-            raise ValueError("cycle count cannot be negative")
-        return self.leakage_mw(spec) * cycles * cycle_time_ns

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.energy.cacti import CactiParameters, SRAMArraySpec, SRAMEnergyModel
+from repro.energy.cacti import SRAMArraySpec, SRAMEnergyModel
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
@@ -71,13 +71,9 @@ EventTarget = Tuple[str, str, float]
 class InterfaceEnergyModel:
     """Per-configuration array specs plus the event → access mapping."""
 
-    def __init__(
-        self,
-        config: EnergyModelConfig,
-        parameters: CactiParameters = CactiParameters(),
-    ) -> None:
+    def __init__(self, config: EnergyModelConfig) -> None:
         self.config = config
-        self.sram = SRAMEnergyModel(parameters)
+        self.sram = SRAMEnergyModel()
         self.specs: Dict[str, SRAMArraySpec] = {}
         self.event_map: Dict[str, List[EventTarget]] = {}
         self._access_energy_cache: Dict = {}
@@ -310,11 +306,3 @@ class InterfaceEnergyModel:
         }
         return self._leakage_cache
 
-
-def build_energy_model(
-    config: EnergyModelConfig, parameters: Optional[CactiParameters] = None
-) -> InterfaceEnergyModel:
-    """Convenience factory mirroring the other packages' ``build_*`` helpers."""
-    if parameters is None:
-        parameters = CactiParameters()
-    return InterfaceEnergyModel(config, parameters)

@@ -51,21 +51,23 @@ class BaseL1Interface(ABC):
         The uTLB/TLB hierarchy used for address translation.
     stats:
         Shared statistics collection (usually the hierarchy's).
-    load_slots / store_slots / flexible_slots:
-        Per-cycle address-computation slots: dedicated load slots, dedicated
-        store slots and slots usable by either kind (Table I).
+
+    Each concrete interface fixes its per-cycle address-computation slots
+    (Table I) as the class constants :attr:`load_slots` (dedicated load
+    slots), :attr:`store_slots` (dedicated store slots) and
+    :attr:`flexible_slots` (usable by either kind).
     """
 
     name = "base"
+    load_slots: int
+    store_slots: int
+    flexible_slots: int
 
     def __init__(
         self,
         hierarchy: MemoryHierarchy,
         translation: TLBHierarchy,
         stats: Optional[StatCounters] = None,
-        load_slots: int = 1,
-        store_slots: int = 0,
-        flexible_slots: int = 0,
         lq_entries: int = 40,
         sb_entries: int = 24,
         mb_entries: int = 4,
@@ -75,9 +77,6 @@ class BaseL1Interface(ABC):
         self.translation = translation
         self.layout = layout
         self.stats = stats if stats is not None else hierarchy.stats
-        self.load_slots = load_slots
-        self.store_slots = store_slots
-        self.flexible_slots = flexible_slots
         self.load_queue = LoadQueue(lq_entries, stats=self.stats)
         self.store_buffer = StoreBuffer(sb_entries, layout=layout, stats=self.stats)
         self.merge_buffer = MergeBuffer(mb_entries, layout=layout, stats=self.stats)
@@ -140,17 +139,17 @@ class BaseL1Interface(ABC):
     # ------------------------------------------------------------------
     # Acceptance checks (structural back-pressure)
     # ------------------------------------------------------------------
+    @abstractmethod
     def can_accept_load(self) -> bool:
-        """True when another load may be submitted this cycle."""
-        return not self.load_queue.full and self._can_accept_load_extra()
+        """True when another load may be submitted this cycle.
+
+        Each interface bounds its loads by the load queue and by the queue
+        in front of its cache ports.
+        """
 
     def can_accept_store(self) -> bool:
         """True when another store may be submitted this cycle."""
         return not self.store_buffer.full
-
-    def _can_accept_load_extra(self) -> bool:
-        """Subclass hook for additional back-pressure (e.g. Input Buffer full)."""
-        return True
 
     # ------------------------------------------------------------------
     # Submission and commit
@@ -174,15 +173,14 @@ class BaseL1Interface(ABC):
     # ------------------------------------------------------------------
     # Store drain path (SB -> MB -> pending write-back)
     # ------------------------------------------------------------------
-    def _drain_committed_stores(self, max_stores: int = 1) -> None:
-        """Move committed stores into the merge buffer (Fig. 2b right path)."""
-        for _ in range(max_stores):
-            entry = self.store_buffer.pop_committed()
-            if entry is None:
-                return
-            evicted = self.merge_buffer.commit_store(entry.virtual_address)
-            if evicted is not None:
-                self._queue_writeback(evicted)
+    def _drain_committed_stores(self) -> None:
+        """Move one committed store into the merge buffer (Fig. 2b right path)."""
+        entry = self.store_buffer.pop_committed()
+        if entry is None:
+            return
+        evicted = self.merge_buffer.commit_store(entry.virtual_address)
+        if evicted is not None:
+            self._queue_writeback(evicted)
 
     def _queue_writeback(self, line_address: int) -> None:
         """Queue the line of an evicted merge-buffer entry for its cache write."""

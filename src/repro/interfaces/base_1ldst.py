@@ -22,6 +22,10 @@ class BaselineSingleInterface(BaseL1Interface):
     """One memory access per cycle, single-ported everywhere."""
 
     name = "Base1ldst"
+    #: one address-computation slot, shared by loads and stores
+    load_slots = 0
+    store_slots = 0
+    flexible_slots = 1
 
     def __init__(
         self,
@@ -30,26 +34,14 @@ class BaselineSingleInterface(BaseL1Interface):
         stats: Optional[StatCounters] = None,
         **kwargs,
     ) -> None:
-        super().__init__(
-            hierarchy,
-            translation,
-            stats=stats,
-            load_slots=0,
-            store_slots=0,
-            flexible_slots=1,
-            **kwargs,
-        )
+        super().__init__(hierarchy, translation, stats=stats, **kwargs)
         #: (tag, address, size) of loads waiting for the cache port
         self._pending_loads: Deque[Tuple[Any, int, int]] = deque()
 
     # ------------------------------------------------------------------
-    def _can_accept_load_extra(self) -> bool:
+    def can_accept_load(self) -> bool:
         # A small queue in front of the single cache port; deeper queuing
         # would only hide the structural hazard the paper wants to expose.
-        return len(self._pending_loads) < 4
-
-    def can_accept_load(self) -> bool:
-        # Inline of the base check + the pending-queue bound (hot path).
         lq = self.load_queue
         return len(lq._entries) < lq.entries and len(self._pending_loads) < 4
 

@@ -21,42 +21,36 @@ from repro.tlb.tlb import TLBHierarchy
 
 
 class BaselineDualLoadInterface(BaseL1Interface):
-    """Two loads plus one store per cycle via physical multi-porting."""
+    """Two loads plus one store per cycle via physical multi-porting.
+
+    A bank takes :attr:`_MAX_ACCESSES_PER_BANK` accesses per cycle, one of
+    them a write.  At most :attr:`loads_per_cycle` (two) loads are serviced
+    per cycle, so the loads always find a free port; the merge-buffer
+    write-back waits for the next cycle when both loads used its bank.
+    """
 
     name = "Base2ld1st"
-
-    #: per-cycle limits of the dual-ported banks
+    #: loads serviced per cycle, one per load address-computation slot
+    loads_per_cycle = 2
+    load_slots = 2
+    store_slots = 1
+    flexible_slots = 0
+    #: per-cycle accesses of a dual-ported bank
     _MAX_ACCESSES_PER_BANK = 2
-    _MAX_WRITES_PER_BANK = 1
 
     def __init__(
         self,
         hierarchy: MemoryHierarchy,
         translation: TLBHierarchy,
         stats: Optional[StatCounters] = None,
-        loads_per_cycle: int = 2,
         **kwargs,
     ) -> None:
-        super().__init__(
-            hierarchy,
-            translation,
-            stats=stats,
-            load_slots=loads_per_cycle,
-            store_slots=1,
-            flexible_slots=0,
-            **kwargs,
-        )
-        self.loads_per_cycle = loads_per_cycle
+        super().__init__(hierarchy, translation, stats=stats, **kwargs)
         #: (tag, address, size) of loads waiting for a read port
         self._pending_loads: Deque[Tuple[Any, int, int]] = deque()
-        self._h_bank_conflict = self.stats.handle("interface.bank_conflict")
 
     # ------------------------------------------------------------------
-    def _can_accept_load_extra(self) -> bool:
-        return len(self._pending_loads) < 2 * self.loads_per_cycle
-
     def can_accept_load(self) -> bool:
-        # Inline of the base check + the pending-queue bound (hot path).
         lq = self.load_queue
         return (
             len(lq._entries) < lq.entries
@@ -82,7 +76,6 @@ class BaselineDualLoadInterface(BaseL1Interface):
         if not pending_loads and not self._pending_writebacks:
             return completions
         bank_accesses: Dict[int, int] = {}
-        bank_writes: Dict[int, int] = {}
         stats = self.stats
         bank_index = self.layout.bank_index
         translate_pair = self.translation.translate_pair
@@ -90,15 +83,9 @@ class BaselineDualLoadInterface(BaseL1Interface):
 
         # Demand loads: oldest first, up to the number of read ports.
         serviced = 0
-        deferred: List[Tuple[Any, int, int]] = []
         while pending_loads and serviced < self.loads_per_cycle:
-            load = pending_loads.popleft()
-            tag, address, size = load
+            tag, address, size = pending_loads.popleft()
             bank = bank_index(address)
-            if bank_accesses.get(bank, 0) >= self._MAX_ACCESSES_PER_BANK:
-                deferred.append(load)
-                stats.bump(self._h_bank_conflict)
-                continue
             physical, translation_latency = translate_pair(address)
             self._forwarding_lookups(address, size, split=False)
             latency = load_parts(physical)[2]
@@ -106,8 +93,6 @@ class BaselineDualLoadInterface(BaseL1Interface):
             completions.append((tag, cycle + translation_latency + latency))
             stats.bump(self._h_load_accesses)
             serviced += 1
-        for load in reversed(deferred):
-            pending_loads.appendleft(load)
 
         # One merge-buffer write-back through the read/write port.
         if self._pending_writebacks:
@@ -118,14 +103,9 @@ class BaselineDualLoadInterface(BaseL1Interface):
                 )
                 writeback.physical_line_address = self.layout.line_address(physical)
             bank = self.layout.bank_index(writeback.physical_line_address)
-            if (
-                bank_writes.get(bank, 0) < self._MAX_WRITES_PER_BANK
-                and bank_accesses.get(bank, 0) < self._MAX_ACCESSES_PER_BANK
-            ):
+            if bank_accesses.get(bank, 0) < self._MAX_ACCESSES_PER_BANK:
                 self._pending_writebacks.popleft()
                 self.hierarchy.l1.store_parts(writeback.physical_line_address)
                 self.stats.bump(self._h_mbe_written)
-                bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
-                bank_writes[bank] = bank_writes.get(bank, 0) + 1
 
         return completions

@@ -46,6 +46,11 @@ class MalecInterface(BaseL1Interface):
     """Page-grouped, way-determined L1 interface (the paper's proposal)."""
 
     name = "MALEC"
+    #: one dedicated load slot plus two load/store slots (Table I): at most
+    #: three loads enter the Input Buffer per cycle
+    load_slots = 1
+    store_slots = 0
+    flexible_slots = 2
 
     def __init__(
         self,
@@ -58,30 +63,17 @@ class MalecInterface(BaseL1Interface):
         merge_granularity: str = "subblock_pair",
         result_buses: int = 4,
         input_buffer_capacity: int = 2,
-        new_loads_per_cycle: int = 4,
         merge_window: int = 3,
-        dedicated_load_slots: int = 1,
-        flexible_slots: int = 2,
         **kwargs,
     ) -> None:
-        super().__init__(
-            hierarchy,
-            translation,
-            stats=stats,
-            load_slots=dedicated_load_slots,
-            store_slots=0,
-            flexible_slots=flexible_slots,
-            **kwargs,
-        )
+        super().__init__(hierarchy, translation, stats=stats, **kwargs)
         if way_determination not in WAY_DETERMINATION_SCHEMES:
             raise ValueError(
                 f"way_determination {way_determination!r} not in {WAY_DETERMINATION_SCHEMES}"
             )
         self.way_determination = way_determination
         self.input_buffer = InputBuffer(
-            held_capacity=input_buffer_capacity,
-            new_loads_per_cycle=new_loads_per_cycle,
-            stats=self.stats,
+            held_capacity=input_buffer_capacity, stats=self.stats
         )
         self.arbitration = ArbitrationUnit(
             layout=self.layout,
@@ -102,10 +94,7 @@ class MalecInterface(BaseL1Interface):
             self.way_tables.attach_to_cache(hierarchy.l1)
         elif way_determination == "wdu":
             self.wdu = WayDeterminationUnit(
-                entries=wdu_entries,
-                lookup_ports=result_buses,
-                layout=self.layout,
-                stats=self.stats,
+                entries=wdu_entries, layout=self.layout, stats=self.stats
             )
             self.wdu.attach_to_cache(hierarchy.l1)
         #: line addresses of MBEs waiting for the Input Buffer's single MBE slot
@@ -129,18 +118,17 @@ class MalecInterface(BaseL1Interface):
     # ------------------------------------------------------------------
     # Back-pressure and queuing
     # ------------------------------------------------------------------
-    def _can_accept_load_extra(self) -> bool:
-        return self.input_buffer.can_accept_load()
-
     def can_accept_load(self) -> bool:
-        # Inline of the base check + input_buffer.can_accept_load(): this
-        # runs once per load issue attempt, so the call chain is flattened.
+        """True when the load queue and the Input Buffer can take a load.
+
+        Address computation stalls while the Input Buffer's held storage is
+        full (Sec. IV).  Arrivals need no check of their own: the three
+        address-computation slots admit at most three loads per cycle.
+        """
         lq = self.load_queue
         if len(lq._entries) >= lq.entries:
             return False
         ib = self.input_buffer
-        if len(ib._new) >= ib.new_loads_per_cycle:
-            return False
         return len(ib._held) < ib.held_capacity + 1
 
     def _loads_quiescent(self) -> bool:

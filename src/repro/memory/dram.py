@@ -10,7 +10,7 @@ can confirm that the different L1 interfaces leave DRAM traffic unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
@@ -20,11 +20,12 @@ from repro.stats import StatCounters
 class DRAMModel:
     """Flat-latency main-memory model (Table II: 256 MByte, 54 cycles).
 
+    An access at or beyond :attr:`CAPACITY_BYTES` raises ``ValueError``
+    because it indicates a broken address generator rather than a legal
+    access; the page table sizes its frame pool from the same constant.
+
     Parameters
     ----------
-    capacity_bytes:
-        Total capacity; accesses beyond it raise ``ValueError`` because they
-        indicate a broken address generator rather than a legal access.
     latency_cycles:
         Latency added to every access.
     layout:
@@ -33,14 +34,13 @@ class DRAMModel:
         Shared counter collection; ``dram.read`` / ``dram.write`` are counted.
     """
 
-    capacity_bytes: int = 256 * 1024 * 1024
+    CAPACITY_BYTES: ClassVar[int] = 256 * 1024 * 1024
+
     latency_cycles: int = 54
     layout: AddressLayout = DEFAULT_LAYOUT
     stats: Optional[StatCounters] = None
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ValueError("DRAM capacity must be positive")
         if self.latency_cycles < 0:
             raise ValueError("DRAM latency cannot be negative")
         if self.stats is None:
@@ -48,9 +48,9 @@ class DRAMModel:
 
     def _check(self, address: int) -> None:
         self.layout.check(address)
-        if address >= self.capacity_bytes:
+        if address >= self.CAPACITY_BYTES:
             raise ValueError(
-                f"address {address:#x} beyond DRAM capacity {self.capacity_bytes:#x}"
+                f"address {address:#x} beyond DRAM capacity {self.CAPACITY_BYTES:#x}"
             )
 
     def read(self, address: int) -> int:

@@ -27,8 +27,6 @@ class MemoryHierarchy:
         Shared address geometry.
     l1_hit_latency / l2_latency / dram_latency:
         Access latencies in cycles (Table II: 2, 12 and 54).
-    l1_read_ports:
-        Read ports per L1 bank — 1 for Base1ldst and MALEC, 2 for Base2ld1st.
     restrict_way_allocation:
         Forwarded to the L1; see :class:`repro.cache.cache_bank.CacheBank`.
     stats:
@@ -39,10 +37,7 @@ class MemoryHierarchy:
     l1_hit_latency: int = 2
     l2_latency: int = 12
     dram_latency: int = 54
-    l1_read_ports: int = 1
-    l1_write_ports: int = 1
     restrict_way_allocation: bool = False
-    seed: int = 0
     stats: Optional[StatCounters] = None
     dram: DRAMModel = field(init=False)
     l2: L2Cache = field(init=False)
@@ -59,15 +54,11 @@ class MemoryHierarchy:
             layout=self.layout,
             dram=self.dram,
             stats=self.stats,
-            seed=self.seed,
         )
         self.l1 = L1DataCache(
             layout=self.layout,
             hit_latency=self.l1_hit_latency,
-            read_ports_per_bank=self.l1_read_ports,
-            write_ports_per_bank=self.l1_write_ports,
             restrict_way_allocation=self.restrict_way_allocation,
             l2=self.l2,
             stats=self.stats,
-            seed=self.seed,
         )

@@ -30,7 +30,13 @@ uses):
 Writes are **append-only and atomic per line**: each record is a single
 ``os.write`` to an ``O_APPEND`` descriptor, so concurrent writers (several
 sweeps sharing one store) interleave whole lines, never partial ones, and a
-crash can only ever truncate the final line — which the reader tolerates.
+crash can only ever truncate the final line.  The reader skips such a torn
+tail.  A later append that finds the file not ending in a newline closes
+the torn line first: the same single write carries ``\n\n`` before the
+record, so the torn line ends and a blank line marks it.  The reader skips
+an unparseable line only when it is the last line or a blank line follows
+it; a journal written whole never holds a blank line, so corruption
+anywhere else still raises.
 Like all of ``repro.obs`` the journal is opt-in and operational-only:
 nothing here feeds result records, so simulation output stays bit-identical
 with telemetry on or off.
@@ -114,11 +120,16 @@ class TelemetryJournal:
 
     # ------------------------------------------------------------------
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
+        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            os.write(fd, line.encode("utf-8"))
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                # A crashed append left a torn last line: end it and mark it
+                # with a blank line, in the same write as this record.
+                data = b"\n\n" + data
+            os.write(fd, data)
         finally:
             os.close(fd)
         self.records_written += 1
@@ -234,19 +245,21 @@ class JournalRun:
 def read_journal(path: Union[str, Path]) -> List[dict]:
     """Every parseable record in a journal file, in file order.
 
-    A truncated final line (crash mid-append) is skipped silently; a corrupt
-    line elsewhere raises — that means the file is not a journal.
+    A torn line (crash mid-append) is skipped silently: the final line, or
+    a line that a later append closed with a blank line.  A corrupt line
+    anywhere else raises — that means the file is not a journal.
     """
     records: List[dict] = []
     lines = Path(path).read_text().splitlines()
+    last = len(lines) - 1
     for index, line in enumerate(lines):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break
+            if index == last or not lines[index + 1].strip():
+                continue
             raise
         records.append(record)
     return records

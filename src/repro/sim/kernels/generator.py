@@ -50,7 +50,7 @@ from __future__ import annotations
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 3
+GENERATOR_VERSION = 4
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -94,9 +94,6 @@ def build_spec(config: SimulationConfig) -> dict:
             merge_window=malec.merge_window,
             merge_granularity=malec.merge_granularity,
             held_capacity=malec.input_buffer_capacity,
-            # MalecParameters does not expose this knob; the interface default
-            # is guarded at runtime like every other assumption.
-            new_loads_per_cycle=4,
         )
     return spec
 
@@ -172,7 +169,6 @@ def _guards(spec: dict) -> str:
         _check(f"params.fetch_width != {spec['fetch']}"),
         _check(f"params.issue_width != {spec['issue']}"),
         _check(f"params.commit_width != {spec['commit']}"),
-        _check("params.compute_latency != 1"),
         "    layout = interface.layout",
         _check(f"layout.page_offset_bits != {spec['page_shift']}"),
         _check(f"layout._page_offset_mask != {spec['page_off_mask']}"),
@@ -188,7 +184,6 @@ def _guards(spec: dict) -> str:
         _check(f"l1.hit_latency != {spec['hit_latency']}"),
         _check(f"len(banks) != {spec['nbanks']}"),
         "    bank0 = banks[0]",
-        _check('bank0.array._replacement != "lru"'),
         _check(f"bank0.array.ways != {spec['ways']}"),
         "    translation = interface.translation",
         "    utlb = translation.utlb",
@@ -207,7 +202,6 @@ def _guards(spec: dict) -> str:
             _check("interface.flexible_slots != 0"),
             _check("interface.loads_per_cycle != 2"),
             _check("interface._MAX_ACCESSES_PER_BANK != 2"),
-            _check("interface._MAX_WRITES_PER_BANK != 1"),
         ]
     else:  # MALEC
         lines += [
@@ -218,7 +212,6 @@ def _guards(spec: dict) -> str:
             _check("interface.flexible_slots != 2"),
             _check(f'interface.way_determination != "{spec["way_determination"]}"'),
             _check(f"ib.held_capacity != {spec['held_capacity']}"),
-            _check(f"ib.new_loads_per_cycle != {spec['new_loads_per_cycle']}"),
             _check(f"arbitration.result_buses != {spec['result_buses']}"),
             _check(f"arbitration.merge_window != {spec['merge_window']}"),
             _check(f'arbitration.merge_granularity != "{spec["merge_granularity"]}"'),
@@ -322,11 +315,8 @@ def _prologue(spec: dict) -> str:
         ]
         accs.append("acc_fwd_full")
     if kind == "Base2ld1st":
-        lines += [
-            "    h_if_bank_conflict = interface._h_bank_conflict",
-            "    h_if_mbe_written = interface._h_mbe_written",
-        ]
-        accs += ["acc_bank_conflict", "acc_mbe_written"]
+        lines += ["    h_if_mbe_written = interface._h_mbe_written"]
+        accs += ["acc_mbe_written"]
     if kind == "MALEC":
         lines += [
             "    h_sb_lookup_offset = store_buffer._h_lookup_offset",
@@ -518,7 +508,7 @@ def _issue_stage(spec: dict) -> str:
                 if not in_rob[seq] or issued_f[seq]:
                     continue
                 kind = kinds[seq]
-                if kind == 0:  # compute (1-cycle latency guaranteed by guard)
+                if kind == 0:  # compute: completes next cycle
                     issued_f[seq] = 1
                     due_next.append(seq)
                     issued += 1
@@ -562,7 +552,6 @@ def _issue_load(spec: dict) -> str:
                     if (
                         not loads_blocked
                         and len(lq_entries) < {spec['lq']}
-                        and len(ib._new) < {spec['new_loads_per_cycle']}
                         and len(ib._held) < {spec['held_capacity'] + 1}
                     ):
                         if loads_used < 1:
@@ -777,17 +766,10 @@ def _tick_2ld1st(spec: dict) -> str:
             if pending_loads or pending_writebacks:
                 completions = []
                 bank_accesses = {{}}
-                bank_writes = {{}}
                 serviced = 0
-                deferred_loads = []
                 while pending_loads and serviced < 2:
-                    load = pending_loads.popleft()
-                    tag, address, size = load
+                    tag, address, size = pending_loads.popleft()
                     bank = bank_index_of(address)
-                    if bank_accesses.get(bank, 0) >= 2:
-                        deferred_loads.append(load)
-                        acc_bank_conflict += 1
-                        continue
 {_translate_pair_inline(spec, "address", 20)}
 {_forwarding_inline(spec, "address", "size", "acc_fwd_full", 20)}
 {_l1_conventional_inline(spec, "physical", 20)}
@@ -795,20 +777,16 @@ def _tick_2ld1st(spec: dict) -> str:
                     completions.append((tag, cycle + translation_latency + latency))
                     acc_load_accesses += 1
                     serviced += 1
-                for load in reversed(deferred_loads):
-                    pending_loads.appendleft(load)
                 if pending_writebacks:
                     writeback = pending_writebacks[0]
                     if writeback.physical_line_address is None:
                         physical, _lat = translate_pair(writeback.virtual_line_address)
                         writeback.physical_line_address = line_address_of(physical)
                     bank = bank_index_of(writeback.physical_line_address)
-                    if bank_writes.get(bank, 0) < 1 and bank_accesses.get(bank, 0) < 2:
+                    if bank_accesses.get(bank, 0) < 2:
                         pending_writebacks.popleft()
                         store_parts(writeback.physical_line_address)
                         acc_mbe_written += 1
-                        bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
-                        bank_writes[bank] = bank_writes.get(bank, 0) + 1
                 for tag, ready_cycle in completions:
 {_release_and_schedule(20, "tag", "ready_cycle")}
 """
@@ -882,9 +860,6 @@ def _assign_ways(spec: dict) -> str:
                         way = wt_decode[lip][wt_codes[lip]]
                         if way is not None:
                             bank_request.way_hint = way
-                            bank_request.primary.way_hint = way
-                            for request in bank_request.merged:
-                                request.way_hint = way
                             acc_way_hint_assigned += 1"""
 
 
@@ -1262,10 +1237,7 @@ def _epilogue(spec: dict) -> str:
             _flush_row("acc_load_accesses", [("h_if_load_accesses", "acc_load_accesses")]),
         ]
     if kind == "Base2ld1st":
-        rows += [
-            _flush_row("acc_bank_conflict", [("h_if_bank_conflict", "acc_bank_conflict")]),
-            _flush_row("acc_mbe_written", [("h_if_mbe_written", "acc_mbe_written")]),
-        ]
+        rows += [_flush_row("acc_mbe_written", [("h_if_mbe_written", "acc_mbe_written")])]
     if kind == "MALEC":
         rows += [
             _flush_row(

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, Optional
 
 from repro.api import RunOptions
 from repro.cpu.instruction import Instruction
-from repro.cpu.pipeline import OutOfOrderPipeline, PipelineParametersLite
+from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.energy.accounting import EnergyAccountant, EnergyReport
 from repro.energy.energy_model import InterfaceEnergyModel
 from repro.interfaces.base import BaseL1Interface
@@ -123,13 +123,11 @@ class Simulator:
             l1_hit_latency=config.cache.l1_hit_latency,
             l2_latency=config.cache.l2_latency,
             dram_latency=config.cache.dram_latency,
-            l1_read_ports=config.l1_read_ports,
             restrict_way_allocation=(
                 config.interface is InterfaceKind.MALEC
                 and config.malec_options.way_determination == "wt"
                 and config.malec_options.restrict_way_allocation
             ),
-            seed=config.seed,
             stats=self.stats,
         )
         self.translation = TLBHierarchy(
@@ -181,14 +179,6 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def _pipeline_parameters(self) -> PipelineParametersLite:
-        return PipelineParametersLite(
-            rob_entries=self.config.pipeline.rob_entries,
-            fetch_width=self.config.pipeline.fetch_width,
-            issue_width=self.config.pipeline.issue_width,
-            commit_width=self.config.pipeline.commit_width,
-        )
-
     @staticmethod
     def _count_kernel_fallback(reason: str) -> None:
         """Bump the ``kernel.fallback.<reason>`` counter iff metrics are on.
@@ -279,7 +269,7 @@ class Simulator:
         view.precompute_decompositions(self.config.cache.layout)
         total = len(view)
         warmup_count = int(total * warmup_fraction)
-        params = self._pipeline_parameters()
+        params = self.config.pipeline
         # The loop allocates short-lived objects at a rate that keeps the
         # cyclic collector busy for nothing (the simulator builds no
         # reference cycles); pausing it for the run is a pure wall-time win.

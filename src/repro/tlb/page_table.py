@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
+from repro.memory.dram import DRAMModel
 from repro.stats import StatCounters
 
 
@@ -21,12 +22,11 @@ class PageTable:
     Parameters
     ----------
     layout:
-        Address geometry; determines page size and the number of frames.
-    physical_pages:
-        Number of physical frames available.  Defaults to enough frames for a
-        256 MByte DRAM (Table II).  The reproduction never swaps; running out
-        of frames raises, as it indicates an unrealistically large synthetic
-        footprint.
+        Address geometry; its page size divides the 256 MByte DRAM
+        (:attr:`repro.memory.dram.DRAMModel.CAPACITY_BYTES`, Table II) into
+        :attr:`physical_pages` frames.  The reproduction never swaps; running
+        out of frames raises, as it indicates an unrealistically large
+        synthetic footprint.
     seed:
         Perturbs the frame-assignment permutation.
     """
@@ -37,16 +37,11 @@ class PageTable:
     def __init__(
         self,
         layout: AddressLayout = DEFAULT_LAYOUT,
-        physical_pages: Optional[int] = None,
         seed: int = 0,
         stats: Optional[StatCounters] = None,
     ) -> None:
         self.layout = layout
-        if physical_pages is None:
-            physical_pages = (256 * 1024 * 1024) // layout.page_bytes
-        if physical_pages <= 0:
-            raise ValueError("need at least one physical page")
-        self.physical_pages = physical_pages
+        self.physical_pages = DRAMModel.CAPACITY_BYTES // layout.page_bytes
         self.seed = seed
         self.stats = stats if stats is not None else StatCounters()
         self._vpage_to_ppage: Dict[int, int] = {}

@@ -182,21 +182,24 @@ class TestL2AndDRAM:
         l2.access(addr(9, 0))
         assert l2.miss_rate == 0.5
 
-    def test_l2_geometry_validation(self):
-        with pytest.raises(ValueError):
-            L2Cache(capacity_bytes=1000)
+    def test_l2_geometry_is_table_ii(self):
+        # 1 MByte in 16 ways of 64-byte lines: 1024 sets, indexed by mask.
+        l2 = L2Cache()
+        assert l2.num_sets == 1024 and l2.array.ways == 16
+        line = layout.line_number(addr(9, 3))
+        assert l2._set_and_tag(addr(9, 3)) == (line % 1024, line // 1024)
 
     def test_dram_counts_and_capacity(self):
-        dram = DRAMModel(capacity_bytes=1 << 20)
+        dram = DRAMModel()
         assert dram.read(0) == dram.latency_cycles
         assert dram.write(0) == dram.latency_cycles
         assert dram.accesses == 2
+        last = 256 * 1024 * 1024 - 1
+        assert dram.read(last) == dram.latency_cycles
         with pytest.raises(ValueError):
-            dram.read(1 << 20)
+            dram.read(last + 1)
 
     def test_dram_validation(self):
-        with pytest.raises(ValueError):
-            DRAMModel(capacity_bytes=0)
         with pytest.raises(ValueError):
             DRAMModel(latency_cycles=-1)
 

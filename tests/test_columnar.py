@@ -362,7 +362,7 @@ class TestColumnarDirected:
             simulator = Simulator(SimulationConfig.malec())
             pipeline = OutOfOrderPipeline(
                 simulator.interface,
-                params=simulator._pipeline_parameters(),
+                params=simulator.config.pipeline,
                 stats=simulator.stats,
             )
             cycles.append(pipeline.run(source).cycles)
@@ -439,7 +439,7 @@ class TestPlainListAdapter:
             simulator = Simulator(SimulationConfig.base_2ld1st())
             pipeline = OutOfOrderPipeline(
                 simulator.interface,
-                params=simulator._pipeline_parameters(),
+                params=simulator.config.pipeline,
                 stats=simulator.stats,
             )
             return pipeline.run(source), simulator.stats.as_dict()

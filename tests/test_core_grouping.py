@@ -7,8 +7,11 @@ from repro.core.arbitration import ArbitrationUnit
 from repro.core.input_buffer import InputBuffer
 from repro.core.request import AccessKind, MemoryAccessRequest
 from repro.core.way_table import WayTableEntry
+from repro.interfaces.malec import MalecInterface
 from repro.memory.address import DEFAULT_LAYOUT
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
+from repro.tlb.tlb import TLBHierarchy
 
 layout = DEFAULT_LAYOUT
 
@@ -36,12 +39,11 @@ class TestMemoryAccessRequest:
         assert request.virtual_page == 5
         assert request.line_in_page == 9
         assert request.bank_index == 9 % 4
-        assert not request.translated
+        assert request.physical_address is None
 
     def test_attach_translation(self):
         request = load_request(5, 9, 16)
         request.attach_translation(0x777)
-        assert request.translated
         assert layout.page_id(request.physical_address) == 0x777
         assert layout.page_offset(request.physical_address) == layout.page_offset(
             request.virtual_address
@@ -52,9 +54,10 @@ class TestMemoryAccessRequest:
         b = load_request(5, 9, 8)
         c = load_request(5, 9, 40)
         d = load_request(5, 10, 0)
-        assert a.same_page_as(b) and a.same_line_as(b) and a.same_subblock_pair_as(b)
+        assert a.virtual_page == b.virtual_page
+        assert a.same_line_as(b) and a.same_subblock_pair_as(b)
         assert a.same_line_as(c) and not a.same_subblock_pair_as(c)
-        assert a.same_page_as(d) and not a.same_line_as(d)
+        assert a.virtual_page == d.virtual_page and not a.same_line_as(d)
 
 
 class TestInputBuffer:
@@ -116,13 +119,18 @@ class TestInputBuffer:
         assert buffer.select_group() == (1, [twin])
 
     def test_back_pressure_when_held_storage_full(self):
-        buffer = InputBuffer(held_capacity=1, new_loads_per_cycle=4)
-        for page in range(4):
-            buffer.add_load(load_request(page, 0))
-        buffer.select_group()
-        buffer.retire([])
+        # The MALEC interface stalls address computation once the Input
+        # Buffer holds more loads than its storage (plus the one in flight).
+        interface = MalecInterface(
+            MemoryHierarchy(), TLBHierarchy(), input_buffer_capacity=1
+        )
+        buffer = interface.input_buffer
+        buffer.add_load(load_request(0, 0))
         buffer.end_cycle()
-        assert not buffer.can_accept_load()
+        assert interface.can_accept_load()
+        buffer.add_load(load_request(1, 0))
+        buffer.end_cycle()
+        assert not interface.can_accept_load()
 
     def test_single_mbe_slot(self):
         buffer = InputBuffer()
@@ -155,7 +163,7 @@ class TestInputBuffer:
 
 class TestArbitrationUnit:
     def _members(self, *requests):
-        buffer = InputBuffer(new_loads_per_cycle=8)
+        buffer = InputBuffer()
         for request in requests:
             if request.is_mbe:
                 buffer.add_mbe(request)
@@ -258,8 +266,9 @@ class TestArbitrationUnit:
         entry.update(1, way=3)
         members = self._members(load_request(1, 1, 0), load_request(1, 1, 8))
         bank_requests, serviced, _ = arb.arbitrate(members, way_entry=entry)
-        assert bank_requests[0].way_hint == 3
-        assert all(req.way_hint == 3 for req in serviced)
+        # One bank access, one hint: the merged load rides on the primary's.
+        assert len(bank_requests) == 1 and bank_requests[0].way_hint == 3
+        assert bank_requests[0].merged == [members[1]] and serviced == members
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

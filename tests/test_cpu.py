@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cpu.instruction import Instruction, InstructionKind, compute, load, store
-from repro.cpu.pipeline import OutOfOrderPipeline, PipelineParametersLite
+from repro.cpu.pipeline import OutOfOrderPipeline
+from repro.sim.config import PipelineParameters
 
 
 class TestInstruction:
@@ -99,11 +100,15 @@ class FakeInterface:
     def finalize(self, cycle):
         self.finalized = True
 
+    def quiescent(self):
+        # Never idle: the pipeline ticks this stub every cycle.
+        return False
+
 
 class TestPipeline:
     def _run(self, trace, **kwargs):
         interface = FakeInterface(**{k: v for k, v in kwargs.items() if k in ("latency", "load_slots", "store_slots")})
-        params = kwargs.get("params", PipelineParametersLite())
+        params = kwargs.get("params", PipelineParameters())
         pipeline = OutOfOrderPipeline(interface, params=params)
         result = pipeline.run(trace)
         return result, interface
@@ -155,7 +160,7 @@ class TestPipeline:
 
     def test_rob_capacity_limits_window(self):
         # A tiny ROB forces near-serial execution of dependent loads.
-        params = PipelineParametersLite(rob_entries=4)
+        params = PipelineParameters(rob_entries=4)
         trace = [load(0x1000 + 64 * i) for i in range(40)]
         small, _ = self._run(trace, params=params)
         big, _ = self._run(trace)

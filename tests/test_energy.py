@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.energy.accounting import EnergyAccountant, EnergyReport, StructureEnergy
 from repro.energy.cacti import CactiParameters, SRAMArraySpec, SRAMEnergyModel
-from repro.energy.energy_model import EnergyModelConfig, build_energy_model
+from repro.energy.energy_model import EnergyModelConfig, InterfaceEnergyModel
 from repro.stats import StatCounters
 
 
@@ -55,16 +55,19 @@ class TestSRAMEnergyModel:
         assert model.read_energy_pj(cam) > model.read_energy_pj(ram)
 
     def test_leakage_energy_scales_with_cycles(self):
-        model = SRAMEnergyModel()
-        s = spec()
-        assert model.leakage_energy_pj(s, 2000) == pytest.approx(
-            2 * model.leakage_energy_pj(s, 1000)
-        )
-        assert model.leakage_energy_pj(s, 0) == 0
+        """Leakage energy is an array's leakage power times cycles (1 mW over
+        a 1 ns cycle is 1 pJ); the accountant's report is where it is formed."""
+        model = InterfaceEnergyModel(EnergyModelConfig())
+        accountant = EnergyAccountant(model)
+        power = model.sram.leakage_mw(model.specs["utlb.vtag"])
+        for cycles in (0, 1000, 2000):
+            report = accountant.report(StatCounters(), cycles)
+            assert report.structures["utlb.vtag"].leakage_pj == power * cycles
 
     def test_negative_cycles_rejected(self):
+        accountant = EnergyAccountant(InterfaceEnergyModel(EnergyModelConfig()))
         with pytest.raises(ValueError):
-            SRAMEnergyModel().leakage_energy_pj(spec(), -1)
+            accountant.report(StatCounters(), -1)
 
     def test_port_scale_validation(self):
         params = CactiParameters()
@@ -84,28 +87,28 @@ class TestSRAMEnergyModel:
 
 class TestInterfaceEnergyModel:
     def test_baseline_has_no_way_tables(self):
-        model = build_energy_model(EnergyModelConfig())
+        model = InterfaceEnergyModel(EnergyModelConfig())
         assert "uwt" not in model.specs and "wt" not in model.specs
         assert "l1.tag" in model.specs and "tlb.vtag" in model.specs
 
     def test_malec_model_has_way_tables(self):
-        model = build_energy_model(EnergyModelConfig(has_way_tables=True))
+        model = InterfaceEnergyModel(EnergyModelConfig(has_way_tables=True))
         assert model.specs["uwt"].rows == 16
         assert model.specs["wt"].rows == 64
         assert model.specs["uwt"].row_bits == 128
 
     def test_wdu_model(self):
-        model = build_energy_model(EnergyModelConfig(wdu_entries=16, wdu_ports=4))
+        model = InterfaceEnergyModel(EnergyModelConfig(wdu_entries=16, wdu_ports=4))
         assert model.specs["wdu"].rows == 16
         assert model.specs["wdu"].ports == 4
 
     def test_port_counts_propagate(self):
-        model = build_energy_model(EnergyModelConfig(l1_ports=2, tlb_ports=3))
+        model = InterfaceEnergyModel(EnergyModelConfig(l1_ports=2, tlb_ports=3))
         assert model.specs["l1.data"].ports == 2
         assert model.specs["tlb.vtag"].ports == 3
 
     def test_dynamic_energy_from_events(self):
-        model = build_energy_model(EnergyModelConfig())
+        model = InterfaceEnergyModel(EnergyModelConfig())
         stats = StatCounters()
         stats.add("l1.tag_read", 4)
         stats.add("l1.data_read", 4)
@@ -115,7 +118,7 @@ class TestInterfaceEnergyModel:
         assert totals["l1.data"] > totals["l1.tag"]
 
     def test_control_energy_charged_per_access(self):
-        model = build_energy_model(EnergyModelConfig())
+        model = InterfaceEnergyModel(EnergyModelConfig())
         stats = StatCounters()
         stats.add("l1.ctrl", 10)
         totals = model.dynamic_energy_pj(stats)
@@ -124,33 +127,33 @@ class TestInterfaceEnergyModel:
         )
 
     def test_unknown_events_are_ignored(self):
-        model = build_energy_model(EnergyModelConfig())
+        model = InterfaceEnergyModel(EnergyModelConfig())
         stats = StatCounters()
         stats.add("nonsense.event", 100)
         totals = model.dynamic_energy_pj(stats)
         assert sum(totals.values()) == 0
 
     def test_leakage_includes_all_l1_arrays(self):
-        model = build_energy_model(EnergyModelConfig())
+        model = InterfaceEnergyModel(EnergyModelConfig())
         leakage = model.leakage_power_mw()
         single_array = model.sram.leakage_mw(model.specs["l1.data"])
         assert leakage["l1.data"] == pytest.approx(16 * single_array)
 
     def test_buffers_optional(self):
-        without = build_energy_model(EnergyModelConfig(include_buffers=False))
-        with_buffers = build_energy_model(EnergyModelConfig(include_buffers=True))
+        without = InterfaceEnergyModel(EnergyModelConfig(include_buffers=False))
+        with_buffers = InterfaceEnergyModel(EnergyModelConfig(include_buffers=True))
         assert "sb" not in without.specs
         assert "sb" in with_buffers.specs and "mb" in with_buffers.specs
 
     def test_access_energy_kind_validation(self):
-        model = build_energy_model(EnergyModelConfig())
+        model = InterfaceEnergyModel(EnergyModelConfig())
         with pytest.raises(ValueError):
             model.access_energy_pj("l1.tag", "erase")
 
 
 class TestEnergyAccounting:
     def _report(self, cycles=1000):
-        model = build_energy_model(EnergyModelConfig(has_way_tables=True))
+        model = InterfaceEnergyModel(EnergyModelConfig(has_way_tables=True))
         accountant = EnergyAccountant(model)
         stats = StatCounters()
         stats.add("l1.tag_read", 400)
@@ -184,7 +187,7 @@ class TestEnergyAccounting:
             self._report().normalized_to(empty)
 
     def test_negative_cycles_rejected(self):
-        model = build_energy_model(EnergyModelConfig())
+        model = InterfaceEnergyModel(EnergyModelConfig())
         with pytest.raises(ValueError):
             EnergyAccountant(model).report(StatCounters(), -5)
 

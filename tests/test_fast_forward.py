@@ -4,7 +4,7 @@ The pipeline jumps the clock across cycles in which nothing can retire,
 issue, tick, commit or fetch.  These tests build workloads with long idle
 gaps — pointer-chasing loads missing all the way to DRAM — and assert the
 jump is actually exercised on every interface model, and never taken by an
-interface that cannot report quiescence.  That the jumps leave every result
+interface that never reports quiescence.  That the jumps leave every result
 unchanged is pinned by ``tests/golden/pipeline_identity.json`` (the
 ``idle-gap``, ``busy`` and ``burst`` cases, computed cycle by cycle).
 """
@@ -44,7 +44,7 @@ class TestFastForward:
         simulator = Simulator(config)
         pipeline = OutOfOrderPipeline(
             simulator.interface,
-            params=simulator._pipeline_parameters(),
+            params=simulator.config.pipeline,
             stats=simulator.stats,
         )
         result = pipeline.run(pointer_chase_trace())
@@ -52,9 +52,13 @@ class TestFastForward:
         assert pipeline.fast_forwarded_cycles > result.cycles // 2
 
     def test_fast_forward_requires_quiescent_protocol(self):
-        """Interfaces without quiescent() (test stubs) never fast-forward."""
+        """An interface whose quiescent() is always False is ticked every
+        cycle and never lets the clock jump."""
 
         class MinimalInterface:
+            def __init__(self):
+                self.ticks = []
+
             def begin_cycle(self, cycle):
                 pass
 
@@ -80,6 +84,7 @@ class TestFastForward:
                 pass
 
             def tick(self, cycle):
+                self.ticks.append(cycle)
                 pending = getattr(self, "_pending", None)
                 if pending is not None:
                     self._pending = None
@@ -89,7 +94,12 @@ class TestFastForward:
             def finalize(self, cycle):
                 pass
 
-        pipeline = OutOfOrderPipeline(MinimalInterface())
+            def quiescent(self):
+                return False
+
+        interface = MinimalInterface()
+        pipeline = OutOfOrderPipeline(interface)
         result = pipeline.run([load(0x100)])
         assert result.cycles > 100  # waited for the slow completion...
         assert pipeline.fast_forwarded_cycles == 0  # ...cycle by cycle
+        assert interface.ticks == list(range(result.cycles))

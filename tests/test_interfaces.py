@@ -144,16 +144,24 @@ class TestBaselineDual:
         interface.submit_load("b", addr(1, 1), 4, 0)
         assert len(interface.tick(0)) == 2
 
-    def test_bank_port_limit_defers_third_same_bank_load(self):
-        stats, interface = build(BaselineDualLoadInterface, loads_per_cycle=3)
-        interface.begin_cycle(0)
-        for i, tag in enumerate(("a", "b", "c")):
-            interface.submit_load(tag, addr(1, 4 * i), 4, 0)  # all map to bank 0
-        first = interface.tick(0)
-        assert len(first) == 2
-        assert stats["interface.bank_conflict"] >= 1
-        interface.begin_cycle(1)
-        assert len(interface.tick(1)) == 1
+    def test_write_back_waits_while_two_loads_use_its_bank(self):
+        # A bank has two ports: two loads to it are both serviced in one
+        # cycle, and a merge-buffer write-back to it waits for the next.
+        stats, interface = build(BaselineDualLoadInterface, mb_entries=1)
+        for cycle, address in enumerate((addr(1, 0), addr(1, 4))):
+            interface.begin_cycle(cycle)
+            interface.submit_store(f"st{cycle}", address, 4, cycle)
+            interface.commit_store(f"st{cycle}", cycle)
+            interface._drain_committed_stores()
+        assert len(interface._pending_writebacks) == 1  # line 0 of page 1
+        interface.begin_cycle(2)
+        interface.submit_load("a", addr(1, 8), 4, 2)  # bank 0, as line 0
+        interface.submit_load("b", addr(1, 12), 4, 2)  # bank 0
+        assert [tag for tag, _ in interface.tick(2)] == ["a", "b"]
+        assert stats.get("interface.mbe_written") == 0
+        interface.begin_cycle(3)
+        assert interface.tick(3) == []
+        assert stats["interface.mbe_written"] == 1
 
     def test_translations_counted_per_access(self):
         stats, interface = build(BaselineDualLoadInterface)
@@ -277,9 +285,17 @@ class TestMalecInterface:
 
     def test_back_pressure_from_input_buffer(self):
         stats, interface = build(MalecInterface)
-        interface.begin_cycle(0)
-        # Fill this cycle's arrival slots without letting the buffer drain.
-        for index in range(4):
-            assert interface.can_accept_load()
-            interface.submit_load(f"ld{index}", addr(index, 0), 4, 0)
+        page = 0
+        for cycle in range(2):
+            interface.begin_cycle(cycle)
+            # Three loads (the three address slots) to three pages: one page
+            # group is serviced per cycle, the other loads are held.
+            while interface.reserve_load_slot():
+                assert interface.can_accept_load()
+                interface.submit_load(f"ld{page}", addr(page, 0), 4, cycle)
+                page += 1
+            interface.tick(cycle)
+        assert page == 6
+        buffer = interface.input_buffer
+        assert len(buffer._held) > buffer.held_capacity
         assert not interface.can_accept_load()

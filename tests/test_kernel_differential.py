@@ -86,7 +86,7 @@ def run_pipeline_kernel(config, trace, kernel, warmup=0.0):
     test can inspect the measured pipeline's own ``kernel_used`` flag.
     """
     simulator = Simulator(config)
-    params = simulator._pipeline_parameters()
+    params = simulator.config.pipeline
     entry = compile_kernel(config).entry if kernel == "specialized" else None
     view = trace.columnar()
     view.precompute_decompositions(config.cache.layout)
@@ -271,7 +271,7 @@ class TestFallbackContract:
         config = SimulationConfig.base_1ldst()
         foreign = compile_kernel(SimulationConfig.malec()).entry
         simulator = Simulator(config)
-        params = simulator._pipeline_parameters()
+        params = simulator.config.pipeline
         view = trace.columnar()
         view.precompute_decompositions(config.cache.layout)
         pipeline = OutOfOrderPipeline(
@@ -294,7 +294,7 @@ class TestFallbackContract:
         simulator = Simulator(config)
         pipeline = OutOfOrderPipeline(
             simulator.interface,
-            params=simulator._pipeline_parameters(),
+            params=simulator.config.pipeline,
             stats=simulator.stats,
             collector=RunCollector(),
             kernel=compile_kernel(config).entry,

@@ -53,7 +53,7 @@ def fallback_seeds():
 def check_lookup_after_insert_hits(num_sets: int, ways: int, seed: int) -> None:
     """Filling a tag and looking it up immediately must hit in that way."""
     rng = random.Random(seed)
-    array = SetAssociativeArray(num_sets=num_sets, ways=ways, seed=seed)
+    array = SetAssociativeArray(num_sets=num_sets, ways=ways)
     for _ in range(4 * num_sets * ways):
         set_index = rng.randrange(num_sets)
         tag = rng.randrange(8 * ways)
@@ -91,7 +91,7 @@ def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
     rng = random.Random(seed)
     stats = StatCounters()
     layout = AddressLayout()
-    hierarchy = MemoryHierarchy(layout=layout, stats=stats, seed=seed)
+    hierarchy = MemoryHierarchy(layout=layout, stats=stats)
     translation = TLBHierarchy(layout=layout, stats=stats, seed=seed)
     way_tables = WayTableHierarchy(translation, layout=layout, stats=stats)
     way_tables.attach_to_cache(hierarchy.l1)

@@ -1,20 +1,17 @@
-"""Tests for the replacement policies (LRU, PLRU, random, second chance)."""
+"""Tests for the replacement policies (LRU, random, second chance)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cache.replacement import (
     LRUReplacement,
     RandomReplacement,
     SecondChanceReplacement,
-    TreePLRUReplacement,
     make_replacement_policy,
 )
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", ["lru", "plru", "random", "second_chance"])
+    @pytest.mark.parametrize("name", ["lru", "random", "second_chance"])
     def test_factory_builds_each_policy(self, name):
         policy = make_replacement_policy(name, 4)
         assert policy.ways == 4
@@ -29,13 +26,13 @@ class TestFactory:
 
 
 class TestCommonBehaviour:
-    @pytest.mark.parametrize("name", ["lru", "plru", "random", "second_chance"])
+    @pytest.mark.parametrize("name", ["lru", "random", "second_chance"])
     def test_invalid_ways_preferred(self, name):
         policy = make_replacement_policy(name, 4)
         valid = [True, False, True, True]
         assert policy.victim(valid) == 1
 
-    @pytest.mark.parametrize("name", ["lru", "plru", "random", "second_chance"])
+    @pytest.mark.parametrize("name", ["lru", "random", "second_chance"])
     def test_excluded_way_never_chosen(self, name):
         policy = make_replacement_policy(name, 4)
         for _ in range(50):
@@ -43,7 +40,7 @@ class TestCommonBehaviour:
             assert victim != 2
             policy.touch(victim)
 
-    @pytest.mark.parametrize("name", ["lru", "plru", "random", "second_chance"])
+    @pytest.mark.parametrize("name", ["lru", "random", "second_chance"])
     def test_victim_in_range(self, name):
         policy = make_replacement_policy(name, 8)
         assert 0 <= policy.victim([True] * 8) < 8
@@ -85,26 +82,6 @@ class TestLRU:
             policy.touch(way)
         # LRU order is 0 but it is excluded, so 1 is chosen.
         assert policy.victim([True] * 4, excluded_way=0) == 1
-
-
-class TestTreePLRU:
-    def test_requires_power_of_two(self):
-        with pytest.raises(ValueError):
-            TreePLRUReplacement(3)
-
-    def test_points_away_from_recent_touches(self):
-        policy = TreePLRUReplacement(4)
-        policy.touch(0)
-        victim = policy.victim([True] * 4)
-        assert victim != 0
-
-    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=40))
-    @settings(max_examples=50)
-    def test_victim_always_valid_way(self, touches):
-        policy = TreePLRUReplacement(4)
-        for way in touches:
-            policy.touch(way)
-        assert 0 <= policy.victim([True] * 4) < 4
 
 
 class TestRandom:

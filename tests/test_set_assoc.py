@@ -34,7 +34,7 @@ class TestLookupAndFill:
         assert array.occupancy() == 2
 
     def test_lru_eviction_order(self):
-        array = SetAssociativeArray(num_sets=1, ways=2, replacement="lru")
+        array = SetAssociativeArray(num_sets=1, ways=2)
         array.fill(0, tag=1)
         array.fill(0, tag=2)
         array.find_way(0, tag=1)  # make tag 1 most recently used
@@ -48,18 +48,13 @@ class TestLookupAndFill:
         way, _ = array.fill(0, tag=99, excluded_way=2)
         assert way != 2
 
-    def test_preferred_way(self):
-        array = SetAssociativeArray(num_sets=1, ways=4)
-        way, _ = array.fill(0, tag=5, preferred_way=3)
-        assert way == 3
-
-    def test_preferred_conflicts_with_excluded(self):
-        array = SetAssociativeArray(num_sets=1, ways=4)
+    def test_excluding_the_only_way_rejected(self):
+        array = SetAssociativeArray(num_sets=1, ways=1)
         with pytest.raises(ValueError):
-            array.fill(0, tag=5, preferred_way=2, excluded_way=2)
+            array.fill(0, tag=5, excluded_way=0)
 
     def test_probe_does_not_touch_replacement(self):
-        array = SetAssociativeArray(num_sets=1, ways=2, replacement="lru")
+        array = SetAssociativeArray(num_sets=1, ways=2)
         array.fill(0, tag=1)
         array.fill(0, tag=2)
         array.find_way(0, tag=1, update_replacement=False)  # non-updating probe

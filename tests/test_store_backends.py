@@ -4,6 +4,7 @@ contract, manifest-conflict detection and multi-process SQLite writes."""
 from __future__ import annotations
 
 import multiprocessing
+import os
 import sqlite3
 
 import pytest
@@ -197,6 +198,46 @@ class TestManifestConflicts:
         first.check_manifest()
         second.check_manifest()
         assert second.manifest()["instructions"] == 900
+        first.close()
+        second.close()
+
+
+class TestJsonInterleavedWriters:
+    """Writer B's write runs inside writer A's rename of the same path (two
+    overlapping sweeps of one grid on one ``json:`` store): both succeed."""
+
+    @staticmethod
+    def _inside_first_rename(monkeypatch, write_b):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            write_b()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    def test_same_key_puts_both_succeed(self, tmp_path, monkeypatch):
+        first = JsonDirectoryBackend(tmp_path / "store")
+        second = JsonDirectoryBackend(tmp_path / "store")
+        record = record_fixture()
+        self._inside_first_rename(monkeypatch, lambda: second.put(record["key"], record))
+        first.put(record["key"], record)
+        assert first.get(record["key"]) == record
+        assert list(first.keys()) == [record["key"]]
+        assert not list((tmp_path / "store").rglob("*.tmp"))
+
+    def test_same_content_manifests_both_succeed(self, tmp_path, monkeypatch):
+        first = ResultStore(f"json:{tmp_path / 'store'}")
+        second = ResultStore(f"json:{tmp_path / 'store'}")
+        self._inside_first_rename(
+            monkeypatch, lambda: second.write_manifest(small_spec())
+        )
+        first.write_manifest(small_spec())
+        first.check_manifest()
+        second.check_manifest()
+        assert first.manifest() == second.manifest()
+        assert not list((tmp_path / "store").glob("*.tmp"))
         first.close()
         second.close()
 

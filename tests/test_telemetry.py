@@ -243,6 +243,30 @@ class TestJournal:
         with pytest.raises(json.JSONDecodeError):
             telemetry.read_journal(bad)
 
+    def test_torn_tail_between_runs_keeps_both_runs(self, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        _write_comparable_journal(path)
+        before = telemetry.read_journal(path)
+        with path.open("a") as handle:
+            handle.write('{"record": "cell", "run_id": "torn')  # crash mid-append
+        _write_comparable_journal(path, run_ids=("20260103T000000-cccccc",))
+        records = telemetry.read_journal(path)
+        second = [r for r in records if r["run_id"] == "20260103T000000-cccccc"]
+        assert records[: len(before)] == before
+        assert [r["record"] for r in second] == ["run_start", "cell", "cell", "run_end"]
+        assert telemetry._journal_schema_errors(path) == []
+        runs = telemetry.load_runs(path)
+        assert [run.run_id for run in runs] == [
+            "20260101T000000-aaaaaa",
+            "20260102T000000-bbbbbb",
+            "20260103T000000-cccccc",
+        ]
+        assert runs[-1].header is not None and runs[-1].footer is not None
+        # Only a line closed by a blank line (or the last line) is torn.
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"record": "cell"\n\n{"record": "run_end", "run_id": "x"}\n')
+        assert telemetry.read_journal(bad) == [{"record": "run_end", "run_id": "x"}]
+
     def test_schema_rejects_bad_records(self):
         schema = telemetry.load_schema()
         with pytest.raises(telemetry.SchemaError):
@@ -435,14 +459,13 @@ class TestKernelCounters:
 # ----------------------------------------------------------------------
 # repro obs CLI
 # ----------------------------------------------------------------------
-def _write_comparable_journal(path):
-    """Two runs with overlapping computed cells (B regresses on one cell)."""
+def _write_comparable_journal(
+    path, run_ids=("20260101T000000-aaaaaa", "20260102T000000-bbbbbb")
+):
+    """Runs with overlapping computed cells (the second regresses on one)."""
     cells_a = {"k1": 0.10, "k2": 0.20}
     cells_b = {"k1": 0.10, "k2": 0.30}
-    for run_id, cells in (
-        ("20260101T000000-aaaaaa", cells_a),
-        ("20260102T000000-bbbbbb", cells_b),
-    ):
+    for run_id, cells in zip(run_ids, (cells_a, cells_b)):
         journal = TelemetryJournal(path, run_id=run_id)
         journal.run_start("fig4-mini", cells_total=len(cells), jobs=1)
         for key, seconds in cells.items():

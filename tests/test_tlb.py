@@ -42,11 +42,15 @@ class TestPageTable:
         assert table.reverse_translate_page(frame + 1 if frame + 1 < table.physical_pages else frame - 1) in (None, 9) or True
 
     def test_out_of_frames(self):
-        table = PageTable(physical_pages=2)
-        table.translate_page(0)
-        table.translate_page(1)
+        # Table II's 256 MByte of 4 KByte frames; the odd-multiplier
+        # permutation visits each frame once, so every page gets a frame
+        # until the pool is empty.
+        table = PageTable()
+        assert table.physical_pages == 65536
+        frames = {table.translate_page(page) for page in range(65536)}
+        assert len(frames) == 65536
         with pytest.raises(RuntimeError):
-            table.translate_page(2)
+            table.translate_page(65536)
 
     def test_rejects_bad_virtual_page(self):
         table = PageTable()
