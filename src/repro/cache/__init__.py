@@ -15,24 +15,19 @@ Two access modes are exposed, mirroring Sec. V of the paper:
 """
 
 from repro.cache.replacement import (
-    LRUReplacement,
     RandomReplacement,
     ReplacementPolicy,
     SecondChanceReplacement,
-    make_replacement_policy,
 )
-from repro.cache.set_assoc import CacheLineState, SetAssociativeArray
+from repro.cache.set_assoc import SetAssociativeArray
 from repro.cache.cache_bank import CacheBank
 from repro.cache.l1_cache import L1DataCache
 from repro.cache.l2_cache import L2Cache
 
 __all__ = [
     "ReplacementPolicy",
-    "LRUReplacement",
     "RandomReplacement",
     "SecondChanceReplacement",
-    "make_replacement_policy",
-    "CacheLineState",
     "SetAssociativeArray",
     "CacheBank",
     "L1DataCache",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.cache.set_assoc import EvictionRecord, SetAssociativeArray
+from repro.cache.set_assoc import SetAssociativeArray
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
@@ -43,6 +43,13 @@ class CacheBank:
     restrict_way_allocation:
         When True, line fills avoid the "excluded" way of the 2-bit way-table
         encoding (Sec. V) so every resident line is representable by the WT.
+    on_evict, on_fill:
+        Listeners called as ``listener(line_address, way)``.  A fill that
+        displaces a valid line counts ``l1.eviction`` (and ``l1.writeback``
+        for a dirty victim) and calls ``on_evict`` with the victim's line
+        address; then it counts the fill and calls ``on_fill``.  The L1
+        forwards both to the way tables or the WDU, which keep their
+        validity bits coherent this way (Sec. V).
     """
 
     def __init__(
@@ -61,9 +68,7 @@ class CacheBank:
         self._on_evict = on_evict
         self._on_fill = on_fill
         self.array = SetAssociativeArray(
-            num_sets=layout.l1_sets_per_bank,
-            ways=layout.l1_associativity,
-            on_evict=self._handle_eviction,
+            num_sets=layout.l1_sets_per_bank, ways=layout.l1_associativity
         )
         # Per-access counters resolved to integer slots once (hot path).
         stats = self.stats
@@ -140,14 +145,6 @@ class CacheBank:
     # ------------------------------------------------------------------
     # Accesses
     # ------------------------------------------------------------------
-    def _handle_eviction(self, record: EvictionRecord) -> None:
-        address = self._line_address_from(record.set_index, record.tag)
-        self.stats.bump(self._h_eviction)
-        if record.dirty:
-            self.stats.bump(self._h_writeback)
-        if self._on_evict is not None:
-            self._on_evict(address, record.way)
-
     def read_parts(self, set_index: int, tag: int, way_hint: Optional[int]):
         """Service a load of the line ``tag`` in ``set_index``.
 
@@ -166,13 +163,12 @@ class CacheBank:
         stats = self.stats
         if way_hint is not None:
             # Reduced access: tag arrays bypassed, single data array read.
-            # (Direct set access: way hints come from way tables/WDU and are
-            # in range by construction; the set exists because a hint implies
-            # an earlier fill touched it.)
-            line = self.array._lines(set_index)[way_hint]
+            # (Direct slot access: way hints come from way tables/WDU and are
+            # in range by construction.)
+            array = self.array
             stats.bump_many(self._combo_reduced_read)
-            if line.valid and line.tag == tag:
-                self.array.find_way(set_index, tag)  # refresh replacement state
+            if array._tags[set_index * array.ways + way_hint] == tag:
+                array.find_way(set_index, tag)  # refresh replacement state
                 return True, way_hint, True, False
             # A wrong hint requires a second, conventional access; way tables
             # never produce this (validity is tracked), but WDU-style
@@ -197,13 +193,13 @@ class CacheBank:
         """
         stats = self.stats
         if way_hint is not None:
-            line = self.array._lines(set_index)[way_hint]
-            if line.valid and line.tag == tag:
+            array = self.array
+            if array._tags[set_index * array.ways + way_hint] == tag:
                 stats.bump(self._h_ctrl)
                 stats.bump(self._h_data_write, 1)
                 stats.bump(self._h_reduced_access)
-                self.array.mark_dirty(set_index, way_hint)
-                self.array.find_way(set_index, tag)
+                array.mark_dirty(set_index, way_hint)
+                array.find_way(set_index, tag)
                 return True, way_hint, True
             stats.bump(self._h_way_hint_wrong)
 
@@ -219,19 +215,21 @@ class CacheBank:
         """Install the line ``tag`` of ``set_index`` after a miss.
 
         ``physical_address`` names the line for the excluded-way rule and the
-        fill listener.  Returns ``(way, evicted_line_address,
-        evicted_dirty)``; the evicted address is ``None`` when the fill
-        displaced no valid line.
+        fill listener; the class docstring gives the eviction flow.  Returns
+        ``(way, evicted_line_address, evicted_dirty)``; the evicted address
+        is ``None`` when the fill displaced no valid line.
         """
-        excluded = self.excluded_way_for(physical_address)
-        evicted_address: Optional[int] = None
-        evicted_dirty = False
-        way, eviction = self.array.fill(
-            set_index, tag, dirty=dirty, excluded_way=excluded
+        way, evicted_tag, evicted_dirty = self.array.fill(
+            set_index, tag, dirty=dirty, excluded_way=self.excluded_way_for(physical_address)
         )
-        if eviction is not None:
-            evicted_address = self._line_address_from(eviction.set_index, eviction.tag)
-            evicted_dirty = eviction.dirty
+        evicted_address: Optional[int] = None
+        if evicted_tag is not None:
+            evicted_address = self._line_address_from(set_index, evicted_tag)
+            self.stats.bump(self._h_eviction)
+            if evicted_dirty:
+                self.stats.bump(self._h_writeback)
+            if self._on_evict is not None:
+                self._on_evict(evicted_address, way)
         self.stats.bump_many(self._combo_fill)
         if self._on_fill is not None:
             self._on_fill(self.layout.line_address(physical_address), way)

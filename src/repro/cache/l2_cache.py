@@ -69,9 +69,10 @@ class L2Cache:
     def access(self, physical_address: int, is_write: bool = False) -> int:
         """Access the L2 for a line; returns the total latency in cycles.
 
-        On a miss the line is fetched from DRAM and installed; dirty victims
-        are written back (counted, latency not added — write-backs are off the
-        critical path).
+        On a miss the line is fetched from DRAM and installed.  A dirty
+        victim counts ``l2.writeback`` and is written to DRAM at its own
+        line address, rebuilt from its tag and set; the write-back's latency
+        is not added, because write-backs are off the critical path.
         """
         set_index, tag = self._set_and_tag(physical_address)
         way = self.array.find_way(set_index, tag)
@@ -83,10 +84,11 @@ class L2Cache:
 
         self.stats.bump_many(self._combo_miss)
         dram_latency = self.dram.read(physical_address)
-        _, eviction = self.array.fill(set_index, tag, dirty=is_write)
-        if eviction is not None and eviction.dirty:
+        _, evicted_tag, evicted_dirty = self.array.fill(set_index, tag, dirty=is_write)
+        if evicted_dirty:
             self.stats.bump(self._h_writeback)
-            self.dram.write(physical_address)
+            victim_line = (evicted_tag << self._set_bits) | set_index
+            self.dram.write(self.layout.address_of_line(victim_line))
         return self.latency_cycles + dram_latency
 
     def contains(self, physical_address: int) -> bool:

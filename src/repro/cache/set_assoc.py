@@ -1,151 +1,82 @@
-"""Generic set-associative storage array.
+"""Set-associative tag array of one cache: an L1 bank or the L2.
 
-:class:`SetAssociativeArray` implements the bookkeeping shared by the L1
-banks, the L2 cache and (as a degenerate fully-associative case) the TLBs:
-tag match, fill with victim selection, eviction and explicit invalidation.
-It stores *metadata only* — the reproduction is a timing/energy model, so no
-actual data bytes are kept, only tags, validity and dirtiness.  Every cache
-array replaces true-LRU; no configuration selects another policy.
+:class:`SetAssociativeArray` keeps a cache's metadata in flat columns with
+one entry per way of every set, at ``slot = set_index * ways + way``:
+
+* ``_tags`` holds the tag resident in each slot, :data:`INVALID` when empty;
+* ``_dirty`` (a ``bytearray``) holds the dirty bits;
+* ``_stamps`` holds the tick of each slot's last use.
+
+Beside them, ``_slot_of`` maps every resident line, keyed
+``tag * num_sets + set_index``, to its slot, so a lookup is one dict probe.
+Tags are address bits, so never negative.  The reproduction is a
+timing/energy model, so no data bytes are kept.
+
+Replacement is true LRU, the array's own rule: a use stamps the slot with
+the next tick of ``_tick`` (counting from 1), and a fill evicts the lowest
+stamp among the ways it may use.  Stamps start at ``0, -1, …, -(ways-1)``
+in every set, so way 0 starts most recently used and an empty set fills
+from its last way down.  An empty slot keeps its starting stamp, which is
+below every tick, so empty ways always win.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from itertools import count
+from math import inf
+from typing import Dict, List, Optional
 
-from repro.cache.replacement import LRUReplacement
-
-
-class CacheLineState:
-    """State of a single way within a set (slotted: one per resident line)."""
-
-    __slots__ = ("valid", "dirty", "tag")
-
-    def __init__(self, valid: bool = False, dirty: bool = False, tag: int = 0) -> None:
-        self.valid = valid
-        self.dirty = dirty
-        self.tag = tag
-
-    def reset(self) -> None:
-        """Invalidate the line."""
-        self.valid = False
-        self.dirty = False
-        self.tag = 0
-
-
-@dataclass
-class EvictionRecord:
-    """Description of a line displaced by a fill."""
-
-    set_index: int
-    way: int
-    tag: int
-    dirty: bool
+#: ``_tags`` entry of a slot that holds no line
+INVALID = -1
 
 
 class SetAssociativeArray:
-    """A set-associative array of ``num_sets`` sets with ``ways`` ways each.
+    """A set-associative array of ``num_sets`` sets with ``ways`` ways each."""
 
-    Parameters
-    ----------
-    num_sets:
-        Number of sets (1 gives a fully-associative structure).
-    ways:
-        Associativity.
-    on_evict:
-        Optional callback invoked with an :class:`EvictionRecord` whenever a
-        valid line is displaced or invalidated.  The L1 uses it to keep the
-        way tables coherent (Sec. V: validity bits are reset on evictions).
-    """
-
-    def __init__(
-        self,
-        num_sets: int,
-        ways: int,
-        on_evict: Optional[Callable[[EvictionRecord], None]] = None,
-    ) -> None:
+    def __init__(self, num_sets: int, ways: int) -> None:
         if num_sets <= 0:
             raise ValueError("num_sets must be positive")
         if ways <= 0:
             raise ValueError("ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self.on_evict = on_evict
-        # Sets are materialised lazily on first touch: a 1 MByte L2 would
-        # otherwise allocate 16 K line-state objects and 1 K policies per
-        # simulator even though short runs touch a fraction of them.  A fresh
-        # LRU stack is the same whenever it is built, so lazy construction is
-        # bit-identical to the eager one.
-        self._sets: Dict[int, List[CacheLineState]] = {}
-        self._policies: Dict[int, LRUReplacement] = {}
-        # Per-set tag -> way index, kept coherent by every mutator; lookups
-        # are a dict probe instead of an O(ways) scan over line objects.
-        # (All line-state mutation flows through fill/mark_dirty/invalidate*,
-        # so the index can never go stale.)  len(tags) doubles as the set's
-        # valid count, so the steady-state fill path skips mask building.
-        self._tags: Dict[int, Dict[int, int]] = {}
+        slots = num_sets * ways
+        self._tags: List[int] = [INVALID] * slots
+        self._dirty = bytearray(slots)
+        self._stamps: List[int] = list(range(0, -ways, -1)) * num_sets
+        self._slot_of: Dict[int, int] = {}
+        self._tick = count(1)
 
-    # ------------------------------------------------------------------
-    # Lazy set materialisation
-    # ------------------------------------------------------------------
-    def _lines(self, set_index: int) -> List[CacheLineState]:
-        """The ways of ``set_index``, materialising the set on first touch."""
-        lines = self._sets.get(set_index)
-        if lines is None:
-            lines = self._sets[set_index] = [CacheLineState() for _ in range(self.ways)]
-            self._tags[set_index] = {}
-        return lines
-
-    def _policy(self, set_index: int) -> LRUReplacement:
-        """The LRU state of ``set_index`` (lazily constructed)."""
-        policy = self._policies.get(set_index)
-        if policy is None:
-            policy = self._policies[set_index] = LRUReplacement(self.ways)
-        return policy
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
     def _check_set(self, set_index: int) -> None:
         if set_index < 0 or set_index >= self.num_sets:
             raise ValueError(f"set index {set_index} outside 0..{self.num_sets - 1}")
 
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
     def find_way(self, set_index: int, tag: int, update_replacement: bool = True):
         """Search ``set_index`` for ``tag``: the way holding it, or ``None``.
 
-        A hit records the use with the set's replacement policy unless
-        ``update_replacement`` is False (a probe that leaves the victim
-        order alone).  :meth:`line` gives the state of the way found.
+        A hit counts as a use of the line unless ``update_replacement`` is
+        False (a probe that leaves the victim order alone).
         """
         self._check_set(set_index)
-        tags = self._tags.get(set_index)
-        way = tags.get(tag) if tags is not None else None
-        if way is None:
+        slot = self._slot_of.get(tag * self.num_sets + set_index)
+        if slot is None:
             return None
         if update_replacement:
-            self._policy(set_index).touch(way)
-        return way
-
-    def line(self, set_index: int, way: int) -> CacheLineState:
-        """Direct access to the state of one way."""
-        self._check_set(set_index)
-        if way < 0 or way >= self.ways:
-            raise ValueError(f"way {way} outside 0..{self.ways - 1}")
-        return self._lines(set_index)[way]
+            self._stamps[slot] = next(self._tick)
+        return slot - set_index * self.ways
 
     def occupancy(self) -> int:
         """Total number of valid lines across the whole array."""
-        return sum(
-            1 for ways in self._sets.values() for line in ways if line.valid
-        )
+        return len(self._slot_of)
 
     def valid_tags(self, set_index: int) -> List[int]:
-        """Tags of all valid lines in a set (helper for invariants in tests)."""
+        """Tags of the valid lines of a set, in way order."""
         self._check_set(set_index)
-        lines = self._sets.get(set_index)
-        if lines is None:
-            return []
-        return [line.tag for line in lines if line.valid]
+        base = set_index * self.ways
+        return [tag for tag in self._tags[base : base + self.ways] if tag != INVALID]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -156,80 +87,50 @@ class SetAssociativeArray:
         tag: int,
         dirty: bool = False,
         excluded_way: Optional[int] = None,
-    ) -> tuple[int, Optional[EvictionRecord]]:
-        """Insert ``tag`` into ``set_index`` and return ``(way, eviction)``.
+    ):
+        """Install ``tag`` in ``set_index``: ``(way, evicted_tag, evicted_dirty)``.
 
-        If the tag is already present its dirtiness is refreshed in place.
-        Otherwise a victim is chosen (honouring ``excluded_way``) and, if it
-        held a valid line, an :class:`EvictionRecord` is produced and the
-        ``on_evict`` callback fired.
+        A resident tag counts as a use and ORs ``dirty`` into its dirty bit.
+        Otherwise the victim is the least recently used way other than
+        ``excluded_way``.  ``evicted_tag`` is ``None`` when the fill
+        displaced nothing, and ``evicted_dirty`` then is False.
         """
         self._check_set(set_index)
-        lines = self._lines(set_index)
-        tags = self._tags[set_index]
-        existing_way = tags.get(tag)
-        if existing_way is not None:
-            self._policy(set_index).touch(existing_way)
-            line = lines[existing_way]
-            line.dirty = line.dirty or dirty
-            return existing_way, None
+        stamps = self._stamps
+        key = tag * self.num_sets + set_index
+        base = set_index * self.ways
+        slot = self._slot_of.get(key)
+        if slot is not None:
+            stamps[slot] = next(self._tick)
+            if dirty:
+                self._dirty[slot] = 1
+            return slot - base, None, False
 
-        policy = self._policy(set_index)
-        if excluded_way is None and len(tags) == self.ways:
-            # Steady state (every way valid, nothing excluded): skip the mask.
-            way = policy.victim_full()
+        window = stamps[base : base + self.ways]
+        if excluded_way is not None:
+            if self.ways == 1:
+                raise ValueError("cannot exclude every way of a set")
+            window[excluded_way] = inf
+        way = window.index(min(window))
+        slot = base + way
+        evicted_tag: Optional[int] = self._tags[slot]
+        evicted_dirty = self._dirty[slot] == 1
+        if evicted_tag == INVALID:
+            evicted_tag = None
         else:
-            way = policy.victim([line.valid for line in lines], excluded_way=excluded_way)
-        line = lines[way]
-
-        eviction: Optional[EvictionRecord] = None
-        if line.valid:
-            eviction = EvictionRecord(
-                set_index=set_index,
-                way=way,
-                tag=line.tag,
-                dirty=line.dirty,
-            )
-            del tags[line.tag]
-            if self.on_evict is not None:
-                self.on_evict(eviction)
-
-        line.valid = True
-        line.tag = tag
-        line.dirty = dirty
-        tags[tag] = way
-        policy.touch(way)
-        return way, eviction
+            del self._slot_of[evicted_tag * self.num_sets + set_index]
+        self._tags[slot] = tag
+        self._dirty[slot] = dirty
+        stamps[slot] = next(self._tick)
+        self._slot_of[key] = slot
+        return way, evicted_tag, evicted_dirty
 
     def mark_dirty(self, set_index: int, way: int) -> None:
         """Set the dirty bit of an existing valid line."""
-        line = self.line(set_index, way)
-        if not line.valid:
+        self._check_set(set_index)
+        if way < 0 or way >= self.ways:
+            raise ValueError(f"way {way} outside 0..{self.ways - 1}")
+        slot = set_index * self.ways + way
+        if self._tags[slot] == INVALID:
             raise ValueError("cannot mark an invalid line dirty")
-        line.dirty = True
-
-    def invalidate(self, set_index: int, tag: int) -> bool:
-        """Invalidate ``tag`` if present; returns ``True`` when a line was dropped."""
-        way = self.find_way(set_index, tag, update_replacement=False)
-        if way is None:
-            return False
-        line = self._sets[set_index][way]
-        record = EvictionRecord(
-            set_index=set_index,
-            way=way,
-            tag=line.tag,
-            dirty=line.dirty,
-        )
-        del self._tags[set_index][line.tag]
-        line.reset()
-        if self.on_evict is not None:
-            self.on_evict(record)
-        return True
-
-    def invalidate_all(self) -> None:
-        """Invalidate every line without firing eviction callbacks."""
-        for ways in self._sets.values():
-            for line in ways:
-                line.reset()
-        for tags in self._tags.values():
-            tags.clear()
+        self._dirty[slot] = 1

@@ -126,6 +126,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # A reply leaves in two writes (headers, then body).  With Nagle's
+    # algorithm on, the body waits for the client's delayed ACK, about
+    # 40 ms per keep-alive reply; socketserver sets TCP_NODELAY instead.
+    disable_nagle_algorithm = True
 
     # BaseHTTPRequestHandler logs to stderr per request by default; the
     # telemetry journal is the operational record, so keep stderr quiet.

@@ -24,11 +24,11 @@ specialized for that one configuration:
   the flushed totals are bit-identical to per-access bumping.
 
 Bit-identity strategy — *probe, then commit or delegate*: every inlined fast
-path starts with side-effect-free probes (pure dict ``.get`` reads).  Only
+path starts with side-effect-free probes (dict ``.get`` and list reads).  Only
 when the whole probe succeeds does the kernel apply the inline effects;
 otherwise it calls the exact original method before having mutated anything,
-so slow paths (TLB misses, cache misses, way-hint mismatches, structure
-materialization) run the canonical code and charge the canonical counters.
+so slow paths (TLB misses, cache misses, way-hint mismatches) run the
+canonical code and charge the canonical counters.
 All simulation state stays canonical — the kernel writes the same plain
 values into the same containers the generic loop does: the load queue maps
 each tag to its issue cycle, the baselines queue ``(tag, address, size)``
@@ -50,7 +50,7 @@ from __future__ import annotations
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 4
+GENERATOR_VERSION = 5
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -84,6 +84,7 @@ def build_spec(config: SimulationConfig) -> dict:
         "line_mask": line_mask,
         "line_neg_mask": ~line_mask,
         "nbanks": layout.l1_banks,
+        "sets": layout.l1_sets_per_bank,
         "ways": layout.l1_associativity,
     }
     if config.interface is InterfaceKind.MALEC:
@@ -184,6 +185,7 @@ def _guards(spec: dict) -> str:
         _check(f"l1.hit_latency != {spec['hit_latency']}"),
         _check(f"len(banks) != {spec['nbanks']}"),
         "    bank0 = banks[0]",
+        _check(f"bank0.array.num_sets != {spec['sets']}"),
         _check(f"bank0.array.ways != {spec['ways']}"),
         "    translation = interface.translation",
         "    utlb = translation.utlb",
@@ -237,9 +239,9 @@ def _prologue(spec: dict) -> str:
         "    sb_by_tag = store_buffer._by_tag",
         "    mb_entries = merge_buffer._entries",
         "    load_parts = l1.load_parts",
-        "    bank_tags = [bank.array._tags for bank in banks]",
-        "    bank_sets = [bank.array._sets for bank in banks]",
-        "    bank_policies = [bank.array._policies for bank in banks]",
+        "    bank_slot_of = [bank.array._slot_of for bank in banks]",
+        "    bank_stamps = [bank.array._stamps for bank in banks]",
+        "    bank_tick = [bank.array._tick for bank in banks]",
         "    pending_writebacks = interface._pending_writebacks",
         "    drain_committed = interface._drain_committed_stores",
     ]
@@ -256,6 +258,7 @@ def _prologue(spec: dict) -> str:
         ]
     if kind == "MALEC":
         lines += [
+            "    bank_tags = [bank.array._tags for bank in banks]",
             "    mbe_backlog = interface._mbe_backlog",
             "    feed_mbe_slot = interface._feed_mbe_slot",
             "    translate_page_pair = translation.translate_page_pair",
@@ -687,27 +690,18 @@ if ({addr} & {spec['line_neg_mask']}) in mb_entries:
 
 
 def _l1_conventional_inline(spec: dict, phys: str, indent: int) -> str:
-    """Conventional (no way hint) L1 load probe; any miss delegates.
-
-    Sets ``latency`` (and ``l1_hit``/``l1_way`` for MALEC's feedback path).
-    """
+    """The baselines' conventional (no way hint) L1 load probe; a miss
+    delegates.  Sets ``latency``, the only result the baselines read."""
     text = f"""\
 pparts = decompose({phys})
 pbank = pparts[5]
-tags_map = bank_tags[pbank].get(pparts[6])
-l1_way = tags_map.get(pparts[7]) if tags_map is not None else None
-policy = bank_policies[pbank].get(pparts[6]) if l1_way is not None else None
-if policy is not None:
-    lru_stack = policy._stack
-    if lru_stack[0] != l1_way:
-        lru_stack.remove(l1_way)
-        lru_stack.insert(0, l1_way)
+l1_slot = bank_slot_of[pbank].get(pparts[7] * {spec['sets']} + pparts[6])
+if l1_slot is not None:
+    bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
     acc_l1_conv_hit += 1
-    l1_hit = True
-    reduced = False
     latency = {spec['hit_latency']}
 else:
-    l1_hit, l1_way, latency, reduced, _b, _w = load_parts({phys})"""
+    latency = load_parts({phys})[2]"""
     return _shift(text, indent)
 
 
@@ -1011,43 +1005,23 @@ def _tick_malec(spec: dict) -> str:
                     set_index = pparts[6]
                     ptag = pparts[7]
                     if way_hint is not None:
-                        l1_hit = False
-                        lines = bank_sets[pbank].get(set_index)
-                        if lines is not None:
-                            line = lines[way_hint]
-                            if line.valid and line.tag == ptag:
-                                policy = bank_policies[pbank].get(set_index)
-                                tags_map = bank_tags[pbank].get(set_index)
-                                tags_way = (
-                                    tags_map.get(ptag) if tags_map is not None else None
-                                )
-                                if policy is not None and tags_way is not None:
-                                    lru_stack = policy._stack
-                                    if lru_stack[0] != tags_way:
-                                        lru_stack.remove(tags_way)
-                                        lru_stack.insert(0, tags_way)
-                                    acc_l1_reduced_hit += 1
-                                    l1_hit = True
-                                    l1_way = way_hint
-                                    reduced = True
-                                    latency = {spec['hit_latency']}
-                        if not l1_hit:
+                        l1_slot = set_index * {spec['ways']} + way_hint
+                        if bank_tags[pbank][l1_slot] == ptag:
+                            bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
+                            acc_l1_reduced_hit += 1
+                            l1_hit = True
+                            l1_way = way_hint
+                            reduced = True
+                            latency = {spec['hit_latency']}
+                        else:
                             l1_hit, l1_way, latency, reduced, _b, _w = load_parts(
                                 physical_address, way_hint=way_hint
                             )
                     else:
-                        tags_map = bank_tags[pbank].get(set_index)
-                        l1_way = tags_map.get(ptag) if tags_map is not None else None
-                        policy = (
-                            bank_policies[pbank].get(set_index)
-                            if l1_way is not None
-                            else None
-                        )
-                        if policy is not None:
-                            lru_stack = policy._stack
-                            if lru_stack[0] != l1_way:
-                                lru_stack.remove(l1_way)
-                                lru_stack.insert(0, l1_way)
+                        l1_slot = bank_slot_of[pbank].get(ptag * {spec['sets']} + set_index)
+                        if l1_slot is not None:
+                            bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
+                            l1_way = l1_slot % {spec['ways']}
                             acc_l1_conv_hit += 1
                             l1_hit = True
                             reduced = False

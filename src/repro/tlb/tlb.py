@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.cache.replacement import make_replacement_policy
+from repro.cache.replacement import (
+    RandomReplacement,
+    ReplacementPolicy,
+    SecondChanceReplacement,
+)
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.page_table import PageTable
@@ -40,31 +44,28 @@ EvictionCallback = Callable[[int, TLBEntry, TLBEntry], None]
 
 
 class TLB:
-    """A fully-associative translation buffer of ``entries`` slots.
+    """A fully-associative translation buffer with one slot per policy way.
 
     The class is used for both the 64-entry main TLB and the 16-entry uTLB
-    (Table II); only the size and the replacement policy differ.  Way tables
-    index their entries by TLB slot, so the slot index is part of every
-    lookup result and the eviction callback reports which slot was recycled.
+    (Table II); only the replacement policy, which also fixes the size,
+    differs.  Way tables index their entries by TLB slot, so the slot index
+    is part of every lookup result and the eviction callback reports which
+    slot was recycled.
     """
 
     def __init__(
         self,
-        entries: int,
+        policy: ReplacementPolicy,
         name: str = "tlb",
-        replacement: str = "random",
         layout: AddressLayout = DEFAULT_LAYOUT,
         stats: Optional[StatCounters] = None,
-        seed: int = 0,
     ) -> None:
-        if entries <= 0:
-            raise ValueError("a TLB needs at least one entry")
         self.name = name
         self.layout = layout
-        self.entries = entries
+        self.entries = policy.ways
         self.stats = stats if stats is not None else StatCounters()
-        self._slots: List[TLBEntry] = [TLBEntry() for _ in range(entries)]
-        self._policy = make_replacement_policy(replacement, entries, seed=seed)
+        self._slots: List[TLBEntry] = [TLBEntry() for _ in range(self.entries)]
+        self._policy = policy
         self._by_vpage: Dict[int, int] = {}
         self._by_ppage: Dict[int, int] = {}
         self._valid_count = 0
@@ -220,20 +221,16 @@ class TLBHierarchy:
             layout=layout, seed=seed, stats=self.stats
         )
         self.utlb = TLB(
-            utlb_entries,
+            SecondChanceReplacement(utlb_entries),
             name="utlb",
-            replacement="second_chance",
             layout=layout,
             stats=self.stats,
-            seed=seed,
         )
         self.tlb = TLB(
-            tlb_entries,
+            RandomReplacement(tlb_entries, seed=seed + 1),
             name="tlb",
-            replacement="random",
             layout=layout,
             stats=self.stats,
-            seed=seed + 1,
         )
         self._h_walk = self.stats.handle("tlb.walk")
         self._page_shift = layout.page_offset_bits

@@ -82,6 +82,28 @@ class TestCacheBank:
         assert len(fills) == layout.l1_associativity + 1
         assert len(evicts) == 1
 
+    def test_eviction_bookkeeping_precedes_the_fill(self, stats):
+        """Eviction counters, then the evict listener, then the fill's."""
+        events = []
+
+        def listener(kind):
+            def record(address, way):
+                events.append((kind, address, way, stats["l1.writeback"], stats["l1.fill"]))
+
+            return record
+
+        bank = CacheBank(
+            bank_index=0, stats=stats, on_fill=listener("fill"), on_evict=listener("evict")
+        )
+        set_span = layout.l1_banks * layout.l1_sets_per_bank
+        lines = [layout.address_of_line(i * set_span) for i in range(5)]
+        fill(bank, lines[0], dirty=True)
+        for line in lines[1:]:
+            fill(bank, line)
+        # An empty set fills from its last way down, so line 0 went to way 3.
+        assert events[-2:] == [("evict", lines[0], 3, 1, 4), ("fill", lines[4], 3, 1, 5)]
+        assert stats["l1.eviction"] == 1
+
     def test_excluded_way_rotation(self):
         bank = CacheBank(bank_index=0, restrict_way_allocation=True)
         assert bank.excluded_way_for(addr(0, 0)) == 0
@@ -100,10 +122,19 @@ class TestCacheBank:
     def test_store_write_marks_dirty_and_hits(self, stats):
         bank = CacheBank(bank_index=0, stats=stats)
         fill(bank, addr(1, 0))
-        hit, way, _ = write(bank, addr(1, 0))
+        hit, _, _ = write(bank, addr(1, 0))
         assert hit
         assert stats["l1.data_write"] >= 1
-        assert bank.array.line(layout.decompose(addr(1, 0)).set_index, way).dirty
+        # Clean fills to the same set evict the written line last, as dirty.
+        set_span = layout.l1_banks * layout.l1_sets_per_bank
+        first = layout.line_number(addr(1, 0))
+        evicted = []
+        for i in range(1, layout.l1_associativity + 1):
+            other = layout.address_of_line(first + i * set_span)
+            parts = layout.decompose(other)
+            evicted.append(bank.fill_parts(other, parts.set_index, parts.tag, False)[1:])
+        assert evicted[-1] == (addr(1, 0), True)
+        assert evicted[:-1] == [(None, False)] * (layout.l1_associativity - 1)
 
     def test_way_of_and_contains(self):
         bank = CacheBank(bank_index=0)
@@ -181,6 +212,40 @@ class TestL2AndDRAM:
         l2.access(addr(9, 0))
         l2.access(addr(9, 0))
         assert l2.miss_rate == 0.5
+
+    def test_dirty_victim_written_back_at_its_own_address(self, monkeypatch):
+        l2 = L2Cache()
+        written = []
+        monkeypatch.setattr(l2.dram, "write", written.append)
+        stride = l2.num_sets * layout.line_bytes  # one L2 set apart
+        for i in range(l2.ASSOCIATIVITY):
+            l2.access(i * stride, is_write=True)
+        assert written == []
+        l2.access(l2.ASSOCIATIVITY * stride)  # evicts the LRU line at 0x0
+        assert written == [0]
+        assert l2.stats["l2.writeback"] == 1
+
+    def test_clean_victim_not_written_back(self, monkeypatch):
+        l2 = L2Cache()
+        written = []
+        monkeypatch.setattr(l2.dram, "write", written.append)
+        stride = l2.num_sets * layout.line_bytes  # one L2 set apart
+        for i in range(l2.ASSOCIATIVITY + 1):
+            l2.access(i * stride)
+        assert not l2.contains(0)  # the LRU line left without a write-back
+        assert written == []
+        assert l2.stats["l2.writeback"] == 0
+
+    def test_write_hit_dirties_the_line(self, monkeypatch):
+        l2 = L2Cache()
+        written = []
+        monkeypatch.setattr(l2.dram, "write", written.append)
+        stride = l2.num_sets * layout.line_bytes
+        l2.access(3 * stride)  # clean fill
+        l2.access(3 * stride, is_write=True)  # write hit
+        for i in range(4, l2.ASSOCIATIVITY + 4):
+            l2.access(i * stride)
+        assert written == [3 * stride]
 
     def test_l2_geometry_is_table_ii(self):
         # 1 MByte in 16 ways of 64-byte lines: 1024 sets, indexed by mask.

@@ -5,7 +5,9 @@ rests on:
 
 * a set-associative lookup immediately after an insert always hits, in the
   way the insert reported;
-* true-LRU replacement never victimises the most-recently-used way;
+* true-LRU replacement never evicts the most-recently-used line, and the
+  flat cache array picks the same ways and evicts the same lines as a
+  per-set most-recently-used list, excluded ways included;
 * way-table predictions are *valid-or-unknown* — a known way always matches
   the tag array (this is what makes tag-bypassed "reduced" accesses safe);
 * a TLB lookup after an insert hits, and the reverse (physical) index stays
@@ -22,7 +24,6 @@ import random
 
 import pytest
 
-from repro.cache.replacement import LRUReplacement
 from repro.cache.set_assoc import SetAssociativeArray
 from repro.memory.address import AddressLayout
 from repro.memory.hierarchy import MemoryHierarchy
@@ -57,29 +58,73 @@ def check_lookup_after_insert_hits(num_sets: int, ways: int, seed: int) -> None:
     for _ in range(4 * num_sets * ways):
         set_index = rng.randrange(num_sets)
         tag = rng.randrange(8 * ways)
-        way, _ = array.fill(set_index, tag)
+        way, _, _ = array.fill(set_index, tag)
         assert array.find_way(set_index, tag, update_replacement=False) == way, (
             set_index,
             tag,
         )
-        assert array.line(set_index, way).tag == tag
         assert tag in array.valid_tags(set_index)
 
 
 def check_lru_never_evicts_mru(ways: int, seed: int) -> None:
-    """With every way valid, the LRU victim is never the last-touched way."""
+    """With every way valid, a fill never evicts the last-used line."""
     rng = random.Random(seed)
-    policy = LRUReplacement(ways)
-    all_valid = [True] * ways
-    last_touched = None
-    for _ in range(8 * ways):
-        way = rng.randrange(ways)
-        policy.touch(way)
-        last_touched = way
-        victim = policy.victim(all_valid)
-        assert victim != last_touched or ways == 1
-        # The victim stays stable until someone touches it.
-        assert policy.victim(all_valid) == victim
+    array = SetAssociativeArray(num_sets=1, ways=ways)
+    for tag in range(ways):
+        array.fill(0, tag)
+    for new_tag in range(ways, 9 * ways):
+        last_used = rng.choice(array.valid_tags(0))
+        array.find_way(0, last_used)
+        _, evicted_tag, _ = array.fill(0, new_tag)
+        assert evicted_tag != last_used or ways == 1
+
+
+class ReferenceLRU:
+    """Plain true LRU: per set, a list of ways ordered most recently used first."""
+
+    def __init__(self, num_sets: int, ways: int) -> None:
+        self.order = [list(range(ways)) for _ in range(num_sets)]
+        self.lines = [[None] * ways for _ in range(num_sets)]  # (tag, dirty)
+
+    def find_way(self, set_index, tag, update_replacement=True):
+        for way, line in enumerate(self.lines[set_index]):
+            if line is not None and line[0] == tag:
+                if update_replacement:
+                    self.order[set_index].remove(way)
+                    self.order[set_index].insert(0, way)
+                return way
+        return None
+
+    def fill(self, set_index, tag, dirty=False, excluded_way=None):
+        lines = self.lines[set_index]
+        way = self.find_way(set_index, tag)
+        if way is not None:
+            lines[way] = (tag, lines[way][1] or dirty)
+            return way, None, False
+        allowed = [w for w in reversed(self.order[set_index]) if w != excluded_way]
+        way = next((w for w in allowed if lines[w] is None), allowed[0])
+        evicted = lines[way] or (None, False)
+        lines[way] = (tag, dirty)
+        self.find_way(set_index, tag)
+        return (way,) + evicted
+
+
+def check_lru_matches_reference_model(num_sets: int, ways: int, seed: int) -> None:
+    """The array answers a random fill/lookup mix exactly as :class:`ReferenceLRU`."""
+    rng = random.Random(seed)
+    array = SetAssociativeArray(num_sets=num_sets, ways=ways)
+    model = ReferenceLRU(num_sets, ways)
+    for step in range(16 * num_sets * ways):
+        set_index = rng.randrange(num_sets)
+        tag = rng.randrange(2 * ways)  # re-fills of resident tags and evictions
+        if rng.random() < 0.5:
+            excluded = rng.randrange(ways) if ways > 1 and rng.random() < 0.5 else None
+            dirty = rng.random() < 0.3
+            args = (set_index, tag, dirty, excluded)
+            assert array.fill(*args) == model.fill(*args), (step, args)
+        else:
+            args = (set_index, tag, rng.random() < 0.5)
+            assert array.find_way(*args) == model.find_way(*args), (step, args)
 
 
 def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
@@ -168,6 +213,15 @@ if HAVE_HYPOTHESIS:
         def test_lru_never_evicts_mru(self, ways, seed):
             check_lru_never_evicts_mru(ways, seed)
 
+        @given(
+            num_sets=st.integers(min_value=1, max_value=8),
+            ways=st.integers(min_value=1, max_value=16),
+            seed=st.integers(min_value=0, max_value=2**20),
+        )
+        @settings(**COMMON)
+        def test_lru_matches_reference_model(self, num_sets, ways, seed):
+            check_lru_matches_reference_model(num_sets, ways, seed)
+
         @given(seed=st.integers(min_value=0, max_value=2**20))
         @settings(deadline=None, max_examples=10)
         def test_way_predictions_match_tag_array(self, seed):
@@ -195,6 +249,13 @@ else:  # pragma: no cover - exercised only without hypothesis
         def test_lru_never_evicts_mru(self, seed):
             rng = random.Random(2000 + seed)
             check_lru_never_evicts_mru(ways=rng.randrange(1, 17), seed=seed)
+
+        @fallback_seeds()
+        def test_lru_matches_reference_model(self, seed):
+            rng = random.Random(4000 + seed)
+            check_lru_matches_reference_model(
+                num_sets=rng.randrange(1, 9), ways=rng.randrange(1, 17), seed=seed
+            )
 
         @pytest.mark.parametrize("seed", range(8))
         def test_way_predictions_match_tag_array(self, seed):

@@ -1,87 +1,100 @@
-"""Tests for the replacement policies (LRU, random, second chance)."""
+"""Tests for replacement: LRU in the cache arrays, random and second chance in the TLBs."""
 
 import pytest
 
-from repro.cache.replacement import (
-    LRUReplacement,
-    RandomReplacement,
-    SecondChanceReplacement,
-    make_replacement_policy,
-)
+from repro.cache.replacement import RandomReplacement, SecondChanceReplacement
+from repro.cache.set_assoc import SetAssociativeArray
+
+#: the TLB policies, by the names their parametrized tests carry
+POLICIES = {"random": RandomReplacement, "second_chance": SecondChanceReplacement}
 
 
-class TestFactory:
-    @pytest.mark.parametrize("name", ["lru", "random", "second_chance"])
-    def test_factory_builds_each_policy(self, name):
-        policy = make_replacement_policy(name, 4)
-        assert policy.ways == 4
+def full_set(ways: int) -> SetAssociativeArray:
+    """A one-set array whose way ``w`` holds tag ``w``."""
+    array = SetAssociativeArray(num_sets=1, ways=ways)
+    for tag in reversed(range(ways)):  # an empty set fills from its last way down
+        assert array.fill(0, tag)[0] == tag
+    return array
 
-    def test_factory_rejects_unknown_policy(self):
-        with pytest.raises(ValueError):
-            make_replacement_policy("fifo", 4)
 
-    def test_rejects_zero_ways(self):
-        with pytest.raises(ValueError):
-            LRUReplacement(0)
+def victim(name: str, valid: list) -> int:
+    """The way ``name`` replaces when ``valid`` marks the occupied ways.
+
+    ``"lru"`` is a one-set array holding lines in exactly the ``valid`` ways:
+    its setup fills all exclude the (at most one) empty way.
+    """
+    if name in POLICIES:
+        return POLICIES[name](len(valid)).victim(valid)
+    assert valid.count(False) <= 1
+    empty = valid.index(False) if False in valid else None
+    array = SetAssociativeArray(num_sets=1, ways=len(valid))
+    occupied = {array.fill(0, tag, excluded_way=empty)[0] for tag in range(sum(valid))}
+    assert occupied == {way for way, v in enumerate(valid) if v}
+    return array.fill(0, tag=len(valid))[0]
 
 
 class TestCommonBehaviour:
-    @pytest.mark.parametrize("name", ["lru", "random", "second_chance"])
+    def test_rejects_zero_ways(self):
+        for policy in POLICIES.values():
+            with pytest.raises(ValueError):
+                policy(0)
+
+    @pytest.mark.parametrize("name", ["lru", *sorted(POLICIES)])
     def test_invalid_ways_preferred(self, name):
-        policy = make_replacement_policy(name, 4)
         valid = [True, False, True, True]
-        assert policy.victim(valid) == 1
+        assert victim(name, valid) == 1
 
-    @pytest.mark.parametrize("name", ["lru", "random", "second_chance"])
-    def test_excluded_way_never_chosen(self, name):
-        policy = make_replacement_policy(name, 4)
-        for _ in range(50):
-            victim = policy.victim([True] * 4, excluded_way=2)
-            assert victim != 2
-            policy.touch(victim)
-
-    @pytest.mark.parametrize("name", ["lru", "random", "second_chance"])
+    @pytest.mark.parametrize("name", ["lru", *sorted(POLICIES)])
     def test_victim_in_range(self, name):
-        policy = make_replacement_policy(name, 8)
-        assert 0 <= policy.victim([True] * 8) < 8
+        assert 0 <= victim(name, [True] * 8) < 8
 
-    def test_touch_rejects_bad_way(self):
-        policy = LRUReplacement(4)
-        with pytest.raises(ValueError):
-            policy.touch(4)
-
-    def test_mismatched_valid_mask_rejected(self):
-        policy = LRUReplacement(4)
-        with pytest.raises(ValueError):
-            policy.victim([True, True])
+    @pytest.mark.parametrize("name", ["lru"])  # only the cache arrays exclude a way
+    def test_excluded_way_never_chosen(self, name):
+        array = full_set(4)
+        for tag in range(4, 54):
+            assert array.fill(0, tag, excluded_way=2)[0] != 2
+        assert array.find_way(0, tag=2) == 2  # the excluded way's line survived
 
     def test_cannot_exclude_only_way(self):
-        policy = LRUReplacement(1)
+        array = full_set(1)
         with pytest.raises(ValueError):
-            policy.victim([True], excluded_way=0)
+            array.fill(0, tag=9, excluded_way=0)
+        assert array.valid_tags(0) == [0]  # the refused fill evicted nothing
+
+    def test_touch_rejects_bad_way(self):
+        for policy in POLICIES.values():
+            with pytest.raises(ValueError):
+                policy(4).touch(4)
+
+    def test_mismatched_valid_mask_rejected(self):
+        for policy in POLICIES.values():
+            with pytest.raises(ValueError):
+                policy(4).victim([True, True])
 
 
 class TestLRU:
+    """True LRU is the cache array's own rule; way ``w`` holds tag ``w`` here."""
+
     def test_evicts_least_recently_used(self):
-        policy = LRUReplacement(4)
+        array = full_set(4)
         for way in (0, 1, 2, 3):
-            policy.touch(way)
-        policy.touch(0)  # order (MRU..LRU): 0,3,2,1
-        assert policy.victim([True] * 4) == 1
+            array.find_way(0, way)
+        array.find_way(0, 0)  # order (MRU..LRU): 0,3,2,1
+        assert array.fill(0, tag=9)[:2] == (1, 1)
 
     def test_touch_promotes(self):
-        policy = LRUReplacement(4)
+        array = full_set(4)
         for way in (0, 1, 2, 3):
-            policy.touch(way)
-        policy.touch(1)
-        assert policy.victim([True] * 4) == 0
+            array.find_way(0, way)
+        array.find_way(0, 1)
+        assert array.fill(0, tag=9)[:2] == (0, 0)
 
     def test_excluded_way_falls_back_to_next_lru(self):
-        policy = LRUReplacement(4)
+        array = full_set(4)
         for way in (0, 1, 2, 3):
-            policy.touch(way)
-        # LRU order is 0 but it is excluded, so 1 is chosen.
-        assert policy.victim([True] * 4, excluded_way=0) == 1
+            array.find_way(0, way)
+        # LRU way is 0 but it is excluded, so 1 is chosen.
+        assert array.fill(0, tag=9, excluded_way=0)[:2] == (1, 1)
 
 
 class TestRandom:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.campaign.spec import campaign_preset
 from repro.obs import telemetry
-from repro.serve import MAX_JOBS, ReproServer, _RequestError
+from repro.serve import MAX_JOBS, ReproServer, _Handler, _RequestError
 from repro.sim.simulator import SimulationResult
 
 POLL_TIMEOUT = 300.0
@@ -71,6 +71,23 @@ class TestEndpoints:
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["store"].startswith("sqlite:")
+
+    def test_accepted_sockets_set_tcp_nodelay(self, server, monkeypatch):
+        # Headers and body leave in two writes; under Nagle's algorithm the
+        # body would wait for the client's delayed ACK on every keep-alive
+        # reply.
+        nodelay = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            option = handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            nodelay.append(option)
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        status, _ = request(server, "GET", "/api/v1/health")
+        assert status == 200
+        assert nodelay and all(nodelay), nodelay
 
     def test_unknown_path_is_404(self, server):
         status, payload = request(server, "GET", "/nope")

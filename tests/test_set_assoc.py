@@ -1,4 +1,6 @@
-"""Tests for the generic set-associative array."""
+"""Tests for the flat set-associative array."""
+
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -11,26 +13,24 @@ class TestLookupAndFill:
     def test_miss_then_hit(self):
         array = SetAssociativeArray(num_sets=4, ways=2)
         assert array.find_way(0, tag=7, update_replacement=False) is None
-        way, eviction = array.fill(0, tag=7)
-        assert eviction is None
+        way, evicted_tag, evicted_dirty = array.fill(0, tag=7)
+        assert evicted_tag is None and not evicted_dirty
         assert array.find_way(0, tag=7, update_replacement=False) == way
 
     def test_fill_existing_refreshes_dirtiness(self):
-        array = SetAssociativeArray(num_sets=1, ways=2)
-        way1, _ = array.fill(0, tag=1)
-        way2, eviction = array.fill(0, tag=1, dirty=True)
-        assert way1 == way2 and eviction is None
-        assert array.line(0, way1).dirty
+        array = SetAssociativeArray(num_sets=1, ways=1)
+        way1, _, _ = array.fill(0, tag=1)
+        way2, evicted_tag, _ = array.fill(0, tag=1, dirty=True)
+        assert way1 == way2 and evicted_tag is None
         array.fill(0, tag=1)  # a clean refill keeps the line dirty
-        assert array.line(0, way1).dirty
+        assert array.fill(0, tag=2)[1:] == (1, True)
 
     def test_eviction_when_set_full(self):
         array = SetAssociativeArray(num_sets=1, ways=2)
         array.fill(0, tag=1)
         array.fill(0, tag=2)
-        _, eviction = array.fill(0, tag=3)
-        assert eviction is not None
-        assert eviction.tag in (1, 2)
+        _, evicted_tag, evicted_dirty = array.fill(0, tag=3)
+        assert evicted_tag in (1, 2) and not evicted_dirty
         assert array.occupancy() == 2
 
     def test_lru_eviction_order(self):
@@ -38,14 +38,13 @@ class TestLookupAndFill:
         array.fill(0, tag=1)
         array.fill(0, tag=2)
         array.find_way(0, tag=1)  # make tag 1 most recently used
-        _, eviction = array.fill(0, tag=3)
-        assert eviction.tag == 2
+        assert array.fill(0, tag=3)[1] == 2
 
     def test_excluded_way_respected(self):
         array = SetAssociativeArray(num_sets=1, ways=4)
         for tag in range(4):
             array.fill(0, tag=tag)
-        way, _ = array.fill(0, tag=99, excluded_way=2)
+        way, _, _ = array.fill(0, tag=99, excluded_way=2)
         assert way != 2
 
     def test_excluding_the_only_way_rejected(self):
@@ -58,52 +57,46 @@ class TestLookupAndFill:
         array.fill(0, tag=1)
         array.fill(0, tag=2)
         array.find_way(0, tag=1, update_replacement=False)  # non-updating probe
-        _, eviction = array.fill(0, tag=3)
-        assert eviction.tag == 1  # tag 1 stayed LRU despite the probe
+        assert array.fill(0, tag=3)[1] == 1  # tag 1 stayed LRU despite the probe
+
+    def test_fill_reports_dirty_victim(self):
+        array = SetAssociativeArray(num_sets=1, ways=1)
+        array.fill(0, tag=1, dirty=True)
+        assert array.fill(0, tag=2) == (0, 1, True)
+        assert array.fill(0, tag=3) == (0, 2, False)
+
+    def test_empty_set_fills_from_its_last_way_down(self):
+        array = SetAssociativeArray(num_sets=2, ways=4)
+        assert [array.fill(1, tag)[0] for tag in range(4)] == [3, 2, 1, 0]
+        assert array.valid_tags(1) == [3, 2, 1, 0]
+        assert array.valid_tags(0) == []
+
+    def test_excluded_empty_way_passes_to_the_next_empty_way(self):
+        array = SetAssociativeArray(num_sets=1, ways=4)
+        assert array.fill(0, tag=1, excluded_way=3) == (2, None, False)
+        assert array.fill(0, tag=2, excluded_way=3) == (1, None, False)
+        assert array.fill(0, tag=3) == (3, None, False)  # empty ways still win
+
+    def test_same_tag_in_two_sets_is_two_lines(self):
+        array = SetAssociativeArray(num_sets=2, ways=1)
+        array.fill(0, tag=5, dirty=True)
+        array.fill(1, tag=5)
+        assert array.occupancy() == 2
+        assert array.fill(1, tag=6) == (0, 5, False)  # set 1's copy was clean
+        assert array.find_way(0, tag=5) == 0  # and set 0's is still resident
 
 
 class TestDirtyAndInvalidate:
     def test_mark_dirty(self):
-        array = SetAssociativeArray(num_sets=1, ways=2)
-        way, _ = array.fill(0, tag=1)
+        array = SetAssociativeArray(num_sets=1, ways=1)
+        way, _, _ = array.fill(0, tag=1)
         array.mark_dirty(0, way)
-        assert array.line(0, way).dirty
+        assert array.fill(0, tag=2)[1:] == (1, True)
 
     def test_mark_dirty_invalid_line_rejected(self):
         array = SetAssociativeArray(num_sets=1, ways=2)
         with pytest.raises(ValueError):
             array.mark_dirty(0, 0)
-
-    def test_invalidate(self):
-        array = SetAssociativeArray(num_sets=2, ways=2)
-        array.fill(1, tag=9)
-        assert array.invalidate(1, tag=9)
-        assert array.find_way(1, tag=9, update_replacement=False) is None
-        assert not array.invalidate(1, tag=9)
-
-    def test_invalidate_all(self):
-        array = SetAssociativeArray(num_sets=2, ways=2)
-        array.fill(0, tag=1)
-        array.fill(1, tag=2)
-        array.invalidate_all()
-        assert array.occupancy() == 0
-
-
-class TestCallbacks:
-    def test_eviction_callback_fired(self):
-        events = []
-        array = SetAssociativeArray(num_sets=1, ways=1, on_evict=events.append)
-        array.fill(0, tag=1, dirty=True)
-        array.fill(0, tag=2)
-        assert len(events) == 1
-        assert events[0].tag == 1 and events[0].dirty
-
-    def test_invalidate_fires_callback(self):
-        events = []
-        array = SetAssociativeArray(num_sets=1, ways=2, on_evict=events.append)
-        array.fill(0, tag=1)
-        array.invalidate(0, tag=1)
-        assert len(events) == 1
 
 
 class TestValidation:
@@ -114,8 +107,10 @@ class TestValidation:
 
     def test_bad_way_index(self):
         array = SetAssociativeArray(num_sets=2, ways=2)
+        array.fill(1, tag=0)
+        array.fill(1, tag=1)
         with pytest.raises(ValueError):
-            array.line(0, 2)
+            array.mark_dirty(0, 2)  # would alias way 0 of set 1
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -144,3 +139,30 @@ class TestProperties:
             assert array.find_way(set_index, tag) is not None
             valid = array.valid_tags(set_index)
             assert len(valid) == len(set(valid))
+
+
+def tracked_objects(array) -> int:
+    """Number of GC-tracked objects reachable from ``array``'s attributes.
+
+    Classes are not followed: every instance refers to its type.
+    """
+    seen = {}
+    stack = list(vars(array).values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and gc.is_tracked(obj) and not isinstance(obj, type):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+class TestFlatState:
+    def test_fills_allocate_no_object_per_line(self):
+        """Fills leave the collector nothing new to walk: no object per line."""
+        array = SetAssociativeArray(num_sets=64, ways=4)
+        before = tracked_objects(array)
+        for tag in range(1024):
+            array.fill(tag % 64, tag, dirty=tag % 3 == 0)
+            array.find_way(tag % 64, tag)
+        assert array.occupancy() == 256
+        assert tracked_objects(array) == before

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.replacement import RandomReplacement, SecondChanceReplacement
 from repro.memory.address import DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.page_table import PageTable
@@ -60,7 +61,7 @@ class TestPageTable:
 
 class TestTLB:
     def test_insert_and_lookup(self):
-        tlb = TLB(entries=4, name="t")
+        tlb = TLB(RandomReplacement(4), name="t")
         slot = tlb.insert(5, 100)
         assert tlb.lookup(5) == slot
         assert tlb.translation(5) == 100
@@ -68,19 +69,19 @@ class TestTLB:
 
     def test_miss_counts(self):
         stats = StatCounters()
-        tlb = TLB(entries=4, name="t", stats=stats)
+        tlb = TLB(RandomReplacement(4), name="t", stats=stats)
         assert tlb.lookup(9) is None
         assert stats["t.lookup"] == 1 and stats["t.miss"] == 1
 
     def test_reverse_lookup(self):
-        tlb = TLB(entries=4, name="t")
+        tlb = TLB(RandomReplacement(4), name="t")
         slot = tlb.insert(5, 100)
         assert tlb.reverse_lookup(100) == slot
         assert tlb.reverse_lookup(999) is None
 
     def test_eviction_callback_on_replacement(self):
         events = []
-        tlb = TLB(entries=2, name="t", replacement="lru")
+        tlb = TLB(SecondChanceReplacement(2), name="t")
         tlb.add_eviction_callback(lambda slot, old, new: events.append((slot, old.valid)))
         tlb.insert(1, 10)
         tlb.insert(2, 20)
@@ -90,7 +91,7 @@ class TestTLB:
         assert tlb.occupancy == 2
 
     def test_reinsert_same_page_updates_mapping(self):
-        tlb = TLB(entries=4, name="t")
+        tlb = TLB(RandomReplacement(4), name="t")
         slot = tlb.insert(5, 100)
         assert tlb.insert(5, 200) == slot
         assert tlb.translation(5) == 200
@@ -98,21 +99,21 @@ class TestTLB:
         assert tlb.reverse_lookup(100) is None
 
     def test_invalidate_all(self):
-        tlb = TLB(entries=4, name="t")
+        tlb = TLB(RandomReplacement(4), name="t")
         tlb.insert(5, 100)
         tlb.invalidate_all()
         assert tlb.occupancy == 0
         assert tlb.lookup(5, count_event=False) is None
 
     def test_resident_pages_listing(self):
-        tlb = TLB(entries=4, name="t")
+        tlb = TLB(RandomReplacement(4), name="t")
         tlb.insert(5, 100)
         tlb.insert(3, 101)
         assert tlb.resident_virtual_pages() == [3, 5]
 
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
-            TLB(entries=0)
+            TLB(RandomReplacement(0))
 
 
 class TestTLBHierarchy:
@@ -155,8 +156,6 @@ class TestTLBHierarchy:
 
     def test_utlb_uses_second_chance_and_tlb_random(self):
         hierarchy = TLBHierarchy()
-        from repro.cache.replacement import RandomReplacement, SecondChanceReplacement
-
         assert isinstance(hierarchy.utlb._policy, SecondChanceReplacement)
         assert isinstance(hierarchy.tlb._policy, RandomReplacement)
 
