@@ -157,25 +157,33 @@ class TelemetryJournal:
         self._append(record)
 
     def serve_request(
-        self, method: str, path: str, status: int, wall_seconds: float
+        self,
+        method: str,
+        path: str,
+        status: int,
+        wall_seconds: float,
+        client_gone: bool = False,
     ) -> None:
         """Write one served-HTTP-request record (``repro serve`` handling).
 
         Serve sessions share the journal with the sweeps they trigger: each
         submitted campaign runs under its own ``run_id`` (header, cells,
         footer as usual), while the request handling itself is journaled as
-        ``serve_request`` lines under the server's session id.
+        ``serve_request`` lines under the server's session id.  A request
+        whose client left before the reply carries ``client_gone: true``;
+        the field is absent otherwise.
         """
-        self._append(
-            {
-                "record": "serve_request",
-                "run_id": self.run_id,
-                "method": str(method),
-                "path": str(path),
-                "status": int(status),
-                "wall_seconds": max(0.0, float(wall_seconds)),
-            }
-        )
+        record: Dict[str, object] = {
+            "record": "serve_request",
+            "run_id": self.run_id,
+            "method": str(method),
+            "path": str(path),
+            "status": int(status),
+            "wall_seconds": max(0.0, float(wall_seconds)),
+        }
+        if client_gone:
+            record["client_gone"] = True
+        self._append(record)
 
     def run_end(
         self,

@@ -157,14 +157,23 @@ class _Handler(BaseHTTPRequestHandler):
             logger.exception("serve: unhandled error for %s %s", method, self.path)
             status, payload = 500, {"error": f"{type(error).__name__}: {error}"}
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-        self.app.journal_request(method, self.path, status, time.time() - started)
+        client_gone = False
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError):
+            # The client left before its reply: a normal end of the
+            # connection, journaled as such rather than a traceback.
+            self.close_connection = True
+            client_gone = True
+        self.app.journal_request(
+            method, self.path, status, time.time() - started, client_gone=client_gone
+        )
 
     def _body(self) -> Optional[dict]:
         """The JSON object in the request body, or ``None`` without one.
@@ -311,10 +320,18 @@ class ReproServer:
             self.shutdown()
 
     def journal_request(
-        self, method: str, path: str, status: int, wall_seconds: float
+        self,
+        method: str,
+        path: str,
+        status: int,
+        wall_seconds: float,
+        client_gone: bool = False,
     ) -> None:
-        """Journal one handled request (the PR 9 telemetry layer)."""
-        self.journal.serve_request(method, path, status, wall_seconds)
+        """Journal one handled request in the telemetry journal;
+        ``client_gone`` marks a reply the client left before receiving."""
+        self.journal.serve_request(
+            method, path, status, wall_seconds, client_gone=client_gone
+        )
 
     # ------------------------------------------------------------------
     # Routing

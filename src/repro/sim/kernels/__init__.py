@@ -28,8 +28,9 @@ the generic loop on its own.
 
 Generated sources are registered with :mod:`linecache` under a synthetic
 ``<repro-kernel-...>`` filename, so tracebacks out of exec-compiled code show
-real source lines; ``repro report --kernel-source CONFIG`` dumps the same
-text for offline reading.
+real source lines (a cache reset unregisters the programs it drops);
+``repro report --kernel-source CONFIG`` dumps the same text for offline
+reading.
 """
 
 from __future__ import annotations
@@ -134,6 +135,12 @@ def compile_kernel(config: SimulationConfig, _count: bool = True) -> KernelProgr
         return program
     if _count:
         _bump("kernel.cache.miss")
+    if len(_CACHE) >= _CACHE_LIMIT:
+        # Unregister the dropped programs' sources too, or a long-lived
+        # process would keep every source it ever generated.
+        for dropped in _CACHE.values():
+            linecache.cache.pop(dropped.filename, None)
+        _CACHE.clear()
     spec = build_spec(config)
     source = generate_source(spec, digest)
     filename = f"<repro-kernel-{spec['kind']}-{digest[:8]}>"
@@ -154,8 +161,6 @@ def compile_kernel(config: SimulationConfig, _count: bool = True) -> KernelProgr
         source=source,
         entry=namespace["kernel_run"],
     )
-    if len(_CACHE) >= _CACHE_LIMIT:
-        _CACHE.clear()
     _CACHE[digest] = program
     return program
 

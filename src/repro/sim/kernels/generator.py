@@ -7,10 +7,14 @@ Python module whose single entry point::
 
     kernel_run(pipeline, seqs, total, capacity, trace_arrays) -> PipelineResult
 
-is the event-driven pipeline loop of
+is equivalent to the event-driven pipeline loop of
 :meth:`repro.cpu.pipeline.OutOfOrderPipeline._run_event_driven` with the
 interface tick, the acceptance checks and the stat accounting *fused in* and
-specialized for that one configuration:
+specialized for that one configuration.  Most stages are transcribed from
+the generic loop; the issue stage is not.  It does work proportional to what
+can issue, and is held to the generic stage by an equivalence argument (see
+:func:`_issue_stage`) and by the differential tests, which also compare
+every clock jump:
 
 * config-dependent branches are resolved at generation time (interface kind,
   MALEC way determination on/off, merge granularity, TLB/cache geometry,
@@ -27,8 +31,12 @@ Bit-identity strategy — *probe, then commit or delegate*: every inlined fast
 path starts with side-effect-free probes (dict ``.get`` and list reads).  Only
 when the whole probe succeeds does the kernel apply the inline effects;
 otherwise it calls the exact original method before having mutated anything,
-so slow paths (TLB misses, cache misses, way-hint mismatches) run the
-canonical code and charge the canonical counters.
+so slow paths (TLB misses, L2 misses, way-hint mismatches) run the
+canonical code and charge the canonical counters.  The conventional L1 load
+miss is the one multi-structure path taken inline: an L2 hit stamps the L2
+slot, and the L1 fill writes the bank's columns and calls the fill/evict
+listeners in the order :meth:`repro.cache.cache_bank.CacheBank.fill_parts`
+does.
 All simulation state stays canonical — the kernel writes the same plain
 values into the same containers the generic loop does: the load queue maps
 each tag to its issue cycle, the baselines queue ``(tag, address, size)``
@@ -50,7 +58,7 @@ from __future__ import annotations
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 5
+GENERATOR_VERSION = 6
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -79,6 +87,13 @@ def build_spec(config: SimulationConfig) -> dict:
         "lq": config.lq_entries,
         "sb": config.sb_entries,
         "hit_latency": config.cache.l1_hit_latency,
+        "l2_latency": config.cache.l2_latency,
+        # the Simulator's rule for MemoryHierarchy(restrict_way_allocation=)
+        "restrict": (
+            config.interface is InterfaceKind.MALEC
+            and config.malec_options.way_determination == "wt"
+            and config.malec_options.restrict_way_allocation
+        ),
         "page_shift": layout.page_offset_bits,
         "page_off_mask": layout._page_offset_mask,
         "line_mask": line_mask,
@@ -150,6 +165,12 @@ def _quiescent_expr(spec: dict) -> str:
     )
 
 
+def _notifies(spec: dict) -> bool:
+    """Whether the inline L1 fill calls the fill/evict listeners: only MALEC
+    with way tables or a WDU registers any."""
+    return spec["kind"] == "MALEC" and spec["way_determination"] != "none"
+
+
 def _check(condition: str) -> str:
     """One runtime guard: raise, naming ``condition``, when it holds."""
     message = f"specialized kernel guard failed: {condition}"
@@ -187,10 +208,14 @@ def _guards(spec: dict) -> str:
         "    bank0 = banks[0]",
         _check(f"bank0.array.num_sets != {spec['sets']}"),
         _check(f"bank0.array.ways != {spec['ways']}"),
+        _check(f"bank0.restrict_way_allocation != {spec['restrict']}"),
+        _check(f"l1.l2.latency_cycles != {spec['l2_latency']}"),
         "    translation = interface.translation",
         "    utlb = translation.utlb",
         _check('type(utlb._policy).__name__ != "SecondChanceReplacement"'),
     ]
+    if not _notifies(spec):
+        lines.append(_check("l1._fill_listeners or l1._evict_listeners"))
     if kind == "Base1ldst":
         lines += [
             _check("interface.load_slots != 0"),
@@ -238,10 +263,17 @@ def _prologue(spec: dict) -> str:
         "    sb_entries = store_buffer._entries",
         "    sb_by_tag = store_buffer._by_tag",
         "    mb_entries = merge_buffer._entries",
-        "    load_parts = l1.load_parts",
         "    bank_slot_of = [bank.array._slot_of for bank in banks]",
+        "    bank_tags = [bank.array._tags for bank in banks]",
+        "    bank_dirty = [bank.array._dirty for bank in banks]",
         "    bank_stamps = [bank.array._stamps for bank in banks]",
         "    bank_tick = [bank.array._tick for bank in banks]",
+        "    max_address = layout.max_address",
+        "    l2 = l1.l2",
+        "    l2_access = l2.access",
+        "    l2_slot_of_get = l2.array._slot_of.get",
+        "    l2_stamps = l2.array._stamps",
+        "    l2_tick = l2.array._tick",
         "    pending_writebacks = interface._pending_writebacks",
         "    drain_committed = interface._drain_committed_stores",
     ]
@@ -256,9 +288,14 @@ def _prologue(spec: dict) -> str:
             "    line_address_of = layout.line_address",
             "    store_parts = l1.store_parts",
         ]
+    if _notifies(spec):
+        lines += [
+            "    notify_evict = l1._notify_evict",
+            "    notify_fill = l1._notify_fill",
+        ]
     if kind == "MALEC":
         lines += [
-            "    bank_tags = [bank.array._tags for bank in banks]",
+            "    load_parts = l1.load_parts",
             "    mbe_backlog = interface._mbe_backlog",
             "    feed_mbe_slot = interface._feed_mbe_slot",
             "    translate_page_pair = translation.translate_page_pair",
@@ -299,6 +336,14 @@ def _prologue(spec: dict) -> str:
         "    h_bk_subblock = bank0._h_subblock_pair_read",
         "    h_l1_load = l1._h_load",
         "    h_l1_load_hit = l1._h_load_hit",
+        "    h_l1_load_miss = l1._h_load_miss",
+        "    h_bk_fill = bank0._h_fill",
+        "    h_bk_data_write = bank0._h_data_write",
+        "    h_bk_tag_write = bank0._h_tag_write",
+        "    h_bk_eviction = bank0._h_eviction",
+        "    h_bk_writeback = bank0._h_writeback",
+        "    h_l2_access = l2._h_access",
+        "    h_l2_hit = l2._h_hit",
     ]
     accs = [
         "acc_load_submit",
@@ -310,6 +355,11 @@ def _prologue(spec: dict) -> str:
         "acc_lq_completed",
         "acc_lq_latency",
         "acc_l1_conv_hit",
+        "acc_l1_conv_miss",
+        "acc_l2_hit",
+        "acc_l1_fill",
+        "acc_l1_evict",
+        "acc_l1_writeback",
     ]
     if kind in ("Base1ldst", "Base2ld1st"):
         lines += [
@@ -392,7 +442,8 @@ def _prologue(spec: dict) -> str:
 def _loop_head(spec: dict) -> str:
     q = _quiescent_expr(spec)
     return f"""
-    # ---- event-driven loop state (transcribed from _run_event_driven) ----
+    # ---- event-driven loop state (as in _run_event_driven, except that
+    # deferred holds only loads and refused stores are parked) ----
     max_cycles = pipeline.max_cycles or (200 * total + 100000)
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -425,6 +476,9 @@ def _loop_head(spec: dict) -> str:
     due_next = []
     store_order = []
     store_order_head = 0
+    parked = bytearray(capacity)
+    parked_count = 0
+    parked_max = -1
     loads = stores = computes = 0
     cycles_counted = 0
     issued_total = 0
@@ -476,18 +530,55 @@ def _loop_head(spec: dict) -> str:
 
 
 def _issue_stage(spec: dict) -> str:
-    head = f"""
+    """The issue stage, equivalent to the generic one but never re-examining
+    a memory op that cannot issue.
+
+    The generic stage merges its deferred list, the dispatch FIFO and the
+    wake heap by seq and pops every refused memory op again each cycle.
+    Two facts make most of those pops no-ops:
+
+    * stores claim store-buffer entries in program order, so only
+      ``store_order[store_order_head]`` can issue.  Refusing any other store
+      only sets ``stores_blocked``, which blocks stores younger than it, and
+      none of those is the head either.  So a refused store is *parked*
+      (``parked[seq]``, ``parked_count``, ``parked_max``) and the merge sees
+      one store candidate, ``s_store``: the head, when it is parked.  After
+      a store issues, the next head becomes the candidate if it is parked,
+      so MALEC's two flexible slots can still issue two stores in a cycle;
+    * once ``loads_blocked`` is set every later load is refused, so the
+      merge stops popping ``deferred`` (now slot-starved loads only) and
+      merges its unexamined tail back, in seq order, at the end.
+
+    The clock-jump flags come out as the generic stage computes them.
+    ``deferred_has_load`` is this cycle's ``postponed_load``: a skipped load
+    implies ``loads_blocked``, which implies a refused load.
+    ``deferred_blocking`` is set when the issue width ran out with a
+    deferred load or parked store younger than the last issued seq, the
+    leftovers the generic merge would not have reached.  When only non-head
+    stores are parked, the generic stage examines and refuses them all, so
+    the stage is skipped and both flags are cleared.  (With an issue width
+    above the three memory slots a cycle offers, ``deferred_blocking`` can
+    never decide a jump: the width only runs out after computes or stores
+    issued, and those sit in ``due_next``.  A narrower pipeline needs it.)
+    """
+    width = spec["issue"]
+    return f"""
         # 2. Issue ready instructions (oldest first, up to issue width).
-        if ready_fifo or ready_heap or deferred:
+        s_store = NEVER
+        if parked_count:
+            head_store = store_order[store_order_head]
+            if parked[head_store]:
+                s_store = head_store
+        if ready_fifo or ready_heap or deferred or s_store is not NEVER:
             loads_used = stores_used = flex_used = 0
             issued = 0
             postponed = []
             postponed_load = False
-            loads_blocked = stores_blocked = False
+            loads_blocked = False
             di = 0
-            dn = len(deferred)
-            simple = not dn and not ready_heap
-            while issued < {spec['issue']}:
+            dn = dlen = len(deferred)
+            simple = not dn and not ready_heap and s_store is NEVER
+            while issued < {width}:
                 if simple:
                     if not ready_fifo:
                         break
@@ -496,7 +587,12 @@ def _issue_stage(spec: dict) -> str:
                     s_def = deferred[di] if di < dn else NEVER
                     s_fifo = ready_fifo[0] if ready_fifo else NEVER
                     s_heap = ready_heap[0] if ready_heap else NEVER
-                    if s_def <= s_fifo:
+                    if s_store < s_def and s_store < s_fifo and s_store < s_heap:
+                        seq = s_store
+                        s_store = NEVER
+                        parked[seq] = 0
+                        parked_count -= 1
+                    elif s_def <= s_fifo:
                         if s_def <= s_heap:
                             if s_def is NEVER:
                                 break
@@ -519,16 +615,26 @@ def _issue_stage(spec: dict) -> str:
 {_issue_load(spec)}
                 else:  # store
 {_issue_store(spec)}
-            if di < dn:
-                postponed += deferred[di:]
-                deferred_blocking = True
-            else:
-                deferred_blocking = False
+            if di < dlen:
+                # The unexamined loads: out of issue width, or skipped
+                # behind loads_blocked (then possibly interleaved).
+                if postponed:
+                    interleaved = postponed[-1] > deferred[di]
+                    postponed += deferred[di:]
+                    if interleaved:
+                        postponed.sort()
+                else:
+                    postponed = deferred[di:]
+            deferred_blocking = issued == {width} and bool(
+                (postponed and postponed[-1] > seq)
+                or (parked_count and parked_max > seq)
+            )
             deferred = postponed
             deferred_has_load = postponed_load
             issued_total += issued
+        elif parked_count:
+            deferred_blocking = deferred_has_load = False
 """
-    return head
 
 
 def _issue_load(spec: dict) -> str:
@@ -581,6 +687,7 @@ def _issue_load(spec: dict) -> str:
                         issued += 1
                     else:
                         loads_blocked = True
+                        dn = di
                         postponed.append(seq)
                         postponed_load = True"""
     return f"""\
@@ -596,6 +703,7 @@ def _issue_load(spec: dict) -> str:
                         issued += 1
                     else:
                         loads_blocked = True
+                        dn = di
                         postponed.append(seq)
                         postponed_load = True"""
 
@@ -623,14 +731,10 @@ def _issue_store(spec: dict) -> str:
                             utlb_referenced[slot] = True
                         else:
                             translate_pair(address)"""
+    # An unissued store lies at or past store_order_head: the index is in range.
     return f"""\
-                    in_store_order = (
-                        store_order_head < len(store_order)
-                        and store_order[store_order_head] == seq
-                    )
                     if (
-                        not stores_blocked
-                        and in_store_order
+                        store_order[store_order_head] == seq
                         and len(sb_entries) < {spec['sb']}
                         and {slot_check}
                     ):
@@ -645,9 +749,16 @@ def _issue_store(spec: dict) -> str:
                         interface_active = True
                         due_next.append(seq)
                         issued += 1
+                        if parked_count:
+                            head_store = store_order[store_order_head]
+                            if parked[head_store]:
+                                s_store = head_store
+                                simple = False
                     else:
-                        stores_blocked = True
-                        postponed.append(seq)"""
+                        parked[seq] = 1
+                        parked_count += 1
+                        if seq > parked_max:
+                            parked_max = seq"""
 
 
 # The shared fragments below are emitted at several indentation depths; they
@@ -690,8 +801,8 @@ if ({addr} & {spec['line_neg_mask']}) in mb_entries:
 
 
 def _l1_conventional_inline(spec: dict, phys: str, indent: int) -> str:
-    """The baselines' conventional (no way hint) L1 load probe; a miss
-    delegates.  Sets ``latency``, the only result the baselines read."""
+    """The baselines' conventional (no way hint) L1 load probe, miss path
+    included.  Sets ``latency``, the only result the baselines read."""
     text = f"""\
 pparts = decompose({phys})
 pbank = pparts[5]
@@ -701,7 +812,77 @@ if l1_slot is not None:
     acc_l1_conv_hit += 1
     latency = {spec['hit_latency']}
 else:
-    latency = load_parts({phys})[2]"""
+    set_index = pparts[6]
+    ptag = pparts[7]
+{_l1_miss_inline(spec, phys, 4)}"""
+    return _shift(text, indent)
+
+
+def _l1_miss_inline(spec: dict, phys: str, indent: int) -> str:
+    """The conventional load miss of ``L1DataCache.load_parts`` on the flat
+    columns: the L2 access (a hit inline, a miss through ``L2Cache.access``,
+    so DRAM reads, L2 fills and L2 write-backs stay canonical), then the
+    fill of ``CacheBank.fill_parts``, then the dirty victim's write-back.
+
+    Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``, which missed
+    the L1; sets ``latency``.  The L2 is indexed by line number: with a
+    power-of-two set count its ``_slot_of`` key ``tag * sets + set`` is the
+    line number itself.
+    """
+    line_bits = spec["line_mask"].bit_length()
+    bank_bits = spec["nbanks"].bit_length() - 1
+    set_bits = spec["sets"].bit_length() - 1
+    ways = spec["ways"]
+    exclude = ""
+    if spec["restrict"]:
+        # CacheBank.excluded_way_for: (line_in_page // banks) % ways
+        lines_per_page = 1 << (spec["page_shift"] - line_bits)
+        exclude = (
+            f"\nwindow[((pline & {lines_per_page - 1}) // {spec['nbanks']}) % {ways}]"
+            " = NEVER"
+        )
+    evict_notify = fill_notify = ""
+    if _notifies(spec):
+        evict_notify = "\n    notify_evict(victim, fill_way)"
+        fill_notify = f"\nnotify_fill({phys} & {spec['line_neg_mask']}, fill_way)"
+    text = f"""\
+acc_l1_conv_miss += 1
+pline = {phys} >> {line_bits}
+l2_slot = l2_slot_of_get(pline)
+if l2_slot is not None:
+    l2_stamps[l2_slot] = next(l2_tick)
+    acc_l2_hit += 1
+    latency = {spec['hit_latency'] + spec['l2_latency']}
+else:
+    latency = {spec['hit_latency']} + l2_access({phys}, False)
+base = set_index * {ways}
+stamps = bank_stamps[pbank]
+window = stamps[base : base + {ways}]{exclude}
+fill_way = window.index(min(window))
+fill_slot = base + fill_way
+tags = bank_tags[pbank]
+dirty_bits = bank_dirty[pbank]
+slot_of = bank_slot_of[pbank]
+victim_tag = tags[fill_slot]
+victim_dirty = dirty_bits[fill_slot]
+if victim_tag != -1:
+    del slot_of[victim_tag * {spec['sets']} + set_index]
+tags[fill_slot] = ptag
+dirty_bits[fill_slot] = 0
+stamps[fill_slot] = next(bank_tick[pbank])
+slot_of[ptag * {spec['sets']} + set_index] = fill_slot
+if victim_tag != -1:
+    victim = (
+        (victim_tag << {bank_bits + set_bits}) | (set_index << {bank_bits}) | pbank
+    ) << {line_bits}
+    if victim > max_address:
+        layout.check(victim)
+    acc_l1_evict += 1
+    if victim_dirty:
+        acc_l1_writeback += 1{evict_notify}
+acc_l1_fill += 1{fill_notify}
+if victim_dirty:
+    l2_access(victim, True)"""
     return _shift(text, indent)
 
 
@@ -999,7 +1180,7 @@ def _tick_malec(spec: dict) -> str:
                             physical_page << {spec['page_shift']}
                         ) | (maddr & {spec['page_off_mask']})
 {_forwarding_inline(spec, "maddr", "request.size", "acc_fwd_split", 24)}
-                    # ---- L1 load: reduced / conventional probe, else delegate
+                    # ---- L1 load: reduced probe (a miss delegates), conventional access
                     pparts = decompose(physical_address)
                     pbank = pparts[5]
                     set_index = pparts[6]
@@ -1027,9 +1208,8 @@ def _tick_malec(spec: dict) -> str:
                             reduced = False
                             latency = {spec['hit_latency']}
                         else:
-                            l1_hit, l1_way, latency, reduced, _b, _w = load_parts(
-                                physical_address
-                            )
+{_l1_miss_inline(spec, "physical_address", 28)}
+                            l1_hit = reduced = False
                     acc_load_accesses += 1
                     acc_loads_merged += len(merged_requests){_way_acct(spec, 20)}{_feedback(spec)}
                     ready_cycle = cycle + translation_latency + latency
@@ -1140,13 +1320,13 @@ def _loop_tail(spec: dict) -> str:
             and committed < total
             and not (rob_q and completed_f[rob_q[0]])
             and (
-                not deferred
+                not (deferred or parked_count)
                 or (
                     not deferred_blocking
                     and not deferred_has_load
                     and (
                         store_order_head >= len(store_order)
-                        or store_order[store_order_head] not in deferred
+                        or not parked[store_order[store_order_head]]
                         or len(sb_entries) >= {spec['sb']}
                     )
                 )
@@ -1201,6 +1381,30 @@ def _epilogue(spec: dict) -> str:
                 ("h_l1_load_hit", "acc_l1_conv_hit"),
             ],
         ),
+        _flush_row(
+            "acc_l1_conv_miss",
+            [
+                ("h_bk_ctrl", "acc_l1_conv_miss"),
+                ("h_bk_tag_read", f"acc_l1_conv_miss * {spec['ways']}"),
+                ("h_bk_data_read", f"acc_l1_conv_miss * {spec['ways']}"),
+                ("h_bk_conventional", "acc_l1_conv_miss"),
+                ("h_bk_subblock", "acc_l1_conv_miss"),
+                ("h_l1_load", "acc_l1_conv_miss"),
+                ("h_l1_load_miss", "acc_l1_conv_miss"),
+            ],
+        ),
+        _flush_row("acc_l2_hit", [("h_l2_access", "acc_l2_hit"), ("h_l2_hit", "acc_l2_hit")]),
+        _flush_row(
+            "acc_l1_fill",
+            [
+                ("h_bk_ctrl", "acc_l1_fill"),
+                ("h_bk_fill", "acc_l1_fill"),
+                ("h_bk_data_write", "acc_l1_fill"),
+                ("h_bk_tag_write", "acc_l1_fill"),
+            ],
+        ),
+        _flush_row("acc_l1_evict", [("h_bk_eviction", "acc_l1_evict")]),
+        _flush_row("acc_l1_writeback", [("h_bk_writeback", "acc_l1_writeback")]),
     ]
     if kind in ("Base1ldst", "Base2ld1st"):
         rows += [

@@ -3,10 +3,11 @@
 The pipeline jumps the clock across cycles in which nothing can retire,
 issue, tick, commit or fetch.  These tests build workloads with long idle
 gaps — pointer-chasing loads missing all the way to DRAM — and assert the
-jump is actually exercised on every interface model, and never taken by an
-interface that never reports quiescence.  That the jumps leave every result
-unchanged is pinned by ``tests/golden/pipeline_identity.json`` (the
-``idle-gap``, ``busy`` and ``burst`` cases, computed cycle by cycle).
+jump is actually exercised on every interface model under both kernels (a
+specialized kernel jumping exactly when the generic loop does), and never
+taken by an interface that never reports quiescence.  That the jumps leave
+every result unchanged is pinned by ``tests/golden/pipeline_identity.json``
+(the ``idle-gap``, ``busy`` and ``burst`` cases, computed cycle by cycle).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 from repro.cpu.instruction import compute, load, store
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.sim.config import SimulationConfig
+from repro.sim.kernels import KERNELS, compile_kernel
 from repro.sim.simulator import Simulator
 from repro.workloads.trace import MemoryTrace
 
@@ -38,18 +40,40 @@ def pointer_chase_trace(chain_length: int = 60) -> MemoryTrace:
     return MemoryTrace(name="pointer-chase", instructions=instructions)
 
 
+def run_chase(config, kernel: str):
+    """The pointer chase on a fresh simulator, through ``kernel``."""
+    simulator = Simulator(config)
+    pipeline = OutOfOrderPipeline(
+        simulator.interface,
+        params=simulator.config.pipeline,
+        stats=simulator.stats,
+        kernel=compile_kernel(config).entry if kernel == "specialized" else None,
+    )
+    result = pipeline.run(pointer_chase_trace())
+    assert pipeline.kernel_used == (kernel == "specialized")
+    return result, pipeline.fast_forwarded_cycles
+
+
+#: every configuration under both kernels; a generic leg is named by its
+#: configuration alone, a specialized one as ``<config>-specialized``
+CHASE_RUNS = [
+    pytest.param(
+        config, kernel, id=config.name if kernel == "generic" else f"{config.name}-{kernel}"
+    )
+    for config in CONFIGURATIONS
+    for kernel in KERNELS
+]
+
+
 class TestFastForward:
-    @pytest.mark.parametrize("config", CONFIGURATIONS, ids=lambda c: c.name)
-    def test_idle_gap_trace_jumps_the_clock(self, config):
-        simulator = Simulator(config)
-        pipeline = OutOfOrderPipeline(
-            simulator.interface,
-            params=simulator.config.pipeline,
-            stats=simulator.stats,
-        )
-        result = pipeline.run(pointer_chase_trace())
+    @pytest.mark.parametrize("config, kernel", CHASE_RUNS)
+    def test_idle_gap_trace_jumps_the_clock(self, config, kernel):
+        result, fast_forwarded = run_chase(config, kernel)
         # The jump must skip a meaningful share of the DRAM-bound stalls.
-        assert pipeline.fast_forwarded_cycles > result.cycles // 2
+        assert fast_forwarded > result.cycles // 2
+        if kernel == "specialized":
+            # ...and the kernel jumps exactly when the generic loop does.
+            assert (result, fast_forwarded) == run_chase(config, "generic")
 
     def test_fast_forward_requires_quiescent_protocol(self):
         """An interface whose quiescent() is always False is ticked every

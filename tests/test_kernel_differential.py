@@ -6,9 +6,13 @@ configuration; the generic interpreted loop stays behind
 *bit-identical* results — every ``StatCounters`` counter and every
 per-structure energy value, not just cycles.  Coverage spans the fig4-mini
 grid (all five Fig. 4 configurations), pipeline-level runs, randomized
-seeded synthetic profiles, and the adversarial ``STRESS`` profiles
+seeded synthetic profiles, the adversarial ``STRESS`` profiles
 (``tlbthrash``/``depchase``/``mlpladder``), whose absolute results are
-additionally pinned to ``tests/golden/stress_profiles.json``.
+additionally pinned to ``tests/golden/stress_profiles.json``, and
+hand-built traces aimed at the kernels' issue stage.  Wherever a test builds
+the pipelines itself it also compares each pipeline's
+``fast_forwarded_cycles``: a kernel must jump the clock exactly when the
+generic loop does.
 
 The net also locks down the fallback contract: collector runs take the
 generic path and say why, a kernel compiled for a different configuration is
@@ -23,14 +27,19 @@ Regenerating the stress golden file is a deliberate act::
 from __future__ import annotations
 
 import json
+import linecache
 import random
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from repro.api import RunOptions
+from repro.cpu.instruction import compute, load, store
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.obs import RunCollector
+from repro.sim import kernels
 from repro.sim.config import SimulationConfig
 from repro.sim.kernels import (
     compile_kernel,
@@ -40,9 +49,11 @@ from repro.sim.kernels import (
     resolve_kernel,
 )
 from repro.sim.simulator import Simulator, run_configuration
+from repro.workloads.columnar import as_columnar
 from repro.workloads.profiles import BenchmarkProfile, StreamKind, StreamSpec
 from repro.workloads.suites import STRESS_BENCHMARKS, benchmark_profile
 from repro.workloads.synthetic import generate_trace
+from repro.workloads.trace import MemoryTrace
 
 STRESS_GOLDEN_PATH = Path(__file__).parent / "golden" / "stress_profiles.json"
 
@@ -79,26 +90,41 @@ def run_with_kernel(config, trace, kernel, warmup=0.0):
     return result, simulator
 
 
-def run_pipeline_kernel(config, trace, kernel, warmup=0.0):
+class PipelineRun(NamedTuple):
+    result: object
+    stats: dict
+    energy: object
+    #: ``fast_forwarded_cycles`` of the warm-up pipeline (if any), then the
+    #: measured one: the kernels must jump the clock exactly when the
+    #: generic loop does
+    fast_forwards: list
+    pipeline: OutOfOrderPipeline
+
+
+def run_pipeline_kernel(config, trace, kernel, warmup=0.0) -> PipelineRun:
     """One fresh simulation with the pipelines built here, kernel pinned.
 
-    The pipeline is constructed directly (as the simulator does), so the
-    test can inspect the measured pipeline's own ``kernel_used`` flag.
+    The pipelines are constructed directly (as the simulator does), so the
+    test can read each one's ``fast_forwarded_cycles`` and the measured
+    pipeline's own ``kernel_used`` flag.
     """
     simulator = Simulator(config)
     params = simulator.config.pipeline
     entry = compile_kernel(config).entry if kernel == "specialized" else None
-    view = trace.columnar()
+    view = as_columnar(trace)
     view.precompute_decompositions(config.cache.layout)
     total = len(view)
     warmup_count = int(total * warmup)
+    fast_forwards = []
     if warmup_count:
-        OutOfOrderPipeline(
+        warmup_pipeline = OutOfOrderPipeline(
             simulator.interface,
             params=params,
             stats=simulator.stats,
             kernel=entry,
-        ).run(view.run_slice(0, warmup_count))
+        )
+        warmup_pipeline.run(view.run_slice(0, warmup_count))
+        fast_forwards.append(warmup_pipeline.fast_forwarded_cycles)
         simulator.stats.clear()
     pipeline = OutOfOrderPipeline(
         simulator.interface,
@@ -107,7 +133,20 @@ def run_pipeline_kernel(config, trace, kernel, warmup=0.0):
         kernel=entry,
     )
     result = pipeline.run(view.run_slice(warmup_count, total))
-    return result, simulator.stats.as_dict(), pipeline
+    fast_forwards.append(pipeline.fast_forwarded_cycles)
+    energy = simulator.accountant.report(simulator.stats, result.cycles)
+    return PipelineRun(result, simulator.stats.as_dict(), energy, fast_forwards, pipeline)
+
+
+def assert_pipelines_identical(config, trace, warmup, label: str) -> None:
+    """Kernel against generic loop: results, stats, energy and clock jumps."""
+    specialized = run_pipeline_kernel(config, trace, "specialized", warmup)
+    assert specialized.pipeline.kernel_used, label
+    oracle = run_pipeline_kernel(config, trace, "generic", warmup)
+    assert specialized.result == oracle.result, label
+    assert specialized.stats == oracle.stats, label
+    assert specialized.energy == oracle.energy, label
+    assert specialized.fast_forwards == oracle.fast_forwards, label
 
 
 class TestFig4GridIdentity:
@@ -130,28 +169,140 @@ class TestFig4GridIdentity:
 class TestPipelineIdentity:
     @pytest.mark.parametrize("bench", STRESS_BENCHMARKS)
     def test_stress_profiles_identical(self, bench):
-        trace = trace_for(bench)
-        config = SimulationConfig.malec()
-        spec_result, spec_stats, spec_pipeline = run_pipeline_kernel(
-            config, trace, "specialized", warmup=0.3
-        )
-        assert spec_pipeline.kernel_used, bench
-        gen_result, gen_stats, _ = run_pipeline_kernel(
-            config, trace, "generic", warmup=0.3
-        )
-        assert spec_result.cycles == gen_result.cycles, bench
-        assert spec_stats == gen_stats, bench
+        assert_pipelines_identical(SimulationConfig.malec(), trace_for(bench), 0.3, bench)
 
     def test_fig4_pick_identical(self):
-        trace = trace_for("gzip")
-        config = SimulationConfig.base_2ld1st()
-        spec_result, spec_stats, spec_pipeline = run_pipeline_kernel(
-            config, trace, "specialized"
-        )
-        assert spec_pipeline.kernel_used
-        gen_result, gen_stats, _ = run_pipeline_kernel(config, trace, "generic")
-        assert spec_result.cycles == gen_result.cycles
-        assert spec_stats == gen_stats
+        assert_pipelines_identical(SimulationConfig.base_2ld1st(), trace_for("gzip"), 0.0, "gzip")
+
+    @pytest.mark.parametrize("config", FIG4_CONFIGS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("bench", FIG4_MINI_BENCHMARKS + tuple(STRESS_BENCHMARKS))
+    def test_warmed_pipelines_identical(self, config, bench):
+        # The fig4-mini grid and the STRESS profiles under every Fig. 4
+        # configuration, warm-up and measured pipeline alike.
+        assert_pipelines_identical(config, trace_for(bench), 0.3, f"{bench}/{config.name}")
+
+
+# ----------------------------------------------------------------------
+# Hand-built traces for the kernels' issue stage, which parks refused
+# stores, stops re-examining loads once one is refused in a cycle, and
+# rebuilds the generic loop's clock-jump flags (see
+# repro.sim.kernels.generator._issue_stage).  Fresh 1 MByte-spaced pages
+# miss the TLBs, the L1 and the L2, so loads on them wait for DRAM.
+# ----------------------------------------------------------------------
+def _far(index: int) -> int:
+    return 0x0100_0000 + index * (1 << 20)
+
+
+def head_store_behind_dram_miss() -> MemoryTrace:
+    """A head store whose address waits on a DRAM miss, with 32 younger
+    independent stores ready behind it: all of them park, and the clock
+    jumps across the miss while they wait."""
+    instructions = []
+    for block in range(3):
+        instructions.append(load(_far(block)))
+        instructions.append(store(0x8000 + block * 64, deps=(1,)))
+        for index in range(32):
+            instructions.append(store(0x9000 + (block * 32 + index) * 24))
+        instructions.append(compute(deps=(1,)))
+    return MemoryTrace(name="head-store-behind-miss", instructions=instructions)
+
+
+def store_buffer_fills_while_draining() -> MemoryTrace:
+    """Stores that fill the 24-entry store buffer while a DRAM miss holds
+    the ROB head, then drain one per cycle once it commits, while a second
+    burst keeps the head store refused on a full buffer."""
+    instructions = []
+    for burst in range(2):
+        instructions.append(load(_far(8 + burst)))
+        for index in range(40):
+            instructions.append(store(0x20000 + (burst * 40 + index) * 40))
+            if index % 8 == 7:
+                instructions.append(compute(deps=(1,)))
+    instructions.append(load(0x20000, deps=(3,)))
+    return MemoryTrace(name="store-buffer-fills", instructions=instructions)
+
+
+def loads_starved_behind_one_slot() -> MemoryTrace:
+    """Loads starved behind Base1ldst's single flexible slot, with more than
+    eight ready computes younger than them.
+
+    Sixteen lines 8 KByte apart share an L1 bank and, in about half the
+    cases, a set (one set-index bit comes from the physical page), so the
+    first is pushed out to the L2.  A load of it (an L2 hit) wakes 24 loads
+    and 12 computes at once.  The woken loads interleave with starved ones,
+    so a refused woken load is younger than a skipped starved one, and the
+    width runs out with starved loads left that are younger than the last
+    issued compute.
+    """
+    instructions = [load(0x30000 + index * 8192) for index in range(16)]
+    producer = len(instructions)
+    instructions.append(load(0x30008))
+    for index in range(24):
+        # a starved independent load, then one waiting on the producer
+        instructions.append(load(0x40000 + index * 64))
+        instructions.append(load(0x50000 + index * 64, deps=(len(instructions) - producer,)))
+    for _ in range(12):
+        instructions.append(compute(deps=(len(instructions) - producer,)))
+    for index in range(6):
+        instructions.append(load(0x60000 + index * 64))
+    for _ in range(10):
+        instructions.append(compute(deps=(1,)))
+    return MemoryTrace(name="loads-starved", instructions=instructions)
+
+
+def consecutive_ready_stores() -> MemoryTrace:
+    """Groups of consecutive stores parked behind a head store that waits on
+    a load: when the head issues, the next parked store becomes the merge's
+    candidate, and MALEC's two flexible slots issue both in one cycle."""
+    instructions = []
+    for group in range(6):
+        instructions.append(load(0x70000 + group * 4096))
+        instructions.append(store(0x78000 + group * 64, deps=(1,)))
+        for index in range(3):
+            instructions.append(store(0x7C000 + (group * 3 + index) * 16))
+        for _ in range(4):
+            instructions.append(compute(deps=(1,)))
+    return MemoryTrace(name="consecutive-stores", instructions=instructions)
+
+
+def narrow_issue_behind_parked_store() -> MemoryTrace:
+    """For a two-wide issue stage: two loads use up the width in a cycle
+    whose only leftover is a parked store older than them, so the clock may
+    jump (``deferred_blocking`` stays clear), while the head store waits on
+    a DRAM miss."""
+    instructions = []
+    for group in range(3):
+        instructions += [
+            load(_far(24 + group)),
+            load(0xA0000 + group * 64),
+            store(0xB0000 + group * 64, deps=(2,)),
+            store(0xC0000 + group * 64),
+            load(0xD0000 + group * 64),
+            load(0xE0000 + group * 64),
+        ]
+    return MemoryTrace(name="narrow-issue", instructions=instructions)
+
+
+#: case -> (trace builder, issue width; None keeps the Fig. 4 pipeline)
+ISSUE_STAGE_CASES = {
+    "head-store-behind-miss": (head_store_behind_dram_miss, None),
+    "store-buffer-fills": (store_buffer_fills_while_draining, None),
+    "loads-starved": (loads_starved_behind_one_slot, None),
+    "consecutive-stores": (consecutive_ready_stores, None),
+    "narrow-issue": (narrow_issue_behind_parked_store, 2),
+}
+
+
+class TestIssueStageCases:
+    @pytest.mark.parametrize("config", FIG4_CONFIGS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("case", sorted(ISSUE_STAGE_CASES))
+    def test_hand_built_case_identical(self, case, config):
+        build, issue_width = ISSUE_STAGE_CASES[case]
+        if issue_width is not None:
+            config = replace(
+                config, pipeline=replace(config.pipeline, issue_width=issue_width)
+            )
+        assert_pipelines_identical(config, build(), 0.0, f"{case}/{config.name}")
 
 
 def random_profile(seed: int) -> BenchmarkProfile:
@@ -320,6 +471,18 @@ class TestKernelCache:
     def test_distinct_configs_get_distinct_kernels(self):
         hashes = {content_hash(config) for config in FIG4_CONFIGS}
         assert len(hashes) == len(FIG4_CONFIGS)
+
+    def test_cache_reset_drops_stale_linecache_entries(self, monkeypatch):
+        # Every compiled source is registered with linecache; a cache reset
+        # must unregister the programs it drops, or they leak.
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        monkeypatch.setattr(kernels, "_CACHE_LIMIT", 2)
+        monkeypatch.setattr(linecache, "cache", {})
+        for config in FIG4_CONFIGS:
+            compile_kernel(config)
+        registered = {name for name in linecache.cache if name.startswith("<repro-kernel-")}
+        assert registered == {program.filename for program in kernels._CACHE.values()}
+        assert len(registered) == 1
 
     def test_prewarm_deduplicates(self):
         malec = SimulationConfig.malec()

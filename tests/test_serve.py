@@ -12,6 +12,8 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -88,6 +90,42 @@ class TestEndpoints:
         status, _ = request(server, "GET", "/api/v1/health")
         assert status == 200
         assert nodelay and all(nodelay), nodelay
+
+    def test_client_gone_before_reply_is_journaled_quietly(self, server, monkeypatch, capfd):
+        # A client that resets the connection while its request is being
+        # dispatched: the reply fails, which must end the connection
+        # quietly and still journal the request, flagged client_gone.
+        entered, release, finished = threading.Event(), threading.Event(), threading.Event()
+        dispatch = server.dispatch
+
+        def gated_dispatch(method, path, body):
+            entered.set()
+            release.wait(30)
+            return dispatch(method, path, body)
+
+        shutdown_request = server._httpd.shutdown_request
+
+        def recording_shutdown(request):
+            shutdown_request(request)
+            finished.set()
+
+        monkeypatch.setattr(server, "dispatch", gated_dispatch)
+        monkeypatch.setattr(server._httpd, "shutdown_request", recording_shutdown)
+        with socket.create_connection((server.host, server.port), timeout=30) as sock:
+            sock.sendall(b"GET /api/v1/health HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert entered.wait(30)
+            # Linger 0: close() resets the connection instead of a FIN.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        release.set()
+        assert finished.wait(30)
+
+        assert capfd.readouterr().err == ""
+        records = telemetry.read_journal(server.store.telemetry_path)
+        served = [rec for rec in records if rec["record"] == "serve_request"]
+        assert [(rec["path"], rec.get("client_gone")) for rec in served] == [
+            ("/api/v1/health", True)
+        ]
+        telemetry.validate_record(served[0], telemetry.load_schema())
 
     def test_unknown_path_is_404(self, server):
         status, payload = request(server, "GET", "/nope")
