@@ -160,12 +160,14 @@ def _init_worker(
     kernel: Optional[str] = None,
 ) -> None:
     """Pool initializer: install the parent's serialized traces and resolved
-    kernel name, compile the campaign's specialized simulation kernels up
-    front, and reset metrics.
+    kernel name, prewarm the campaign's specialized simulation kernels, and
+    reset metrics.
 
-    Kernels are cached per config content-hash (see :mod:`repro.sim.kernels`),
-    so each worker pays generation+compile once per distinct configuration
-    shape here instead of on its first cell of each shape.
+    Kernels are cached per config content-hash (see :mod:`repro.sim.kernels`).
+    A forked worker inherits the kernels the parent compiled before the pool
+    started, so its prewarm only hits the cache; a spawned worker compiles
+    each distinct configuration shape here instead of on its first cell of
+    each shape.
 
     A forked worker inherits the parent's already-populated metrics registry;
     counting on top of it would double every parent-side value once the
@@ -356,18 +358,18 @@ class ParallelExecutor:
             self.jobs,
         )
         if pending:
+            if self._kernel == "specialized":
+                # Compile every kernel once, here: forked pool workers inherit
+                # the cache (their initializer's prewarm only hits it), and the
+                # serial path runs on it.  Prewarm compiles are uncounted and
+                # per-cell probes all hit, so the kernel cache hit/miss
+                # counters are invariant across job counts.
+                prewarm({cell.config.with_name("kernel-prewarm"): None for cell in pending})
             if self.jobs > 1 and len(pending) > 1:
                 done = self._run_pool(pending, results, done, total)
             # Any cells a broken pool failed to deliver fall through to the
             # serial path, which always finishes the sweep.
             remaining = [cell for cell in pending if cell.key() not in results]
-            if remaining and self._kernel == "specialized":
-                # Mirror the pool initializer's prewarm so the kernel cache
-                # hit/miss counters are invariant across job counts: prewarm
-                # compiles are uncounted, per-cell probes all hit.
-                prewarm(
-                    {cell.config.with_name("kernel-prewarm"): None for cell in remaining}
-                )
             for cell in remaining:
                 start = time.time()
                 result, info = _execute_cell(cell, self.trace_cache, self._kernel)
@@ -547,8 +549,8 @@ class ParallelExecutor:
             payloads = self._trace_payloads(pending)
             workers = min(self.jobs, len(pending))
             # Distinct configuration shapes, deduplicated by identity-relevant
-            # fields inside prewarm's content hash; shipped to workers so each
-            # compiles its specialized kernels once, up front.
+            # fields inside prewarm's content hash; shipped to workers, which
+            # prewarm them (a cache hit after the parent's prewarm under fork).
             distinct_configs = tuple(
                 {cell.config.with_name("kernel-prewarm"): None for cell in pending}
             )

@@ -8,9 +8,12 @@ once translation has happened.  The way hint the Arbitration Unit attaches
 lives on the :class:`~repro.core.arbitration.BankRequest` that services it.
 
 Interface models create requests from pipeline instructions; the ``tag``
-field carries an opaque reference back to whatever issued the request (a
-:class:`repro.cpu.instruction.MemoryInstruction` in full simulations, a bare
-integer in unit tests).
+field carries an opaque reference back to whatever issued the request: in
+full simulations the load's seq (its instruction's index in the trace), and
+``None`` for a merge-buffer entry.  The generic pipeline loop builds one
+request per MALEC load; the specialized kernels
+(:mod:`repro.sim.kernels`) carry MALEC loads as bare seqs and meet requests
+only as the MBEs ``MalecInterface._feed_mbe_slot`` builds.
 
 One request is allocated per in-flight memory operation, so the class uses
 ``__slots__`` and resolves its address decomposition exactly once at

@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -130,6 +131,10 @@ class _Handler(BaseHTTPRequestHandler):
     # algorithm on, the body waits for the client's delayed ACK, about
     # 40 ms per keep-alive reply; socketserver sets TCP_NODELAY instead.
     disable_nagle_algorithm = True
+    # Seconds a connection may sit idle, or stall mid-request, before its
+    # handler thread gives up on it (StreamRequestHandler applies it to the
+    # socket): idle keep-alive and half-open clients no longer pin a thread.
+    timeout = 30
 
     # BaseHTTPRequestHandler logs to stderr per request by default; the
     # telemetry journal is the operational record, so keep stderr quiet.
@@ -166,9 +171,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client left before its reply: a normal end of the
-            # connection, journaled as such rather than a traceback.
+        except (BrokenPipeError, ConnectionResetError, socket.timeout):
+            # The client left (or stopped reading) before its reply: a
+            # normal end of the connection, journaled as such rather than a
+            # traceback.
             self.close_connection = True
             client_gone = True
         self.app.journal_request(
@@ -182,6 +188,8 @@ class _Handler(BaseHTTPRequestHandler):
         non-numeric ``Content-Length`` is a 400 and one above
         :data:`MAX_BODY_BYTES` a 413.  Either way the unread body leaves
         the stream out of step, so the connection closes after the reply.
+        A body that stalls for :attr:`timeout` seconds before its length is
+        read is a 408, and the connection closes too.
         """
         header = (self.headers.get("Content-Length") or "").strip()
         if not header:
@@ -199,7 +207,13 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if not length:
             return None
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except socket.timeout:
+            # The body stopped short of its Content-Length.  (socket.timeout
+            # is TimeoutError from Python 3.10 on, a separate OSError on 3.9.)
+            self.close_connection = True
+            raise _RequestError(408, f"request body of {length} bytes timed out")
         try:
             parsed = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:

@@ -9,8 +9,9 @@ and batched stat accounting (see :mod:`repro.sim.kernels.generator`).
 Programs are cached per *content hash*: a digest of the primitive spec the
 generator consumed (excluding the config's name and seed) plus the generator
 version, so every sweep cell sharing a configuration shape compiles once —
-including across pool workers when the campaign executor's initializer calls
-:func:`prewarm` with the campaign's distinct configs.
+the campaign executor calls :func:`prewarm` with the pending cells' distinct
+configs in the parent, before any pool forks, so forked workers inherit the
+compiled programs.
 
 ``"specialized"`` is the default; ``RunOptions(kernel="generic")`` runs the
 interpreted event loop of :class:`repro.cpu.pipeline.OutOfOrderPipeline`
@@ -21,8 +22,10 @@ Both paths hold the same canonical state: one plain value per in-flight
 access wherever a value suffices (a tag's issue cycle in the load queue,
 ``(tag, address, size)`` tuples in the baselines' load queues, line
 addresses in the merge buffer and MALEC's MBE backlog) and the same
-``StoreBufferEntry``/``MemoryAccessRequest``/``BankRequest``/
-``PendingWriteback`` records elsewhere.  A kernel attached to a pipeline it was not generated for raises
+``StoreBufferEntry``/``PendingWriteback`` records elsewhere.  MALEC's loads
+differ inside a run only: the kernels keep each load's seq in the Input
+Buffer where the generic loop keeps a ``MemoryAccessRequest``, and the
+buffer holds no loads once a run ends.  A kernel attached to a pipeline it was not generated for raises
 ``RuntimeError`` naming the failed runtime guard; it never falls back to
 the generic loop on its own.
 
@@ -168,9 +171,10 @@ def compile_kernel(config: SimulationConfig, _count: bool = True) -> KernelProgr
 def prewarm(configs: Iterable[SimulationConfig]) -> int:
     """Compile the kernels of ``configs`` (deduplicated); returns the count.
 
-    Called from pool-worker initializers so every worker pays each distinct
-    configuration's generation+compile cost once, up front, instead of on its
-    first cell.
+    The campaign executor calls it in the parent before a pool forks, so
+    forked workers inherit the compiled kernels; the pool-worker initializer
+    calls it too, which only hits the cache in a forked worker and compiles
+    each distinct configuration once, up front, in a spawned one.
     """
     compiled = 0
     seen = set()

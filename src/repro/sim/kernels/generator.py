@@ -31,20 +31,42 @@ Bit-identity strategy — *probe, then commit or delegate*: every inlined fast
 path starts with side-effect-free probes (dict ``.get`` and list reads).  Only
 when the whole probe succeeds does the kernel apply the inline effects;
 otherwise it calls the exact original method before having mutated anything,
-so slow paths (TLB misses, L2 misses, way-hint mismatches) run the
-canonical code and charge the canonical counters.  The conventional L1 load
-miss is the one multi-structure path taken inline: an L2 hit stamps the L2
-slot, and the L1 fill writes the bank's columns and calls the fill/evict
-listeners in the order :meth:`repro.cache.cache_bank.CacheBank.fill_parts`
-does.
+so slow paths (TLB misses, store misses, way-hint mismatches on a load) run
+the canonical code and charge the canonical counters.  Taken inline are:
+
+* the store drain (``StoreBuffer.pop_committed``,
+  ``MergeBuffer.commit_store`` and ``_queue_writeback``);
+* L1 write hits: MALEC's MBE write (reduced when its way hint matches),
+  Base2ld1st's port write-back and Base1ldst's ``_writeback_to_cache``;
+* the conventional L1 load miss on the flat cache columns: the L2 access,
+  the L1 fill (calling the fill/evict listeners in the order
+  :meth:`repro.cache.cache_bank.CacheBank.fill_parts` does) and the dirty
+  victim's write-back;
+* the L2 miss of either access: the DRAM read, the fill at the set's lowest
+  stamp and the dirty L2 victim's DRAM write.
+
+Every L1 probe takes bank, set and tag of its physical address by shifts, so
+physical addresses never enter the layout's decomposition memo.  Where an
+inlined path replaces ``decompose``, ``line_address`` or ``bank_index``, the
+kernel keeps their range check as ``address > max_address`` alone: trace
+addresses come from the columnar ``array("Q")`` column and physical ones are
+a frame number shifted and or-ed with an offset, so neither is ever
+negative.
+
 All simulation state stays canonical — the kernel writes the same plain
 values into the same containers the generic loop does: the load queue maps
 each tag to its issue cycle, the baselines queue ``(tag, address, size)``
 tuples, the merge buffer and MALEC's MBE backlog hold line addresses, and
-the records left (``StoreBufferEntry``, ``MemoryAccessRequest``,
-``BankRequest``, ``PendingWriteback``) are the objects the generic loop
-builds too.  So a collector run, a fast-forward, or a later generic run
-over the same interface observes identical structures.
+``StoreBufferEntry`` and ``PendingWriteback`` are the records the generic
+loop builds too.  MALEC's loads are the one exception: the Input Buffer
+holds their seqs (trace indices), not ``MemoryAccessRequest`` objects, and a
+load's bank request is a kernel-local ``[primary seq, merged seqs, way
+hint]``.  Every load retires from the Input Buffer before it can commit, so
+the buffer holds no loads once a run ends, and no delegated call reads its
+load entries; a guard checks it is empty of loads at entry.  The MBE in the
+Input Buffer's slot stays the ``MemoryAccessRequest`` ``_feed_mbe_slot``
+builds.  So a collector run, a fast-forward, or a later generic run over the
+same interface observes identical structures.
 
 The emitted module also begins with a battery of *runtime guards*: if the
 live pipeline/interface does not match the generation-time spec (someone
@@ -55,10 +77,11 @@ touching anything.  There is no silent fallback to the generic loop.
 
 from __future__ import annotations
 
+from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 6
+GENERATOR_VERSION = 7
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -86,8 +109,10 @@ def build_spec(config: SimulationConfig) -> dict:
         "commit": config.pipeline.commit_width,
         "lq": config.lq_entries,
         "sb": config.sb_entries,
+        "mb_entries": config.mb_entries,
         "hit_latency": config.cache.l1_hit_latency,
         "l2_latency": config.cache.l2_latency,
+        "dram_latency": config.cache.dram_latency,
         # the Simulator's rule for MemoryHierarchy(restrict_way_allocation=)
         "restrict": (
             config.interface is InterfaceKind.MALEC
@@ -119,17 +144,33 @@ def build_spec(config: SimulationConfig) -> dict:
 # the generated ``kernel_run`` (4 = function body, 12 = tick body, 20 =
 # issue-stage branch body).
 # ----------------------------------------------------------------------
+def _bits(spec: dict) -> dict:
+    """Shifts and masks of the L1 address fields (``AddressLayout.decompose``'s
+    line number, bank, set and tag)."""
+    line_bits = spec["line_mask"].bit_length()
+    bank_bits = spec["nbanks"].bit_length() - 1
+    set_bits = spec["sets"].bit_length() - 1
+    return {
+        "line": line_bits,
+        "bank_mask": spec["nbanks"] - 1,
+        "set_shift": line_bits + bank_bits,
+        "set_mask": spec["sets"] - 1,
+        "tag_shift": line_bits + bank_bits + set_bits,
+    }
+
+
+def _l2_geometry(spec: dict) -> tuple:
+    """``(sets, ways)`` of the L2 the layout's line size gives
+    (:class:`~repro.cache.l2_cache.L2Cache`: 1024 x 16 for 64-byte lines)."""
+    ways = L2Cache.ASSOCIATIVITY
+    return L2Cache.CAPACITY_BYTES // (ways * (spec["line_mask"] + 1)), ways
+
+
 def _header(spec: dict, content_hash: str) -> str:
     kind = spec["kind"]
     extra = ""
-    if kind == "MALEC":
-        extra = (
-            "from repro.core.arbitration import BankRequest\n"
-            "from repro.core.request import AccessKind, MemoryAccessRequest\n"
-            "\n"
-            "AK_LOAD = AccessKind.LOAD\n"
-            "AK_MBE = AccessKind.MBE\n"
-        )
+    if kind != "MALEC":
+        extra = "from repro.interfaces.base import PendingWriteback\n"
     return (
         f'"""Specialized {kind} simulation kernel '
         f"(repro.sim.kernels generator v{spec['generator']}).\n"
@@ -179,6 +220,7 @@ def _check(condition: str) -> str:
 
 def _guards(spec: dict) -> str:
     kind = spec["kind"]
+    l2_sets, l2_ways = _l2_geometry(spec)
     lines = [
         "    # ---- runtime guards: a mismatch raises, naming the failed check ----",
         "    interface = pipeline.interface",
@@ -201,6 +243,7 @@ def _guards(spec: dict) -> str:
         "    merge_buffer = interface.merge_buffer",
         _check(f"load_queue.entries != {spec['lq']}"),
         _check(f"store_buffer.entries != {spec['sb']}"),
+        _check(f"merge_buffer.entries != {spec['mb_entries']}"),
         "    l1 = interface.hierarchy.l1",
         "    banks = l1.banks",
         _check(f"l1.hit_latency != {spec['hit_latency']}"),
@@ -209,7 +252,11 @@ def _guards(spec: dict) -> str:
         _check(f"bank0.array.num_sets != {spec['sets']}"),
         _check(f"bank0.array.ways != {spec['ways']}"),
         _check(f"bank0.restrict_way_allocation != {spec['restrict']}"),
-        _check(f"l1.l2.latency_cycles != {spec['l2_latency']}"),
+        "    l2 = l1.l2",
+        _check(f"l2.latency_cycles != {spec['l2_latency']}"),
+        _check(f"l2.array.num_sets != {l2_sets}"),
+        _check(f"l2.array.ways != {l2_ways}"),
+        _check(f"l2.dram.latency_cycles != {spec['dram_latency']}"),
         "    translation = interface.translation",
         "    utlb = translation.utlb",
         _check('type(utlb._policy).__name__ != "SecondChanceReplacement"'),
@@ -239,6 +286,8 @@ def _guards(spec: dict) -> str:
             _check("interface.flexible_slots != 2"),
             _check(f'interface.way_determination != "{spec["way_determination"]}"'),
             _check(f"ib.held_capacity != {spec['held_capacity']}"),
+            # the Input Buffer holds load seqs inside a run, never records
+            _check("ib._held or ib._new"),
             _check(f"arbitration.result_buses != {spec['result_buses']}"),
             _check(f"arbitration.merge_window != {spec['merge_window']}"),
             _check(f'arbitration.merge_granularity != "{spec["merge_granularity"]}"'),
@@ -248,45 +297,43 @@ def _guards(spec: dict) -> str:
 
 def _prologue(spec: dict) -> str:
     kind = spec["kind"]
+    bits = _bits(spec)
     lines = [
         "",
         "    # ---- hoisted structures (stable objects only: these attribute",
         "    # slots are mutated in place but never rebound during a run) ----",
         "    _values = stats._values",
         "    _live = stats._live",
-        "    decompose = layout.decompose",
-        "    translate_pair = translation.translate_pair",
         "    utlb_by_vpage_get = utlb._by_vpage.get",
         "    utlb_slots = utlb._slots",
         "    utlb_referenced = utlb._policy._referenced",
         "    lq_entries = load_queue._entries",
         "    sb_entries = store_buffer._entries",
         "    sb_by_tag = store_buffer._by_tag",
-        "    mb_entries = merge_buffer._entries",
+        "    mb_lines = merge_buffer._entries",
         "    bank_slot_of = [bank.array._slot_of for bank in banks]",
         "    bank_tags = [bank.array._tags for bank in banks]",
         "    bank_dirty = [bank.array._dirty for bank in banks]",
         "    bank_stamps = [bank.array._stamps for bank in banks]",
         "    bank_tick = [bank.array._tick for bank in banks]",
         "    max_address = layout.max_address",
-        "    l2 = l1.l2",
-        "    l2_access = l2.access",
-        "    l2_slot_of_get = l2.array._slot_of.get",
+        "    store_parts = l1.store_parts",
+        "    l2_slot_of = l2.array._slot_of",
+        "    l2_slot_of_get = l2_slot_of.get",
+        "    l2_tags = l2.array._tags",
+        "    l2_dirty = l2.array._dirty",
         "    l2_stamps = l2.array._stamps",
         "    l2_tick = l2.array._tick",
+        "    dram = l2.dram",
+        "    dram_check = dram._check",
+        "    # DRAMModel._check raises at or past this address",
+        "    dram_limit = min(dram.CAPACITY_BYTES, max_address + 1)",
         "    pending_writebacks = interface._pending_writebacks",
-        "    drain_committed = interface._drain_committed_stores",
     ]
     if kind in ("Base1ldst", "Base2ld1st"):
         lines += [
             "    pending_loads = interface._pending_loads",
-            "    writeback_to_cache = interface._writeback_to_cache",
-        ]
-    if kind == "Base2ld1st":
-        lines += [
-            "    bank_index_of = layout.bank_index",
-            "    line_address_of = layout.line_address",
-            "    store_parts = l1.store_parts",
+            "    translate_pair = translation.translate_pair",
         ]
     if _notifies(spec):
         lines += [
@@ -299,9 +346,13 @@ def _prologue(spec: dict) -> str:
             "    mbe_backlog = interface._mbe_backlog",
             "    feed_mbe_slot = interface._feed_mbe_slot",
             "    translate_page_pair = translation.translate_page_pair",
-            "    store_parts = l1.store_parts",
             "    mk_deque = deque",
         ]
+        if spec["merge_granularity"] == "subblock_pair":
+            # same line and sub-block pair <=> equal address >> pair_shift
+            lines.append(f"    pair_shift = min(layout._subblock_shift + 1, {bits['line']})")
+        elif spec["merge_granularity"] == "subblock":
+            lines.append("    subblock_shift = layout._subblock_shift")
         wd = spec["way_determination"]
         if wd == "wt":
             lines += [
@@ -326,6 +377,12 @@ def _prologue(spec: dict) -> str:
         "    h_utlb_hit = utlb._h_hit",
         "    h_sb_forward = store_buffer._h_forward_hit",
         "    h_mb_forward = merge_buffer._h_forward_hit",
+        "    h_sb_drain = store_buffer._h_drain",
+        "    h_mb_merged = merge_buffer._h_merged_store",
+        "    h_mb_eviction = merge_buffer._h_eviction",
+        "    h_mb_allocate = merge_buffer._h_allocate",
+        "    h_if_mbe_queued = interface._h_mbe_queued",
+        "    h_if_mbe_written = interface._h_mbe_written",
         "    h_if_load_accesses = interface._h_load_accesses",
         "    h_lq_completed = load_queue._h_completed",
         "    h_lq_latency = load_queue._h_total_latency",
@@ -337,6 +394,8 @@ def _prologue(spec: dict) -> str:
         "    h_l1_load = l1._h_load",
         "    h_l1_load_hit = l1._h_load_hit",
         "    h_l1_load_miss = l1._h_load_miss",
+        "    h_l1_store = l1._h_store",
+        "    h_l1_store_hit = l1._h_store_hit",
         "    h_bk_fill = bank0._h_fill",
         "    h_bk_data_write = bank0._h_data_write",
         "    h_bk_tag_write = bank0._h_tag_write",
@@ -344,6 +403,8 @@ def _prologue(spec: dict) -> str:
         "    h_bk_writeback = bank0._h_writeback",
         "    h_l2_access = l2._h_access",
         "    h_l2_hit = l2._h_hit",
+        "    h_l2_miss = l2._h_miss",
+        "    h_l2_writeback = l2._h_writeback",
     ]
     accs = [
         "acc_load_submit",
@@ -351,12 +412,22 @@ def _prologue(spec: dict) -> str:
         "acc_utlb_hit",
         "acc_sb_forward",
         "acc_mb_forward",
+        "acc_sb_drain",
+        "acc_mb_merged",
+        "acc_mb_eviction",
+        "acc_mb_allocate",
+        "acc_mbe_written",
         "acc_load_accesses",
         "acc_lq_completed",
         "acc_lq_latency",
         "acc_l1_conv_hit",
         "acc_l1_conv_miss",
+        "acc_store_conv_hit",
         "acc_l2_hit",
+        "acc_l2_miss",
+        "acc_l2_writeback",
+        "acc_dram_read",
+        "acc_dram_write",
         "acc_l1_fill",
         "acc_l1_evict",
         "acc_l1_writeback",
@@ -367,9 +438,6 @@ def _prologue(spec: dict) -> str:
             "    h_mb_lookup_full = merge_buffer._h_lookup_full",
         ]
         accs.append("acc_fwd_full")
-    if kind == "Base2ld1st":
-        lines += ["    h_if_mbe_written = interface._h_mbe_written"]
-        accs += ["acc_mbe_written"]
     if kind == "MALEC":
         lines += [
             "    h_sb_lookup_offset = store_buffer._h_lookup_offset",
@@ -377,7 +445,6 @@ def _prologue(spec: dict) -> str:
             "    h_sb_page_shared = store_buffer._h_lookup_page_shared",
             "    h_mb_page_shared = merge_buffer._h_lookup_page_shared",
             "    h_bk_reduced = bank0._h_reduced_access",
-            "    h_if_mbe_written = interface._h_mbe_written",
             "    h_if_loads_merged = interface._h_loads_merged",
             "    h_ib_load_in = ib._h_load_in",
             "    h_ib_page_compare = ib._h_page_compare",
@@ -401,7 +468,6 @@ def _prologue(spec: dict) -> str:
         accs += [
             "acc_fwd_split",
             "acc_l1_reduced_hit",
-            "acc_mbe_written",
             "acc_loads_merged",
             "acc_ib_load_in",
             "acc_page_compare",
@@ -429,8 +495,15 @@ def _prologue(spec: dict) -> str:
                 "    h_way_lookup = interface._h_way_lookup",
                 "    h_way_known = interface._h_way_known",
                 "    h_m_reduced = interface._h_reduced_access",
+                "    h_bk_way_hint_wrong = bank0._h_way_hint_wrong",
             ]
-            accs += ["acc_way_unknown", "acc_way_known", "acc_way_reduced"]
+            accs += [
+                "acc_way_unknown",
+                "acc_way_known",
+                "acc_way_reduced",
+                "acc_store_reduced_hit",
+                "acc_way_hint_wrong",
+            ]
         if spec["way_determination"] == "wt":
             lines += ["    h_uwt_read = way_tables.uwt._h_read"]
             accs += ["acc_uwt_read"]
@@ -674,15 +747,11 @@ def _issue_load(spec: dict) -> str:
                         lq_entries[seq] = cycle
                         acc_load_submit += 1
                         acc_ib_load_in += 1
-                        ib._new.append(
-                            MemoryAccessRequest(
-                                kind=AK_LOAD,
-                                virtual_address=addresses[seq],
-                                size=sizes[seq],
-                                tag=seq,
-                                layout=layout,
-                            )
-                        )
+                        # the load enters the Input Buffer as its seq, after
+                        # the range check its request's decompose applies
+                        if addresses[seq] > max_address:
+                            layout.check(addresses[seq])
+                        ib._new.append(seq)
                         interface_active = True
                         issued += 1
                     else:
@@ -785,6 +854,45 @@ else:
     return _shift(text, indent)
 
 
+def _drain_inline(spec: dict, indent: int) -> str:
+    """``BaseL1Interface._drain_committed_stores`` on the canonical containers:
+    ``StoreBuffer.pop_committed`` (the oldest committed entry, which is the
+    first one whenever stores commit in program order),
+    ``MergeBuffer.commit_store`` with ``line_address``'s range check, and the
+    kind's ``_queue_writeback`` of an evicted line."""
+    if spec["kind"] == "MALEC":
+        queue = "mbe_backlog.append(evicted)"
+    else:
+        queue = "pending_writebacks.append(PendingWriteback(evicted))"
+    text = f"""\
+drained = sb_entries[0]
+if drained.committed:
+    del sb_entries[0]
+else:
+    for index, drained in enumerate(sb_entries):
+        if drained.committed:
+            break
+    del sb_entries[index]
+store_buffer._committed_count -= 1
+acc_sb_drain += 1
+if sb_by_tag.get(drained.tag) is drained:
+    del sb_by_tag[drained.tag]
+daddr = drained.virtual_address
+if daddr > max_address:
+    layout.check(daddr)
+dline = daddr & {spec['line_neg_mask']}
+if dline in mb_lines:
+    acc_mb_merged += 1
+else:
+    if len(mb_lines) >= {spec['mb_entries']}:
+        evicted = mb_lines.pop(0)
+        acc_mb_eviction += 1
+        {queue}
+    mb_lines.append(dline)
+    acc_mb_allocate += 1"""
+    return _shift(text, indent)
+
+
 def _forwarding_inline(spec: dict, addr: str, size: str, acc_charge: str, indent: int) -> str:
     """BaseL1Interface._forwarding_lookups with the charge batched."""
     text = f"""\
@@ -795,8 +903,23 @@ for fw_entry in reversed(sb_entries):
     if fw_start < fwd_end and {addr} < fw_start + fw_entry.size:
         acc_sb_forward += 1
         break
-if ({addr} & {spec['line_neg_mask']}) in mb_entries:
+if ({addr} & {spec['line_neg_mask']}) in mb_lines:
     acc_mb_forward += 1"""
+    return _shift(text, indent)
+
+
+def _l1_fields(spec: dict, phys: str, indent: int, checked: bool = False) -> str:
+    """``pbank``, ``set_index`` and ``ptag`` of ``phys`` by shifts, after the
+    range check ``decompose`` applies to an address it has not memoised.
+    ``checked`` drops the check for a line address ``line_address`` made.
+    (Physical addresses are a page number shifted and or-ed with an offset,
+    so never negative.)"""
+    bits = _bits(spec)
+    check = "" if checked else f"if {phys} > max_address:\n    layout.check({phys})\n"
+    text = f"""\
+{check}pbank = ({phys} >> {bits['line']}) & {bits['bank_mask']}
+set_index = ({phys} >> {bits['set_shift']}) & {bits['set_mask']}
+ptag = {phys} >> {bits['tag_shift']}"""
     return _shift(text, indent)
 
 
@@ -804,34 +927,89 @@ def _l1_conventional_inline(spec: dict, phys: str, indent: int) -> str:
     """The baselines' conventional (no way hint) L1 load probe, miss path
     included.  Sets ``latency``, the only result the baselines read."""
     text = f"""\
-pparts = decompose({phys})
-pbank = pparts[5]
-l1_slot = bank_slot_of[pbank].get(pparts[7] * {spec['sets']} + pparts[6])
+{_l1_fields(spec, phys, 0)}
+l1_slot = bank_slot_of[pbank].get(ptag * {spec['sets']} + set_index)
 if l1_slot is not None:
     bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
     acc_l1_conv_hit += 1
     latency = {spec['hit_latency']}
 else:
-    set_index = pparts[6]
-    ptag = pparts[7]
 {_l1_miss_inline(spec, phys, 4)}"""
+    return _shift(text, indent)
+
+
+def _l2_miss_inline(spec: dict, addr: str, line: str, dirty: int, indent: int) -> str:
+    """``L2Cache.access``'s miss on the flat columns: the DRAM read, the fill
+    at the lowest of the set's stamps (``dirty`` for a write-back), and a
+    dirty victim's DRAM write at its own line address.
+
+    The two ``dram.*`` names are interned at their first event of a run, as
+    ``DRAMModel`` interns them, so the stats key order matches the generic
+    loop's; the counts flush at the end of the run."""
+    sets, ways = _l2_geometry(spec)
+    set_bits = sets.bit_length() - 1
+    text = f"""\
+if {addr} >= dram_limit:
+    dram_check({addr})
+acc_l2_miss += 1
+if not acc_dram_read:
+    stats.handle("dram.read")
+acc_dram_read += 1
+l2_set = {line} & {sets - 1}
+l2_base = l2_set * {ways}
+l2_window = l2_stamps[l2_base : l2_base + {ways}]
+l2_fill = l2_base + l2_window.index(min(l2_window))
+l2_victim = l2_tags[l2_fill]
+l2_victim_dirty = l2_dirty[l2_fill]
+if l2_victim != -1:
+    del l2_slot_of[(l2_victim << {set_bits}) | l2_set]
+l2_tags[l2_fill] = {line} >> {set_bits}
+l2_dirty[l2_fill] = {dirty}
+l2_stamps[l2_fill] = next(l2_tick)
+l2_slot_of[{line}] = l2_fill
+if l2_victim_dirty:
+    acc_l2_writeback += 1
+    l2_victim = ((l2_victim << {set_bits}) | l2_set) << {_bits(spec)['line']}
+    if l2_victim >= dram_limit:
+        dram_check(l2_victim)
+    if not acc_dram_write:
+        stats.handle("dram.write")
+    acc_dram_write += 1"""
+    return _shift(text, indent)
+
+
+def _l2_access_inline(spec: dict, addr: str, line: str, write: bool, indent: int) -> str:
+    """``L2Cache.access`` for the line number ``line`` of ``addr``.  With a
+    power-of-two set count the L2's ``_slot_of`` key ``tag * sets + set`` is
+    the line number itself.  A read sets ``latency`` (L1 hit time included);
+    a write-back marks the line dirty."""
+    hit = spec["hit_latency"] + spec["l2_latency"]
+    if write:
+        on_hit, on_miss = "l2_dirty[l2_slot] = 1", ""
+    else:
+        on_hit = f"latency = {hit}"
+        on_miss = f"\n    latency = {hit + spec['dram_latency']}"
+    text = f"""\
+l2_slot = l2_slot_of_get({line})
+if l2_slot is not None:
+    l2_stamps[l2_slot] = next(l2_tick)
+    acc_l2_hit += 1
+    {on_hit}
+else:
+{_l2_miss_inline(spec, addr, line, int(write), 4)}{on_miss}"""
     return _shift(text, indent)
 
 
 def _l1_miss_inline(spec: dict, phys: str, indent: int) -> str:
     """The conventional load miss of ``L1DataCache.load_parts`` on the flat
-    columns: the L2 access (a hit inline, a miss through ``L2Cache.access``,
-    so DRAM reads, L2 fills and L2 write-backs stay canonical), then the
-    fill of ``CacheBank.fill_parts``, then the dirty victim's write-back.
+    columns: the L2 access, then the fill of ``CacheBank.fill_parts``, then
+    the dirty victim's write-back to the L2.
 
     Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``, which missed
-    the L1; sets ``latency``.  The L2 is indexed by line number: with a
-    power-of-two set count its ``_slot_of`` key ``tag * sets + set`` is the
-    line number itself.
+    the L1; sets ``latency``.
     """
-    line_bits = spec["line_mask"].bit_length()
-    bank_bits = spec["nbanks"].bit_length() - 1
-    set_bits = spec["sets"].bit_length() - 1
+    bits = _bits(spec)
+    line_bits = bits["line"]
     ways = spec["ways"]
     exclude = ""
     if spec["restrict"]:
@@ -845,16 +1023,12 @@ def _l1_miss_inline(spec: dict, phys: str, indent: int) -> str:
     if _notifies(spec):
         evict_notify = "\n    notify_evict(victim, fill_way)"
         fill_notify = f"\nnotify_fill({phys} & {spec['line_neg_mask']}, fill_way)"
+    bank_shift = bits["set_shift"] - line_bits
+    victim_tag_shift = bits["tag_shift"] - line_bits
     text = f"""\
 acc_l1_conv_miss += 1
 pline = {phys} >> {line_bits}
-l2_slot = l2_slot_of_get(pline)
-if l2_slot is not None:
-    l2_stamps[l2_slot] = next(l2_tick)
-    acc_l2_hit += 1
-    latency = {spec['hit_latency'] + spec['l2_latency']}
-else:
-    latency = {spec['hit_latency']} + l2_access({phys}, False)
+{_l2_access_inline(spec, phys, "pline", False, 0)}
 base = set_index * {ways}
 stamps = bank_stamps[pbank]
 window = stamps[base : base + {ways}]{exclude}
@@ -873,7 +1047,7 @@ stamps[fill_slot] = next(bank_tick[pbank])
 slot_of[ptag * {spec['sets']} + set_index] = fill_slot
 if victim_tag != -1:
     victim = (
-        (victim_tag << {bank_bits + set_bits}) | (set_index << {bank_bits}) | pbank
+        (victim_tag << {victim_tag_shift}) | (set_index << {bank_shift}) | pbank
     ) << {line_bits}
     if victim > max_address:
         layout.check(victim)
@@ -882,7 +1056,56 @@ if victim_tag != -1:
         acc_l1_writeback += 1{evict_notify}
 acc_l1_fill += 1{fill_notify}
 if victim_dirty:
-    l2_access(victim, True)"""
+    vline = victim >> {line_bits}
+{_l2_access_inline(spec, "victim", "vline", True, 4)}"""
+    return _shift(text, indent)
+
+
+def _l1_store_inline(spec: dict, phys: str, hinted: bool, indent: int) -> str:
+    """``L1DataCache.store_parts``'s hit on the flat columns: probe the
+    hinted slot (``hinted``: a reduced write when it holds the line), then
+    the conventional lookup; a hit marks the slot dirty and stamps it.  A
+    miss calls ``store_parts``, nothing having changed yet.
+
+    Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``; with
+    ``hinted``, also ``way_hint``, and sets ``reduced``.
+    """
+    sets, ways = spec["sets"], spec["ways"]
+    conventional = f"""\
+l1_slot = bank_slot_of[pbank].get(ptag * {sets} + set_index)
+if l1_slot is not None:
+    bank_dirty[pbank][l1_slot] = 1
+    bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
+    acc_store_conv_hit += 1"""
+    if not hinted:
+        return _shift(f"{conventional}\nelse:\n    store_parts({phys})", indent)
+    text = f"""\
+reduced = False
+if way_hint is not None and bank_tags[pbank][set_index * {ways} + way_hint] == ptag:
+    l1_slot = set_index * {ways} + way_hint
+    bank_dirty[pbank][l1_slot] = 1
+    bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
+    acc_store_reduced_hit += 1
+    reduced = True
+else:
+{_shift(conventional, 4)}
+        if way_hint is not None:
+            acc_way_hint_wrong += 1
+    else:
+        reduced = store_parts({phys}, way_hint=way_hint)[3]"""
+    return _shift(text, indent)
+
+
+def _writeback_line(spec: dict, indent: int) -> str:
+    """``wb_line``: the physical line of ``writeback``, translated (and kept
+    on the record) the first time, as ``_writeback_to_cache`` does."""
+    text = f"""\
+wb_line = writeback.physical_line_address
+if wb_line is None:
+    physical, _lat = translate_pair(writeback.virtual_line_address)
+    if physical > max_address:
+        layout.check(physical)
+    wb_line = writeback.physical_line_address = physical & {spec['line_neg_mask']}"""
     return _shift(text, indent)
 
 
@@ -920,7 +1143,7 @@ def _tick(spec: dict) -> str:
 def _tick_1ldst(spec: dict) -> str:
     return f"""\
             if store_buffer._committed_count:
-                drain_committed()
+{_drain_inline(spec, 16)}
             if pending_loads:
                 tag, address, size = pending_loads.popleft()
 {_translate_pair_inline(spec, "address", 16)}
@@ -930,21 +1153,30 @@ def _tick_1ldst(spec: dict) -> str:
                 ready_cycle = cycle + translation_latency + latency
 {_release_and_schedule(16, "tag", "ready_cycle")}
             elif pending_writebacks:
-                writeback_to_cache(pending_writebacks.popleft())
+                # ---- _writeback_to_cache ----
+                writeback = pending_writebacks.popleft()
+{_writeback_line(spec, 16)}
+{_l1_fields(spec, "wb_line", 16, checked=True)}
+{_l1_store_inline(spec, "wb_line", False, 16)}
+                acc_mbe_written += 1
 """
 
 
 def _tick_2ld1st(spec: dict) -> str:
+    bits = _bits(spec)
     return f"""\
             if store_buffer._committed_count:
-                drain_committed()
+{_drain_inline(spec, 16)}
             if pending_loads or pending_writebacks:
                 completions = []
                 bank_accesses = {{}}
                 serviced = 0
                 while pending_loads and serviced < 2:
                     tag, address, size = pending_loads.popleft()
-                    bank = bank_index_of(address)
+                    # layout.bank_index of the virtual address
+                    if address > max_address:
+                        layout.check(address)
+                    bank = (address >> {bits['line']}) & {bits['bank_mask']}
 {_translate_pair_inline(spec, "address", 20)}
 {_forwarding_inline(spec, "address", "size", "acc_fwd_full", 20)}
 {_l1_conventional_inline(spec, "physical", 20)}
@@ -954,13 +1186,13 @@ def _tick_2ld1st(spec: dict) -> str:
                     serviced += 1
                 if pending_writebacks:
                     writeback = pending_writebacks[0]
-                    if writeback.physical_line_address is None:
-                        physical, _lat = translate_pair(writeback.virtual_line_address)
-                        writeback.physical_line_address = line_address_of(physical)
-                    bank = bank_index_of(writeback.physical_line_address)
-                    if bank_accesses.get(bank, 0) < 2:
+{_writeback_line(spec, 20)}
+                    pbank = (wb_line >> {bits['line']}) & {bits['bank_mask']}
+                    if bank_accesses.get(pbank, 0) < 2:
                         pending_writebacks.popleft()
-                        store_parts(writeback.physical_line_address)
+                        set_index = (wb_line >> {bits['set_shift']}) & {bits['set_mask']}
+                        ptag = wb_line >> {bits['tag_shift']}
+{_l1_store_inline(spec, "wb_line", False, 24)}
                         acc_mbe_written += 1
                 for tag, ready_cycle in completions:
 {_release_and_schedule(20, "tag", "ready_cycle")}
@@ -968,38 +1200,32 @@ def _tick_2ld1st(spec: dict) -> str:
 
 
 def _merge_scan(spec: dict) -> str:
-    """ArbitrationUnit's merge window scan, granularity resolved now."""
+    """ArbitrationUnit's merge window scan, granularity resolved now.
+
+    Loads are compared by one shift of their addresses: equal line numbers
+    (``line``), equal ``address >> subblock_shift`` (same line and
+    sub-block) or equal ``address >> pair_shift`` (same line and aligned
+    sub-block pair).  Only loads own banks while loads are arbitrated (the
+    MBE comes last), so no owner is a write.
+    """
     gran = spec["merge_granularity"]
     if gran == "none":
         return ""
-    if gran == "line":
-        predicate = "owner_primary._line_number == request._line_number"
-    elif gran == "subblock_pair":
-        predicate = (
-            "owner_primary._line_number == request._line_number\n"
-            "                            and owner_primary._subblock_pair"
-            " == request._subblock_pair"
-        )
-    else:  # subblock
-        predicate = (
-            "owner_primary._line_number == request._line_number\n"
-            "                            and subblock_of(owner_primary.virtual_address)\n"
-            "                            == subblock_of(request.virtual_address)"
-        )
+    shift = {
+        "line": str(_bits(spec)["line"]),
+        "subblock_pair": "pair_shift",
+        "subblock": "subblock_shift",
+    }[gran]
     return f"""
                     if position <= {spec['merge_window']}:
+                        merge_key = laddr >> {shift}
                         for owner in bank_owner.values():
-                            if owner.is_write:
-                                continue
                             acc_line_compare += 1
-                            owner_primary = owner.primary
-                            if (
-                                {predicate}
-                            ):
+                            if addresses[owner[0]] >> {shift} == merge_key:
                                 if loads_granted >= {spec['result_buses']}:
                                     break
-                                owner.merged.append(request)
-                                serviced.append(request)
+                                owner[1].append(lseq)
+                                serviced.append(lseq)
                                 loads_granted += 1
                                 merged = True
                                 acc_merged_load += 1
@@ -1024,17 +1250,26 @@ def _predict_fragment(spec: dict) -> str:
 
 
 def _assign_ways(spec: dict) -> str:
+    """ArbitrationUnit._assign_way_hints: the loads' bank requests, then the
+    MBE's (the last bank request)."""
     if spec["way_determination"] != "wt":
         return ""
-    return """
+    lip_mask = (1 << (spec["page_shift"] - _bits(spec)["line"])) - 1
+    return f"""
                 if way_entry is not None:
                     wt_codes = way_entry._codes
                     wt_decode = way_entry._decode_tbl
                     for bank_request in bank_requests:
-                        lip = bank_request.primary.line_in_page
+                        lip = (addresses[bank_request[0]] >> {_bits(spec)['line']}) & {lip_mask}
                         way = wt_decode[lip][wt_codes[lip]]
                         if way is not None:
-                            bank_request.way_hint = way
+                            bank_request[2] = way
+                            acc_way_hint_assigned += 1
+                    if mbe_granted:
+                        lip = mbe.line_in_page
+                        way = wt_decode[lip][wt_codes[lip]]
+                        if way is not None:
+                            mbe_hint = way
                             acc_way_hint_assigned += 1"""
 
 
@@ -1075,44 +1310,42 @@ def _wdu_predict(spec: dict) -> str:
 
 
 def _tick_malec(spec: dict) -> str:
-    subblock_hoist = ""
-    if spec["merge_granularity"] == "subblock":
-        subblock_hoist = "\n                subblock_of = layout.subblock_in_line"
+    bits = _bits(spec)
+    page_shift = spec["page_shift"]
+    page_off_mask = spec["page_off_mask"]
     return f"""\
             if store_buffer._committed_count:
-                drain_committed()
+{_drain_inline(spec, 16)}
             if mbe_backlog or ib._held or ib._new or ib._mbe is not None:
                 if mbe_backlog and ib._mbe is None:
                     feed_mbe_slot()
                 held = ib._held
                 new = ib._new
-                mbe = ib._mbe{subblock_hoist}
-                # ---- InputBuffer.select_group ----
+                mbe = ib._mbe
+                # ---- InputBuffer.select_group: held and new loads are seqs,
+                # the MBE (a MemoryAccessRequest) is the last member ----
                 if held:
-                    leader = held[0]
+                    page = addresses[held[0]] >> {page_shift}
                 elif new:
-                    leader = new[0]
+                    page = addresses[new[0]] >> {page_shift}
                 else:
-                    leader = mbe
-                page = leader.virtual_page
+                    page = mbe.virtual_page
                 members = []
-                compares = -1
-                for request in held:
-                    compares += 1
-                    if request.virtual_page == page:
-                        members.append(request)
-                for request in new:
-                    compares += 1
-                    if request.virtual_page == page:
-                        members.append(request)
+                for lseq in held:
+                    if addresses[lseq] >> {page_shift} == page:
+                        members.append(lseq)
+                for lseq in new:
+                    if addresses[lseq] >> {page_shift} == page:
+                        members.append(lseq)
+                compares = len(held) + len(new) - 1
+                mbe_member = False
                 if mbe is not None:
                     compares += 1
-                    if mbe.virtual_page == page:
-                        members.append(mbe)
+                    mbe_member = mbe.virtual_page == page
                 if compares:
                     acc_page_compare += compares
                 acc_group_selected += 1
-                acc_group_size += len(members)
+                acc_group_size += len(members) + mbe_member
                 # ---- translate_page_pair (uTLB-hit fast path) ----
                 slot = utlb_by_vpage_get(page)
                 if slot is not None:
@@ -1123,22 +1356,15 @@ def _tick_malec(spec: dict) -> str:
                 else:
                     physical_page, translation_latency = translate_page_pair(page)
 {_predict_fragment(spec)}
-                # ---- ArbitrationUnit.arbitrate ----
+                # ---- ArbitrationUnit.arbitrate: a load's bank request is
+                # [primary seq, merged seqs, way hint]; the MBE comes last ----
                 bank_owner = {{}}
                 bank_requests = []
                 serviced = []
                 loads_granted = 0
-                for position, request in enumerate(members):
-                    bank = request.bank_index
-                    if request.is_mbe:
-                        if bank in bank_owner:
-                            acc_arb_mbe_conflict += 1
-                            continue
-                        bank_request = BankRequest(request, is_write=True)
-                        bank_owner[bank] = bank_request
-                        bank_requests.append(bank_request)
-                        serviced.append(request)
-                        continue
+                for position, lseq in enumerate(members):
+                    laddr = addresses[lseq]
+                    bank = (laddr >> {bits['line']}) & {bits['bank_mask']}
                     merged = False{_merge_scan(spec)}
                     if merged:
                         continue
@@ -1148,43 +1374,36 @@ def _tick_malec(spec: dict) -> str:
                     if bank in bank_owner:
                         acc_rej_bank += 1
                         continue
-                    bank_request = BankRequest(request)
+                    bank_request = [lseq, [], None]
                     bank_owner[bank] = bank_request
                     bank_requests.append(bank_request)
-                    serviced.append(request)
+                    serviced.append(lseq)
                     loads_granted += 1
-                    acc_granted += 1{_assign_ways(spec)}
+                    acc_granted += 1
+                mbe_granted = False
+                if mbe_member:
+                    if mbe.bank_index in bank_owner:
+                        acc_arb_mbe_conflict += 1
+                    else:
+                        mbe_granted = True
+                        mbe_hint = None{_assign_ways(spec)}
                 acc_arb_cycles += 1
-                acc_bank_accesses += len(bank_requests)
+                acc_bank_accesses += len(bank_requests) + mbe_granted
                 if loads_granted:
                     acc_shared_page += 1
                 completions = []
                 # ---- per-bank servicing (_service_bank_request) ----
-                for bank_request in bank_requests:
-                    primary = bank_request.primary
-                    address = primary.virtual_address
+                for lseq, merged_requests, way_hint in bank_requests:
+                    address = addresses[lseq]
                     physical_address = (
-                        physical_page << {spec['page_shift']}
-                    ) | (address & {spec['page_off_mask']})
-                    primary.physical_address = physical_address
-                    way_hint = bank_request.way_hint{_wdu_predict(spec)}
-                    if bank_request.is_write:
-                        reduced = store_parts(physical_address, way_hint=way_hint)[3]
-                        acc_mbe_written += 1{_way_acct(spec, 24)}
-                        continue
-                    merged_requests = bank_request.merged
-{_forwarding_inline(spec, "address", "primary.size", "acc_fwd_split", 20)}
-                    for request in merged_requests:
-                        maddr = request.virtual_address
-                        request.physical_address = (
-                            physical_page << {spec['page_shift']}
-                        ) | (maddr & {spec['page_off_mask']})
-{_forwarding_inline(spec, "maddr", "request.size", "acc_fwd_split", 24)}
+                        physical_page << {page_shift}
+                    ) | (address & {page_off_mask}){_wdu_predict(spec)}
+{_forwarding_inline(spec, "address", "sizes[lseq]", "acc_fwd_split", 20)}
+                    for mseq in merged_requests:
+                        maddr = addresses[mseq]
+{_forwarding_inline(spec, "maddr", "sizes[mseq]", "acc_fwd_split", 24)}
                     # ---- L1 load: reduced probe (a miss delegates), conventional access
-                    pparts = decompose(physical_address)
-                    pbank = pparts[5]
-                    set_index = pparts[6]
-                    ptag = pparts[7]
+{_l1_fields(spec, "physical_address", 20)}
                     if way_hint is not None:
                         l1_slot = set_index * {spec['ways']} + way_hint
                         if bank_tags[pbank][l1_slot] == ptag:
@@ -1213,23 +1432,31 @@ def _tick_malec(spec: dict) -> str:
                     acc_load_accesses += 1
                     acc_loads_merged += len(merged_requests){_way_acct(spec, 20)}{_feedback(spec)}
                     ready_cycle = cycle + translation_latency + latency
-                    if primary.tag is not None:
-                        completions.append((primary.tag, ready_cycle))
-                    for request in merged_requests:
-                        if request.tag is not None:
-                            completions.append((request.tag, ready_cycle))
+                    completions.append((lseq, ready_cycle))
+                    for mseq in merged_requests:
+                        completions.append((mseq, ready_cycle))
+                if mbe_granted:
+                    # ---- the MBE's write, the last bank access ----
+                    physical_address = (
+                        physical_page << {page_shift}
+                    ) | (mbe.virtual_address & {page_off_mask})
+                    way_hint = mbe_hint{_wdu_predict(spec)}
+{_l1_fields(spec, "physical_address", 20)}
+{_l1_store_inline(spec, "physical_address", spec["way_determination"] != "none", 20)}
+                    acc_mbe_written += 1{_way_acct(spec, 20)}
                 # ---- InputBuffer.retire + end_cycle ----
-                gone = set(serviced)
-                held2 = mk_deque(request for request in held if request not in gone)
-                new2 = [request for request in new if request not in gone]
-                if mbe is not None and mbe in gone:
+                held_count = len(held) + len(new) - len(serviced)
+                if held_count:
+                    gone = set(serviced)
+                    held2 = mk_deque([lseq for lseq in held if lseq not in gone])
+                    held2.extend([lseq for lseq in new if lseq not in gone])
+                    ib._held = held2
+                else:
+                    ib._held = mk_deque()
+                ib._new = []
+                if mbe_granted:
                     ib._mbe = None
                     acc_mbe_out += 1
-                if new2:
-                    held2.extend(new2)
-                ib._held = held2
-                ib._new = []
-                held_count = len(held2)
                 if held_count > {spec['held_capacity']}:
                     acc_ib_overflow += 1
                 acc_held_loads += held_count
@@ -1405,6 +1632,31 @@ def _epilogue(spec: dict) -> str:
         ),
         _flush_row("acc_l1_evict", [("h_bk_eviction", "acc_l1_evict")]),
         _flush_row("acc_l1_writeback", [("h_bk_writeback", "acc_l1_writeback")]),
+        _flush_row("acc_sb_drain", [("h_sb_drain", "acc_sb_drain")]),
+        _flush_row("acc_mb_merged", [("h_mb_merged", "acc_mb_merged")]),
+        # every merge-buffer eviction queues its line for the cache
+        _flush_row(
+            "acc_mb_eviction",
+            [("h_mb_eviction", "acc_mb_eviction"), ("h_if_mbe_queued", "acc_mb_eviction")],
+        ),
+        _flush_row("acc_mb_allocate", [("h_mb_allocate", "acc_mb_allocate")]),
+        _flush_row("acc_mbe_written", [("h_if_mbe_written", "acc_mbe_written")]),
+        _flush_row(
+            "acc_store_conv_hit",
+            [
+                ("h_bk_ctrl", "acc_store_conv_hit"),
+                ("h_bk_tag_read", f"acc_store_conv_hit * {spec['ways']}"),
+                ("h_bk_conventional", "acc_store_conv_hit"),
+                ("h_bk_data_write", "acc_store_conv_hit"),
+                ("h_l1_store", "acc_store_conv_hit"),
+                ("h_l1_store_hit", "acc_store_conv_hit"),
+            ],
+        ),
+        _flush_row("acc_l2_miss", [("h_l2_access", "acc_l2_miss"), ("h_l2_miss", "acc_l2_miss")]),
+        _flush_row("acc_l2_writeback", [("h_l2_writeback", "acc_l2_writeback")]),
+        # DRAMModel's names, interned at their first event (_l2_miss_inline)
+        '    if acc_dram_read:\n        stats.add("dram.read", acc_dram_read)',
+        '    if acc_dram_write:\n        stats.add("dram.write", acc_dram_write)',
     ]
     if kind in ("Base1ldst", "Base2ld1st"):
         rows += [
@@ -1414,8 +1666,6 @@ def _epilogue(spec: dict) -> str:
             ),
             _flush_row("acc_load_accesses", [("h_if_load_accesses", "acc_load_accesses")]),
         ]
-    if kind == "Base2ld1st":
-        rows += [_flush_row("acc_mbe_written", [("h_if_mbe_written", "acc_mbe_written")])]
     if kind == "MALEC":
         rows += [
             _flush_row(
@@ -1442,7 +1692,6 @@ def _epilogue(spec: dict) -> str:
                     ("h_l1_load_hit", "acc_l1_reduced_hit"),
                 ],
             ),
-            _flush_row("acc_mbe_written", [("h_if_mbe_written", "acc_mbe_written")]),
             _flush_row("acc_ib_load_in", [("h_ib_load_in", "acc_ib_load_in")]),
             _flush_row("acc_page_compare", [("h_ib_page_compare", "acc_page_compare")]),
             # group_size/held_loads/group_loads/bank_accesses take zero-amount
@@ -1480,6 +1729,18 @@ def _epilogue(spec: dict) -> str:
         ]
         if spec["way_determination"] in ("wt", "wdu"):
             rows += [
+                # the MBE's hinted write (_l1_store_inline)
+                _flush_row(
+                    "acc_store_reduced_hit",
+                    [
+                        ("h_bk_ctrl", "acc_store_reduced_hit"),
+                        ("h_bk_data_write", "acc_store_reduced_hit"),
+                        ("h_bk_reduced", "acc_store_reduced_hit"),
+                        ("h_l1_store", "acc_store_reduced_hit"),
+                        ("h_l1_store_hit", "acc_store_reduced_hit"),
+                    ],
+                ),
+                _flush_row("acc_way_hint_wrong", [("h_bk_way_hint_wrong", "acc_way_hint_wrong")]),
                 "    way_total = acc_way_unknown + acc_way_known + acc_way_reduced",
                 _flush_row("way_total", [("h_way_lookup", "way_total")]),
                 "    way_known_total = acc_way_known + acc_way_reduced",

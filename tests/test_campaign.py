@@ -233,6 +233,31 @@ class TestExecutor:
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=0)
 
+    def test_pool_workers_inherit_the_parents_kernels(self, tmp_path, monkeypatch):
+        # The parent compiles every kernel before the pool forks, so the
+        # workers' initializer prewarm only hits the inherited cache: every
+        # kernel source is generated in the parent process.
+        if multiprocessing.get_all_start_methods()[0] != "fork":
+            pytest.skip("workers inherit the parent's kernels only by fork")
+        from repro.sim import kernels
+
+        log = tmp_path / "generated-by.txt"
+        generate_source = kernels.generate_source
+
+        def recording_generate_source(spec, digest="unhashed"):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return generate_source(spec, digest)
+
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        monkeypatch.setattr(kernels, "generate_source", recording_generate_source)
+        executor = ParallelExecutor(jobs=2)
+        executor.run(small_spec(benchmarks=BENCHMARKS[:2], instructions=300))
+        assert executor.used_pool
+        pids = log.read_text().split()
+        assert len(pids) == len(CONFIGS)
+        assert set(pids) == {str(os.getpid())}
+
     def test_killed_workers_end_in_a_serial_finish(self):
         # Every pool worker SIGKILLs itself on its first cell.  The sweep
         # must not hang: the broken pool raises and the serial pass

@@ -8,8 +8,9 @@ per-structure energy value, not just cycles.  Coverage spans the fig4-mini
 grid (all five Fig. 4 configurations), pipeline-level runs, randomized
 seeded synthetic profiles, the adversarial ``STRESS`` profiles
 (``tlbthrash``/``depchase``/``mlpladder``), whose absolute results are
-additionally pinned to ``tests/golden/stress_profiles.json``, and
-hand-built traces aimed at the kernels' issue stage.  Wherever a test builds
+additionally pinned to ``tests/golden/stress_profiles.json``,
+hand-built traces aimed at the kernels' issue stage and memory path, and
+addresses outside the layout.  Wherever a test builds
 the pipelines itself it also compares each pipeline's
 ``fast_forwarded_cycles``: a kernel must jump the clock exactly when the
 generic loop does.
@@ -40,7 +41,12 @@ from repro.cpu.instruction import compute, load, store
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.obs import RunCollector
 from repro.sim import kernels
-from repro.sim.config import SimulationConfig
+from repro.sim.config import (
+    CacheParameters,
+    MalecParameters,
+    PipelineParameters,
+    SimulationConfig,
+)
 from repro.sim.kernels import (
     compile_kernel,
     content_hash,
@@ -182,6 +188,50 @@ class TestPipelineIdentity:
         assert_pipelines_identical(config, trace_for(bench), 0.3, f"{bench}/{config.name}")
 
 
+def _malec(**options) -> SimulationConfig:
+    return SimulationConfig.malec(malec_options=replace(MalecParameters(), **options))
+
+
+def _narrow(config: SimulationConfig, **fields) -> SimulationConfig:
+    """``config`` on a two-wide, 32-entry-ROB core with the given fields."""
+    pipeline = PipelineParameters(rob_entries=32, fetch_width=2, issue_width=2, commit_width=2)
+    return replace(config, pipeline=pipeline, **fields)
+
+
+#: option values and machine shapes the kernels are specialized on that the
+#: five Fig. 4 configurations never reach
+SPECIALIZED_SHAPES = {
+    "malec-wdu": _malec(way_determination="wdu"),
+    "malec-no-way-determination": _malec(way_determination="none"),
+    "malec-line-merging": _malec(merge_granularity="line"),
+    "malec-subblock-merging": _malec(merge_granularity="subblock"),
+    "malec-no-merging": _malec(merge_granularity="none"),
+    "malec-one-result-bus": _malec(result_buses=1),
+    "malec-unrestricted-allocation": _malec(restrict_way_allocation=False),
+    "malec-wdu-subblock-one-bus": _malec(
+        way_determination="wdu",
+        merge_granularity="subblock",
+        result_buses=1,
+        input_buffer_capacity=1,
+    ),
+    "malec-dram-90": replace(SimulationConfig.malec(), cache=CacheParameters(dram_latency=90)),
+    "base1ldst-dram-20-mb-8": replace(
+        SimulationConfig.base_1ldst(), cache=CacheParameters(dram_latency=20), mb_entries=8
+    ),
+    "base2ld1st-mb-1": replace(SimulationConfig.base_2ld1st(), mb_entries=1),
+    "malec-narrow-sb-4-mb-2": _narrow(SimulationConfig.malec(), sb_entries=4, mb_entries=2),
+    "base2ld1st-narrow-sb-2": _narrow(SimulationConfig.base_2ld1st(), sb_entries=2),
+}
+
+
+class TestSpecializedShapes:
+    @pytest.mark.parametrize("shape", sorted(SPECIALIZED_SHAPES))
+    @pytest.mark.parametrize("bench", ("gzip", "mlpladder"))
+    def test_shape_identical(self, shape, bench):
+        config = SPECIALIZED_SHAPES[shape]
+        assert_pipelines_identical(config, trace_for(bench), 0.3, f"{bench}/{shape}")
+
+
 # ----------------------------------------------------------------------
 # Hand-built traces for the kernels' issue stage, which parks refused
 # stores, stops re-examining loads once one is refused in a cycle, and
@@ -303,6 +353,118 @@ class TestIssueStageCases:
                 config, pipeline=replace(config.pipeline, issue_width=issue_width)
             )
         assert_pipelines_identical(config, build(), 0.0, f"{case}/{config.name}")
+
+
+# ----------------------------------------------------------------------
+# Hand-built traces for memory-path events the synthetic profiles never
+# produce: loads that cross a line, and a dirty L1 line whose write-back
+# misses the L2.
+# ----------------------------------------------------------------------
+def line_crossing_loads() -> MemoryTrace:
+    """Loads spanning two lines whose overlapping store touches only the
+    second, and 200-byte loads whose overlapping store sits in a middle
+    line: the store-buffer scan must find both, although neither store
+    touches the load's first line."""
+    instructions = []
+    for index in range(24):
+        base = 0x0040_0000 + index * 256
+        instructions += [
+            store(base + 64, size=4),
+            load(base + 60, size=8),
+            store(base + 198, size=2),
+            load(base + 8, size=200),
+        ]
+    return MemoryTrace(name="line-crossing-loads", instructions=instructions)
+
+
+def writeback_misses_the_l2() -> MemoryTrace:
+    """A dirty L1 line that outlives its L2 copy, so its write-back misses
+    the L2 and fills it dirty, and a later L2 eviction writes it to DRAM.
+
+    Frames are allocated on first touch, and the frame permutation's
+    multiplier is odd, so pages first touched 16 apart share their frame
+    number mod 16 and their line 0 shares an L2 set.  Serialized loads
+    touch one new page at a time: fifteen on line 1, then one on line 0
+    that lands in the hot line's L2 set.  The hot line, stored to and
+    re-read every round, stays in the L1 while sixteen such lines push it
+    out of the L2; once the re-reads stop, it leaves the L1 dirty.
+    """
+    hot = 0x0080_0000
+    # The four younger stores push the hot line's out of the merge buffer.
+    instructions = [load(hot), store(hot)]
+    instructions += [store(hot + 64 * line) for line in (2, 3, 4, 5)]
+    page = 0x0100_0000
+    for round_ in range(48):
+        for _ in range(15):
+            instructions.append(load(page + 64, deps=(1,)))
+            page += 4096
+        if round_ < 20:
+            instructions.append(load(hot, deps=(1,)))
+        instructions.append(load(page, deps=(1,)))
+        page += 4096
+    return MemoryTrace(name="writeback-misses-the-l2", instructions=instructions)
+
+
+MEMORY_PATH_CASES = {
+    "line-crossing-loads": line_crossing_loads,
+    "writeback-misses-the-l2": writeback_misses_the_l2,
+}
+
+
+class TestMemoryPathCases:
+    @pytest.mark.parametrize("config", FIG4_CONFIGS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("case", sorted(MEMORY_PATH_CASES))
+    def test_hand_built_case_identical(self, case, config):
+        assert_pipelines_identical(
+            config, MEMORY_PATH_CASES[case](), 0.0, f"{case}/{config.name}"
+        )
+
+    def test_writeback_reaches_dram(self):
+        # The case is only a net for the L2 write-back miss while it still
+        # produces one: the dirty line must come back out of the L2.
+        run = run_pipeline_kernel(FIG4_CONFIGS[0], writeback_misses_the_l2(), "generic")
+        assert run.stats["l1.writeback"] >= 1
+        assert run.stats["dram.write"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Addresses outside the layout.  The kernels keep the range check of the
+# layout methods they inline as ``address > max_address`` alone, because a
+# trace address is never negative: the columnar address column is unsigned,
+# so the lift refuses a negative one before either kernel runs.
+# ----------------------------------------------------------------------
+def out_of_range_access(kind: str, address: int) -> MemoryTrace:
+    access = load if kind == "load" else store
+    instructions = [load(0x1000), store(0x2000), compute(), access(address), load(0x3000)]
+    return MemoryTrace(name=f"out-of-range-{kind}", instructions=instructions)
+
+
+def error_without_warm(config, trace, kernel) -> tuple:
+    """The error one pipeline run raises.  The pipeline is built directly and
+    the decomposition warm skipped, which would refuse the address first."""
+    simulator = Simulator(config)
+    entry = compile_kernel(config).entry if kernel == "specialized" else None
+    pipeline = OutOfOrderPipeline(
+        simulator.interface, params=simulator.config.pipeline, stats=simulator.stats, kernel=entry
+    )
+    with pytest.raises(Exception) as caught:
+        pipeline.run(trace)
+    return type(caught.value), str(caught.value)
+
+
+class TestOutOfRangeAddresses:
+    @pytest.mark.parametrize("config", FIG4_CONFIGS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("kind", ("load", "store"))
+    @pytest.mark.parametrize("address", (-64, 1 << 40), ids=("negative", "past-max"))
+    def test_same_error_from_both_kernels(self, address, kind, config):
+        trace = out_of_range_access(kind, address)
+        specialized = error_without_warm(config, trace, "specialized")
+        assert specialized == error_without_warm(config, trace, "generic")
+        if address > 0:
+            assert specialized[0] is ValueError and "outside" in specialized[1]
+
+    def test_address_column_is_unsigned(self):
+        assert as_columnar(out_of_range_access("load", 64)).addresses.typecode == "Q"
 
 
 def random_profile(seed: int) -> BenchmarkProfile:

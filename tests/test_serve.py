@@ -191,6 +191,51 @@ class TestEndpoints:
         status, payload = request(server, "GET", "/api/v1/health")
         assert status == 200 and payload["status"] == "ok"
 
+    def test_stalled_connections_time_out(self, server, monkeypatch, capfd):
+        # Clients that stop mid-header or send a body shorter than its
+        # Content-Length must not pin a handler thread each: after the idle
+        # timeout every such thread ends, the short body is answered 408
+        # and journaled, and nothing is printed.
+        assert _Handler.timeout is not None
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        baseline = threading.active_count()
+        head = (
+            "POST /api/v1/campaigns HTTP/1.1\r\n"
+            f"Host: {server.host}\r\n"
+            "Content-Type: application/json\r\n"
+            "Content-Length: 100\r\n\r\n"
+        )
+        stalled = []
+        try:
+            for _ in range(5):
+                sock = socket.create_connection((server.host, server.port), timeout=10)
+                sock.sendall(b"GET /api/v1/health HTTP/1.1\r\nHost: te")
+                stalled.append(sock)
+            with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                sock.sendall(head.encode("ascii") + b'{"preset"')
+                response = b""
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    response += chunk
+            deadline = time.time() + 10
+            while threading.active_count() > baseline and time.time() < deadline:
+                time.sleep(0.05)
+            assert threading.active_count() <= baseline
+        finally:
+            for sock in stalled:
+                sock.close()
+
+        status_line, _, rest = response.partition(b"\r\n")
+        assert int(status_line.split()[1]) == 408
+        assert b"Connection: close" in rest
+        assert "error" in json.loads(rest.partition(b"\r\n\r\n")[2])
+        records = telemetry.read_journal(server.store.telemetry_path)
+        served = [rec for rec in records if rec["record"] == "serve_request"]
+        assert [(rec["method"], rec["status"]) for rec in served] == [("POST", 408)]
+        assert "Traceback" not in capfd.readouterr().err
+
     @pytest.mark.parametrize(
         "override, named",
         [
