@@ -15,12 +15,11 @@ results (it is similar across configurations).
 """
 
 from repro.buffers.load_queue import LoadQueue
-from repro.buffers.store_buffer import StoreBuffer, StoreBufferEntry
+from repro.buffers.store_buffer import StoreBuffer
 from repro.buffers.merge_buffer import MergeBuffer
 
 __all__ = [
     "LoadQueue",
     "StoreBuffer",
-    "StoreBufferEntry",
     "MergeBuffer",
 ]

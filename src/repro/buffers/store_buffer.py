@@ -10,26 +10,23 @@ splits the lookup structure into a shared page-id segment (one comparison per
 cycle, shared by the whole page group) and per-access narrow offset segments
 (Sec. IV); both are modelled and counted separately so their energies can be
 compared even though the paper excludes the SB from its final numbers.
+
+Each entry is one plain ``(tag, virtual_address, size)`` tuple.  Stores
+enter in program order and commit in program order, and a store is still
+buffered when it commits, so the committed stores are always the oldest
+entries: the buffer records them as a count, ``_committed_count``, of
+leading entries.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
-
-class StoreBufferEntry:
-    """A speculative store waiting to commit (slotted: one entry per store)."""
-
-    __slots__ = ("tag", "virtual_address", "size", "committed")
-
-    def __init__(self, tag: Any, virtual_address: int, size: int) -> None:
-        self.tag = tag
-        self.virtual_address = virtual_address
-        self.size = size
-        self.committed = False
+#: one buffered store: (tag, virtual_address, size)
+StoreEntry = Tuple[Any, int, int]
 
 
 class StoreBuffer:
@@ -46,10 +43,9 @@ class StoreBuffer:
         self.entries = entries
         self.layout = layout
         self.stats = stats if stats is not None else StatCounters()
-        self._entries: List[StoreBufferEntry] = []
-        #: tag -> entry index for O(1) commit marking (tags are unique)
-        self._by_tag: dict = {}
-        #: number of committed-but-not-drained entries (cheap quiescence check)
+        #: buffered stores, oldest first
+        self._entries: List[StoreEntry] = []
+        #: the first ``_committed_count`` entries are committed, waiting to drain
         self._committed_count = 0
         # Per-access counters resolved to integer slots once (hot path).
         self._h_insert = self.stats.handle("sb.insert")
@@ -70,15 +66,12 @@ class StoreBuffer:
         """True when no further store can be accepted."""
         return len(self._entries) >= self.entries
 
-    def insert(self, tag: Any, virtual_address: int, size: int) -> StoreBufferEntry:
-        """Add a store that finished address computation."""
+    def insert(self, tag: Any, virtual_address: int, size: int) -> None:
+        """Add a store that finished address computation (program order)."""
         if self.full:
             raise RuntimeError("store buffer overflow")
-        entry = StoreBufferEntry(tag, virtual_address, size)
-        self._entries.append(entry)
-        self._by_tag[tag] = entry
+        self._entries.append((tag, virtual_address, size))
         self.stats.bump(self._h_insert)
-        return entry
 
     # ------------------------------------------------------------------
     # Load forwarding lookups (the per-load search of the entries is
@@ -96,25 +89,21 @@ class StoreBuffer:
         """Number of committed stores still waiting to drain to the MB."""
         return self._committed_count
 
-    def mark_committed(self, tag: Any) -> Optional[StoreBufferEntry]:
-        """Flag the store identified by ``tag`` as committed (ready for the MB)."""
-        entry = self._by_tag.get(tag)
-        if entry is not None and not entry.committed:
-            entry.committed = True
-            self._committed_count += 1
-            return entry
-        return None
+    def mark_committed(self, tag: Any) -> None:
+        """Mark the store ``tag`` committed (ready for the MB).
 
-    def pop_committed(self) -> Optional[StoreBufferEntry]:
+        Stores commit in program order, so ``tag`` must be the oldest
+        uncommitted store; anything else raises ``ValueError``.
+        """
+        index = self._committed_count
+        if index >= len(self._entries) or self._entries[index][0] != tag:
+            raise ValueError(f"store {tag!r} is not the oldest uncommitted store")
+        self._committed_count = index + 1
+
+    def pop_committed(self) -> Optional[StoreEntry]:
         """Remove and return the oldest committed store, if any."""
         if not self._committed_count:
             return None
-        for index, entry in enumerate(self._entries):
-            if entry.committed:
-                self.stats.bump(self._h_drain)
-                self._committed_count -= 1
-                self._entries.pop(index)
-                if self._by_tag.get(entry.tag) is entry:
-                    del self._by_tag[entry.tag]
-                return entry
-        return None
+        self.stats.bump(self._h_drain)
+        self._committed_count -= 1
+        return self._entries.pop(0)

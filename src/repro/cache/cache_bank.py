@@ -104,6 +104,11 @@ class CacheBank:
             (self._h_tag_read, ways),
             (self._h_conventional_access, 1),
         )
+        self._combo_reduced_write = (
+            (self._h_ctrl, 1),
+            (self._h_data_write, 1),
+            (self._h_reduced_access, 1),
+        )
         self._combo_fill = (
             (self._h_ctrl, 1),
             (self._h_fill, 1),
@@ -195,9 +200,7 @@ class CacheBank:
         if way_hint is not None:
             array = self.array
             if array._tags[set_index * array.ways + way_hint] == tag:
-                stats.bump(self._h_ctrl)
-                stats.bump(self._h_data_write, 1)
-                stats.bump(self._h_reduced_access)
+                stats.bump_many(self._combo_reduced_write)
                 array.mark_dirty(set_index, way_hint)
                 array.find_way(set_index, tag)
                 return True, way_hint, True

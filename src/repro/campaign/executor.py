@@ -136,7 +136,7 @@ def _execute_cell(
     ``kernel`` is the resolved kernel name the executor threads through.
     Returns the result plus the execution facts the telemetry journal
     records per cell: which kernel was requested and whether it actually
-    ran (and why not).
+    ran.
     """
     trace = _cached_trace(cell, cache)
     simulator = Simulator(cell.config)
@@ -148,7 +148,6 @@ def _execute_cell(
     info: Dict[str, object] = {
         "kernel": simulator.kernel_requested,
         "kernel_used": simulator.kernel_used,
-        "kernel_fallback_reason": simulator.kernel_fallback_reason or "",
     }
     return result, info
 
@@ -312,8 +311,6 @@ class ParallelExecutor:
         self.completed_cells: List[CampaignCell] = []
         #: (cell, worker pid, start, end) epoch timings of executed cells
         self.cell_timings: List[Tuple[CampaignCell, int, float, float]] = []
-        #: kernel fallback reason -> count across the last run()
-        self.kernel_fallbacks: Dict[str, int] = {}
         #: True if the last run() actually used a process pool
         self.used_pool = False
 
@@ -323,7 +320,6 @@ class ParallelExecutor:
         self.skipped_cells = []
         self.completed_cells = []
         self.cell_timings = []
-        self.kernel_fallbacks = {}
         self.used_pool = False
         self.active_journal = self._resolve_journal()
         if self.store is not None:
@@ -390,7 +386,6 @@ class ParallelExecutor:
                 cells_computed=len(self.completed_cells),
                 cells_skipped=len(self.skipped_cells),
                 elapsed_seconds=elapsed,
-                kernel_fallbacks=self.kernel_fallbacks or None,
                 metrics=(
                     obs_metrics.registry.dump() if obs_metrics.enabled() else None
                 ),
@@ -421,11 +416,7 @@ class ParallelExecutor:
         pid: int,
         info: Optional[Dict[str, object]] = None,
     ) -> None:
-        """Tally kernel fallbacks and append one per-cell journal record."""
-        if info is not None:
-            reason = str(info.get("kernel_fallback_reason") or "")
-            if reason:
-                self.kernel_fallbacks[reason] = self.kernel_fallbacks.get(reason, 0) + 1
+        """Append one per-cell journal record."""
         if self.active_journal is None:
             return
         record: Dict[str, object] = {

@@ -178,7 +178,8 @@ class BaseL1Interface(ABC):
         entry = self.store_buffer.pop_committed()
         if entry is None:
             return
-        evicted = self.merge_buffer.commit_store(entry.virtual_address)
+        _tag, virtual_address, _size = entry
+        evicted = self.merge_buffer.commit_store(virtual_address)
         if evicted is not None:
             self._queue_writeback(evicted)
 
@@ -268,9 +269,8 @@ class BaseL1Interface(ABC):
         merge_buffer = self.merge_buffer
         stats.bump_many(self._combo_fwd_split if split else self._combo_fwd_full)
         end = virtual_address + size
-        for entry in reversed(store_buffer._entries):
-            start = entry.virtual_address
-            if start < end and virtual_address < start + entry.size:
+        for _tag, start, length in reversed(store_buffer._entries):
+            if start < end and virtual_address < start + length:
                 stats.bump(store_buffer._h_forward_hit)
                 break
         if (virtual_address & ~self.layout._line_offset_mask) in merge_buffer._entries:
@@ -295,13 +295,8 @@ class BaseL1Interface(ABC):
         traffic; the flush has no timing effect.
         """
         # Drain the store buffer completely.
-        while True:
-            entry = self.store_buffer.pop_committed()
-            if entry is None:
-                break
-            evicted = self.merge_buffer.commit_store(entry.virtual_address)
-            if evicted is not None:
-                self._queue_writeback(evicted)
+        while self.store_buffer.committed_count:
+            self._drain_committed_stores()
         for line_address in self.merge_buffer.drain():
             self._queue_writeback(line_address)
         while self._pending_writebacks:

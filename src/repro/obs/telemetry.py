@@ -190,10 +190,9 @@ class TelemetryJournal:
         cells_computed: int,
         cells_skipped: int,
         elapsed_seconds: float,
-        kernel_fallbacks: Optional[Dict[str, int]] = None,
         metrics: Optional[dict] = None,
     ) -> None:
-        """Write the run footer (totals, rate, fallback tally, metrics dump)."""
+        """Write the run footer (totals, rate, metrics dump)."""
         total = int(cells_computed) + int(cells_skipped)
         record: Dict[str, object] = {
             "record": "run_end",
@@ -207,8 +206,6 @@ class TelemetryJournal:
                 total / float(elapsed_seconds) if elapsed_seconds > 0 else 0.0
             ),
         }
-        if kernel_fallbacks:
-            record["kernel_fallbacks"] = dict(kernel_fallbacks)
         if metrics is not None:
             record["metrics"] = metrics
         self._append(record)
@@ -241,7 +238,11 @@ class JournalRun:
         return [cell for cell in self.cells if cell.get("source") == "computed"]
 
     def kernel_fallback_count(self) -> int:
-        """Total kernel fallbacks across the run (footer tally, else cells)."""
+        """Total kernel fallbacks across the run (footer tally, else cells).
+
+        Current sweeps never fall back (a collector, the one reason, is
+        rejected) and write neither field; older journals still count.
+        """
         tally = (self.footer or {}).get("kernel_fallbacks")
         if isinstance(tally, dict):
             return sum(int(v) for v in tally.values())

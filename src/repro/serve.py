@@ -17,7 +17,8 @@ even overlapping external writers safe; serializing merely keeps the host
 sane).  Every request is journaled through the PR 9 telemetry layer as a
 ``serve_request`` record under the server's session id, next to the
 ordinary ``run_start``/``cell``/``run_end`` records of the sweeps it
-triggers.
+triggers, and so is every error reply http.server sends on its own (a
+malformed request line, a header flood, an unknown method).
 
 Endpoints (all JSON; see ``docs/architecture.md`` for a curl session):
 
@@ -151,6 +152,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         self._handle("POST")
+
+    def send_error(
+        self, code: int, message: Optional[str] = None, explain: Optional[str] = None
+    ) -> None:
+        """Send one of http.server's own error replies, and journal it.
+
+        http.server answers a bad request line (400), a request line over
+        64 KiB (414), a header flood (431) and an unknown method (501)
+        itself, before :meth:`_handle` runs.  The method and path of a
+        request line that did not parse are journaled as ``-``.
+        """
+        started = time.time()
+        super().send_error(code, message, explain)
+        parsed = bool(self.command)
+        self.app.journal_request(
+            self.command if parsed else "-",
+            self.path if parsed else "-",
+            code,
+            time.time() - started,
+        )
 
     def _handle(self, method: str) -> None:
         started = time.time()

@@ -4,7 +4,8 @@
 into a :class:`KernelProgram` — an ``exec``-compiled module whose
 ``kernel_run(pipeline, seqs, total, capacity, trace_arrays)`` entry point is
 the event-driven pipeline loop fused with the configuration's interface tick
-and batched stat accounting (see :mod:`repro.sim.kernels.generator`).
+and batched stat accounting, which flushes through the model's own counter
+patterns (see :mod:`repro.sim.kernels.generator`).
 
 Programs are cached per *content hash*: a digest of the primitive spec the
 generator consumed (excluding the config's name and seed) plus the generator
@@ -20,14 +21,14 @@ differential suite and the golden replays run every pinned case under both.
 
 Both paths hold the same canonical state: one plain value per in-flight
 access wherever a value suffices (a tag's issue cycle in the load queue,
-``(tag, address, size)`` tuples in the baselines' load queues, line
-addresses in the merge buffer and MALEC's MBE backlog) and the same
-``StoreBufferEntry``/``PendingWriteback`` records elsewhere.  MALEC's loads
+``(tag, address, size)`` tuples in the baselines' load queues and the
+store buffer, line addresses in the merge buffer and MALEC's MBE backlog)
+and the same ``PendingWriteback`` records elsewhere.  MALEC's loads
 differ inside a run only: the kernels keep each load's seq in the Input
 Buffer where the generic loop keeps a ``MemoryAccessRequest``, and the
-buffer holds no loads once a run ends.  A kernel attached to a pipeline it was not generated for raises
-``RuntimeError`` naming the failed runtime guard; it never falls back to
-the generic loop on its own.
+buffer holds no loads once a run ends.  A kernel attached to a pipeline
+it was not generated for raises ``RuntimeError`` naming the failed
+runtime guard; it never falls back to the generic loop on its own.
 
 Generated sources are registered with :mod:`linecache` under a synthetic
 ``<repro-kernel-...>`` filename, so tracebacks out of exec-compiled code show

@@ -24,7 +24,9 @@ every clock jump:
   ``InputBuffer._held`` is rebound by ``retire`` and is therefore *never*
   hoisted);
 * stat bumps are batched into local integer accumulators that flush into
-  ``StatCounters`` once at the end of the run.  Sums of integers commute, so
+  ``StatCounters`` once at the end of the run, through one table
+  (:func:`_flush_rows`) whose counter patterns are the model's own
+  ``_combo_*`` tuples wherever it has one.  Sums of integers commute, so
   the flushed totals are bit-identical to per-access bumping.
 
 Bit-identity strategy — *probe, then commit or delegate*: every inlined fast
@@ -55,18 +57,20 @@ negative.
 
 All simulation state stays canonical — the kernel writes the same plain
 values into the same containers the generic loop does: the load queue maps
-each tag to its issue cycle, the baselines queue ``(tag, address, size)``
-tuples, the merge buffer and MALEC's MBE backlog hold line addresses, and
-``StoreBufferEntry`` and ``PendingWriteback`` are the records the generic
-loop builds too.  MALEC's loads are the one exception: the Input Buffer
-holds their seqs (trace indices), not ``MemoryAccessRequest`` objects, and a
-load's bank request is a kernel-local ``[primary seq, merged seqs, way
-hint]``.  Every load retires from the Input Buffer before it can commit, so
-the buffer holds no loads once a run ends, and no delegated call reads its
-load entries; a guard checks it is empty of loads at entry.  The MBE in the
-Input Buffer's slot stays the ``MemoryAccessRequest`` ``_feed_mbe_slot``
-builds.  So a collector run, a fast-forward, or a later generic run over the
-same interface observes identical structures.
+each tag to its issue cycle, the baselines' load queues and the store
+buffer hold ``(tag, address, size)`` tuples (the store buffer's first
+``_committed_count`` are its committed stores), the merge buffer and
+MALEC's MBE backlog hold line addresses, and ``PendingWriteback`` is the
+record the generic loop builds too.  MALEC's loads are the one exception:
+the Input Buffer holds their seqs (trace indices), not
+``MemoryAccessRequest`` objects, and a load's bank request is a
+kernel-local ``[primary seq, merged seqs, way hint]``.  Every load retires
+from the Input Buffer before it can commit, so the buffer holds no loads
+once a run ends, and no delegated call reads its load entries; a guard
+checks it is empty of loads at entry.  The MBE in the Input Buffer's slot
+stays the ``MemoryAccessRequest`` ``_feed_mbe_slot`` builds.  So a
+collector run, a fast-forward, or a later generic run over the same
+interface observes identical structures.
 
 The emitted module also begins with a battery of *runtime guards*: if the
 live pipeline/interface does not match the generation-time spec (someone
@@ -81,7 +85,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 7
+GENERATOR_VERSION = 8
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -183,7 +187,6 @@ def _header(spec: dict, content_hash: str) -> str:
         f"import heapq\n"
         f"from collections import deque\n"
         f"\n"
-        f"from repro.buffers.store_buffer import StoreBufferEntry\n"
         f"from repro.cpu.pipeline import PipelineResult\n"
         f"{extra}"
         f"\n"
@@ -302,14 +305,11 @@ def _prologue(spec: dict) -> str:
         "",
         "    # ---- hoisted structures (stable objects only: these attribute",
         "    # slots are mutated in place but never rebound during a run) ----",
-        "    _values = stats._values",
-        "    _live = stats._live",
         "    utlb_by_vpage_get = utlb._by_vpage.get",
         "    utlb_slots = utlb._slots",
         "    utlb_referenced = utlb._policy._referenced",
         "    lq_entries = load_queue._entries",
         "    sb_entries = store_buffer._entries",
-        "    sb_by_tag = store_buffer._by_tag",
         "    mb_lines = merge_buffer._entries",
         "    bank_slot_of = [bank.array._slot_of for bank in banks]",
         "    bank_tags = [bank.array._tags for bank in banks]",
@@ -366,147 +366,10 @@ def _prologue(spec: dict) -> str:
                 "    wdu_predict = interface.wdu.predict",
                 "    wdu_record = interface.wdu.record",
             ]
-    lines += [
-        "",
-        "    # ---- stat handles (integer slots) and batched accumulators ----",
-        "    h_if_loads_submitted = interface._h_loads_submitted",
-        "    h_lq_allocate = load_queue._h_allocate",
-        "    h_if_stores_submitted = interface._h_stores_submitted",
-        "    h_sb_insert = store_buffer._h_insert",
-        "    h_utlb_lookup = utlb._h_lookup",
-        "    h_utlb_hit = utlb._h_hit",
-        "    h_sb_forward = store_buffer._h_forward_hit",
-        "    h_mb_forward = merge_buffer._h_forward_hit",
-        "    h_sb_drain = store_buffer._h_drain",
-        "    h_mb_merged = merge_buffer._h_merged_store",
-        "    h_mb_eviction = merge_buffer._h_eviction",
-        "    h_mb_allocate = merge_buffer._h_allocate",
-        "    h_if_mbe_queued = interface._h_mbe_queued",
-        "    h_if_mbe_written = interface._h_mbe_written",
-        "    h_if_load_accesses = interface._h_load_accesses",
-        "    h_lq_completed = load_queue._h_completed",
-        "    h_lq_latency = load_queue._h_total_latency",
-        "    h_bk_ctrl = bank0._h_ctrl",
-        "    h_bk_tag_read = bank0._h_tag_read",
-        "    h_bk_data_read = bank0._h_data_read",
-        "    h_bk_conventional = bank0._h_conventional_access",
-        "    h_bk_subblock = bank0._h_subblock_pair_read",
-        "    h_l1_load = l1._h_load",
-        "    h_l1_load_hit = l1._h_load_hit",
-        "    h_l1_load_miss = l1._h_load_miss",
-        "    h_l1_store = l1._h_store",
-        "    h_l1_store_hit = l1._h_store_hit",
-        "    h_bk_fill = bank0._h_fill",
-        "    h_bk_data_write = bank0._h_data_write",
-        "    h_bk_tag_write = bank0._h_tag_write",
-        "    h_bk_eviction = bank0._h_eviction",
-        "    h_bk_writeback = bank0._h_writeback",
-        "    h_l2_access = l2._h_access",
-        "    h_l2_hit = l2._h_hit",
-        "    h_l2_miss = l2._h_miss",
-        "    h_l2_writeback = l2._h_writeback",
-    ]
-    accs = [
-        "acc_load_submit",
-        "acc_store_submit",
-        "acc_utlb_hit",
-        "acc_sb_forward",
-        "acc_mb_forward",
-        "acc_sb_drain",
-        "acc_mb_merged",
-        "acc_mb_eviction",
-        "acc_mb_allocate",
-        "acc_mbe_written",
-        "acc_load_accesses",
-        "acc_lq_completed",
-        "acc_lq_latency",
-        "acc_l1_conv_hit",
-        "acc_l1_conv_miss",
-        "acc_store_conv_hit",
-        "acc_l2_hit",
-        "acc_l2_miss",
-        "acc_l2_writeback",
-        "acc_dram_read",
-        "acc_dram_write",
-        "acc_l1_fill",
-        "acc_l1_evict",
-        "acc_l1_writeback",
-    ]
-    if kind in ("Base1ldst", "Base2ld1st"):
-        lines += [
-            "    h_sb_lookup_full = store_buffer._h_lookup_full",
-            "    h_mb_lookup_full = merge_buffer._h_lookup_full",
-        ]
-        accs.append("acc_fwd_full")
-    if kind == "MALEC":
-        lines += [
-            "    h_sb_lookup_offset = store_buffer._h_lookup_offset",
-            "    h_mb_lookup_offset = merge_buffer._h_lookup_offset",
-            "    h_sb_page_shared = store_buffer._h_lookup_page_shared",
-            "    h_mb_page_shared = merge_buffer._h_lookup_page_shared",
-            "    h_bk_reduced = bank0._h_reduced_access",
-            "    h_if_loads_merged = interface._h_loads_merged",
-            "    h_ib_load_in = ib._h_load_in",
-            "    h_ib_page_compare = ib._h_page_compare",
-            "    h_ib_group_selected = ib._h_group_selected",
-            "    h_ib_group_size = ib._h_group_size",
-            "    h_ib_overflow = ib._h_overflow_cycle",
-            "    h_ib_held_loads = ib._h_held_loads",
-            "    h_ib_mbe_out = ib._h_mbe_out",
-            "    h_arb_mbe_conflict = arbitration._h_mbe_bank_conflict",
-            "    h_arb_line_compare = arbitration._h_line_compare",
-            "    h_arb_merged_load = arbitration._h_merged_load",
-            "    h_arb_rej_bus = arbitration._h_rejected_result_bus",
-            "    h_arb_rej_bank = arbitration._h_rejected_bank_conflict",
-            "    h_arb_granted = arbitration._h_granted_load",
-            "    h_arb_way_hint = arbitration._h_way_hint_assigned",
-            "    h_arb_cycles = arbitration._h_cycles",
-            "    h_arb_bank_accesses = arbitration._h_bank_accesses",
-            "    h_m_group_cycles = interface._h_group_cycles",
-            "    h_m_group_loads = interface._h_group_loads",
-        ]
-        accs += [
-            "acc_fwd_split",
-            "acc_l1_reduced_hit",
-            "acc_loads_merged",
-            "acc_ib_load_in",
-            "acc_page_compare",
-            "acc_group_selected",
-            "acc_group_size",
-            "acc_mbe_out",
-            "acc_ib_overflow",
-            "acc_held_loads",
-            "acc_end_cycles",
-            "acc_line_compare",
-            "acc_merged_load",
-            "acc_rej_bus",
-            "acc_rej_bank",
-            "acc_granted",
-            "acc_way_hint_assigned",
-            "acc_arb_mbe_conflict",
-            "acc_arb_cycles",
-            "acc_bank_accesses",
-            "acc_shared_page",
-            "acc_group_cycles",
-            "acc_group_loads",
-        ]
-        if spec["way_determination"] in ("wt", "wdu"):
-            lines += [
-                "    h_way_lookup = interface._h_way_lookup",
-                "    h_way_known = interface._h_way_known",
-                "    h_m_reduced = interface._h_reduced_access",
-                "    h_bk_way_hint_wrong = bank0._h_way_hint_wrong",
-            ]
-            accs += [
-                "acc_way_unknown",
-                "acc_way_known",
-                "acc_way_reduced",
-                "acc_store_reduced_hit",
-                "acc_way_hint_wrong",
-            ]
-        if spec["way_determination"] == "wt":
-            lines += ["    h_uwt_read = way_tables.uwt._h_read"]
-            accs += ["acc_uwt_read"]
+    # every accumulator the flush table names, plus the two DRAM counts
+    names = [name for guard, _, amount in _flush_rows(spec) for name in (guard, amount)]
+    accs = list(dict.fromkeys(names + ["acc_dram_read", "acc_dram_write"]))
+    lines += ["", "    # ---- batched accumulators, flushed at the run boundary ----"]
     for i in range(0, len(accs), 4):
         lines.append("    " + " = ".join(accs[i : i + 4]) + " = 0")
     return "\n".join(lines) + "\n"
@@ -811,9 +674,7 @@ def _issue_store(spec: dict) -> str:
                         store_order_head += 1
                         issued_f[seq] = 1
                         address = addresses[seq]
-                        sb_entry = StoreBufferEntry(seq, address, sizes[seq])
-                        sb_entries.append(sb_entry)
-                        sb_by_tag[seq] = sb_entry
+                        sb_entries.append((seq, address, sizes[seq]))
                         acc_store_submit += 1{probe}
                         interface_active = True
                         due_next.append(seq)
@@ -856,28 +717,17 @@ else:
 
 def _drain_inline(spec: dict, indent: int) -> str:
     """``BaseL1Interface._drain_committed_stores`` on the canonical containers:
-    ``StoreBuffer.pop_committed`` (the oldest committed entry, which is the
-    first one whenever stores commit in program order),
-    ``MergeBuffer.commit_store`` with ``line_address``'s range check, and the
-    kind's ``_queue_writeback`` of an evicted line."""
+    ``StoreBuffer.pop_committed`` (entry 0: the committed stores are the
+    oldest), ``MergeBuffer.commit_store`` with ``line_address``'s range
+    check, and the kind's ``_queue_writeback`` of an evicted line."""
     if spec["kind"] == "MALEC":
         queue = "mbe_backlog.append(evicted)"
     else:
         queue = "pending_writebacks.append(PendingWriteback(evicted))"
     text = f"""\
-drained = sb_entries[0]
-if drained.committed:
-    del sb_entries[0]
-else:
-    for index, drained in enumerate(sb_entries):
-        if drained.committed:
-            break
-    del sb_entries[index]
+daddr = sb_entries.pop(0)[1]
 store_buffer._committed_count -= 1
 acc_sb_drain += 1
-if sb_by_tag.get(drained.tag) is drained:
-    del sb_by_tag[drained.tag]
-daddr = drained.virtual_address
 if daddr > max_address:
     layout.check(daddr)
 dline = daddr & {spec['line_neg_mask']}
@@ -898,9 +748,8 @@ def _forwarding_inline(spec: dict, addr: str, size: str, acc_charge: str, indent
     text = f"""\
 {acc_charge} += 1
 fwd_end = {addr} + {size}
-for fw_entry in reversed(sb_entries):
-    fw_start = fw_entry.virtual_address
-    if fw_start < fwd_end and {addr} < fw_start + fw_entry.size:
+for _fw_tag, fw_start, fw_size in reversed(sb_entries):
+    if fw_start < fwd_end and {addr} < fw_start + fw_size:
         acc_sb_forward += 1
         break
 if ({addr} & {spec['line_neg_mask']}) in mb_lines:
@@ -1471,7 +1320,8 @@ def _tick_malec(spec: dict) -> str:
 def _loop_tail(spec: dict) -> str:
     q = _quiescent_expr(spec)
     return f"""
-        # 4. Commit in order (commit_store inlined: StoreBuffer.mark_committed).
+        # 4. Commit in order (commit_store inlined: StoreBuffer.mark_committed;
+        # a committing store is the store buffer's oldest uncommitted entry).
         if rob_q and completed_f[rob_q[0]]:
             commits = 0
             while commits < {spec['commit']} and rob_q and completed_f[rob_q[0]]:
@@ -1485,10 +1335,7 @@ def _loop_tail(spec: dict) -> str:
                     loads += 1
                 elif kind == 2:
                     stores += 1
-                    sb_entry = sb_by_tag.get(seq)
-                    if sb_entry is not None and not sb_entry.committed:
-                        sb_entry.committed = True
-                        store_buffer._committed_count += 1
+                    store_buffer._committed_count += 1
                     interface_active = True
                 else:
                     computes += 1
@@ -1566,194 +1413,123 @@ def _loop_tail(spec: dict) -> str:
 """
 
 
-def _flush_row(guard: str, targets, indent: int = 4) -> str:
-    pad = " " * indent
-    lines = [f"{pad}if {guard}:"]
-    for handle, amount in targets:
-        lines.append(f"{pad}    _values[{handle}] += {amount}")
-        lines.append(f"{pad}    _live[{handle}] = True")
-    return "\n".join(lines)
+def _flush_rows(spec: dict) -> list:
+    """The batched counters: one ``(guard, pattern, amount)`` row per event.
+
+    When accumulator ``guard`` is non-zero at the end of a run, the epilogue
+    adds ``amount * times`` to each ``(slot, times)`` pair of ``pattern``, an
+    expression over the run's objects that it evaluates then.  Wherever the
+    model counts an event with a ``_combo_*`` tuple, the row's pattern is
+    that tuple, so a change to the model's accounting reaches the kernels
+    unedited.  A row whose amount is not its guard carries a counter that
+    the generic loop bumps, at times by zero, with the guard's event: it is
+    live exactly when that event happened.  The two ``dram.*`` counts are
+    not rows: :func:`_epilogue` adds them by name.
+    """
+
+    def once(*handles: str) -> str:
+        """A pattern counting each of ``handles`` once (no model tuple)."""
+        return "(" + ", ".join(f"({handle}, 1)" for handle in handles) + ",)"
+
+    # (guard, pattern[, amount]): the amount is the guard unless given
+    rows = [
+        ("acc_load_submit", "interface._combo_load_submit"),
+        ("acc_store_submit", once("interface._h_stores_submitted", "store_buffer._h_insert")),
+        ("acc_utlb_hit", "utlb._combo_hit"),
+        ("acc_sb_forward", once("store_buffer._h_forward_hit")),
+        ("acc_mb_forward", once("merge_buffer._h_forward_hit")),
+        ("acc_load_accesses", once("interface._h_load_accesses")),
+        ("acc_lq_completed", once("load_queue._h_completed")),
+        ("acc_lq_completed", once("load_queue._h_total_latency"), "acc_lq_latency"),
+        ("acc_l1_conv_hit", "bank0._combo_conv_read"),
+        ("acc_l1_conv_hit", "l1._combo_load_hit"),
+        ("acc_l1_conv_miss", "bank0._combo_conv_read"),
+        ("acc_l1_conv_miss", "l1._combo_load_miss"),
+        ("acc_l1_fill", "bank0._combo_fill"),
+        ("acc_l1_evict", once("bank0._h_eviction")),
+        ("acc_l1_writeback", once("bank0._h_writeback")),
+        ("acc_l2_hit", "l2._combo_hit"),
+        ("acc_l2_miss", "l2._combo_miss"),
+        ("acc_l2_writeback", once("l2._h_writeback")),
+        ("acc_sb_drain", once("store_buffer._h_drain")),
+        ("acc_mb_merged", once("merge_buffer._h_merged_store")),
+        # every merge-buffer eviction queues its line for the cache
+        ("acc_mb_eviction", once("merge_buffer._h_eviction", "interface._h_mbe_queued")),
+        ("acc_mb_allocate", once("merge_buffer._h_allocate")),
+        ("acc_mbe_written", once("interface._h_mbe_written")),
+        # a conventional write hit: CacheBank.write_parts and store_parts
+        ("acc_store_conv_hit", "bank0._combo_conv_write"),
+        ("acc_store_conv_hit", once("bank0._h_data_write")),
+        ("acc_store_conv_hit", "l1._combo_store_hit"),
+    ]
+    if spec["kind"] != "MALEC":
+        rows.append(("acc_fwd_full", "interface._combo_fwd_full"))
+    else:
+        rows += [
+            ("acc_fwd_split", "interface._combo_fwd_split"),
+            ("acc_load_accesses", once("interface._h_loads_merged"), "acc_loads_merged"),
+            ("acc_l1_reduced_hit", "bank0._combo_reduced_read"),
+            ("acc_l1_reduced_hit", "l1._combo_load_hit"),
+            ("acc_ib_load_in", once("ib._h_load_in")),
+            ("acc_page_compare", once("ib._h_page_compare")),
+            ("acc_group_selected", once("ib._h_group_selected")),
+            ("acc_group_selected", once("ib._h_group_size"), "acc_group_size"),
+            ("acc_mbe_out", once("ib._h_mbe_out")),
+            ("acc_ib_overflow", once("ib._h_overflow_cycle")),
+            ("acc_end_cycles", once("ib._h_held_loads"), "acc_held_loads"),
+            ("acc_line_compare", once("arbitration._h_line_compare")),
+            ("acc_merged_load", once("arbitration._h_merged_load")),
+            ("acc_rej_bus", once("arbitration._h_rejected_result_bus")),
+            ("acc_rej_bank", once("arbitration._h_rejected_bank_conflict")),
+            ("acc_granted", once("arbitration._h_granted_load")),
+            ("acc_way_hint_assigned", once("arbitration._h_way_hint_assigned")),
+            ("acc_arb_mbe_conflict", once("arbitration._h_mbe_bank_conflict")),
+            ("acc_arb_cycles", once("arbitration._h_cycles")),
+            ("acc_arb_cycles", once("arbitration._h_bank_accesses"), "acc_bank_accesses"),
+            (
+                "acc_shared_page",
+                once("store_buffer._h_lookup_page_shared", "merge_buffer._h_lookup_page_shared"),
+            ),
+            ("acc_group_cycles", once("interface._h_group_cycles")),
+            ("acc_group_cycles", once("interface._h_group_loads"), "acc_group_loads"),
+        ]
+        if spec["way_determination"] != "none":
+            rows += [
+                # the MBE's hinted write (_l1_store_inline)
+                ("acc_store_reduced_hit", "bank0._combo_reduced_write"),
+                ("acc_store_reduced_hit", "l1._combo_store_hit"),
+                ("acc_way_hint_wrong", once("bank0._h_way_hint_wrong")),
+                ("acc_way_unknown", "interface._combo_way_unknown"),
+                ("acc_way_known", "interface._combo_way_known"),
+                ("acc_way_reduced", "interface._combo_way_reduced"),
+            ]
+        if spec["way_determination"] == "wt":
+            rows.append(("acc_uwt_read", once("way_tables.uwt._h_read")))
+    return [(guard, pattern, rest[0] if rest else guard) for guard, pattern, *rest in rows]
 
 
 def _epilogue(spec: dict) -> str:
-    kind = spec["kind"]
-    rows = [
-        _flush_row(
-            "acc_load_submit",
-            [("h_if_loads_submitted", "acc_load_submit"), ("h_lq_allocate", "acc_load_submit")],
-        ),
-        _flush_row(
-            "acc_store_submit",
-            [("h_if_stores_submitted", "acc_store_submit"), ("h_sb_insert", "acc_store_submit")],
-        ),
-        _flush_row(
-            "acc_utlb_hit",
-            [("h_utlb_lookup", "acc_utlb_hit"), ("h_utlb_hit", "acc_utlb_hit")],
-        ),
-        _flush_row("acc_sb_forward", [("h_sb_forward", "acc_sb_forward")]),
-        _flush_row("acc_mb_forward", [("h_mb_forward", "acc_mb_forward")]),
-        _flush_row(
-            "acc_lq_completed",
-            [("h_lq_completed", "acc_lq_completed"), ("h_lq_latency", "acc_lq_latency")],
-        ),
-        _flush_row(
-            "acc_l1_conv_hit",
-            [
-                ("h_bk_ctrl", "acc_l1_conv_hit"),
-                ("h_bk_tag_read", f"acc_l1_conv_hit * {spec['ways']}"),
-                ("h_bk_data_read", f"acc_l1_conv_hit * {spec['ways']}"),
-                ("h_bk_conventional", "acc_l1_conv_hit"),
-                ("h_bk_subblock", "acc_l1_conv_hit"),
-                ("h_l1_load", "acc_l1_conv_hit"),
-                ("h_l1_load_hit", "acc_l1_conv_hit"),
-            ],
-        ),
-        _flush_row(
-            "acc_l1_conv_miss",
-            [
-                ("h_bk_ctrl", "acc_l1_conv_miss"),
-                ("h_bk_tag_read", f"acc_l1_conv_miss * {spec['ways']}"),
-                ("h_bk_data_read", f"acc_l1_conv_miss * {spec['ways']}"),
-                ("h_bk_conventional", "acc_l1_conv_miss"),
-                ("h_bk_subblock", "acc_l1_conv_miss"),
-                ("h_l1_load", "acc_l1_conv_miss"),
-                ("h_l1_load_miss", "acc_l1_conv_miss"),
-            ],
-        ),
-        _flush_row("acc_l2_hit", [("h_l2_access", "acc_l2_hit"), ("h_l2_hit", "acc_l2_hit")]),
-        _flush_row(
-            "acc_l1_fill",
-            [
-                ("h_bk_ctrl", "acc_l1_fill"),
-                ("h_bk_fill", "acc_l1_fill"),
-                ("h_bk_data_write", "acc_l1_fill"),
-                ("h_bk_tag_write", "acc_l1_fill"),
-            ],
-        ),
-        _flush_row("acc_l1_evict", [("h_bk_eviction", "acc_l1_evict")]),
-        _flush_row("acc_l1_writeback", [("h_bk_writeback", "acc_l1_writeback")]),
-        _flush_row("acc_sb_drain", [("h_sb_drain", "acc_sb_drain")]),
-        _flush_row("acc_mb_merged", [("h_mb_merged", "acc_mb_merged")]),
-        # every merge-buffer eviction queues its line for the cache
-        _flush_row(
-            "acc_mb_eviction",
-            [("h_mb_eviction", "acc_mb_eviction"), ("h_if_mbe_queued", "acc_mb_eviction")],
-        ),
-        _flush_row("acc_mb_allocate", [("h_mb_allocate", "acc_mb_allocate")]),
-        _flush_row("acc_mbe_written", [("h_if_mbe_written", "acc_mbe_written")]),
-        _flush_row(
-            "acc_store_conv_hit",
-            [
-                ("h_bk_ctrl", "acc_store_conv_hit"),
-                ("h_bk_tag_read", f"acc_store_conv_hit * {spec['ways']}"),
-                ("h_bk_conventional", "acc_store_conv_hit"),
-                ("h_bk_data_write", "acc_store_conv_hit"),
-                ("h_l1_store", "acc_store_conv_hit"),
-                ("h_l1_store_hit", "acc_store_conv_hit"),
-            ],
-        ),
-        _flush_row("acc_l2_miss", [("h_l2_access", "acc_l2_miss"), ("h_l2_miss", "acc_l2_miss")]),
-        _flush_row("acc_l2_writeback", [("h_l2_writeback", "acc_l2_writeback")]),
-        # DRAMModel's names, interned at their first event (_l2_miss_inline)
-        '    if acc_dram_read:\n        stats.add("dram.read", acc_dram_read)',
-        '    if acc_dram_write:\n        stats.add("dram.write", acc_dram_write)',
-    ]
-    if kind in ("Base1ldst", "Base2ld1st"):
-        rows += [
-            _flush_row(
-                "acc_fwd_full",
-                [("h_sb_lookup_full", "acc_fwd_full"), ("h_mb_lookup_full", "acc_fwd_full")],
-            ),
-            _flush_row("acc_load_accesses", [("h_if_load_accesses", "acc_load_accesses")]),
-        ]
-    if kind == "MALEC":
-        rows += [
-            _flush_row(
-                "acc_fwd_split",
-                [("h_sb_lookup_offset", "acc_fwd_split"), ("h_mb_lookup_offset", "acc_fwd_split")],
-            ),
-            # loads_merged is bumped (possibly with 0) alongside every
-            # load_accesses bump, so its liveness follows that guard.
-            _flush_row(
-                "acc_load_accesses",
-                [
-                    ("h_if_load_accesses", "acc_load_accesses"),
-                    ("h_if_loads_merged", "acc_loads_merged"),
-                ],
-            ),
-            _flush_row(
-                "acc_l1_reduced_hit",
-                [
-                    ("h_bk_ctrl", "acc_l1_reduced_hit"),
-                    ("h_bk_data_read", "acc_l1_reduced_hit"),
-                    ("h_bk_reduced", "acc_l1_reduced_hit"),
-                    ("h_bk_subblock", "acc_l1_reduced_hit"),
-                    ("h_l1_load", "acc_l1_reduced_hit"),
-                    ("h_l1_load_hit", "acc_l1_reduced_hit"),
-                ],
-            ),
-            _flush_row("acc_ib_load_in", [("h_ib_load_in", "acc_ib_load_in")]),
-            _flush_row("acc_page_compare", [("h_ib_page_compare", "acc_page_compare")]),
-            # group_size/held_loads/group_loads/bank_accesses take zero-amount
-            # bumps in the generic path (which still set the live flag), so
-            # they flush under their companion once-per-event guards.
-            _flush_row(
-                "acc_group_selected",
-                [
-                    ("h_ib_group_selected", "acc_group_selected"),
-                    ("h_ib_group_size", "acc_group_size"),
-                ],
-            ),
-            _flush_row("acc_mbe_out", [("h_ib_mbe_out", "acc_mbe_out")]),
-            _flush_row("acc_ib_overflow", [("h_ib_overflow", "acc_ib_overflow")]),
-            _flush_row("acc_end_cycles", [("h_ib_held_loads", "acc_held_loads")]),
-            _flush_row("acc_line_compare", [("h_arb_line_compare", "acc_line_compare")]),
-            _flush_row("acc_merged_load", [("h_arb_merged_load", "acc_merged_load")]),
-            _flush_row("acc_rej_bus", [("h_arb_rej_bus", "acc_rej_bus")]),
-            _flush_row("acc_rej_bank", [("h_arb_rej_bank", "acc_rej_bank")]),
-            _flush_row("acc_granted", [("h_arb_granted", "acc_granted")]),
-            _flush_row("acc_way_hint_assigned", [("h_arb_way_hint", "acc_way_hint_assigned")]),
-            _flush_row("acc_arb_mbe_conflict", [("h_arb_mbe_conflict", "acc_arb_mbe_conflict")]),
-            _flush_row(
-                "acc_arb_cycles",
-                [("h_arb_cycles", "acc_arb_cycles"), ("h_arb_bank_accesses", "acc_bank_accesses")],
-            ),
-            _flush_row(
-                "acc_shared_page",
-                [("h_sb_page_shared", "acc_shared_page"), ("h_mb_page_shared", "acc_shared_page")],
-            ),
-            _flush_row(
-                "acc_group_cycles",
-                [("h_m_group_cycles", "acc_group_cycles"), ("h_m_group_loads", "acc_group_loads")],
-            ),
-        ]
-        if spec["way_determination"] in ("wt", "wdu"):
-            rows += [
-                # the MBE's hinted write (_l1_store_inline)
-                _flush_row(
-                    "acc_store_reduced_hit",
-                    [
-                        ("h_bk_ctrl", "acc_store_reduced_hit"),
-                        ("h_bk_data_write", "acc_store_reduced_hit"),
-                        ("h_bk_reduced", "acc_store_reduced_hit"),
-                        ("h_l1_store", "acc_store_reduced_hit"),
-                        ("h_l1_store_hit", "acc_store_reduced_hit"),
-                    ],
-                ),
-                _flush_row("acc_way_hint_wrong", [("h_bk_way_hint_wrong", "acc_way_hint_wrong")]),
-                "    way_total = acc_way_unknown + acc_way_known + acc_way_reduced",
-                _flush_row("way_total", [("h_way_lookup", "way_total")]),
-                "    way_known_total = acc_way_known + acc_way_reduced",
-                _flush_row("way_known_total", [("h_way_known", "way_known_total")]),
-                _flush_row("acc_way_reduced", [("h_m_reduced", "acc_way_reduced")]),
-            ]
-        if spec["way_determination"] == "wt":
-            rows += [_flush_row("acc_uwt_read", [("h_uwt_read", "acc_uwt_read")])]
-    body = "\n".join(rows)
+    flushes = "\n".join(
+        f"    if {guard}:\n        flush({pattern}, {amount})"
+        for guard, pattern, amount in _flush_rows(spec)
+    )
     return f"""
     # ---- run boundary: flush batched accumulators, then finalize ----
     pipeline.fast_forwarded_cycles += fast_forwarded
-{body}
+    _values = stats._values
+    _live = stats._live
+
+    def flush(pattern, amount):
+        for slot, times in pattern:
+            _values[slot] += amount * times
+            _live[slot] = True
+
+{flushes}
+    # DRAMModel's names, interned at their first event (_l2_miss_inline)
+    if acc_dram_read:
+        stats.add("dram.read", acc_dram_read)
+    if acc_dram_write:
+        stats.add("dram.write", acc_dram_write)
     total_cycles = last_commit_cycle + 1
     interface.finalize(total_cycles)
     stats.add("pipeline.issued", issued_total)

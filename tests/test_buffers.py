@@ -81,8 +81,7 @@ class TestStoreBuffer:
         assert sb.occupancy == 2
         assert sb.pop_committed() is None
         sb.mark_committed("s1")
-        drained = sb.pop_committed()
-        assert drained.tag == "s1"
+        assert sb.pop_committed() == ("s1", 0x100, 4)
         assert sb.occupancy == 1
 
     def test_overflow(self):
@@ -117,18 +116,22 @@ class TestStoreBuffer:
         assert stats["sb.lookup_offset"] == 1
         assert stats["sb.lookup_page_shared"] == 1
 
-    def test_pop_committed_skips_speculative(self):
+    def test_out_of_order_or_unknown_commit_raises(self):
+        # Stores commit in program order, so only the oldest uncommitted
+        # store may commit: the committed stores are the oldest entries.
         sb = StoreBuffer()
         sb.insert("a", 0, 4)
         sb.insert("b", 4, 4)
-        sb.mark_committed("b")
-        assert sb.pop_committed().tag == "b"  # the older "a" is still speculative
-        assert sb.occupancy == 1
+        for tag in ("b", "missing"):
+            with pytest.raises(ValueError):
+                sb.mark_committed(tag)
+        assert sb.committed_count == 0
+        sb.mark_committed("a")
+        with pytest.raises(ValueError):
+            sb.mark_committed("a")
+        assert sb.pop_committed() == ("a", 0, 4)
         assert sb.pop_committed() is None
-
-    def test_mark_committed_unknown_tag(self):
-        sb = StoreBuffer()
-        assert sb.mark_committed("missing") is None
+        assert sb.occupancy == 1
 
 
 class TestMergeBuffer:

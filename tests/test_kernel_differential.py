@@ -563,6 +563,27 @@ class TestStressGolden:
         assert any(key.startswith("mlpladder/") for key in golden["records"])
 
 
+class TestModelCounterPatterns:
+    def test_kernels_count_through_the_model_patterns(self):
+        # The kernels flush their batched counters through the model's own
+        # _combo_* tuples: a bank whose conventional read counts l1.ctrl
+        # twice must count it twice under either kernel.
+        trace = trace_for("gzip")
+        config = SimulationConfig.malec()
+        results = {}
+        for kernel in ("specialized", "generic"):
+            simulator = Simulator(config)
+            for bank in simulator.interface.hierarchy.l1.banks:
+                bank._combo_conv_read = tuple(
+                    (slot, 2 if slot == bank._h_ctrl else times)
+                    for slot, times in bank._combo_conv_read
+                )
+            results[kernel] = simulator.run(trace, options=RunOptions(kernel=kernel))
+        assert_results_identical(results["specialized"], results["generic"], "l1.ctrl x2")
+        unchanged = run_configuration(config, trace)
+        assert results["generic"].stats["l1.ctrl"] > unchanged.stats["l1.ctrl"]
+
+
 class TestFallbackContract:
     def test_collector_run_falls_back_and_says_why(self):
         trace = trace_for("gzip")

@@ -55,6 +55,27 @@ def request(server, method, path, body=None):
         conn.close()
 
 
+def raw_exchange(server, data: bytes, timeout: float = 5) -> bytes:
+    """Send ``data`` over a raw socket and read until the server closes it.
+
+    The socket stays open on our side, so a server that leaves it open
+    makes recv raise socket.timeout.  A reset counts as closed: the server
+    may close with part of the request still unread.
+    """
+    response = b""
+    with socket.create_connection((server.host, server.port), timeout=timeout) as sock:
+        sock.sendall(data)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            response += chunk
+    return response
+
+
 def poll_until_done(server, job_id):
     deadline = time.time() + POLL_TIMEOUT
     while time.time() < deadline:
@@ -165,17 +186,9 @@ class TestEndpoints:
             "Content-Type: application/json\r\n"
             f"Content-Length: {content_length}\r\n\r\n"
         )
-        # The socket stays open on our side (keep-alive): the server must
-        # answer without reading a body, then close.  recv raises
-        # socket.timeout if no answer comes within 5 s.
-        with socket.create_connection((server.host, server.port), timeout=5) as sock:
-            sock.sendall(head.encode("ascii"))
-            response = b""
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                response += chunk
+        # Keep-alive on our side: the server must answer without reading a
+        # body, then close.
+        response = raw_exchange(server, head.encode("ascii"))
         status_line, _, rest = response.partition(b"\r\n")
         assert int(status_line.split()[1]) == expected
         assert b"Connection: close" in rest
@@ -211,14 +224,7 @@ class TestEndpoints:
                 sock = socket.create_connection((server.host, server.port), timeout=10)
                 sock.sendall(b"GET /api/v1/health HTTP/1.1\r\nHost: te")
                 stalled.append(sock)
-            with socket.create_connection((server.host, server.port), timeout=10) as sock:
-                sock.sendall(head.encode("ascii") + b'{"preset"')
-                response = b""
-                while True:
-                    chunk = sock.recv(65536)
-                    if not chunk:
-                        break
-                    response += chunk
+            response = raw_exchange(server, head.encode("ascii") + b'{"preset"', timeout=10)
             deadline = time.time() + 10
             while threading.active_count() > baseline and time.time() < deadline:
                 time.sleep(0.05)
@@ -235,6 +241,50 @@ class TestEndpoints:
         served = [rec for rec in records if rec["record"] == "serve_request"]
         assert [(rec["method"], rec["status"]) for rec in served] == [("POST", 408)]
         assert "Traceback" not in capfd.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, http09, method, path, status",
+        [
+            # one word: parse_request answers HTTP/0.9 style, without a
+            # status line, so the status is read from the journal
+            pytest.param(b"GARBAGE\r\n", True, "-", "-", 400, id="bad-request-line"),
+            pytest.param(
+                b"GET /api/v1/health HTTP/1.1\r\n"
+                + b"".join(b"X-Flood-%d: 1\r\n" % index for index in range(150))
+                + b"\r\n",
+                False,
+                "GET",
+                "/api/v1/health",
+                431,
+                id="header-flood",
+            ),
+            pytest.param(
+                b"PUT /api/v1/health HTTP/1.1\r\nHost: test\r\n\r\n",
+                False,
+                "PUT",
+                "/api/v1/health",
+                501,
+                id="unknown-method",
+            ),
+        ],
+    )
+    def test_http_server_error_replies_are_journaled(
+        self, server, capfd, raw, http09, method, path, status
+    ):
+        # http.server answers these itself, before _handle runs: the reply
+        # closes the connection, prints nothing and is journaled once.
+        response = raw_exchange(server, raw)
+        assert response
+        if http09:
+            assert not response.startswith(b"HTTP/")
+        else:
+            assert int(response.split()[1]) == status
+        records = telemetry.read_journal(server.store.telemetry_path)
+        assert [(rec["method"], rec["path"], rec["status"]) for rec in records] == [
+            (method, path, status)
+        ]
+        telemetry.validate_record(records[0], telemetry.load_schema())
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "override, named",

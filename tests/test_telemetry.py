@@ -209,7 +209,6 @@ class TestJournal:
             cells_computed=1,
             cells_skipped=1,
             elapsed_seconds=0.5,
-            kernel_fallbacks={"collector attached": 1},
             metrics=MetricsRegistry().dump(),
         )
         records = telemetry.read_journal(path)
@@ -227,6 +226,28 @@ class TestJournal:
         assert run.footer["cells_per_sec"] == 4.0
         assert len(run.cells) == 2
         assert [c["key"] for c in run.computed_cells] == ["abc"]
+        assert run.kernel_fallback_count() == 0
+
+    def test_old_style_fallback_tally_still_reads(self, tmp_path):
+        # Sweeps used to tally kernel fallbacks in the footer; the schema
+        # keeps the field optional, so such journals still load and count.
+        path = tmp_path / "telemetry.jsonl"
+        journal = TelemetryJournal(path)
+        journal.run_start("fig4-mini", cells_total=0, jobs=1)
+        footer = {
+            "record": "run_end",
+            "run_id": journal.run_id,
+            "cells_total": 0,
+            "cells_computed": 0,
+            "cells_skipped": 0,
+            "elapsed_seconds": 0.5,
+            "cells_per_sec": 0.0,
+            "kernel_fallbacks": {"collector attached": 1},
+        }
+        with path.open("a") as handle:
+            handle.write(json.dumps(footer) + "\n")
+        assert telemetry._journal_schema_errors(path) == []
+        (run,) = telemetry.load_runs(path)
         assert run.kernel_fallback_count() == 1
 
     def test_truncated_final_line_is_tolerated(self, tmp_path):
