@@ -15,9 +15,10 @@ import pytest
 
 from benchmarks.conftest import TRACE_INSTRUCTIONS, WARMUP_FRACTION
 from repro.analysis.reporting import format_table
-from repro.core.way_table import WayTableEntry
+from repro.core.way_table import WayTableHierarchy
 from repro.sim.config import MalecParameters, SimulationConfig
 from repro.sim.simulator import run_configuration
+from repro.tlb.tlb import TLBHierarchy
 from repro.workloads.suites import benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -25,18 +26,20 @@ BENCHMARKS = ["gzip", "gap", "mesa", "djpeg", "mpeg2dec"]
 
 
 def test_fig3_entry_storage(benchmark):
-    entry = benchmark.pedantic(WayTableEntry, rounds=1, iterations=1)
+    tables = benchmark.pedantic(
+        WayTableHierarchy, args=(TLBHierarchy(),), rounds=1, iterations=1
+    )
     rows = [
-        ["packed 2-bit format (Fig. 3)", entry.storage_bits],
-        ["naive valid + way-id format", entry.naive_storage_bits],
-        ["saving", entry.naive_storage_bits - entry.storage_bits],
+        ["packed 2-bit format (Fig. 3)", tables.storage_bits],
+        ["naive valid + way-id format", tables.naive_storage_bits],
+        ["saving", tables.naive_storage_bits - tables.storage_bits],
     ]
     print("\nSec. V — way-table entry storage per 4 KByte page (64 lines)")
     print(format_table(["format", "bits"], rows))
-    assert entry.storage_bits == 128
-    assert entry.naive_storage_bits == 192
+    assert tables.storage_bits == 128
+    assert tables.naive_storage_bits == 192
     # "reducing area and leakage power by 1/3 compared to the naive format"
-    assert entry.storage_bits == pytest.approx(entry.naive_storage_bits * 2 / 3)
+    assert tables.storage_bits == pytest.approx(tables.naive_storage_bits * 2 / 3)
 
 
 def test_sec5_way_restriction_does_not_hurt_miss_rate(benchmark):

@@ -14,20 +14,12 @@ Two access modes are exposed, mirroring Sec. V of the paper:
   the tag arrays are bypassed and only the one selected data array is read.
 """
 
-from repro.cache.replacement import (
-    RandomReplacement,
-    ReplacementPolicy,
-    SecondChanceReplacement,
-)
 from repro.cache.set_assoc import SetAssociativeArray
 from repro.cache.cache_bank import CacheBank
 from repro.cache.l1_cache import L1DataCache
 from repro.cache.l2_cache import L2Cache
 
 __all__ = [
-    "ReplacementPolicy",
-    "RandomReplacement",
-    "SecondChanceReplacement",
     "SetAssociativeArray",
     "CacheBank",
     "L1DataCache",

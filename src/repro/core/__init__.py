@@ -21,7 +21,7 @@ comparison in Sec. VI-C).
 """
 
 from repro.core.request import AccessKind, MemoryAccessRequest
-from repro.core.way_table import WayTable, WayTableEntry, WayTableHierarchy
+from repro.core.way_table import WayTableHierarchy
 from repro.core.wdu import WayDeterminationUnit
 from repro.core.input_buffer import InputBuffer
 from repro.core.arbitration import ArbitrationUnit, BankRequest
@@ -29,8 +29,6 @@ from repro.core.arbitration import ArbitrationUnit, BankRequest
 __all__ = [
     "AccessKind",
     "MemoryAccessRequest",
-    "WayTable",
-    "WayTableEntry",
     "WayTableHierarchy",
     "WayDeterminationUnit",
     "InputBuffer",

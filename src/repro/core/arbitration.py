@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.request import MemoryAccessRequest
-from repro.core.way_table import WayTableEntry
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
@@ -108,7 +107,7 @@ class ArbitrationUnit:
     def arbitrate(
         self,
         members: List[MemoryAccessRequest],
-        way_entry: Optional[WayTableEntry] = None,
+        way_entry: Optional[Tuple[bytearray, int]] = None,
     ) -> Tuple[List[BankRequest], List[MemoryAccessRequest], int]:
         """Distribute a page group over the banks.
 
@@ -118,8 +117,10 @@ class ArbitrationUnit:
             The group's requests in priority order, as returned by
             :meth:`repro.core.input_buffer.InputBuffer.select_group`.
         way_entry:
-            Way-table entry covering the group's page (``None`` when way
-            determination is disabled); used to attach way hints.
+            The ``(codes, offset)`` pair of the uWT entry covering the
+            group's page, as :meth:`repro.core.way_table.WayTableHierarchy.predict_page`
+            returns it (``None`` when way determination is disabled); used
+            to attach way hints.
 
         Returns ``(bank_requests, serviced, loads_granted)``: the accesses
         issued to the banks, every request they service (primaries and
@@ -188,7 +189,9 @@ class ArbitrationUnit:
 
     # ------------------------------------------------------------------
     def _assign_way_hints(
-        self, bank_requests: List[BankRequest], way_entry: Optional[WayTableEntry]
+        self,
+        bank_requests: List[BankRequest],
+        way_entry: Optional[Tuple[bytearray, int]],
     ) -> None:
         """Attach way-table information to every selected bank access.
 
@@ -199,8 +202,9 @@ class ArbitrationUnit:
         """
         if way_entry is None:
             return
+        codes, offset = way_entry
         for bank_request in bank_requests:
-            way = way_entry.way_of(bank_request.primary.line_in_page)
-            if way is not None:
-                bank_request.way_hint = way
+            code = codes[offset + bank_request.primary.line_in_page]
+            if code:
+                bank_request.way_hint = code - 1
                 self.stats.bump(self._h_way_hint_assigned)

@@ -223,11 +223,13 @@ class InterfaceEnergyModel:
             self._map(f"{name}.fill", f"{name}.ptag", "write")
         # Way tables.
         if cfg.has_way_tables:
+            # Predictions read only the uWT, and only the WT's entries are
+            # cleared (on TLB evictions).
+            self._map("uwt.read", "uwt", "read")
             for name in ("uwt", "wt"):
-                self._map(f"{name}.read", name, "read")
                 self._map(f"{name}.update", name, "write")
                 self._map(f"{name}.entry_transfer", name, "write")
-                self._map(f"{name}.clear", name, "write")
+            self._map("wt.clear", "wt", "write")
         # WDU.
         if cfg.wdu_entries:
             self._map("wdu.lookup", "wdu", "read")

@@ -85,7 +85,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 8
+GENERATOR_VERSION = 9
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -262,7 +262,8 @@ def _guards(spec: dict) -> str:
         _check(f"l2.dram.latency_cycles != {spec['dram_latency']}"),
         "    translation = interface.translation",
         "    utlb = translation.utlb",
-        _check('type(utlb._policy).__name__ != "SecondChanceReplacement"'),
+        # the uTLB replaces by second chance: it has reference bits
+        _check("utlb._referenced is None"),
     ]
     if not _notifies(spec):
         lines.append(_check("l1._fill_listeners or l1._evict_listeners"))
@@ -306,8 +307,8 @@ def _prologue(spec: dict) -> str:
         "    # ---- hoisted structures (stable objects only: these attribute",
         "    # slots are mutated in place but never rebound during a run) ----",
         "    utlb_by_vpage_get = utlb._by_vpage.get",
-        "    utlb_slots = utlb._slots",
-        "    utlb_referenced = utlb._policy._referenced",
+        "    utlb_ppages = utlb._ppages",
+        "    utlb_referenced = utlb._referenced",
         "    lq_entries = load_queue._entries",
         "    sb_entries = store_buffer._entries",
         "    mb_lines = merge_buffer._entries",
@@ -357,8 +358,7 @@ def _prologue(spec: dict) -> str:
         if wd == "wt":
             lines += [
                 "    way_tables = interface.way_tables",
-                "    uwt_entries = way_tables.uwt._entries",
-                "    predict_page = way_tables.predict_page",
+                "    uwt = way_tables.uwt",
                 "    feedback_hit = way_tables.feedback_conventional_hit",
             ]
         elif wd == "wdu":
@@ -660,7 +660,7 @@ def _issue_store(spec: dict) -> str:
                         slot = utlb_by_vpage_get(vpage)
                         if slot is not None:
                             acc_utlb_hit += 1
-                            utlb_referenced[slot] = True
+                            utlb_referenced[slot] = 1
                         else:
                             translate_pair(address)"""
     # An unissued store lies at or past store_order_head: the index is in range.
@@ -705,10 +705,8 @@ vpage = {addr} >> {spec['page_shift']}
 slot = utlb_by_vpage_get(vpage)
 if slot is not None:
     acc_utlb_hit += 1
-    utlb_referenced[slot] = True
-    physical = (
-        utlb_slots[slot].physical_page << {spec['page_shift']}
-    ) | ({addr} & {spec['page_off_mask']})
+    utlb_referenced[slot] = 1
+    physical = (utlb_ppages[slot] << {spec['page_shift']}) | ({addr} & {spec['page_off_mask']})
     translation_latency = 0
 else:
     physical, translation_latency = translate_pair({addr})"""
@@ -1081,45 +1079,55 @@ def _merge_scan(spec: dict) -> str:
                                 break"""
 
 
-def _predict_fragment(spec: dict) -> str:
-    wd = spec["way_determination"]
-    if wd == "wt":
-        # WayTableHierarchy.predict_page: a second uTLB probe of the same
-        # page (count_event=False: touch but no lookup/hit counters).
-        return """\
+def _lines_per_page(spec: dict) -> int:
+    """Lines per page: the codes of one way-table entry."""
+    return 1 << (spec["page_shift"] - _bits(spec)["line"])
+
+
+def _translate_group(spec: dict) -> str:
+    """TLBHierarchy.translate_page_pair with the uTLB-hit fast path; with way
+    tables, then WayTableHierarchy.predict_page.  Every translation leaves
+    the page in the uTLB, so the uWT entry is the one of the translation's
+    uTLB slot, probed again after a delegated miss (a zero walk latency
+    makes a miss look like a hit), and its reference bit is already set."""
+    text = """\
+                # ---- translate_page_pair (uTLB-hit fast path) ----
                 slot = utlb_by_vpage_get(page)
                 if slot is not None:
-                    utlb_referenced[slot] = True
-                    way_tables._last_uwt_slot = slot
-                    acc_uwt_read += 1
-                    way_entry = uwt_entries[slot]
+                    acc_utlb_hit += 1
+                    utlb_referenced[slot] = 1
+                    physical_page = utlb_ppages[slot]
+                    translation_latency = 0
                 else:
-                    way_entry = predict_page(page)"""
-    return "                way_entry = None"
+                    physical_page, translation_latency = translate_page_pair(page)"""
+    if spec["way_determination"] != "wt":
+        return text
+    return text + f"""
+                    slot = utlb_by_vpage_get(page)
+                # ---- the uWT entry read: its codes start at wt_offset ----
+                way_tables._last_uwt_slot = slot
+                acc_uwt_read += 1
+                wt_offset = slot * {_lines_per_page(spec)}"""
 
 
 def _assign_ways(spec: dict) -> str:
     """ArbitrationUnit._assign_way_hints: the loads' bank requests, then the
-    MBE's (the last bank request)."""
+    MBE's (the last bank request).  A code is the way plus one, 0 unknown."""
     if spec["way_determination"] != "wt":
         return ""
-    lip_mask = (1 << (spec["page_shift"] - _bits(spec)["line"])) - 1
+    line_bits = _bits(spec)["line"]
     return f"""
-                if way_entry is not None:
-                    wt_codes = way_entry._codes
-                    wt_decode = way_entry._decode_tbl
-                    for bank_request in bank_requests:
-                        lip = (addresses[bank_request[0]] >> {_bits(spec)['line']}) & {lip_mask}
-                        way = wt_decode[lip][wt_codes[lip]]
-                        if way is not None:
-                            bank_request[2] = way
-                            acc_way_hint_assigned += 1
-                    if mbe_granted:
-                        lip = mbe.line_in_page
-                        way = wt_decode[lip][wt_codes[lip]]
-                        if way is not None:
-                            mbe_hint = way
-                            acc_way_hint_assigned += 1"""
+                for bank_request in bank_requests:
+                    lip = (addresses[bank_request[0]] >> {line_bits}) & {_lines_per_page(spec) - 1}
+                    code = uwt[wt_offset + lip]
+                    if code:
+                        bank_request[2] = code - 1
+                        acc_way_hint_assigned += 1
+                if mbe_granted:
+                    code = uwt[wt_offset + mbe.line_in_page]
+                    if code:
+                        mbe_hint = code - 1
+                        acc_way_hint_assigned += 1"""
 
 
 def _way_acct(spec: dict, indent: int) -> str:
@@ -1195,16 +1203,7 @@ def _tick_malec(spec: dict) -> str:
                     acc_page_compare += compares
                 acc_group_selected += 1
                 acc_group_size += len(members) + mbe_member
-                # ---- translate_page_pair (uTLB-hit fast path) ----
-                slot = utlb_by_vpage_get(page)
-                if slot is not None:
-                    acc_utlb_hit += 1
-                    utlb_referenced[slot] = True
-                    physical_page = utlb_slots[slot].physical_page
-                    translation_latency = 0
-                else:
-                    physical_page, translation_latency = translate_page_pair(page)
-{_predict_fragment(spec)}
+{_translate_group(spec)}
                 # ---- ArbitrationUnit.arbitrate: a load's bank request is
                 # [primary seq, merged seqs, way hint]; the MBE comes last ----
                 bank_owner = {{}}
@@ -1504,7 +1503,7 @@ def _flush_rows(spec: dict) -> list:
                 ("acc_way_reduced", "interface._combo_way_reduced"),
             ]
         if spec["way_determination"] == "wt":
-            rows.append(("acc_uwt_read", once("way_tables.uwt._h_read")))
+            rows.append(("acc_uwt_read", once("way_tables._h_uwt_read")))
     return [(guard, pattern, rest[0] if rest else guard) for guard, pattern, *rest in rows]
 
 

@@ -10,11 +10,10 @@ replacement, as chosen by the paper to limit uWT/WT entry transfers.
 """
 
 from repro.tlb.page_table import PageTable
-from repro.tlb.tlb import TLB, TLBEntry, TLBHierarchy
+from repro.tlb.tlb import TLB, TLBHierarchy
 
 __all__ = [
     "PageTable",
     "TLB",
-    "TLBEntry",
     "TLBHierarchy",
 ]

@@ -77,13 +77,6 @@ class PageTable:
         self.stats.bump(self._h_walk)
         return ppage
 
-    def reverse_translate_page(self, physical_page: int) -> Optional[int]:
-        """Virtual page currently mapped to ``physical_page`` (or ``None``)."""
-        for vpage, ppage in self._vpage_to_ppage.items():
-            if ppage == physical_page:
-                return vpage
-        return None
-
     @property
     def mapped_pages(self) -> int:
         """Number of virtual pages mapped so far (the workload footprint)."""

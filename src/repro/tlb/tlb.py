@@ -14,61 +14,56 @@ number of full uWT→WT entry transfers) and random for the TLB.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Dict, List, Optional
 
-from repro.cache.replacement import (
-    RandomReplacement,
-    ReplacementPolicy,
-    SecondChanceReplacement,
-)
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.page_table import PageTable
 
-
-class TLBEntry:
-    """One translation held by a TLB (slotted: one per TLB slot)."""
-
-    __slots__ = ("valid", "virtual_page", "physical_page")
-
-    def __init__(
-        self, valid: bool = False, virtual_page: int = 0, physical_page: int = 0
-    ) -> None:
-        self.valid = valid
-        self.virtual_page = virtual_page
-        self.physical_page = physical_page
-
-
-#: Callback fired when a TLB slot is replaced: (slot_index, old_entry, new_entry)
-EvictionCallback = Callable[[int, TLBEntry, TLBEntry], None]
+#: Callback fired when a TLB slot takes a new page:
+#: ``(slot, old_physical_page or None, new_virtual_page)``
+EvictionCallback = Callable[[int, Optional[int], int], None]
 
 
 class TLB:
-    """A fully-associative translation buffer with one slot per policy way.
+    """A fully-associative translation buffer of ``entries`` slots.
 
     The class is used for both the 64-entry main TLB and the 16-entry uTLB
-    (Table II); only the replacement policy, which also fixes the size,
-    differs.  Way tables index their entries by TLB slot, so the slot index
-    is part of every lookup result and the eviction callback reports which
-    slot was recycled.
+    (Table II).  Its state is a handful of columns indexed by slot:
+
+    * ``_vpages`` and ``_ppages`` hold each slot's virtual and physical page,
+      ``None`` while the slot is empty;
+    * ``_by_vpage`` and ``_by_ppage`` map each resident page back to its slot;
+    * the replacement state.  A TLB built with a ``seed`` replaces at random
+      through its own ``_rng`` (the main TLB); one built without replaces by
+      second chance, with a reference bit per slot in ``_referenced`` and the
+      clock hand ``_hand`` (the uTLB).
+
+    Way tables index their entries by TLB slot, so the slot index is part
+    of every lookup result and the eviction callback reports which slot was
+    recycled.
     """
 
     def __init__(
         self,
-        policy: ReplacementPolicy,
+        entries: int,
         name: str = "tlb",
-        layout: AddressLayout = DEFAULT_LAYOUT,
         stats: Optional[StatCounters] = None,
+        seed: Optional[int] = None,
     ) -> None:
+        if entries <= 0:
+            raise ValueError("a TLB needs at least one entry")
         self.name = name
-        self.layout = layout
-        self.entries = policy.ways
+        self.entries = entries
         self.stats = stats if stats is not None else StatCounters()
-        self._slots: List[TLBEntry] = [TLBEntry() for _ in range(self.entries)]
-        self._policy = policy
+        self._vpages: List[Optional[int]] = [None] * entries
+        self._ppages: List[Optional[int]] = [None] * entries
         self._by_vpage: Dict[int, int] = {}
         self._by_ppage: Dict[int, int] = {}
-        self._valid_count = 0
+        self._rng = random.Random(seed) if seed is not None else None
+        self._referenced = bytearray(entries) if seed is None else None
+        self._hand = 0
         self._eviction_callbacks: List[EvictionCallback] = []
         # Per-access counters resolved to integer slots once (hot path); the
         # f-string name construction otherwise runs on every lookup.
@@ -86,12 +81,8 @@ class TLB:
 
     # ------------------------------------------------------------------
     def add_eviction_callback(self, callback: EvictionCallback) -> None:
-        """Register a callback fired when a slot's translation is replaced."""
+        """Register a callback fired when a slot takes a new page."""
         self._eviction_callbacks.append(callback)
-
-    def slot(self, index: int) -> TLBEntry:
-        """Direct access to slot ``index`` (used by way tables and tests)."""
-        return self._slots[index]
 
     # ------------------------------------------------------------------
     # Lookups
@@ -100,7 +91,8 @@ class TLB:
         """Return the slot index holding ``virtual_page`` or ``None``.
 
         ``count_event`` distinguishes real (energy-consuming) lookups from
-        bookkeeping probes issued by the model itself.
+        bookkeeping probes issued by the model itself.  A hit sets the slot's
+        reference bit under second chance.
         """
         slot = self._by_vpage.get(virtual_page)
         if slot is None:
@@ -109,7 +101,8 @@ class TLB:
             return None
         if count_event:
             self.stats.bump_many(self._combo_hit)
-        self._policy.touch(slot)
+        if self._referenced is not None:
+            self._referenced[slot] = 1
         return slot
 
     def reverse_lookup(self, physical_page: int, count_event: bool = True) -> Optional[int]:
@@ -128,71 +121,76 @@ class TLB:
             self.stats.bump(self._h_reverse_hit)
         return slot
 
-    def translation(self, virtual_page: int) -> Optional[int]:
-        """Physical page for ``virtual_page`` if resident (no event counted)."""
-        slot = self._by_vpage.get(virtual_page)
-        if slot is None:
-            return None
-        return self._slots[slot].physical_page
-
     @property
     def occupancy(self) -> int:
         """Number of valid translations currently held."""
-        return sum(1 for entry in self._slots if entry.valid)
-
-    def resident_virtual_pages(self) -> List[int]:
-        """Virtual pages currently covered (helper for invariants)."""
-        return sorted(self._by_vpage)
+        return len(self._by_vpage)
 
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
+    def _victim(self) -> int:
+        """Slot the next new page takes.
+
+        An empty slot wins while one exists: random replacement draws among
+        the empty slots in slot order, second chance takes the lowest.  In
+        a full TLB random replacement draws among all slots, and second
+        chance sweeps the clock hand, clearing set reference bits, to the
+        first slot whose bit is clear; one revolution clears every set bit,
+        so the sweep ends within two.
+        """
+        if len(self._by_vpage) < self.entries:
+            if self._rng is not None:
+                empty = [slot for slot, page in enumerate(self._vpages) if page is None]
+                return self._rng.choice(empty)
+            return self._vpages.index(None)
+        if self._rng is not None:
+            return self._rng.choice(range(self.entries))
+        referenced = self._referenced
+        hand = self._hand
+        while referenced[hand]:
+            referenced[hand] = 0
+            hand = (hand + 1) % self.entries
+        self._hand = (hand + 1) % self.entries
+        return hand
+
     def insert(self, virtual_page: int, physical_page: int) -> int:
         """Install a translation and return the slot index used.
 
-        If the virtual page is already resident its slot is refreshed.  A
-        full TLB evicts a victim chosen by the replacement policy and informs
+        If the virtual page is already resident its slot is refreshed.
+        Otherwise the page takes the replacement policy's victim slot, and
         the registered eviction callbacks (which the way tables use to write
-        back / invalidate their per-slot entries).
+        back / invalidate their per-slot entries) learn the slot, the
+        physical page it held (``None`` if it was empty) and the new virtual
+        page.
         """
         existing = self._by_vpage.get(virtual_page)
         if existing is not None:
-            entry = self._slots[existing]
-            if entry.physical_page != physical_page:
-                self._by_ppage.pop(entry.physical_page, None)
-                entry.physical_page = physical_page
+            old_ppage = self._ppages[existing]
+            if old_ppage != physical_page:
+                self._by_ppage.pop(old_ppage, None)
+                self._ppages[existing] = physical_page
                 self._by_ppage[physical_page] = existing
-            self._policy.touch(existing)
+            if self._referenced is not None:
+                self._referenced[existing] = 1
             return existing
 
-        if self._valid_count >= self.entries:
-            # Steady state: every slot valid, skip building the mask.
-            slot = self._policy.victim_full()
-        else:
-            slot = self._policy.victim([entry.valid for entry in self._slots])
-        old = self._slots[slot]
-        new = TLBEntry(valid=True, virtual_page=virtual_page, physical_page=physical_page)
-        if old.valid:
+        slot = self._victim()
+        old_ppage = self._ppages[slot]
+        if old_ppage is not None:
             self.stats.bump(self._h_eviction)
-            self._by_vpage.pop(old.virtual_page, None)
-            self._by_ppage.pop(old.physical_page, None)
-        else:
-            self._valid_count += 1
+            self._by_vpage.pop(self._vpages[slot], None)
+            self._by_ppage.pop(old_ppage, None)
         for callback in self._eviction_callbacks:
-            callback(slot, old, new)
-        self._slots[slot] = new
+            callback(slot, old_ppage, virtual_page)
+        self._vpages[slot] = virtual_page
+        self._ppages[slot] = physical_page
         self._by_vpage[virtual_page] = slot
         self._by_ppage[physical_page] = slot
-        self._policy.touch(slot)
+        if self._referenced is not None:
+            self._referenced[slot] = 1
         self.stats.bump(self._h_fill)
         return slot
-
-    def invalidate_all(self) -> None:
-        """Drop every translation (no callbacks; used for context switches)."""
-        self._slots = [TLBEntry() for _ in range(self.entries)]
-        self._by_vpage.clear()
-        self._by_ppage.clear()
-        self._valid_count = 0
 
 
 class TLBHierarchy:
@@ -220,18 +218,8 @@ class TLBHierarchy:
         self.page_table = page_table if page_table is not None else PageTable(
             layout=layout, seed=seed, stats=self.stats
         )
-        self.utlb = TLB(
-            SecondChanceReplacement(utlb_entries),
-            name="utlb",
-            layout=layout,
-            stats=self.stats,
-        )
-        self.tlb = TLB(
-            RandomReplacement(tlb_entries, seed=seed + 1),
-            name="tlb",
-            layout=layout,
-            stats=self.stats,
-        )
+        self.utlb = TLB(utlb_entries, name="utlb", stats=self.stats)
+        self.tlb = TLB(tlb_entries, name="tlb", stats=self.stats, seed=seed + 1)
         self._h_walk = self.stats.handle("tlb.walk")
         self._page_shift = layout.page_offset_bits
 
@@ -252,23 +240,24 @@ class TLBHierarchy:
         The one uTLB -> TLB -> page-walk path.  The latency is the *added*
         translation latency beyond the pipelined uTLB access: 0 for a uTLB
         hit, 1 cycle for a TLB hit (which refills the uTLB), ``walk_latency``
-        cycles for a page walk (which refills both levels).  The MALEC
-        interface calls it once per page group.
+        cycles for a page walk (which refills both levels).  Either way the
+        page is in the uTLB afterwards.  The MALEC interface calls it once
+        per page group.
         """
         utlb = self.utlb
         slot = utlb._by_vpage.get(virtual_page)
         if slot is not None:
             self.stats.bump_many(utlb._combo_hit)
-            utlb._policy.touch(slot)
-            return (utlb._slots[slot].physical_page, 0)
+            utlb._referenced[slot] = 1
+            return (utlb._ppages[slot], 0)
         self.stats.bump_many(utlb._combo_miss)
         tlb_slot = self.tlb.lookup(virtual_page)
         if tlb_slot is not None:
-            ppage = self.tlb.slot(tlb_slot).physical_page
-            self.utlb.insert(virtual_page, ppage)
+            ppage = self.tlb._ppages[tlb_slot]
+            utlb.insert(virtual_page, ppage)
             return (ppage, 1)
         ppage = self.page_table.translate_page(virtual_page)
         self.stats.bump(self._h_walk)
         self.tlb.insert(virtual_page, ppage)
-        self.utlb.insert(virtual_page, ppage)
+        utlb.insert(virtual_page, ppage)
         return (ppage, self.walk_latency)

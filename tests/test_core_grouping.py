@@ -6,7 +6,7 @@ import pytest
 from repro.core.arbitration import ArbitrationUnit
 from repro.core.input_buffer import InputBuffer
 from repro.core.request import AccessKind, MemoryAccessRequest
-from repro.core.way_table import WayTableEntry
+from repro.core.way_table import WayTableHierarchy
 from repro.interfaces.malec import MalecInterface
 from repro.memory.address import DEFAULT_LAYOUT
 from repro.memory.hierarchy import MemoryHierarchy
@@ -250,10 +250,17 @@ class TestArbitrationUnit:
         assert members[-1].is_mbe
         assert self._rejected(members, serviced) == [members[-1]]
 
+    @staticmethod
+    def _way_entry(page: int, line: int, way: int):
+        """The uWT entry of ``page``, knowing ``way`` for ``line`` alone."""
+        tables = WayTableHierarchy(TLBHierarchy())
+        frame, _ = tables.translation.translate_page_pair(page)
+        tables.on_line_fill(layout.compose_line(frame, line), way)
+        return tables.predict_page(page)
+
     def test_way_hints_assigned_from_entry(self):
         arb = ArbitrationUnit()
-        entry = WayTableEntry()
-        entry.update(1, way=2)
+        entry = self._way_entry(1, line=1, way=2)
         members = self._members(load_request(1, 1), load_request(1, 2))
         bank_requests, _, _ = arb.arbitrate(members, way_entry=entry)
         hints = {br.primary.line_in_page: br.way_hint for br in bank_requests}
@@ -262,8 +269,7 @@ class TestArbitrationUnit:
 
     def test_merged_loads_share_way_hint(self):
         arb = ArbitrationUnit()
-        entry = WayTableEntry()
-        entry.update(1, way=3)
+        entry = self._way_entry(1, line=1, way=3)
         members = self._members(load_request(1, 1, 0), load_request(1, 1, 8))
         bank_requests, serviced, _ = arb.arbitrate(members, way_entry=entry)
         # One bank access, one hint: the merged load rides on the primary's.

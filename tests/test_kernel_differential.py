@@ -46,6 +46,7 @@ from repro.sim.config import (
     MalecParameters,
     PipelineParameters,
     SimulationConfig,
+    TLBParameters,
 )
 from repro.sim.kernels import (
     compile_kernel,
@@ -198,6 +199,9 @@ def _narrow(config: SimulationConfig, **fields) -> SimulationConfig:
     return replace(config, pipeline=pipeline, **fields)
 
 
+TINY_TLBS = TLBParameters(utlb_entries=2, tlb_entries=4)
+FREE_WALK_TLBS = TLBParameters(utlb_entries=1, tlb_entries=2, walk_latency=0)
+
 #: option values and machine shapes the kernels are specialized on that the
 #: five Fig. 4 configurations never reach
 SPECIALIZED_SHAPES = {
@@ -221,6 +225,14 @@ SPECIALIZED_SHAPES = {
     "base2ld1st-mb-1": replace(SimulationConfig.base_2ld1st(), mb_entries=1),
     "malec-narrow-sb-4-mb-2": _narrow(SimulationConfig.malec(), sb_entries=4, mb_entries=2),
     "base2ld1st-narrow-sb-2": _narrow(SimulationConfig.base_2ld1st(), sb_entries=2),
+    # tiny TLBs churn both levels, their way-table transfers and, at a zero
+    # walk latency, give a uTLB miss the latency of a hit
+    "malec-tlbs-2-4": replace(SimulationConfig.malec(), tlb=TINY_TLBS),
+    "base1ldst-tlbs-2-4": replace(SimulationConfig.base_1ldst(), tlb=TINY_TLBS),
+    "malec-wdu-tlbs-2-4": replace(_malec(way_determination="wdu"), tlb=TINY_TLBS),
+    "malec-tlbs-1-2-walk-0": replace(SimulationConfig.malec(), tlb=FREE_WALK_TLBS),
+    "base2ld1st-tlbs-1-2-walk-0": replace(SimulationConfig.base_2ld1st(), tlb=FREE_WALK_TLBS),
+    "malec-no-feedback": _malec(enable_feedback_update=False),
 }
 
 

@@ -150,9 +150,10 @@ def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
         )
         physical, _ = translation.translate_pair(virtual)
         line_in_page = layout.line_in_page(virtual)
-        way = way_tables.predict_page(layout.page_id(virtual)).way_of(line_in_page)
+        codes, offset = way_tables.predict_page(layout.page_id(virtual))
+        way = codes[offset + line_in_page] - 1  # a code is the way plus one
         physical_line = layout.line_address(physical)
-        if way is not None:
+        if way >= 0:
             assert hierarchy.l1.way_of(physical_line) == way, (hex(virtual), way)
         # Access (and possibly fill) the line, mutating cache + way tables.
         hierarchy.l1.load_parts(physical)
@@ -174,14 +175,14 @@ def check_tlb_insert_lookup_consistency(entries: int, seed: int) -> None:
         ppage = translation.page_table.translate_page(vpage)
         slot = tlb.insert(vpage, ppage)
         assert tlb.lookup(vpage, count_event=False) == slot
-        assert tlb.slot(slot).physical_page == ppage
+        assert tlb._ppages[slot] == ppage
         assert tlb.reverse_lookup(ppage, count_event=False) == slot
         assert tlb.occupancy <= entries
     # Every resident virtual page must be reachable both ways.
-    for vpage in tlb.resident_virtual_pages():
+    for vpage in tlb._by_vpage:
         slot = tlb.lookup(vpage, count_event=False)
-        assert slot is not None
-        assert tlb.reverse_lookup(tlb.slot(slot).physical_page, count_event=False) == slot
+        assert slot is not None and tlb._vpages[slot] == vpage
+        assert tlb.reverse_lookup(tlb._ppages[slot], count_event=False) == slot
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Tests for replacement: LRU in the cache arrays, random and second chance in the TLBs."""
 
+import random
+
 import pytest
 
-from repro.cache.replacement import RandomReplacement, SecondChanceReplacement
 from repro.cache.set_assoc import SetAssociativeArray
+from repro.tlb.tlb import TLB
 
-#: the TLB policies, by the names their parametrized tests carry
-POLICIES = {"random": RandomReplacement, "second_chance": SecondChanceReplacement}
+#: the TLB policies, by the names their parametrized tests carry, as the
+#: ``seed`` a TLB takes: a seeded TLB replaces at random, an unseeded one by
+#: second chance
+POLICIES = {"random": 0, "second_chance": None}
 
 
 def full_set(ways: int) -> SetAssociativeArray:
@@ -17,14 +21,30 @@ def full_set(ways: int) -> SetAssociativeArray:
     return array
 
 
+def tlb_holding(name: str, valid: list) -> TLB:
+    """A TLB whose slot ``s`` holds page ``s`` (frame ``100 + s``) wherever
+    ``valid[s]``, with every reference bit clear.
+
+    The pages are written into the columns: inserts would fill the empty
+    slots in the policy's own order and set reference bits.
+    """
+    tlb = TLB(len(valid), seed=POLICIES[name])
+    for slot, occupied in enumerate(valid):
+        if occupied:
+            tlb._vpages[slot], tlb._ppages[slot] = slot, 100 + slot
+            tlb._by_vpage[slot], tlb._by_ppage[100 + slot] = slot, slot
+    return tlb
+
+
 def victim(name: str, valid: list) -> int:
     """The way ``name`` replaces when ``valid`` marks the occupied ways.
 
     ``"lru"`` is a one-set array holding lines in exactly the ``valid`` ways:
-    its setup fills all exclude the (at most one) empty way.
+    its setup fills all exclude the (at most one) empty way.  A TLB policy's
+    victim is the slot a new page takes.
     """
     if name in POLICIES:
-        return POLICIES[name](len(valid)).victim(valid)
+        return tlb_holding(name, valid).insert(len(valid), 100 + len(valid))
     assert valid.count(False) <= 1
     empty = valid.index(False) if False in valid else None
     array = SetAssociativeArray(num_sets=1, ways=len(valid))
@@ -35,9 +55,9 @@ def victim(name: str, valid: list) -> int:
 
 class TestCommonBehaviour:
     def test_rejects_zero_ways(self):
-        for policy in POLICIES.values():
+        for seed in POLICIES.values():
             with pytest.raises(ValueError):
-                policy(0)
+                TLB(0, seed=seed)
 
     @pytest.mark.parametrize("name", ["lru", *sorted(POLICIES)])
     def test_invalid_ways_preferred(self, name):
@@ -60,16 +80,6 @@ class TestCommonBehaviour:
         with pytest.raises(ValueError):
             array.fill(0, tag=9, excluded_way=0)
         assert array.valid_tags(0) == [0]  # the refused fill evicted nothing
-
-    def test_touch_rejects_bad_way(self):
-        for policy in POLICIES.values():
-            with pytest.raises(ValueError):
-                policy(4).touch(4)
-
-    def test_mismatched_valid_mask_rejected(self):
-        for policy in POLICIES.values():
-            with pytest.raises(ValueError):
-                policy(4).victim([True, True])
 
 
 class TestLRU:
@@ -97,36 +107,50 @@ class TestLRU:
         assert array.fill(0, tag=9, excluded_way=0)[:2] == (1, 1)
 
 
+def insert_slots(tlb: TLB, pages: range) -> list:
+    """The slot each page of ``pages`` takes, inserted in order."""
+    return [tlb.insert(page, 1000 + page) for page in pages]
+
+
 class TestRandom:
     def test_deterministic_with_seed(self):
-        a = RandomReplacement(4, seed=7)
-        b = RandomReplacement(4, seed=7)
-        seq_a = [a.victim([True] * 4) for _ in range(20)]
-        seq_b = [b.victim([True] * 4) for _ in range(20)]
-        assert seq_a == seq_b
+        a = TLB(4, seed=7)
+        b = TLB(4, seed=7)
+        seq_a = insert_slots(a, range(24))
+        assert seq_a == insert_slots(b, range(24))
+        # The draws: a choice among the empty slots, in slot order, while
+        # one is empty, then a choice among all slots.
+        rng = random.Random(7)
+        empty = [0, 1, 2, 3]
+        expected = []
+        for _ in range(4):
+            expected.append(rng.choice(empty))
+            empty.remove(expected[-1])
+        expected += [rng.choice(range(4)) for _ in range(20)]
+        assert seq_a == expected
 
     def test_covers_all_ways_eventually(self):
-        policy = RandomReplacement(4, seed=3)
-        chosen = {policy.victim([True] * 4) for _ in range(200)}
+        tlb = TLB(4, seed=3)
+        chosen = set(insert_slots(tlb, range(204))[4:])
         assert chosen == {0, 1, 2, 3}
 
 
 class TestSecondChance:
     def test_referenced_way_gets_second_chance(self):
-        policy = SecondChanceReplacement(4)
-        policy.touch(0)  # way 0 referenced
-        victim = policy.victim([True] * 4)
+        tlb = tlb_holding("second_chance", [True] * 4)
+        tlb.lookup(0)  # way 0 referenced
+        victim = tlb.insert(9, 109)
         assert victim == 1  # hand starts at 0, skips referenced way 0
 
     def test_sweep_clears_reference_bits(self):
-        policy = SecondChanceReplacement(2)
-        policy.touch(0)
-        policy.touch(1)
-        # All referenced: the sweep clears bits and then evicts the first.
-        victim = policy.victim([True, True])
-        assert victim in (0, 1)
+        tlb = TLB(2)
+        # Inserting sets each slot's bit: the sweep clears both bits and
+        # then evicts the first.
+        assert insert_slots(tlb, range(3)) == [0, 1, 0]
+        assert list(tlb._referenced) == [1, 0]  # only the new page's bit
+        assert tlb._hand == 1
 
     def test_prefers_invalid_ways(self):
-        policy = SecondChanceReplacement(4)
-        policy.touch(2)
-        assert policy.victim([True, True, True, False]) == 3
+        tlb = tlb_holding("second_chance", [True, True, True, False])
+        tlb.lookup(2)
+        assert tlb.insert(9, 109) == 3

@@ -266,6 +266,9 @@ class TestEndpoints:
                 501,
                 id="unknown-method",
             ),
+            # 65,537 bytes without a newline: a request line over 64 KiB,
+            # all of it read before the reply, so the close is no reset
+            pytest.param(b"GET /" + b"a" * 65532, False, "-", "-", 414, id="request-line-too-long"),
         ],
     )
     def test_http_server_error_replies_are_journaled(

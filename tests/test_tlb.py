@@ -2,13 +2,18 @@
 
 import pytest
 
-from repro.cache.replacement import RandomReplacement, SecondChanceReplacement
 from repro.memory.address import DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.page_table import PageTable
 from repro.tlb.tlb import TLB, TLBHierarchy
 
 layout = DEFAULT_LAYOUT
+
+
+def frame_of(tlb: TLB, virtual_page: int):
+    """The physical page ``tlb`` holds for ``virtual_page`` (``None`` if absent)."""
+    slot = tlb.lookup(virtual_page, count_event=False)
+    return None if slot is None else tlb._ppages[slot]
 
 
 class TestPageTable:
@@ -36,12 +41,6 @@ class TestPageTable:
         assert layout.page_offset(paddr) == 123
         assert layout.page_id(paddr) == table.translate_page(5)
 
-    def test_reverse_translate(self):
-        table = PageTable()
-        frame = table.translate_page(9)
-        assert table.reverse_translate_page(frame) == 9
-        assert table.reverse_translate_page(frame + 1 if frame + 1 < table.physical_pages else frame - 1) in (None, 9) or True
-
     def test_out_of_frames(self):
         # Table II's 256 MByte of 4 KByte frames; the odd-multiplier
         # permutation visits each frame once, so every page gets a frame
@@ -61,59 +60,47 @@ class TestPageTable:
 
 class TestTLB:
     def test_insert_and_lookup(self):
-        tlb = TLB(RandomReplacement(4), name="t")
+        tlb = TLB(4, name="t", seed=0)
         slot = tlb.insert(5, 100)
         assert tlb.lookup(5) == slot
-        assert tlb.translation(5) == 100
+        assert tlb._vpages[slot] == 5 and tlb._ppages[slot] == 100
         assert tlb.occupancy == 1
 
     def test_miss_counts(self):
         stats = StatCounters()
-        tlb = TLB(RandomReplacement(4), name="t", stats=stats)
+        tlb = TLB(4, name="t", stats=stats, seed=0)
         assert tlb.lookup(9) is None
         assert stats["t.lookup"] == 1 and stats["t.miss"] == 1
 
     def test_reverse_lookup(self):
-        tlb = TLB(RandomReplacement(4), name="t")
+        tlb = TLB(4, name="t", seed=0)
         slot = tlb.insert(5, 100)
         assert tlb.reverse_lookup(100) == slot
         assert tlb.reverse_lookup(999) is None
 
     def test_eviction_callback_on_replacement(self):
         events = []
-        tlb = TLB(SecondChanceReplacement(2), name="t")
-        tlb.add_eviction_callback(lambda slot, old, new: events.append((slot, old.valid)))
+        tlb = TLB(2, name="t")
+        tlb.add_eviction_callback(lambda *event: events.append(event))
         tlb.insert(1, 10)
         tlb.insert(2, 20)
         tlb.insert(3, 30)
-        # Three inserts into two slots: the third replaces a valid entry.
-        assert any(valid for _, valid in events)
+        # (slot, old physical page or None, new virtual page): the third
+        # insert replaces page 1, whose bit the sweep cleared first.
+        assert events == [(0, None, 1), (1, None, 2), (0, 10, 3)]
         assert tlb.occupancy == 2
 
     def test_reinsert_same_page_updates_mapping(self):
-        tlb = TLB(RandomReplacement(4), name="t")
+        tlb = TLB(4, name="t", seed=0)
         slot = tlb.insert(5, 100)
         assert tlb.insert(5, 200) == slot
-        assert tlb.translation(5) == 200
+        assert frame_of(tlb, 5) == 200
         assert tlb.reverse_lookup(200) == slot
         assert tlb.reverse_lookup(100) is None
 
-    def test_invalidate_all(self):
-        tlb = TLB(RandomReplacement(4), name="t")
-        tlb.insert(5, 100)
-        tlb.invalidate_all()
-        assert tlb.occupancy == 0
-        assert tlb.lookup(5, count_event=False) is None
-
-    def test_resident_pages_listing(self):
-        tlb = TLB(RandomReplacement(4), name="t")
-        tlb.insert(5, 100)
-        tlb.insert(3, 101)
-        assert tlb.resident_virtual_pages() == [3, 5]
-
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
-            TLB(RandomReplacement(0))
+            TLB(0)
 
 
 class TestTLBHierarchy:
@@ -140,7 +127,7 @@ class TestTLBHierarchy:
         assert latency == 1
         assert stats["utlb.miss"] == 1 and stats["tlb.hit"] == 1
         assert stats["tlb.walk"] == 0
-        assert hierarchy.utlb.translation(0) is not None
+        assert frame_of(hierarchy.utlb, 0) is not None
 
     def test_offset_preserved(self):
         hierarchy = TLBHierarchy()
@@ -156,8 +143,8 @@ class TestTLBHierarchy:
 
     def test_utlb_uses_second_chance_and_tlb_random(self):
         hierarchy = TLBHierarchy()
-        assert isinstance(hierarchy.utlb._policy, SecondChanceReplacement)
-        assert isinstance(hierarchy.tlb._policy, RandomReplacement)
+        assert hierarchy.utlb._referenced is not None and hierarchy.utlb._rng is None
+        assert hierarchy.tlb._rng is not None and hierarchy.tlb._referenced is None
 
     def test_lookup_event_counting(self, stats):
         hierarchy = TLBHierarchy(stats=stats)
@@ -171,7 +158,7 @@ class TestTLBHierarchy:
         hierarchy = TLBHierarchy(stats=stats)
         physical_page, latency = hierarchy.translate_page_pair(12)
         assert latency == hierarchy.walk_latency
-        assert hierarchy.utlb.translation(12) == physical_page
-        assert hierarchy.tlb.translation(12) == physical_page
+        assert frame_of(hierarchy.utlb, 12) == physical_page
+        assert frame_of(hierarchy.tlb, 12) == physical_page
         assert hierarchy.translate_page_pair(12) == (physical_page, 0)
         assert stats["tlb.walk"] == 1

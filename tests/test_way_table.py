@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.l1_cache import L1DataCache
-from repro.core.way_table import WayTableEntry, WayTableHierarchy
+from repro.core.way_table import WayTableHierarchy
 from repro.core.wdu import WayDeterminationUnit
 from repro.memory.address import DEFAULT_LAYOUT
 from repro.stats import StatCounters
@@ -20,68 +20,120 @@ def addr(page: int, line: int, offset: int = 0) -> int:
 
 def predicted_way(tables, virtual_page: int, line_in_page: int):
     """The way the tables determine for one line of a translated page."""
-    return tables.predict_page(virtual_page).way_of(line_in_page)
+    codes, offset = tables.predict_page(virtual_page)
+    code = codes[offset + line_in_page]  # the way plus one, 0 for unknown
+    return code - 1 if code else None
+
+
+#: the virtual page whose uWT entry the entry tests below exercise
+PAGE = 5
+
+
+def entry_system(**tlb_sizes):
+    """Way tables whose TLBs have translated ``PAGE``.
+
+    Returns ``(stats, tables, frame)``, ``frame`` being the page's
+    physical page: ``tables.on_line_fill(addr(frame, line), way)`` sets
+    the way of one line of ``PAGE``'s entry.
+    """
+    stats = StatCounters()
+    tables = WayTableHierarchy(TLBHierarchy(stats=stats, **tlb_sizes), stats=stats)
+    frame, _ = tables.translation.translate_page_pair(PAGE)
+    return stats, tables, frame
 
 
 class TestWayTableEntry:
+    """One entry's codes, set by line fills and cleared by line evictions
+    and TLB replacements."""
+
     def test_initially_unknown(self):
-        entry = WayTableEntry()
+        _, tables, _ = entry_system()
         for line in range(layout.lines_per_page):
-            assert entry.way_of(line) is None
+            assert predicted_way(tables, PAGE, line) is None
 
     def test_update_and_lookup(self):
-        entry = WayTableEntry()
-        assert entry.update(5, way=3)
-        assert entry.way_of(5) == 3
+        _, tables, frame = entry_system()
+        tables.on_line_fill(addr(frame, 5), way=3)
+        assert predicted_way(tables, PAGE, 5) == 3
 
     def test_excluded_way_rotates_per_line_group(self):
-        entry = WayTableEntry()
-        assert entry.excluded_way(0) == 0
-        assert entry.excluded_way(3) == 0
-        assert entry.excluded_way(4) == 1
-        assert entry.excluded_way(8) == 2
-        assert entry.excluded_way(12) == 3
-        assert entry.excluded_way(16) == 0
+        stats, tables, frame = entry_system()
+        for line, excluded in ((0, 0), (3, 0), (4, 1), (8, 2), (12, 3), (16, 0)):
+            tables.on_line_fill(addr(frame, line), way=excluded)
+            assert predicted_way(tables, PAGE, line) is None
+            tables.on_line_fill(addr(frame, line), way=(excluded + 1) % 4)
+            assert predicted_way(tables, PAGE, line) == (excluded + 1) % 4
+        assert stats["way_pred.unencodable_way"] == 6
 
     def test_excluded_way_cannot_be_encoded(self):
-        entry = WayTableEntry()
+        stats, tables, frame = entry_system()
         # Line 4 excludes way 1 (Sec. V).
-        assert not entry.update(4, way=1)
-        assert entry.way_of(4) is None
+        tables.on_line_fill(addr(frame, 4), way=1)
+        assert stats["way_pred.unencodable_way"] == 1
+        assert predicted_way(tables, PAGE, 4) is None
 
     def test_invalidate_line(self):
-        entry = WayTableEntry()
-        entry.update(7, way=2)
-        entry.invalidate_line(7)
-        assert entry.way_of(7) is None
+        _, tables, frame = entry_system()
+        tables.on_line_fill(addr(frame, 7), way=2)
+        tables.on_line_evict(addr(frame, 7), way=2)
+        assert predicted_way(tables, PAGE, 7) is None
 
     def test_clear(self):
-        entry = WayTableEntry()
-        entry.update(7, way=2)
-        entry.update(9, way=3)
-        entry.clear()
-        assert entry.known_lines() == 0
+        # One uTLB and two TLB slots: the next page takes the empty TLB slot
+        # and evicts PAGE from the uTLB, which writes PAGE's codes back to
+        # the WT.  Later pages evict PAGE from the TLB, clearing that entry.
+        stats, tables, frame = entry_system(utlb_entries=1, tlb_entries=2)
+        tables.on_line_fill(addr(frame, 7), way=2)
+        tables.on_line_fill(addr(frame, 9), way=3)
+        tlb = tables.translation.tlb
+        slot = tlb.lookup(PAGE, count_event=False)
+        entry = slice(slot * layout.lines_per_page, (slot + 1) * layout.lines_per_page)
+        tables.translation.translate_page_pair(PAGE + 1)
+        assert stats["uwt.writeback"] == 1
+        assert (tables.wt[entry][7], tables.wt[entry][9]) == (3, 4)  # way + 1
+        for page in range(PAGE + 2, PAGE + 66):
+            tables.translation.translate_page_pair(page)
+            if tlb.lookup(PAGE, count_event=False) is None:
+                break
+        else:
+            pytest.fail("PAGE never left the TLB")
+        assert stats["wt.page_invalidated"] == page - (PAGE + 1)
+        assert tlb.lookup(page, count_event=False) == slot
+        assert tables.wt[entry] == bytes(layout.lines_per_page)
+        # Neither the page that took the slot nor PAGE, fetched again,
+        # inherits the lost codes.
+        for line in range(layout.lines_per_page):
+            assert predicted_way(tables, page, line) is None
+        tables.translation.translate_page_pair(PAGE)
+        for line in range(layout.lines_per_page):
+            assert predicted_way(tables, PAGE, line) is None
 
     def test_copy_from(self):
-        a, b = WayTableEntry(), WayTableEntry()
-        a.update(1, way=2)
-        b.copy_from(a)
-        assert b.way_of(1) == 2
+        # A uTLB eviction writes the entry back to the WT, and a uTLB refill
+        # copies it into the uWT again.
+        stats, tables, frame = entry_system(utlb_entries=1)
+        tables.on_line_fill(addr(frame, 1), way=2)
+        tables.translation.translate_page_pair(PAGE + 1)
+        assert predicted_way(tables, PAGE + 1, 1) is None
+        tables.translation.translate_page_pair(PAGE)
+        assert predicted_way(tables, PAGE, 1) == 2
+        assert stats["uwt.writeback"] == 2
 
     def test_storage_bits_match_paper(self):
-        entry = WayTableEntry()
-        assert entry.storage_bits == 128     # packed 2-bit format (Fig. 3)
-        assert entry.naive_storage_bits == 192  # separate valid + way bits
-        assert entry.storage_bits == entry.naive_storage_bits * 2 // 3
+        _, tables, _ = entry_system()
+        assert tables.storage_bits == 128     # packed 2-bit format (Fig. 3)
+        assert tables.naive_storage_bits == 192  # separate valid + way bits
+        assert tables.storage_bits == tables.naive_storage_bits * 2 // 3
 
     def test_bad_line_index_rejected(self):
-        entry = WayTableEntry()
+        # A line outside the address space, or a way outside the cache.
+        _, tables, frame = entry_system()
         with pytest.raises(ValueError):
-            entry.invalidate_line(64)
+            tables.on_line_evict(-layout.line_bytes, 0)
         with pytest.raises(ValueError):
-            entry.update(-1, 0)
+            tables.on_line_fill(layout.max_address + 1, 0)
         with pytest.raises(ValueError):
-            entry.update(0, 4)
+            tables.on_line_fill(addr(frame, 0), 4)
 
     @given(
         st.integers(min_value=0, max_value=63),
@@ -90,13 +142,14 @@ class TestWayTableEntry:
     @settings(max_examples=200)
     def test_roundtrip_or_unknown(self, line, way):
         """Any (line, way) either round-trips exactly or reports unknown."""
-        entry = WayTableEntry()
-        encoded = entry.update(line, way)
-        if encoded:
-            assert entry.way_of(line) == way
+        stats, tables, frame = entry_system()
+        tables.on_line_fill(addr(frame, line), way)
+        if not stats["way_pred.unencodable_way"]:
+            assert predicted_way(tables, PAGE, line) == way
         else:
-            assert way == entry.excluded_way(line)
-            assert entry.way_of(line) is None
+            # the line's excluded way (Sec. V)
+            assert way == (line // layout.l1_banks) % layout.l1_associativity
+            assert predicted_way(tables, PAGE, line) is None
 
 
 class TestWayTableHierarchy:
@@ -137,8 +190,7 @@ class TestWayTableHierarchy:
         way = l1.load_parts(paddr)[1]  # fill
         line = layout.line_in_page(paddr)
         # Forget the way (simulates a page whose WT entry was lost).
-        slot = translation.utlb.reverse_lookup(layout.page_id(paddr), count_event=False)
-        tables.uwt.clear_entry(slot)
+        tables.on_line_evict(layout.line_address(paddr), way)
         assert predicted_way(tables, 7, line) is None
         tables.feedback_conventional_hit(paddr, way)
         assert predicted_way(tables, 7, line) == way
@@ -147,8 +199,7 @@ class TestWayTableHierarchy:
         stats, translation, l1, tables = self._system(feedback=False)
         paddr, _ = translation.translate_pair(addr(7, 2))
         way = l1.load_parts(paddr)[1]
-        slot = translation.utlb.reverse_lookup(layout.page_id(paddr), count_event=False)
-        tables.uwt.clear_entry(slot)
+        tables.on_line_evict(layout.line_address(paddr), way)
         assert predicted_way(tables, 7, layout.line_in_page(paddr)) is None
         tables.feedback_conventional_hit(paddr, way)
         assert predicted_way(tables, 7, layout.line_in_page(paddr)) is None
@@ -163,6 +214,7 @@ class TestWayTableHierarchy:
         for page in range(1, 40):
             translation.translate_pair(addr(page, 0))
         # The information must survive in the WT and refill the uWT on re-touch.
+        assert translation.translate_pair(addr(0, 1))[1] == 1  # a uTLB miss, TLB hit
         assert predicted_way(tables, 0, line) == way
 
     def test_tlb_eviction_loses_way_information(self):
@@ -177,7 +229,8 @@ class TestWayTableHierarchy:
             translation.translate_pair(addr(page, 0))
         # Page 0 left the 4-entry TLB entirely: no entry covers it any more,
         # and re-translating it allocates a fresh, all-invalid entry.
-        assert tables.predict_page(0) is None
+        assert translation.utlb.lookup(0, count_event=False) is None
+        assert translation.tlb.lookup(0, count_event=False) is None
         translation.translate_pair(addr(0, 1))
         assert predicted_way(tables, 0, layout.line_in_page(paddr)) is None
         assert stats["wt.page_invalidated"] >= 1
