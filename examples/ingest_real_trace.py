@@ -5,7 +5,7 @@ This example fabricates a small valgrind-lackey capture (in the real world:
 ``valgrind --tool=lackey --trace-mem=yes ./app 2> app.lackey``), then walks
 the full ingestion pipeline:
 
-1. parse the lackey text into a :class:`~repro.workloads.trace.MemoryTrace`,
+1. parse the lackey text into a :class:`~repro.workloads.columnar.ColumnarTrace`,
 2. drop the warm-up prefix and window the region of interest,
 3. interleave it with a second trace into one multiprogrammed workload,
 4. write the compact binary ``.rtrc`` form and read it back bit-identically,
@@ -26,9 +26,9 @@ from pathlib import Path
 from repro.campaign import CampaignSpec, ParallelExecutor
 from repro.sim.config import SimulationConfig
 from repro.workloads import (
+    ColumnarTrace,
     dump_rtrc,
     interleave,
-    load_rtrc,
     load_trace,
     register_trace,
     skip_warmup,
@@ -64,8 +64,8 @@ def main() -> None:
         # 4. Binary round trip.
         rtrc = Path(tmp) / "mix.rtrc"
         dump_rtrc(mix, rtrc)
-        restored = load_rtrc(rtrc)
-        assert restored.instructions == mix.instructions
+        restored = ColumnarTrace.load(rtrc)
+        assert restored.to_bytes() == mix.to_bytes()
         print(f"round-tripped {rtrc.stat().st_size} bytes, fingerprint "
               f"{restored.fingerprint()[:12]}")
 

@@ -18,10 +18,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.reporting import geometric_mean
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import SimulationResult
+from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.ingest import window
 from repro.workloads.registry import registered_handle, registered_trace
 from repro.workloads.suites import ALL_BENCHMARKS, ALL_SUITES, benchmark_profile
 from repro.workloads.synthetic import generate_trace
-from repro.workloads.trace import MemoryTrace
 
 
 @dataclass
@@ -139,10 +140,10 @@ class ExperimentRunner:
         # Keyed (benchmark, instructions, trace seed, trace hash) — the
         # campaign executor's cache shape, shared with it by run() so traces
         # resolved here and there are never produced twice.
-        self._trace_cache: Dict[Tuple[str, int, int, str], MemoryTrace] = {}
+        self._trace_cache: Dict[Tuple[str, int, int, str], ColumnarTrace] = {}
 
     # ------------------------------------------------------------------
-    def trace_for(self, benchmark: str) -> MemoryTrace:
+    def trace_for(self, benchmark: str) -> ColumnarTrace:
         """The (cached) trace of ``benchmark`` — synthetic or ingested.
 
         Registered ingested traces are truncated to the runner's instruction
@@ -156,7 +157,7 @@ class ExperimentRunner:
                 self._trace_cache[key] = (
                     ingested
                     if len(ingested) <= self.instructions
-                    else ingested.head(self.instructions)
+                    else window(ingested, 0, self.instructions)
                 )
             return self._trace_cache[key]
         profile = benchmark_profile(benchmark)

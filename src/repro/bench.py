@@ -249,18 +249,20 @@ def bench_fig4_mini_sweep_serial(instructions: int, repeats: int) -> ScenarioRes
 
 
 def bench_trace_decode(instructions: int, repeats: int) -> ScenarioResult:
-    """Time decoding a trace from ``.rtrc`` (the pool-worker payload path).
+    """Time reading a trace from an ``.rtrc`` file against the JSONL reader.
 
-    The timed workload is :func:`repro.workloads.binfmt.load_rtrc` — exactly
-    what a campaign/DSE pool worker pays per trace.  The JSONL parse of the
-    same trace is timed alongside (same best-of-N) and reported in the
-    details as ``jsonl_seconds``/``speedup_vs_jsonl``, documenting what the
-    binary format buys over the line-per-instruction text form.
+    The timed workload is
+    :meth:`~repro.workloads.columnar.ColumnarTrace.load`: the file read plus
+    the column lift a campaign/DSE pool worker pays per trace.  The JSONL
+    read of the same trace is timed alongside (same best-of-N) and reported
+    in the details as ``jsonl_seconds``/``speedup_vs_jsonl``, documenting
+    what the binary format buys over the line-per-instruction text form.
     """
     import tempfile
 
-    from repro.workloads.binfmt import dump_rtrc, load_rtrc
-    from repro.workloads.trace import MemoryTrace
+    from repro.workloads.binfmt import dump_rtrc
+    from repro.workloads.columnar import ColumnarTrace
+    from repro.workloads.ingest import dump_jsonl, load_trace
 
     trace = generate_trace(
         benchmark_profile(SINGLE_RUN_BENCHMARK), instructions=instructions
@@ -269,10 +271,10 @@ def bench_trace_decode(instructions: int, repeats: int) -> ScenarioResult:
         rtrc_path = Path(tmp) / "bench.rtrc"
         jsonl_path = Path(tmp) / "bench.jsonl"
         dump_rtrc(trace, rtrc_path)
-        trace.to_jsonl(jsonl_path)
+        dump_jsonl(trace, jsonl_path)
 
         def workload() -> Dict[str, object]:
-            decoded = load_rtrc(rtrc_path)
+            decoded = ColumnarTrace.load(rtrc_path)
             return {
                 "benchmark": SINGLE_RUN_BENCHMARK,
                 "instructions": len(decoded),
@@ -281,7 +283,7 @@ def bench_trace_decode(instructions: int, repeats: int) -> ScenarioResult:
 
         runs, details = _time_repeats(repeats, workload)
         jsonl_runs, _ = _time_repeats(
-            repeats, lambda: {"n": len(MemoryTrace.from_jsonl(jsonl_path))}
+            repeats, lambda: {"n": len(load_trace(jsonl_path))}
         )
     result = ScenarioResult(name="trace_decode_rtrc", runs=runs, details=details)
     jsonl_seconds = min(jsonl_runs)
@@ -293,24 +295,18 @@ def bench_trace_decode(instructions: int, repeats: int) -> ScenarioResult:
 
 
 def bench_trace_columnar_decode(instructions: int, repeats: int) -> ScenarioResult:
-    """Time the columnar trace lift against full object materialization.
+    """Time the columnar trace lift a campaign pool worker pays per payload.
 
-    The timed workload is what a campaign pool worker pays per shipped
-    payload:
+    The timed workload is
     :meth:`~repro.workloads.columnar.ColumnarTrace.from_rtrc_bytes` plus the
     batched :meth:`~repro.workloads.columnar.ColumnarTrace.pipeline_arrays`
-    interpretation pass.  ``decode_trace`` alone (the same lift, then one
-    ``Instruction`` per record) is timed alongside and reported as
-    ``object_seconds`` / ``speedup_vs_objects``, documenting what the
-    structure-of-arrays view buys over per-instruction objects.
+    interpretation pass over the shipped ``.rtrc`` bytes.
     """
-    from repro.workloads.binfmt import decode_trace, encode_trace
     from repro.workloads.columnar import ColumnarTrace
 
-    trace = generate_trace(
+    payload = generate_trace(
         benchmark_profile(SINGLE_RUN_BENCHMARK), instructions=instructions
-    )
-    payload = encode_trace(trace)
+    ).to_bytes()
 
     def workload() -> Dict[str, object]:
         view = ColumnarTrace.from_rtrc_bytes(payload)
@@ -321,18 +317,8 @@ def bench_trace_columnar_decode(instructions: int, repeats: int) -> ScenarioResu
             "rtrc_bytes": len(payload),
         }
 
-    def object_workload() -> Dict[str, object]:
-        return {"instructions": len(decode_trace(payload))}
-
     runs, details = _time_repeats(repeats, workload)
-    object_runs, _ = _time_repeats(repeats, object_workload)
-    result = ScenarioResult(name="trace_columnar_decode", runs=runs, details=details)
-    object_seconds = min(object_runs)
-    result.details["object_seconds"] = object_seconds
-    result.details["speedup_vs_objects"] = (
-        object_seconds / result.seconds if result.seconds else 0.0
-    )
-    return result
+    return ScenarioResult(name="trace_columnar_decode", runs=runs, details=details)
 
 
 def bench_figure4_acceptance(instructions: int, repeats: int) -> ScenarioResult:

@@ -11,11 +11,12 @@ into an :class:`~repro.analysis.experiments.ExperimentResults`:
   processes (restricted sandboxes) or the pool breaks mid-sweep (a killed
   worker raises ``BrokenProcessPool`` instead of hanging the sweep);
 * every workload trace — synthetic *or* ingested — is resolved **once in the
-  parent**, serialized to compact ``.rtrc`` bytes
-  (:meth:`~repro.workloads.trace.MemoryTrace.to_bytes`, the binary codec of
-  :mod:`repro.workloads.binfmt`) and shipped to the workers through the pool
-  initializer — workers lift each trace into its columnar view at most
-  once per process instead of regenerating (or re-parsing) it per task;
+  parent** as a :class:`~repro.workloads.columnar.ColumnarTrace`, and its
+  ``.rtrc`` bytes (:meth:`~repro.workloads.columnar.ColumnarTrace.to_bytes`:
+  a header plus the buffers the trace already holds, no re-encode) are
+  shipped to the workers through the pool initializer — workers lift each
+  trace into columns at most once per process instead of regenerating (or
+  re-parsing) it per task;
 * cells are dispatched as one pool task per chunk, so scheduling overhead is
   one pickled batch per chunk rather than one round-trip per cell, and
   results stream back chunk by chunk as they finish;
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.experiments import BenchmarkRun, ExperimentResults
 from repro.api import RunOptions
@@ -47,20 +48,18 @@ from repro.obs.telemetry import TelemetryJournal
 from repro.sim.kernels import content_hash, prewarm, resolve_kernel
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.ingest import window
 from repro.workloads.registry import registered_trace, workload_suite
 from repro.workloads.suites import benchmark_profile
 from repro.workloads.synthetic import generate_trace
-from repro.workloads.trace import MemoryTrace
 
 logger = get_logger(__name__)
 
 #: (benchmark, instructions, trace seed, trace hash) -> resolved trace; the
 #: hash is empty for synthetic workloads and pins the content of ingested
 #: ones, so a name re-registered with different trace bytes never hits a
-#: stale cache entry.  Values are either :class:`MemoryTrace` (synthetic /
-#: ingested resolution) or :class:`ColumnarTrace` (pool workers decoding
-#: shipped bytes); the simulator accepts both.
-TraceCache = Dict[Tuple[str, int, int, str], Union[MemoryTrace, ColumnarTrace]]
+#: stale cache entry.
+TraceCache = Dict[Tuple[str, int, int, str], ColumnarTrace]
 
 #: key shape of the trace caches
 TraceKey = Tuple[str, int, int, str]
@@ -85,7 +84,7 @@ _WORKER_KERNEL: Optional[str] = None
 _TRACE_CACHE_LIMIT = 256
 
 
-def _cached_trace(cell: CampaignCell, cache: TraceCache):
+def _cached_trace(cell: CampaignCell, cache: TraceCache) -> ColumnarTrace:
     """Resolve (or fetch) the deterministic trace of ``cell``.
 
     Resolution order: the per-process cache, the ``.rtrc`` bytes a pool
@@ -117,7 +116,7 @@ def _cached_trace(cell: CampaignCell, cache: TraceCache):
                 trace = (
                     ingested
                     if len(ingested) <= cell.instructions
-                    else ingested.head(cell.instructions)
+                    else window(ingested, 0, cell.instructions)
                 )
             else:
                 profile = benchmark_profile(cell.benchmark)

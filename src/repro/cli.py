@@ -150,6 +150,7 @@ from repro.workloads.binfmt import TraceFormatError, dump_rtrc
 from repro.workloads.ingest import (
     TRACE_FORMATS,
     TraceParseError,
+    dump_jsonl,
     interleave,
     load_trace,
     skip_warmup,
@@ -1120,7 +1121,7 @@ def _write_trace(trace, output: Path) -> None:
     """Write ``trace`` in the format implied by ``output``'s extension."""
     text = str(output)
     if text.endswith((".jsonl", ".jsonl.gz")):
-        trace.to_jsonl(output)
+        dump_jsonl(trace, output)
     else:
         dump_rtrc(trace, output)
 

@@ -157,24 +157,14 @@ class TLB:
     def insert(self, virtual_page: int, physical_page: int) -> int:
         """Install a translation and return the slot index used.
 
-        If the virtual page is already resident its slot is refreshed.
-        Otherwise the page takes the replacement policy's victim slot, and
-        the registered eviction callbacks (which the way tables use to write
-        back / invalidate their per-slot entries) learn the slot, the
-        physical page it held (``None`` if it was empty) and the new virtual
-        page.
+        Precondition: ``virtual_page`` is not resident in this level (the
+        caller inserts only after a lookup missed, as
+        :meth:`TLBHierarchy.translate_page_pair` does).  The page takes the
+        replacement policy's victim slot, and the registered eviction
+        callbacks (which the way tables use to write back / invalidate their
+        per-slot entries) learn the slot, the physical page it held (``None``
+        if it was empty) and the new virtual page.
         """
-        existing = self._by_vpage.get(virtual_page)
-        if existing is not None:
-            old_ppage = self._ppages[existing]
-            if old_ppage != physical_page:
-                self._by_ppage.pop(old_ppage, None)
-                self._ppages[existing] = physical_page
-                self._by_ppage[physical_page] = existing
-            if self._referenced is not None:
-                self._referenced[existing] = 1
-            return existing
-
         slot = self._victim()
         old_ppage = self._ppages[slot]
         if old_ppage is not None:

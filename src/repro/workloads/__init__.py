@@ -21,21 +21,18 @@ statistics the paper reports:
 Each benchmark is described by a :class:`~repro.workloads.profiles.BenchmarkProfile`
 composed of weighted access streams; the
 :class:`~repro.workloads.synthetic.SyntheticTraceGenerator` expands a profile
-into a deterministic :class:`~repro.workloads.trace.MemoryTrace`.
+into a deterministic :class:`~repro.workloads.columnar.ColumnarTrace`, the
+one form every trace takes (ingested traces included).
 """
 
 from repro.workloads.trace import MemoryTrace
-from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.columnar import ColumnarTrace, TraceWriter
 from repro.workloads.profiles import BenchmarkProfile, StreamSpec, StreamKind
 from repro.workloads.synthetic import SyntheticTraceGenerator, generate_trace
-from repro.workloads.binfmt import (
-    TraceFormatError,
-    dump_rtrc,
-    load_rtrc,
-    trace_fingerprint,
-)
+from repro.workloads.binfmt import TraceFormatError, dump_rtrc
 from repro.workloads.ingest import (
     TraceParseError,
+    dump_jsonl,
     interleave,
     load_trace,
     parse_csv,
@@ -48,7 +45,6 @@ from repro.workloads.ingest import (
 from repro.workloads.registry import (
     TraceHandle,
     register_trace,
-    registered_columnar,
     registered_handle,
     registered_trace,
 )
@@ -72,6 +68,7 @@ from repro.workloads.suites import (
 __all__ = [
     "MemoryTrace",
     "ColumnarTrace",
+    "TraceWriter",
     "BenchmarkProfile",
     "StreamSpec",
     "StreamKind",
@@ -79,9 +76,8 @@ __all__ = [
     "generate_trace",
     "TraceFormatError",
     "dump_rtrc",
-    "load_rtrc",
-    "trace_fingerprint",
     "TraceParseError",
+    "dump_jsonl",
     "interleave",
     "load_trace",
     "parse_csv",
@@ -92,7 +88,6 @@ __all__ = [
     "window",
     "TraceHandle",
     "register_trace",
-    "registered_columnar",
     "registered_handle",
     "registered_trace",
     "ALL_BENCHMARKS",

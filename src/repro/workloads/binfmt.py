@@ -1,13 +1,15 @@
 """Compact binary trace format (``.rtrc``): the on-disk/wire form of a trace.
 
-The JSONL trace format (:meth:`~repro.workloads.trace.MemoryTrace.to_jsonl`)
-is human-inspectable but costs one ``json.loads`` per instruction to read —
-that parse dominates campaign/DSE worker start-up once traces stop being
-regenerated in every process.  ``.rtrc`` is the fast path: a little-endian
-binary encoding with fixed-width per-instruction records that decodes into
-columns with a fixed number of strided byte slices
-(:meth:`~repro.workloads.columnar.ColumnarTrace.from_rtrc_bytes`, the one
-decoder) and round-trips bit-identically against the JSONL form.
+Every trace is held as ``.rtrc`` columns
+(:class:`~repro.workloads.columnar.ColumnarTrace`): the one writer
+(:class:`~repro.workloads.columnar.TraceWriter`) packs the records below and
+the one decoder
+(:meth:`~repro.workloads.columnar.ColumnarTrace.from_rtrc_bytes`) lifts them
+into columns with a fixed number of strided byte slices.  The JSONL trace
+format (:func:`~repro.workloads.ingest.dump_jsonl`) is human-inspectable but
+costs one ``json.loads`` per instruction to read, and round-trips
+bit-identically against ``.rtrc``.  This module holds the format's
+constants, its header codec, the content hash and the file writer.
 
 Layout (all integers little-endian)::
 
@@ -32,7 +34,7 @@ Records are fixed-width; variable-length dependency lists live in a single
 trailing pool, consumed in record order (``ndeps`` entries per record).
 Paths ending in ``.gz`` are transparently gzip-(de)compressed.
 
-:func:`trace_fingerprint` derives the content hash campaign cells use to
+:func:`fingerprint_sections` derives the content hash campaign cells use to
 reference ingested traces: it covers the format version, the address layout
 and every instruction record — but *not* the display name or suite, so
 re-registering the same instruction stream under another name dedupes to the
@@ -44,12 +46,9 @@ from __future__ import annotations
 import gzip
 import hashlib
 import struct
-import sys
-from array import array
 from pathlib import Path
-from typing import Tuple, Union
+from typing import Union
 
-from repro.cpu.instruction import InstructionKind
 from repro.memory.address import AddressLayout
 
 #: file magic of every ``.rtrc`` payload
@@ -71,13 +70,6 @@ _LAYOUT_FIELDS = (
     "l1_banks",
     "subblock_bytes",
 )
-
-_KIND_CODES = {
-    InstructionKind.COMPUTE: 0,
-    InstructionKind.LOAD: 1,
-    InstructionKind.STORE: 2,
-}
-_KINDS_BY_CODE = {code: kind for kind, code in _KIND_CODES.items()}
 
 
 class TraceFormatError(ValueError):
@@ -104,8 +96,8 @@ def pack_header(name: str, suite: str, layout: AddressLayout, count: int, deps: 
 
     ``count`` is the number of records and ``deps`` the dependency-pool
     length in u32 entries.  The one header writer, shared by
-    :func:`encode_trace` and ``ColumnarTrace.to_bytes``; :func:`read_header`
-    is its inverse.
+    ``TraceWriter.finish`` and ``ColumnarTrace.to_bytes``;
+    :func:`read_header` is its inverse.
     """
     name_bytes = name.encode("utf-8")
     suite_bytes = suite.encode("utf-8")
@@ -124,55 +116,14 @@ def pack_header(name: str, suite: str, layout: AddressLayout, count: int, deps: 
     return prelude + name_bytes + suite_bytes
 
 
-def _encode_body(trace) -> Tuple[bytes, bytes]:
-    """The (records, deps-pool) byte sections of ``trace``.
-
-    Shared by :func:`encode_trace` and :func:`trace_fingerprint`, so the
-    content hash is by construction a hash of exactly what gets written.
-    """
-    pack = _RECORD.pack
-    records = bytearray()
-    deps_pool = array("I")
-    for instruction in trace.instructions:
-        deps = instruction.deps
-        ndeps = len(deps)
-        size = instruction.size
-        address = instruction.address or 0
-        if ndeps > 0xFF or size > 0xFFFF or address > 0xFFFFFFFFFFFFFFFF:
-            raise TraceFormatError(
-                f"instruction {instruction.seq} of {trace.name!r} does not fit "
-                f".rtrc field widths (ndeps={ndeps}, size={size}, address={address:#x})"
-            )
-        records += pack(_KIND_CODES[instruction.kind], ndeps, size, address)
-        if deps:
-            if max(deps) > 0xFFFFFFFF:
-                raise TraceFormatError(
-                    f"instruction {instruction.seq} of {trace.name!r} has a "
-                    "dependency distance beyond 32 bits"
-                )
-            deps_pool.extend(deps)
-    if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere we run
-        deps_pool.byteswap()
-    return bytes(records), deps_pool.tobytes()
-
-
-def encode_trace(trace) -> bytes:
-    """Serialize ``trace`` to ``.rtrc`` bytes (see the module docstring)."""
-    records, deps_bytes = _encode_body(trace)
-    header = pack_header(
-        trace.name, trace.suite, trace.layout, len(trace.instructions), len(deps_bytes) // 4
-    )
-    return b"".join((header, records, deps_bytes))
-
-
 def fingerprint_sections(layout_bytes, records, deps_bytes) -> str:
     """The trace content hash, from its raw ``.rtrc`` byte sections.
 
-    The single definition of the digest recipe: :func:`trace_fingerprint`
-    feeds it the sections of an encoded :class:`MemoryTrace`, and the
-    columnar view (:mod:`repro.workloads.columnar`) feeds it the very slices
-    of the buffer it decoded from — so both views of the same bytes hash
-    identically by construction.
+    The single definition of the digest recipe:
+    ``ColumnarTrace.fingerprint`` feeds it the very slices of the buffer it
+    decoded from.  Stable across processes and re-encodes; independent of the
+    display name and suite, so the same ingested file registered twice — even
+    under different names — maps to the same hash.
     """
     digest = hashlib.sha256()
     digest.update(b"rtrc\x01")
@@ -180,17 +131,6 @@ def fingerprint_sections(layout_bytes, records, deps_bytes) -> str:
     digest.update(records)
     digest.update(deps_bytes)
     return digest.hexdigest()
-
-
-def trace_fingerprint(trace) -> str:
-    """Content hash (sha256 hex) of a trace's instruction stream and layout.
-
-    Stable across processes and re-encodes; independent of the display name
-    and suite, so the same ingested file registered twice — even under
-    different names — maps to the same hash.
-    """
-    records, deps_bytes = _encode_body(trace)
-    return fingerprint_sections(pack_layout(trace.layout), records, deps_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -235,34 +175,17 @@ def read_header(data: bytes) -> dict:
     }
 
 
-def decode_trace(data: bytes):
-    """Rebuild a :class:`~repro.workloads.trace.MemoryTrace` from ``.rtrc`` bytes.
-
-    The columnar decoder does the work, so a malformed payload raises the
-    same :class:`TraceFormatError` (naming the offending record) either way.
-    """
-    from repro.workloads.columnar import ColumnarTrace
-
-    return ColumnarTrace.from_rtrc_bytes(data).materialize()
-
-
 # ----------------------------------------------------------------------
 # File I/O
 # ----------------------------------------------------------------------
 def dump_rtrc(trace, path: Union[str, Path]) -> Path:
-    """Write ``trace`` as an ``.rtrc`` file (``.gz`` paths are compressed)."""
+    """Write ``trace`` as an ``.rtrc`` file (``.gz`` paths are compressed).
+
+    ``trace`` is a :class:`~repro.workloads.columnar.ColumnarTrace`, or
+    anything else with a ``columnar()`` view.
+    """
     path = Path(path)
-    payload = encode_trace(trace)
+    payload = trace.columnar().to_bytes()
     with _open_binary(path, "w") as handle:
         handle.write(payload)
     return path
-
-
-def load_rtrc(path: Union[str, Path]):
-    """Read an ``.rtrc`` file written by :func:`dump_rtrc` (gzip-aware)."""
-    with _open_binary(path, "r") as handle:
-        data = handle.read()
-    try:
-        return decode_trace(data)
-    except TraceFormatError as error:
-        raise TraceFormatError(f"{path}: {error}") from None

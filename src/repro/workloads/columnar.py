@@ -1,9 +1,6 @@
-"""Columnar (structure-of-arrays) view of a trace: the simulator's fast path.
+"""Columnar (structure-of-arrays) trace: the one form every trace takes.
 
-:class:`ColumnarTrace` holds the same instruction stream as
-:class:`~repro.workloads.trace.MemoryTrace`, but as parallel per-field
-columns instead of a list of :class:`~repro.cpu.instruction.Instruction`
-objects:
+:class:`ColumnarTrace` holds a trace as parallel per-field columns:
 
 * ``kinds`` / ``ndeps`` — one byte per record (``bytes``), lifted straight
   off the ``.rtrc`` record section with strided slices (one C-level pass per
@@ -15,10 +12,13 @@ objects:
   ``memoryview.cast("I")`` over the original buffer (little-endian hosts;
   big-endian hosts fall back to one byteswapped ``array``).
 
-Decoding from ``.rtrc`` bytes therefore costs a fixed number of bulk byte
-operations instead of one ``struct`` tuple plus one ``Instruction.__init__``
-per record — that is what campaign pool workers pay on their first cell, and
-what ``repro bench``'s ``trace_columnar_decode`` scenario measures.
+Every trace is born in this form.  :class:`TraceWriter` is the one
+encoder: the synthetic generator, the ingest parsers, the JSONL reader and
+the trace transforms append records to it, and :meth:`TraceWriter.finish`
+hands the packed ``.rtrc`` bytes to :meth:`ColumnarTrace.from_rtrc_bytes`,
+the one decoder.  Decoding costs a fixed number of bulk byte operations,
+which is what campaign pool workers pay on their first cell and what
+``repro bench``'s ``trace_columnar_decode`` scenario measures.
 
 Batched interpretation
 ----------------------
@@ -35,17 +35,19 @@ The pipeline consumes the columns in bulk rather than record-at-a-time:
 * the pipeline walks sequence numbers as a ``range`` — no per-instruction
   attribute loads at fetch.
 
-This is the simulator's one input type.  :func:`as_columnar` adapts every
-other trace input once, at the edge: a
+This is the simulator's one input type.  :func:`as_columnar` adapts the two
+ways in that tests and examples use, once, at the edge: a hand-built
 :class:`~repro.workloads.trace.MemoryTrace` through its cached
 ``columnar()`` view, a plain iterable of Instructions through the same
-``.rtrc`` codec.  Stateful per-access work (TLB translation, cache banks)
-still happens access-by-access inside the interfaces.
+writer.  Stateful per-access work (TLB translation, cache banks) still
+happens access-by-access inside the interfaces.
 
-This is the one ``.rtrc`` decoder (:func:`repro.workloads.binfmt.decode_trace`
-materializes its result): truncated or oversized bodies, unknown kind codes,
-zero dependency distances, zero-size memory accesses and a dependency pool
-inconsistent with the per-record ``ndeps`` counts all raise
+The writer rejects a field that does not fit its ``.rtrc`` width (or a
+non-positive size or dependency distance) as it is appended, so a parser
+can name the offending input line.  The decoder validates every payload:
+truncated or oversized bodies, unknown kind codes, zero dependency
+distances, zero-size memory accesses and a dependency pool inconsistent
+with the per-record ``ndeps`` counts all raise
 :class:`~repro.workloads.binfmt.TraceFormatError` with the offending
 record/entry in the message.
 """
@@ -53,20 +55,19 @@ record/entry in the message.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from array import array
 from itertools import accumulate
 from types import SimpleNamespace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.cpu.instruction import Instruction
+from repro.cpu.instruction import InstructionKind
 from repro.memory.address import DEFAULT_LAYOUT, AddressLayout
 from repro.workloads.binfmt import (
-    _KINDS_BY_CODE,
     _RECORD,
     TraceFormatError,
     _open_binary,
-    encode_trace,
     fingerprint_sections,
     pack_header,
     pack_layout,
@@ -83,6 +84,14 @@ _VALID_KINDS = b"\x00\x01\x02"
 _DEP_RUNS = re.compile(rb"[^\x00]+")
 
 _ZERO_U32 = b"\x00\x00\x00\x00"
+
+#: record kind names by code (the JSONL ``k`` values)
+KIND_NAMES = ("compute", "load", "store")
+
+#: kind code of each Instruction kind (object traces, see ``from_trace``)
+_KIND_CODES = {InstructionKind(name): code for code, name in enumerate(KIND_NAMES)}
+
+_pack_record = _RECORD.pack
 
 
 def _check_columns(kinds: bytes, ndeps: bytes, sizes, deps_bytes, deps_len: int) -> None:
@@ -121,6 +130,74 @@ def _check_columns(kinds: bytes, ndeps: bytes, sizes, deps_bytes, deps_len: int)
                 )
 
 
+def _width_error(kind, address, size, ndeps) -> str:
+    """Which field of a record the ``.rtrc`` widths cannot hold."""
+    if not 0 <= address <= 0xFFFFFFFFFFFFFFFF:
+        return f"address {address} outside the .rtrc range 0..2**64-1"
+    if not 0 <= size <= 0xFFFF:
+        return f"size {size} outside the .rtrc range 0..65535"
+    if ndeps > 0xFF:
+        return f"{ndeps} dependencies, more than the .rtrc limit of 255"
+    return f"record fields not integers (kind={kind!r}, address={address!r}, size={size!r})"
+
+
+class TraceWriter:
+    """Packs ``.rtrc`` records and the u32 dependency pool: the one encoder.
+
+    :meth:`add` appends one 12-byte record and its backward dependency
+    distances, and rejects with
+    :class:`~repro.workloads.binfmt.TraceFormatError` any field that does not
+    fit: more than 255 distances, a distance outside ``1..2**32-1``, a size
+    outside ``0..65535`` (or below 1 for a load or store), an address outside
+    ``0..2**64-1``.  The message names the field, not the record, so each
+    caller can point at its own input line.  :meth:`finish` hands the packed
+    bytes to :meth:`ColumnarTrace.from_rtrc_bytes`, which validates them once
+    more as a whole.
+    """
+
+    __slots__ = ("records", "deps")
+
+    def __init__(self) -> None:
+        self.records = bytearray()
+        self.deps = array("I")
+
+    def add(self, kind: int, address: int = 0, size: int = 4, deps: Sequence[int] = ()) -> None:
+        """Append one record: kind code 0 compute / 1 load / 2 store.
+
+        Compute records default to size 4 and address 0: stored traces and
+        their fingerprints carry those values for them.
+        """
+        if kind and size < 1:
+            raise TraceFormatError(f"{KIND_NAMES[kind]} with non-positive size {size}")
+        if deps and (min(deps) < 1 or max(deps) > 0xFFFFFFFF):
+            raise TraceFormatError(
+                f"dependency distances {tuple(deps)} outside 1..{0xFFFFFFFF}"
+            )
+        try:
+            self.records += _pack_record(kind, len(deps), size, address)
+        except struct.error:
+            raise TraceFormatError(_width_error(kind, address, size, len(deps))) from None
+        if deps:
+            self.deps.extend(deps)
+
+    def extend(self, trace: "ColumnarTrace", start: int, stop: int) -> None:
+        """Append records ``[start, stop)`` of ``trace``, distances as they are."""
+        offsets = trace.dep_offsets()
+        self.records += trace._record_bytes[start * _RECORD_SIZE : stop * _RECORD_SIZE]
+        self.deps.frombytes(trace.deps_pool[offsets[start] : offsets[stop]].tobytes())
+
+    def finish(
+        self, name: str, suite: str = "", layout: AddressLayout = DEFAULT_LAYOUT
+    ) -> "ColumnarTrace":
+        """The written records as a :class:`ColumnarTrace`."""
+        deps = self.deps
+        if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere we run
+            deps = array("I", deps)
+            deps.byteswap()
+        header = pack_header(name, suite, layout, len(self.records) // _RECORD_SIZE, len(deps))
+        return ColumnarTrace.from_rtrc_bytes(b"".join((header, self.records, deps.tobytes())))
+
+
 class ColumnarSlice:
     """A contiguous ``[start, stop)`` window of a :class:`ColumnarTrace`.
 
@@ -152,11 +229,10 @@ class ColumnarSlice:
 class ColumnarTrace:
     """Structure-of-arrays trace view (see the module docstring).
 
-    Build one with :meth:`from_rtrc_bytes` (campaign workers, files) or
-    :meth:`from_trace` / :meth:`MemoryTrace.columnar()
-    <repro.workloads.trace.MemoryTrace.columnar>` (in-process conversion);
-    the constructor itself wires pre-validated columns and is not a public
-    entry point.
+    Build one with a :class:`TraceWriter`, :meth:`from_rtrc_bytes`
+    (campaign workers) or :meth:`load` (files); :meth:`from_trace` adapts a
+    hand-built object trace.  The constructor itself wires pre-validated
+    columns and is not a public entry point.
     """
 
     __slots__ = (
@@ -172,7 +248,6 @@ class ColumnarTrace:
         "_deps_bytes",
         "_dep_offsets",
         "_pipeline_arrays",
-        "_instructions",
         "_warmed_layouts",
         "_fingerprint",
     )
@@ -202,7 +277,6 @@ class ColumnarTrace:
         self._deps_bytes = deps_bytes
         self._dep_offsets = None
         self._pipeline_arrays = None
-        self._instructions = None
         self._warmed_layouts = None
         self._fingerprint = None
 
@@ -273,13 +347,24 @@ class ColumnarTrace:
 
     @classmethod
     def from_trace(cls, trace) -> "ColumnarTrace":
-        """Columnar view of a :class:`~repro.workloads.trace.MemoryTrace`.
+        """The columnar form of an object trace, written record by record.
 
-        Goes through the ``.rtrc`` codec, so the columns are by construction
-        exactly what a worker decoding shipped bytes would see (and carry
-        the same fingerprint).
+        ``trace`` carries ``name``, ``suite``, ``layout`` and a list of
+        :class:`~repro.cpu.instruction.Instruction` objects, whose list
+        positions stand in for sequence numbers; the objects are only read.
         """
-        return cls.from_rtrc_bytes(encode_trace(trace))
+        writer = TraceWriter()
+        for seq, instruction in enumerate(trace.instructions):
+            try:
+                writer.add(
+                    _KIND_CODES[instruction.kind],
+                    instruction.address or 0,
+                    instruction.size,
+                    instruction.deps,
+                )
+            except TraceFormatError as error:
+                raise TraceFormatError(f"instruction {seq} of {trace.name!r}: {error}") from None
+        return writer.finish(trace.name, trace.suite, trace.layout)
 
     @classmethod
     def load(cls, path) -> "ColumnarTrace":
@@ -297,9 +382,6 @@ class ColumnarTrace:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __iter__(self):
-        return iter(self.instructions())
-
     def columnar(self) -> "ColumnarTrace":
         """This view (protocol shared with ``MemoryTrace.columnar()``)."""
         return self
@@ -314,6 +396,24 @@ class ColumnarTrace:
         """Number of store records."""
         return self.kinds.count(2)
 
+    def load_addresses(self) -> List[int]:
+        """Addresses of all loads in program order (for locality analysis)."""
+        return [address for kind, address in zip(self.kinds, self.addresses) if kind == 1]
+
+    def summary(self) -> str:
+        """One line: length, memory references, load/store ratio, pages."""
+        total = len(self.kinds)
+        loads, stores = self.load_count, self.store_count
+        memory = loads + stores
+        page_id = self.layout.page_id
+        pages = {page_id(address) for kind, address in zip(self.kinds, self.addresses) if kind}
+        return (
+            f"{self.name}: {total} instr, {memory} mem refs "
+            f"({(memory / total if total else 0.0) * 100:.1f}%), "
+            f"ld/st={loads / stores if stores else float('inf'):.2f}, "
+            f"{len(pages)} pages"
+        )
+
     def dep_offsets(self):
         """Prefix sums of ``ndeps``: record ``i`` owns ``pool[off[i]:off[i+1]]``."""
         offsets = self._dep_offsets
@@ -322,23 +422,6 @@ class ColumnarTrace:
             offsets.extend(accumulate(self.ndeps))
             self._dep_offsets = offsets
         return offsets
-
-    def head(self, count: int) -> "ColumnarTrace":
-        """A new columnar view of the first ``count`` records."""
-        count = min(count, len(self))
-        deps_cut = self.dep_offsets()[count]
-        return ColumnarTrace(
-            name=self.name,
-            suite=self.suite,
-            layout=self.layout,
-            kinds=self.kinds[:count],
-            ndeps=self.ndeps[:count],
-            sizes=self.sizes[:count],
-            addresses=self.addresses[:count],
-            deps_pool=self.deps_pool[:deps_cut],
-            record_bytes=self._record_bytes[: count * _RECORD_SIZE],
-            deps_bytes=self._deps_bytes[: deps_cut * 4],
-        )
 
     def run_slice(self, start: int, stop: int) -> ColumnarSlice:
         """The ``[start, stop)`` pipeline window (warm-up / measured split)."""
@@ -410,55 +493,27 @@ class ColumnarTrace:
         return count
 
     # ------------------------------------------------------------------
-    # Materialization / round-trip
+    # Serialization
     # ------------------------------------------------------------------
-    def instructions(self) -> List[Instruction]:
-        """The object form of every record, in program order (cached)."""
-        cached = self._instructions
-        if cached is None:
-            kinds_by_code = _KINDS_BY_CODE
-            pool = self.deps_pool
-            offsets = self.dep_offsets()
-            sizes = self.sizes
-            addresses = self.addresses
-            ndeps = self.ndeps
-            cached = []
-            append = cached.append
-            for seq, code in enumerate(self.kinds):
-                count = ndeps[seq]
-                base = offsets[seq]
-                append(
-                    Instruction(
-                        kind=kinds_by_code[code],
-                        address=addresses[seq] if code else None,
-                        size=sizes[seq],
-                        deps=tuple(pool[base : base + count]) if count else (),
-                        seq=seq,
-                    )
-                )
-            self._instructions = cached
-        return cached
-
-    def materialize(self):
-        """This trace as a :class:`~repro.workloads.trace.MemoryTrace`."""
-        from repro.workloads.trace import MemoryTrace
-
-        return MemoryTrace(
-            name=self.name,
-            instructions=list(self.instructions()),
-            suite=self.suite,
-            layout=self.layout,
-        )
-
     def to_bytes(self) -> bytes:
-        """Re-encode the view as ``.rtrc`` bytes (round-trips bit-identically)."""
+        """The trace as ``.rtrc`` bytes: a fresh header, then the buffers it holds.
+
+        Round-trips :meth:`from_rtrc_bytes` bit-identically.  The header is
+        packed from the current ``name`` and ``suite``, so a renamed trace
+        writes its new name.
+        """
         header = pack_header(
             self.name, self.suite, self.layout, len(self.kinds), len(self._deps_bytes) // 4
         )
         return b"".join((header, self._record_bytes, self._deps_bytes))
 
     def fingerprint(self) -> str:
-        """Content hash — equal to :func:`~repro.workloads.binfmt.trace_fingerprint`."""
+        """Content hash (sha256 hex) of the records, dependency pool and layout.
+
+        Campaign cells embed it to reference ingested traces.  The name and
+        suite do not take part, so the same records registered under another
+        name dedupe to the same stored results.
+        """
         cached = self._fingerprint
         if cached is None:
             cached = self._fingerprint = fingerprint_sections(
@@ -478,15 +533,13 @@ def as_columnar(trace) -> ColumnarTrace:
 
     Views and :class:`~repro.workloads.trace.MemoryTrace` expose a cached
     ``columnar()``.  Any other iterable of Instructions (stub-interface unit
-    tests, ad-hoc lists) goes through the ``.rtrc`` codec like every other
-    trace, list positions standing in for sequence numbers.  The caller's
+    tests, ad-hoc lists) goes through the writer like every other trace,
+    list positions standing in for sequence numbers.  The caller's
     Instruction objects are only read: their ``seq`` is never written.
     """
     columnar = getattr(trace, "columnar", None)
     if columnar is not None:
         return columnar()
     return ColumnarTrace.from_trace(
-        SimpleNamespace(
-            name="", suite="", layout=DEFAULT_LAYOUT, instructions=list(trace)
-        )
+        SimpleNamespace(name="", suite="", layout=DEFAULT_LAYOUT, instructions=list(trace))
     )

@@ -2,7 +2,8 @@
 
 The paper evaluates MALEC on *traced* application workloads; this module
 opens the simulator to the same kind of input.  Three text formats parse
-into :class:`~repro.workloads.trace.MemoryTrace` objects:
+straight into :class:`~repro.workloads.columnar.ColumnarTrace` columns, each
+record appended to the one :class:`~repro.workloads.columnar.TraceWriter`:
 
 ``lackey``
     valgrind's ``--tool=lackey --trace-mem=yes`` output: one access per
@@ -26,28 +27,34 @@ into :class:`~repro.workloads.trace.MemoryTrace` objects:
 
 All parsers stream line by line (constant memory), accept gzip-compressed
 files transparently and report malformed input with the offending line
-number.  :func:`load_trace` sniffs the format from the file extension and
-also reads the ``.rtrc``/``.jsonl`` formats the repository itself writes.
+number, including a field that does not fit its ``.rtrc`` width (a negative
+or 65-bit address, a size above 65535, more than 255 deps, a 33-bit
+distance).  :func:`load_trace` sniffs the format from the file extension and
+also reads the ``.rtrc``/``.jsonl`` formats the repository itself writes
+(:func:`~repro.workloads.binfmt.dump_rtrc`, :func:`dump_jsonl`).
 
 Trace transforms compose ingestion into experiment-ready workloads:
 :func:`window` (region of interest), :func:`skip_warmup`, :func:`subsample`
 (stride sampling) and :func:`interleave` (round-robin merging of several
 traces into one multiprogrammed workload, with dependency distances remapped
-exactly across the interleaving).
+exactly across the interleaving).  Each takes anything with a ``columnar()``
+view and returns a new :class:`~repro.workloads.columnar.ColumnarTrace`.
 """
 
 from __future__ import annotations
 
 import csv as _csv
+import gzip
+import json
 import time
 from pathlib import Path
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Iterable, List, Optional, Sequence, Union
 
-from repro.cpu.instruction import Instruction, InstructionKind
 from repro.memory.address import DEFAULT_LAYOUT, AddressLayout
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
-from repro.workloads.binfmt import load_rtrc
+from repro.workloads.binfmt import _LAYOUT_FIELDS, TraceFormatError
+from repro.workloads.columnar import KIND_NAMES, ColumnarTrace, TraceWriter
 from repro.workloads.registry import (  # noqa: F401  (re-exported API)
     TraceHandle,
     register_trace,
@@ -55,7 +62,6 @@ from repro.workloads.registry import (  # noqa: F401  (re-exported API)
     registered_names,
     registered_trace,
 )
-from repro.workloads.trace import MemoryTrace, _open_text as _open_trace_text
 
 logger = get_logger(__name__)
 
@@ -81,19 +87,34 @@ class TraceParseError(ValueError):
     """A malformed line in an external trace file (message carries line number)."""
 
 
-def _open_text(path: Union[str, Path]) -> IO[str]:
-    """Read-mode wrapper over the trace module's gzip-aware text opener."""
-    return _open_trace_text(path, "r")
+#: kind code of each kind name (CSV ``kind`` cells, JSONL ``k`` values)
+_CODES_BY_NAME = {name: code for code, name in enumerate(KIND_NAMES)}
 
 
-def _clone(instruction: Instruction) -> Instruction:
-    """A fresh copy of ``instruction`` with an unassigned sequence number."""
-    return Instruction(
-        kind=instruction.kind,
-        address=instruction.address,
-        size=instruction.size,
-        deps=instruction.deps,
-    )
+def _open_text(path: Union[str, Path], mode: str = "r") -> IO[str]:
+    """Open ``path`` as text, transparently gzipped for ``.gz`` names."""
+    if str(path).endswith(".gz"):
+        return gzip.open(path, mode + "t")
+    return open(path, mode)
+
+
+def _add(
+    writer: TraceWriter,
+    source: str,
+    number: int,
+    kind: int,
+    address: int = 0,
+    size: int = 4,
+    deps: Sequence[int] = (),
+) -> None:
+    """Append one record, naming input line ``number`` if the writer rejects it.
+
+    ``TypeError`` covers JSONL fields of the wrong JSON type.
+    """
+    try:
+        writer.add(kind, address, size, deps)
+    except (TraceFormatError, TypeError) as error:
+        raise TraceParseError(f"{source}: line {number}: {error}") from None
 
 
 # ----------------------------------------------------------------------
@@ -104,9 +125,9 @@ def parse_lackey(
     name: str = "lackey",
     layout: AddressLayout = DEFAULT_LAYOUT,
     source: str = "<lackey>",
-) -> MemoryTrace:
+) -> ColumnarTrace:
     """Parse valgrind lackey ``--trace-mem`` output into a trace."""
-    instructions: List[Instruction] = []
+    writer = TraceWriter()
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(("==", "--")):
@@ -126,29 +147,19 @@ def parse_lackey(
                 f"{source}: line {number}: non-positive access size {size}"
             )
         if op == "I":
-            instructions.append(Instruction(kind=InstructionKind.COMPUTE))
-        elif op == "L":
-            instructions.append(
-                Instruction(kind=InstructionKind.LOAD, address=address, size=size)
-            )
-        elif op == "S":
-            instructions.append(
-                Instruction(kind=InstructionKind.STORE, address=address, size=size)
-            )
+            _add(writer, source, number, 0)
+        elif op in ("L", "S"):
+            _add(writer, source, number, 1 if op == "L" else 2, address, size)
         elif op == "M":
             # A modify is a load followed by a store of the same location.
-            instructions.append(
-                Instruction(kind=InstructionKind.LOAD, address=address, size=size)
-            )
-            instructions.append(
-                Instruction(kind=InstructionKind.STORE, address=address, size=size)
-            )
+            _add(writer, source, number, 1, address, size)
+            _add(writer, source, number, 2, address, size)
         else:
             raise TraceParseError(
                 f"{source}: line {number}: unknown lackey operation {op!r} "
                 "(expected I, L, S or M)"
             )
-    return MemoryTrace(name=name, instructions=instructions, layout=layout)
+    return writer.finish(name, layout=layout)
 
 
 def parse_dinero(
@@ -156,9 +167,9 @@ def parse_dinero(
     name: str = "din",
     layout: AddressLayout = DEFAULT_LAYOUT,
     source: str = "<din>",
-) -> MemoryTrace:
+) -> ColumnarTrace:
     """Parse a Dinero ``.din`` reference stream into a trace."""
-    instructions: List[Instruction] = []
+    writer = TraceWriter()
     for number, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -176,22 +187,16 @@ def parse_dinero(
             raise TraceParseError(
                 f"{source}: line {number}: bad din address {parts[1]!r}"
             ) from None
-        if label == "0":
-            instructions.append(
-                Instruction(kind=InstructionKind.LOAD, address=address, size=4)
-            )
-        elif label == "1":
-            instructions.append(
-                Instruction(kind=InstructionKind.STORE, address=address, size=4)
-            )
+        if label in ("0", "1"):
+            _add(writer, source, number, 1 if label == "0" else 2, address, 4)
         elif label == "2":
-            instructions.append(Instruction(kind=InstructionKind.COMPUTE))
+            _add(writer, source, number, 0)
         else:
             raise TraceParseError(
                 f"{source}: line {number}: unknown din label {label!r} "
                 "(expected 0=read, 1=write, 2=ifetch)"
             )
-    return MemoryTrace(name=name, instructions=instructions, layout=layout)
+    return writer.finish(name, layout=layout)
 
 
 def parse_csv(
@@ -199,7 +204,7 @@ def parse_csv(
     name: str = "csv",
     layout: AddressLayout = DEFAULT_LAYOUT,
     source: str = "<csv>",
-) -> MemoryTrace:
+) -> ColumnarTrace:
     """Parse the documented ``kind,address,size,deps`` CSV dialect."""
     reader = _csv.reader(lines)
     try:
@@ -222,34 +227,91 @@ def parse_csv(
             return ""
         return row[index].strip()
 
-    instructions: List[Instruction] = []
+    writer = TraceWriter()
     for number, row in enumerate(reader, start=2):
         if not row or all(not field.strip() for field in row):
             continue
         kind_text = cell(row, kind_at).lower()
         try:
             deps_text = cell(row, deps_at)
-            deps: Tuple[int, ...] = (
-                tuple(int(part) for part in deps_text.split(";") if part.strip())
-                if deps_text
-                else ()
-            )
-            if kind_text == "compute":
-                instructions.append(Instruction(kind=InstructionKind.COMPUTE, deps=deps))
-                continue
-            kind = {"load": InstructionKind.LOAD, "store": InstructionKind.STORE}[kind_text]
-            address = int(cell(row, address_at), 0)
-            size_text = cell(row, size_at)
-            size = int(size_text, 0) if size_text else 4
-            instructions.append(
-                Instruction(kind=kind, address=address, size=size, deps=deps)
-            )
+            deps = [int(part) for part in deps_text.split(";") if part.strip()]
+            kind = _CODES_BY_NAME[kind_text]
+            address, size = 0, 4  # a compute row's address and size are ignored
+            if kind:
+                address = int(cell(row, address_at), 0)
+                size_text = cell(row, size_at)
+                size = int(size_text, 0) if size_text else 4
         except (KeyError, ValueError):
             raise TraceParseError(
                 f"{source}: line {number}: malformed CSV instruction {row!r} "
                 "(kind must be load/store/compute with a valid address/size/deps)"
             ) from None
-    return MemoryTrace(name=name, instructions=instructions, layout=layout)
+        _add(writer, source, number, kind, address, size, deps)
+    return writer.finish(name, layout=layout)
+
+
+def parse_jsonl(lines: Iterable[str], source: str = "<jsonl>") -> ColumnarTrace:
+    """Parse the JSON-lines format :func:`dump_jsonl` writes.
+
+    The first line is the header (name, suite, address layout); every
+    following non-blank line is one record.
+    """
+    lines = iter(lines)
+    header_line = next(lines, "")
+    if not header_line.strip():
+        raise TraceParseError(f"{source}: empty trace file")
+    try:
+        header = json.loads(header_line)
+        name, suite = header["name"], header.get("suite", "")
+        layout = AddressLayout(**header["layout"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise TraceParseError(f"{source}: line 1: malformed JSONL header ({error})") from None
+    writer = TraceWriter()
+    for number, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            kind = _CODES_BY_NAME[record["k"]]
+            address = record["a"] if kind else record.get("a") or 0
+            size, deps = record.get("s", 4), record.get("d", ())
+        except (KeyError, TypeError, ValueError) as error:
+            raise TraceParseError(
+                f"{source}: line {number}: malformed JSONL record ({error!r})"
+            ) from None
+        _add(writer, source, number, kind, address, size, deps)
+    return writer.finish(name, suite, layout)
+
+
+def dump_jsonl(trace, path: Union[str, Path]) -> Path:
+    """Write ``trace`` as JSON lines; ``.gz`` paths are gzip-compressed.
+
+    The first line is a header object carrying the trace metadata (name,
+    suite, address layout); every following line is one record.  Compute
+    records carry only their kind and deps, so they serialize to a few
+    bytes.  ``trace`` is anything with a ``columnar()`` view.
+    """
+    path = Path(path)
+    trace = trace.columnar()
+    layout = trace.layout
+    header = {
+        "name": trace.name,
+        "suite": trace.suite,
+        "layout": {field: getattr(layout, field) for field in _LAYOUT_FIELDS},
+    }
+    pool, offsets = trace.deps_pool, trace.dep_offsets()
+    addresses, sizes, ndeps = trace.addresses, trace.sizes, trace.ndeps
+    with _open_text(path, "w") as handle:
+        handle.write(json.dumps(header, sort_keys=True) + "\n")
+        for seq, kind in enumerate(trace.kinds):
+            record = {"k": KIND_NAMES[kind]}
+            if kind:
+                record["a"] = addresses[seq]
+                record["s"] = sizes[seq]
+            if ndeps[seq]:
+                record["d"] = pool[offsets[seq] : offsets[seq + 1]].tolist()
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
+    return path
 
 
 _TEXT_PARSERS = {
@@ -275,7 +337,7 @@ def load_trace(
     fmt: str = "auto",
     name: Optional[str] = None,
     layout: AddressLayout = DEFAULT_LAYOUT,
-) -> MemoryTrace:
+) -> ColumnarTrace:
     """Load a trace from any supported format (gzip-aware).
 
     ``fmt`` is one of :data:`TRACE_FORMATS` or ``"auto"`` (sniff from the
@@ -292,9 +354,10 @@ def load_trace(
             )
     started = time.perf_counter()
     if fmt == "rtrc":
-        trace = load_rtrc(path)
+        trace = ColumnarTrace.load(path)
     elif fmt == "jsonl":
-        trace = MemoryTrace.from_jsonl(path)
+        with _open_text(path) as handle:
+            trace = parse_jsonl(handle, source=str(path))
     elif fmt in _TEXT_PARSERS:
         stem = path.name[: -len(".gz")] if path.name.endswith(".gz") else path.name
         default_name = Path(stem).stem
@@ -329,59 +392,64 @@ def load_trace(
 # ----------------------------------------------------------------------
 # Transforms
 # ----------------------------------------------------------------------
-def window(trace: MemoryTrace, start: int, stop: Optional[int] = None) -> MemoryTrace:
+def window(trace, start: int, stop: Optional[int] = None) -> ColumnarTrace:
     """The region-of-interest slice ``[start, stop)`` of ``trace``.
 
-    Dependency distances are kept as-is; distances that point before the
-    window start are ignored at dispatch (the pipeline's normal rule for
-    trace-relative producers), exactly as with warm-up slicing.
+    ``stop`` follows slice rules (``None`` is the end, a negative value
+    counts from it).  The records and their slice of the dependency pool are
+    copied as they are: distances that point before the window start are
+    ignored at dispatch (the pipeline's normal rule for trace-relative
+    producers), exactly as with warm-up slicing.
     """
     if start < 0:
         raise ValueError("window start must be >= 0")
-    sliced = [_clone(i) for i in trace.instructions[start:stop]]
-    return MemoryTrace(
-        name=trace.name, instructions=sliced, suite=trace.suite, layout=trace.layout
-    )
+    trace = trace.columnar()
+    bounds = range(len(trace))[start:stop]
+    writer = TraceWriter()
+    writer.extend(trace, bounds.start, max(bounds.start, bounds.stop))
+    return writer.finish(trace.name, trace.suite, trace.layout)
 
 
-def skip_warmup(trace: MemoryTrace, count: int) -> MemoryTrace:
+def skip_warmup(trace, count: int) -> ColumnarTrace:
     """Drop the first ``count`` instructions (external warm-up phases)."""
     if count < 0:
         raise ValueError("warm-up skip count must be >= 0")
     return window(trace, count)
 
 
-def subsample(trace: MemoryTrace, stride: int) -> MemoryTrace:
+def subsample(trace, stride: int) -> ColumnarTrace:
     """Keep every ``stride``-th instruction (stride sampling for long traces).
 
     Dependency annotations are dropped: their backward distances refer to
-    instructions the sampling removed.
+    instructions the sampling removed.  Stride 1 keeps every record, so it
+    keeps the deps too.
     """
     if stride < 1:
         raise ValueError("subsample stride must be >= 1")
     if stride == 1:
         return window(trace, 0)
-    sampled = [
-        Instruction(kind=i.kind, address=i.address, size=i.size)
-        for i in trace.instructions[::stride]
-    ]
-    return MemoryTrace(
-        name=trace.name, instructions=sampled, suite=trace.suite, layout=trace.layout
-    )
+    trace = trace.columnar()
+    writer = TraceWriter()
+    add = writer.add
+    kinds, addresses, sizes = trace.kinds, trace.addresses, trace.sizes
+    for seq in range(0, len(trace), stride):
+        add(kinds[seq], addresses[seq], sizes[seq])
+    return writer.finish(trace.name, trace.suite, trace.layout)
 
 
 def interleave(
-    traces: Sequence[MemoryTrace],
+    traces: Sequence,
     granularity: int = 64,
     name: Optional[str] = None,
-) -> MemoryTrace:
+) -> ColumnarTrace:
     """Round-robin interleave several traces into one multiprogrammed workload.
 
     Chunks of ``granularity`` instructions are taken from each trace in turn
     until all are exhausted (shorter traces simply drop out).  Dependency
     distances are remapped *exactly*: every producer/consumer pair of a
     source trace still links the same two instructions in the merged trace,
-    however many foreign chunks the interleaving put between them.
+    however many foreign chunks the interleaving put between them.  A
+    distance that points before its source trace's start is dropped.
 
     The merged trace uses the first trace's address layout (interleaving
     traces captured under different layouts is not meaningful).
@@ -390,7 +458,10 @@ def interleave(
         raise ValueError("interleave needs at least one trace")
     if granularity < 1:
         raise ValueError("interleave granularity must be >= 1")
-    merged: List[Instruction] = []
+    traces = [trace.columnar() for trace in traces]
+    writer = TraceWriter()
+    add = writer.add
+    merged = 0
     cursors = [0] * len(traces)
     out_positions: List[List[int]] = [[0] * len(trace) for trace in traces]
     while True:
@@ -402,32 +473,22 @@ def interleave(
                 continue
             emitted = True
             positions = out_positions[index]
-            source = trace.instructions
+            kinds, addresses, sizes = trace.kinds, trace.addresses, trace.sizes
+            ndeps, pool, offsets = trace.ndeps, trace.deps_pool, trace.dep_offsets()
             for at in range(start, stop):
-                instruction = source[at]
-                out_seq = len(merged)
-                positions[at] = out_seq
-                deps = instruction.deps
-                if deps:
-                    deps = tuple(
-                        out_seq - positions[at - distance]
-                        for distance in deps
+                positions[at] = merged
+                deps = ()
+                if ndeps[at]:
+                    deps = [
+                        merged - positions[at - distance]
+                        for distance in pool[offsets[at] : offsets[at + 1]]
                         if at - distance >= 0
-                    )
-                merged.append(
-                    Instruction(
-                        kind=instruction.kind,
-                        address=instruction.address,
-                        size=instruction.size,
-                        deps=deps,
-                    )
-                )
+                    ]
+                add(kinds[at], addresses[at], sizes[at], deps)
+                merged += 1
             cursors[index] = stop
         if not emitted:
             break
-    return MemoryTrace(
-        name=name or "+".join(trace.name for trace in traces),
-        instructions=merged,
-        suite="mix",
-        layout=traces[0].layout,
+    return writer.finish(
+        name or "+".join(trace.name for trace in traces), "mix", traces[0].layout
     )

@@ -8,13 +8,15 @@ loaded from disk (:mod:`repro.workloads.ingest`) and registered under a
 handle name — and the resolution helpers the campaign layer uses to treat
 both uniformly:
 
-* :func:`register_trace` installs a :class:`~repro.workloads.trace.MemoryTrace`
-  under a name (default ``<name>@<hash10>``) and returns its
-  :class:`TraceHandle`, which carries the content fingerprint
-  (:func:`~repro.workloads.binfmt.trace_fingerprint`) that campaign cell
-  keys embed — results are keyed by *what the trace contains*, never by the
-  file path it came from, so resumed campaigns recognise their cells as long
-  as the same trace bytes are registered again;
+* :func:`register_trace` installs the
+  :class:`~repro.workloads.columnar.ColumnarTrace` of a trace under a name
+  (default ``<name>@<hash10>``) and returns its :class:`TraceHandle`, which
+  carries the content fingerprint
+  (:meth:`~repro.workloads.columnar.ColumnarTrace.fingerprint`) that
+  campaign cell keys embed — results are keyed by *what the trace
+  contains*, never by the file path it came from, so resumed campaigns
+  recognise their cells as long as the same trace bytes are registered
+  again;
 * :func:`validate_workload` / :func:`workload_suite` /
   :func:`workload_trace_hash` answer "does this name exist", "which suite
   does it report under" and "which content hash pins it" for either
@@ -31,9 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.obs.logs import get_logger
-from repro.workloads.binfmt import trace_fingerprint
+from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.suites import benchmark_profile
-from repro.workloads.trace import MemoryTrace
 
 logger = get_logger(__name__)
 
@@ -51,19 +52,20 @@ class TraceHandle:
     length: int
 
 
-_TRACES: Dict[str, MemoryTrace] = {}
+_TRACES: Dict[str, ColumnarTrace] = {}
 _HANDLES: Dict[str, TraceHandle] = {}
 
 
-def register_trace(trace: MemoryTrace, name: Optional[str] = None) -> TraceHandle:
-    """Install ``trace`` in the registry; returns its :class:`TraceHandle`.
+def register_trace(trace, name: Optional[str] = None) -> TraceHandle:
+    """Install ``trace.columnar()`` in the registry; returns its :class:`TraceHandle`.
 
     ``name`` defaults to ``<trace.name>@<fingerprint[:10]>`` so two distinct
     ingests never collide silently.  Registering the same content under the
     same name is an idempotent no-op; the same name with *different* content,
     or a name shadowing a synthetic benchmark profile, raises ``ValueError``.
     """
-    fingerprint = trace_fingerprint(trace)
+    trace = trace.columnar()
+    fingerprint = trace.fingerprint()
     if name is None:
         name = f"{trace.name or 'trace'}@{fingerprint[:10]}"
     existing = _HANDLES.get(name)
@@ -101,21 +103,9 @@ def register_trace(trace: MemoryTrace, name: Optional[str] = None) -> TraceHandl
     return handle
 
 
-def registered_trace(name: str) -> Optional[MemoryTrace]:
+def registered_trace(name: str) -> Optional[ColumnarTrace]:
     """The registered trace called ``name``, or ``None``."""
     return _TRACES.get(name)
-
-
-def registered_columnar(name: str):
-    """The columnar view of the registered trace ``name``, or ``None``.
-
-    Both views of a registered trace are exposed: :func:`registered_trace`
-    returns the object form, this returns the cached
-    :class:`~repro.workloads.columnar.ColumnarTrace` (built on first use,
-    shared across callers through the trace's own ``columnar()`` memo).
-    """
-    trace = _TRACES.get(name)
-    return trace.columnar() if trace is not None else None
 
 
 def registered_handle(name: str) -> Optional[TraceHandle]:

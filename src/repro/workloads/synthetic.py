@@ -9,18 +9,20 @@ dependence edges (pointer-chase address dependencies and load-to-use edges)
 that the out-of-order pipeline later has to respect.
 
 Every profile is generated with its own seeded RNG, so traces are fully
-reproducible and identical across the configurations being compared.
+reproducible and identical across the configurations being compared.  The
+generator appends each record to a
+:class:`~repro.workloads.columnar.TraceWriter`, so a trace is born as the
+``.rtrc`` columns the simulator runs.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
-from repro.cpu.instruction import Instruction, InstructionKind
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
+from repro.workloads.columnar import ColumnarTrace, TraceWriter
 from repro.workloads.profiles import BenchmarkProfile, StreamKind, StreamSpec
-from repro.workloads.trace import MemoryTrace
 
 #: gap between the regions assigned to different streams (in pages); large
 #: enough that streams never collide even with big footprints.
@@ -78,14 +80,16 @@ class _StreamState:
 
 
 class SyntheticTraceGenerator:
-    """Expands a :class:`BenchmarkProfile` into a :class:`MemoryTrace`."""
+    """Expands a :class:`BenchmarkProfile` into a :class:`ColumnarTrace`."""
 
     def __init__(self, profile: BenchmarkProfile, layout: AddressLayout = DEFAULT_LAYOUT) -> None:
         self.profile = profile
         self.layout = layout
 
     # ------------------------------------------------------------------
-    def generate(self, instructions: Optional[int] = None, seed: Optional[int] = None) -> MemoryTrace:
+    def generate(
+        self, instructions: Optional[int] = None, seed: Optional[int] = None
+    ) -> ColumnarTrace:
         """Generate a trace of ``instructions`` dynamic instructions.
 
         ``instructions`` and ``seed`` default to the profile's values, so a
@@ -99,12 +103,14 @@ class SyntheticTraceGenerator:
         ]
         weights = [spec.weight for spec in profile.streams]
 
-        out: List[Instruction] = []
+        writer = TraceWriter()
+        add = writer.add
+        count = 0
         current_stream = 0
         previous_stream = 0
         last_load_seq: Optional[int] = None
 
-        while len(out) < total:
+        while count < total:
             # ----------------------------------------------------------
             # Pick the stream for the next memory reference.  Switches
             # preferentially alternate with the previously active stream
@@ -124,50 +130,40 @@ class SyntheticTraceGenerator:
             address = state.next_address(rng, self.layout)
             is_store = rng.random() < spec.store_fraction
 
-            deps: List[int] = []
-            seq = len(out)
+            # Dependencies are backward distances to the producing load.
+            deps = ()
             if not is_store:
                 if (
                     spec.kind is StreamKind.POINTER_CHASE
                     or rng.random() < profile.pointer_chase_dependency
                 ):
                     if state.last_load_seq is not None:
-                        distance = seq - state.last_load_seq
-                        if distance > 0:
-                            deps.append(distance)
-            else:
+                        deps = (count - state.last_load_seq,)
+            elif last_load_seq is not None and rng.random() < profile.load_use_dependency:
                 # Stores usually consume a recently produced value.
-                if last_load_seq is not None and rng.random() < profile.load_use_dependency:
-                    distance = seq - last_load_seq
-                    if distance > 0:
-                        deps.append(distance)
+                deps = (count - last_load_seq,)
 
-            kind = InstructionKind.STORE if is_store else InstructionKind.LOAD
-            out.append(Instruction(kind=kind, address=address, size=rng.choice((4, 4, 8)), deps=tuple(deps)))
-            if kind is InstructionKind.LOAD:
-                state.last_load_seq = seq
-                last_load_seq = seq
+            # Store code 2, load code 1; the size is drawn after the deps.
+            add(2 if is_store else 1, address, rng.choice((4, 4, 8)), deps)
+            if not is_store:
+                state.last_load_seq = last_load_seq = count
+            count += 1
 
             # ----------------------------------------------------------
-            # Interleave compute instructions to reach the memory fraction.
+            # Interleave compute instructions (code 0, size 4, address 0)
+            # to reach the memory fraction.
             # ----------------------------------------------------------
-            while len(out) < total and rng.random() > profile.memory_fraction:
-                seq = len(out)
-                compute_deps: List[int] = []
+            while count < total and rng.random() > profile.memory_fraction:
                 if last_load_seq is not None and rng.random() < profile.load_use_dependency:
-                    distance = seq - last_load_seq
-                    if distance > 0:
-                        compute_deps.append(distance)
-                elif out and rng.random() < 0.5:
-                    compute_deps.append(1)
-                out.append(Instruction(kind=InstructionKind.COMPUTE, deps=tuple(compute_deps)))
+                    deps = (count - last_load_seq,)
+                elif rng.random() < 0.5:
+                    deps = (1,)
+                else:
+                    deps = ()
+                add(0, 0, 4, deps)
+                count += 1
 
-        return MemoryTrace(
-            name=profile.name,
-            instructions=out[:total],
-            suite=profile.suite,
-            layout=self.layout,
-        )
+        return writer.finish(profile.name, profile.suite, self.layout)
 
 
 def generate_trace(
@@ -175,6 +171,6 @@ def generate_trace(
     instructions: Optional[int] = None,
     seed: Optional[int] = None,
     layout: AddressLayout = DEFAULT_LAYOUT,
-) -> MemoryTrace:
+) -> ColumnarTrace:
     """Convenience wrapper around :class:`SyntheticTraceGenerator`."""
     return SyntheticTraceGenerator(profile, layout=layout).generate(instructions, seed)

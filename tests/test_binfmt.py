@@ -11,16 +11,26 @@ from repro.workloads.binfmt import (
     RTRC_MAGIC,
     RTRC_VERSION,
     TraceFormatError,
-    decode_trace,
     dump_rtrc,
-    encode_trace,
-    load_rtrc,
+    fingerprint_sections,
+    pack_layout,
     read_header,
-    trace_fingerprint,
 )
+from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.ingest import dump_jsonl, load_trace
 from repro.workloads.suites import benchmark_profile
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import MemoryTrace
+
+#: ``_sample_trace``'s records as (kind code, address, size, deps)
+SAMPLE_RECORDS = [
+    (1, 0x1000, 4, ()),
+    (0, 0, 4, (1,)),
+    (2, 0x1004, 8, (2,)),
+    (1, 0x2000, 1, ()),
+    (0, 0, 4, ()),
+    (2, 0x2008, 4, (1, 4)),
+]
 
 
 def _sample_trace(name: str = "sample") -> MemoryTrace:
@@ -38,43 +48,59 @@ def _sample_trace(name: str = "sample") -> MemoryTrace:
     )
 
 
+def _payload(name: str = "sample") -> bytes:
+    return _sample_trace(name).columnar().to_bytes()
+
+
+def _records(trace: ColumnarTrace):
+    """Every record of ``trace`` as (kind code, address, size, deps)."""
+    offsets = trace.dep_offsets()
+    return [
+        (
+            trace.kinds[seq],
+            trace.addresses[seq],
+            trace.sizes[seq],
+            tuple(trace.deps_pool[offsets[seq] : offsets[seq + 1]]),
+        )
+        for seq in range(len(trace))
+    ]
+
+
 class TestRoundTrip:
     def test_decode_restores_every_instruction(self):
         trace = _sample_trace()
-        decoded = decode_trace(encode_trace(trace))
+        decoded = ColumnarTrace.from_rtrc_bytes(trace.columnar().to_bytes())
         assert decoded.name == trace.name
         assert decoded.suite == trace.suite
         assert decoded.layout == trace.layout
-        assert decoded.instructions == trace.instructions
+        assert _records(decoded) == SAMPLE_RECORDS
 
     def test_reencode_is_bit_identical(self):
-        trace = generate_trace(benchmark_profile("gzip"), 800)
-        payload = encode_trace(trace)
-        assert encode_trace(decode_trace(payload)) == payload
+        payload = generate_trace(benchmark_profile("gzip"), 800).to_bytes()
+        assert ColumnarTrace.from_rtrc_bytes(payload).to_bytes() == payload
 
     def test_roundtrip_through_jsonl_is_bit_identical(self, tmp_path):
         """JSONL and .rtrc preserve exactly the same information."""
         trace = generate_trace(benchmark_profile("mcf"), 600)
-        direct = encode_trace(trace)
+        direct = trace.to_bytes()
         jsonl = tmp_path / "trace.jsonl"
-        trace.to_jsonl(jsonl)
-        assert encode_trace(MemoryTrace.from_jsonl(jsonl)) == direct
+        dump_jsonl(trace, jsonl)
+        assert load_trace(jsonl).to_bytes() == direct
         # And the reverse direction: .rtrc -> JSONL matches JSONL directly.
         rtrc_jsonl = tmp_path / "roundtrip.jsonl"
-        decode_trace(direct).to_jsonl(rtrc_jsonl)
+        dump_jsonl(ColumnarTrace.from_rtrc_bytes(direct), rtrc_jsonl)
         assert rtrc_jsonl.read_text() == jsonl.read_text()
 
     def test_empty_trace_roundtrips(self):
         trace = MemoryTrace(name="empty", instructions=[], suite="unit")
-        decoded = decode_trace(encode_trace(trace))
+        decoded = ColumnarTrace.from_rtrc_bytes(trace.columnar().to_bytes())
         assert decoded.name == "empty"
         assert len(decoded) == 0
 
     def test_to_bytes_is_rtrc(self):
-        trace = _sample_trace()
-        payload = trace.to_bytes()
+        payload = _payload()
         assert payload.startswith(RTRC_MAGIC)
-        assert MemoryTrace.from_bytes(payload).instructions == trace.instructions
+        assert _records(ColumnarTrace.from_rtrc_bytes(payload)) == SAMPLE_RECORDS
 
 
 class TestFileIO:
@@ -82,7 +108,7 @@ class TestFileIO:
         trace = _sample_trace()
         path = tmp_path / "t.rtrc"
         dump_rtrc(trace, path)
-        assert load_rtrc(path).instructions == trace.instructions
+        assert _records(ColumnarTrace.load(path)) == SAMPLE_RECORDS
 
     def test_gzip_path_is_compressed(self, tmp_path):
         trace = generate_trace(benchmark_profile("gzip"), 400)
@@ -91,22 +117,22 @@ class TestFileIO:
         dump_rtrc(trace, plain)
         dump_rtrc(trace, packed)
         assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
-        assert load_rtrc(packed).instructions == trace.instructions
+        assert ColumnarTrace.load(packed).to_bytes() == trace.to_bytes()
 
     def test_load_error_names_the_file(self, tmp_path):
         path = tmp_path / "bad.rtrc"
         path.write_bytes(b"RTRC")
         with pytest.raises(TraceFormatError, match="bad.rtrc"):
-            load_rtrc(path)
+            ColumnarTrace.load(path)
 
     def test_zero_size_load_names_file_and_record(self, tmp_path, capsys):
-        payload = bytearray(encode_trace(_sample_trace()))
+        payload = bytearray(_payload())
         size_at = read_header(bytes(payload))["body_offset"] + 2  # record 0: a load
         payload[size_at : size_at + 2] = b"\x00\x00"
         path = tmp_path / "zero.rtrc"
         path.write_bytes(bytes(payload))
         with pytest.raises(TraceFormatError, match=r"zero\.rtrc: .*record 0: load with zero size"):
-            load_rtrc(path)
+            ColumnarTrace.load(path)
         assert main(["ingest", "inspect", str(path)]) == 2
         error = capsys.readouterr().err
         assert "zero.rtrc" in error and "record 0" in error
@@ -115,67 +141,70 @@ class TestFileIO:
 class TestMalformedPayloads:
     def test_truncated_header(self):
         with pytest.raises(TraceFormatError, match="truncated .rtrc header"):
-            decode_trace(b"RTRC\x01\x00")
+            ColumnarTrace.from_rtrc_bytes(b"RTRC\x01\x00")
 
     def test_bad_magic(self):
-        payload = bytearray(encode_trace(_sample_trace()))
+        payload = bytearray(_payload())
         payload[:4] = b"NOPE"
         with pytest.raises(TraceFormatError, match="bad magic"):
-            decode_trace(bytes(payload))
+            ColumnarTrace.from_rtrc_bytes(bytes(payload))
 
     def test_unsupported_version(self):
-        payload = bytearray(encode_trace(_sample_trace()))
+        payload = bytearray(_payload())
         payload[4] = RTRC_VERSION + 1
         with pytest.raises(TraceFormatError, match="unsupported .rtrc version"):
-            decode_trace(bytes(payload))
+            ColumnarTrace.from_rtrc_bytes(bytes(payload))
 
     def test_truncated_records(self):
-        payload = encode_trace(_sample_trace())
         with pytest.raises(TraceFormatError, match="truncated or oversized"):
-            decode_trace(payload[:-5])
+            ColumnarTrace.from_rtrc_bytes(_payload()[:-5])
 
     def test_trailing_garbage(self):
-        payload = encode_trace(_sample_trace())
         with pytest.raises(TraceFormatError, match="truncated or oversized"):
-            decode_trace(payload + b"\x00\x00")
+            ColumnarTrace.from_rtrc_bytes(_payload() + b"\x00\x00")
 
     def test_name_cut_short(self):
-        payload = encode_trace(_sample_trace(name="a-rather-long-trace-name"))
+        payload = _payload(name="a-rather-long-trace-name")
         with pytest.raises(TraceFormatError, match="name/suite cut short"):
-            decode_trace(payload[:58])
+            ColumnarTrace.from_rtrc_bytes(payload[:58])
 
 
 class TestFingerprint:
     def test_stable_across_encode_decode(self):
-        trace = _sample_trace()
-        decoded = decode_trace(encode_trace(trace))
-        assert trace_fingerprint(trace) == trace_fingerprint(decoded)
+        trace = _sample_trace().columnar()
+        decoded = ColumnarTrace.from_rtrc_bytes(trace.to_bytes())
+        assert trace.fingerprint() == decoded.fingerprint()
 
     def test_independent_of_name_and_suite(self):
         one = _sample_trace(name="one")
         two = _sample_trace(name="two")
         two.suite = "other"
-        assert trace_fingerprint(one) == trace_fingerprint(two)
+        assert one.columnar().fingerprint() == two.columnar().fingerprint()
 
     def test_sensitive_to_content(self):
         base = _sample_trace()
         changed = _sample_trace()
         changed.instructions[0].address = 0x1004
-        assert trace_fingerprint(base) != trace_fingerprint(changed)
+        assert base.columnar().fingerprint() != changed.columnar().fingerprint()
 
-    def test_method_alias(self):
+    def test_hashes_the_written_sections(self):
         trace = _sample_trace()
-        assert trace.fingerprint() == trace_fingerprint(trace)
+        payload = _payload()
+        records_at = read_header(payload)["body_offset"]
+        deps_at = records_at + 12 * len(trace.instructions)
+        assert trace.columnar().fingerprint() == fingerprint_sections(
+            pack_layout(trace.layout), payload[records_at:deps_at], payload[deps_at:]
+        )
 
 
 class TestHeader:
     def test_read_header_without_body(self):
         trace = _sample_trace()
-        header = read_header(encode_trace(trace))
+        header = read_header(_payload())
         assert header["version"] == RTRC_VERSION
         assert header["name"] == "sample"
         assert header["suite"] == "unit"
-        assert header["instructions"] == len(trace)
+        assert header["instructions"] == len(trace.instructions)
         assert header["layout"]["page_bytes"] == trace.layout.page_bytes
 
 
@@ -190,7 +219,7 @@ class TestDecodeSpeed:
         rtrc = tmp_path / "t.rtrc"
         jsonl = tmp_path / "t.jsonl"
         dump_rtrc(trace, rtrc)
-        trace.to_jsonl(jsonl)
+        dump_jsonl(trace, jsonl)
 
         def best_of(action, repeats=5):
             times = []
@@ -200,8 +229,8 @@ class TestDecodeSpeed:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        rtrc_seconds = best_of(lambda: load_rtrc(rtrc))
-        jsonl_seconds = best_of(lambda: MemoryTrace.from_jsonl(jsonl))
+        rtrc_seconds = best_of(lambda: ColumnarTrace.load(rtrc))
+        jsonl_seconds = best_of(lambda: load_trace(jsonl))
         assert rtrc_seconds < jsonl_seconds, (
             f"rtrc decode ({rtrc_seconds * 1000:.1f} ms) should beat the "
             f"JSONL parse ({jsonl_seconds * 1000:.1f} ms)"

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.workloads.binfmt import load_rtrc
+from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.ingest import load_trace
 from repro.workloads.registry import clear_registry
 
 DATA = Path(__file__).parent / "data"
@@ -184,12 +185,12 @@ class TestIngestCli:
         assert main(["ingest", "convert", str(DATA / "sample.lackey"), "-o", str(out)]) == 0
         stdout = capsys.readouterr().out
         assert "wrote" in stdout and "fingerprint" in stdout
-        assert len(load_rtrc(out)) == 37
+        assert len(ColumnarTrace.load(out)) == 37
 
     def test_convert_din_to_rtrc(self, capsys, tmp_path):
         out = tmp_path / "sample.rtrc"
         assert main(["ingest", "convert", str(DATA / "sample.din"), "-o", str(out)]) == 0
-        assert len(load_rtrc(out)) == 24
+        assert len(ColumnarTrace.load(out)) == 24
 
     def test_convert_applies_transforms_in_order(self, tmp_path, capsys):
         out = tmp_path / "out.rtrc"
@@ -199,14 +200,12 @@ class TestIngestCli:
             "--window", "0:20", "--skip", "4", "--stride", "2",
         ]
         assert main(argv) == 0
-        assert len(load_rtrc(out)) == 8  # (20 - 4) every 2nd
+        assert len(ColumnarTrace.load(out)) == 8  # (20 - 4) every 2nd
 
     def test_convert_to_jsonl_output(self, tmp_path, capsys):
         out = tmp_path / "out.jsonl.gz"
         assert main(["ingest", "convert", str(DATA / "sample.csv"), "-o", str(out)]) == 0
-        from repro.workloads.trace import MemoryTrace
-
-        assert len(MemoryTrace.from_jsonl(out)) == 10
+        assert len(load_trace(out)) == 10
 
     def test_convert_malformed_input_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.lackey"
@@ -214,6 +213,15 @@ class TestIngestCli:
         assert main(["ingest", "convert", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and "bad.lackey" in err
+
+    def test_convert_out_of_range_field_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "negative.csv"
+        bad.write_text("kind,address,size,deps\nload,-16,4,\n")
+        assert main(["ingest", "convert", str(bad), "-o", str(tmp_path / "out.rtrc")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "negative.csv" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.rtrc").exists()
 
     def test_convert_malformed_window_exits_2(self, tmp_path, capsys):
         argv = [
@@ -240,7 +248,7 @@ class TestIngestCli:
             "-o", str(out), "--granularity", "8", "--name", "mixed",
         ]
         assert main(argv) == 0
-        merged = load_rtrc(out)
+        merged = ColumnarTrace.load(out)
         assert merged.name == "mixed"
         assert len(merged) == 37 + 24
 

@@ -2,12 +2,12 @@
 
 The structural guarantees the columnar trace view rests on:
 
-* **round-trip** — lifting ``.rtrc`` bytes into columns and materializing
-  them back yields exactly the instruction stream the object decoder sees,
-  and ``to_bytes`` reproduces the input buffer bit-for-bit;
-* **fingerprint invariance** — the columnar ``fingerprint()`` equals the
-  object path's ``trace_fingerprint`` (campaign cell keys must not care
-  which view registered a trace), and renaming a trace never changes it;
+* **round-trip** — writing an object trace and lifting its ``.rtrc`` bytes
+  into columns yields exactly the records the objects describe, and
+  ``to_bytes`` reproduces the input buffer bit-for-bit;
+* **fingerprint invariance** — the ``fingerprint()`` of a trace equals that
+  of its decoded bytes (campaign cell keys must not care which path
+  registered a trace), and renaming a trace never changes it;
 * **validation** — truncated/oversized bodies, unknown kind codes, a
   dependency pool inconsistent with the per-record ``ndeps`` counts, zero
   dependency distances and zero-size memory records are all rejected with
@@ -31,15 +31,9 @@ from repro.cpu.instruction import Instruction, InstructionKind
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
-from repro.workloads.binfmt import (
-    TraceFormatError,
-    decode_trace,
-    dump_rtrc,
-    encode_trace,
-    read_header,
-    trace_fingerprint,
-)
-from repro.workloads.columnar import ColumnarTrace
+from repro.workloads.binfmt import TraceFormatError, dump_rtrc, read_header
+from repro.workloads.columnar import ColumnarTrace, TraceWriter, as_columnar
+from repro.workloads.ingest import window
 from repro.workloads.trace import MemoryTrace
 
 try:  # pragma: no cover - which branch runs depends on the environment
@@ -121,40 +115,49 @@ def record_offset(payload: bytes, index: int) -> int:
     return read_header(payload)["body_offset"] + 12 * index
 
 
+def encode(trace: MemoryTrace) -> bytes:
+    """The ``.rtrc`` bytes of an object trace."""
+    return trace.columnar().to_bytes()
+
+
+def record_deps(view: ColumnarTrace, seq: int) -> tuple:
+    """The backward dependency distances of record ``seq``."""
+    offsets = view.dep_offsets()
+    return tuple(view.deps_pool[offsets[seq] : offsets[seq + 1]])
+
+
 # ----------------------------------------------------------------------
 # Property checkers (shared by both drivers)
 # ----------------------------------------------------------------------
 def check_round_trip(seed: int) -> None:
-    """Columns -> instructions must equal the object decoder, bytes and all."""
+    """Written and decoded columns hold exactly the objects' records."""
     trace = random_trace(seed)
-    payload = encode_trace(trace)
+    payload = encode(trace)
     view = ColumnarTrace.from_rtrc_bytes(payload)
-    oracle = decode_trace(payload)
-    assert len(view) == len(oracle)
-    assert view.name == oracle.name and view.suite == oracle.suite
-    assert view.layout == oracle.layout
-    for mine, theirs in zip(view.instructions(), oracle.instructions):
-        assert mine.kind is theirs.kind
-        assert mine.address == theirs.address
-        assert mine.size == theirs.size
-        assert mine.deps == theirs.deps
-        assert mine.seq == theirs.seq
+    instructions = trace.instructions
+    assert len(view) == len(instructions)
+    assert view.name == trace.name and view.suite == trace.suite
+    assert view.layout == trace.layout
+    codes = {InstructionKind.COMPUTE: 0, InstructionKind.LOAD: 1, InstructionKind.STORE: 2}
+    for seq, instruction in enumerate(instructions):
+        assert view.kinds[seq] == codes[instruction.kind]
+        assert view.addresses[seq] == (instruction.address or 0)
+        assert view.sizes[seq] == instruction.size
+        assert record_deps(view, seq) == instruction.deps
     assert view.to_bytes() == payload
-    assert encode_trace(view.materialize()) == payload
-    assert view.load_count == len(oracle.loads)
-    assert view.store_count == len(oracle.stores)
+    assert view.load_count == sum(1 for i in instructions if i.is_load)
+    assert view.store_count == sum(1 for i in instructions if i.is_store)
 
 
 def check_fingerprint_invariance(seed: int) -> None:
-    """Columnar and object hashes agree; names don't participate."""
+    """Written and decoded hashes agree; names don't participate."""
     trace = random_trace(seed)
     view = trace.columnar()
-    assert view.fingerprint() == trace_fingerprint(trace)
     renamed = MemoryTrace(
         name="other", instructions=trace.instructions, suite="ELSEWHERE"
     )
     assert renamed.columnar().fingerprint() == view.fingerprint()
-    assert ColumnarTrace.from_rtrc_bytes(encode_trace(trace)).fingerprint() == (
+    assert ColumnarTrace.from_rtrc_bytes(encode(trace)).fingerprint() == (
         view.fingerprint()
     )
 
@@ -162,7 +165,7 @@ def check_fingerprint_invariance(seed: int) -> None:
 def check_truncation_rejected(seed: int) -> None:
     """Any strict prefix or suffix-extended buffer must be rejected."""
     rng = random.Random(seed)
-    payload = encode_trace(random_trace(seed))
+    payload = encode(random_trace(seed))
     for cut in sorted({rng.randrange(len(payload)) for _ in range(6)} | {0}):
         with pytest.raises(TraceFormatError):
             ColumnarTrace.from_rtrc_bytes(payload[:cut])
@@ -174,8 +177,8 @@ def check_corrupt_kind_rejected(seed: int) -> None:
     """A kind byte outside 0/1/2 is named by record index."""
     rng = random.Random(seed)
     trace = random_trace(seed)
-    payload = bytearray(encode_trace(trace))
-    index = rng.randrange(len(trace))
+    payload = bytearray(encode(trace))
+    index = rng.randrange(len(trace.instructions))
     payload[record_offset(bytes(payload), index)] = rng.randint(3, 255)
     with pytest.raises(TraceFormatError, match=f"kind code .* \\(record {index}\\)"):
         ColumnarTrace.from_rtrc_bytes(bytes(payload))
@@ -184,8 +187,8 @@ def check_corrupt_kind_rejected(seed: int) -> None:
 def check_inconsistent_deps_pool_rejected(seed: int) -> None:
     """ndeps bytes must sum to the pool length exactly."""
     trace = random_trace(seed)
-    payload = bytearray(encode_trace(trace))
-    index = random.Random(seed).randrange(len(trace))
+    payload = bytearray(encode(trace))
+    index = random.Random(seed).randrange(len(trace.instructions))
     offset = record_offset(bytes(payload), index) + 1
     payload[offset] += 1  # claim one more pool entry than the pool holds
     with pytest.raises(TraceFormatError, match="inconsistent .rtrc dependency pool"):
@@ -199,7 +202,7 @@ def check_zero_dep_distance_rejected(seed: int) -> None:
     pool_len = len(view.deps_pool)
     if not pool_len:
         return  # nothing to corrupt; another seed covers this
-    payload = bytearray(encode_trace(trace))
+    payload = bytearray(encode(trace))
     entry = random.Random(seed).randrange(pool_len)
     start = len(payload) - 4 * (pool_len - entry)
     payload[start : start + 4] = b"\x00\x00\x00\x00"
@@ -210,10 +213,10 @@ def check_zero_dep_distance_rejected(seed: int) -> None:
 def check_zero_size_memory_rejected(seed: int) -> None:
     """A load/store with size 0 is corrupt; computes may carry any size."""
     trace = random_trace(seed)
-    memory_indices = [i for i, ins in enumerate(trace) if ins.is_memory]
+    memory_indices = [i for i, ins in enumerate(trace.instructions) if ins.is_memory]
     if not memory_indices:
         return
-    payload = bytearray(encode_trace(trace))
+    payload = bytearray(encode(trace))
     index = random.Random(seed).choice(memory_indices)
     offset = record_offset(bytes(payload), index) + 2
     payload[offset : offset + 2] = b"\x00\x00"
@@ -227,7 +230,7 @@ def check_pipeline_arrays_match_object_path(seed: int) -> None:
     view = trace.columnar()
     kinds, addresses, sizes, producers = view.pipeline_arrays()
     o_kinds, o_addresses, o_sizes, o_producers = build_pipeline_arrays(
-        trace.instructions, len(trace)
+        trace.instructions, len(trace.instructions)
     )
     assert bytes(o_kinds) == bytes(kinds)
     assert list(o_addresses) == list(addresses)
@@ -254,25 +257,27 @@ def check_out_of_range_deps_dropped(seed: int) -> None:
     _, _, _, producers = view.pipeline_arrays()
     assert all(p == () for p in producers)
     # The distances themselves still round-trip (they are data, not indices).
-    assert [ins.deps for ins in view.instructions()] == [
+    assert [record_deps(view, seq) for seq in range(len(view))] == [
         ins.deps for ins in instructions
     ]
 
 
 def check_head_and_slice_consistency(seed: int) -> None:
-    """head()/run_slice() agree with the object trace's own slicing."""
+    """window(0, n)/run_slice() agree with slicing the object trace."""
     rng = random.Random(seed)
     trace = random_trace(seed)
     view = trace.columnar()
-    count = rng.randint(0, len(trace))
-    head = view.head(count)
+    length = len(trace.instructions)
+    count = rng.randint(0, length)
+    head = window(view, 0, count)
     assert len(head) == count
-    assert head.to_bytes() == encode_trace(trace.head(count))
-    start = rng.randint(0, len(trace))
-    stop = rng.randint(start, len(trace))
-    window = view.run_slice(start, stop)
-    assert len(window) == stop - start
-    seqs, total, capacity, arrays = window.columnar_pipeline_plan()
+    assert (head.name, head.suite) == (view.name, view.suite)
+    assert head.fingerprint() == as_columnar(trace.instructions[:count]).fingerprint()
+    start = rng.randint(0, length)
+    stop = rng.randint(start, length)
+    run = view.run_slice(start, stop)
+    assert len(run) == stop - start
+    seqs, total, capacity, arrays = run.columnar_pipeline_plan()
     assert list(seqs) == list(range(start, stop))
     assert total == stop - start and capacity == stop
     assert arrays is view.pipeline_arrays()
@@ -324,9 +329,8 @@ class TestColumnarDirected:
     def test_empty_trace_round_trips(self):
         view = MemoryTrace(name="empty", instructions=[]).columnar()
         assert len(view) == 0
-        assert view.instructions() == []
         assert view.pipeline_arrays()[0] == b""
-        assert view.head(3).to_bytes() == view.to_bytes()
+        assert window(view, 0, 3).to_bytes() == view.to_bytes()
 
     def test_wide_addresses_survive_the_byte_lane_gather(self):
         # Exercise all eight address byte lanes (a 48-bit address space).
@@ -342,13 +346,12 @@ class TestColumnarDirected:
             ],
             layout=AddressLayout(address_bits=48),
         )
-        view = ColumnarTrace.from_rtrc_bytes(encode_trace(trace))
+        view = ColumnarTrace.from_rtrc_bytes(encode(trace))
         assert list(view.addresses) == [(0xBEEF << 32) | 0x1234, (1 << 47) - 64]
-        assert view.to_bytes() == encode_trace(trace)
+        assert view.to_bytes() == encode(trace)
 
     def test_from_rtrc_bytes_accepts_buffer_views(self):
-        trace = random_trace(5)
-        payload = encode_trace(trace)
+        payload = encode(random_trace(5))
         for data in (bytearray(payload), memoryview(payload)):
             view = ColumnarTrace.from_rtrc_bytes(data)
             assert view.to_bytes() == payload
@@ -358,7 +361,8 @@ class TestColumnarDirected:
         # pipeline input, equal to the window covering it.
         trace = random_trace(23)
         cycles = []
-        for source in (trace.columnar(), trace.columnar().run_slice(0, len(trace))):
+        length = len(trace.instructions)
+        for source in (trace.columnar(), trace.columnar().run_slice(0, length)):
             simulator = Simulator(SimulationConfig.malec())
             pipeline = OutOfOrderPipeline(
                 simulator.interface,
@@ -374,7 +378,8 @@ class TestColumnarDirected:
             path = tmp_path / f"t{suffix}"
             dump_rtrc(trace, path)
             view = ColumnarTrace.load(path)
-            assert view.fingerprint() == trace_fingerprint(trace)
+            assert view.fingerprint() == trace.columnar().fingerprint()
+            assert view.to_bytes() == encode(trace)
 
     def test_load_error_names_the_file(self, tmp_path):
         path = tmp_path / "bad.rtrc"
@@ -385,9 +390,7 @@ class TestColumnarDirected:
     def test_deps_pool_is_zero_copy_on_le_hosts(self):
         import sys
 
-        trace = random_trace(11)
-        payload = encode_trace(trace)
-        view = ColumnarTrace.from_rtrc_bytes(payload)
+        view = ColumnarTrace.from_rtrc_bytes(encode(random_trace(11)))
         if sys.byteorder == "little":
             assert isinstance(view.deps_pool, memoryview)
             assert view.deps_pool.format == "I"
@@ -410,6 +413,43 @@ class TestColumnarDirected:
         assert len(regrown) == len(first) + 1
 
 
+class TestTraceWriter:
+    """The writer rejects every field its ``.rtrc`` width cannot hold."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((1, -16, 4), "address -16 outside"),
+            ((1, 1 << 64, 4), f"address {1 << 64} outside"),
+            ((2, 0x40, 65536), "size 65536 outside"),
+            ((1, 0x40, 0), "load with non-positive size 0"),
+            ((2, 0x40, -4), "store with non-positive size -4"),
+            ((0, 0, 4, (1,) * 256), "256 dependencies"),
+            ((0, 0, 4, (0,)), "dependency distances"),
+            ((0, 0, 4, (1 << 32,)), "dependency distances"),
+            ((1, 0x40, 4, (-1,)), "dependency distances"),
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, fields, message):
+        writer = TraceWriter()
+        writer.add(1, 0x1000, 4)
+        with pytest.raises(TraceFormatError, match=message):
+            writer.add(*fields)
+        view = writer.finish("ok")
+        assert len(view) == 1 and list(view.addresses) == [0x1000]
+
+    def test_widest_fields_fit(self):
+        writer = TraceWriter()
+        writer.add(0)
+        writer.add(2, (1 << 64) - 1, 65535, (1,) * 255)
+        writer.add(1, 0, 1, ((1 << 32) - 1,))
+        view = writer.finish("wide", "unit")
+        assert list(view.addresses) == [0, (1 << 64) - 1, 0]
+        assert list(view.sizes) == [4, 65535, 1]
+        assert record_deps(view, 1) == (1,) * 255
+        assert record_deps(view, 2) == ((1 << 32) - 1,)
+
+
 class TestPlainListAdapter:
     """Plain Instruction lists are adapted once, at entry, without writing
     to the caller's objects."""
@@ -419,7 +459,7 @@ class TestPlainListAdapter:
         """Fresh Instruction objects (``seq`` still -1) for ``random_trace``."""
         return [
             Instruction(kind=i.kind, address=i.address, size=i.size, deps=i.deps)
-            for i in random_trace(seed)
+            for i in random_trace(seed).instructions
         ]
 
     @pytest.mark.parametrize("seed", range(3))

@@ -8,11 +8,12 @@ import pytest
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import ResultStore
-from repro.cpu.instruction import InstructionKind, compute, load, store
+from repro.cpu.instruction import compute, load, store
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import run_configuration
 from repro.workloads.ingest import (
     TraceParseError,
+    dump_jsonl,
     interleave,
     load_trace,
     parse_csv,
@@ -58,6 +59,12 @@ def _toy_trace(name: str = "toy", base: int = 0x1000) -> MemoryTrace:
     )
 
 
+def _record_deps(trace, seq: int) -> tuple:
+    """The backward dependency distances of record ``seq``."""
+    offsets = trace.dep_offsets()
+    return tuple(trace.deps_pool[offsets[seq] : offsets[seq + 1]])
+
+
 # ----------------------------------------------------------------------
 # Parsers
 # ----------------------------------------------------------------------
@@ -65,18 +72,17 @@ class TestLackeyParser:
     def test_sample_file(self):
         trace = load_trace(DATA / "sample.lackey")
         assert trace.name == "sample"
-        # 17 I lines -> compute, 9 L, 5 S, 3 M (load+store each).
-        kinds = [i.kind for i in trace.instructions]
-        assert kinds.count(InstructionKind.COMPUTE) == 17
-        assert kinds.count(InstructionKind.LOAD) == 9 + 3
-        assert kinds.count(InstructionKind.STORE) == 5 + 3
-        assert trace[1].address == 0x04222CAC and trace[1].size == 4
+        # 17 I lines -> compute (code 0), 9 L, 5 S, 3 M (load+store each).
+        assert trace.kinds.count(0) == 17
+        assert trace.load_count == 9 + 3
+        assert trace.store_count == 5 + 3
+        assert trace.addresses[1] == 0x04222CAC and trace.sizes[1] == 4
 
     def test_modify_expands_to_load_then_store(self):
         trace = parse_lackey([" M 0400,8"])
-        assert [i.kind for i in trace] == [InstructionKind.LOAD, InstructionKind.STORE]
-        assert trace[0].address == trace[1].address == 0x400
-        assert trace[0].size == trace[1].size == 8
+        assert list(trace.kinds) == [1, 2]  # load, then store
+        assert list(trace.addresses) == [0x400, 0x400]
+        assert list(trace.sizes) == [8, 8]
 
     def test_banner_and_blank_lines_skipped(self):
         trace = parse_lackey(["==12== tool banner", "", "--12-- more", " L 10,4"])
@@ -98,15 +104,14 @@ class TestLackeyParser:
 class TestDineroParser:
     def test_sample_file(self):
         trace = load_trace(DATA / "sample.din")
-        kinds = [i.kind for i in trace.instructions]
-        assert kinds.count(InstructionKind.COMPUTE) == 12
-        assert kinds.count(InstructionKind.LOAD) == 8
-        assert kinds.count(InstructionKind.STORE) == 4
-        assert all(i.size == 4 for i in trace.memory_references)
+        assert trace.kinds.count(0) == 12
+        assert trace.load_count == 8
+        assert trace.store_count == 4
+        assert all(size == 4 for kind, size in zip(trace.kinds, trace.sizes) if kind)
 
     def test_extra_columns_ignored(self):
         trace = parse_dinero(["0 12ff00a4 extra stuff"])
-        assert trace[0].address == 0x12FF00A4
+        assert trace.addresses[0] == 0x12FF00A4
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(TraceParseError, match=r"line 2: malformed din"):
@@ -125,13 +130,13 @@ class TestCsvParser:
     def test_sample_file(self):
         trace = load_trace(DATA / "sample.csv")
         assert len(trace) == 10
-        assert trace[0].kind is InstructionKind.LOAD and trace[0].address == 0x1000
-        assert trace[3].deps == (1, 3)
-        assert trace[5].address == 4128 and trace[5].size == 8
+        assert trace.kinds[0] == 1 and trace.addresses[0] == 0x1000  # a load
+        assert _record_deps(trace, 3) == (1, 3)
+        assert trace.addresses[5] == 4128 and trace.sizes[5] == 8
 
     def test_size_defaults_to_four(self):
         trace = parse_csv(["kind,address", "load,0x10"])
-        assert trace[0].size == 4
+        assert trace.sizes[0] == 4
 
     def test_missing_header_rejected(self):
         with pytest.raises(TraceParseError, match="must name 'kind' and 'address'"):
@@ -144,6 +149,47 @@ class TestCsvParser:
     def test_malformed_row_reports_number(self):
         with pytest.raises(TraceParseError, match=r"line 3: malformed CSV"):
             parse_csv(["kind,address", "load,0x10", "jump,0x14"], source="app.csv")
+
+
+_CSV_HEADER = "kind,address,size,deps"
+
+
+class TestOutOfRangeFields:
+    """A field the ``.rtrc`` record cannot hold fails at its input line."""
+
+    @pytest.mark.parametrize(
+        "parse, lines, line",
+        [
+            (parse_csv, [_CSV_HEADER, "load,0x10,4,", "load,-16,4,"], 3),
+            (parse_csv, [_CSV_HEADER, "store,0x10,65536,"], 2),
+            (parse_csv, [_CSV_HEADER, "load,0x10,4,", "load,0x20,4," + ";".join(["1"] * 256)], 3),
+            (parse_csv, [_CSV_HEADER, "compute,,,4294967296"], 2),
+            (parse_lackey, ["I  100,4", " L -10,4"], 2),
+            (parse_lackey, [" S 10,65536"], 1),
+            (parse_dinero, ["2 0", "0 12ff00a4", "0 10000000000000000"], 3),
+        ],
+        ids=[
+            "csv-negative-address",
+            "csv-size-65536",
+            "csv-256-deps",
+            "csv-dep-2**32",
+            "lackey-negative-address",
+            "lackey-size-65536",
+            "din-address-2**64",
+        ],
+    )
+    def test_names_the_line(self, parse, lines, line):
+        with pytest.raises(TraceParseError, match=rf"^bad\.trace: line {line}: "):
+            parse(lines, source="bad.trace")
+
+    def test_jsonl_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        dump_jsonl(_toy_trace(), path)
+        lines = path.read_text().splitlines()
+        lines[3] = '{"a": 18446744073709551616, "k": "store", "s": 4}'
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceParseError, match=r"bad\.jsonl: line 4: "):
+            load_trace(path)
 
 
 class TestLoadTrace:
@@ -175,13 +221,13 @@ class TestLoadTrace:
         assert trace.name == "app" and len(trace) == 2
 
     def test_jsonl_and_rtrc_formats(self, tmp_path):
-        source = _toy_trace()
+        payload = _toy_trace().columnar().to_bytes()
         jsonl = tmp_path / "t.jsonl"
-        source.to_jsonl(jsonl)
-        assert load_trace(jsonl).instructions == source.instructions
+        dump_jsonl(_toy_trace(), jsonl)
+        assert load_trace(jsonl).to_bytes() == payload
         rtrc = tmp_path / "t.rtrc"
-        rtrc.write_bytes(source.to_bytes())
-        assert load_trace(rtrc).instructions == source.instructions
+        rtrc.write_bytes(payload)
+        assert load_trace(rtrc).to_bytes() == payload
 
     def test_name_override(self):
         trace = load_trace(DATA / "sample.din", name="renamed")
@@ -193,32 +239,32 @@ class TestLoadTrace:
 # ----------------------------------------------------------------------
 class TestTransforms:
     def test_window_slices_region_of_interest(self):
-        trace = _toy_trace()
+        trace = _toy_trace().columnar()
         roi = window(trace, 2, 5)
-        assert [i.kind for i in roi] == [i.kind for i in trace.instructions[2:5]]
-        assert roi[0].seq == 0  # re-sequenced
+        assert roi.kinds == trace.kinds[2:5]
+        assert roi.addresses[0] == 0x1008  # record 2 of the source is record 0
+        assert _record_deps(roi, 0) == (1,)  # distances are kept as they are
 
     def test_skip_warmup(self):
         trace = _toy_trace()
-        assert len(skip_warmup(trace, 4)) == len(trace) - 4
-        assert skip_warmup(trace, 0).instructions == trace.instructions
+        assert len(skip_warmup(trace, 4)) == len(trace.instructions) - 4
+        assert skip_warmup(trace, 0).to_bytes() == trace.columnar().to_bytes()
 
     def test_subsample_keeps_every_kth(self):
         trace = _toy_trace()
         sampled = subsample(trace, 2)
         assert len(sampled) == 3
-        assert [i.address for i in sampled] == [
-            trace[0].address,
-            trace[2].address,
-            trace[4].address,
-        ]
-        assert all(i.deps == () for i in sampled)
+        # Records 0, 2 and 4: a load, a store and a compute (address 0).
+        assert list(sampled.addresses) == [0x1000, 0x1008, 0]
+        assert sampled.ndeps == bytes(3)
+        # Stride 1 keeps every record and its deps.
+        assert subsample(trace, 1).to_bytes() == trace.columnar().to_bytes()
 
     def test_interleave_round_robin_order(self):
         a = MemoryTrace("a", [load(0x100), load(0x104), load(0x108)])
         b = MemoryTrace("b", [store(0x200), store(0x204)])
         merged = interleave([a, b], granularity=2)
-        assert [i.address for i in merged] == [0x100, 0x104, 0x200, 0x204, 0x108]
+        assert list(merged.addresses) == [0x100, 0x104, 0x200, 0x204, 0x108]
         assert merged.name == "a+b"
 
     def test_interleave_remaps_dependencies_exactly(self):
@@ -227,8 +273,9 @@ class TestTransforms:
         merged = interleave([a, b], granularity=1)
         # Order: a0 b0 a1 b1 a2 b2 -> a1 at seq 2 consumes a0 at seq 0,
         # a2 at seq 4 also consumes a0.
-        assert merged[2].producers() == (0,)
-        assert merged[4].producers() == (0,)
+        producers = merged.pipeline_arrays()[3]
+        assert producers[2] == (0,)
+        assert producers[4] == (0,)
 
     def test_interleave_simulates(self):
         merged = interleave([_toy_trace("a"), _toy_trace("b", base=0x8000)])
@@ -316,7 +363,7 @@ class TestCampaignIntegration:
         results = ParallelExecutor(jobs=1).run(self._spec("gzip", handle.name))
         run = results.run_for(handle.name)
         assert run.suite == "ingested"
-        assert run.results["MALEC"].instructions == len(_toy_trace())
+        assert run.results["MALEC"].instructions == len(_toy_trace().instructions)
         assert results.run_for("gzip").results["MALEC"].instructions > 0
 
     def test_long_traces_truncate_to_the_cell_budget(self):
@@ -364,7 +411,7 @@ class TestCampaignIntegration:
         first = executor.run(self._spec("app"))
 
         clear_registry()
-        longer = MemoryTrace("toy", list(_toy_trace()) + [load(0x4000), store(0x4008)])
+        longer = MemoryTrace("toy", _toy_trace().instructions + [load(0x4000), store(0x4008)])
         register_trace(longer, name="app")
         second = ParallelExecutor(jobs=1, trace_cache=executor.trace_cache).run(
             self._spec("app")

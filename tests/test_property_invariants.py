@@ -173,7 +173,10 @@ def check_tlb_insert_lookup_consistency(entries: int, seed: int) -> None:
     for _ in range(6 * entries):
         vpage = rng.randrange(1 << 12)
         ppage = translation.page_table.translate_page(vpage)
-        slot = tlb.insert(vpage, ppage)
+        # Insert only a page the level missed, as translate_page_pair does.
+        slot = tlb.lookup(vpage, count_event=False)
+        if slot is None:
+            slot = tlb.insert(vpage, ppage)
         assert tlb.lookup(vpage, count_event=False) == slot
         assert tlb._ppages[slot] == ppage
         assert tlb.reverse_lookup(ppage, count_event=False) == slot

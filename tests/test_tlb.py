@@ -90,14 +90,6 @@ class TestTLB:
         assert events == [(0, None, 1), (1, None, 2), (0, 10, 3)]
         assert tlb.occupancy == 2
 
-    def test_reinsert_same_page_updates_mapping(self):
-        tlb = TLB(4, name="t", seed=0)
-        slot = tlb.insert(5, 100)
-        assert tlb.insert(5, 200) == slot
-        assert frame_of(tlb, 5) == 200
-        assert tlb.reverse_lookup(200) == slot
-        assert tlb.reverse_lookup(100) is None
-
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
             TLB(0)

@@ -21,11 +21,32 @@ from repro.workloads.suites import (
     benchmark_profile,
     suite_profiles,
 )
+from repro.workloads.ingest import dump_jsonl, load_trace, window
 from repro.workloads.synthetic import generate_trace
-from repro.workloads.trace import MemoryTrace
 
 layout = DEFAULT_LAYOUT
 analyzer = PageLocalityAnalyzer()
+
+
+def memory_addresses(trace):
+    """Addresses of the load and store records, in program order."""
+    return [address for kind, address in zip(trace.kinds, trace.addresses) if kind]
+
+
+def footprint_pages(trace):
+    """Distinct pages the load and store records touch."""
+    return len({layout.page_id(address) for address in memory_addresses(trace)})
+
+
+def record_deps(trace, seq):
+    """The backward dependency distances of record ``seq``."""
+    offsets = trace.dep_offsets()
+    return tuple(trace.deps_pool[offsets[seq] : offsets[seq + 1]])
+
+
+def dependent_loads(trace):
+    """Number of load records that carry a dependency."""
+    return sum(1 for kind, ndeps in zip(trace.kinds, trace.ndeps) if kind == 1 and ndeps)
 
 
 class TestProfilesRegistry:
@@ -64,19 +85,18 @@ class TestProfilesRegistry:
 
     def test_tlbthrash_marches_pages(self):
         trace = generate_trace(benchmark_profile("tlbthrash"), instructions=3000)
-        refs = trace.memory_references
+        refs = memory_addresses(trace)
         # Far more distinct pages than the 64-entry TLB can hold, and nearly
         # every reference lands on a new page (page-sized strides).
-        assert trace.footprint_pages() > 256
-        assert trace.footprint_pages() > 0.8 * len(refs)
+        assert footprint_pages(trace) > 256
+        assert footprint_pages(trace) > 0.8 * len(refs)
         # No dependent loads: full MLP keeps translation pressure maximal.
-        assert all(not i.deps for i in trace if i.is_load)
+        assert dependent_loads(trace) == 0
 
     def test_depchase_serializes_addresses(self):
         def dependent_load_fraction(name):
             trace = generate_trace(benchmark_profile(name), instructions=3000)
-            loads = [i for i in trace if i.is_load]
-            return sum(1 for i in loads if i.deps) / len(loads)
+            return dependent_loads(trace) / trace.load_count
 
         # Nearly every load waits on a producer (chase_dep = 0.85 across
         # four chase streams) — well beyond mcf, the paper's chase extreme.
@@ -85,12 +105,11 @@ class TestProfilesRegistry:
 
     def test_mlpladder_keeps_independent_misses_in_flight(self):
         trace = generate_trace(benchmark_profile("mlpladder"), instructions=3000)
-        loads = [i for i in trace if i.is_load]
         # Stepped ladders of independent sweeps: a multi-rung footprint well
         # past the uTLB with almost no dependent loads, so misses overlap
         # freely instead of serializing behind producers.
-        assert trace.footprint_pages() > 64
-        assert sum(1 for i in loads if i.deps) / len(loads) < 0.2
+        assert footprint_pages(trace) > 64
+        assert dependent_loads(trace) / trace.load_count < 0.2
 
     def test_ptrchase_has_low_page_locality(self):
         def locality(name):
@@ -103,12 +122,10 @@ class TestProfilesRegistry:
 
     def test_streamwrite_is_store_dominated(self):
         trace = generate_trace(benchmark_profile("streamwrite"), instructions=3000)
-        stores = sum(1 for i in trace if i.is_store)
-        loads = sum(1 for i in trace if i.is_load)
+        stores, loads = trace.store_count, trace.load_count
         assert stores > loads  # inverted load/store ratio vs the 2:1 suites
         gzip_trace = generate_trace(benchmark_profile("gzip"), instructions=3000)
-        gzip_stores = sum(1 for i in gzip_trace if i.is_store)
-        gzip_loads = sum(1 for i in gzip_trace if i.is_load)
+        gzip_stores, gzip_loads = gzip_trace.store_count, gzip_trace.load_count
         assert stores / (stores + loads) > 2 * gzip_stores / (gzip_stores + gzip_loads)
 
     def test_unknown_lookup_raises(self):
@@ -145,24 +162,20 @@ class TestTraceJsonl:
     def test_round_trip(self, tmp_path, suffix):
         original = generate_trace(benchmark_profile("gzip"), instructions=600)
         path = tmp_path / f"gzip.{suffix}"
-        original.to_jsonl(path)
-        restored = MemoryTrace.from_jsonl(path)
+        dump_jsonl(original, path)
+        restored = load_trace(path)
         assert restored.name == original.name
         assert restored.suite == original.suite
         assert restored.layout == original.layout
         assert len(restored) == len(original)
-        for left, right in zip(original, restored):
-            assert left.kind is right.kind
-            assert left.address == right.address
-            assert left.size == right.size
-            assert left.deps == right.deps
-            assert left.seq == right.seq
+        # Every record field, and the dependency pool, survive bit for bit.
+        assert restored.to_bytes() == original.to_bytes()
 
     def test_gzip_file_is_actually_compressed(self, tmp_path):
         trace = generate_trace(benchmark_profile("gzip"), instructions=600)
         plain, packed = tmp_path / "t.jsonl", tmp_path / "t.jsonl.gz"
-        trace.to_jsonl(plain)
-        trace.to_jsonl(packed)
+        dump_jsonl(trace, plain)
+        dump_jsonl(trace, packed)
         assert packed.read_bytes()[:2] == b"\x1f\x8b"  # gzip magic
         assert packed.stat().st_size < plain.stat().st_size
 
@@ -170,7 +183,7 @@ class TestTraceJsonl:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(ValueError):
-            MemoryTrace.from_jsonl(path)
+            load_trace(path)
 
     def test_simulation_on_reloaded_trace_matches(self, tmp_path):
         from repro.sim.config import SimulationConfig
@@ -178,8 +191,8 @@ class TestTraceJsonl:
 
         trace = generate_trace(benchmark_profile("djpeg"), instructions=600)
         path = tmp_path / "djpeg.jsonl.gz"
-        trace.to_jsonl(path)
-        reloaded = MemoryTrace.from_jsonl(path)
+        dump_jsonl(trace, path)
+        reloaded = load_trace(path)
         config = SimulationConfig.malec()
         direct = run_configuration(config, trace, warmup_fraction=0.25)
         cached = run_configuration(config, reloaded, warmup_fraction=0.25)
@@ -192,16 +205,12 @@ class TestTraceGeneration:
         profile = benchmark_profile("gzip")
         a = generate_trace(profile, instructions=800)
         b = generate_trace(profile, instructions=800)
-        assert [i.address for i in a if i.is_memory] == [
-            i.address for i in b if i.is_memory
-        ]
+        assert memory_addresses(a) == memory_addresses(b)
 
     def test_different_benchmarks_differ(self):
         a = generate_trace(benchmark_profile("gzip"), instructions=800)
         b = generate_trace(benchmark_profile("mcf"), instructions=800)
-        assert [i.address for i in a if i.is_memory] != [
-            i.address for i in b if i.is_memory
-        ]
+        assert memory_addresses(a) != memory_addresses(b)
 
     def test_requested_length(self):
         trace = generate_trace(benchmark_profile("crafty"), instructions=500)
@@ -210,42 +219,42 @@ class TestTraceGeneration:
     def test_memory_fraction_close_to_profile(self):
         profile = benchmark_profile("gzip")
         trace = generate_trace(profile, instructions=6000)
-        assert abs(trace.memory_fraction - profile.memory_fraction) < 0.06
+        memory_fraction = len(memory_addresses(trace)) / len(trace)
+        assert abs(memory_fraction - profile.memory_fraction) < 0.06
 
     def test_load_store_ratio_near_two(self):
         """Sec. III: load/store ratio of roughly 2:1."""
         trace = generate_trace(benchmark_profile("gzip"), instructions=6000)
-        assert 1.5 <= trace.load_store_ratio <= 3.5
+        assert 1.5 <= trace.load_count / trace.store_count <= 3.5
 
     def test_addresses_within_address_space(self):
         trace = generate_trace(benchmark_profile("swim"), instructions=2000)
-        for address in trace.memory_addresses():
+        for address in memory_addresses(trace):
             assert 0 <= address <= layout.max_address
 
     def test_dependencies_point_backwards(self):
         trace = generate_trace(benchmark_profile("mcf"), instructions=2000)
-        for instruction in trace:
-            for distance in instruction.deps:
+        for seq in range(len(trace)):
+            for distance in record_deps(trace, seq):
                 assert distance > 0
-                assert instruction.seq - distance >= -1
+                assert seq - distance >= -1
 
     def test_mcf_has_pointer_chase_dependencies(self):
         trace = generate_trace(benchmark_profile("mcf"), instructions=4000)
-        dependent_loads = sum(1 for i in trace if i.is_load and i.deps)
-        assert dependent_loads > 50
+        assert dependent_loads(trace) > 50
 
     def test_mcf_footprint_much_larger_than_media(self):
         mcf = generate_trace(benchmark_profile("mcf"), instructions=4000)
         djpeg = generate_trace(benchmark_profile("djpeg"), instructions=4000)
-        assert mcf.footprint_pages() > 5 * djpeg.footprint_pages()
+        assert footprint_pages(mcf) > 5 * footprint_pages(djpeg)
 
     def test_trace_container_helpers(self):
         trace = generate_trace(benchmark_profile("eon"), instructions=300)
-        head = trace.head(100)
+        head = window(trace, 0, 100)
         assert len(head) == 100
-        assert head[0].kind == trace[0].kind
-        assert "eon" in trace.summary()
-        assert trace.footprint_lines() >= trace.footprint_pages()
+        assert head.kinds[0] == trace.kinds[0]
+        assert trace.summary().startswith("eon: 300 instr, ")
+        assert trace.summary().endswith(f", {footprint_pages(trace)} pages")
 
 
 class TestPaperMotivation:
@@ -359,14 +368,14 @@ class TestPrecomputeDecompositions:
 
         layout = AddressLayout()
         trace = generate_trace(benchmark_profile("gzip"), instructions=400)
-        count = trace.columnar().precompute_decompositions(layout)
-        assert count == len(trace.memory_references)
+        count = trace.precompute_decompositions(layout)
+        assert count == trace.load_count + trace.store_count
         # Every memory address decomposes straight out of the cache now.
-        for instruction in trace.memory_references[:20]:
-            parts = layout.decompose(instruction.address)
-            assert parts.page_id == layout.page_id(instruction.address)
-            assert parts.bank_index == layout.bank_index(instruction.address)
+        for address in memory_addresses(trace)[:20]:
+            parts = layout.decompose(address)
+            assert parts.page_id == layout.page_id(address)
+            assert parts.bank_index == layout.bank_index(address)
 
     def test_defaults_to_own_layout(self):
         trace = generate_trace(benchmark_profile("gzip"), instructions=200)
-        assert trace.columnar().precompute_decompositions() == len(trace.memory_references)
+        assert trace.precompute_decompositions() == trace.load_count + trace.store_count
