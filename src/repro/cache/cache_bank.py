@@ -120,10 +120,11 @@ class CacheBank:
     # Address helpers
     # ------------------------------------------------------------------
     def _check_bank(self, physical_address: int) -> None:
-        if self.layout.decompose(physical_address).bank_index != self.bank_index:
+        bank_index = self.layout.bank_index(physical_address)
+        if bank_index != self.bank_index:
             raise ValueError(
                 f"address {physical_address:#x} belongs to bank "
-                f"{self.layout.bank_index(physical_address)}, not {self.bank_index}"
+                f"{bank_index}, not {self.bank_index}"
             )
 
     def _line_address_from(self, set_index: int, tag: int) -> int:
@@ -157,7 +158,7 @@ class CacheBank:
         unknown and forces a conventional access.  Every read returns two
         adjacent sub-blocks (the MALEC assumption that doubles merge
         opportunities) and counts one ``l1.subblock_pair_read``.  The caller
-        has decomposed the address and routed it to this bank.
+        has taken set and tag from the address and routed it to this bank.
 
         Returns ``(hit, way, reduced, way_hint_wrong)``.  ``way_hint_wrong``
         is True when a supplied hint did not match.  Page-Based Way
@@ -245,8 +246,10 @@ class CacheBank:
         ``ValueError`` for an address that belongs to another bank.
         """
         self._check_bank(physical_address)
-        parts = self.layout.decompose(physical_address)
-        return self.array.find_way(parts.set_index, parts.tag, update_replacement=False)
+        layout = self.layout
+        set_index = (physical_address >> layout._set_shift) & layout._set_mask
+        tag = physical_address >> layout._tag_shift
+        return self.array.find_way(set_index, tag, update_replacement=False)
 
     def contains(self, physical_address: int) -> bool:
         """True if the line holding ``physical_address`` is resident."""

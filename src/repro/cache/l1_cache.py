@@ -91,7 +91,7 @@ class L1DataCache:
     # ------------------------------------------------------------------
     def bank_for(self, physical_address: int) -> CacheBank:
         """Bank that owns ``physical_address``."""
-        return self.banks[self.layout.decompose(physical_address).bank_index]
+        return self.banks[self.layout.bank_index(physical_address)]
 
     def load_parts(self, physical_address: int, way_hint: Optional[int] = None):
         """Service a load, handling the miss path through L2/DRAM.
@@ -103,12 +103,12 @@ class L1DataCache:
         ``way`` is the hit or filled way, ``latency`` includes L2/DRAM time
         on a miss, and ``way_hint_wrong`` flags a hint that did not match.
         """
-        parts = self.layout.decompose(physical_address)
-        bank_index = parts.bank_index
+        layout = self.layout
+        bank_index = layout.bank_index(physical_address)
         bank = self.banks[bank_index]
-        hit, way, reduced, hint_wrong = bank.read_parts(
-            parts.set_index, parts.tag, way_hint
-        )
+        set_index = (physical_address >> layout._set_shift) & layout._set_mask
+        tag = physical_address >> layout._tag_shift
+        hit, way, reduced, hint_wrong = bank.read_parts(set_index, tag, way_hint)
         if hit:
             self.stats.bump_many(self._combo_load_hit)
             return True, way, self.hit_latency, reduced, bank_index, hint_wrong
@@ -116,7 +116,7 @@ class L1DataCache:
         self.stats.bump_many(self._combo_load_miss)
         miss_latency = self.l2.access(physical_address, is_write=False)
         way, evicted_address, evicted_dirty = bank.fill_parts(
-            physical_address, parts.set_index, parts.tag, False
+            physical_address, set_index, tag, False
         )
         if evicted_dirty:
             self.l2.access(evicted_address, is_write=True)
@@ -128,10 +128,12 @@ class L1DataCache:
         Returns ``(hit, way, latency, reduced, bank_index)``, as
         :meth:`load_parts` does without the hint-mismatch flag.
         """
-        parts = self.layout.decompose(physical_address)
-        bank_index = parts.bank_index
+        layout = self.layout
+        bank_index = layout.bank_index(physical_address)
         bank = self.banks[bank_index]
-        hit, way, reduced = bank.write_parts(parts.set_index, parts.tag, way_hint)
+        set_index = (physical_address >> layout._set_shift) & layout._set_mask
+        tag = physical_address >> layout._tag_shift
+        hit, way, reduced = bank.write_parts(set_index, tag, way_hint)
         if hit:
             self.stats.bump_many(self._combo_store_hit)
             return True, way, self.hit_latency, reduced, bank_index
@@ -139,7 +141,7 @@ class L1DataCache:
         self.stats.bump_many(self._combo_store_miss)
         miss_latency = self.l2.access(physical_address, is_write=False)
         way, evicted_address, evicted_dirty = bank.fill_parts(
-            physical_address, parts.set_index, parts.tag, True
+            physical_address, set_index, tag, True
         )
         self.stats.bump(self._h_data_write, 1)
         if evicted_dirty:

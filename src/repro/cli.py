@@ -157,11 +157,7 @@ from repro.workloads.ingest import (
     subsample,
     window,
 )
-from repro.workloads.registry import (
-    register_trace,
-    registered_trace,
-    validate_workload,
-)
+from repro.workloads.registry import register_trace, validate_workload
 from repro.workloads.suites import EXTENDED_BENCHMARKS, benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -1240,12 +1236,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     timeline = TraceEventLog() if args.timeline else None
     attributions = []
     first = True
+    # The resolver figure4 uses: an ingested trace is cut to the budget too.
+    runner = ExperimentRunner(instructions=args.instructions)
     for benchmark in workloads:
-        trace = registered_trace(benchmark)
-        if trace is None:
-            trace = generate_trace(
-                benchmark_profile(benchmark), instructions=args.instructions
-            )
+        trace = runner.trace_for(benchmark)
         for pid, config in enumerate(configs):
             collector = RunCollector(
                 sample_every=args.sample_every if timeline is not None else 0

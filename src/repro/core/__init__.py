@@ -20,18 +20,14 @@ al.'s line-based WDU (extended with validity bits, as the paper does for its
 comparison in Sec. VI-C).
 """
 
-from repro.core.request import AccessKind, MemoryAccessRequest
 from repro.core.way_table import WayTableHierarchy
 from repro.core.wdu import WayDeterminationUnit
 from repro.core.input_buffer import InputBuffer
-from repro.core.arbitration import ArbitrationUnit, BankRequest
+from repro.core.arbitration import ArbitrationUnit
 
 __all__ = [
-    "AccessKind",
-    "MemoryAccessRequest",
     "WayTableHierarchy",
     "WayDeterminationUnit",
     "InputBuffer",
     "ArbitrationUnit",
-    "BankRequest",
 ]

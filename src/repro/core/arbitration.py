@@ -1,7 +1,7 @@
 """Arbitration Unit: bank selection, load merging and way assignment (Sec. IV).
 
-Given the members of the page group selected by the Input Buffer, the
-Arbitration Unit decides which accesses actually reach the L1 this cycle:
+Given the page group selected by the Input Buffer, the Arbitration Unit
+decides which accesses actually reach the L1 this cycle:
 
 * for every cache bank it picks the highest-priority access mapping to it
   (the banks are single-ported, so one access per bank per cycle);
@@ -14,6 +14,8 @@ Arbitration Unit decides which accesses actually reach the L1 this cycle:
 * at most ``result_buses`` loads can be serviced per cycle (four in the
   evaluated configuration); lower-priority loads are rejected and stay in the
   Input Buffer;
+* the group's MBE, arbitrated after the loads, takes its bank when no load
+  holds it (it needs no result bus);
 * way information from the page's way-table entry is attached to every
   selected bank access so the banks can perform reduced (tag-bypassed)
   accesses.
@@ -21,37 +23,19 @@ Arbitration Unit decides which accesses actually reach the L1 this cycle:
 With sub-blocked data arrays MALEC expects each read to return two adjacent
 sub-blocks, so two loads can share an access when they fall into the same
 aligned sub-block pair; merging at full line granularity or single sub-block
-granularity is available for ablations.
+granularity is available for ablations.  Either way two loads merge when
+their addresses agree above one shift.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.request import MemoryAccessRequest
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 
 #: Merge granularities supported by :class:`ArbitrationUnit`.
 MERGE_GRANULARITIES = ("line", "subblock_pair", "subblock", "none")
-
-
-class BankRequest:
-    """One access issued to a cache bank this cycle (slotted: one per access).
-
-    ``primary`` is the request that drives the access (its ``bank_index``
-    names the bank); ``merged`` lists loads that share its returned data.
-    ``way_hint`` is the way supplied by the page's way-table entry (``None``
-    = unknown, conventional access).
-    """
-
-    __slots__ = ("primary", "merged", "is_write", "way_hint")
-
-    def __init__(self, primary: MemoryAccessRequest, is_write: bool = False) -> None:
-        self.primary = primary
-        self.merged: List[MemoryAccessRequest] = []
-        self.is_write = is_write
-        self.way_hint: Optional[int] = None
 
 
 class ArbitrationUnit:
@@ -77,6 +61,13 @@ class ArbitrationUnit:
         self.result_buses = result_buses
         self.merge_window = merge_window
         self.merge_granularity = merge_granularity
+        #: two loads merge when their addresses agree above this shift
+        self._merge_shift = {
+            "line": layout.line_offset_bits,
+            "subblock": layout._subblock_shift,
+            "subblock_pair": min(layout._subblock_shift + 1, layout.line_offset_bits),
+            "none": None,
+        }[merge_granularity]
         self.stats = stats if stats is not None else StatCounters()
         # Per-cycle counters resolved to integer slots once (hot path).
         self._h_mbe_bank_conflict = self.stats.handle("arb.mbe_bank_conflict")
@@ -89,122 +80,100 @@ class ArbitrationUnit:
         self._h_cycles = self.stats.handle("arb.cycles")
         self._h_bank_accesses = self.stats.handle("arb.bank_accesses")
 
-    # ------------------------------------------------------------------
-    def _can_merge(self, a: MemoryAccessRequest, b: MemoryAccessRequest) -> bool:
-        """True when two loads can share one bank access."""
-        if self.merge_granularity == "none":
-            return False
-        if self.merge_granularity == "line":
-            return a.same_line_as(b)
-        if self.merge_granularity == "subblock_pair":
-            return a.same_subblock_pair_as(b)
-        # Single sub-block granularity.
-        return a.same_line_as(b) and (
-            self.layout.subblock_in_line(a.virtual_address)
-            == self.layout.subblock_in_line(b.virtual_address)
-        )
-
     def arbitrate(
         self,
-        members: List[MemoryAccessRequest],
+        loads: List[tuple],
+        mbe: Optional[int] = None,
         way_entry: Optional[Tuple[bytearray, int]] = None,
-    ) -> Tuple[List[BankRequest], List[MemoryAccessRequest], int]:
+    ) -> Tuple[List[list], List[tuple], bool, Optional[int]]:
         """Distribute a page group over the banks.
 
         Parameters
         ----------
-        members:
-            The group's requests in priority order, as returned by
-            :meth:`repro.core.input_buffer.InputBuffer.select_group`.
+        loads:
+            The group's ``(tag, address, size)`` loads in priority order, as
+            :meth:`repro.core.input_buffer.InputBuffer.select_group` returns
+            them.
+        mbe:
+            The line address of the group's MBE, or ``None``.
         way_entry:
             The ``(codes, offset)`` pair of the uWT entry covering the
             group's page, as :meth:`repro.core.way_table.WayTableHierarchy.predict_page`
             returns it (``None`` when way determination is disabled); used
             to attach way hints.
 
-        Returns ``(bank_requests, serviced, loads_granted)``: the accesses
-        issued to the banks, every request they service (primaries and
-        merged loads; the members left out stay in the Input Buffer), and
-        the number of serviced loads.
+        Returns ``(bank_requests, serviced, mbe_granted, mbe_hint)``.  A bank
+        request is a ``[primary load, merged loads, way hint]`` list (hint
+        ``None`` = unknown, conventional access); ``serviced`` lists every
+        load the requests service (the loads left out stay in the Input
+        Buffer); ``mbe_hint`` is the way hint of a granted MBE's write.
         """
-        bank_requests: List[BankRequest] = []
-        serviced: List[MemoryAccessRequest] = []
-        bank_owner: Dict[int, BankRequest] = {}
-        loads_granted = 0
+        stats = self.stats
+        line_bits = self.layout.line_offset_bits
+        bank_mask = self.layout._bank_mask
+        merge_shift = self._merge_shift
+        window = self.merge_window if merge_shift is not None else -1
+        result_buses = self.result_buses
+        bank_requests: List[list] = []
+        serviced: List[tuple] = []
+        bank_owner = {}
 
-        for position, request in enumerate(members):
-            bank = request.bank_index
-
-            if request.is_mbe:
-                # The MBE writes the cache; it needs its bank but no result bus.
-                if bank in bank_owner:
-                    self.stats.bump(self._h_mbe_bank_conflict)
-                    continue
-                bank_request = BankRequest(request, is_write=True)
-                bank_owner[bank] = bank_request
-                bank_requests.append(bank_request)
-                serviced.append(request)
-                continue
-
-            # ----------------------------------------------------------
-            # Loads: try merging with an already granted access first.
-            # ----------------------------------------------------------
-            merged = False
-            if position <= self.merge_window and self.merge_granularity != "none":
-                for bank_request in bank_owner.values():
-                    if bank_request.is_write:
-                        continue
-                    self.stats.bump(self._h_line_compare)
-                    if self._can_merge(bank_request.primary, request):
-                        if loads_granted >= self.result_buses:
+        for position, load in enumerate(loads):
+            address = load[1]
+            if position <= window:
+                # Try merging with an already granted access first.
+                key = address >> merge_shift
+                merged = False
+                for owner in bank_owner.values():
+                    stats.bump(self._h_line_compare)
+                    if owner[0][1] >> merge_shift == key:
+                        if len(serviced) >= result_buses:
                             break
-                        bank_request.merged.append(request)
-                        serviced.append(request)
-                        loads_granted += 1
+                        owner[1].append(load)
+                        serviced.append(load)
                         merged = True
-                        self.stats.bump(self._h_merged_load)
+                        stats.bump(self._h_merged_load)
                         break
-            if merged:
+                if merged:
+                    continue
+            if len(serviced) >= result_buses:
+                stats.bump(self._h_rejected_result_bus)
                 continue
-
-            if loads_granted >= self.result_buses:
-                self.stats.bump(self._h_rejected_result_bus)
-                continue
-
+            bank = (address >> line_bits) & bank_mask
             if bank in bank_owner:
-                self.stats.bump(self._h_rejected_bank_conflict)
+                stats.bump(self._h_rejected_bank_conflict)
                 continue
-
-            bank_request = BankRequest(request)
+            bank_request = [load, [], None]
             bank_owner[bank] = bank_request
             bank_requests.append(bank_request)
-            serviced.append(request)
-            loads_granted += 1
-            self.stats.bump(self._h_granted_load)
+            serviced.append(load)
+            stats.bump(self._h_granted_load)
 
-        self._assign_way_hints(bank_requests, way_entry)
-        self.stats.bump(self._h_cycles)
-        self.stats.bump(self._h_bank_accesses, len(bank_requests))
-        return bank_requests, serviced, loads_granted
+        mbe_granted = False
+        if mbe is not None:
+            if ((mbe >> line_bits) & bank_mask) in bank_owner:
+                stats.bump(self._h_mbe_bank_conflict)
+            else:
+                mbe_granted = True
 
-    # ------------------------------------------------------------------
-    def _assign_way_hints(
-        self,
-        bank_requests: List[BankRequest],
-        way_entry: Optional[Tuple[bytearray, int]],
-    ) -> None:
-        """Attach way-table information to every selected bank access.
-
-        The energy to evaluate the WT entry is independent of the number of
-        accesses serviced (at most one way per bank is needed), which is what
-        makes the scheme scalable (Sec. V); the entry read itself was already
-        accounted for when the page was translated.
-        """
-        if way_entry is None:
-            return
-        codes, offset = way_entry
-        for bank_request in bank_requests:
-            code = codes[offset + bank_request.primary.line_in_page]
-            if code:
-                bank_request.way_hint = code - 1
-                self.stats.bump(self._h_way_hint_assigned)
+        # The energy to evaluate the WT entry is independent of the number
+        # of accesses serviced (at most one way per bank is needed), which
+        # is what makes the scheme scalable (Sec. V); the entry read itself
+        # was already accounted for when the page was translated.
+        mbe_hint = None
+        if way_entry is not None:
+            codes, offset = way_entry
+            line_mask = self.layout._line_in_page_mask
+            for bank_request in bank_requests:
+                code = codes[offset + ((bank_request[0][1] >> line_bits) & line_mask)]
+                if code:
+                    bank_request[2] = code - 1
+                    stats.bump(self._h_way_hint_assigned)
+            if mbe_granted:
+                code = codes[offset + ((mbe >> line_bits) & line_mask)]
+                if code:
+                    mbe_hint = code - 1
+                    stats.bump(self._h_way_hint_assigned)
+        stats.bump(self._h_cycles)
+        stats.bump(self._h_bank_accesses, len(bank_requests) + mbe_granted)
+        return bank_requests, serviced, mbe_granted, mbe_hint

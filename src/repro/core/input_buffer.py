@@ -17,15 +17,22 @@ conflicts or result-bus limits — are held for the next cycle.  If the held
 storage would overflow, address computation stalls; that back-pressure, and
 the cap of three arrivals per cycle set by the address-computation slots,
 live in :meth:`repro.interfaces.malec.MalecInterface.can_accept_load`.
+
+Each load is held as a ``(tag, address, size)`` tuple, the shape of the
+baselines' pending loads, and the MBE slot holds the MBE's virtual line
+address.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
-from repro.core.request import MemoryAccessRequest
+from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
+
+#: one waiting load: (tag, virtual_address, size)
+Load = Tuple[Any, int, int]
 
 
 class InputBuffer:
@@ -42,15 +49,17 @@ class InputBuffer:
     def __init__(
         self,
         held_capacity: int = 2,
+        layout: AddressLayout = DEFAULT_LAYOUT,
         stats: Optional[StatCounters] = None,
     ) -> None:
         if held_capacity < 0:
             raise ValueError("held capacity cannot be negative")
         self.held_capacity = held_capacity
+        self.layout = layout
         self.stats = stats if stats is not None else StatCounters()
-        self._held: Deque[MemoryAccessRequest] = deque()
-        self._new: List[MemoryAccessRequest] = []
-        self._mbe: Optional[MemoryAccessRequest] = None
+        self._held: Deque[Load] = deque()
+        self._new: List[Load] = []
+        self._mbe: Optional[int] = None
         # Per-cycle counters resolved to integer slots once (hot path).
         self._h_load_in = self.stats.handle("input_buffer.load_in")
         self._h_mbe_in = self.stats.handle("input_buffer.mbe_in")
@@ -71,77 +80,72 @@ class InputBuffer:
     # ------------------------------------------------------------------
     # Submissions
     # ------------------------------------------------------------------
-    def add_load(self, request: MemoryAccessRequest) -> None:
+    def add_load(self, tag: Any, address: int, size: int) -> None:
         """Submit a load that finished address computation this cycle."""
-        if not request.is_load:
-            raise ValueError("add_load expects a load request")
-        self._new.append(request)
+        self._new.append((tag, address, size))
         self.stats.bump(self._h_load_in)
 
-    def add_mbe(self, request: MemoryAccessRequest) -> None:
-        """Submit an evicted merge-buffer entry."""
-        if not request.is_mbe:
-            raise ValueError("add_mbe expects a merge-buffer entry")
+    def add_mbe(self, line_address: int) -> None:
+        """Submit the virtual line address of an evicted merge-buffer entry."""
         if self._mbe is not None:
             raise RuntimeError("the MBE slot is already occupied")
-        self._mbe = request
+        self._mbe = line_address
         self.stats.bump(self._h_mbe_in)
 
     # ------------------------------------------------------------------
     # Page-group selection
     # ------------------------------------------------------------------
-    def select_group(self) -> Optional[Tuple[int, List[MemoryAccessRequest]]]:
-        """Identify this cycle's page group as ``(page, members)``.
+    def select_group(self) -> Optional[Tuple[int, List[Load], Optional[int]]]:
+        """Identify this cycle's page group as ``(page, loads, mbe)``.
 
         The highest-priority entry becomes the leader; its virtual page id is
         what the interface sends to the uTLB, translated once for the whole
         group.  Every other currently valid entry is compared against that
         page id (one narrow comparator per entry — counted for completeness
         even though the paper deems the energy negligible) and matching
-        entries join the group.  ``members`` is in priority order, so the
-        leader comes first and a matching MBE last.
+        entries join the group.  ``loads`` are the leader page's loads in
+        priority order; ``mbe`` is the MBE's line address when it joins the
+        group, else ``None``.
 
         Returns ``None`` when nothing is waiting.
         """
         held = self._held
         new = self._new
         mbe = self._mbe
+        shift = self.layout.page_offset_bits
         if held:
-            leader = held[0]
+            page = held[0][1] >> shift
         elif new:
-            leader = new[0]
+            page = new[0][1] >> shift
         elif mbe is not None:
-            leader = mbe
+            page = mbe >> shift
         else:
             return None
-        page = leader.virtual_page
-        members = []
+        loads = [load for source in (held, new) for load in source if load[1] >> shift == page]
+        compares = len(held) + len(new) - 1  # the leader compares against nobody
+        if mbe is not None:
+            compares += 1
+            if mbe >> shift != page:
+                mbe = None
         stats = self.stats
-        compares = -1  # the leader compares against nobody
-        for source in (held, new, (mbe,) if mbe is not None else ()):
-            for request in source:
-                compares += 1
-                if request.virtual_page == page:
-                    members.append(request)
         if compares:  # integer sum: one bump of n is bit-identical to n bumps
             stats.bump(self._h_page_compare, compares)
         stats.bump(self._h_group_selected)
-        stats.bump(self._h_group_size, len(members))
-        return page, members
+        stats.bump(self._h_group_size, len(loads) + (mbe is not None))
+        return page, loads, mbe
 
     # ------------------------------------------------------------------
     # End-of-cycle bookkeeping
     # ------------------------------------------------------------------
-    def retire(self, serviced: List[MemoryAccessRequest]) -> None:
-        """Remove requests that were serviced (sent to the cache) this cycle.
+    def retire(self, serviced: List[Load], mbe_serviced: bool) -> None:
+        """Remove the loads (and the MBE) serviced this cycle.
 
-        Requests are matched by identity (they define no equality), so a
-        waiting request with the same fields as a serviced one stays.
+        Loads are matched by equality: their tags are unique within a run.
         """
         gone = set(serviced)
-        self._held = deque(request for request in self._held if request not in gone)
-        self._new = [request for request in self._new if request not in gone]
-        if self._mbe is not None and self._mbe in gone:
+        self._held = deque(load for load in self._held if load not in gone)
+        self._new = [load for load in self._new if load not in gone]
+        if mbe_serviced:
             self._mbe = None
             self.stats.bump(self._h_mbe_out)
 
@@ -159,8 +163,9 @@ class InputBuffer:
         self.stats.bump(self._h_held_loads, held)
         return held
 
-    def take_mbe(self) -> Optional[MemoryAccessRequest]:
-        """Remove and return the waiting MBE, if any (end-of-run drain)."""
+    def take_mbe(self) -> Optional[int]:
+        """Remove and return the waiting MBE's line address, if any
+        (end-of-run drain)."""
         mbe = self._mbe
         self._mbe = None
         return mbe

@@ -188,9 +188,6 @@ class WayTableHierarchy:
     def _locate(self, physical_address: int):
         """``(codes, slot, update counter)`` of the entry owning the page of
         ``physical_address``, the uWT's before the WT's, or ``None``.
-
-        The page is taken by a shift, not ``decompose``: physical line
-        addresses would only fill the layout's decomposition memo.
         """
         ppage = self.layout.page_id(physical_address)
         slot = self.translation.utlb.reverse_lookup(ppage)

@@ -234,10 +234,9 @@ class BaseL1Interface(ABC):
     def _enqueue_load(self, tag: Any, address: int, size: int) -> None:
         """Store a submitted load until it can access the cache.
 
-        Receives the raw submission fields so each interface builds exactly
-        the queue record it needs (a ``(tag, address, size)`` tuple for the
-        baselines, a :class:`~repro.core.request.MemoryAccessRequest` for
-        MALEC) without an intermediate allocation.
+        Receives the raw submission fields; every interface queues them as
+        one ``(tag, address, size)`` tuple (the baselines in front of their
+        cache ports, MALEC in its Input Buffer).
         """
 
     def _on_store_submitted(self, address: int, size: int, cycle: int) -> None:

@@ -24,9 +24,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from repro.core.arbitration import ArbitrationUnit, BankRequest
+from repro.core.arbitration import ArbitrationUnit
 from repro.core.input_buffer import InputBuffer
-from repro.core.request import AccessKind, MemoryAccessRequest
 from repro.core.way_table import WayTableHierarchy
 from repro.core.wdu import WayDeterminationUnit
 from repro.interfaces.base import (
@@ -73,7 +72,7 @@ class MalecInterface(BaseL1Interface):
             )
         self.way_determination = way_determination
         self.input_buffer = InputBuffer(
-            held_capacity=input_buffer_capacity, stats=self.stats
+            held_capacity=input_buffer_capacity, layout=self.layout, stats=self.stats
         )
         self.arbitration = ArbitrationUnit(
             layout=self.layout,
@@ -139,14 +138,7 @@ class MalecInterface(BaseL1Interface):
         return self.input_buffer.empty and not self._mbe_backlog
 
     def _enqueue_load(self, tag, address, size) -> None:
-        request = MemoryAccessRequest(
-            kind=AccessKind.LOAD,
-            virtual_address=address,
-            size=size,
-            tag=tag,
-            layout=self.layout,
-        )
-        self.input_buffer.add_load(request)
+        self.input_buffer.add_load(tag, self.layout.check(address), size)
 
     def _queue_writeback(self, line_address: int) -> None:
         # Unlike the baselines, evicted MBEs travel through the Input Buffer
@@ -154,36 +146,22 @@ class MalecInterface(BaseL1Interface):
         self._mbe_backlog.append(line_address)
         self.stats.bump(self._h_mbe_queued)
 
-    def _feed_mbe_slot(self) -> None:
-        """Move one backlogged MBE into the Input Buffer's MBE slot."""
-        if not self._mbe_backlog or not self.input_buffer.can_accept_mbe():
-            return
-        request = MemoryAccessRequest(
-            kind=AccessKind.MBE,
-            virtual_address=self._mbe_backlog.popleft(),
-            size=self.layout.line_bytes,
-            tag=None,
-            layout=self.layout,
-        )
-        self.input_buffer.add_mbe(request)
-
     # ------------------------------------------------------------------
     # Per-cycle servicing
     # ------------------------------------------------------------------
     def _service_cycle(self, cycle: int) -> List[CompletedAccess]:
         completions: List[CompletedAccess] = []
-        if not self._mbe_backlog and self.input_buffer.empty:
+        input_buffer = self.input_buffer
+        backlog = self._mbe_backlog
+        if not backlog and input_buffer.empty:
             # Nothing waiting anywhere: a true no-op.  (end_cycle() on an
             # empty buffer would only add zero to the held-loads counter;
             # not calling it keeps the quiescent tick side-effect free, which
             # is what lets the event-driven pipeline skip it altogether.)
             return completions
-        self._feed_mbe_slot()
-        group = self.input_buffer.select_group()
-        if group is None:
-            self.input_buffer.end_cycle()
-            return completions
-        page, members = group
+        if backlog and input_buffer.can_accept_mbe():
+            input_buffer.add_mbe(backlog.popleft())
+        page, loads, mbe = input_buffer.select_group()
 
         # One translation per cycle, shared by the whole page group.
         physical_page, translation_latency = self.translation.translate_page_pair(page)
@@ -191,9 +169,10 @@ class MalecInterface(BaseL1Interface):
         if self.way_tables is not None:
             way_entry = self.way_tables.predict_page(page)
 
-        bank_requests, serviced, loads_granted = self.arbitration.arbitrate(
-            members, way_entry
+        bank_requests, serviced, mbe_granted, mbe_hint = self.arbitration.arbitrate(
+            loads, mbe, way_entry
         )
+        loads_granted = len(serviced)
 
         if loads_granted:
             # The split SB/MB lookup structures compare the shared page id
@@ -201,59 +180,60 @@ class MalecInterface(BaseL1Interface):
             self.store_buffer.charge_shared_page_lookup()
             self.merge_buffer.charge_shared_page_lookup()
 
+        frame = physical_page << self.layout.page_offset_bits
         for bank_request in bank_requests:
             completions.extend(
-                self._service_bank_request(
-                    bank_request, physical_page, translation_latency, cycle
-                )
+                self._service_bank_request(bank_request, frame, translation_latency, cycle)
             )
+        if mbe_granted:
+            # The MBE's write, the last bank access: no result bus needed.
+            physical_address = frame | (mbe & self.layout._page_offset_mask)
+            way_hint = self._wdu_hint(physical_address, mbe_hint)
+            reduced = self.hierarchy.l1.store_parts(physical_address, way_hint=way_hint)[3]
+            self.stats.bump(self._h_mbe_written)
+            self._account_way_prediction(way_hint, reduced)
 
-        self.input_buffer.retire(serviced)
-        self.input_buffer.end_cycle()
+        input_buffer.retire(serviced, mbe_granted)
+        input_buffer.end_cycle()
         self.stats.bump(self._h_group_cycles)
         self.stats.bump(self._h_group_loads, loads_granted)
         return completions
 
+    def _wdu_hint(self, physical_address: int, way_hint: Optional[int]) -> Optional[int]:
+        """The WDU's way for ``physical_address`` when it knows one, else ``way_hint``."""
+        if self.wdu is not None:
+            way = self.wdu.predict(physical_address)
+            if way is not None:
+                return way
+        return way_hint
+
     def _service_bank_request(
         self,
-        bank_request: BankRequest,
-        physical_page: int,
+        bank_request: list,
+        frame: int,
         translation_latency: int,
         cycle: int,
     ) -> List[CompletedAccess]:
-        """Perform one bank access and return completions of its loads."""
-        completions: List[CompletedAccess] = []
-        primary = bank_request.primary
-        primary.attach_translation(physical_page)
-        way_hint = bank_request.way_hint
+        """Perform one load bank access and return completions of its loads.
 
-        if self.wdu is not None:
-            way = self.wdu.predict(primary.physical_address)
-            if way is not None:
-                way_hint = way
+        ``bank_request`` is ``[primary load, merged loads, way hint]`` and
+        ``frame`` the group's physical page shifted into place.
+        """
+        (tag, address, size), merged, way_hint = bank_request
+        physical_address = frame | (address & self.layout._page_offset_mask)
+        way_hint = self._wdu_hint(physical_address, way_hint)
 
-        if bank_request.is_write:
-            reduced = self.hierarchy.l1.store_parts(
-                primary.physical_address, way_hint=way_hint
-            )[3]
-            self.stats.bump(self._h_mbe_written)
-            self._account_way_prediction(way_hint, reduced)
-            return completions
-
-        # Loads: every serviced load (primary + merged) searches SB/MB with
-        # the split structures and shares the single bank access.  (The
-        # primary's translation is already attached above.)
-        merged_requests = bank_request.merged
-        self._forwarding_lookups(primary.virtual_address, primary.size, split=True)
-        for request in merged_requests:
-            request.attach_translation(physical_page)
-            self._forwarding_lookups(request.virtual_address, request.size, split=True)
+        # Every serviced load (primary + merged) searches SB/MB with the
+        # split structures and shares the single bank access.
+        self._forwarding_lookups(address, size, split=True)
+        for _tag, merged_address, merged_size in merged:
+            self._forwarding_lookups(merged_address, merged_size, split=True)
 
         hit, way, latency, reduced, _, _ = self.hierarchy.l1.load_parts(
-            primary.physical_address, way_hint=way_hint
+            physical_address, way_hint=way_hint
         )
         self.stats.bump(self._h_load_accesses)
-        self.stats.bump(self._h_loads_merged, len(merged_requests))
+        self.stats.bump(self._h_loads_merged, len(merged))
         self._account_way_prediction(way_hint, reduced)
 
         if way_hint is None and hit:
@@ -261,19 +241,12 @@ class MalecInterface(BaseL1Interface):
             # was unknown — update the uWT via the last-entry register, or
             # train the WDU.
             if self.way_tables is not None:
-                self.way_tables.feedback_conventional_hit(
-                    primary.physical_address, way
-                )
+                self.way_tables.feedback_conventional_hit(physical_address, way)
             if self.wdu is not None and way is not None:
-                self.wdu.record(primary.physical_address, way)
+                self.wdu.record(physical_address, way)
 
         ready = cycle + translation_latency + latency
-        if primary.tag is not None:
-            completions.append((primary.tag, ready))
-        for request in merged_requests:
-            if request.tag is not None:
-                completions.append((request.tag, ready))
-        return completions
+        return [(tag, ready)] + [(merged_tag, ready) for merged_tag, _, _ in merged]
 
     def _account_way_prediction(self, way_hint: Optional[int], reduced: bool) -> None:
         """Coverage bookkeeping: each bank access is one prediction opportunity."""
@@ -307,7 +280,7 @@ class MalecInterface(BaseL1Interface):
         # An MBE may still sit in the Input Buffer's single MBE slot.
         waiting = self.input_buffer.take_mbe()
         if waiting is not None:
-            self._pending_writebacks.append(PendingWriteback(waiting.virtual_address))
+            self._pending_writebacks.append(PendingWriteback(waiting))
         # Convert backlogged MBEs into ordinary write-backs first.
         while self._mbe_backlog:
             self._pending_writebacks.append(PendingWriteback(self._mbe_backlog.popleft()))

@@ -24,16 +24,14 @@ several loads per cycle).
 Because the field extractors sit on the simulator's innermost loops, every
 derived width, shift and mask is computed *once* at construction time and
 stored as a plain attribute (the layout is frozen, so they can never go
-stale), and :meth:`AddressLayout.decompose` memoises the full field split of
-an address — page, line, bank, set, tag — so each distinct address is
-decomposed a single time per layout no matter how many interfaces,
-configurations or sweep cells touch it.
+stale).  A caller takes the one field it needs: an extractor method, which
+range-checks the address, or the precomputed shift and mask after a check
+of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 def _is_power_of_two(value: int) -> bool:
@@ -60,19 +58,6 @@ def align_up(address: int, granule: int) -> int:
     if not _is_power_of_two(granule):
         raise ValueError(f"granule {granule} must be a power of two")
     return (address + granule - 1) & ~(granule - 1)
-
-
-class AddressParts(NamedTuple):
-    """The complete field split of one address (see :meth:`AddressLayout.decompose`)."""
-
-    page_id: int
-    page_offset: int
-    line_number: int
-    line_in_page: int
-    subblock_in_line: int
-    bank_index: int
-    set_index: int
-    tag: int
 
 
 @dataclass(frozen=True)
@@ -133,7 +118,7 @@ class AddressLayout:
             raise ValueError("L1 capacity must divide evenly into banks, sets and ways")
 
         # ------------------------------------------------------------------
-        # Derived widths, masks and caches.  The dataclass is frozen, so the
+        # Derived widths and masks.  The dataclass is frozen, so the
         # geometry can never change after construction; precomputing every
         # shift/mask here keeps the per-access field extractors branch-free.
         # (`object.__setattr__` is required because the instance is frozen.)
@@ -167,23 +152,6 @@ class AddressLayout:
         store("_set_shift", self.line_offset_bits + self.bank_bits)
         store("_tag_shift", self.line_offset_bits + self.bank_bits + self.set_bits)
         store("_subblock_shift", _log2(self.subblock_bytes))
-        store("_decompose_cache", {})
-
-    #: soft cap on the decomposition memo; long-lived processes sweeping many
-    #: traces through one shared layout reset the cache instead of growing it
-    #: without bound (a reset only costs re-decomposition, never correctness).
-    #: 2^18 entries keep worst-case retention in the tens of MB while still
-    #: covering every trace footprint the repository generates.
-    _DECOMPOSE_CACHE_LIMIT = 1 << 18
-
-    def __getstate__(self) -> dict:
-        """Pickle without the decomposition memo (workers rebuild their own)."""
-        state = dict(self.__dict__)
-        state["_decompose_cache"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Field extraction
@@ -249,38 +217,6 @@ class AddressLayout:
         if address < 0 or address > self.max_address:
             self.check(address)
         return address >> self._tag_shift
-
-    def decompose(self, address: int) -> AddressParts:
-        """Complete field split of ``address``, memoised per layout.
-
-        Every distinct address is decomposed exactly once per layout
-        instance; requests, interfaces and way-determination structures all
-        read the same cached :class:`AddressParts`, and traces can pre-warm
-        the cache
-        (:meth:`repro.workloads.columnar.ColumnarTrace.precompute_decompositions`)
-        so the simulation itself never decomposes an address it has seen.
-        """
-        cache = self._decompose_cache
-        parts = cache.get(address)
-        if parts is None:
-            if address < 0 or address > self.max_address:
-                self.check(address)
-            if len(cache) >= self._DECOMPOSE_CACHE_LIMIT:
-                cache.clear()
-            line_number = address >> self.line_offset_bits
-            parts = AddressParts(
-                page_id=address >> self.page_offset_bits,
-                page_offset=address & self._page_offset_mask,
-                line_number=line_number,
-                line_in_page=line_number & self._line_in_page_mask,
-                subblock_in_line=(address & self._line_offset_mask)
-                >> self._subblock_shift,
-                bank_index=line_number & self._bank_mask,
-                set_index=(address >> self._set_shift) & self._set_mask,
-                tag=address >> self._tag_shift,
-            )
-            self._decompose_cache[address] = parts
-        return parts
 
     # ------------------------------------------------------------------
     # Field composition

@@ -21,14 +21,12 @@ differential suite and the golden replays run every pinned case under both.
 
 Both paths hold the same canonical state: one plain value per in-flight
 access wherever a value suffices (a tag's issue cycle in the load queue,
-``(tag, address, size)`` tuples in the baselines' load queues and the
-store buffer, line addresses in the merge buffer and MALEC's MBE backlog)
-and the same ``PendingWriteback`` records elsewhere.  MALEC's loads
-differ inside a run only: the kernels keep each load's seq in the Input
-Buffer where the generic loop keeps a ``MemoryAccessRequest``, and the
-buffer holds no loads once a run ends.  A kernel attached to a pipeline
-it was not generated for raises ``RuntimeError`` naming the failed
-runtime guard; it never falls back to the generic loop on its own.
+``(tag, address, size)`` tuples in the baselines' load queues, MALEC's
+Input Buffer and the store buffer, line addresses in the merge buffer and
+MALEC's MBE backlog and MBE slot) and the same ``PendingWriteback`` records
+elsewhere.  A kernel attached to a pipeline it was not generated for
+raises ``RuntimeError`` naming the failed runtime guard; it never falls
+back to the generic loop on its own.
 
 Generated sources are registered with :mod:`linecache` under a synthetic
 ``<repro-kernel-...>`` filename, so tracebacks out of exec-compiled code show

@@ -47,30 +47,23 @@ the canonical code and charge the canonical counters.  Taken inline are:
 * the L2 miss of either access: the DRAM read, the fill at the set's lowest
   stamp and the dirty L2 victim's DRAM write.
 
-Every L1 probe takes bank, set and tag of its physical address by shifts, so
-physical addresses never enter the layout's decomposition memo.  Where an
-inlined path replaces ``decompose``, ``line_address`` or ``bank_index``, the
-kernel keeps their range check as ``address > max_address`` alone: trace
+Every address field is taken by shifts.  Where an inlined path replaces a
+layout method (``page_id``, ``line_address``, ``bank_index``, ...), the
+kernel keeps its range check as ``address > max_address`` alone: trace
 addresses come from the columnar ``array("Q")`` column and physical ones are
 a frame number shifted and or-ed with an offset, so neither is ever
 negative.
 
 All simulation state stays canonical — the kernel writes the same plain
 values into the same containers the generic loop does: the load queue maps
-each tag to its issue cycle, the baselines' load queues and the store
-buffer hold ``(tag, address, size)`` tuples (the store buffer's first
-``_committed_count`` are its committed stores), the merge buffer and
-MALEC's MBE backlog hold line addresses, and ``PendingWriteback`` is the
-record the generic loop builds too.  MALEC's loads are the one exception:
-the Input Buffer holds their seqs (trace indices), not
-``MemoryAccessRequest`` objects, and a load's bank request is a
-kernel-local ``[primary seq, merged seqs, way hint]``.  Every load retires
-from the Input Buffer before it can commit, so the buffer holds no loads
-once a run ends, and no delegated call reads its load entries; a guard
-checks it is empty of loads at entry.  The MBE in the Input Buffer's slot
-stays the ``MemoryAccessRequest`` ``_feed_mbe_slot`` builds.  So a
-collector run, a fast-forward, or a later generic run over the same
-interface observes identical structures.
+each tag to its issue cycle, the baselines' load queues, MALEC's Input
+Buffer and the store buffer hold ``(tag, address, size)`` tuples (the store
+buffer's first ``_committed_count`` are its committed stores), the merge
+buffer, MALEC's MBE backlog and its Input Buffer's MBE slot hold line
+addresses, a MALEC bank request is the Arbitration Unit's ``[primary load,
+merged loads, way hint]`` list, and ``PendingWriteback`` is the record the
+generic loop builds too.  So a collector run, a fast-forward, or a later
+generic run over the same interface observes identical structures.
 
 The emitted module also begins with a battery of *runtime guards*: if the
 live pipeline/interface does not match the generation-time spec (someone
@@ -85,7 +78,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 9
+GENERATOR_VERSION = 10
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -149,8 +142,8 @@ def build_spec(config: SimulationConfig) -> dict:
 # issue-stage branch body).
 # ----------------------------------------------------------------------
 def _bits(spec: dict) -> dict:
-    """Shifts and masks of the L1 address fields (``AddressLayout.decompose``'s
-    line number, bank, set and tag)."""
+    """Shifts and masks of the L1 address fields (the layout's line number,
+    bank, set and tag)."""
     line_bits = spec["line_mask"].bit_length()
     bank_bits = spec["nbanks"].bit_length() - 1
     set_bits = spec["sets"].bit_length() - 1
@@ -290,8 +283,6 @@ def _guards(spec: dict) -> str:
             _check("interface.flexible_slots != 2"),
             _check(f'interface.way_determination != "{spec["way_determination"]}"'),
             _check(f"ib.held_capacity != {spec['held_capacity']}"),
-            # the Input Buffer holds load seqs inside a run, never records
-            _check("ib._held or ib._new"),
             _check(f"arbitration.result_buses != {spec['result_buses']}"),
             _check(f"arbitration.merge_window != {spec['merge_window']}"),
             _check(f'arbitration.merge_granularity != "{spec["merge_granularity"]}"'),
@@ -345,7 +336,6 @@ def _prologue(spec: dict) -> str:
         lines += [
             "    load_parts = l1.load_parts",
             "    mbe_backlog = interface._mbe_backlog",
-            "    feed_mbe_slot = interface._feed_mbe_slot",
             "    translate_page_pair = translation.translate_page_pair",
             "    mk_deque = deque",
         ]
@@ -610,11 +600,11 @@ def _issue_load(spec: dict) -> str:
                         lq_entries[seq] = cycle
                         acc_load_submit += 1
                         acc_ib_load_in += 1
-                        # the load enters the Input Buffer as its seq, after
-                        # the range check its request's decompose applies
-                        if addresses[seq] > max_address:
-                            layout.check(addresses[seq])
-                        ib._new.append(seq)
+                        # InputBuffer.add_load, after _enqueue_load's range check
+                        address = addresses[seq]
+                        if address > max_address:
+                            layout.check(address)
+                        ib._new.append((seq, address, sizes[seq]))
                         interface_active = True
                         issued += 1
                     else:
@@ -757,8 +747,9 @@ if ({addr} & {spec['line_neg_mask']}) in mb_lines:
 
 def _l1_fields(spec: dict, phys: str, indent: int, checked: bool = False) -> str:
     """``pbank``, ``set_index`` and ``ptag`` of ``phys`` by shifts, after the
-    range check ``decompose`` applies to an address it has not memoised.
-    ``checked`` drops the check for a line address ``line_address`` made.
+    range check of the ``layout.bank_index`` that ``L1DataCache.load_parts``
+    and ``store_parts`` call.  ``checked`` drops the check for a line
+    address ``line_address`` made.
     (Physical addresses are a page number shifted and or-ed with an offset,
     so never negative.)"""
     bits = _bits(spec)
@@ -1068,11 +1059,11 @@ def _merge_scan(spec: dict) -> str:
                         merge_key = laddr >> {shift}
                         for owner in bank_owner.values():
                             acc_line_compare += 1
-                            if addresses[owner[0]] >> {shift} == merge_key:
+                            if owner[0][1] >> {shift} == merge_key:
                                 if loads_granted >= {spec['result_buses']}:
                                     break
-                                owner[1].append(lseq)
-                                serviced.append(lseq)
+                                owner[1].append(load)
+                                serviced.append(load)
                                 loads_granted += 1
                                 merged = True
                                 acc_merged_load += 1
@@ -1118,13 +1109,13 @@ def _assign_ways(spec: dict) -> str:
     line_bits = _bits(spec)["line"]
     return f"""
                 for bank_request in bank_requests:
-                    lip = (addresses[bank_request[0]] >> {line_bits}) & {_lines_per_page(spec) - 1}
+                    lip = (bank_request[0][1] >> {line_bits}) & {_lines_per_page(spec) - 1}
                     code = uwt[wt_offset + lip]
                     if code:
                         bank_request[2] = code - 1
                         acc_way_hint_assigned += 1
                 if mbe_granted:
-                    code = uwt[wt_offset + mbe.line_in_page]
+                    code = uwt[wt_offset + ((mbe >> {line_bits}) & {_lines_per_page(spec) - 1})]
                     if code:
                         mbe_hint = code - 1
                         acc_way_hint_assigned += 1"""
@@ -1175,43 +1166,45 @@ def _tick_malec(spec: dict) -> str:
 {_drain_inline(spec, 16)}
             if mbe_backlog or ib._held or ib._new or ib._mbe is not None:
                 if mbe_backlog and ib._mbe is None:
-                    feed_mbe_slot()
+                    # ---- InputBuffer.add_mbe ----
+                    ib._mbe = mbe_backlog.popleft()
+                    acc_mbe_in += 1
                 held = ib._held
                 new = ib._new
                 mbe = ib._mbe
-                # ---- InputBuffer.select_group: held and new loads are seqs,
-                # the MBE (a MemoryAccessRequest) is the last member ----
+                # ---- InputBuffer.select_group: the loads are (seq, address,
+                # size) tuples, the MBE a line address ----
                 if held:
-                    page = addresses[held[0]] >> {page_shift}
+                    page = held[0][1] >> {page_shift}
                 elif new:
-                    page = addresses[new[0]] >> {page_shift}
+                    page = new[0][1] >> {page_shift}
                 else:
-                    page = mbe.virtual_page
+                    page = mbe >> {page_shift}
                 members = []
-                for lseq in held:
-                    if addresses[lseq] >> {page_shift} == page:
-                        members.append(lseq)
-                for lseq in new:
-                    if addresses[lseq] >> {page_shift} == page:
-                        members.append(lseq)
+                for load in held:
+                    if load[1] >> {page_shift} == page:
+                        members.append(load)
+                for load in new:
+                    if load[1] >> {page_shift} == page:
+                        members.append(load)
                 compares = len(held) + len(new) - 1
                 mbe_member = False
                 if mbe is not None:
                     compares += 1
-                    mbe_member = mbe.virtual_page == page
+                    mbe_member = mbe >> {page_shift} == page
                 if compares:
                     acc_page_compare += compares
                 acc_group_selected += 1
                 acc_group_size += len(members) + mbe_member
 {_translate_group(spec)}
-                # ---- ArbitrationUnit.arbitrate: a load's bank request is
-                # [primary seq, merged seqs, way hint]; the MBE comes last ----
+                # ---- ArbitrationUnit.arbitrate: a bank request is
+                # [primary load, merged loads, way hint]; the MBE comes last ----
                 bank_owner = {{}}
                 bank_requests = []
                 serviced = []
                 loads_granted = 0
-                for position, lseq in enumerate(members):
-                    laddr = addresses[lseq]
+                for position, load in enumerate(members):
+                    laddr = load[1]
                     bank = (laddr >> {bits['line']}) & {bits['bank_mask']}
                     merged = False{_merge_scan(spec)}
                     if merged:
@@ -1222,15 +1215,15 @@ def _tick_malec(spec: dict) -> str:
                     if bank in bank_owner:
                         acc_rej_bank += 1
                         continue
-                    bank_request = [lseq, [], None]
+                    bank_request = [load, [], None]
                     bank_owner[bank] = bank_request
                     bank_requests.append(bank_request)
-                    serviced.append(lseq)
+                    serviced.append(load)
                     loads_granted += 1
                     acc_granted += 1
                 mbe_granted = False
                 if mbe_member:
-                    if mbe.bank_index in bank_owner:
+                    if ((mbe >> {bits['line']}) & {bits['bank_mask']}) in bank_owner:
                         acc_arb_mbe_conflict += 1
                     else:
                         mbe_granted = True
@@ -1241,15 +1234,13 @@ def _tick_malec(spec: dict) -> str:
                     acc_shared_page += 1
                 completions = []
                 # ---- per-bank servicing (_service_bank_request) ----
-                for lseq, merged_requests, way_hint in bank_requests:
-                    address = addresses[lseq]
+                for (lseq, address, lsize), merged_requests, way_hint in bank_requests:
                     physical_address = (
                         physical_page << {page_shift}
                     ) | (address & {page_off_mask}){_wdu_predict(spec)}
-{_forwarding_inline(spec, "address", "sizes[lseq]", "acc_fwd_split", 20)}
-                    for mseq in merged_requests:
-                        maddr = addresses[mseq]
-{_forwarding_inline(spec, "maddr", "sizes[mseq]", "acc_fwd_split", 24)}
+{_forwarding_inline(spec, "address", "lsize", "acc_fwd_split", 20)}
+                    for _mseq, maddr, msize in merged_requests:
+{_forwarding_inline(spec, "maddr", "msize", "acc_fwd_split", 24)}
                     # ---- L1 load: reduced probe (a miss delegates), conventional access
 {_l1_fields(spec, "physical_address", 20)}
                     if way_hint is not None:
@@ -1281,13 +1272,13 @@ def _tick_malec(spec: dict) -> str:
                     acc_loads_merged += len(merged_requests){_way_acct(spec, 20)}{_feedback(spec)}
                     ready_cycle = cycle + translation_latency + latency
                     completions.append((lseq, ready_cycle))
-                    for mseq in merged_requests:
-                        completions.append((mseq, ready_cycle))
+                    for merged_load in merged_requests:
+                        completions.append((merged_load[0], ready_cycle))
                 if mbe_granted:
                     # ---- the MBE's write, the last bank access ----
                     physical_address = (
                         physical_page << {page_shift}
-                    ) | (mbe.virtual_address & {page_off_mask})
+                    ) | (mbe & {page_off_mask})
                     way_hint = mbe_hint{_wdu_predict(spec)}
 {_l1_fields(spec, "physical_address", 20)}
 {_l1_store_inline(spec, "physical_address", spec["way_determination"] != "none", 20)}
@@ -1296,8 +1287,8 @@ def _tick_malec(spec: dict) -> str:
                 held_count = len(held) + len(new) - len(serviced)
                 if held_count:
                     gone = set(serviced)
-                    held2 = mk_deque([lseq for lseq in held if lseq not in gone])
-                    held2.extend([lseq for lseq in new if lseq not in gone])
+                    held2 = mk_deque([load for load in held if load not in gone])
+                    held2.extend([load for load in new if load not in gone])
                     ib._held = held2
                 else:
                     ib._held = mk_deque()
@@ -1470,6 +1461,7 @@ def _flush_rows(spec: dict) -> list:
             ("acc_l1_reduced_hit", "bank0._combo_reduced_read"),
             ("acc_l1_reduced_hit", "l1._combo_load_hit"),
             ("acc_ib_load_in", once("ib._h_load_in")),
+            ("acc_mbe_in", once("ib._h_mbe_in")),
             ("acc_page_compare", once("ib._h_page_compare")),
             ("acc_group_selected", once("ib._h_group_selected")),
             ("acc_group_selected", once("ib._h_group_size"), "acc_group_size"),

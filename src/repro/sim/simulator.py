@@ -229,10 +229,10 @@ class Simulator:
         :class:`~repro.workloads.columnar.ColumnarTrace`, a
         :class:`~repro.workloads.trace.MemoryTrace` or a plain iterable of
         Instructions, adapted once to its columnar view
-        (:func:`~repro.workloads.columnar.as_columnar`).  The layout memo
-        is warmed in one batched pass over the distinct address set, and
-        the pipeline receives zero-copy ``run_slice`` windows for the
-        warm-up and measured portions.
+        (:func:`~repro.workloads.columnar.as_columnar`).  Its address
+        column is range-checked against the layout in one pass, and the
+        pipeline receives zero-copy ``run_slice`` windows for the warm-up
+        and measured portions.
 
         ``warmup_fraction`` runs the first part of the trace only to warm the
         caches, TLBs and way tables; its cycles and events are discarded

@@ -220,9 +220,9 @@ class TLBHierarchy:
         offset put back on the physical page.  The baselines translate every
         load, store and merge-buffer write-back through this method.
         """
-        parts = self.layout.decompose(virtual_address)
-        physical_page, latency = self.translate_page_pair(parts.page_id)
-        return ((physical_page << self._page_shift) | parts.page_offset, latency)
+        physical_page, latency = self.translate_page_pair(self.layout.page_id(virtual_address))
+        offset = virtual_address & self.layout._page_offset_mask
+        return ((physical_page << self._page_shift) | offset, latency)
 
     def translate_page_pair(self, virtual_page: int):
         """Translate a bare page id, returning ``(physical_page, latency)``.

@@ -24,9 +24,8 @@ Batched interpretation
 ----------------------
 The pipeline consumes the columns in bulk rather than record-at-a-time:
 
-* :meth:`ColumnarTrace.precompute_decompositions` warms the address-layout
-  memo over the *distinct* address set (one ``set()`` construction plus one
-  ``decompose`` per distinct address — not one per access);
+* :meth:`ColumnarTrace.precompute_decompositions` range-checks the whole
+  address column against the layout with one ``max()``;
 * :meth:`ColumnarTrace.pipeline_arrays` classifies access kinds and resolves
   dependency distances to absolute producer seqs with column passes
   (``bytes`` scans, ``array.tolist``, a regex run-finder over the non-zero
@@ -248,7 +247,6 @@ class ColumnarTrace:
         "_deps_bytes",
         "_dep_offsets",
         "_pipeline_arrays",
-        "_warmed_layouts",
         "_fingerprint",
     )
 
@@ -277,7 +275,6 @@ class ColumnarTrace:
         self._deps_bytes = deps_bytes
         self._dep_offsets = None
         self._pipeline_arrays = None
-        self._warmed_layouts = None
         self._fingerprint = None
 
     # ------------------------------------------------------------------
@@ -468,29 +465,20 @@ class ColumnarTrace:
         return arrays
 
     def precompute_decompositions(self, layout: Optional[AddressLayout] = None) -> int:
-        """Warm ``layout``'s decomposition memo over the distinct address set.
+        """Range-check the address column against ``layout`` (default: the
+        trace's own) and return the number of memory references.
 
-        ``layout`` defaults to the trace's own.  The simulator calls this
-        before a run so no interface ever decomposes a trace address again:
-        one ``set()`` pass over the address column, one ``decompose`` per
-        *distinct* address (the memo is keyed per layout instance, so the
-        warm is idempotent and shared across a sweep's configurations).
-        Returns the number of memory references.
+        One ``max()`` over the column: an address past ``max_address``
+        raises :meth:`AddressLayout.check`'s ``ValueError``, so
+        :meth:`repro.sim.simulator.Simulator.run` rejects such a trace before
+        it simulates (the column is unsigned, so no address is negative).
+        The name dates from when this call warmed a per-layout memo of
+        address decompositions; it stays because the perfbench tracer
+        (``perfbench/tracer.py``) times the call by name.
         """
         target = layout if layout is not None else self.layout
-        warmed = self._warmed_layouts
-        if warmed is None:
-            warmed = self._warmed_layouts = {}
-        marker = id(target)
-        previous = warmed.get(marker)
-        if previous is not None and previous[0] is target:
-            return previous[1]
-        decompose = target.decompose
-        for address in set(self.addresses):
-            decompose(address)
-        count = len(self.kinds) - self.kinds.count(0)
-        warmed[marker] = (target, count)
-        return count
+        target.check(max(self.addresses, default=0))
+        return len(self.kinds) - self.kinds.count(0)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -3,9 +3,9 @@
 Every trace the package produces is born as ``.rtrc`` columns
 (:class:`~repro.workloads.columnar.ColumnarTrace`).  A :class:`MemoryTrace`
 is an ordered list of :class:`~repro.cpu.instruction.Instruction` objects
-that a test or an example writes by hand; its cached :meth:`columnar` view
-goes through the same writer as every other trace, and is what the
-simulator, the registry and the file writers take.
+that a test or an example writes by hand; its :meth:`columnar` view goes
+through the same writer as every other trace, and is what the simulator,
+the registry and the file writers take.
 """
 
 from __future__ import annotations
@@ -43,15 +43,10 @@ class MemoryTrace:
     def columnar(self):
         """The :class:`~repro.workloads.columnar.ColumnarTrace` of this trace.
 
-        Written once through the one record writer and cached; a campaign
-        running one trace through many configurations pays the conversion
-        exactly once.  Invalidated when the trace grows.
+        Written through the one record writer on every call, so the view
+        always holds the trace as it stands: appended instructions, edited
+        fields and a new name alike.
         """
-        cached = getattr(self, "_columnar", None)
-        if cached is not None and cached[0] == len(self.instructions):
-            return cached[1]
         from repro.workloads.columnar import ColumnarTrace
 
-        view = ColumnarTrace.from_trace(self)
-        self._columnar = (len(self.instructions), view)
-        return view
+        return ColumnarTrace.from_trace(self)

@@ -12,6 +12,17 @@ from repro.workloads.suites import benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shape-fuzz",
+        type=int,
+        default=32,
+        metavar="N",
+        help="number of seeded configuration shapes the kernel differential "
+        "runs (tests/test_kernel_differential.py::TestShapeFuzz; default 32)",
+    )
+
+
 @pytest.fixture
 def layout() -> AddressLayout:
     """The paper's default address/cache geometry (Table II)."""

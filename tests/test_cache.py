@@ -18,20 +18,17 @@ def addr(page: int, line: int, offset: int = 0) -> int:
 
 def read(bank: CacheBank, address: int, way_hint=None):
     """``bank.read_parts`` on a whole address: ``(hit, way, reduced, hint_wrong)``."""
-    parts = layout.decompose(address)
-    return bank.read_parts(parts.set_index, parts.tag, way_hint)
+    return bank.read_parts(layout.set_index(address), layout.tag(address), way_hint)
 
 
 def write(bank: CacheBank, address: int, way_hint=None):
     """``bank.write_parts`` on a whole address: ``(hit, way, reduced)``."""
-    parts = layout.decompose(address)
-    return bank.write_parts(parts.set_index, parts.tag, way_hint)
+    return bank.write_parts(layout.set_index(address), layout.tag(address), way_hint)
 
 
 def fill(bank: CacheBank, address: int, dirty: bool = False) -> int:
     """``bank.fill_parts`` on a whole address; returns the filled way."""
-    parts = layout.decompose(address)
-    way, _, _ = bank.fill_parts(address, parts.set_index, parts.tag, dirty)
+    way, _, _ = bank.fill_parts(address, layout.set_index(address), layout.tag(address), dirty)
     return way
 
 
@@ -131,8 +128,8 @@ class TestCacheBank:
         evicted = []
         for i in range(1, layout.l1_associativity + 1):
             other = layout.address_of_line(first + i * set_span)
-            parts = layout.decompose(other)
-            evicted.append(bank.fill_parts(other, parts.set_index, parts.tag, False)[1:])
+            parts = (layout.set_index(other), layout.tag(other))
+            evicted.append(bank.fill_parts(other, *parts, False)[1:])
         assert evicted[-1] == (addr(1, 0), True)
         assert evicted[:-1] == [(None, False)] * (layout.l1_associativity - 1)
 

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,21 @@ class TestTraceFileSweeps:
         ]
         assert main(argv) == 0
         assert "Pareto frontier" in capsys.readouterr().out
+
+    def test_report_cuts_a_trace_file_to_the_budget(self, capsys, tmp_path):
+        # report resolves a workload as figure4 does: of the 61-instruction
+        # interleaved trace it runs the first 40, 12 of them warm-up.
+        mix = tmp_path / "mix.rtrc"
+        argv = ["ingest", "interleave", str(DATA / "sample.lackey"), str(DATA / "sample.din")]
+        assert main(argv + ["-o", str(mix)]) == 0
+        out = tmp_path / "report.json"
+        argv = [
+            "report", "--trace-file", str(mix),
+            "--instructions", "40", "--config", "MALEC", "--json", str(out),
+        ]
+        assert main(argv) == 0
+        rows = json.loads(out.read_text())
+        assert rows and all(row["instructions"] == 28 for row in rows)
 
     def test_missing_trace_file_exits_2(self, capsys, tmp_path):
         argv = ["sweep", "fig4-mini", "--trace-file", str(tmp_path / "nope.rtrc")]

@@ -403,14 +403,19 @@ class TestColumnarDirected:
             assert offsets[seq + 1] - offsets[seq] == view.ndeps[seq]
         assert offsets[len(view)] == len(view.deps_pool)
 
-    def test_memorytrace_columnar_is_cached_until_growth(self):
-        trace = random_trace(17)
+    def test_memorytrace_columnar_follows_edits(self):
+        loads = [Instruction(kind=InstructionKind.LOAD, address=a) for a in (0x1000, 0x2000)]
+        trace = MemoryTrace(name="two-loads", instructions=loads)
         first = trace.columnar()
-        assert trace.columnar() is first
         trace.append(Instruction(kind=InstructionKind.COMPUTE))
         regrown = trace.columnar()
-        assert regrown is not first
         assert len(regrown) == len(first) + 1
+        # An in-place edit and a rename reach the next view too.
+        trace.instructions[0].address = 0x9000
+        trace.name = "renamed"
+        edited = trace.columnar()
+        assert edited.addresses[0] == 0x9000 and edited.name == "renamed"
+        assert edited.fingerprint() != regrown.fingerprint()
 
 
 class TestTraceWriter:

@@ -41,8 +41,10 @@ from repro.cpu.instruction import compute, load, store
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.obs import RunCollector
 from repro.sim import kernels
+from repro.core.arbitration import MERGE_GRANULARITIES
 from repro.sim.config import (
     CacheParameters,
+    InterfaceKind,
     MalecParameters,
     PipelineParameters,
     SimulationConfig,
@@ -242,6 +244,65 @@ class TestSpecializedShapes:
     def test_shape_identical(self, shape, bench):
         config = SPECIALIZED_SHAPES[shape]
         assert_pipelines_identical(config, trace_for(bench), 0.3, f"{bench}/{shape}")
+
+
+def random_shape(seed: int) -> SimulationConfig:
+    """A seeded configuration shape: interface kind, core widths, buffer
+    depths, latencies, TLB sizes and every MALEC option, each drawn over
+    the range the kernels are specialized on."""
+    rng = random.Random(seed)
+    return SimulationConfig(
+        name=f"shape{seed}",
+        interface=rng.choice(list(InterfaceKind)),
+        cache=CacheParameters(
+            l1_hit_latency=rng.randint(1, 3),
+            l2_latency=rng.randint(6, 20),
+            dram_latency=rng.randint(20, 120),
+        ),
+        tlb=TLBParameters(
+            utlb_entries=rng.choice((1, 2, 4, 16)),
+            tlb_entries=rng.choice((2, 4, 64)),
+            walk_latency=rng.choice((0, 30)),
+        ),
+        pipeline=PipelineParameters(
+            rob_entries=rng.randint(8, 168),
+            fetch_width=rng.randint(1, 6),
+            issue_width=rng.randint(1, 8),
+            commit_width=rng.randint(1, 6),
+        ),
+        malec_options=MalecParameters(
+            way_determination=rng.choice(("wt", "wdu", "none")),
+            enable_feedback_update=rng.random() < 0.5,
+            merge_granularity=rng.choice(MERGE_GRANULARITIES),
+            result_buses=rng.randint(1, 4),
+            input_buffer_capacity=rng.choice((1, 2, 4)),
+            merge_window=rng.randint(0, 4),
+            restrict_way_allocation=rng.random() < 0.5,
+        ),
+        lq_entries=rng.randint(4, 40),
+        sb_entries=rng.randint(2, 24),
+        mb_entries=rng.randint(1, 8),
+    )
+
+
+def pytest_generate_tests(metafunc):
+    if "shape_seed" in metafunc.fixturenames:
+        seeds = range(metafunc.config.getoption("shape_fuzz"))
+        metafunc.parametrize("shape_seed", seeds)
+
+
+class TestShapeFuzz:
+    """Seeded random shapes, as many as ``--shape-fuzz N`` asks for (the
+    tier-1 default is small; CI's kernel-differential job runs more)."""
+
+    def test_random_shape_identical(self, shape_seed):
+        rng = random.Random(shape_seed ^ 0x5EED)
+        bench = rng.choice(("gzip", "mcf", "mlpladder", "swim"))
+        warmup = rng.choice((0.0, 0.3))
+        config = random_shape(shape_seed)
+        assert_pipelines_identical(
+            config, trace_for(bench, 600), warmup, f"{bench}/{config.name}: {config}"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +514,8 @@ def out_of_range_access(kind: str, address: int) -> MemoryTrace:
 
 def error_without_warm(config, trace, kernel) -> tuple:
     """The error one pipeline run raises.  The pipeline is built directly and
-    the decomposition warm skipped, which would refuse the address first."""
+    the trace's range check (``precompute_decompositions``) skipped, which
+    would refuse the address first."""
     simulator = Simulator(config)
     entry = compile_kernel(config).entry if kernel == "specialized" else None
     pipeline = OutOfOrderPipeline(

@@ -363,18 +363,29 @@ class TestLocalityAnalyzer:
 
 
 class TestPrecomputeDecompositions:
-    def test_warms_layout_cache_and_counts_memory_refs(self):
+    def test_counts_memory_refs(self):
         from repro.memory.address import AddressLayout
 
-        layout = AddressLayout()
         trace = generate_trace(benchmark_profile("gzip"), instructions=400)
-        count = trace.precompute_decompositions(layout)
+        count = trace.precompute_decompositions(AddressLayout())
         assert count == trace.load_count + trace.store_count
-        # Every memory address decomposes straight out of the cache now.
-        for address in memory_addresses(trace)[:20]:
-            parts = layout.decompose(address)
-            assert parts.page_id == layout.page_id(address)
-            assert parts.bank_index == layout.bank_index(address)
+
+    def test_rejects_address_past_the_layout(self):
+        # The call is the trace's range check: one address past max_address
+        # fails with AddressLayout.check's error, and so does Simulator.run,
+        # before it simulates.
+        from repro.cpu.instruction import load
+        from repro.sim.config import SimulationConfig
+        from repro.sim.simulator import Simulator
+        from repro.workloads.trace import MemoryTrace
+
+        far = MemoryTrace(name="far", instructions=[load(0x1000), load(1 << 40)])
+        with pytest.raises(ValueError, match="outside 32-bit address space"):
+            far.columnar().precompute_decompositions()
+        simulator = Simulator(SimulationConfig.malec())
+        with pytest.raises(ValueError, match="outside 32-bit address space"):
+            simulator.run(far)
+        assert simulator.stats.as_dict() == {}
 
     def test_defaults_to_own_layout(self):
         trace = generate_trace(benchmark_profile("gzip"), instructions=200)
