@@ -18,7 +18,8 @@ import os
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRunner, ExperimentResults
+from repro.analysis.experiments import ExperimentResults
+from repro.campaign import CampaignSpec, ParallelExecutor
 from repro.sim.config import SimulationConfig
 
 #: worker processes for the Fig. 4 sweep (results are bit-identical either
@@ -46,19 +47,11 @@ BASELINE = "Base1ldst"
 @pytest.fixture(scope="session")
 def figure4_results() -> ExperimentResults:
     """Run the five Fig. 4 configurations over the benchmark subset once."""
-    runner = ExperimentRunner(
+    spec = CampaignSpec(
+        name="figure4",
+        configurations=tuple(SimulationConfig.figure4_suite()),
+        benchmarks=tuple(FIG4_BENCHMARKS),
         instructions=TRACE_INSTRUCTIONS,
-        benchmarks=FIG4_BENCHMARKS,
         warmup_fraction=WARMUP_FRACTION,
     )
-    return runner.run(SimulationConfig.figure4_suite(), jobs=BENCH_JOBS)
-
-
-@pytest.fixture(scope="session")
-def experiment_runner() -> ExperimentRunner:
-    """A runner over the benchmark subset for ablation sweeps."""
-    return ExperimentRunner(
-        instructions=TRACE_INSTRUCTIONS,
-        benchmarks=FIG4_BENCHMARKS,
-        warmup_fraction=WARMUP_FRACTION,
-    )
+    return ParallelExecutor(jobs=BENCH_JOBS).run(spec)

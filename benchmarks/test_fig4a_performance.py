@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import BASELINE, FIG4_BENCHMARKS, TRACE_INSTRUCTIONS, WARMUP_FRACTION
-from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.reporting import format_table
 from repro.sim.config import SimulationConfig
 

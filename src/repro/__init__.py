@@ -19,8 +19,8 @@ This package implements the complete system in Python:
 * :mod:`repro.cpu` — a cycle-level out-of-order memory pipeline;
 * :mod:`repro.energy` — a CACTI-like analytic energy model;
 * :mod:`repro.workloads` — synthetic SPEC CPU2000 / MediaBench2 stand-ins;
-* :mod:`repro.sim` and :mod:`repro.analysis` — the simulator, experiment
-  runner and locality analyses behind every figure and table of the paper;
+* :mod:`repro.sim` and :mod:`repro.analysis` — the simulator, sweep results
+  and locality analyses behind every figure and table of the paper;
 * :mod:`repro.campaign` and :mod:`repro.dse` — the scale layers: parallel,
   resumable sweep campaigns and design-space exploration with Pareto
   frontiers over the energy/performance plane.
@@ -49,7 +49,7 @@ from repro.sim.config import (
 )
 from repro.sim.simulator import SimulationResult, Simulator, run_configuration
 from repro.stats import StatCounters
-from repro.analysis.experiments import ExperimentRunner, ExperimentResults
+from repro.analysis.experiments import ExperimentResults
 from repro.analysis.locality import PageLocalityAnalyzer
 from repro.campaign import (
     CampaignCell,
@@ -78,7 +78,6 @@ __all__ = [
     "Simulator",
     "run_configuration",
     "StatCounters",
-    "ExperimentRunner",
     "ExperimentResults",
     "PageLocalityAnalyzer",
     "CampaignCell",

@@ -1,10 +1,11 @@
-"""Analysis utilities: locality studies, experiment running and reporting.
+"""Analysis utilities: locality studies, sweep results and reporting.
 
 This package hosts the code that turns raw simulations into the paper's
 figures and tables: the page/line locality analysis behind Fig. 1 and the
-motivation of Sec. III, an experiment runner that sweeps configurations over
-benchmark suites (Fig. 4a/4b), and small reporting helpers (geometric means,
-text tables) shared by the benchmark harness and the examples.
+motivation of Sec. III, the sweep results (configurations x benchmarks)
+normalized as Fig. 4a/4b plots them, and small reporting helpers (geometric
+means, text tables) shared by the benchmark harness and the examples.  The
+sweeps themselves run on the campaign engine (:mod:`repro.campaign`).
 """
 
 from repro.analysis.locality import (
@@ -14,7 +15,6 @@ from repro.analysis.locality import (
 )
 from repro.analysis.experiments import (
     BenchmarkRun,
-    ExperimentRunner,
     ExperimentResults,
 )
 from repro.analysis.reporting import (
@@ -30,7 +30,6 @@ __all__ = [
     "PageLocalityAnalyzer",
     "RUN_LENGTH_BUCKETS",
     "BenchmarkRun",
-    "ExperimentRunner",
     "ExperimentResults",
     "format_frontier",
     "format_table",

@@ -21,8 +21,9 @@ every real use of the repository:
 ``figure4_gzip_djpeg_mcf``
     The exact workload of ``repro figure4 gzip djpeg mcf --instructions
     4000`` (the repository's canonical perf-acceptance command), run through
-    the experiment runner.  Unlike ``fig4-mini`` it includes ``mcf``, whose
-    pointer-chasing stalls exercise the pipeline's idle fast-forward.
+    the campaign engine as that command runs it.  Unlike ``fig4-mini`` it
+    includes ``mcf``, whose pointer-chasing stalls exercise the pipeline's
+    idle fast-forward.
 
 Each scenario runs ``repeats`` times and reports the *minimum* wall time
 (the usual best-of-N convention: the minimum is the least noisy estimator of
@@ -48,7 +49,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
-from repro.campaign.spec import campaign_preset
+from repro.campaign.spec import CampaignSpec, campaign_preset
 from repro.obs.hostinfo import detect_revision, host_metadata
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import run_configuration
@@ -322,16 +323,22 @@ def bench_trace_columnar_decode(instructions: int, repeats: int) -> ScenarioResu
 
 
 def bench_figure4_acceptance(instructions: int, repeats: int) -> ScenarioResult:
-    """Time the ``repro figure4 gzip djpeg mcf`` workload (acceptance metric)."""
-    from repro.analysis.experiments import ExperimentRunner
+    """Time the ``repro figure4 gzip djpeg mcf`` workload (acceptance metric).
 
+    The spec is the one ``repro figure4`` builds; as in ``fig4_mini_sweep``,
+    repeats after the first reuse the traces in the process-wide cache.
+    """
     benchmarks = ("gzip", "djpeg", "mcf")
+    spec = CampaignSpec(
+        name="figure4",
+        configurations=tuple(SimulationConfig.figure4_suite()),
+        benchmarks=benchmarks,
+        instructions=instructions,
+        warmup_fraction=0.3,
+    )
 
     def workload() -> Dict[str, object]:
-        runner = ExperimentRunner(
-            instructions=instructions, benchmarks=benchmarks, warmup_fraction=0.3
-        )
-        results = runner.run(SimulationConfig.figure4_suite())
+        results = ParallelExecutor().run(spec)
         return {
             "benchmarks": list(benchmarks),
             "instructions": instructions,

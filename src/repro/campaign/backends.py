@@ -4,7 +4,7 @@ The campaign layer persists one JSON-able record per simulated cell, keyed
 by the cell's content hash.  :class:`StoreBackend` is the storage contract
 extracted from the original directory-backed ``ResultStore``:
 
-``get / put / has / keys / iterate``
+``get / put / keys / iterate``
     Record access by cell key.  ``put`` must be **atomic** (a crashed writer
     never leaves a truncated record) and **idempotent** (cell records are
     pure functions of the cell content, so double-writes are harmless and
@@ -160,10 +160,6 @@ class StoreBackend(ABC):
 
     # ------------------------------------------------------------------
     @abstractmethod
-    def has(self, key: str) -> bool:
-        """True if a record for ``key`` has been persisted."""
-
-    @abstractmethod
     def get(self, key: str) -> Optional[dict]:
         """The stored record of ``key``, or ``None``."""
 
@@ -259,14 +255,15 @@ class JsonDirectoryBackend(StoreBackend):
         return self.cell_dir / f"{key}.json"
 
     # ------------------------------------------------------------------
-    def has(self, key: str) -> bool:
-        return self._cell_path(key).exists()
-
     def get(self, key: str) -> Optional[dict]:
-        path = self._cell_path(key)
-        if not path.exists():
+        try:
+            text = self._cell_path(key).read_text()
+        except (FileNotFoundError, ValueError):
+            # No record: the file is absent, or the key (``repro serve``
+            # passes one from the request path) names no possible file,
+            # such as one holding a NUL byte.
             return None
-        return json.loads(path.read_text())
+        return json.loads(text)
 
     def put(self, key: str, record: dict) -> None:
         atomic_write_text(self._cell_path(key), _dump_record(record))
@@ -418,12 +415,6 @@ class SqliteBackend(StoreBackend):
         return self.path.with_name(self.path.name + ".telemetry.jsonl")
 
     # ------------------------------------------------------------------
-    def has(self, key: str) -> bool:
-        row = self._connect().execute(
-            "SELECT 1 FROM cells WHERE key = ?", (key,)
-        ).fetchone()
-        return row is not None
-
     def get(self, key: str) -> Optional[dict]:
         row = self._connect().execute(
             "SELECT record FROM cells WHERE key = ?", (key,)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.experiments import BenchmarkRun, ExperimentResults
 from repro.api import RunOptions
@@ -55,20 +55,17 @@ from repro.workloads.synthetic import generate_trace
 
 logger = get_logger(__name__)
 
-#: (benchmark, instructions, trace seed, trace hash) -> resolved trace; the
-#: hash is empty for synthetic workloads and pins the content of ingested
-#: ones, so a name re-registered with different trace bytes never hits a
-#: stale cache entry.
-TraceCache = Dict[Tuple[str, int, int, str], ColumnarTrace]
-
-#: key shape of the trace caches
+#: (benchmark, instructions, trace seed, trace hash): the trace cache key;
+#: the hash is empty for synthetic workloads and pins the content of
+#: ingested ones, so a name re-registered with different trace bytes never
+#: hits a stale cache entry.
 TraceKey = Tuple[str, int, int, str]
 
 ProgressCallback = Callable[[str, CampaignCell, int, int], None]
 
 #: process-wide trace cache: used by the serial path of every executor in
 #: this process and by pool workers (one decode per trace per process)
-_PROCESS_TRACES: TraceCache = {}
+_PROCESS_TRACES: Dict[TraceKey, ColumnarTrace] = {}
 
 #: serialized traces installed by the pool initializer (worker side)
 _WORKER_TRACE_BYTES: Dict[TraceKey, bytes] = {}
@@ -84,23 +81,24 @@ _WORKER_KERNEL: Optional[str] = None
 _TRACE_CACHE_LIMIT = 256
 
 
-def _cached_trace(cell: CampaignCell, cache: TraceCache) -> ColumnarTrace:
+def cell_trace(cell: CampaignCell) -> ColumnarTrace:
     """Resolve (or fetch) the deterministic trace of ``cell``.
 
-    Resolution order: the per-process cache, the ``.rtrc`` bytes a pool
+    Resolution order: the process-wide cache, the ``.rtrc`` bytes a pool
     parent shipped, the ingested-trace registry (truncated to the cell's
     instruction budget), and finally synthetic generation from the benchmark
-    profile.
+    profile.  Every harness that simulates a workload resolves it here, so
+    ``repro figure4``, ``report`` and ``sweep`` run the same trace.
     """
     key = (cell.benchmark, cell.instructions, cell.trace_seed(), cell.trace_hash)
-    trace = cache.get(key)
+    trace = _PROCESS_TRACES.get(key)
     if obs_metrics.enabled():
         obs_metrics.registry.counter(
             "trace.cache.hit" if trace is not None else "trace.cache.miss"
         ).inc()
     if trace is None:
-        if len(cache) >= _TRACE_CACHE_LIMIT:
-            cache.clear()
+        if len(_PROCESS_TRACES) >= _TRACE_CACHE_LIMIT:
+            _PROCESS_TRACES.clear()
         payload = _WORKER_TRACE_BYTES.get(key)
         if payload is not None:
             # Pool worker: decode the bytes the parent shipped (cheaper than
@@ -123,21 +121,21 @@ def _cached_trace(cell: CampaignCell, cache: TraceCache) -> ColumnarTrace:
                 trace = generate_trace(
                     profile, instructions=cell.instructions, seed=cell.trace_seed()
                 )
-        cache[key] = trace
+        _PROCESS_TRACES[key] = trace
     return trace
 
 
 def _execute_cell(
-    cell: CampaignCell, cache: TraceCache, kernel: Optional[str]
+    cell: CampaignCell, kernel: Optional[str]
 ) -> Tuple[SimulationResult, Dict[str, object]]:
-    """Run one cell's simulation using ``cache`` for trace reuse.
+    """Run one cell's simulation on its (cached) trace.
 
     ``kernel`` is the resolved kernel name the executor threads through.
     Returns the result plus the execution facts the telemetry journal
     records per cell: which kernel was requested and whether it actually
     ran.
     """
-    trace = _cached_trace(cell, cache)
+    trace = cell_trace(cell)
     simulator = Simulator(cell.config)
     result = simulator.run(
         trace,
@@ -169,9 +167,9 @@ def _init_worker(
 
     A forked worker inherits the parent's already-populated metrics registry;
     counting on top of it would double every parent-side value once the
-    parent merges the worker dumps back, so the registry starts from a clean
-    slate either way, and the enabled flag is set explicitly from the
-    parent's state (fork inherits it, spawn would not).
+    parent merges the worker's chunk dumps back, so the registry starts from
+    a clean slate either way, and the enabled flag is set explicitly from
+    the parent's state (fork inherits it, spawn would not).
     """
     global _WORKER_KERNEL
     _WORKER_TRACE_BYTES.update(trace_bytes)
@@ -185,24 +183,7 @@ def _init_worker(
         prewarm(configs)
 
 
-def _dump_total(dump: Dict[str, dict]) -> float:
-    """Total event count in a registry dump — a monotonic progress measure.
-
-    A worker's cumulative dump only ever grows, so the dump with the largest
-    total is its most recent one regardless of the order chunked pool
-    results arrived in.
-    """
-    total = 0.0
-    for entry in dump.values():
-        kind = entry.get("kind")
-        if kind == "counter":
-            total += float(entry["value"])
-        elif kind == "histogram":
-            total += float(entry["count"])
-    return total
-
-
-def _pool_chunk(cells: List[CampaignCell]) -> list:
+def _pool_chunk(cells: List[CampaignCell]) -> Tuple[list, Optional[dict]]:
     """Process-pool task: simulate a chunk of cells, one record per cell.
 
     The worker finds each cell's trace in its per-process cache (decoded
@@ -211,23 +192,30 @@ def _pool_chunk(cells: List[CampaignCell]) -> list:
     keeping the pickled payload small and identical to what lands on disk.
     The remaining elements of a record are observation payloads: the
     ``(worker pid, start, end)`` epoch timing (two clock reads per
-    multi-millisecond cell, so it rides along unconditionally), the
-    execution-facts dict for the telemetry journal, and — only with metrics
-    on — a cumulative dump of this worker's registry, which the parent
-    merges so a ``jobs=4`` metrics snapshot includes worker-side counters.
+    multi-millisecond cell, so it rides along unconditionally) and the
+    execution-facts dict for the telemetry journal.
+
+    Returns ``(records, dump)``.  With metrics on, ``dump`` holds what this
+    worker counted since its previous chunk (the registry is cleared after
+    each dump), so the parent merges every chunk's dump exactly once and a
+    ``jobs=4`` metrics snapshot includes worker-side counters; with metrics
+    off it is ``None``.
     """
     records = []
     for cell in cells:
         start = time.time()
-        result, info = _execute_cell(cell, _PROCESS_TRACES, _WORKER_KERNEL)
+        result, info = _execute_cell(cell, _WORKER_KERNEL)
         payload = result_to_dict(result)
-        dump = obs_metrics.registry.dump() if obs_metrics.enabled() else None
-        records.append((cell.key(), payload, (os.getpid(), start, time.time()), info, dump))
-    return records
+        records.append((cell.key(), payload, (os.getpid(), start, time.time()), info))
+    dump = None
+    if obs_metrics.enabled():
+        dump = obs_metrics.registry.dump()
+        obs_metrics.registry.clear()
+    return records, dump
 
 
 class ParallelExecutor:
-    """Executes campaign specs; the one engine behind runner, CLI and tests.
+    """Executes campaign specs; the one engine behind the CLI, bench and tests.
 
     Parameters
     ----------
@@ -248,10 +236,6 @@ class ParallelExecutor:
         ``jobs=``/``store=`` keywords raises ``ValueError``.
     progress:
         Optional ``progress(event, cell, done, total)`` callback.
-    trace_cache:
-        Optional externally-owned trace cache used by the serial path, so a
-        caller running several sweeps (e.g. :class:`ExperimentRunner`) reuses
-        generated traces across runs.  Defaults to the process-wide cache.
     trace_log:
         Optional :class:`repro.obs.traceevent.TraceEventLog` (duck-typed).
         When given, every executed cell is recorded as a wall-clock span on
@@ -271,7 +255,6 @@ class ParallelExecutor:
         jobs: Optional[int] = None,
         store: Optional[Union[str, ResultStore]] = None,
         progress: Optional[ProgressCallback] = None,
-        trace_cache: Optional[TraceCache] = None,
         trace_log=None,
         journal=None,
         options: Optional[RunOptions] = None,
@@ -298,9 +281,6 @@ class ParallelExecutor:
         self.jobs = jobs
         self.store = options.open_store()
         self.progress = progress
-        self.trace_cache: TraceCache = (
-            trace_cache if trace_cache is not None else _PROCESS_TRACES
-        )
         self.trace_log = trace_log
         self.journal = journal
         #: the journal the last run() wrote to (None when telemetry was off)
@@ -333,13 +313,11 @@ class ParallelExecutor:
             self.active_journal.run_start(spec.name, total, self.jobs)
 
         pending: List[CampaignCell] = []
-        parent_pid = os.getpid()
         for cell in cells:
             stored = self.store.get(cell) if self.store is not None else None
             if stored is not None:
                 results[cell.key()] = stored
                 self.skipped_cells.append(cell)
-                self._journal_cell(cell, "store", 0.0, parent_pid)
                 done += 1
                 self._report("skipped", cell, done, total)
             else:
@@ -365,12 +343,13 @@ class ParallelExecutor:
             # Any cells a broken pool failed to deliver fall through to the
             # serial path, which always finishes the sweep.
             remaining = [cell for cell in pending if cell.key() not in results]
+            parent_pid = os.getpid()
             for cell in remaining:
                 start = time.time()
-                result, info = _execute_cell(cell, self.trace_cache, self._kernel)
+                result, info = _execute_cell(cell, self._kernel)
                 end = time.time()
                 self._observe_cell(cell, parent_pid, start, end)
-                self._journal_cell(cell, "computed", end - start, parent_pid, info)
+                self._journal_cell(cell, end - start, parent_pid, info)
                 done = self._record(cell, result, results, done, total)
 
         elapsed = time.perf_counter() - started
@@ -410,12 +389,15 @@ class ParallelExecutor:
     def _journal_cell(
         self,
         cell: CampaignCell,
-        source: str,
         wall_seconds: float,
         pid: int,
-        info: Optional[Dict[str, object]] = None,
+        info: Dict[str, object],
     ) -> None:
-        """Append one per-cell journal record."""
+        """Append the journal record of one computed cell.
+
+        Store hits are not journaled per cell: the run footer counts them
+        (``cells_skipped``), and no journal reader looks at them.
+        """
         if self.active_journal is None:
             return
         record: Dict[str, object] = {
@@ -427,10 +409,9 @@ class ParallelExecutor:
             "instructions": cell.instructions,
             "wall_seconds": max(0.0, wall_seconds),
             "worker_pid": pid,
-            "source": source,
+            "source": "computed",
         }
-        if info is not None:
-            record.update(info)
+        record.update(info)
         self.active_journal.cell(**record)
 
     # ------------------------------------------------------------------
@@ -501,14 +482,14 @@ class ParallelExecutor:
     def _trace_payloads(self, pending: List[CampaignCell]) -> Dict[TraceKey, bytes]:
         """Generate every needed trace once in the parent; return the bytes.
 
-        Generated traces stay in the executor's cache, so the serial
+        Generated traces stay in the process-wide cache, so the serial
         fallback (and any later serial sweep in this process) reuses them.
         """
         payloads: Dict[TraceKey, bytes] = {}
         for cell in pending:
             key = (cell.benchmark, cell.instructions, cell.trace_seed(), cell.trace_hash)
             if key not in payloads:
-                payloads[key] = _cached_trace(cell, self.trace_cache).to_bytes()
+                payloads[key] = cell_trace(cell).to_bytes()
         return payloads
 
     def _run_pool(
@@ -530,11 +511,6 @@ class ParallelExecutor:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         by_key = {cell.key(): cell for cell in pending}
-        # Most recent cumulative metrics dump per worker pid (largest total
-        # wins, see _dump_total); merged after the pool drains so the parent
-        # snapshot includes worker-side counters exactly once per worker.
-        dumps_by_pid: Dict[int, dict] = {}
-        dump_totals: Dict[int, float] = {}
         try:
             payloads = self._trace_payloads(pending)
             workers = min(self.jobs, len(pending))
@@ -564,15 +540,16 @@ class ParallelExecutor:
                         for index in range(0, len(pending), chunksize)
                     ]
                     for future in as_completed(futures):
-                        for key, payload, (pid, start, end), info, dump in future.result():
+                        records, dump = future.result()
+                        if dump is not None:
+                            # A chunk's counts since the worker's previous
+                            # chunk: worker-side metrics are counters, which
+                            # sum in any arrival order.
+                            obs_metrics.registry.merge(dump)
+                        for key, payload, (pid, start, end), info in records:
                             cell = by_key[key]
                             self._observe_cell(cell, pid, start, end)
-                            self._journal_cell(cell, "computed", end - start, pid, info)
-                            if dump is not None:
-                                dump_total = _dump_total(dump)
-                                if dump_total >= dump_totals.get(pid, -1.0):
-                                    dumps_by_pid[pid] = dump
-                                    dump_totals[pid] = dump_total
+                            self._journal_cell(cell, end - start, pid, info)
                             done = self._record(
                                 cell, result_from_dict(payload), results, done, total
                             )
@@ -597,12 +574,6 @@ class ParallelExecutor:
             )
             if obs_metrics.enabled():
                 obs_metrics.registry.counter("campaign.pool_fallbacks").inc()
-        if dumps_by_pid and obs_metrics.enabled():
-            # Sorted by pid: merge order is deterministic, and merge itself
-            # is order-independent (counters sum, gauges max), so any subset
-            # of worker dumps yields the same registry regardless of arrival.
-            for pid in sorted(dumps_by_pid):
-                obs_metrics.registry.merge(dumps_by_pid[pid])
         return done
 
     # ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Persistent campaign result store: one JSON record per simulated cell.
 
 :class:`ResultStore` is the cell-level API the campaign engine talks to —
-``contains / put / get / records`` in terms of :class:`CampaignCell` and
+``put / get / records`` in terms of :class:`CampaignCell` and
 :class:`~repro.sim.simulator.SimulationResult`.  Storage itself lives behind
 the pluggable :class:`~repro.campaign.backends.StoreBackend` interface,
 selected by store URL:
@@ -107,12 +107,6 @@ class ResultStore:
     ready-made :class:`StoreBackend`.
     """
 
-    MANIFEST = "campaign.json"
-    CELL_DIR = "cells"
-    #: append-only telemetry journal written next to the results (see
-    #: :mod:`repro.obs.telemetry`); operational history, never results
-    TELEMETRY = "telemetry.jsonl"
-
     def __init__(self, root: Union[str, Path, StoreBackend]) -> None:
         if isinstance(root, StoreBackend):
             self.backend = root
@@ -147,12 +141,6 @@ class ResultStore:
         return self.backend.telemetry_path
 
     # ------------------------------------------------------------------
-    def contains(self, cell: CampaignCell) -> bool:
-        """True if this cell's result has already been persisted."""
-        return self.backend.has(cell.key())
-
-    __contains__ = contains
-
     def put(self, cell: CampaignCell, result: SimulationResult) -> str:
         """Persist one cell result; returns the cell key."""
         key = cell.key()

@@ -121,13 +121,12 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.locality import PageLocalityAnalyzer
 from repro.analysis.reporting import format_frontier, format_table, frontier_csv
 from repro.api import RunOptions
 from repro.campaign.aggregate import summarize_results, summarize_store
-from repro.campaign.executor import ParallelExecutor
-from repro.campaign.spec import PRESET_NAMES, campaign_preset
+from repro.campaign.executor import ParallelExecutor, cell_trace
+from repro.campaign.spec import PRESET_NAMES, CampaignSpec, campaign_preset
 from repro.campaign.store import StoreURLError, open_store
 from repro.dse.engine import run_dse
 from repro.dse.objectives import (
@@ -157,7 +156,7 @@ from repro.workloads.ingest import (
     subsample,
     window,
 )
-from repro.workloads.registry import register_trace, validate_workload
+from repro.workloads.registry import register_trace
 from repro.workloads.suites import EXTENDED_BENCHMARKS, benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -1066,22 +1065,20 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
         print("repro: figure4 needs benchmark names and/or --trace-file", file=sys.stderr)
         return 2
     try:
-        for name in workloads:
-            validate_workload(name)
+        spec = CampaignSpec(
+            name="figure4",
+            configurations=tuple(SimulationConfig.figure4_suite()),
+            benchmarks=tuple(workloads),
+            instructions=args.instructions,
+            warmup_fraction=args.warmup,
+        )
     except KeyError as error:
         print(f"repro: {error.args[0]}", file=sys.stderr)
         return 2
-    runner = ExperimentRunner(
-        instructions=args.instructions,
-        benchmarks=workloads,
-        warmup_fraction=args.warmup,
-    )
     # Interactive-only progress: non-TTY figure4 output stays exactly the
     # final table, as before (fallback_lines=False).
     progress = _cell_progress(quiet=False, fallback_lines=False)
-    results = runner.run(
-        SimulationConfig.figure4_suite(), jobs=args.jobs, progress=progress
-    )
+    results = ParallelExecutor(jobs=args.jobs, progress=progress).run(spec)
     progress.finish()
     rows = []
     for run in results.runs:
@@ -1204,12 +1201,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 2
     if not workloads:
         workloads = list(_REPORT_BENCHMARKS)
-    try:
-        for name in workloads:
-            validate_workload(name)
-    except KeyError as error:
-        print(f"repro: {error.args[0]}", file=sys.stderr)
-        return 2
     suite = {config.name: config for config in SimulationConfig.figure4_suite()}
     config_names = args.configs if args.configs else list(_FIG4_ORDER)
     configs = []
@@ -1222,55 +1213,59 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
             return 2
         configs.append(suite[name])
-
-    from repro.sim.kernels import resolve_kernel
-
-    if resolve_kernel() == "specialized":
-        # Attribution needs per-cycle collector callbacks the fused kernels do
-        # not emit, so these runs always take the generic interpreter path.
-        print(
-            "note: collector attached; runs fall back to the generic "
-            "interpreter (specialized kernels are bypassed)"
+    try:
+        spec = CampaignSpec(
+            name="report",
+            configurations=tuple(configs),
+            benchmarks=tuple(workloads),
+            instructions=args.instructions,
+            warmup_fraction=args.warmup,
         )
-        print()
+    except (KeyError, ValueError) as error:
+        print(f"repro: {error.args[0]}", file=sys.stderr)
+        return 2
+
+    # Attribution needs per-cycle collector callbacks the fused kernels do
+    # not emit, so these runs always take the generic interpreter path.
+    print(
+        "note: collector attached; runs fall back to the generic "
+        "interpreter (specialized kernels are bypassed)"
+    )
+    print()
     timeline = TraceEventLog() if args.timeline else None
     attributions = []
-    first = True
-    # The resolver figure4 uses: an ingested trace is cut to the budget too.
-    runner = ExperimentRunner(instructions=args.instructions)
-    for benchmark in workloads:
-        trace = runner.trace_for(benchmark)
-        for pid, config in enumerate(configs):
-            collector = RunCollector(
-                sample_every=args.sample_every if timeline is not None else 0
-            )
-            result = run_configuration(
-                config,
-                trace,
-                warmup_fraction=args.warmup,
-                options=RunOptions(collector=collector),
-            )
-            attribution = attribute_run(benchmark, result, collector)
-            # The partition invariant (categories sum to total cycles) is a
-            # hard guarantee; a violation is an engine bug, so let it raise.
-            attribution.check()
-            attributions.append(attribution)
-            if not first:
-                print()
-            first = False
-            print(format_attribution(attribution))
-            if timeline is not None:
-                track = len(attributions) - 1
-                timeline.name_process(track, f"{benchmark} {config.name}")
-                for cycle, rob, lq, sb, mb in collector.samples:
-                    # Simulator timelines map cycles to trace microseconds.
-                    timeline.add_counter(
-                        "occupancy",
-                        "sim.occupancy",
-                        float(cycle),
-                        {"rob": rob, "lq": lq, "sb": sb, "mb": mb},
-                        pid=track,
-                    )
+    # Collectors need in-process runs, so the cells run here, benchmark-major,
+    # on the traces the campaign engine resolves for figure4 and sweep.
+    for cell in spec.cells():
+        collector = RunCollector(
+            sample_every=args.sample_every if timeline is not None else 0
+        )
+        result = run_configuration(
+            cell.config,
+            cell_trace(cell),
+            warmup_fraction=cell.warmup_fraction,
+            options=RunOptions(collector=collector),
+        )
+        attribution = attribute_run(cell.benchmark, result, collector)
+        # The partition invariant (categories sum to total cycles) is a
+        # hard guarantee; a violation is an engine bug, so let it raise.
+        attribution.check()
+        if attributions:
+            print()
+        attributions.append(attribution)
+        print(format_attribution(attribution))
+        if timeline is not None:
+            track = len(attributions) - 1
+            timeline.name_process(track, f"{cell.benchmark} {cell.config.name}")
+            for cycle, rob, lq, sb, mb in collector.samples:
+                # Simulator timelines map cycles to trace microseconds.
+                timeline.add_counter(
+                    "occupancy",
+                    "sim.occupancy",
+                    float(cycle),
+                    {"rob": rob, "lq": lq, "sb": sb, "mb": mb},
+                    pid=track,
+                )
     if timeline is not None:
         print()
         _write_trace_log(timeline, args.timeline)

@@ -17,11 +17,13 @@ uses):
     One header per execution: campaign name, host block (shared with the
     bench harness via :mod:`repro.obs.hostinfo`), total cells, job count.
 ``cell``
-    One line per cell the run touched: cell/config/trace content hashes,
-    wall seconds, worker pid, kernel used / fallback reason, and whether the
-    result was computed or served from the store.  (Journals written before
-    the run path was unified also carry ``scheduler`` and ``frontend``; the
-    schema keeps both optional so they still validate.)
+    One line per cell the run computed: cell/config/trace content hashes,
+    wall seconds, worker pid, kernel used / fallback reason and
+    ``source: "computed"``.  Cells served from the store get no line; the
+    footer counts them.  (Older journals also hold ``source: "store"``
+    lines, and journals written before the run path was unified carry
+    ``scheduler`` and ``frontend``; the schema keeps all of these, so they
+    still validate, and the readers skip store lines.)
 ``run_end``
     One footer per execution: totals, elapsed wall time, cells/sec, kernel
     fallback tally, and the run's merged metrics registry dump — which is

@@ -145,9 +145,8 @@ class TestStore:
         assert_results_equal(result, restored)
 
         store = ResultStore(tmp_path / "camp")
-        assert not store.contains(cell)
+        assert store.get(cell) is None
         store.put(cell, result)
-        assert store.contains(cell)
         assert_results_equal(store.get(cell), result)
         assert len(store) == 1
 
@@ -274,10 +273,10 @@ from repro.campaign.store import result_to_dict
 parent = os.getpid()
 execute_cell = executor_mod._execute_cell
 
-def die_in_workers(cell, cache, kernel):
+def die_in_workers(cell, kernel):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
-    return execute_cell(cell, cache, kernel)
+    return execute_cell(cell, kernel)
 
 executor_mod._execute_cell = die_in_workers
 executor = executor_mod.ParallelExecutor(jobs=2)
@@ -318,11 +317,11 @@ from repro.campaign.spec import campaign_preset
 parent = os.getpid()
 execute_cell = executor_mod._execute_cell
 
-def stall_in_workers(cell, cache, kernel):
+def stall_in_workers(cell, kernel):
     first = cell.benchmark == "gzip" and cell.config.name == "Base1ldst"
     if os.getpid() != parent and not first:
         time.sleep(600)
-    return execute_cell(cell, cache, kernel)
+    return execute_cell(cell, kernel)
 
 def interrupt(event, cell, done, total):
     raise KeyboardInterrupt
@@ -376,15 +375,10 @@ class TestAggregate:
         assert results_from_store(store, instructions=INSTRUCTIONS).runs
 
 
-class TestRunnerIntegration:
-    def test_experiment_runner_delegates_to_the_executor(self, tmp_path):
-        from repro.analysis.experiments import ExperimentRunner
-
+class TestResultsAssembly:
+    def test_default_executor_persists_every_cell(self, tmp_path):
         store = ResultStore(tmp_path / "camp")
-        runner = ExperimentRunner(
-            instructions=INSTRUCTIONS, benchmarks=list(BENCHMARKS), warmup_fraction=WARMUP
-        )
-        results = runner.run(list(CONFIGS), store=store)
+        results = ParallelExecutor(store=store).run(small_spec())
         assert len(store) == len(BENCHMARKS) * len(CONFIGS)
         rebuilt = results_from_store(store)
         base = CONFIGS[0].name
@@ -392,15 +386,11 @@ class TestRunnerIntegration:
             results.geomean_normalized_cycles(base)
         )
 
-    def test_run_for_uses_index_and_raises_for_unknown(self):
-        from repro.analysis.experiments import ExperimentRunner
-
-        runner = ExperimentRunner(
-            instructions=INSTRUCTIONS, benchmarks=list(BENCHMARKS), warmup_fraction=WARMUP
-        )
-        results = runner.run([CONFIGS[0]])
+    def test_run_for_returns_the_first_match_and_raises_for_unknown(self):
+        results = ParallelExecutor(jobs=1).run(small_spec(configurations=CONFIGS[:1]))
         assert results.run_for("swim").benchmark == "swim"
-        # Repeated lookups hit the cached index.
-        assert results.run_for("swim") is results.run_for("swim")
+        duplicate = replace(results.runs[0], suite="other")
+        results.runs.append(duplicate)
+        assert results.run_for(duplicate.benchmark) is results.runs[0]
         with pytest.raises(KeyError):
             results.run_for("not-a-benchmark")

@@ -92,6 +92,13 @@ class TestCli:
         for name in ("fig4", "fig4-mini", "sec6d"):
             assert name in err
 
+    def test_report_repeated_config_exits_2(self, capsys):
+        argv = ["report", "gzip", "--config", "MALEC", "--config", "MALEC"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "duplicate configuration names" in captured.err
+        assert captured.out == ""
+
     def test_sweep_invalid_flag_values_rejected(self):
         for argv in (
             ["sweep", "fig4-mini", "--jobs", "0"],

@@ -413,9 +413,7 @@ class TestCampaignIntegration:
         clear_registry()
         longer = MemoryTrace("toy", _toy_trace().instructions + [load(0x4000), store(0x4008)])
         register_trace(longer, name="app")
-        second = ParallelExecutor(jobs=1, trace_cache=executor.trace_cache).run(
-            self._spec("app")
-        )
+        second = executor.run(self._spec("app"))
         assert first.run_for("app").results["MALEC"].instructions == 6
         assert second.run_for("app").results["MALEC"].instructions == 8
 

@@ -405,6 +405,10 @@ class TestRoundTrip:
         }
         assert run_end[second["run_id"]]["cells_computed"] == 0
         assert run_end[first["run_id"]]["cells_computed"] == len(expected_keys)
+        # The footer counts the store hits; no cell record repeats them.
+        assert not any(
+            rec["record"] == "cell" and rec["run_id"] == second["run_id"] for rec in lines
+        )
 
         # Every journal line — serve_request records included — validates
         # against the checked-in schema.

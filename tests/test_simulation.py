@@ -1,10 +1,11 @@
-"""Integration tests: configuration, simulator, experiment runner, reporting,
+"""Integration tests: configuration, simulator, sweep results, reporting,
 and coarse checks of the paper's headline claims on small traces."""
 
 import pytest
 
-from repro.analysis.experiments import ExperimentRunner
 from repro.analysis.reporting import format_table, geometric_mean, normalize
+from repro.campaign.executor import ParallelExecutor, cell_trace
+from repro.campaign.spec import CampaignSpec
 from repro.energy.energy_model import EnergyModelConfig
 from repro.sim.config import InterfaceKind, MalecParameters, SimulationConfig
 from repro.sim.simulator import run_configuration
@@ -175,11 +176,21 @@ class TestPaperClaims:
         assert abs(malec - base) / base < 0.35
 
 
-class TestExperimentRunner:
-    def test_runner_over_two_benchmarks(self):
-        runner = ExperimentRunner(instructions=1200, benchmarks=["gzip", "djpeg"], warmup_fraction=0.2)
-        configs = [SimulationConfig.base_1ldst(), SimulationConfig.malec()]
-        results = runner.run(configs)
+def two_benchmark_spec(**overrides) -> CampaignSpec:
+    defaults = dict(
+        name="two",
+        configurations=(SimulationConfig.base_1ldst(), SimulationConfig.malec()),
+        benchmarks=("gzip", "djpeg"),
+        instructions=1200,
+        warmup_fraction=0.2,
+    )
+    defaults.update(overrides)
+    return CampaignSpec(**defaults)
+
+
+class TestSweepResults:
+    def test_sweep_over_two_benchmarks(self):
+        results = ParallelExecutor(jobs=1).run(two_benchmark_spec())
         assert results.configurations == ["Base1ldst", "MALEC"]
         assert len(results.runs) == 2
         run = results.run_for("gzip")
@@ -194,10 +205,10 @@ class TestExperimentRunner:
         with pytest.raises(KeyError):
             results.run_for("missing")
 
-    def test_trace_cache_reused(self):
-        runner = ExperimentRunner(instructions=500, benchmarks=["gzip"])
-        assert runner.trace_for("gzip") is runner.trace_for("gzip")
+    def test_cell_trace_is_cached(self):
+        cell = two_benchmark_spec(instructions=500).cells()[0]
+        assert cell_trace(cell) is cell_trace(cell)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            ExperimentRunner(instructions=0)
+            two_benchmark_spec(instructions=0)
