@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import BASELINE, FIG4_BENCHMARKS, TRACE_INSTRUCTIONS, WARMUP_FRACTION
+from benchmarks.conftest import BASELINE
 from repro.analysis.reporting import format_table
-from repro.sim.config import SimulationConfig
 
 CONFIG_ORDER = ["Base1ldst", "Base2ld1st_1cycleL1", "Base2ld1st", "MALEC", "MALEC_3cycleL1"]
 

@@ -12,10 +12,6 @@ compares both execution time and dynamic energy against Base1ldst.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-import pytest
-
 from benchmarks.conftest import TRACE_INSTRUCTIONS, WARMUP_FRACTION
 from repro.analysis.reporting import format_table
 from repro.sim.config import MalecParameters, SimulationConfig

@@ -12,8 +12,6 @@ Two experiments:
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import TRACE_INSTRUCTIONS, WARMUP_FRACTION
 from repro.analysis.reporting import format_table
 from repro.sim.config import MalecParameters, SimulationConfig

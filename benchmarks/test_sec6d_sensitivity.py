@@ -13,10 +13,6 @@ The paper's sensitivity discussion makes three testable points:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-import pytest
-
 from benchmarks.conftest import TRACE_INSTRUCTIONS, WARMUP_FRACTION
 from repro.analysis.reporting import format_table
 from repro.sim.config import MalecParameters, SimulationConfig

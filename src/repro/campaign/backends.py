@@ -437,6 +437,12 @@ class SqliteBackend(StoreBackend):
         rows = self._connect().execute("SELECT key FROM cells ORDER BY key").fetchall()
         return [row[0] for row in rows]
 
+    def __len__(self) -> int:
+        # Counted in SQLite: `repro serve` answers every health and store
+        # request with the count, and fetching every key to count them
+        # grows with the store.
+        return self._connect().execute("SELECT COUNT(*) FROM cells").fetchone()[0]
+
     def iterate(self) -> Iterator[dict]:
         rows = self._connect().execute(
             "SELECT record FROM cells ORDER BY key"

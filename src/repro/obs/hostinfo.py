@@ -17,13 +17,20 @@ from __future__ import annotations
 import os
 import platform
 import subprocess
+from functools import lru_cache
 from typing import Optional
 
 __all__ = ["detect_revision", "host_metadata"]
 
 
-def detect_revision(default: str = "worktree") -> str:
-    """Short git revision of the working tree, or ``default`` outside git."""
+@lru_cache(maxsize=None)
+def _git_revision() -> Optional[str]:
+    """``git rev-parse --short HEAD``, or ``None`` outside git.
+
+    Asked once per process: the process keeps running the code it
+    imported, whatever the tree's HEAD moves to later, so the first answer
+    is also the truest one, and every later run header costs no subprocess.
+    """
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -33,9 +40,14 @@ def detect_revision(default: str = "worktree") -> str:
             check=False,
         )
     except (OSError, subprocess.SubprocessError):
-        return default
+        return None
     revision = completed.stdout.strip()
-    return revision if completed.returncode == 0 and revision else default
+    return revision if completed.returncode == 0 and revision else None
+
+
+def detect_revision(default: str = "worktree") -> str:
+    """Short git revision of the working tree, or ``default`` outside git."""
+    return _git_revision() or default
 
 
 def host_metadata(revision: Optional[str] = None) -> dict:

@@ -78,12 +78,12 @@ def resolve_kernel(explicit: Optional[str] = None) -> str:
 
 @dataclass(frozen=True)
 class KernelProgram:
-    """A compiled specialized kernel plus its provenance."""
+    """A compiled specialized kernel plus its provenance.  Its source lines
+    are ``linecache``'s entry for ``filename``."""
 
     kind: str
     content_hash: str
     filename: str
-    source: str
     entry: Callable
 
 
@@ -160,7 +160,6 @@ def compile_kernel(config: SimulationConfig, _count: bool = True) -> KernelProgr
         kind=spec["kind"],
         content_hash=digest,
         filename=filename,
-        source=source,
         entry=namespace["kernel_run"],
     )
     _CACHE[digest] = program

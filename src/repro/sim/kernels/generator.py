@@ -33,17 +33,28 @@ Bit-identity strategy — *probe, then commit or delegate*: every inlined fast
 path starts with side-effect-free probes (dict ``.get`` and list reads).  Only
 when the whole probe succeeds does the kernel apply the inline effects;
 otherwise it calls the exact original method before having mutated anything,
-so slow paths (TLB misses, store misses, way-hint mismatches on a load) run
-the canonical code and charge the canonical counters.  Taken inline are:
+so the two slow paths left, a page walk and a way-hint mismatch on a load,
+run the canonical code and charge the canonical counters.  Taken inline,
+on the flat cache, TLB and way-table columns, are:
 
+* every translation but the walk: the uTLB hit and, on a uTLB miss, the TLB
+  probe and the uTLB refill with its second-chance victim and, for MALEC's
+  way tables, the uWT entry's write-back to the WT and refill from it.  A
+  TLB miss calls :meth:`repro.tlb.tlb.TLBHierarchy.walk_page`, which the
+  generic loop's translation calls too, so both share the walk and the
+  TLB's random replacement draws;
 * the store drain (``StoreBuffer.pop_committed``,
   ``MergeBuffer.commit_store`` and ``_queue_writeback``);
-* L1 write hits: MALEC's MBE write (reduced when its way hint matches),
-  Base2ld1st's port write-back and Base1ldst's ``_writeback_to_cache``;
-* the conventional L1 load miss on the flat cache columns: the L2 access,
-  the L1 fill (calling the fill/evict listeners in the order
-  :meth:`repro.cache.cache_bank.CacheBank.fill_parts` does) and the dirty
-  victim's write-back;
+* L1 writes: MALEC's MBE write (reduced when its way hint matches),
+  Base2ld1st's port write-back and Base1ldst's ``_writeback_to_cache``,
+  a miss included, which fills the line dirty;
+* the conventional L1 load miss: the L2 access, the L1 fill with the
+  evict and fill listeners in the order
+  :meth:`repro.cache.cache_bank.CacheBank.fill_parts` calls them, and the
+  dirty victim's write-back;
+* MALEC's way determination: the way tables' listener updates (through
+  reverse TLB lookups) and feedback writes, or the WDU's predictions,
+  records and invalidations on its table;
 * the L2 miss of either access: the DRAM read, the fill at the set's lowest
   stamp and the dirty L2 victim's DRAM write.
 
@@ -78,7 +89,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 10
+GENERATOR_VERSION = 11
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -133,6 +144,8 @@ def build_spec(config: SimulationConfig) -> dict:
             merge_granularity=malec.merge_granularity,
             held_capacity=malec.input_buffer_capacity,
         )
+        if malec.way_determination == "wt":
+            spec["feedback"] = malec.enable_feedback_update
     return spec
 
 
@@ -202,12 +215,6 @@ def _quiescent_expr(spec: dict) -> str:
     )
 
 
-def _notifies(spec: dict) -> bool:
-    """Whether the inline L1 fill calls the fill/evict listeners: only MALEC
-    with way tables or a WDU registers any."""
-    return spec["kind"] == "MALEC" and spec["way_determination"] != "none"
-
-
 def _check(condition: str) -> str:
     """One runtime guard: raise, naming ``condition``, when it holds."""
     message = f"specialized kernel guard failed: {condition}"
@@ -255,11 +262,17 @@ def _guards(spec: dict) -> str:
         _check(f"l2.dram.latency_cycles != {spec['dram_latency']}"),
         "    translation = interface.translation",
         "    utlb = translation.utlb",
-        # the uTLB replaces by second chance: it has reference bits
+        "    tlb = translation.tlb",
+        # the uTLB replaces by second chance (it has reference bits), the
+        # TLB at random (its lookups set none)
         _check("utlb._referenced is None"),
+        _check("tlb._referenced is not None"),
     ]
-    if not _notifies(spec):
+    # only MALEC with way tables or a WDU registers L1 listeners
+    if spec.get("way_determination", "none") == "none":
         lines.append(_check("l1._fill_listeners or l1._evict_listeners"))
+    if spec.get("way_determination") != "wt":
+        lines.append(_check("utlb._eviction_callbacks"))
     if kind == "Base1ldst":
         lines += [
             _check("interface.load_slots != 0"),
@@ -287,6 +300,21 @@ def _guards(spec: dict) -> str:
             _check(f"arbitration.merge_window != {spec['merge_window']}"),
             _check(f'arbitration.merge_granularity != "{spec["merge_granularity"]}"'),
         ]
+        # the listeners and the uTLB callback the kernel takes inline
+        if spec["way_determination"] == "wt":
+            lines += [
+                "    way_tables = interface.way_tables",
+                _check(f"way_tables.enable_feedback_update != {spec['feedback']}"),
+                _check("l1._fill_listeners != [way_tables.on_line_fill]"),
+                _check("l1._evict_listeners != [way_tables.on_line_evict]"),
+                _check("utlb._eviction_callbacks != [way_tables._on_utlb_replacement]"),
+            ]
+        elif spec["way_determination"] == "wdu":
+            lines += [
+                "    wdu = interface.wdu",
+                _check("l1._fill_listeners != [wdu.on_line_fill]"),
+                _check("l1._evict_listeners != [wdu.on_line_evict]"),
+            ]
     return "\n".join(lines) + "\n"
 
 
@@ -297,9 +325,17 @@ def _prologue(spec: dict) -> str:
         "",
         "    # ---- hoisted structures (stable objects only: these attribute",
         "    # slots are mutated in place but never rebound during a run) ----",
-        "    utlb_by_vpage_get = utlb._by_vpage.get",
+        "    utlb_by_vpage = utlb._by_vpage",
+        "    utlb_by_vpage_get = utlb_by_vpage.get",
+        "    utlb_by_ppage = utlb._by_ppage",
+        "    utlb_vpages = utlb._vpages",
         "    utlb_ppages = utlb._ppages",
         "    utlb_referenced = utlb._referenced",
+        "    utlb_entries = utlb.entries",
+        "    tlb_by_vpage_get = tlb._by_vpage.get",
+        "    tlb_ppages = tlb._ppages",
+        "    walk_page = translation.walk_page",
+        "    walk_latency = translation.walk_latency",
         "    lq_entries = load_queue._entries",
         "    sb_entries = store_buffer._entries",
         "    mb_lines = merge_buffer._entries",
@@ -309,7 +345,6 @@ def _prologue(spec: dict) -> str:
         "    bank_stamps = [bank.array._stamps for bank in banks]",
         "    bank_tick = [bank.array._tick for bank in banks]",
         "    max_address = layout.max_address",
-        "    store_parts = l1.store_parts",
         "    l2_slot_of = l2.array._slot_of",
         "    l2_slot_of_get = l2_slot_of.get",
         "    l2_tags = l2.array._tags",
@@ -323,20 +358,11 @@ def _prologue(spec: dict) -> str:
         "    pending_writebacks = interface._pending_writebacks",
     ]
     if kind in ("Base1ldst", "Base2ld1st"):
-        lines += [
-            "    pending_loads = interface._pending_loads",
-            "    translate_pair = translation.translate_pair",
-        ]
-    if _notifies(spec):
-        lines += [
-            "    notify_evict = l1._notify_evict",
-            "    notify_fill = l1._notify_fill",
-        ]
+        lines.append("    pending_loads = interface._pending_loads")
     if kind == "MALEC":
         lines += [
             "    load_parts = l1.load_parts",
             "    mbe_backlog = interface._mbe_backlog",
-            "    translate_page_pair = translation.translate_page_pair",
             "    mk_deque = deque",
         ]
         if spec["merge_granularity"] == "subblock_pair":
@@ -347,18 +373,21 @@ def _prologue(spec: dict) -> str:
         wd = spec["way_determination"]
         if wd == "wt":
             lines += [
-                "    way_tables = interface.way_tables",
                 "    uwt = way_tables.uwt",
-                "    feedback_hit = way_tables.feedback_conventional_hit",
+                "    wt = way_tables.wt",
+                "    utlb_by_ppage_get = utlb_by_ppage.get",
+                "    tlb_by_ppage_get = tlb._by_ppage.get",
             ]
         elif wd == "wdu":
             lines += [
-                "    wdu_predict = interface.wdu.predict",
-                "    wdu_record = interface.wdu.record",
+                "    wdu_table = wdu._table",
+                "    wdu_get = wdu_table.get",
+                "    wdu_touch = wdu_table.move_to_end",
+                "    wdu_capacity = wdu.entries",
             ]
-    # every accumulator the flush table names, plus the two DRAM counts
+    # every accumulator the flush table names
     names = [name for guard, _, amount in _flush_rows(spec) for name in (guard, amount)]
-    accs = list(dict.fromkeys(names + ["acc_dram_read", "acc_dram_write"]))
+    accs = list(dict.fromkeys(names))
     lines += ["", "    # ---- batched accumulators, flushed at the run boundary ----"]
     for i in range(0, len(accs), 4):
         lines.append("    " + " = ".join(accs[i : i + 4]) + " = 0")
@@ -644,15 +673,10 @@ def _issue_store(spec: dict) -> str:
     if kind == "MALEC":
         probe = ""  # MALEC does not translate at store submission
     else:
-        # _on_store_submitted: translate_pair with the uTLB-hit fast path
+        # _on_store_submitted: translate_pair, its result unused
         probe = f"""
                         vpage = address >> {spec['page_shift']}
-                        slot = utlb_by_vpage_get(vpage)
-                        if slot is not None:
-                            acc_utlb_hit += 1
-                            utlb_referenced[slot] = 1
-                        else:
-                            translate_pair(address)"""
+{_translate_inline(spec, "vpage", 24, check="address")}"""
     # An unissued store lies at or past store_order_head: the index is in range.
     return f"""\
                     if (
@@ -688,18 +712,90 @@ def _shift(text: str, spaces: int) -> str:
     return "\n".join(pad + line if line.strip() else line for line in text.split("\n"))
 
 
-def _translate_pair_inline(spec: dict, addr: str, indent: int) -> str:
-    """uTLB-hit fast path of TLBHierarchy.translate_pair; miss delegates."""
+def _utlb_miss(spec: dict, page: str, indent: int) -> str:
+    """A uTLB miss of ``TLBHierarchy.translate_page_pair`` on the flat TLB
+    columns.  A TLB hit refills the uTLB as ``TLB.insert`` does: the
+    second-chance victim of ``TLB._victim``, the slot's pages and dicts
+    and, with way tables, ``WayTableHierarchy._on_utlb_replacement``'s
+    write-back of the victim's uWT entry to the WT and the refill from the
+    WT (two slice copies).  A TLB miss calls ``walk_page``, the one call
+    that leaves the kernel.
+
+    Sets ``physical_page`` and ``translation_latency``; with way tables
+    also ``slot``, the page's uTLB slot.  (The refill counts its uTLB fill
+    and uWT transfer with the TLB hit: see :func:`_flush_rows`.)
+    """
+    lpp = _lines_per_page(spec)
+    reprobe = transfer = ""
+    if spec.get("way_determination") == "wt":
+        reprobe = f"\n    slot = utlb_by_vpage_get({page})"
+        transfer = f"""
+        wt_slot = tlb_by_ppage_get(old_ppage)
+        if wt_slot is not None:
+            wt[wt_slot * {lpp} : wt_slot * {lpp} + {lpp}] = uwt[slot * {lpp} : slot * {lpp} + {lpp}]
+            acc_uwt_writeback += 1
+    uwt[slot * {lpp} : slot * {lpp} + {lpp}] = wt[tlb_slot * {lpp} : tlb_slot * {lpp} + {lpp}]
+    if way_tables._last_uwt_slot == slot:
+        way_tables._last_uwt_slot = None"""
     text = f"""\
-vpage = {addr} >> {spec['page_shift']}
-slot = utlb_by_vpage_get(vpage)
+tlb_slot = tlb_by_vpage_get({page})
+if tlb_slot is None:
+    acc_tlb_miss += 1
+    physical_page = walk_page({page})
+    translation_latency = walk_latency{reprobe}
+else:
+    acc_tlb_hit += 1
+    physical_page = tlb_ppages[tlb_slot]
+    translation_latency = 1
+    if len(utlb_by_vpage) < utlb_entries:
+        slot = utlb_vpages.index(None)
+    else:
+        slot = utlb._hand
+        while utlb_referenced[slot]:
+            utlb_referenced[slot] = 0
+            slot = (slot + 1) % utlb_entries
+        utlb._hand = (slot + 1) % utlb_entries
+    old_ppage = utlb_ppages[slot]
+    if old_ppage is not None:
+        acc_utlb_eviction += 1
+        del utlb_by_vpage[utlb_vpages[slot]]
+        del utlb_by_ppage[old_ppage]{transfer}
+    utlb_vpages[slot] = {page}
+    utlb_ppages[slot] = physical_page
+    utlb_by_vpage[{page}] = slot
+    utlb_by_ppage[physical_page] = slot
+    utlb_referenced[slot] = 1"""
+    return _shift(text, indent)
+
+
+def _translate_inline(spec: dict, page: str, indent: int, check: str = "") -> str:
+    """``TLBHierarchy.translate_page_pair`` of the page id ``page``: a uTLB
+    hit, else :func:`_utlb_miss`; sets ``physical_page`` and
+    ``translation_latency``.  ``check`` names the address whose range
+    check (``layout.page_id``'s) a miss runs first; a hit implies it, as
+    only walked pages are resident."""
+    miss = ""
+    if check:
+        miss = f"\n    if {check} > max_address:\n        layout.check({check})"
+    text = f"""\
+slot = utlb_by_vpage_get({page})
 if slot is not None:
     acc_utlb_hit += 1
     utlb_referenced[slot] = 1
-    physical = (utlb_ppages[slot] << {spec['page_shift']}) | ({addr} & {spec['page_off_mask']})
+    physical_page = utlb_ppages[slot]
     translation_latency = 0
-else:
-    physical, translation_latency = translate_pair({addr})"""
+else:{miss}
+{_utlb_miss(spec, page, 4)}"""
+    return _shift(text, indent)
+
+
+def _translate_pair_inline(spec: dict, addr: str, indent: int) -> str:
+    """``TLBHierarchy.translate_pair`` of ``addr``: sets ``physical`` and
+    ``translation_latency``."""
+    text = f"""\
+vpage = {addr} >> {spec['page_shift']}
+{_translate_inline(spec, "vpage", 0, check=addr)}
+physical = (physical_page << {spec['page_shift']}) | ({addr} & {spec['page_off_mask']})"""
     return _shift(text, indent)
 
 
@@ -838,13 +934,97 @@ else:
     return _shift(text, indent)
 
 
-def _l1_miss_inline(spec: dict, phys: str, indent: int) -> str:
-    """The conventional load miss of ``L1DataCache.load_parts`` on the flat
-    columns: the L2 access, then the fill of ``CacheBank.fill_parts``, then
-    the dirty victim's write-back to the L2.
+def _evict_listener(spec: dict) -> str:
+    """The L1 evict listener on ``vline``, the victim's line number: the WDU
+    drops the line; the way tables clear its code in its page's entry,
+    found by reverse lookups, the uWT's before the WT's
+    (``WayTableHierarchy._locate``)."""
+    wd = spec.get("way_determination")
+    if wd == "wdu":
+        return """
+if vline in wdu_table:
+    del wdu_table[vline]
+    if not acc_wdu_invalidate:
+        stats.handle("wdu.invalidate")
+    acc_wdu_invalidate += 1"""
+    if wd != "wt":
+        return ""
+    lpp = _lines_per_page(spec)
+    return f"""
+victim_page = vline >> {(lpp - 1).bit_length()}
+victim_slot = utlb_by_ppage_get(victim_page)
+if victim_slot is not None:
+    acc_locate_uwt += 1
+    uwt[victim_slot * {lpp} + (vline & {lpp - 1})] = 0
+else:
+    victim_slot = tlb_by_ppage_get(victim_page)
+    if victim_slot is None:
+        acc_evict_unmapped += 1
+    else:
+        acc_locate_wt += 1
+        wt[victim_slot * {lpp} + (vline & {lpp - 1})] = 0"""
+
+
+def _record_way(spec: dict, way: str) -> str:
+    """``WayTableHierarchy._record`` of ``way`` for the line ``lip`` of the
+    group's uWT entry: the way plus one, or unknown (0) for the line's
+    excluded way.  A restricted fill never takes that way (see
+    :func:`_l1_miss_inline`), so no resident line is in it and a
+    restricted kernel skips the test; an unrestricted one leaves its
+    outcome in ``excluded``."""
+    if spec["restrict"]:
+        return f"uwt[wt_offset + lip] = {way} + 1"
+    return f"""excluded = {way} == (lip // {spec['nbanks']}) % {spec['ways']}
+uwt[wt_offset + lip] = 0 if excluded else {way} + 1"""
+
+
+def _fill_listener(spec: dict) -> str:
+    """The L1 fill listener on ``pline``, the filled line's number: the WDU
+    records its way; the way tables record it in the uWT at ``wt_offset``.
+    A kernel fills only lines of the group's page, which the group's
+    translation left in the uTLB, so the reverse lookup finds that slot."""
+    wd = spec.get("way_determination")
+    if wd == "wdu":
+        return "\n" + _wdu_record("pline", "fill_way")
+    if wd != "wt":
+        return ""
+    lpp = _lines_per_page(spec)
+    text = f"""
+acc_locate_uwt += 1
+lip = pline & {lpp - 1}
+{_record_way(spec, "fill_way")}"""
+    if not spec["restrict"]:
+        text += "\nif excluded:\n    acc_unencodable += 1"
+    return text
+
+
+def _wdu_record(line: str, way: str) -> str:
+    """``WayDeterminationUnit.record`` of ``way`` for the line number
+    ``line``, LRU eviction included."""
+    return f"""\
+if not acc_wdu_update:
+    stats.handle("wdu.update")
+acc_wdu_update += 1
+if {line} in wdu_table:
+    wdu_table[{line}] = {way}
+    wdu_touch({line})
+else:
+    if len(wdu_table) >= wdu_capacity:
+        wdu_table.popitem(last=False)
+        if not acc_wdu_eviction:
+            stats.handle("wdu.eviction")
+        acc_wdu_eviction += 1
+    wdu_table[{line}] = {way}"""
+
+
+def _l1_miss_inline(spec: dict, phys: str, indent: int, store: bool = False) -> str:
+    """The conventional miss of ``L1DataCache.load_parts`` (a ``store``:
+    of ``store_parts``, whose fill is dirty) on the flat columns: the L2
+    access, then the fill of ``CacheBank.fill_parts`` with its evict and
+    fill listeners, then the dirty victim's write-back to the L2.
 
     Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``, which missed
-    the L1; sets ``latency``.
+    the L1; sets ``latency`` (which a store does not read).
     """
     bits = _bits(spec)
     line_bits = bits["line"]
@@ -852,19 +1032,14 @@ def _l1_miss_inline(spec: dict, phys: str, indent: int) -> str:
     exclude = ""
     if spec["restrict"]:
         # CacheBank.excluded_way_for: (line_in_page // banks) % ways
-        lines_per_page = 1 << (spec["page_shift"] - line_bits)
         exclude = (
-            f"\nwindow[((pline & {lines_per_page - 1}) // {spec['nbanks']}) % {ways}]"
+            f"\nwindow[((pline & {_lines_per_page(spec) - 1}) // {spec['nbanks']}) % {ways}]"
             " = NEVER"
         )
-    evict_notify = fill_notify = ""
-    if _notifies(spec):
-        evict_notify = "\n    notify_evict(victim, fill_way)"
-        fill_notify = f"\nnotify_fill({phys} & {spec['line_neg_mask']}, fill_way)"
     bank_shift = bits["set_shift"] - line_bits
     victim_tag_shift = bits["tag_shift"] - line_bits
     text = f"""\
-acc_l1_conv_miss += 1
+{"acc_store_miss" if store else "acc_l1_conv_miss"} += 1
 pline = {phys} >> {line_bits}
 {_l2_access_inline(spec, phys, "pline", False, 0)}
 base = set_index * {ways}
@@ -880,30 +1055,28 @@ victim_dirty = dirty_bits[fill_slot]
 if victim_tag != -1:
     del slot_of[victim_tag * {spec['sets']} + set_index]
 tags[fill_slot] = ptag
-dirty_bits[fill_slot] = 0
+dirty_bits[fill_slot] = {int(store)}
 stamps[fill_slot] = next(bank_tick[pbank])
 slot_of[ptag * {spec['sets']} + set_index] = fill_slot
 if victim_tag != -1:
-    victim = (
-        (victim_tag << {victim_tag_shift}) | (set_index << {bank_shift}) | pbank
-    ) << {line_bits}
+    vline = (victim_tag << {victim_tag_shift}) | (set_index << {bank_shift}) | pbank
+    victim = vline << {line_bits}
     if victim > max_address:
         layout.check(victim)
     acc_l1_evict += 1
     if victim_dirty:
-        acc_l1_writeback += 1{evict_notify}
-acc_l1_fill += 1{fill_notify}
+        acc_l1_writeback += 1{_shift(_evict_listener(spec), 4)}
+acc_l1_fill += 1{_fill_listener(spec)}
 if victim_dirty:
-    vline = victim >> {line_bits}
 {_l2_access_inline(spec, "victim", "vline", True, 4)}"""
     return _shift(text, indent)
 
 
 def _l1_store_inline(spec: dict, phys: str, hinted: bool, indent: int) -> str:
-    """``L1DataCache.store_parts``'s hit on the flat columns: probe the
-    hinted slot (``hinted``: a reduced write when it holds the line), then
-    the conventional lookup; a hit marks the slot dirty and stamps it.  A
-    miss calls ``store_parts``, nothing having changed yet.
+    """``L1DataCache.store_parts`` on the flat columns: probe the hinted
+    slot (``hinted``: a reduced write when it holds the line; else the hint
+    was wrong), then the conventional lookup.  A hit marks the slot dirty
+    and stamps it; a miss fills the line dirty (:func:`_l1_miss_inline`).
 
     Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``; with
     ``hinted``, also ``way_hint``, and sets ``reduced``.
@@ -914,9 +1087,11 @@ l1_slot = bank_slot_of[pbank].get(ptag * {sets} + set_index)
 if l1_slot is not None:
     bank_dirty[pbank][l1_slot] = 1
     bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
-    acc_store_conv_hit += 1"""
+    acc_store_conv_hit += 1
+else:
+{_l1_miss_inline(spec, phys, 4, store=True)}"""
     if not hinted:
-        return _shift(f"{conventional}\nelse:\n    store_parts({phys})", indent)
+        return _shift(conventional, indent)
     text = f"""\
 reduced = False
 if way_hint is not None and bank_tags[pbank][set_index * {ways} + way_hint] == ptag:
@@ -926,11 +1101,9 @@ if way_hint is not None and bank_tags[pbank][set_index * {ways} + way_hint] == p
     acc_store_reduced_hit += 1
     reduced = True
 else:
-{_shift(conventional, 4)}
-        if way_hint is not None:
-            acc_way_hint_wrong += 1
-    else:
-        reduced = store_parts({phys}, way_hint=way_hint)[3]"""
+    if way_hint is not None:
+        acc_way_hint_wrong += 1
+{_shift(conventional, 4)}"""
     return _shift(text, indent)
 
 
@@ -940,7 +1113,8 @@ def _writeback_line(spec: dict, indent: int) -> str:
     text = f"""\
 wb_line = writeback.physical_line_address
 if wb_line is None:
-    physical, _lat = translate_pair(writeback.virtual_line_address)
+    wb_virtual = writeback.virtual_line_address
+{_translate_pair_inline(spec, "wb_virtual", 4)}
     if physical > max_address:
         layout.check(physical)
     wb_line = writeback.physical_line_address = physical & {spec['line_neg_mask']}"""
@@ -1076,26 +1250,18 @@ def _lines_per_page(spec: dict) -> int:
 
 
 def _translate_group(spec: dict) -> str:
-    """TLBHierarchy.translate_page_pair with the uTLB-hit fast path; with way
-    tables, then WayTableHierarchy.predict_page.  Every translation leaves
-    the page in the uTLB, so the uWT entry is the one of the translation's
-    uTLB slot, probed again after a delegated miss (a zero walk latency
-    makes a miss look like a hit), and its reference bit is already set."""
-    text = """\
-                # ---- translate_page_pair (uTLB-hit fast path) ----
-                slot = utlb_by_vpage_get(page)
-                if slot is not None:
-                    acc_utlb_hit += 1
-                    utlb_referenced[slot] = 1
-                    physical_page = utlb_ppages[slot]
-                    translation_latency = 0
-                else:
-                    physical_page, translation_latency = translate_page_pair(page)"""
+    """The group's one translation; with way tables, then
+    WayTableHierarchy.predict_page.  Every translation leaves the page in
+    the uTLB, so the uWT entry is the one of the translation's uTLB slot,
+    and its reference bit is already set."""
+    text = "                # ---- translate_page_pair ----\n" + _translate_inline(
+        spec, "page", 16
+    )
     if spec["way_determination"] != "wt":
         return text
     return text + f"""
-                    slot = utlb_by_vpage_get(page)
-                # ---- the uWT entry read: its codes start at wt_offset ----
+                # ---- the uWT entry read (it sets the last-entry register):
+                # its codes start at wt_offset ----
                 way_tables._last_uwt_slot = slot
                 acc_uwt_read += 1
                 wt_offset = slot * {_lines_per_page(spec)}"""
@@ -1135,26 +1301,46 @@ else:
 
 
 def _feedback(spec: dict) -> str:
+    """An unknown way whose conventional access hit: the way tables record
+    it through the last-entry register, which holds the group's uTLB slot
+    (``feedback_conventional_hit``); the WDU records it."""
     wd = spec["way_determination"]
-    if wd == "wt":
-        return """
+    line_bits = _bits(spec)["line"]
+    if wd == "wt" and spec["feedback"]:
+        lpp = _lines_per_page(spec)
+        record = _record_way(spec, "l1_way")
+        return f"""
                     if way_hint is None and l1_hit:
-                        feedback_hit(physical_address, l1_way)"""
+                        acc_feedback += 1
+                        lip = (physical_address >> {line_bits}) & {lpp - 1}
+{_shift(record, 24)}"""
     if wd == "wdu":
-        return """
+        return f"""
                     if way_hint is None and l1_hit:
-                        if l1_way is not None:
-                            wdu_record(physical_address, l1_way)"""
+                        wdu_line = physical_address >> {line_bits}
+{_shift(_wdu_record("wdu_line", "l1_way"), 24)}"""
     return ""
 
 
-def _wdu_predict(spec: dict) -> str:
+def _wdu_predict(spec: dict, indent: int) -> str:
+    """``WayDeterminationUnit.predict`` of ``physical_address``, one
+    lookup per access: a known way becomes ``way_hint``."""
     if spec["way_determination"] != "wdu":
         return ""
-    return """
-                    wdu_way = wdu_predict(physical_address)
-                    if wdu_way is not None:
-                        way_hint = wdu_way"""
+    text = f"""
+if not acc_wdu_lookup:
+    stats.handle("wdu.lookup")
+    stats.handle("way_pred.lookup")
+acc_wdu_lookup += 1
+wdu_line = physical_address >> {_bits(spec)["line"]}
+wdu_way = wdu_get(wdu_line)
+if wdu_way is not None:
+    wdu_touch(wdu_line)
+    if not acc_wdu_known:
+        stats.handle("way_pred.known")
+    acc_wdu_known += 1
+    way_hint = wdu_way"""
+    return _shift(text, indent)
 
 
 def _tick_malec(spec: dict) -> str:
@@ -1237,12 +1423,12 @@ def _tick_malec(spec: dict) -> str:
                 for (lseq, address, lsize), merged_requests, way_hint in bank_requests:
                     physical_address = (
                         physical_page << {page_shift}
-                    ) | (address & {page_off_mask}){_wdu_predict(spec)}
+                    ) | (address & {page_off_mask})
+{_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec, 20)}
 {_forwarding_inline(spec, "address", "lsize", "acc_fwd_split", 20)}
                     for _mseq, maddr, msize in merged_requests:
 {_forwarding_inline(spec, "maddr", "msize", "acc_fwd_split", 24)}
                     # ---- L1 load: reduced probe (a miss delegates), conventional access
-{_l1_fields(spec, "physical_address", 20)}
                     if way_hint is not None:
                         l1_slot = set_index * {spec['ways']} + way_hint
                         if bank_tags[pbank][l1_slot] == ptag:
@@ -1279,8 +1465,8 @@ def _tick_malec(spec: dict) -> str:
                     physical_address = (
                         physical_page << {page_shift}
                     ) | (mbe & {page_off_mask})
-                    way_hint = mbe_hint{_wdu_predict(spec)}
-{_l1_fields(spec, "physical_address", 20)}
+                    way_hint = mbe_hint
+{_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec, 20)}
 {_l1_store_inline(spec, "physical_address", spec["way_determination"] != "none", 20)}
                     acc_mbe_written += 1{_way_acct(spec, 20)}
                 # ---- InputBuffer.retire + end_cycle ----
@@ -1413,19 +1599,32 @@ def _flush_rows(spec: dict) -> list:
     that tuple, so a change to the model's accounting reaches the kernels
     unedited.  A row whose amount is not its guard carries a counter that
     the generic loop bumps, at times by zero, with the guard's event: it is
-    live exactly when that event happened.  The two ``dram.*`` counts are
-    not rows: :func:`_epilogue` adds them by name.
+    live exactly when that event happened.  The model interns some names
+    at their first event (``DRAMModel``'s and the WDU's ``stats.add``); the
+    kernel interns each at its own first event too, so the stats key order
+    matches, and their rows look the names up.
     """
 
     def once(*handles: str) -> str:
         """A pattern counting each of ``handles`` once (no model tuple)."""
         return "(" + ", ".join(f"({handle}, 1)" for handle in handles) + ",)"
 
+    def named(*names: str) -> str:
+        """:func:`once` for counters the model interns at their first event."""
+        return once(*(f'stats.handle("{name}")' for name in names))
+
     # (guard, pattern[, amount]): the amount is the guard unless given
     rows = [
         ("acc_load_submit", "interface._combo_load_submit"),
         ("acc_store_submit", once("interface._h_stores_submitted", "store_buffer._h_insert")),
         ("acc_utlb_hit", "utlb._combo_hit"),
+        # a uTLB miss that hits the TLB refills one uTLB slot
+        ("acc_tlb_hit", "utlb._combo_miss"),
+        ("acc_tlb_hit", "tlb._combo_hit"),
+        ("acc_tlb_hit", once("utlb._h_fill")),
+        ("acc_tlb_miss", "utlb._combo_miss"),
+        ("acc_tlb_miss", "tlb._combo_miss"),
+        ("acc_utlb_eviction", once("utlb._h_eviction")),
         ("acc_sb_forward", once("store_buffer._h_forward_hit")),
         ("acc_mb_forward", once("merge_buffer._h_forward_hit")),
         ("acc_load_accesses", once("interface._h_load_accesses")),
@@ -1441,6 +1640,8 @@ def _flush_rows(spec: dict) -> list:
         ("acc_l2_hit", "l2._combo_hit"),
         ("acc_l2_miss", "l2._combo_miss"),
         ("acc_l2_writeback", once("l2._h_writeback")),
+        ("acc_dram_read", named("dram.read")),
+        ("acc_dram_write", named("dram.write")),
         ("acc_sb_drain", once("store_buffer._h_drain")),
         ("acc_mb_merged", once("merge_buffer._h_merged_store")),
         # every merge-buffer eviction queues its line for the cache
@@ -1451,6 +1652,10 @@ def _flush_rows(spec: dict) -> list:
         ("acc_store_conv_hit", "bank0._combo_conv_write"),
         ("acc_store_conv_hit", once("bank0._h_data_write")),
         ("acc_store_conv_hit", "l1._combo_store_hit"),
+        # a store miss: the conventional write probe, then store_parts' fill
+        ("acc_store_miss", "bank0._combo_conv_write"),
+        ("acc_store_miss", "l1._combo_store_miss"),
+        ("acc_store_miss", once("l1._h_data_write")),
     ]
     if spec["kind"] != "MALEC":
         rows.append(("acc_fwd_full", "interface._combo_fwd_full"))
@@ -1495,7 +1700,49 @@ def _flush_rows(spec: dict) -> list:
                 ("acc_way_reduced", "interface._combo_way_reduced"),
             ]
         if spec["way_determination"] == "wt":
-            rows.append(("acc_uwt_read", once("way_tables._h_uwt_read")))
+            # a reverse lookup that misses the uTLB probes the TLB
+            via_tlb = ("utlb._h_reverse_lookup", "utlb._h_reverse_miss", "tlb._h_reverse_lookup")
+            rows += [
+                ("acc_uwt_read", once("way_tables._h_uwt_read")),
+                ("acc_tlb_hit", once("way_tables._h_uwt_transfer")),
+                (
+                    "acc_uwt_writeback",
+                    once("way_tables._h_wt_transfer", "way_tables._h_uwt_writeback"),
+                ),
+                (
+                    "acc_locate_uwt",
+                    once(
+                        "utlb._h_reverse_lookup",
+                        "utlb._h_reverse_hit",
+                        "way_tables._h_uwt_update",
+                    ),
+                ),
+                (
+                    "acc_locate_wt",
+                    once(*via_tlb, "tlb._h_reverse_hit", "way_tables._h_wt_update"),
+                ),
+                (
+                    "acc_evict_unmapped",
+                    once(*via_tlb, "tlb._h_reverse_miss", "way_tables._h_evict_unmapped"),
+                ),
+            ]
+            if not spec["restrict"]:
+                rows.append(("acc_unencodable", once("way_tables._h_unencodable")))
+            if spec["feedback"]:
+                rows.append(
+                    (
+                        "acc_feedback",
+                        once("way_tables._h_uwt_update", "way_tables._h_feedback_update"),
+                    )
+                )
+        elif spec["way_determination"] == "wdu":
+            rows += [
+                ("acc_wdu_lookup", named("wdu.lookup", "way_pred.lookup")),
+                ("acc_wdu_known", named("way_pred.known")),
+                ("acc_wdu_update", named("wdu.update")),
+                ("acc_wdu_eviction", named("wdu.eviction")),
+                ("acc_wdu_invalidate", named("wdu.invalidate")),
+            ]
     return [(guard, pattern, rest[0] if rest else guard) for guard, pattern, *rest in rows]
 
 
@@ -1516,11 +1763,6 @@ def _epilogue(spec: dict) -> str:
             _live[slot] = True
 
 {flushes}
-    # DRAMModel's names, interned at their first event (_l2_miss_inline)
-    if acc_dram_read:
-        stats.add("dram.read", acc_dram_read)
-    if acc_dram_write:
-        stats.add("dram.write", acc_dram_write)
     total_cycles = last_commit_cycle + 1
     interface.finalize(total_cycles)
     stats.add("pipeline.issued", issued_total)

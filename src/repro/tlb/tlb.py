@@ -246,8 +246,18 @@ class TLBHierarchy:
             ppage = self.tlb._ppages[tlb_slot]
             utlb.insert(virtual_page, ppage)
             return (ppage, 1)
+        return (self.walk_page(virtual_page), self.walk_latency)
+
+    def walk_page(self, virtual_page: int) -> int:
+        """Walk the page table for ``virtual_page``, which missed both
+        levels, and fill the TLB, then the uTLB; return the physical page.
+
+        The one page walk: :meth:`translate_page_pair` and the specialized
+        kernels, which take every other step of a translation inline, both
+        call it, so they share the walk and the TLB's random draws.
+        """
         ppage = self.page_table.translate_page(virtual_page)
         self.stats.bump(self._h_walk)
         self.tlb.insert(virtual_page, ppage)
-        utlb.insert(virtual_page, ppage)
-        return (ppage, self.walk_latency)
+        self.utlb.insert(virtual_page, ppage)
+        return ppage

@@ -15,6 +15,9 @@ the pipelines itself it also compares each pipeline's
 ``fast_forwarded_cycles``: a kernel must jump the clock exactly when the
 generic loop does.
 
+A budget test counts the model calls a kernel makes per access: only page
+walks (and a load whose way hint missed) leave it.
+
 The net also locks down the fallback contract: collector runs take the
 generic path and say why, a kernel compiled for a different configuration is
 rejected by its runtime guards (raising before it touches any state, never
@@ -30,6 +33,7 @@ from __future__ import annotations
 import json
 import linecache
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -37,6 +41,10 @@ from typing import NamedTuple
 import pytest
 
 from repro.api import RunOptions
+from repro.cache.l1_cache import L1DataCache
+from repro.campaign.spec import campaign_preset
+from repro.core.way_table import WayTableHierarchy
+from repro.core.wdu import WayDeterminationUnit
 from repro.cpu.instruction import compute, load, store
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.obs import RunCollector
@@ -63,6 +71,8 @@ from repro.workloads.profiles import BenchmarkProfile, StreamKind, StreamSpec
 from repro.workloads.suites import STRESS_BENCHMARKS, benchmark_profile
 from repro.workloads.synthetic import generate_trace
 from repro.workloads.trace import MemoryTrace
+from repro.tlb.page_table import PageTable
+from repro.tlb.tlb import TLB, TLBHierarchy
 
 STRESS_GOLDEN_PATH = Path(__file__).parent / "golden" / "stress_profiles.json"
 
@@ -249,8 +259,12 @@ class TestSpecializedShapes:
 def random_shape(seed: int) -> SimulationConfig:
     """A seeded configuration shape: interface kind, core widths, buffer
     depths, latencies, TLB sizes and every MALEC option, each drawn over
-    the range the kernels are specialized on."""
+    the range the kernels are specialized on.  The WDU size comes from a
+    stream of its own, so a seed keeps the shape it had before the size
+    was drawn; WDUs of one or two entries evict and invalidate all the
+    time."""
     rng = random.Random(seed)
+    wdu_rng = random.Random(seed ^ 0x3D0)
     return SimulationConfig(
         name=f"shape{seed}",
         interface=rng.choice(list(InterfaceKind)),
@@ -278,6 +292,7 @@ def random_shape(seed: int) -> SimulationConfig:
             input_buffer_capacity=rng.choice((1, 2, 4)),
             merge_window=rng.randint(0, 4),
             restrict_way_allocation=rng.random() < 0.5,
+            wdu_entries=wdu_rng.choice((1, 2, 8, 16, 32)),
         ),
         lq_entries=rng.randint(4, 40),
         sb_entries=rng.randint(2, 24),
@@ -656,6 +671,98 @@ class TestModelCounterPatterns:
         assert_results_identical(results["specialized"], results["generic"], "l1.ctrl x2")
         unchanged = run_configuration(config, trace)
         assert results["generic"].stats["l1.ctrl"] > unchanged.stats["l1.ctrl"]
+
+
+#: every model method a kernel could call per access
+MODEL_METHODS = {
+    TLBHierarchy: ("translate_pair", "translate_page_pair", "walk_page"),
+    TLB: ("lookup", "reverse_lookup", "insert"),
+    L1DataCache: ("load_parts", "store_parts", "_notify_fill", "_notify_evict"),
+    WayTableHierarchy: (
+        "predict_page",
+        "feedback_conventional_hit",
+        "on_line_fill",
+        "on_line_evict",
+    ),
+    WayDeterminationUnit: ("predict", "record", "on_line_fill", "on_line_evict"),
+}
+
+
+def kernel_model_calls(config, trace, monkeypatch):
+    """The model calls a specialized run makes from its kernel, by method,
+    and the page walks it ran.
+
+    Only outermost calls count: the TLB fills inside ``walk_page`` and the
+    listeners inside a ``load_parts`` are the model's own.  The interface's
+    ``finalize``, the end-of-run drain, runs the model and is not counted.
+    """
+    calls = Counter()
+    state = {"depth": 0, "finalizing": False, "walks": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            if state["depth"] == 0 and not state["finalizing"]:
+                calls[name] += 1
+            state["depth"] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                state["depth"] -= 1
+
+        return wrapper
+
+    for cls, names in MODEL_METHODS.items():
+        for name in names:
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    translate_page = PageTable.translate_page
+
+    def walk(self, virtual_page):
+        if not state["finalizing"]:
+            state["walks"] += 1
+        return translate_page(self, virtual_page)
+
+    monkeypatch.setattr(PageTable, "translate_page", walk)
+    simulator = Simulator(config)
+    finalize = simulator.interface.finalize
+
+    def finalize_uncounted(cycle):
+        state["finalizing"] = True
+        try:
+            finalize(cycle)
+        finally:
+            state["finalizing"] = False
+
+    simulator.interface.finalize = finalize_uncounted
+    result = simulator.run(trace, options=RunOptions(kernel="specialized"))
+    assert simulator.kernel_used
+    return calls, state["walks"], result
+
+
+#: an eight-entry WDU: its predictions, LRU evictions and invalidations
+SMALL_WDU = _malec(way_determination="wdu", wdu_entries=8).with_name("MALEC_WDU8")
+
+
+class TestDelegationBudget:
+    """Per access, a kernel calls the model only to walk the page table
+    (``TLBHierarchy.walk_page``), and ``load_parts`` for a load whose way
+    hint named the wrong way (way tables and WDUs never do).  The cells
+    are fig4-mini's at its instruction budget, under the Fig. 4
+    configurations and a WDU, and ``tlbthrash``, which drives the paths
+    taken inline: uTLB refills from the TLB, L1 evictions, store misses."""
+
+    @pytest.mark.parametrize("config", FIG4_CONFIGS + [SMALL_WDU], ids=lambda c: c.name)
+    @pytest.mark.parametrize("bench", FIG4_MINI_BENCHMARKS + ("tlbthrash",))
+    def test_only_page_walks_leave_the_kernel(self, config, bench, monkeypatch):
+        trace = trace_for(bench, campaign_preset("fig4-mini").instructions)
+        calls, walks, result = kernel_model_calls(config, trace, monkeypatch)
+        stats = result.stats
+        mismatched_loads = calls.pop("load_parts", 0)
+        assert mismatched_loads <= stats.get("l1.way_hint_wrong", 0)
+        assert walks and calls == Counter(walk_page=walks)
+        if bench == "tlbthrash":
+            assert stats["tlb.hit"] and stats["l1.eviction"] and stats["l1.store_miss"]
+            if config is SMALL_WDU:
+                assert stats["wdu.eviction"] and stats["wdu.invalidate"]
 
 
 class TestFallbackContract:

@@ -129,6 +129,13 @@ class TestBackendContract:
         assert len(backend) == 1
         assert backend.get(key)["result"]["cycles"] == 2
 
+    def test_len_counts_the_keys(self, backend):
+        # SQLite counts in the database; both must agree with keys().
+        assert len(backend) == len(backend.keys()) == 0
+        for key in ("a" * 20, "b" * 20, "c" * 20, "a" * 20):
+            backend.put(key, record_fixture(key))
+        assert len(backend) == len(backend.keys()) == 3
+
     def test_manifest_roundtrip(self, backend):
         manifest = {"name": "fig4", "benchmarks": ["gzip"], "instructions": 600}
         backend.write_manifest(manifest)

@@ -20,6 +20,7 @@ OpenMetrics exposition round-trip, and ``repro bench --history``.
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.campaign.store import ResultStore
 from repro.cli import main
+from repro.obs import hostinfo
 from repro.obs import metrics as obs_metrics
 from repro.obs import logs as obs_logs
 from repro.obs import telemetry
@@ -429,6 +431,23 @@ class TestExecutorTelemetry:
         executor.run(_mini_spec())
         assert executor.active_journal is None
         assert not store.telemetry_path.exists()
+
+    def test_run_headers_ask_git_once_per_process(self, tmp_path, monkeypatch):
+        hostinfo._git_revision.cache_clear()
+        started = []
+        run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            started.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        path = tmp_path / "journal.jsonl"
+        for _ in range(2):
+            ParallelExecutor(jobs=1, journal=path).run(_mini_spec())
+        assert len(started) == 1
+        first, second = telemetry.load_runs(path)
+        assert first.header["host"] == second.header["host"]
 
     def test_explicit_journal_path_without_metrics(self, tmp_path):
         path = tmp_path / "explicit.jsonl"
