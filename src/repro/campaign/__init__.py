@@ -45,6 +45,7 @@ from repro.campaign.store import (
     StoreBackend,
     StoreConflictError,
     StoreURLError,
+    StoreWriteError,
     open_store,
     result_from_dict,
     result_to_dict,
@@ -58,6 +59,7 @@ __all__ = [
     "StoreBackend",
     "StoreConflictError",
     "StoreURLError",
+    "StoreWriteError",
     "open_store",
     "PRESET_NAMES",
     "campaign_preset",

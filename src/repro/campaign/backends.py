@@ -55,6 +55,12 @@ class StoreConflictError(RuntimeError):
     """Concurrent writers clobbered each other's campaign manifest."""
 
 
+class StoreWriteError(OSError):
+    """A campaign's own write failed: a cell record into its store or a line
+    into its telemetry journal.  The message names the store (or journal);
+    the failed call's error is the ``__cause__``."""
+
+
 #: recognised store URL schemes, in documentation order
 STORE_SCHEMES: Tuple[str, ...] = ("json", "sqlite")
 

@@ -9,7 +9,9 @@ into an :class:`~repro.analysis.experiments.ExperimentResults`:
   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs > 1``), with
   graceful fallback to the serial path when the platform cannot spawn worker
   processes (restricted sandboxes) or the pool breaks mid-sweep (a killed
-  worker raises ``BrokenProcessPool`` instead of hanging the sweep);
+  worker raises ``BrokenProcessPool`` instead of hanging the sweep), while a
+  failed store or journal write raises
+  :class:`~repro.campaign.store.StoreWriteError` at any job count;
 * every workload trace — synthetic *or* ingested — is resolved **once in the
   parent** as a :class:`~repro.workloads.columnar.ColumnarTrace`, and its
   ``.rtrc`` bytes (:meth:`~repro.workloads.columnar.ColumnarTrace.to_bytes`:
@@ -41,7 +43,12 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.analysis.experiments import BenchmarkRun, ExperimentResults
 from repro.api import RunOptions
 from repro.campaign.spec import CampaignCell, CampaignSpec
-from repro.campaign.store import ResultStore, result_from_dict, result_to_dict
+from repro.campaign.store import (
+    ResultStore,
+    StoreWriteError,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
 from repro.obs.telemetry import TelemetryJournal
@@ -412,7 +419,13 @@ class ParallelExecutor:
             "source": "computed",
         }
         record.update(info)
-        self.active_journal.cell(**record)
+        try:
+            self.active_journal.cell(**record)
+        except OSError as error:
+            raise StoreWriteError(
+                f"telemetry journal {self.active_journal.path}: "
+                f"cannot append cell {record['key']}: {error}"
+            ) from error
 
     # ------------------------------------------------------------------
     def _observe_cell(
@@ -504,7 +517,9 @@ class ParallelExecutor:
         Pool failures (platforms without working multiprocessing, a worker
         killed mid-sweep, which breaks the pool with ``BrokenProcessPool``)
         are swallowed: whatever cells did not complete stay absent from
-        ``results`` and the caller re-runs them serially.
+        ``results`` and the caller re-runs them serially.  A failed write of
+        the parent's own (:class:`StoreWriteError`: a store record or a
+        journal line) is no pool failure and ends the run, as at jobs=1.
         """
         # Imported here, not at module level, so importing the executor
         # costs no more than before.
@@ -562,6 +577,8 @@ class ParallelExecutor:
                     for process in list((pool._processes or {}).values()):
                         process.terminate()
                     raise
+        except StoreWriteError:
+            raise
         except (OSError, PermissionError, RuntimeError, ImportError) as error:
             # BrokenProcessPool (a RuntimeError: a worker died) and
             # BrokenPipe style failures land here; finish serially with

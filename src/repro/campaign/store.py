@@ -34,6 +34,7 @@ from repro.campaign.backends import (
     StoreBackend,
     StoreConflictError,
     StoreURLError,
+    StoreWriteError,
     backend_for_url,
 )
 from repro.campaign.spec import CampaignCell, CampaignSpec, config_to_dict
@@ -46,6 +47,7 @@ __all__ = [
     "StoreBackend",
     "StoreConflictError",
     "StoreURLError",
+    "StoreWriteError",
     "open_store",
     "result_from_dict",
     "result_to_dict",
@@ -142,7 +144,10 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def put(self, cell: CampaignCell, result: SimulationResult) -> str:
-        """Persist one cell result; returns the cell key."""
+        """Persist one cell result; returns the cell key.
+
+        A backend's ``OSError`` is raised as :class:`StoreWriteError`
+        naming this store."""
         key = cell.key()
         record = {
             "key": key,
@@ -157,7 +162,10 @@ class ResultStore:
         }
         if cell.trace_hash:
             record["trace_hash"] = cell.trace_hash
-        self.backend.put(key, record)
+        try:
+            self.backend.put(key, record)
+        except OSError as error:
+            raise StoreWriteError(f"store {self.url}: cannot write cell {key}: {error}") from error
         return key
 
     def get(self, cell: CampaignCell) -> Optional[SimulationResult]:

@@ -10,11 +10,12 @@ Python module whose single entry point::
 is equivalent to the event-driven pipeline loop of
 :meth:`repro.cpu.pipeline.OutOfOrderPipeline._run_event_driven` with the
 interface tick, the acceptance checks and the stat accounting *fused in* and
-specialized for that one configuration.  Most stages are transcribed from
-the generic loop; the issue stage is not.  It does work proportional to what
-can issue, and is held to the generic stage by an equivalence argument (see
-:func:`_issue_stage`) and by the differential tests, which also compare
-every clock jump:
+specialized for that one configuration.  Retire is transcribed from the
+generic loop; fetch, commit, the ready queue and issue are not (generator
+v12).  The ROB is a window of seqs and one heap holds every ready seq
+(:func:`_loop_head`), and issue does work proportional to what can issue
+(:func:`_issue_stage`).  Equivalence arguments in those docstrings and the
+differential tests, which also compare every clock jump, hold them to it:
 
 * config-dependent branches are resolved at generation time (interface kind,
   MALEC way determination on/off, merge granularity, TLB/cache geometry,
@@ -89,7 +90,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 11
+GENERATOR_VERSION = 12
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -178,9 +179,10 @@ def _l2_geometry(spec: dict) -> tuple:
 
 def _header(spec: dict, content_hash: str) -> str:
     kind = spec["kind"]
-    extra = ""
-    if kind != "MALEC":
-        extra = "from repro.interfaces.base import PendingWriteback\n"
+    if kind == "MALEC":
+        imports, extra = "from collections import deque\n", ""
+    else:
+        imports, extra = "", "from repro.interfaces.base import PendingWriteback\n"
     return (
         f'"""Specialized {kind} simulation kernel '
         f"(repro.sim.kernels generator v{spec['generator']}).\n"
@@ -191,7 +193,7 @@ def _header(spec: dict, content_hash: str) -> str:
         f'"""\n'
         f"\n"
         f"import heapq\n"
-        f"from collections import deque\n"
+        f"{imports}"
         f"\n"
         f"from repro.cpu.pipeline import PipelineResult\n"
         f"{extra}"
@@ -230,6 +232,8 @@ def _guards(spec: dict) -> str:
         "    params = pipeline.params",
         "    stats = pipeline.stats",
         _check("pipeline.collector is not None"),
+        # the ROB is a window of these seqs (see _loop_head)
+        _check("type(seqs) is not range or seqs.step != 1 or seqs.stop > capacity"),
         _check(f'type(interface).__name__ != "{spec["class_name"]}"'),
         _check("interface.stats is not stats"),
         _check(f"params.rob_entries != {spec['rob']}"),
@@ -395,10 +399,31 @@ def _prologue(spec: dict) -> str:
 
 
 def _loop_head(spec: dict) -> str:
+    """Loop state and the retire stage, which is transcribed from
+    ``_run_event_driven``; fetch, commit and the ready queue are not:
+
+    * **The ROB is the seq window** ``[rob_head, fetch_seq)``.  ``seqs``
+      is a step-1 ``range`` (a guard checks it), and fetch and commit
+      both go in seq order, so the generic ``rob_q`` holds exactly the
+      window's seqs: ``in_rob[x]`` is ``rob_head <= x < fetch_seq`` and
+      ``committed`` is ``rob_head - seqs.start``.  ``completed_f`` has a
+      spare byte and nothing at or past ``fetch_seq`` has completed, so
+      ``completed_f[rob_head]`` is the generic ``rob_q and
+      completed_f[rob_q[0]]``.  ``produced`` mirrored ``completed_f``.
+    * **One ready heap.**  Fetch pushes the seqs ready at dispatch onto
+      the wake heap instead of a FIFO beside it.  A fetched seq exceeds
+      every dispatched one, so the push never sifts, and the heap pops
+      the smallest ready seq first, as the generic FIFO-heap merge does.
+    * ``NEVER`` is an int above any seq or cycle, so the issue merge and
+      the clock jump compare ints only.  ``pipeline.cycles`` is the clock
+      itself: each iteration and each jump advance it as they advance
+      the generic ``cycles_counted``.
+    """
     q = _quiescent_expr(spec)
     return f"""
-    # ---- event-driven loop state (as in _run_event_driven, except that
-    # deferred holds only loads and refused stores are parked) ----
+    # ---- event-driven loop state: the ROB is the seq window
+    # [rob_head, fetch_seq), one heap holds every ready seq, deferred
+    # holds only loads and refused stores are parked ----
     max_cycles = pipeline.max_cycles or (200 * total + 100000)
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -408,22 +433,17 @@ def _loop_head(spec: dict) -> str:
     wheel_buckets_get = wheel_buckets.get
     wheel_buckets_pop = wheel_buckets.pop
     wheel_heap = []
-    NEVER = float("inf")
+    NEVER = 1 << 62
     wheel_next = NEVER
-    next_fetch = 0
-    committed = 0
+    first_seq = rob_head = fetch_seq = seqs.start
+    fetch_end = seqs.stop
     cycle = 0
     last_commit_cycle = 0
-    rob_q = deque()
-    rob_len = 0
-    in_rob = bytearray(capacity)
     issued_f = bytearray(capacity)
-    completed_f = bytearray(capacity)
-    produced = bytearray(capacity)
+    completed_f = bytearray(capacity + 1)
     pending_deps = [0] * capacity
     kinds, addresses, sizes, producers_of = trace_arrays
     consumers = [None] * capacity
-    ready_fifo = deque()
     ready_heap = []
     deferred = []
     deferred_has_load = False
@@ -434,18 +454,16 @@ def _loop_head(spec: dict) -> str:
     parked = bytearray(capacity)
     parked_count = 0
     parked_max = -1
-    loads = stores = computes = 0
-    cycles_counted = 0
+    stores = 0
     issued_total = 0
-    dispatched_total = 0
     fast_forwarded = 0
     interface_active = not ({q})
 
-    while committed < total:
+    while rob_head < fetch_end:
         if cycle > max_cycles:
             raise RuntimeError(
                 "pipeline exceeded %d cycles; likely deadlock (%d/%d committed)"
-                % (max_cycles, committed, total)
+                % (max_cycles, rob_head - first_seq, total)
             )
 
         # 1. Retire completions scheduled for this cycle.
@@ -456,7 +474,6 @@ def _loop_head(spec: dict) -> str:
                 if completed_f[seq]:
                     continue
                 completed_f[seq] = 1
-                produced[seq] = 1
                 waiting = consumers[seq]
                 if waiting is not None:
                     consumers[seq] = None
@@ -471,7 +488,6 @@ def _loop_head(spec: dict) -> str:
                     if completed_f[seq]:
                         continue
                     completed_f[seq] = 1
-                    produced[seq] = 1
                     waiting = consumers[seq]
                     if waiting is not None:
                         consumers[seq] = None
@@ -485,12 +501,14 @@ def _loop_head(spec: dict) -> str:
 
 
 def _issue_stage(spec: dict) -> str:
-    """The issue stage, equivalent to the generic one but never re-examining
-    a memory op that cannot issue.
+    """The issue stage, equivalent to the generic one but not transcribed:
+    it never re-examines a memory op that cannot issue.
 
     The generic stage merges its deferred list, the dispatch FIFO and the
     wake heap by seq and pops every refused memory op again each cycle.
-    Two facts make most of those pops no-ops:
+    Here one heap holds the FIFO's seqs too (see :func:`_loop_head`), so
+    the merge takes the deferred list, the heap and one store candidate.
+    Two facts make most of the generic pops no-ops:
 
     * stores claim store-buffer entries in program order, so only
       ``store_order[store_order_head]`` can issue.  Refusing any other store
@@ -524,7 +542,7 @@ def _issue_stage(spec: dict) -> str:
             head_store = store_order[store_order_head]
             if parked[head_store]:
                 s_store = head_store
-        if ready_fifo or ready_heap or deferred or s_store is not NEVER:
+        if ready_heap or deferred or s_store is not NEVER:
             loads_used = stores_used = flex_used = 0
             issued = 0
             postponed = []
@@ -532,34 +550,29 @@ def _issue_stage(spec: dict) -> str:
             loads_blocked = False
             di = 0
             dn = dlen = len(deferred)
-            simple = not dn and not ready_heap and s_store is NEVER
+            simple = not dn and s_store is NEVER
             while issued < {width}:
                 if simple:
-                    if not ready_fifo:
+                    if not ready_heap:
                         break
-                    seq = ready_fifo.popleft()
+                    seq = heappop(ready_heap)
                 else:
                     s_def = deferred[di] if di < dn else NEVER
-                    s_fifo = ready_fifo[0] if ready_fifo else NEVER
                     s_heap = ready_heap[0] if ready_heap else NEVER
-                    if s_store < s_def and s_store < s_fifo and s_store < s_heap:
+                    if s_store < s_def and s_store < s_heap:
                         seq = s_store
                         s_store = NEVER
                         parked[seq] = 0
                         parked_count -= 1
-                    elif s_def <= s_fifo:
-                        if s_def <= s_heap:
-                            if s_def is NEVER:
-                                break
-                            seq = s_def
-                            di += 1
-                        else:
-                            seq = heappop(ready_heap)
-                    elif s_fifo <= s_heap:
-                        seq = ready_fifo.popleft()
+                    elif s_def <= s_heap:
+                        if s_def is NEVER:
+                            break
+                        seq = s_def
+                        di += 1
                     else:
                         seq = heappop(ready_heap)
-                if not in_rob[seq] or issued_f[seq]:
+                # a ready seq was fetched: it is in the ROB unless committed
+                if seq < rob_head or issued_f[seq]:
                     continue
                 kind = kinds[seq]
                 if kind == 0:  # compute: completes next cycle
@@ -1128,7 +1141,7 @@ def _release_and_schedule(indent: int, tag: str, ready: str) -> str:
     text = f"""\
 acc_lq_latency += {ready} - lq_entries.pop({tag})
 acc_lq_completed += 1
-if 0 <= {tag} < capacity and in_rob[{tag}] and not completed_f[{tag}]:
+if rob_head <= {tag} < fetch_seq and not completed_f[{tag}]:
     if {ready} <= cycle + 1:
         due_next.append({tag})
     else:
@@ -1494,51 +1507,42 @@ def _tick_malec(spec: dict) -> str:
 
 
 def _loop_tail(spec: dict) -> str:
+    """Commit, fetch and the clock jump on :func:`_loop_head`'s window.
+    Commit moves ``rob_head`` over at most the commit width of completed
+    seqs and counts only stores, which the store buffer must hear of (the
+    epilogue counts the rest); fetch dispatches ``min(fetch width, seqs
+    left, ROB room)`` seqs in one ``range``."""
     q = _quiescent_expr(spec)
     return f"""
         # 4. Commit in order (commit_store inlined: StoreBuffer.mark_committed;
         # a committing store is the store buffer's oldest uncommitted entry).
-        if rob_q and completed_f[rob_q[0]]:
-            commits = 0
-            while commits < {spec['commit']} and rob_q and completed_f[rob_q[0]]:
-                seq = rob_q.popleft()
-                rob_len -= 1
-                commits += 1
-                committed += 1
-                last_commit_cycle = cycle
-                kind = kinds[seq]
-                if kind == 1:
-                    loads += 1
-                elif kind == 2:
+        if completed_f[rob_head]:
+            last_commit_cycle = cycle
+            commit_end = rob_head + {spec['commit']}
+            while True:
+                if kinds[rob_head] == 2:
                     stores += 1
                     store_buffer._committed_count += 1
                     interface_active = True
-                else:
-                    computes += 1
-                in_rob[seq] = 0
-                consumers[seq] = None
+                rob_head += 1
+                if rob_head == commit_end or not completed_f[rob_head]:
+                    break
 
-        cycles_counted += 1
-
-        # 5. Fetch / dispatch into the ROB.
-        if next_fetch < total:
-            fetched = 0
-            while (
-                fetched < {spec['fetch']}
-                and next_fetch < total
-                and rob_len < {spec['rob']}
-            ):
-                seq = seqs[next_fetch]
-                rob_q.append(seq)
-                rob_len += 1
-                in_rob[seq] = 1
+        # 5. Fetch / dispatch: the next seqs join the ROB window.
+        if fetch_seq < fetch_end:
+            fetch_stop = fetch_seq + {spec['fetch']}
+            if fetch_stop > fetch_end:
+                fetch_stop = fetch_end
+            if fetch_stop > rob_head + {spec['rob']}:
+                fetch_stop = rob_head + {spec['rob']}
+            for seq in range(fetch_seq, fetch_stop):
                 if kinds[seq] == 2:
                     store_order.append(seq)
                 pending = 0
                 producers = producers_of[seq]
                 if producers:
                     for producer in producers:
-                        if produced[producer] or not in_rob[producer]:
+                        if completed_f[producer] or producer < rob_head:
                             continue
                         waiting = consumers[producer]
                         if waiting is None:
@@ -1547,10 +1551,8 @@ def _loop_tail(spec: dict) -> str:
                         pending += 1
                     pending_deps[seq] = pending
                 if pending == 0:
-                    ready_fifo.append(seq)
-                next_fetch += 1
-                fetched += 1
-            dispatched_total += fetched
+                    heappush(ready_heap, seq)
+            fetch_seq = fetch_stop
 
         cycle += 1
 
@@ -1560,15 +1562,14 @@ def _loop_tail(spec: dict) -> str:
 
         # 7. Clock jump to the next wheel event when this cycle was a no-op.
         if (
-            not ready_fifo
-            and not ready_heap
+            not ready_heap
             and not due_next
             and not interface_active
             and wheel_next is not NEVER
             and wheel_next > cycle
-            and (next_fetch >= total or rob_len >= {spec['rob']})
-            and committed < total
-            and not (rob_q and completed_f[rob_q[0]])
+            and (fetch_seq >= fetch_end or fetch_seq - rob_head >= {spec['rob']})
+            and rob_head < fetch_end
+            and not completed_f[rob_head]
             and (
                 not (deferred or parked_count)
                 or (
@@ -1582,9 +1583,7 @@ def _loop_tail(spec: dict) -> str:
                 )
             )
         ):
-            skipped = wheel_next - cycle
-            cycles_counted += skipped
-            fast_forwarded += skipped
+            fast_forwarded += wheel_next - cycle
             cycle = wheel_next
 """
 
@@ -1766,16 +1765,17 @@ def _epilogue(spec: dict) -> str:
     total_cycles = last_commit_cycle + 1
     interface.finalize(total_cycles)
     stats.add("pipeline.issued", issued_total)
-    stats.add("pipeline.cycles", cycles_counted)
-    stats.add("pipeline.dispatched", dispatched_total)
+    stats.add("pipeline.cycles", cycle)
+    stats.add("pipeline.dispatched", fetch_seq - first_seq)
     stats.set("pipeline.total_cycles", total_cycles)
-    stats.set("pipeline.committed", committed)
+    stats.set("pipeline.committed", rob_head - first_seq)
+    loads = kinds[first_seq:fetch_end].count(1)
     return PipelineResult(
         cycles=total_cycles,
         instructions=total,
         loads=loads,
         stores=stores,
-        computes=computes,
+        computes=total - loads - stores,
     )
 """
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import repro
 
+import repro.campaign.executor as executor_mod
 from repro.campaign.aggregate import results_from_store, summarize_store
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import (
@@ -24,7 +26,14 @@ from repro.campaign.spec import (
     config_from_dict,
     config_to_dict,
 )
-from repro.campaign.store import ResultStore, result_from_dict, result_to_dict
+from repro.campaign.store import (
+    ResultStore,
+    StoreWriteError,
+    result_from_dict,
+    result_to_dict,
+)
+from repro.obs import metrics as obs_metrics
+from repro.obs.telemetry import TelemetryJournal
 from repro.sim.config import MalecParameters, SimulationConfig
 from repro.sim.simulator import run_configuration
 from repro.workloads.suites import benchmark_profile
@@ -336,6 +345,56 @@ except KeyboardInterrupt:
         child = run_python(script)
         assert child.returncode == 0, child.stderr
         assert child.stdout.split() == ["interrupted", "True"]
+
+
+class TestWriteErrors:
+    """A failed write of the sweep's own output, a store record or a journal
+    line, ends the run as itself at any job count: it is no pool failure,
+    so nothing warns of one, counts a pool fallback or simulates a cell
+    after it."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("scheme", ("json", "sqlite"))
+    @pytest.mark.parametrize("target", ("store", "journal"))
+    def test_a_full_disk_ends_the_run(self, tmp_path, monkeypatch, target, scheme, jobs):
+        store = ResultStore(f"{scheme}:{tmp_path / 'store'}")
+        journal = TelemetryJournal(tmp_path / "telemetry.jsonl")
+        owner, method = (store.backend, "put") if target == "store" else (journal, "cell")
+        write = getattr(owner, method)
+        writes = []
+
+        def fill_the_disk_on_the_fourth(*args, **kwargs):
+            writes.append(args)
+            if len(writes) == 4:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(*args, **kwargs)
+
+        execute_cell = executor_mod._execute_cell
+        late_cells = []
+
+        def execute_in_order(cell, kernel):
+            if len(writes) >= 4:
+                late_cells.append(cell)
+            return execute_cell(cell, kernel)
+
+        warnings = []
+        monkeypatch.setattr(owner, method, fill_the_disk_on_the_fourth)
+        monkeypatch.setattr(executor_mod, "_execute_cell", execute_in_order)
+        monkeypatch.setattr(executor_mod.logger, "warning", lambda *args: warnings.append(args))
+        obs_metrics.registry.clear()
+        obs_metrics.enable()
+        try:
+            executor = ParallelExecutor(jobs=jobs, store=store, journal=journal)
+            with pytest.raises(StoreWriteError) as raised:
+                executor.run(small_spec())
+        finally:
+            obs_metrics.disable()
+        named = store.url if target == "store" else str(journal.path)
+        assert named in str(raised.value)
+        assert raised.value.__cause__.errno == errno.ENOSPC
+        assert len(writes) == 4 and not late_cells and not warnings
+        assert "campaign.pool_fallbacks" not in obs_metrics.registry.snapshot()
+        assert executor.used_pool == (jobs > 1)
 
 
 class TestAggregate:

@@ -801,6 +801,29 @@ class TestFallbackContract:
         assert not pipeline.kernel_used
         assert simulator.stats.as_dict() == before
 
+    @pytest.mark.parametrize(
+        "reshape",
+        (list, lambda seqs: seqs[::2], lambda seqs: range(seqs.start, seqs.stop + 1)),
+        ids=("list", "step-2", "past-capacity"),
+    )
+    def test_seqs_outside_the_window_contract_rejected(self, reshape):
+        # A kernel keeps its ROB as a window of seqs, so it refuses seqs
+        # that are not a step-1 range ending within capacity, before the
+        # simulator's state or stats are touched.
+        trace = trace_for("gzip")
+        config = SimulationConfig.malec()
+        simulator = Simulator(config)
+        view = trace.columnar()
+        view.precompute_decompositions(config.cache.layout)
+        pipeline = OutOfOrderPipeline(
+            simulator.interface, params=simulator.config.pipeline, stats=simulator.stats
+        )
+        seqs, total, capacity, arrays = view.run_slice(0, len(view)).columnar_pipeline_plan()
+        before = simulator.stats.as_dict()
+        with pytest.raises(RuntimeError, match=r"guard failed: type\(seqs\) is not range"):
+            compile_kernel(config).entry(pipeline, reshape(seqs), total, capacity, arrays)
+        assert simulator.stats.as_dict() == before
+
     def test_collector_guard_raises(self):
         # The simulator never hands a kernel to a collector run; a pipeline
         # built with both must refuse rather than run either loop.
