@@ -1,15 +1,15 @@
 """Shared fixtures for the benchmark harness.
 
-Every file in this directory regenerates one table or figure of the paper
-(see DESIGN.md's experiment index).  The full paper runs 1-billion
-instruction Simpoint phases of 38 benchmarks; this harness uses the synthetic
-stand-ins with much shorter traces and a representative subset of benchmarks
-per suite so the whole harness completes in a few minutes.  The absolute
+Every file in this directory regenerates one table or figure of the paper.
+The full paper runs 1-billion instruction Simpoint phases of 38 benchmarks;
+this harness uses the synthetic stand-ins with much shorter traces and a
+representative subset of benchmarks per suite so the whole harness
+completes in a few minutes.  The absolute
 numbers therefore differ from the paper; the *shape* (who wins, by roughly
 what factor) is what the assertions check and what the printed tables show.
 
-Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
-regenerated tables).
+Run with ``PYTHONPATH=src python -m pytest benchmarks/`` (add ``-s`` to see
+the regenerated tables).
 """
 
 from __future__ import annotations

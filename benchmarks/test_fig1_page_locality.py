@@ -52,11 +52,9 @@ def _figure1(analyzer: PageLocalityAnalyzer):
     return rows, sum(overall_line) / len(overall_line)
 
 
-def test_fig1_page_locality(benchmark):
+def test_fig1_page_locality():
     analyzer = PageLocalityAnalyzer()
-    rows, line_follow = benchmark.pedantic(
-        _figure1, args=(analyzer,), rounds=1, iterations=1
-    )
+    rows, line_follow = _figure1(analyzer)
 
     headers = ["suite"] + [f"<= {n} interm." for n in INTERMEDIATES]
     print("\nFig. 1 — fraction of loads followed by a same-page load")
@@ -72,7 +70,7 @@ def test_fig1_page_locality(benchmark):
     assert 0.25 <= line_follow <= 0.70
 
 
-def test_fig1_run_length_distribution(benchmark):
+def test_fig1_run_length_distribution():
     """The stacked-bar view of Fig. 1 (run lengths 1, 2, 3-4, 5-8, >8)."""
     analyzer = PageLocalityAnalyzer()
 
@@ -84,7 +82,7 @@ def test_fig1_run_length_distribution(benchmark):
             rows.append([name] + [distribution[bucket] for bucket in RUN_LENGTH_BUCKETS])
         return rows
 
-    rows = benchmark.pedantic(compute, rounds=1, iterations=1)
+    rows = compute()
     print("\nFig. 1 (stacked bars) — MB2 run-length distribution, 0 intermediates")
     print(format_table(["benchmark"] + list(RUN_LENGTH_BUCKETS), rows))
 

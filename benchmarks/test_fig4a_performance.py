@@ -23,7 +23,7 @@ from repro.analysis.reporting import format_table
 CONFIG_ORDER = ["Base1ldst", "Base2ld1st_1cycleL1", "Base2ld1st", "MALEC", "MALEC_3cycleL1"]
 
 
-def test_fig4a_normalized_execution_time(benchmark, figure4_results):
+def test_fig4a_normalized_execution_time(figure4_results):
     results = figure4_results
 
     def summarize():
@@ -38,7 +38,7 @@ def test_fig4a_normalized_execution_time(benchmark, figure4_results):
         rows.append(["geo. mean (overall)", "-"] + [overall[name] for name in CONFIG_ORDER])
         return rows, overall
 
-    rows, overall = benchmark.pedantic(summarize, rounds=1, iterations=1)
+    rows, overall = summarize()
     print("\nFig. 4a — normalized execution time (Base1ldst = 1.0)")
     print(format_table(["benchmark", "suite"] + CONFIG_ORDER, rows))
 

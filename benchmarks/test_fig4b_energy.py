@@ -20,7 +20,7 @@ from repro.analysis.reporting import format_table
 CONFIG_ORDER = ["Base1ldst", "Base2ld1st_1cycleL1", "Base2ld1st", "MALEC", "MALEC_3cycleL1"]
 
 
-def test_fig4b_normalized_energy(benchmark, figure4_results):
+def test_fig4b_normalized_energy(figure4_results):
     results = figure4_results
 
     def summarize():
@@ -37,7 +37,7 @@ def test_fig4b_normalized_energy(benchmark, figure4_results):
         overall_leakage = results.geomean_normalized_energy(BASELINE, component="leakage")
         return rows, overall_dynamic, overall_leakage, overall_total
 
-    rows, dynamic, leakage, total = benchmark.pedantic(summarize, rounds=1, iterations=1)
+    rows, dynamic, leakage, total = summarize()
 
     headers = ["benchmark", "suite"]
     for name in CONFIG_ORDER:
@@ -67,11 +67,9 @@ def test_fig4b_normalized_energy(benchmark, figure4_results):
     assert leakage["MALEC"] == pytest.approx(leakage["Base1ldst"], rel=0.25)
 
 
-def test_fig4b_mcf_benefits_from_load_merging(benchmark, figure4_results):
+def test_fig4b_mcf_benefits_from_load_merging(figure4_results):
     """Sec. VI-C: mcf's high miss rate makes load merging especially valuable."""
-    malec = benchmark.pedantic(
-        lambda: figure4_results.run_for("mcf").results["MALEC"], rounds=1, iterations=1
-    )
+    malec = figure4_results.run_for("mcf").results["MALEC"]
     # Some loads are merged even in the pointer-chasing benchmark because
     # consecutive field accesses hit the same node line.  The synthetic mcf
     # merges far fewer loads than the real benchmark (its dependent loads

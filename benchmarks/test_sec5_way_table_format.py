@@ -25,10 +25,8 @@ from repro.workloads.synthetic import generate_trace
 BENCHMARKS = ["gzip", "gap", "mesa", "djpeg", "mpeg2dec"]
 
 
-def test_fig3_entry_storage(benchmark):
-    tables = benchmark.pedantic(
-        WayTableHierarchy, args=(TLBHierarchy(),), rounds=1, iterations=1
-    )
+def test_fig3_entry_storage():
+    tables = WayTableHierarchy(TLBHierarchy())
     rows = [
         ["packed 2-bit format (Fig. 3)", tables.storage_bits],
         ["naive valid + way-id format", tables.naive_storage_bits],
@@ -42,7 +40,7 @@ def test_fig3_entry_storage(benchmark):
     assert tables.storage_bits == pytest.approx(tables.naive_storage_bits * 2 / 3)
 
 
-def test_sec5_way_restriction_does_not_hurt_miss_rate(benchmark):
+def test_sec5_way_restriction_does_not_hurt_miss_rate():
     def sweep():
         restricted = SimulationConfig.malec()
         unrestricted = SimulationConfig.malec(
@@ -57,7 +55,7 @@ def test_sec5_way_restriction_does_not_hurt_miss_rate(benchmark):
             rows.append([name, a.l1_load_miss_rate, b.l1_load_miss_rate])
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print("\nSec. V — L1 load miss rate with and without the 3-way restriction "
           "(paper: no measurable increase)")
     print(format_table(["benchmark", "restricted (3 ways/line)", "unrestricted (4 ways)"], rows))

@@ -57,8 +57,8 @@ def _run_merging_study():
     return rows, details
 
 
-def test_sec6b_load_merging_contribution(benchmark):
-    rows, details = benchmark.pedantic(_run_merging_study, rounds=1, iterations=1)
+def test_sec6b_load_merging_contribution():
+    rows, details = _run_merging_study()
     print("\nSec. VI-B — load merging contribution "
           "(paper: ~21% of speed-up on average; gap 56%, equake 66%, mgrid <2%)")
     print(

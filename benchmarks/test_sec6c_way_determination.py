@@ -33,7 +33,7 @@ def _coverage_and_energy(config):
     return sum(coverages) / len(coverages), sum(energies)
 
 
-def test_sec6c_wt_vs_wdu(benchmark):
+def test_sec6c_wt_vs_wdu():
     def sweep():
         rows = []
         wt_config = SimulationConfig.malec()
@@ -48,7 +48,7 @@ def test_sec6c_wt_vs_wdu(benchmark):
             rows.append([f"WDU {entries} entries", coverage, energy / wt_energy])
         return rows
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     print("\nSec. VI-C — way determination schemes "
           "(paper coverage: WT 94%, WDU8 68%, WDU16 76%, WDU32 78%; "
           "WDU energy +4/5/8%)")
@@ -103,7 +103,7 @@ def _tlb_pressure_trace():
     return generate_trace(profile, instructions=6000)
 
 
-def test_sec5_feedback_update_ablation(benchmark):
+def test_sec5_feedback_update_ablation():
     def sweep():
         trace = _tlb_pressure_trace()
         with_feedback = run_configuration(
@@ -119,7 +119,7 @@ def test_sec5_feedback_update_ablation(benchmark):
         )
         return with_feedback.way_coverage, without_feedback.way_coverage
 
-    cov_with, cov_without = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    cov_with, cov_without = sweep()
     print("\nSec. V — uWT feedback update ablation on a TLB-pressure workload "
           f"(paper: 94% with vs 75% without): {cov_with:.3f} vs {cov_without:.3f}")
     # The feedback path must recover a measurable amount of coverage.

@@ -25,7 +25,7 @@ def _trace(name):
     return generate_trace(benchmark_profile(name), instructions=TRACE_INSTRUCTIONS)
 
 
-def test_sec6d_streaming_workloads_defeat_way_prediction(benchmark):
+def test_sec6d_streaming_workloads_defeat_way_prediction():
     def run():
         rows = []
         for name in ("djpeg", "gzip", "art", "mcf"):
@@ -35,7 +35,7 @@ def test_sec6d_streaming_workloads_defeat_way_prediction(benchmark):
             rows.append([name, result.way_coverage, result.l1_load_miss_rate])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\nSec. VI-D — way-determination coverage vs access locality")
     print(format_table(["benchmark", "coverage", "L1 load miss rate"], rows))
 
@@ -45,7 +45,7 @@ def test_sec6d_streaming_workloads_defeat_way_prediction(benchmark):
     assert by_name["gzip"][1] > by_name["art"][1]
 
 
-def test_sec6d_result_bus_sensitivity(benchmark):
+def test_sec6d_result_bus_sensitivity():
     def run():
         trace = _trace("djpeg")
         rows = []
@@ -58,7 +58,7 @@ def test_sec6d_result_bus_sensitivity(benchmark):
             rows.append([buses, result.cycles])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\nSec. VI-D — sensitivity to the number of result buses (djpeg)")
     print(format_table(["result buses", "cycles"], rows))
 
@@ -68,7 +68,7 @@ def test_sec6d_result_bus_sensitivity(benchmark):
     assert abs(cycles[6] - cycles[4]) <= 0.05 * cycles[4]
 
 
-def test_sec6d_l1_latency_sweep(benchmark):
+def test_sec6d_l1_latency_sweep():
     def run():
         trace = _trace("gzip")
         rows = []
@@ -78,7 +78,7 @@ def test_sec6d_l1_latency_sweep(benchmark):
             rows.append([latency, result.cycles])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\nSec. VI-D — MALEC execution time vs L1 hit latency (gzip)")
     print(format_table(["L1 latency [cycles]", "cycles"], rows))
 
@@ -87,7 +87,7 @@ def test_sec6d_l1_latency_sweep(benchmark):
     assert cycles[0] <= cycles[1] <= cycles[2]
 
 
-def test_sec6d_input_buffer_capacity(benchmark):
+def test_sec6d_input_buffer_capacity():
     def run():
         trace = _trace("h263dec")
         rows = []
@@ -100,7 +100,7 @@ def test_sec6d_input_buffer_capacity(benchmark):
             rows.append([capacity, result.cycles])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     print("\nSec. VI-D — sensitivity to Input Buffer held-load capacity (h263dec)")
     print(format_table(["held loads", "cycles"], rows))
     cycles = [value for _, value in rows]

@@ -12,17 +12,13 @@ from repro.memory.address import DEFAULT_LAYOUT
 from repro.sim.config import SimulationConfig
 
 
-def test_table1_configurations(benchmark):
+def test_table1_configurations():
     configs = [
         SimulationConfig.base_1ldst(),
         SimulationConfig.base_2ld1st(),
         SimulationConfig.malec(),
     ]
-    rows = benchmark.pedantic(
-        lambda: [list(config.table1_row().values()) for config in configs],
-        rounds=1,
-        iterations=1,
-    )
+    rows = [list(config.table1_row().values()) for config in configs]
     print("\nTable I — basic configurations")
     print(
         format_table(
@@ -36,7 +32,7 @@ def test_table1_configurations(benchmark):
     assert by_name["MALEC"][1:] == ["1 ld + 2 ld/st", "1 rd/wt", "1 rd/wt"]
 
 
-def test_table2_simulation_parameters(benchmark):
+def test_table2_simulation_parameters():
     def build():
         config = SimulationConfig.malec()
         layout = DEFAULT_LAYOUT
@@ -56,7 +52,7 @@ def test_table2_simulation_parameters(benchmark):
             ["DRAM", f"256 MByte, {config.cache.dram_latency} cycle latency"],
         ]
 
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows = build()
     print("\nTable II — relevant simulation parameters")
     print(format_table(["component", "parameters"], rows))
 

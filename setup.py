@@ -22,7 +22,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.20"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
     classifiers=[
         "Development Status :: 5 - Production/Stable",

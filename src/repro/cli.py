@@ -44,16 +44,6 @@ directory layout):
     Print the Sec. III / Fig. 1 page- and line-locality statistics of one or
     more benchmarks.
 
-``bench``
-    Time the simulator's hot paths (trace generation, one configuration run,
-    the fig4-mini sweeps) and write a ``BENCH_<rev>.json`` record under
-    ``benchmarks/perf`` at the repository root.  ``--compare OLD.json
-    NEW.json [--threshold PCT]`` compares two records without running
-    anything and exits non-zero on regression beyond the threshold (the CI
-    bench-regression gate).  ``--history`` tabulates every committed record
-    as a per-scenario trajectory (host mismatches flagged) without running
-    anything.
-
 ``obs``
     Query the telemetry journals a campaign store accumulates
     (``telemetry.jsonl``, written by ``--metrics``/``--journal`` sweeps):
@@ -73,9 +63,9 @@ directory layout):
     as Chrome trace-event JSON for Perfetto / ``chrome://tracing``.
 
 ``profile``
-    Profile one bench scenario under cProfile: a cumulative-time top-N
-    table on stdout, plus ``--collapsed FILE`` writing flamegraph-ready
-    collapsed stacks.
+    Profile one campaign preset, run serially, under cProfile: a
+    cumulative-time top-N table on stdout, plus ``--collapsed FILE`` writing
+    flamegraph-ready collapsed stacks.
 
 Global observability flags (before the sub-command): ``--verbose`` /
 ``--quiet`` / ``--log-json`` configure the library's stderr logging,
@@ -98,8 +88,6 @@ Examples::
     python -m repro ingest interleave app.rtrc db.rtrc -o mix.rtrc
     python -m repro sweep fig4-mini --trace-file app.rtrc --store results/app
     python -m repro locality h263dec swim
-    python -m repro bench --quick
-    python -m repro bench --compare BENCH_old.json BENCH_new.json --threshold 20
     python -m repro report gzip --config MALEC --timeline timeline.json
     python -m repro --metrics sweep fig4-mini --trace-out sweep-trace.json
     python -m repro --metrics sweep fig4-mini --jobs 4 --store results/fig4-mini
@@ -107,8 +95,7 @@ Examples::
     python -m repro obs compare results/fig4-mini prev last --threshold 25
     python -m repro obs cells results/fig4-mini --slowest 5
     python -m repro obs export results/fig4-mini
-    python -m repro bench --history
-    python -m repro profile fig4_mini_sweep_serial --collapsed stacks.txt
+    python -m repro profile fig4-mini --collapsed stacks.txt
     python -m repro list
 """
 
@@ -167,6 +154,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must lie in 0..65535, got {value}")
     return value
 
 
@@ -559,91 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "locality", help="print Sec. III / Fig. 1 locality statistics"
     )
     locality.add_argument("benchmarks", nargs="+", choices=sorted(EXTENDED_BENCHMARKS))
-    locality.add_argument("--instructions", type=int, default=5000)
-
-    bench = commands.add_parser(
-        "bench", help="time the simulator hot paths; write BENCH_<rev>.json"
-    )
-    bench.add_argument(
-        "--instructions",
-        type=_positive_int,
-        default=4000,
-        help="trace length for trace-generation / single-run scenarios "
-        "(default: 4000)",
-    )
-    bench.add_argument(
-        "--sweep-instructions",
-        type=_positive_int,
-        default=2000,
-        help="trace length for the fig4-mini sweep scenario (default: 2000)",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=_positive_int,
-        default=3,
-        help="repeats per scenario; the best (minimum) time is reported "
-        "(default: 3)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny workloads, one repeat: a CI smoke run, not a measurement",
-    )
-    bench.add_argument(
-        "--label",
-        default=None,
-        help="label for the output file (default: short git revision)",
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        metavar="DIR",
-        help="directory for BENCH_<label>.json (default: benchmarks/perf at "
-        "the repository root, wherever the command is run from)",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="exact output file path (overrides --out and the BENCH_<label> "
-        "naming)",
-    )
-    bench.add_argument(
-        "--compare",
-        nargs="+",
-        default=None,
-        metavar="FILE",
-        help="with one file: run the benchmarks, then print a speedup table "
-        "against it; with two files (OLD NEW): compare the two reports "
-        "without running anything and exit non-zero on regression beyond "
-        "--threshold",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="fail (exit 1) when a scenario is more than PCT percent slower "
-        "than the comparison baseline (default for two-file --compare: 20)",
-    )
-    bench.add_argument(
-        "--no-write", action="store_true", help="print timings only, write nothing"
-    )
-    bench.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=None,
-        metavar="NAME",
-        help="restrict the run and any --compare gate to these scenarios "
-        "(default: all)",
-    )
-    bench.add_argument(
-        "--history",
-        action="store_true",
-        help="tabulate every BENCH_*.json under --out (default: "
-        "benchmarks/perf) as a per-scenario trajectory, flagging records "
-        "taken on a different host; runs nothing",
-    )
+    locality.add_argument("--instructions", type=_positive_int, default=5000)
 
     obs = commands.add_parser(
         "obs", help="query the telemetry journals of a campaign store"
@@ -743,7 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8350,
         help="listen port; 0 picks a free one (default: %(default)s)",
     )
@@ -809,25 +719,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = commands.add_parser(
         "profile",
-        help="profile a bench scenario under cProfile (flamegraph-ready "
-        "collapsed stacks with --collapsed)",
+        help="profile a campaign preset, run serially, under cProfile "
+        "(flamegraph-ready collapsed stacks with --collapsed)",
     )
-    profile.add_argument(
-        "scenario",
-        metavar="scenario",
-        help="bench scenario to profile (see `repro profile --list`)",
-        nargs="?",
-        default=None,
-    )
-    profile.add_argument(
-        "--list", action="store_true", dest="list_scenarios",
-        help="list the available scenarios and exit",
-    )
+    profile.add_argument("preset", choices=PRESET_NAMES, help="campaign preset to profile")
     profile.add_argument(
         "--instructions",
         type=_positive_int,
-        default=4000,
-        help="trace length for the profiled workload (default: 4000)",
+        default=None,
+        help="override the preset's per-benchmark trace length",
     )
     profile.add_argument(
         "--top",
@@ -1387,31 +1287,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    # Imported lazily: pulling in repro.bench (and its workload imports) is
-    # only worth it when actually profiling.
-    from repro.obs.profile import PROFILE_SCENARIOS, run_profile
+    # Imported lazily: cProfile and pstats are only needed when profiling.
+    from repro.obs.profile import run_profile
 
-    if args.list_scenarios:
-        for name in sorted(PROFILE_SCENARIOS):
-            print(name)
-        return 0
-    if args.scenario is None:
-        print("repro: profile needs a scenario (or --list)", file=sys.stderr)
-        return 2
-    try:
-        report, stack_lines = run_profile(
-            args.scenario,
-            instructions=args.instructions,
-            top=args.top,
-            collapsed_out=args.collapsed,
-        )
-    except KeyError:
-        print(
-            f"repro: unknown scenario {args.scenario!r}; choose from "
-            f"{', '.join(sorted(PROFILE_SCENARIOS))}",
-            file=sys.stderr,
-        )
-        return 2
+    report, stack_lines = run_profile(
+        args.preset,
+        instructions=args.instructions,
+        top=args.top,
+        collapsed_out=args.collapsed,
+    )
     print(report, end="")
     if args.collapsed:
         print(f"collapsed stacks written to {args.collapsed} ({stack_lines} lines)")
@@ -1441,10 +1325,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_obs(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "bench":
-        from repro.bench import main_bench
-
-        return main_bench(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

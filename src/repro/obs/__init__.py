@@ -5,7 +5,7 @@ scientific results: nothing in this package writes into
 :class:`~repro.stats.StatCounters`, result records, or stored campaign
 cells, so enabling any of it cannot perturb golden bit-identity (the obs
 identity tests pin this).  Everything is opt-in and off by default, and
-the CI bench gate bounds the disabled overhead below 2%.
+CI's perf-ab gate bounds the disabled overhead below 2%.
 
 Four pillars, one module each:
 
@@ -23,15 +23,15 @@ Four pillars, one module each:
 :mod:`repro.obs.logs` / :mod:`repro.obs.progress` / :mod:`repro.obs.profile`
     Run-scoped stdlib logging behind ``--verbose/--quiet/--log-json``, the
     TTY progress line for sweeps, and ``repro profile`` (cProfile +
-    collapsed stacks over the bench scenarios).
+    collapsed stacks over a campaign preset run serially).
 
 Plus the durable layer on top (PR 9):
 
 :mod:`repro.obs.telemetry` / :mod:`repro.obs.hostinfo`
     The append-only per-cell ``telemetry.jsonl`` journal written next to
     every campaign store, the cross-run ``repro obs`` queries
-    (history/compare/cells/export), and the shared host-identity block the
-    bench harness stamps into its reports.
+    (history/compare/cells/export), and the host-identity block stamped
+    into every run header.
 """
 
 from repro.obs import metrics, telemetry

@@ -1,15 +1,9 @@
-"""Host identity facts shared by the bench harness and the telemetry journal.
+"""Host identity facts stamped into the telemetry journal.
 
 Two timing records are only comparable when they were taken on the same
-machine, core count and interpreter — so both the perf harness
-(``BENCH_*.json``) and the campaign telemetry journal (``telemetry.jsonl``)
-stamp every record with the same host block, produced here.  ``repro bench
---compare`` and ``repro obs compare`` both warn on mismatches instead of
-silently comparing apples to oranges.
-
-This lives in ``repro.obs`` (not ``repro.bench``) so the telemetry layer can
-import it without pulling in the bench scenarios, which import the campaign
-executor — the executor is exactly the module that writes the journal.
+machine, core count and interpreter, so every ``run_start`` record of the
+campaign telemetry journal (``telemetry.jsonl``) carries the host block
+produced here, and ``repro obs history`` shows it beside each run.
 """
 
 from __future__ import annotations

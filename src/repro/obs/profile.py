@@ -1,10 +1,9 @@
-"""``repro profile``: cProfile over the bench scenarios, flamegraph-ready.
+"""``repro profile``: cProfile over a campaign preset, flamegraph-ready.
 
-Reuses the :mod:`repro.bench` scenario functions as profiling workloads —
-the same code the perf harness times is the code worth profiling, and using
-one definition keeps "what we measure" and "what we optimise" the same
-thing.  Each profile run executes the scenario once (repeats would only
-smear the profile) under :mod:`cProfile` and renders two views:
+The profiled workload is one campaign preset (``fig4``, ``fig4-mini``,
+``sec6d``) run through ``ParallelExecutor(jobs=1)``: the serial path keeps
+every cell in this process, where cProfile can see it (a pool worker's
+time would show up only as pickling).  The run renders two views:
 
 * a ``pstats`` top-N table (cumulative time), printed to stdout;
 * a **collapsed-stack** file (``caller;callee count`` lines, the input
@@ -25,24 +24,12 @@ import cProfile
 import io
 import pstats
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
-from repro import bench
+from repro.campaign.executor import ParallelExecutor
+from repro.campaign.spec import campaign_preset
 
-__all__ = ["PROFILE_SCENARIOS", "run_profile", "collapsed_stacks", "format_profile"]
-
-#: scenario name -> callable(instructions) running the workload once.
-#: Pool-based scenarios are excluded: cProfile cannot see into child
-#: processes, so profiling them would show only pickling overhead.
-PROFILE_SCENARIOS: Dict[str, Callable[[int], object]] = {
-    "trace_generation": lambda n: bench.bench_trace_generation(n, repeats=1),
-    "single_config_run": lambda n: bench.bench_single_config_run(n, repeats=1),
-    "fig4_mini_sweep_serial": lambda n: bench.bench_fig4_mini_sweep_serial(
-        n, repeats=1
-    ),
-    "figure4_gzip_djpeg_mcf": lambda n: bench.bench_figure4_acceptance(n, repeats=1),
-    "trace_decode_rtrc": lambda n: bench.bench_trace_decode(n, repeats=1),
-}
+__all__ = ["run_profile", "collapsed_stacks", "format_profile"]
 
 
 def _frame_label(func: Tuple[str, int, str]) -> str:
@@ -85,21 +72,22 @@ def format_profile(stats: pstats.Stats, top: int = 25) -> str:
 
 
 def run_profile(
-    scenario: str,
-    instructions: int = 4000,
+    preset: str,
+    instructions: Optional[int] = None,
     top: int = 25,
     collapsed_out: Optional[Union[str, Path]] = None,
 ) -> Tuple[str, int]:
-    """Profile one bench scenario; returns (report text, stack-line count).
+    """Profile one serial run of a campaign preset; returns (report text,
+    stack-line count).
 
-    Raises ``KeyError`` for unknown scenarios — callers render the
-    :data:`PROFILE_SCENARIOS` listing as the usage message.
+    ``instructions`` overrides the preset's trace length.  Raises
+    ``KeyError`` for unknown presets (see :func:`campaign_preset`).
     """
-    workload = PROFILE_SCENARIOS[scenario]
+    spec = campaign_preset(preset).with_overrides(instructions=instructions)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        workload(instructions)
+        ParallelExecutor(jobs=1).run(spec)
     finally:
         profiler.disable()
     stats = pstats.Stats(profiler)

@@ -14,8 +14,8 @@ validated with the same mini JSON-Schema validator the trace-event export
 uses):
 
 ``run_start``
-    One header per execution: campaign name, host block (shared with the
-    bench harness via :mod:`repro.obs.hostinfo`), total cells, job count.
+    One header per execution: campaign name, host block (from
+    :mod:`repro.obs.hostinfo`), total cells, job count.
 ``cell``
     One line per cell the run computed: cell/config/trace content hashes,
     wall seconds, worker pid, kernel used / fallback reason and

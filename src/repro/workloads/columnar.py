@@ -17,8 +17,7 @@ encoder: the synthetic generator, the ingest parsers, the JSONL reader and
 the trace transforms append records to it, and :meth:`TraceWriter.finish`
 hands the packed ``.rtrc`` bytes to :meth:`ColumnarTrace.from_rtrc_bytes`,
 the one decoder.  Decoding costs a fixed number of bulk byte operations,
-which is what campaign pool workers pay on their first cell and what
-``repro bench``'s ``trace_columnar_decode`` scenario measures.
+which is what campaign pool workers pay on their first cell.
 
 Batched interpretation
 ----------------------

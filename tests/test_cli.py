@@ -186,6 +186,22 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--store", "json:unused", "--port", "70000"],
+            ["serve", "--store", "json:unused", "--port", "-1"],
+            ["locality", "gzip", "--instructions", "0"],
+            ["locality", "gzip", "--instructions", "-5"],
+            ["bench"],
+        ],
+    )
+    def test_out_of_range_arguments_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestIngestCli:
     def test_convert_lackey_to_rtrc(self, capsys, tmp_path):

@@ -9,7 +9,7 @@ The two hard guarantees the tentpole rests on are exercised here:
 
 Plus the supporting machinery: the metrics registry, the trace-event
 exporter and its in-repo schema validator, collapsed-stack rendering, the
-progress reporter, run-scoped logging and bench host metadata.
+progress reporter and run-scoped logging.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pstats
 import pytest
 
 from repro.api import RunOptions
-from repro.bench import compare_host_warnings, host_metadata, run_benchmarks
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.obs import metrics as obs_metrics
@@ -275,7 +274,7 @@ class TestProfile:
             assert stack
             assert int(weight) > 0
 
-    def test_run_profile_unknown_scenario_raises(self):
+    def test_run_profile_unknown_preset_raises(self):
         from repro.obs.profile import run_profile
 
         with pytest.raises(KeyError):
@@ -286,9 +285,10 @@ class TestProfile:
 
         target = tmp_path / "stacks.txt"
         report, count = run_profile(
-            "trace_generation", instructions=300, top=5, collapsed_out=target
+            "fig4-mini", instructions=300, top=5, collapsed_out=target
         )
         assert "cumulative" in report
+        assert "executor.py" in report  # the preset ran through the executor
         assert count == len(target.read_text().splitlines())
 
 
@@ -397,36 +397,3 @@ class TestCampaignObservability:
         spec = campaign_preset("fig4-mini").with_overrides(instructions=400)
         ParallelExecutor(jobs=1).run(spec)
         assert len(obs_metrics.registry) == 0
-
-
-# ----------------------------------------------------------------------
-# Bench host metadata
-# ----------------------------------------------------------------------
-class TestBenchHostMetadata:
-    def test_report_records_host(self):
-        report = run_benchmarks(quick=True, scenarios=["trace_generation"])
-        host = report["host"]
-        assert host["cpu_count"] >= 1
-        assert host["python"]
-        assert host["platform"]
-        assert host["revision"] == report["revision"]
-
-    def test_unknown_scenario_raises(self):
-        with pytest.raises(ValueError):
-            run_benchmarks(quick=True, scenarios=["nope"])
-
-    def test_compare_host_warnings(self):
-        before = {"host": host_metadata("a")}
-        after = {"host": dict(host_metadata("b"), cpu_count=12345)}
-        warnings = compare_host_warnings(before, after)
-        assert any("cpu_count" in warning for warning in warnings)
-        # differing revisions alone never warn: comparing them is the point
-        assert compare_host_warnings(
-            {"host": host_metadata("a")}, {"host": host_metadata("b")}
-        ) == []
-
-    def test_legacy_reports_fall_back_to_top_level_fields(self):
-        before = {"python": "3.10.0", "platform": "Linux-x"}
-        after = {"python": "3.11.7", "platform": "Linux-x"}
-        warnings = compare_host_warnings(before, after)
-        assert any("python" in warning for warning in warnings)

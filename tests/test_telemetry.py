@@ -13,8 +13,8 @@ The guarantees under test:
 * **durability** — journal records round-trip through the reader, survive a
   truncated final line, and validate against the checked-in schema.
 
-Plus the query surface: ``repro obs history/compare/cells/export``, the
-OpenMetrics exposition round-trip, and ``repro bench --history``.
+Plus the query surface: ``repro obs history/compare/cells/export`` and the
+OpenMetrics exposition round-trip.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import subprocess
 import pytest
 
 from repro.api import RunOptions
-from repro.bench import bench_history, format_history as format_bench_history
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.campaign.store import ResultStore
@@ -598,64 +597,3 @@ class TestObsCli:
         _write_comparable_journal(tmp_path / "telemetry.jsonl")
         assert main(["obs", "cells", str(tmp_path), "--run", "nope"]) == 2
         assert "no run matching" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# repro bench --history
-# ----------------------------------------------------------------------
-def _fake_bench_report(label, timestamp, seconds, cpu_count=4):
-    return {
-        "schema": 1,
-        "label": label,
-        "revision": label,
-        "timestamp": timestamp,
-        "python": "3.11.0",
-        "platform": "linux",
-        "host": {
-            "cpu_count": cpu_count,
-            "machine": "x86_64",
-            "platform": "linux",
-            "python": "3.11.0",
-            "revision": label,
-        },
-        "params": {"repeats": 1},
-        "scenarios": {"single_config_run": {"seconds": seconds, "runs": [seconds]}},
-        "total_seconds": seconds,
-    }
-
-
-class TestBenchHistory:
-    def test_trajectory_table_flags_host_mismatch(self, tmp_path):
-        for label, when, seconds, cpus in (
-            ("old", "2026-01-01T00:00:00", 0.2, 2),
-            ("new", "2026-02-01T00:00:00", 0.1, 4),
-        ):
-            (tmp_path / f"BENCH_{label}.json").write_text(
-                json.dumps(_fake_bench_report(label, when, seconds, cpus))
-            )
-        reports = bench_history(tmp_path)
-        assert [r["label"] for r in reports] == ["old", "new"]
-        table = format_bench_history(reports)
-        assert "old*" in table  # different cpu_count than the latest record
-        assert "new" in table and "new*" not in table
-        assert "200.0" in table and "100.0" in table
-        assert "host differs" in table
-
-    def test_skips_unreadable_records(self, tmp_path):
-        (tmp_path / "BENCH_bad.json").write_text("not json")
-        (tmp_path / "BENCH_ok.json").write_text(
-            json.dumps(_fake_bench_report("ok", "2026-01-01T00:00:00", 0.1))
-        )
-        assert [r["label"] for r in bench_history(tmp_path)] == ["ok"]
-
-    def test_cli_history(self, tmp_path, capsys):
-        (tmp_path / "BENCH_ok.json").write_text(
-            json.dumps(_fake_bench_report("ok", "2026-01-01T00:00:00", 0.1))
-        )
-        assert main(["bench", "--history", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "single_config_run" in out and "ok" in out
-
-    def test_cli_history_empty_dir_is_usage_error(self, tmp_path, capsys):
-        assert main(["bench", "--history", "--out", str(tmp_path)]) == 2
-        assert "no BENCH_" in capsys.readouterr().err
