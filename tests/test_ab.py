@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,19 @@ _PATH = Path(__file__).resolve().parent.parent / "tools" / "ab.py"
 _SPEC = importlib.util.spec_from_file_location("ab", _PATH)
 ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab)
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([3.0], (3.0, 3.0, 3.0)),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], (2.0, 3.0, 4.0)),
+        ([4.0, 1.0, 3.0, 2.0], (1.75, 2.5, 3.25)),
+    ],
+    ids=["one-run", "odd", "even-unsorted"],
+)
+def test_quartiles(values, expected):
+    assert ab.quartiles(values) == pytest.approx(expected)
 
 
 def test_ties_count_for_neither_side():
@@ -71,20 +85,27 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
     assert ab.summarize("fig4-sim", "cpu_s", base[:5], five, seed=0)["claim"] is False
 
 
-def _fake_tree(root, correct=True, failed=0):
-    """A tree whose perfbench prints one fixed result line."""
+def _fake_tree(root, correct=True, failed=0, cpu_s=4.5):
+    """A tree whose perfbench prints one fixed result line and appends the
+    tree's name and its arguments to ``runs.log`` beside the tree."""
     result = {
         "correct": correct,
         "attempted": 3,
         "failed": failed,
         "metrics": {
             "setup_s": {"value": 0.25, "unit": "s"},
-            "cpu_s": {"value": 4.5, "unit": "s"},
+            "cpu_s": {"value": cpu_s, "unit": "s"},
             "peak_rss_mb": {"value": 48.0, "unit": "MB"},
         },
     }
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    (root / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "with open(Path.cwd().parent / 'runs.log', 'a') as log:\n"
+        "    log.write(' '.join([Path.cwd().name] + sys.argv[1:]) + '\\n')\n"
+        f"print({json.dumps(json.dumps(result))})\n"
+    )
     return root
 
 
@@ -124,3 +145,69 @@ def test_a_run_that_is_not_correct_ends_the_driver(tmp_path, fake_driver, capsys
     assert ab.main(argv) == 1
     assert "sweep-json pair 1/3 head (head000)" in capsys.readouterr().err
     assert not (tmp_path / "records").exists()
+
+
+def test_pairs_swap_which_tree_runs_first_and_every_run_is_untraced(tmp_path, fake_driver):
+    fake_driver["base"] = _fake_tree(tmp_path / "base")
+    fake_driver["head"] = _fake_tree(tmp_path / "head")
+    argv = ["base", "head", "--workload", "fig4-sim", "--pairs", "3", "--seconds", "2.5"]
+    assert ab.main(argv + ["--seed", "7"]) == 0
+    runs = [line.split(" ", 1) for line in (tmp_path / "runs.log").read_text().splitlines()]
+    assert [tree for tree, _ in runs] == ["base", "head", "head", "base", "base", "head"]
+    assert {args for _, args in runs} == {"--workload fig4-sim --seed 7 --seconds 2.5 --trace 0"}
+
+
+def test_a_head_past_its_limit_fails_the_driver_and_is_recorded(tmp_path, fake_driver, capsys):
+    fake_driver["base"] = _fake_tree(tmp_path / "base")
+    fake_driver["head"] = _fake_tree(tmp_path / "head", cpu_s=4.5 * 1.25)
+    argv = ["base", "head", "--workload", "sweep-json", "--pairs", "2", "--seconds", "1"]
+    assert ab.main(argv) == 1
+    record = json.loads((tmp_path / "records" / "AB_base000_head000.json").read_text())
+    assert record["regressions"] == ["sweep-json cpu_s"]
+    assert "wholly above its limit: sweep-json cpu_s" in capsys.readouterr().err
+
+
+def test_head_defaults_to_the_working_tree(tmp_path, fake_driver, monkeypatch):
+    fake_driver["base"] = _fake_tree(tmp_path / "base")
+    monkeypatch.setattr(ab, "ROOT", _fake_tree(tmp_path / "worktree"))
+    assert ab.main(["base", "--workload", "fig4-sim", "--pairs", "1", "--seconds", "1"]) == 0
+    record = json.loads((tmp_path / "records" / "AB_base000_worktree.json").read_text())
+    assert record["head"]["revision"] == "worktree"
+    runs = (tmp_path / "runs.log").read_text().splitlines()
+    assert sorted(line.split()[0] for line in runs) == ["base", "worktree"]
+
+
+def test_a_name_that_is_not_a_commit_is_a_usage_error(monkeypatch, capsys):
+    def no_commit(*args, cwd=None):
+        raise subprocess.CalledProcessError(128, ["git", *args])
+
+    monkeypatch.setattr(ab, "git", no_commit)
+    assert ab.main(["nope", "--pairs", "1"]) == 2
+    assert "not a commit: nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "script",
+    ["raise SystemExit(3)\n", "print('no result')\n", ""],
+    ids=["exit-3", "not-json", "silent"],
+)
+def test_a_run_without_a_result_line_ends_the_driver(tmp_path, fake_driver, capsys, script):
+    fake_driver["base"] = _fake_tree(tmp_path / "base")
+    fake_driver["head"] = _fake_tree(tmp_path / "head")
+    (tmp_path / "head" / "perfbench" / "run.py").write_text(script)
+    argv = ["base", "head", "--workload", "fig4-sim", "--pairs", "1", "--seconds", "1"]
+    assert ab.main(argv) == 1
+    assert "fig4-sim pair 1/1 head (head000): perfbench exited" in capsys.readouterr().err
+    assert not (tmp_path / "records").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--pairs", "0"], ["--seconds", "0"], ["--seconds", "-1"], ["--workload", "nope"]],
+    ids=["pairs-0", "seconds-0", "seconds-negative", "unknown-workload"],
+)
+def test_out_of_range_flags_are_usage_errors(flags, capsys):
+    with pytest.raises(SystemExit) as raised:
+        ab.main(["base", *flags])
+    assert raised.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.ingest import load_trace
 from repro.workloads.registry import clear_registry
@@ -194,6 +194,9 @@ class TestCli:
             ["locality", "gzip", "--instructions", "0"],
             ["locality", "gzip", "--instructions", "-5"],
             ["bench"],
+            ["serve", "--store", "json:unused", "--port", "65536"],
+            ["profile", "nope"],
+            ["profile", "fig4-mini", "--list"],
         ],
     )
     def test_out_of_range_arguments_are_usage_errors(self, argv, capsys):
@@ -201,6 +204,20 @@ class TestCli:
             main(argv)
         assert raised.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", [0, 65535])
+    def test_port_range_is_inclusive(self, port):
+        argv = ["serve", "--store", "json:unused", "--port", str(port)]
+        assert _build_parser().parse_args(argv).port == port
+
+    def test_profile_command(self, capsys, tmp_path):
+        target = tmp_path / "stacks.txt"
+        argv = ["profile", "fig4-mini", "--instructions", "300", "--top", "5"]
+        assert main(argv + ["--collapsed", str(target)]) == 0
+        output = capsys.readouterr().out
+        assert "cumulative" in output
+        assert f"collapsed stacks written to {target}" in output
+        assert target.read_text()
 
 
 class TestIngestCli:

@@ -9,7 +9,7 @@ The two hard guarantees the tentpole rests on are exercised here:
 
 Plus the supporting machinery: the metrics registry, the trace-event
 exporter and its in-repo schema validator, collapsed-stack rendering, the
-progress reporter and run-scoped logging.
+progress reporter, run-scoped logging and the host identity block.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import pytest
 from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
+from repro.obs import hostinfo
 from repro.obs import metrics as obs_metrics
 from repro.obs import logs as obs_logs
 from repro.obs.attribution import attribute_run, format_attribution
@@ -290,6 +291,24 @@ class TestProfile:
         assert "cumulative" in report
         assert "executor.py" in report  # the preset ran through the executor
         assert count == len(target.read_text().splitlines())
+
+
+# ----------------------------------------------------------------------
+# Host identity
+# ----------------------------------------------------------------------
+class TestHostMetadata:
+    def test_host_block_keeps_an_explicit_revision(self):
+        host = hostinfo.host_metadata("abc1234")
+        assert set(host) == {"cpu_count", "machine", "platform", "python", "revision"}
+        assert host["cpu_count"] >= 1
+        assert host["python"] and host["platform"]
+        assert host["revision"] == "abc1234"
+
+    def test_revision_falls_back_outside_git(self, monkeypatch):
+        monkeypatch.setattr(hostinfo, "_git_revision", lambda: None)
+        assert hostinfo.detect_revision() == "worktree"
+        assert hostinfo.detect_revision("unknown") == "unknown"
+        assert hostinfo.host_metadata()["revision"] == "worktree"
 
 
 # ----------------------------------------------------------------------
