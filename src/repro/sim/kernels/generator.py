@@ -24,19 +24,23 @@ differential tests, which also compare every clock jump, hold them to it:
   objects the run never rebinds (the generator documents each hoist; e.g.
   ``InputBuffer._held`` is rebound by ``retire`` and is therefore *never*
   hoisted);
-* stat bumps are batched into local integer accumulators that flush into
-  ``StatCounters`` once at the end of the run, through one table
-  (:func:`_flush_rows`) whose counter patterns are the model's own
-  ``_combo_*`` tuples wherever it has one.  Sums of integers commute, so
-  the flushed totals are bit-identical to per-access bumping.
+* stat bumps are batched into local integer accumulators (the cold paths'
+  into a list of their own) that flush into ``StatCounters`` once at the
+  end of the run, through one table (:func:`_flush_rows`) whose counter
+  patterns are the model's own ``_combo_*`` tuples wherever it has one.
+  Sums of integers commute, so the flushed totals are bit-identical to
+  per-access bumping.
+
+The uTLB, L1 and L2 misses are emitted once per kernel (generator v13), as
+functions that a module-level factory binds to the run (:func:`_cold_paths`).
 
 Bit-identity strategy — *probe, then commit or delegate*: every inlined fast
 path starts with side-effect-free probes (dict ``.get`` and list reads).  Only
 when the whole probe succeeds does the kernel apply the inline effects;
 otherwise it calls the exact original method before having mutated anything,
 so the two slow paths left, a page walk and a way-hint mismatch on a load,
-run the canonical code and charge the canonical counters.  Taken inline,
-on the flat cache, TLB and way-table columns, are:
+run the canonical code and charge the canonical counters.  Taken in the
+kernel, on the flat cache, TLB and way-table columns, are:
 
 * every translation but the walk: the uTLB hit and, on a uTLB miss, the TLB
   probe and the uTLB refill with its second-chance victim and, for MALEC's
@@ -47,17 +51,15 @@ on the flat cache, TLB and way-table columns, are:
 * the store drain (``StoreBuffer.pop_committed``,
   ``MergeBuffer.commit_store`` and ``_queue_writeback``);
 * L1 writes: MALEC's MBE write (reduced when its way hint matches),
-  Base2ld1st's port write-back and Base1ldst's ``_writeback_to_cache``,
-  a miss included, which fills the line dirty;
-* the conventional L1 load miss: the L2 access, the L1 fill with the
-  evict and fill listeners in the order
-  :meth:`repro.cache.cache_bank.CacheBank.fill_parts` calls them, and the
-  dirty victim's write-back;
+  Base2ld1st's port write-back and Base1ldst's ``_writeback_to_cache``;
+* the conventional L1 miss of a load or a store: the L2 access (on an L2
+  miss the DRAM read, the fill at the set's lowest stamp and the dirty L2
+  victim's DRAM write), the L1 fill with the evict and fill listeners in the
+  order :meth:`repro.cache.cache_bank.CacheBank.fill_parts` calls them, and
+  the dirty victim's write-back;
 * MALEC's way determination: the way tables' listener updates (through
   reverse TLB lookups) and feedback writes, or the WDU's predictions,
-  records and invalidations on its table;
-* the L2 miss of either access: the DRAM read, the fill at the set's lowest
-  stamp and the dirty L2 victim's DRAM write.
+  records and invalidations on its table.
 
 Every address field is taken by shifts.  Where an inlined path replaces a
 layout method (``page_id``, ``line_address``, ``bank_index``, ...), the
@@ -90,7 +92,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 12
+GENERATOR_VERSION = 13
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -180,27 +182,23 @@ def _l2_geometry(spec: dict) -> tuple:
 def _header(spec: dict, content_hash: str) -> str:
     kind = spec["kind"]
     if kind == "MALEC":
-        imports, extra = "from collections import deque\n", ""
+        imports, extra = "from collections import deque\nfrom itertools import filterfalse\n", ""
     else:
         imports, extra = "", "from repro.interfaces.base import PendingWriteback\n"
-    return (
-        f'"""Specialized {kind} simulation kernel '
-        f"(repro.sim.kernels generator v{spec['generator']}).\n"
-        f"\n"
-        f"Auto-generated for configuration content hash {content_hash}; do not\n"
-        f"edit.  Dump via `repro report --kernel-source CONFIG` or\n"
-        f"`repro.sim.kernels.kernel_source(config)`.\n"
-        f'"""\n'
-        f"\n"
-        f"import heapq\n"
-        f"{imports}"
-        f"\n"
-        f"from repro.cpu.pipeline import PipelineResult\n"
-        f"{extra}"
-        f"\n"
-        f"\n"
-        f"def kernel_run(pipeline, seqs, total, capacity, trace_arrays):\n"
-    )
+    if spec["restrict"]:
+        imports += "from math import inf\n"
+    version = spec["generator"]
+    return f'''"""Specialized {kind} simulation kernel (repro.sim.kernels generator v{version}).
+
+Auto-generated for configuration content hash {content_hash}; do not
+edit.  Dump via `repro report --kernel-source CONFIG` or
+`repro.sim.kernels.kernel_source(config)`.
+"""
+
+import heapq
+{imports}
+from repro.cpu.pipeline import PipelineResult
+{extra}'''
 
 
 def _quiescent_expr(spec: dict) -> str:
@@ -329,17 +327,9 @@ def _prologue(spec: dict) -> str:
         "",
         "    # ---- hoisted structures (stable objects only: these attribute",
         "    # slots are mutated in place but never rebound during a run) ----",
-        "    utlb_by_vpage = utlb._by_vpage",
-        "    utlb_by_vpage_get = utlb_by_vpage.get",
-        "    utlb_by_ppage = utlb._by_ppage",
-        "    utlb_vpages = utlb._vpages",
+        "    utlb_by_vpage_get = utlb._by_vpage.get",
         "    utlb_ppages = utlb._ppages",
         "    utlb_referenced = utlb._referenced",
-        "    utlb_entries = utlb.entries",
-        "    tlb_by_vpage_get = tlb._by_vpage.get",
-        "    tlb_ppages = tlb._ppages",
-        "    walk_page = translation.walk_page",
-        "    walk_latency = translation.walk_latency",
         "    lq_entries = load_queue._entries",
         "    sb_entries = store_buffer._entries",
         "    mb_lines = merge_buffer._entries",
@@ -349,16 +339,6 @@ def _prologue(spec: dict) -> str:
         "    bank_stamps = [bank.array._stamps for bank in banks]",
         "    bank_tick = [bank.array._tick for bank in banks]",
         "    max_address = layout.max_address",
-        "    l2_slot_of = l2.array._slot_of",
-        "    l2_slot_of_get = l2_slot_of.get",
-        "    l2_tags = l2.array._tags",
-        "    l2_dirty = l2.array._dirty",
-        "    l2_stamps = l2.array._stamps",
-        "    l2_tick = l2.array._tick",
-        "    dram = l2.dram",
-        "    dram_check = dram._check",
-        "    # DRAMModel._check raises at or past this address",
-        "    dram_limit = min(dram.CAPACITY_BYTES, max_address + 1)",
         "    pending_writebacks = interface._pending_writebacks",
     ]
     if kind in ("Base1ldst", "Base2ld1st"):
@@ -376,12 +356,7 @@ def _prologue(spec: dict) -> str:
             lines.append("    subblock_shift = layout._subblock_shift")
         wd = spec["way_determination"]
         if wd == "wt":
-            lines += [
-                "    uwt = way_tables.uwt",
-                "    wt = way_tables.wt",
-                "    utlb_by_ppage_get = utlb_by_ppage.get",
-                "    tlb_by_ppage_get = tlb._by_ppage.get",
-            ]
+            lines.append("    uwt = way_tables.uwt")
         elif wd == "wdu":
             lines += [
                 "    wdu_table = wdu._table",
@@ -389,9 +364,14 @@ def _prologue(spec: dict) -> str:
                 "    wdu_touch = wdu_table.move_to_end",
                 "    wdu_capacity = wdu.entries",
             ]
-    # every accumulator the flush table names
+    lines += [
+        "",
+        "    # ---- the cold paths, and the list they count into ----",
+        f"    utlb_miss, l1_miss, cold = cold_paths(\n{_cold_params(spec)}\n    )",
+    ]
+    # every accumulator of the hot loop the flush table names
     names = [name for guard, _, amount in _flush_rows(spec) for name in (guard, amount)]
-    accs = list(dict.fromkeys(names))
+    accs = [name for name in dict.fromkeys(names) if name.startswith("acc_")]
     lines += ["", "    # ---- batched accumulators, flushed at the run boundary ----"]
     for i in range(0, len(accs), 4):
         lines.append("    " + " = ".join(accs[i : i + 4]) + " = 0")
@@ -420,6 +400,18 @@ def _loop_head(spec: dict) -> str:
       the generic ``cycles_counted``.
     """
     q = _quiescent_expr(spec)
+    complete = """\
+if completed_f[seq]:
+    continue
+completed_f[seq] = 1
+waiting = consumers[seq]
+if waiting is not None:
+    consumers[seq] = None
+    for consumer in waiting:
+        left = pending_deps[consumer] - 1
+        pending_deps[consumer] = left
+        if left == 0 and not issued_f[consumer]:
+            heappush(ready_heap, consumer)"""
     return f"""
     # ---- event-driven loop state: the ROB is the seq window
     # [rob_head, fetch_seq), one heap holds every ready seq, deferred
@@ -471,31 +463,11 @@ def _loop_head(spec: dict) -> str:
             due_now = due_next
             due_next = []
             for seq in due_now:
-                if completed_f[seq]:
-                    continue
-                completed_f[seq] = 1
-                waiting = consumers[seq]
-                if waiting is not None:
-                    consumers[seq] = None
-                    for consumer in waiting:
-                        left = pending_deps[consumer] - 1
-                        pending_deps[consumer] = left
-                        if left == 0 and not issued_f[consumer]:
-                            heappush(ready_heap, consumer)
+{_shift(complete, 16)}
         if wheel_next <= cycle:
             while wheel_heap and wheel_heap[0] <= cycle:
                 for seq in wheel_buckets_pop(heappop(wheel_heap)):
-                    if completed_f[seq]:
-                        continue
-                    completed_f[seq] = 1
-                    waiting = consumers[seq]
-                    if waiting is not None:
-                        consumers[seq] = None
-                        for consumer in waiting:
-                            left = pending_deps[consumer] - 1
-                            pending_deps[consumer] = left
-                            if left == 0 and not issued_f[consumer]:
-                                heappush(ready_heap, consumer)
+{_shift(complete, 20)}
             wheel_next = wheel_heap[0] if wheel_heap else NEVER
 """
 
@@ -606,24 +578,13 @@ def _issue_stage(spec: dict) -> str:
 
 
 def _issue_load(spec: dict) -> str:
-    kind = spec["kind"]
-    if kind == "Base1ldst":
-        accept = (
-            f"not loads_blocked\n"
-            f"                        and flex_used == 0\n"
-            f"                        and len(lq_entries) < {spec['lq']}\n"
-            f"                        and len(pending_loads) < 4"
-        )
-        consume = "flex_used = 1"
-    elif kind == "Base2ld1st":
-        accept = (
-            f"not loads_blocked\n"
-            f"                        and loads_used < 2\n"
-            f"                        and len(lq_entries) < {spec['lq']}\n"
-            f"                        and len(pending_loads) < 4"
-        )
-        consume = "loads_used += 1"
-    else:  # MALEC: dedicated slot first, then flexible (reserve_load_slot)
+    refuse = """
+                    else:
+                        loads_blocked = True
+                        dn = di
+                        postponed.append(seq)
+                        postponed_load = True"""
+    if spec["kind"] == "MALEC":  # dedicated slot first, then flexible (reserve_load_slot)
         return f"""\
                     accepted = False
                     if (
@@ -648,15 +609,17 @@ def _issue_load(spec: dict) -> str:
                             layout.check(address)
                         ib._new.append((seq, address, sizes[seq]))
                         interface_active = True
-                        issued += 1
-                    else:
-                        loads_blocked = True
-                        dn = di
-                        postponed.append(seq)
-                        postponed_load = True"""
+                        issued += 1{refuse}"""
+    slot, consume = {
+        "Base1ldst": ("flex_used == 0", "flex_used = 1"),
+        "Base2ld1st": ("loads_used < 2", "loads_used += 1"),
+    }[spec["kind"]]
     return f"""\
                     if (
-                        {accept}
+                        not loads_blocked
+                        and {slot}
+                        and len(lq_entries) < {spec['lq']}
+                        and len(pending_loads) < 4
                     ):
                         {consume}
                         issued_f[seq] = 1
@@ -664,28 +627,17 @@ def _issue_load(spec: dict) -> str:
                         acc_load_submit += 1
                         pending_loads.append((seq, addresses[seq], sizes[seq]))
                         interface_active = True
-                        issued += 1
-                    else:
-                        loads_blocked = True
-                        dn = di
-                        postponed.append(seq)
-                        postponed_load = True"""
+                        issued += 1{refuse}"""
 
 
 def _issue_store(spec: dict) -> str:
-    kind = spec["kind"]
-    if kind == "Base1ldst":
-        slot_check = "flex_used == 0"
-        consume = "flex_used = 1"
-    elif kind == "Base2ld1st":
-        slot_check = "stores_used < 1"
-        consume = "stores_used += 1"
-    else:
-        slot_check = "flex_used < 2"
-        consume = "flex_used += 1"
-    if kind == "MALEC":
-        probe = ""  # MALEC does not translate at store submission
-    else:
+    slot_check, consume = {
+        "Base1ldst": ("flex_used == 0", "flex_used = 1"),
+        "Base2ld1st": ("stores_used < 1", "stores_used += 1"),
+        "MALEC": ("flex_used < 2", "flex_used += 1"),
+    }[spec["kind"]]
+    probe = ""  # MALEC does not translate at store submission
+    if spec["kind"] != "MALEC":
         # _on_store_submitted: translate_pair, its result unused
         probe = f"""
                         vpage = address >> {spec['page_shift']}
@@ -719,77 +671,150 @@ def _issue_store(spec: dict) -> str:
 
 
 # The shared fragments below are emitted at several indentation depths; they
-# are written indent-relative and shifted with _shift().
+# are written indent-relative and shifted with _shift().  The cold paths are
+# emitted once, at their depth in the cold_paths factory (_cold_paths).
 def _shift(text: str, spaces: int) -> str:
     pad = " " * spaces
     return "\n".join(pad + line if line.strip() else line for line in text.split("\n"))
 
 
-def _utlb_miss(spec: dict, page: str, indent: int) -> str:
-    """A uTLB miss of ``TLBHierarchy.translate_page_pair`` on the flat TLB
-    columns.  A TLB hit refills the uTLB as ``TLB.insert`` does: the
-    second-chance victim of ``TLB._victim``, the slot's pages and dicts
-    and, with way tables, ``WayTableHierarchy._on_utlb_replacement``'s
-    write-back of the victim's uWT entry to the WT and the refill from the
-    WT (two slice copies).  A TLB miss calls ``walk_page``, the one call
-    that leaves the kernel.
+#: the cold paths' counters, by name: slots of their list ``cold``.  The L1
+#: miss counts a load miss in slot 0, a store miss in slot 1: ``cold[dirty]``.
+_COLD = {
+    name: f"cold[{slot}]"
+    for slot, name in enumerate(
+        "l1_load_miss l1_store_miss l1_evict l1_writeback l2_miss l2_writeback tlb_hit tlb_miss"
+        " utlb_eviction uwt_writeback locate_uwt locate_wt evict_unmapped unencodable"
+        " wdu_update wdu_eviction wdu_invalidate".split()
+    )
+}
 
-    Sets ``physical_page`` and ``translation_latency``; with way tables
-    also ``slot``, the page's uTLB slot.  (The refill counts its uTLB fill
-    and uWT transfer with the TLB hit: see :func:`_flush_rows`.)
-    """
-    lpp = _lines_per_page(spec)
-    reprobe = transfer = ""
+
+def _cold_params(spec: dict) -> str:
+    """``cold_paths``' parameters: what the cold paths share with the hot
+    loop, and the objects the rest of their structures hang off."""
+    extra = {"wt": "way_tables, uwt,", "wdu": "wdu_table, wdu_touch, wdu_capacity,"}
+    lines = (
+        "stats, layout, max_address, utlb, utlb_referenced, utlb_ppages, tlb, translation,",
+        "bank_slot_of, bank_tags, bank_dirty, bank_stamps, bank_tick, l2,",
+        extra.get(spec.get("way_determination"), ""),
+    )
+    return "\n".join(" " * 8 + line for line in lines if line)
+
+
+def _cold_paths(spec: dict) -> str:
+    """``cold_paths``, the factory ``kernel_run`` calls once to bind its
+    cold paths to the run: the uTLB, L1 and L2 misses, each emitted once.
+    A function nested in ``kernel_run`` that read its locals would make
+    them cell variables, and every hot access to them a ``LOAD_DEREF``, so
+    the paths get what they share with the hot loop as parameters, and
+    count into a list of their own, ``cold`` (:data:`_COLD`)."""
+    wt = ""
     if spec.get("way_determination") == "wt":
-        reprobe = f"\n    slot = utlb_by_vpage_get({page})"
+        wt = """
+    wt = way_tables.wt
+    utlb_by_ppage_get = utlb_by_ppage.get
+    tlb_by_ppage_get = tlb._by_ppage.get"""
+    return f'''
+
+def cold_paths(
+{_cold_params(spec)}
+):
+    cold = [0] * {len(_COLD)}
+    utlb_by_vpage = utlb._by_vpage
+    utlb_by_ppage = utlb._by_ppage
+    utlb_vpages = utlb._vpages
+    utlb_entries = utlb.entries
+    tlb_by_vpage_get = tlb._by_vpage.get
+    tlb_ppages = tlb._ppages
+    walk_page = translation.walk_page
+    walk_latency = translation.walk_latency
+    l2_slot_of = l2.array._slot_of
+    l2_slot_of_get = l2_slot_of.get
+    l2_tags = l2.array._tags
+    l2_dirty = l2.array._dirty
+    l2_stamps = l2.array._stamps
+    l2_tick = l2.array._tick
+    dram_check = l2.dram._check
+    # DRAMModel._check raises at or past this address
+    dram_limit = min(l2.dram.CAPACITY_BYTES, max_address + 1){wt}
+{_l2_miss(spec)}
+{_l1_miss(spec)}
+{_utlb_miss(spec)}
+
+    return utlb_miss, l1_miss, cold
+
+
+def kernel_run(pipeline, seqs, total, capacity, trace_arrays):
+'''
+
+
+def _utlb_miss(spec: dict) -> str:
+    """``utlb_miss(page)``: a uTLB miss of ``translate_page_pair`` on the
+    flat TLB columns, returning ``(physical_page, translation_latency)``
+    and, with way tables, the page's uTLB slot.  A TLB hit refills the uTLB
+    as ``TLB.insert`` does: the second-chance victim of ``TLB._victim``,
+    the slot's pages and dicts and, with way tables, the write-back of the
+    victim's uWT entry to the WT and the refill from the WT
+    (``_on_utlb_replacement``).  A TLB miss calls ``walk_page``, the one
+    call that leaves the kernel.  (The refill counts its uTLB fill and uWT
+    transfer with the TLB hit: see :func:`_flush_rows`.)"""
+    lpp = _lines_per_page(spec)
+    reprobe = transfer = slot = ""
+    if spec.get("way_determination") == "wt":
+        reprobe, slot = ", utlb_by_vpage.get(page)", ", slot"
+
+        def entry(base: str) -> str:
+            return f"{base} * {lpp} : {base} * {lpp} + {lpp}"
+
         transfer = f"""
-        wt_slot = tlb_by_ppage_get(old_ppage)
-        if wt_slot is not None:
-            wt[wt_slot * {lpp} : wt_slot * {lpp} + {lpp}] = uwt[slot * {lpp} : slot * {lpp} + {lpp}]
-            acc_uwt_writeback += 1
-    uwt[slot * {lpp} : slot * {lpp} + {lpp}] = wt[tlb_slot * {lpp} : tlb_slot * {lpp} + {lpp}]
-    if way_tables._last_uwt_slot == slot:
-        way_tables._last_uwt_slot = None"""
-    text = f"""\
-tlb_slot = tlb_by_vpage_get({page})
-if tlb_slot is None:
-    acc_tlb_miss += 1
-    physical_page = walk_page({page})
-    translation_latency = walk_latency{reprobe}
-else:
-    acc_tlb_hit += 1
-    physical_page = tlb_ppages[tlb_slot]
-    translation_latency = 1
-    if len(utlb_by_vpage) < utlb_entries:
-        slot = utlb_vpages.index(None)
-    else:
-        slot = utlb._hand
-        while utlb_referenced[slot]:
-            utlb_referenced[slot] = 0
-            slot = (slot + 1) % utlb_entries
-        utlb._hand = (slot + 1) % utlb_entries
-    old_ppage = utlb_ppages[slot]
-    if old_ppage is not None:
-        acc_utlb_eviction += 1
-        del utlb_by_vpage[utlb_vpages[slot]]
-        del utlb_by_ppage[old_ppage]{transfer}
-    utlb_vpages[slot] = {page}
-    utlb_ppages[slot] = physical_page
-    utlb_by_vpage[{page}] = slot
-    utlb_by_ppage[physical_page] = slot
-    utlb_referenced[slot] = 1"""
-    return _shift(text, indent)
+            wt_slot = tlb_by_ppage_get(old_ppage)
+            if wt_slot is not None:
+                wt[{entry("wt_slot")}] = uwt[{entry("slot")}]
+                {_COLD['uwt_writeback']} += 1
+        uwt[{entry("slot")}] = wt[{entry("tlb_slot")}]
+        if way_tables._last_uwt_slot == slot:
+            way_tables._last_uwt_slot = None"""
+    return f"""
+    def utlb_miss(page):
+        tlb_slot = tlb_by_vpage_get(page)
+        if tlb_slot is None:
+            {_COLD['tlb_miss']} += 1
+            physical_page = walk_page(page)
+            return physical_page, walk_latency{reprobe}
+        {_COLD['tlb_hit']} += 1
+        physical_page = tlb_ppages[tlb_slot]
+        if len(utlb_by_vpage) < utlb_entries:
+            slot = utlb_vpages.index(None)
+        else:
+            slot = utlb._hand
+            while utlb_referenced[slot]:
+                utlb_referenced[slot] = 0
+                slot = (slot + 1) % utlb_entries
+            utlb._hand = (slot + 1) % utlb_entries
+        old_ppage = utlb_ppages[slot]
+        if old_ppage is not None:
+            {_COLD['utlb_eviction']} += 1
+            del utlb_by_vpage[utlb_vpages[slot]]
+            del utlb_by_ppage[old_ppage]{transfer}
+        utlb_vpages[slot] = page
+        utlb_ppages[slot] = physical_page
+        utlb_by_vpage[page] = slot
+        utlb_by_ppage[physical_page] = slot
+        utlb_referenced[slot] = 1
+        return physical_page, 1{slot}"""
 
 
 def _translate_inline(spec: dict, page: str, indent: int, check: str = "") -> str:
     """``TLBHierarchy.translate_page_pair`` of the page id ``page``: a uTLB
-    hit, else :func:`_utlb_miss`; sets ``physical_page`` and
-    ``translation_latency``.  ``check`` names the address whose range
-    check (``layout.page_id``'s) a miss runs first; a hit implies it, as
-    only walked pages are resident."""
+    hit, else a call of :func:`_utlb_miss`; sets ``physical_page`` and
+    ``translation_latency`` (with way tables also ``slot``).  ``check``
+    names the address whose range check (``layout.page_id``'s) a miss
+    runs first; a hit implies it, as only walked pages are resident."""
     miss = ""
     if check:
         miss = f"\n    if {check} > max_address:\n        layout.check({check})"
+    slot = ", slot" if spec.get("way_determination") == "wt" else ""
     text = f"""\
 slot = utlb_by_vpage_get({page})
 if slot is not None:
@@ -798,7 +823,7 @@ if slot is not None:
     physical_page = utlb_ppages[slot]
     translation_latency = 0
 else:{miss}
-{_utlb_miss(spec, page, 4)}"""
+    physical_page, translation_latency{slot} = utlb_miss({page})"""
     return _shift(text, indent)
 
 
@@ -812,15 +837,14 @@ physical = (physical_page << {spec['page_shift']}) | ({addr} & {spec['page_off_m
     return _shift(text, indent)
 
 
-def _drain_inline(spec: dict, indent: int) -> str:
+def _drain_inline(spec: dict) -> str:
     """``BaseL1Interface._drain_committed_stores`` on the canonical containers:
     ``StoreBuffer.pop_committed`` (entry 0: the committed stores are the
     oldest), ``MergeBuffer.commit_store`` with ``line_address``'s range
     check, and the kind's ``_queue_writeback`` of an evicted line."""
+    queue = "pending_writebacks.append(PendingWriteback(evicted))"
     if spec["kind"] == "MALEC":
         queue = "mbe_backlog.append(evicted)"
-    else:
-        queue = "pending_writebacks.append(PendingWriteback(evicted))"
     text = f"""\
 daddr = sb_entries.pop(0)[1]
 store_buffer._committed_count -= 1
@@ -837,7 +861,7 @@ else:
         {queue}
     mb_lines.append(dline)
     acc_mb_allocate += 1"""
-    return _shift(text, indent)
+    return _shift(text, 16)
 
 
 def _forwarding_inline(spec: dict, addr: str, size: str, acc_charge: str, indent: int) -> str:
@@ -881,70 +905,45 @@ if l1_slot is not None:
     acc_l1_conv_hit += 1
     latency = {spec['hit_latency']}
 else:
-{_l1_miss_inline(spec, phys, 4)}"""
+    latency = l1_miss({phys}, pbank, set_index, ptag, 0)"""
     return _shift(text, indent)
 
 
-def _l2_miss_inline(spec: dict, addr: str, line: str, dirty: int, indent: int) -> str:
-    """``L2Cache.access``'s miss on the flat columns: the DRAM read, the fill
+def _l2_miss(spec: dict) -> str:
+    """``l2_miss(addr, line, dirty)``: ``L2Cache.access``'s miss of the line
+    number ``line`` of ``addr`` on the flat columns: the DRAM read, the fill
     at the lowest of the set's stamps (``dirty`` for a write-back), and a
-    dirty victim's DRAM write at its own line address.
-
-    The two ``dram.*`` names are interned at their first event of a run, as
-    ``DRAMModel`` interns them, so the stats key order matches the generic
-    loop's; the counts flush at the end of the run."""
+    dirty victim's DRAM write at its own line address.  The ``dram.*``
+    names are interned at their first event of a run, as ``DRAMModel``
+    interns them, so the stats key order matches the generic loop's."""
     sets, ways = _l2_geometry(spec)
     set_bits = sets.bit_length() - 1
-    text = f"""\
-if {addr} >= dram_limit:
-    dram_check({addr})
-acc_l2_miss += 1
-if not acc_dram_read:
-    stats.handle("dram.read")
-acc_dram_read += 1
-l2_set = {line} & {sets - 1}
-l2_base = l2_set * {ways}
-l2_window = l2_stamps[l2_base : l2_base + {ways}]
-l2_fill = l2_base + l2_window.index(min(l2_window))
-l2_victim = l2_tags[l2_fill]
-l2_victim_dirty = l2_dirty[l2_fill]
-if l2_victim != -1:
-    del l2_slot_of[(l2_victim << {set_bits}) | l2_set]
-l2_tags[l2_fill] = {line} >> {set_bits}
-l2_dirty[l2_fill] = {dirty}
-l2_stamps[l2_fill] = next(l2_tick)
-l2_slot_of[{line}] = l2_fill
-if l2_victim_dirty:
-    acc_l2_writeback += 1
-    l2_victim = ((l2_victim << {set_bits}) | l2_set) << {_bits(spec)['line']}
-    if l2_victim >= dram_limit:
-        dram_check(l2_victim)
-    if not acc_dram_write:
-        stats.handle("dram.write")
-    acc_dram_write += 1"""
-    return _shift(text, indent)
-
-
-def _l2_access_inline(spec: dict, addr: str, line: str, write: bool, indent: int) -> str:
-    """``L2Cache.access`` for the line number ``line`` of ``addr``.  With a
-    power-of-two set count the L2's ``_slot_of`` key ``tag * sets + set`` is
-    the line number itself.  A read sets ``latency`` (L1 hit time included);
-    a write-back marks the line dirty."""
-    hit = spec["hit_latency"] + spec["l2_latency"]
-    if write:
-        on_hit, on_miss = "l2_dirty[l2_slot] = 1", ""
-    else:
-        on_hit = f"latency = {hit}"
-        on_miss = f"\n    latency = {hit + spec['dram_latency']}"
-    text = f"""\
-l2_slot = l2_slot_of_get({line})
-if l2_slot is not None:
-    l2_stamps[l2_slot] = next(l2_tick)
-    acc_l2_hit += 1
-    {on_hit}
-else:
-{_l2_miss_inline(spec, addr, line, int(write), 4)}{on_miss}"""
-    return _shift(text, indent)
+    return f"""
+    def l2_miss(addr, line, dirty):
+        if addr >= dram_limit:
+            dram_check(addr)
+        if not {_COLD['l2_miss']}:
+            stats.handle("dram.read")
+        {_COLD['l2_miss']} += 1
+        l2_set = line & {sets - 1}
+        l2_base = l2_set * {ways}
+        l2_window = l2_stamps[l2_base : l2_base + {ways}]
+        l2_fill = l2_base + l2_window.index(min(l2_window))
+        l2_victim = l2_tags[l2_fill]
+        l2_victim_dirty = l2_dirty[l2_fill]
+        if l2_victim != -1:
+            del l2_slot_of[(l2_victim << {set_bits}) | l2_set]
+        l2_tags[l2_fill] = line >> {set_bits}
+        l2_dirty[l2_fill] = dirty
+        l2_stamps[l2_fill] = next(l2_tick)
+        l2_slot_of[line] = l2_fill
+        if l2_victim_dirty:
+            l2_victim = ((l2_victim << {set_bits}) | l2_set) << {_bits(spec)['line']}
+            if l2_victim >= dram_limit:
+                dram_check(l2_victim)
+            if not {_COLD['l2_writeback']}:
+                stats.handle("dram.write")
+            {_COLD['l2_writeback']} += 1"""
 
 
 def _evict_listener(spec: dict) -> str:
@@ -954,12 +953,12 @@ def _evict_listener(spec: dict) -> str:
     (``WayTableHierarchy._locate``)."""
     wd = spec.get("way_determination")
     if wd == "wdu":
-        return """
+        return f"""
 if vline in wdu_table:
     del wdu_table[vline]
-    if not acc_wdu_invalidate:
+    if not {_COLD['wdu_invalidate']}:
         stats.handle("wdu.invalidate")
-    acc_wdu_invalidate += 1"""
+    {_COLD['wdu_invalidate']} += 1"""
     if wd != "wt":
         return ""
     lpp = _lines_per_page(spec)
@@ -967,14 +966,14 @@ if vline in wdu_table:
 victim_page = vline >> {(lpp - 1).bit_length()}
 victim_slot = utlb_by_ppage_get(victim_page)
 if victim_slot is not None:
-    acc_locate_uwt += 1
+    {_COLD['locate_uwt']} += 1
     uwt[victim_slot * {lpp} + (vline & {lpp - 1})] = 0
 else:
     victim_slot = tlb_by_ppage_get(victim_page)
     if victim_slot is None:
-        acc_evict_unmapped += 1
+        {_COLD['evict_unmapped']} += 1
     else:
-        acc_locate_wt += 1
+        {_COLD['locate_wt']} += 1
         wt[victim_slot * {lpp} + (vline & {lpp - 1})] = 0"""
 
 
@@ -982,9 +981,8 @@ def _record_way(spec: dict, way: str) -> str:
     """``WayTableHierarchy._record`` of ``way`` for the line ``lip`` of the
     group's uWT entry: the way plus one, or unknown (0) for the line's
     excluded way.  A restricted fill never takes that way (see
-    :func:`_l1_miss_inline`), so no resident line is in it and a
-    restricted kernel skips the test; an unrestricted one leaves its
-    outcome in ``excluded``."""
+    :func:`_l1_miss`), so no resident line is in it and a restricted kernel
+    skips the test; an unrestricted one leaves its outcome in ``excluded``."""
     if spec["restrict"]:
         return f"uwt[wt_offset + lip] = {way} + 1"
     return f"""excluded = {way} == (lip // {spec['nbanks']}) % {spec['ways']}
@@ -993,103 +991,115 @@ uwt[wt_offset + lip] = 0 if excluded else {way} + 1"""
 
 def _fill_listener(spec: dict) -> str:
     """The L1 fill listener on ``pline``, the filled line's number: the WDU
-    records its way; the way tables record it in the uWT at ``wt_offset``.
-    A kernel fills only lines of the group's page, which the group's
-    translation left in the uTLB, so the reverse lookup finds that slot."""
+    records its way; the way tables record it in the uWT.  A kernel fills
+    only lines of the group's page, which the group's translation left in
+    the uTLB, so the reverse lookup finds the slot in the last-entry
+    register, which the group's uWT read set."""
     wd = spec.get("way_determination")
     if wd == "wdu":
-        return "\n" + _wdu_record("pline", "fill_way")
+        return "\n" + _wdu_record("pline", "fill_way", _COLD["wdu_update"], _COLD["wdu_eviction"])
     if wd != "wt":
         return ""
     lpp = _lines_per_page(spec)
     text = f"""
-acc_locate_uwt += 1
 lip = pline & {lpp - 1}
+wt_offset = way_tables._last_uwt_slot * {lpp}
 {_record_way(spec, "fill_way")}"""
     if not spec["restrict"]:
-        text += "\nif excluded:\n    acc_unencodable += 1"
+        text += f"\nif excluded:\n    {_COLD['unencodable']} += 1"
     return text
 
 
-def _wdu_record(line: str, way: str) -> str:
+def _wdu_record(line: str, way: str, updates: str, evictions: str) -> str:
     """``WayDeterminationUnit.record`` of ``way`` for the line number
-    ``line``, LRU eviction included."""
+    ``line``, LRU eviction included, counted into ``updates`` and
+    ``evictions``: the hot feedback's or the cold fill listener's.  Each
+    interns the names at its own first event; the earlier interns them."""
     return f"""\
-if not acc_wdu_update:
+if not {updates}:
     stats.handle("wdu.update")
-acc_wdu_update += 1
+{updates} += 1
 if {line} in wdu_table:
     wdu_table[{line}] = {way}
     wdu_touch({line})
 else:
     if len(wdu_table) >= wdu_capacity:
         wdu_table.popitem(last=False)
-        if not acc_wdu_eviction:
+        if not {evictions}:
             stats.handle("wdu.eviction")
-        acc_wdu_eviction += 1
+        {evictions} += 1
     wdu_table[{line}] = {way}"""
 
 
-def _l1_miss_inline(spec: dict, phys: str, indent: int, store: bool = False) -> str:
-    """The conventional miss of ``L1DataCache.load_parts`` (a ``store``:
-    of ``store_parts``, whose fill is dirty) on the flat columns: the L2
-    access, then the fill of ``CacheBank.fill_parts`` with its evict and
-    fill listeners, then the dirty victim's write-back to the L2.
-
-    Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``, which missed
-    the L1; sets ``latency`` (which a store does not read).
-    """
+def _l1_miss(spec: dict) -> str:
+    """``l1_miss(phys, pbank, set_index, ptag, dirty)``: the conventional
+    miss of ``load_parts`` (``dirty`` 0) or ``store_parts`` (``dirty`` 1,
+    a dirty fill) of ``phys`` and its fields on the flat columns.  First
+    the ``L2Cache.access`` of the line (for a power-of-two set count the
+    L2's ``_slot_of`` key is the line number), then the fill of
+    ``CacheBank.fill_parts`` with its evict and fill listeners, then the
+    dirty victim's write-back to the L2.  Returns the latency."""
     bits = _bits(spec)
     line_bits = bits["line"]
     ways = spec["ways"]
+    hit = spec["hit_latency"] + spec["l2_latency"]
     exclude = ""
-    if spec["restrict"]:
-        # CacheBank.excluded_way_for: (line_in_page // banks) % ways
-        exclude = (
-            f"\nwindow[((pline & {_lines_per_page(spec) - 1}) // {spec['nbanks']}) % {ways}]"
-            " = NEVER"
-        )
+    if spec["restrict"]:  # CacheBank.excluded_way_for: (line_in_page // banks) % ways
+        lip = f"pline & {_lines_per_page(spec) - 1}"
+        exclude = f"\n        window[(({lip}) // {spec['nbanks']}) % {ways}] = inf"
     bank_shift = bits["set_shift"] - line_bits
     victim_tag_shift = bits["tag_shift"] - line_bits
-    text = f"""\
-{"acc_store_miss" if store else "acc_l1_conv_miss"} += 1
-pline = {phys} >> {line_bits}
-{_l2_access_inline(spec, phys, "pline", False, 0)}
-base = set_index * {ways}
-stamps = bank_stamps[pbank]
-window = stamps[base : base + {ways}]{exclude}
-fill_way = window.index(min(window))
-fill_slot = base + fill_way
-tags = bank_tags[pbank]
-dirty_bits = bank_dirty[pbank]
-slot_of = bank_slot_of[pbank]
-victim_tag = tags[fill_slot]
-victim_dirty = dirty_bits[fill_slot]
-if victim_tag != -1:
-    del slot_of[victim_tag * {spec['sets']} + set_index]
-tags[fill_slot] = ptag
-dirty_bits[fill_slot] = {int(store)}
-stamps[fill_slot] = next(bank_tick[pbank])
-slot_of[ptag * {spec['sets']} + set_index] = fill_slot
-if victim_tag != -1:
-    vline = (victim_tag << {victim_tag_shift}) | (set_index << {bank_shift}) | pbank
-    victim = vline << {line_bits}
-    if victim > max_address:
-        layout.check(victim)
-    acc_l1_evict += 1
-    if victim_dirty:
-        acc_l1_writeback += 1{_shift(_evict_listener(spec), 4)}
-acc_l1_fill += 1{_fill_listener(spec)}
-if victim_dirty:
-{_l2_access_inline(spec, "victim", "vline", True, 4)}"""
-    return _shift(text, indent)
+    listeners = _shift(_evict_listener(spec), 12) + _shift(_fill_listener(spec), 8)
+    return f"""
+    def l1_miss(phys, pbank, set_index, ptag, dirty):
+        cold[dirty] += 1  # slot 0 counts the load misses, slot 1 the store misses
+        pline = phys >> {line_bits}
+        l2_slot = l2_slot_of_get(pline)
+        if l2_slot is not None:
+            l2_stamps[l2_slot] = next(l2_tick)
+            latency = {hit}
+        else:
+            l2_miss(phys, pline, 0)
+            latency = {hit + spec['dram_latency']}
+        base = set_index * {ways}
+        stamps = bank_stamps[pbank]
+        window = stamps[base : base + {ways}]{exclude}
+        fill_way = window.index(min(window))
+        fill_slot = base + fill_way
+        tags = bank_tags[pbank]
+        dirty_bits = bank_dirty[pbank]
+        slot_of = bank_slot_of[pbank]
+        victim_tag = tags[fill_slot]
+        victim_dirty = dirty_bits[fill_slot]
+        if victim_tag != -1:
+            del slot_of[victim_tag * {spec['sets']} + set_index]
+        tags[fill_slot] = ptag
+        dirty_bits[fill_slot] = dirty
+        stamps[fill_slot] = next(bank_tick[pbank])
+        slot_of[ptag * {spec['sets']} + set_index] = fill_slot
+        if victim_tag != -1:
+            vline = (victim_tag << {victim_tag_shift}) | (set_index << {bank_shift}) | pbank
+            victim = vline << {line_bits}
+            if victim > max_address:
+                layout.check(victim)
+            {_COLD['l1_evict']} += 1
+            if victim_dirty:
+                {_COLD['l1_writeback']} += 1{listeners}
+        if victim_dirty:
+            l2_slot = l2_slot_of_get(vline)
+            if l2_slot is not None:
+                l2_stamps[l2_slot] = next(l2_tick)
+                l2_dirty[l2_slot] = 1
+            else:
+                l2_miss(victim, vline, 1)
+        return latency"""
 
 
 def _l1_store_inline(spec: dict, phys: str, hinted: bool, indent: int) -> str:
     """``L1DataCache.store_parts`` on the flat columns: probe the hinted
     slot (``hinted``: a reduced write when it holds the line; else the hint
     was wrong), then the conventional lookup.  A hit marks the slot dirty
-    and stamps it; a miss fills the line dirty (:func:`_l1_miss_inline`).
+    and stamps it; a miss fills the line dirty (:func:`_l1_miss`).
 
     Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``; with
     ``hinted``, also ``way_hint``, and sets ``reduced``.
@@ -1102,7 +1112,7 @@ if l1_slot is not None:
     bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
     acc_store_conv_hit += 1
 else:
-{_l1_miss_inline(spec, phys, 4, store=True)}"""
+    l1_miss({phys}, pbank, set_index, ptag, 1)"""
     if not hinted:
         return _shift(conventional, indent)
     text = f"""\
@@ -1157,18 +1167,14 @@ if rob_head <= {tag} < fetch_seq and not completed_f[{tag}]:
 
 
 def _tick(spec: dict) -> str:
-    kind = spec["kind"]
-    if kind == "Base1ldst":
-        return _tick_1ldst(spec)
-    if kind == "Base2ld1st":
-        return _tick_2ld1st(spec)
-    return _tick_malec(spec)
+    ticks = {"Base1ldst": _tick_1ldst, "Base2ld1st": _tick_2ld1st, "MALEC": _tick_malec}
+    return ticks[spec["kind"]](spec)
 
 
 def _tick_1ldst(spec: dict) -> str:
     return f"""\
             if store_buffer._committed_count:
-{_drain_inline(spec, 16)}
+{_drain_inline(spec)}
             if pending_loads:
                 tag, address, size = pending_loads.popleft()
 {_translate_pair_inline(spec, "address", 16)}
@@ -1191,7 +1197,7 @@ def _tick_2ld1st(spec: dict) -> str:
     bits = _bits(spec)
     return f"""\
             if store_buffer._committed_count:
-{_drain_inline(spec, 16)}
+{_drain_inline(spec)}
             if pending_loads or pending_writebacks:
                 completions = []
                 bank_accesses = {{}}
@@ -1267,9 +1273,7 @@ def _translate_group(spec: dict) -> str:
     WayTableHierarchy.predict_page.  Every translation leaves the page in
     the uTLB, so the uWT entry is the one of the translation's uTLB slot,
     and its reference bit is already set."""
-    text = "                # ---- translate_page_pair ----\n" + _translate_inline(
-        spec, "page", 16
-    )
+    text = "                # ---- translate_page_pair ----\n" + _translate_inline(spec, "page", 16)
     if spec["way_determination"] != "wt":
         return text
     return text + f"""
@@ -1300,7 +1304,7 @@ def _assign_ways(spec: dict) -> str:
                         acc_way_hint_assigned += 1"""
 
 
-def _way_acct(spec: dict, indent: int) -> str:
+def _way_acct(spec: dict) -> str:
     if spec["way_determination"] == "none":
         return ""
     text = """\
@@ -1310,7 +1314,7 @@ elif reduced:
     acc_way_reduced += 1
 else:
     acc_way_known += 1"""
-    return "\n" + _shift(text, indent)
+    return "\n" + _shift(text, 20)
 
 
 def _feedback(spec: dict) -> str:
@@ -1331,11 +1335,11 @@ def _feedback(spec: dict) -> str:
         return f"""
                     if way_hint is None and l1_hit:
                         wdu_line = physical_address >> {line_bits}
-{_shift(_wdu_record("wdu_line", "l1_way"), 24)}"""
+{_shift(_wdu_record("wdu_line", "l1_way", "acc_wdu_update", "acc_wdu_eviction"), 24)}"""
     return ""
 
 
-def _wdu_predict(spec: dict, indent: int) -> str:
+def _wdu_predict(spec: dict) -> str:
     """``WayDeterminationUnit.predict`` of ``physical_address``, one
     lookup per access: a known way becomes ``way_hint``."""
     if spec["way_determination"] != "wdu":
@@ -1353,7 +1357,7 @@ if wdu_way is not None:
         stats.handle("way_pred.known")
     acc_wdu_known += 1
     way_hint = wdu_way"""
-    return _shift(text, indent)
+    return _shift(text, 20)
 
 
 def _tick_malec(spec: dict) -> str:
@@ -1362,7 +1366,7 @@ def _tick_malec(spec: dict) -> str:
     page_off_mask = spec["page_off_mask"]
     return f"""\
             if store_buffer._committed_count:
-{_drain_inline(spec, 16)}
+{_drain_inline(spec)}
             if mbe_backlog or ib._held or ib._new or ib._mbe is not None:
                 if mbe_backlog and ib._mbe is None:
                     # ---- InputBuffer.add_mbe ----
@@ -1434,10 +1438,8 @@ def _tick_malec(spec: dict) -> str:
                 completions = []
                 # ---- per-bank servicing (_service_bank_request) ----
                 for (lseq, address, lsize), merged_requests, way_hint in bank_requests:
-                    physical_address = (
-                        physical_page << {page_shift}
-                    ) | (address & {page_off_mask})
-{_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec, 20)}
+                    physical_address = (physical_page << {page_shift}) | (address & {page_off_mask})
+{_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec)}
 {_forwarding_inline(spec, "address", "lsize", "acc_fwd_split", 20)}
                     for _mseq, maddr, msize in merged_requests:
 {_forwarding_inline(spec, "maddr", "msize", "acc_fwd_split", 24)}
@@ -1465,29 +1467,28 @@ def _tick_malec(spec: dict) -> str:
                             reduced = False
                             latency = {spec['hit_latency']}
                         else:
-{_l1_miss_inline(spec, "physical_address", 28)}
+                            latency = l1_miss(physical_address, pbank, set_index, ptag, 0)
                             l1_hit = reduced = False
                     acc_load_accesses += 1
-                    acc_loads_merged += len(merged_requests){_way_acct(spec, 20)}{_feedback(spec)}
+                    acc_loads_merged += len(merged_requests){_way_acct(spec)}{_feedback(spec)}
                     ready_cycle = cycle + translation_latency + latency
                     completions.append((lseq, ready_cycle))
                     for merged_load in merged_requests:
                         completions.append((merged_load[0], ready_cycle))
                 if mbe_granted:
                     # ---- the MBE's write, the last bank access ----
-                    physical_address = (
-                        physical_page << {page_shift}
-                    ) | (mbe & {page_off_mask})
+                    physical_address = (physical_page << {page_shift}) | (mbe & {page_off_mask})
                     way_hint = mbe_hint
-{_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec, 20)}
+{_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec)}
 {_l1_store_inline(spec, "physical_address", spec["way_determination"] != "none", 20)}
-                    acc_mbe_written += 1{_way_acct(spec, 20)}
+                    acc_mbe_written += 1{_way_acct(spec)}
                 # ---- InputBuffer.retire + end_cycle ----
                 held_count = len(held) + len(new) - len(serviced)
                 if held_count:
-                    gone = set(serviced)
-                    held2 = mk_deque([load for load in held if load not in gone])
-                    held2.extend([load for load in new if load not in gone])
+                    # (a comprehension over gone would make it a cell)
+                    gone = set(serviced).__contains__
+                    held2 = mk_deque(filterfalse(gone, held))
+                    held2.extend(filterfalse(gone, new))
                     ib._held = held2
                 else:
                     ib._held = mk_deque()
@@ -1601,16 +1602,17 @@ def _flush_rows(spec: dict) -> list:
     live exactly when that event happened.  The model interns some names
     at their first event (``DRAMModel``'s and the WDU's ``stats.add``); the
     kernel interns each at its own first event too, so the stats key order
-    matches, and their rows look the names up.
+    matches, and their rows name them, to be added by name.  Guards are
+    expressions over hot accumulators and :data:`_COLD` slots, and no
+    count is kept that others give: the L1 fills, L2 hits, DRAM reads and
+    writes and the fills' uWT records flush from the misses.
     """
+    c = _COLD
+    fills = f"{c['l1_load_miss']} + {c['l1_store_miss']}"
 
     def once(*handles: str) -> str:
         """A pattern counting each of ``handles`` once (no model tuple)."""
         return "(" + ", ".join(f"({handle}, 1)" for handle in handles) + ",)"
-
-    def named(*names: str) -> str:
-        """:func:`once` for counters the model interns at their first event."""
-        return once(*(f'stats.handle("{name}")' for name in names))
 
     # (guard, pattern[, amount]): the amount is the guard unless given
     rows = [
@@ -1618,12 +1620,12 @@ def _flush_rows(spec: dict) -> list:
         ("acc_store_submit", once("interface._h_stores_submitted", "store_buffer._h_insert")),
         ("acc_utlb_hit", "utlb._combo_hit"),
         # a uTLB miss that hits the TLB refills one uTLB slot
-        ("acc_tlb_hit", "utlb._combo_miss"),
-        ("acc_tlb_hit", "tlb._combo_hit"),
-        ("acc_tlb_hit", once("utlb._h_fill")),
-        ("acc_tlb_miss", "utlb._combo_miss"),
-        ("acc_tlb_miss", "tlb._combo_miss"),
-        ("acc_utlb_eviction", once("utlb._h_eviction")),
+        (c["tlb_hit"], "utlb._combo_miss"),
+        (c["tlb_hit"], "tlb._combo_hit"),
+        (c["tlb_hit"], once("utlb._h_fill")),
+        (c["tlb_miss"], "utlb._combo_miss"),
+        (c["tlb_miss"], "tlb._combo_miss"),
+        (c["utlb_eviction"], once("utlb._h_eviction")),
         ("acc_sb_forward", once("store_buffer._h_forward_hit")),
         ("acc_mb_forward", once("merge_buffer._h_forward_hit")),
         ("acc_load_accesses", once("interface._h_load_accesses")),
@@ -1631,16 +1633,17 @@ def _flush_rows(spec: dict) -> list:
         ("acc_lq_completed", once("load_queue._h_total_latency"), "acc_lq_latency"),
         ("acc_l1_conv_hit", "bank0._combo_conv_read"),
         ("acc_l1_conv_hit", "l1._combo_load_hit"),
-        ("acc_l1_conv_miss", "bank0._combo_conv_read"),
-        ("acc_l1_conv_miss", "l1._combo_load_miss"),
-        ("acc_l1_fill", "bank0._combo_fill"),
-        ("acc_l1_evict", once("bank0._h_eviction")),
-        ("acc_l1_writeback", once("bank0._h_writeback")),
-        ("acc_l2_hit", "l2._combo_hit"),
-        ("acc_l2_miss", "l2._combo_miss"),
-        ("acc_l2_writeback", once("l2._h_writeback")),
-        ("acc_dram_read", named("dram.read")),
-        ("acc_dram_write", named("dram.write")),
+        (c["l1_load_miss"], "bank0._combo_conv_read"),
+        (c["l1_load_miss"], "l1._combo_load_miss"),
+        (fills, "bank0._combo_fill"),
+        (c["l1_evict"], once("bank0._h_eviction")),
+        (c["l1_writeback"], once("bank0._h_writeback")),
+        # the L2 serves the L1 misses and dirty victims; the rest of those hit
+        (f"{fills} + {c['l1_writeback']} - {c['l2_miss']}", "l2._combo_hit"),
+        (c["l2_miss"], "l2._combo_miss"),
+        (c["l2_miss"], ("dram.read",)),
+        (c["l2_writeback"], once("l2._h_writeback")),
+        (c["l2_writeback"], ("dram.write",)),
         ("acc_sb_drain", once("store_buffer._h_drain")),
         ("acc_mb_merged", once("merge_buffer._h_merged_store")),
         # every merge-buffer eviction queues its line for the cache
@@ -1652,9 +1655,9 @@ def _flush_rows(spec: dict) -> list:
         ("acc_store_conv_hit", once("bank0._h_data_write")),
         ("acc_store_conv_hit", "l1._combo_store_hit"),
         # a store miss: the conventional write probe, then store_parts' fill
-        ("acc_store_miss", "bank0._combo_conv_write"),
-        ("acc_store_miss", "l1._combo_store_miss"),
-        ("acc_store_miss", once("l1._h_data_write")),
+        (c["l1_store_miss"], "bank0._combo_conv_write"),
+        (c["l1_store_miss"], "l1._combo_store_miss"),
+        (c["l1_store_miss"], once("l1._h_data_write")),
     ]
     if spec["kind"] != "MALEC":
         rows.append(("acc_fwd_full", "interface._combo_fwd_full"))
@@ -1700,68 +1703,63 @@ def _flush_rows(spec: dict) -> list:
             ]
         if spec["way_determination"] == "wt":
             # a reverse lookup that misses the uTLB probes the TLB
+            via_utlb = ("utlb._h_reverse_lookup", "utlb._h_reverse_hit")
             via_tlb = ("utlb._h_reverse_lookup", "utlb._h_reverse_miss", "tlb._h_reverse_lookup")
+            transfers = ("way_tables._h_wt_transfer", "way_tables._h_uwt_writeback")
             rows += [
                 ("acc_uwt_read", once("way_tables._h_uwt_read")),
-                ("acc_tlb_hit", once("way_tables._h_uwt_transfer")),
+                (c["tlb_hit"], once("way_tables._h_uwt_transfer")),
+                (c["uwt_writeback"], once(*transfers)),
+                (c["locate_uwt"], once(*via_utlb, "way_tables._h_uwt_update")),
+                # a fill records its way in the uWT entry of its page
+                (fills, once(*via_utlb, "way_tables._h_uwt_update")),
+                (c["locate_wt"], once(*via_tlb, "tlb._h_reverse_hit", "way_tables._h_wt_update")),
                 (
-                    "acc_uwt_writeback",
-                    once("way_tables._h_wt_transfer", "way_tables._h_uwt_writeback"),
-                ),
-                (
-                    "acc_locate_uwt",
-                    once(
-                        "utlb._h_reverse_lookup",
-                        "utlb._h_reverse_hit",
-                        "way_tables._h_uwt_update",
-                    ),
-                ),
-                (
-                    "acc_locate_wt",
-                    once(*via_tlb, "tlb._h_reverse_hit", "way_tables._h_wt_update"),
-                ),
-                (
-                    "acc_evict_unmapped",
+                    c["evict_unmapped"],
                     once(*via_tlb, "tlb._h_reverse_miss", "way_tables._h_evict_unmapped"),
                 ),
             ]
             if not spec["restrict"]:
-                rows.append(("acc_unencodable", once("way_tables._h_unencodable")))
+                rows.append((c["unencodable"], once("way_tables._h_unencodable")))
             if spec["feedback"]:
-                rows.append(
-                    (
-                        "acc_feedback",
-                        once("way_tables._h_uwt_update", "way_tables._h_feedback_update"),
-                    )
-                )
+                feedback = once("way_tables._h_uwt_update", "way_tables._h_feedback_update")
+                rows.append(("acc_feedback", feedback))
         elif spec["way_determination"] == "wdu":
             rows += [
-                ("acc_wdu_lookup", named("wdu.lookup", "way_pred.lookup")),
-                ("acc_wdu_known", named("way_pred.known")),
-                ("acc_wdu_update", named("wdu.update")),
-                ("acc_wdu_eviction", named("wdu.eviction")),
-                ("acc_wdu_invalidate", named("wdu.invalidate")),
+                ("acc_wdu_lookup", ("wdu.lookup", "way_pred.lookup")),
+                ("acc_wdu_known", ("way_pred.known",)),
+                # records come from the hot feedback and the cold fill listener
+                ("acc_wdu_update", ("wdu.update",)),
+                (c["wdu_update"], ("wdu.update",)),
+                ("acc_wdu_eviction", ("wdu.eviction",)),
+                (c["wdu_eviction"], ("wdu.eviction",)),
+                (c["wdu_invalidate"], ("wdu.invalidate",)),
             ]
     return [(guard, pattern, rest[0] if rest else guard) for guard, pattern, *rest in rows]
 
 
 def _epilogue(spec: dict) -> str:
-    flushes = "\n".join(
-        f"    if {guard}:\n        flush({pattern}, {amount})"
-        for guard, pattern, amount in _flush_rows(spec)
-    )
+    rows, adds = [], []
+    for guard, pattern, amount in _flush_rows(spec):
+        if isinstance(pattern, tuple):
+            adds.append(f"    if {guard}:")
+            adds += [f'        stats.add("{name}", {amount})' for name in pattern]
+        else:
+            rows.append(f"        ({guard}, {pattern}, {amount}),")
+    rows, adds = "\n".join(rows), "\n".join(adds)
     return f"""
     # ---- run boundary: flush batched accumulators, then finalize ----
     pipeline.fast_forwarded_cycles += fast_forwarded
-    _values = stats._values
-    _live = stats._live
-
-    def flush(pattern, amount):
-        for slot, times in pattern:
-            _values[slot] += amount * times
-            _live[slot] = True
-
-{flushes}
+    values = stats._values
+    live = stats._live
+    for guard, pattern, amount in (
+{rows}
+    ):
+        if guard:
+            for slot, times in pattern:
+                values[slot] += amount * times
+                live[slot] = True
+{adds}
     total_cycles = last_commit_cycle + 1
     interface.finalize(total_cycles)
     stats.add("pipeline.issued", issued_total)
@@ -1784,16 +1782,16 @@ def generate_source(spec: dict, content_hash: str = "unhashed") -> str:
     """Emit the kernel module source for ``spec``."""
     if spec["kind"] not in KIND_CLASSES:
         raise ValueError(f"cannot specialize interface kind {spec['kind']!r}")
-    tick = _tick(spec)
     return (
         _header(spec, content_hash)
+        + _cold_paths(spec)
         + _guards(spec)
         + _prologue(spec)
         + _loop_head(spec)
         + _issue_stage(spec)
         + "\n        # 3. Interface tick: drain + service + completions, fused.\n"
         + "        if interface_active:\n"
-        + tick
+        + _tick(spec)
         + _loop_tail(spec)
         + _epilogue(spec)
     )

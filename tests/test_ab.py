@@ -71,6 +71,28 @@ def test_gate_trips_only_when_the_interval_lies_wholly_past_its_limit(workload, 
     assert summary["regression"] is regression
 
 
+@pytest.mark.parametrize(
+    "ratios, regression",
+    [
+        # a busy loop in the issue stage: 0/5 pairs won, median 1.028,
+        # interval [1.012, 1.089], which the interval rule alone lets pass
+        ([1.012, 1.021, 1.028, 1.047, 1.089], True),
+        # the same ratios with one pair won
+        ([0.998, 1.021, 1.028, 1.047, 1.089], False),
+        # an unchanged tree against itself can lose every pair by a little
+        ([1.002, 1.004, 1.008, 1.011, 1.015], False),
+    ],
+    ids=["all-lost-past-limit", "one-won", "all-lost-within-limit"],
+)
+def test_gate_trips_when_the_base_wins_every_pair_past_the_limit(ratios, regression):
+    base = [4.0] * len(ratios)
+    head = [4.0 * ratio for ratio in ratios]
+    summary = ab.summarize("fig4-sim", "cpu_s", base, head, seed=0)
+    # the interval rule alone passes all three
+    assert summary["ratio"]["interval"][0] < 1.02
+    assert summary["regression"] is regression
+
+
 def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
     base = [5.0, 5.1, 5.2, 5.3, 5.4, 5.5, 5.6, 5.7, 5.8, 5.9]
     nine = [value * 0.9 for value in base[:9]] + [base[9] * 1.01]

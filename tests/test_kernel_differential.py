@@ -91,6 +91,8 @@ def assert_results_identical(specialized, oracle, label: str) -> None:
     for field in ("cycles", "instructions", "loads", "stores"):
         assert getattr(specialized, field) == getattr(oracle, field), (label, field)
     assert specialized.stats == oracle.stats, label
+    # names the model interns at their first event must come in its order
+    assert list(specialized.stats) == list(oracle.stats), (label, "stats key order")
     assert specialized.energy == oracle.energy, label
 
 
@@ -164,6 +166,7 @@ def assert_pipelines_identical(config, trace, warmup, label: str) -> None:
     oracle = run_pipeline_kernel(config, trace, "generic", warmup)
     assert specialized.result == oracle.result, label
     assert specialized.stats == oracle.stats, label
+    assert list(specialized.stats) == list(oracle.stats), (label, "stats key order")
     assert specialized.energy == oracle.energy, label
     assert specialized.fast_forwards == oracle.fast_forwards, label
 
@@ -763,6 +766,39 @@ class TestDelegationBudget:
             assert stats["tlb.hit"] and stats["l1.eviction"] and stats["l1.store_miss"]
             if config is SMALL_WDU:
                 assert stats["wdu.eviction"] and stats["wdu.invalidate"]
+
+
+#: Fig. 4's configurations and MALEC's two other way determinations
+SHAPE_CONFIGS = {config.name: config for config in FIG4_CONFIGS}
+SHAPE_CONFIGS["MALEC-wdu"] = SPECIALIZED_SHAPES["malec-wdu"]
+SHAPE_CONFIGS["MALEC-no-way-determination"] = SPECIALIZED_SHAPES["malec-no-way-determination"]
+
+#: the most lines a generated source may have, by interface kind
+LINE_BUDGETS = {"Base1ldst": 750, "Base2ld1st": 760, "MALEC": 1020}
+
+
+class TestKernelShape:
+    """Each cold memory path (the uTLB, L1 and L2 misses) is emitted once per
+    kernel, as a function of the generated module, so a fix to one is made
+    once; the hot loop binds no cell variable, which would slow every hot
+    access to it; and the sources stay within their size budgets."""
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_CONFIGS))
+    def test_each_cold_path_is_emitted_once(self, name):
+        config = SHAPE_CONFIGS[name]
+        source = kernel_source(config)
+        assert source.count("walk_page(") == 1
+        assert source.count('stats.handle("dram.read")') == 1
+        # the L1 fill's victim choice
+        assert source.count("fill_way = window.index(min(window))") == 1
+        assert len(source.splitlines()) <= LINE_BUDGETS[config.interface.value]
+
+    @pytest.mark.parametrize("name", sorted(SHAPE_CONFIGS))
+    def test_kernel_run_binds_no_cell_variable(self, name):
+        assert compile_kernel(SHAPE_CONFIGS[name]).entry.__code__.co_cellvars == ()
+
+    def test_fig4_sources_fit_their_budget(self):
+        assert sum(len(kernel_source(config).encode()) for config in FIG4_CONFIGS) <= 200_000
 
 
 class TestFallbackContract:
