@@ -8,13 +8,14 @@ One frozen dataclass is the single way to configure
     from repro.api import RunOptions
     from repro.campaign import ParallelExecutor
 
-    options = RunOptions(kernel="generic", jobs=4, store="sqlite:results.db")
+    options = RunOptions(jobs=4, store="sqlite:results.db")
     ParallelExecutor(options=options).run(spec)
 
 Every run takes the same path — columnar trace, event scheduler, then the
 kernel — so the only simulation knob is the kernel: ``"specialized"``
-(default) or the ``"generic"`` interpreted loop the kernels are held to.
-The environment is never consulted.
+(default) or the ``"generic"`` interpreted loop the kernels are held to,
+which only ``Simulator.run`` and ``run_configuration`` take; campaigns run
+the specialized kernel.  The environment is never consulted.
 
 Every field defaults to ``None`` meaning "the built-in default"
 (``specialized`` kernel, no collector, one campaign worker per CPU core,

@@ -117,6 +117,16 @@ def parse_store_url(url: Union[str, Path]) -> Tuple[str, str]:
     return scheme, rest
 
 
+def journal_path(scheme: str, path: Union[str, Path]) -> Path:
+    """Where the telemetry journal of the ``scheme`` store at ``path``
+    lives (it may not exist yet): ``telemetry.jsonl`` inside a JSON store's
+    directory, ``<db>.telemetry.jsonl`` beside an SQLite database."""
+    path = Path(path)
+    if scheme == "sqlite":
+        return path.with_name(path.name + ".telemetry.jsonl")
+    return path / "telemetry.jsonl"
+
+
 def backend_for_url(url: Union[str, Path]) -> "StoreBackend":
     """Build the backend a store URL addresses."""
     scheme, path = parse_store_url(url)
@@ -232,7 +242,6 @@ class JsonDirectoryBackend(StoreBackend):
     scheme = "json"
     MANIFEST = "campaign.json"
     CELL_DIR = "cells"
-    TELEMETRY = "telemetry.jsonl"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -254,7 +263,7 @@ class JsonDirectoryBackend(StoreBackend):
 
     @property
     def telemetry_path(self) -> Path:
-        return self.root / self.TELEMETRY
+        return journal_path(self.scheme, self.root)
 
     # ------------------------------------------------------------------
     def _cell_path(self, key: str) -> Path:
@@ -418,7 +427,7 @@ class SqliteBackend(StoreBackend):
 
     @property
     def telemetry_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".telemetry.jsonl")
+        return journal_path(self.scheme, self.path)
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:

@@ -52,7 +52,7 @@ from repro.campaign.store import (
 from repro.obs import metrics as obs_metrics
 from repro.obs.logs import get_logger
 from repro.obs.telemetry import TelemetryJournal
-from repro.sim.kernels import content_hash, prewarm, resolve_kernel
+from repro.sim.kernels import content_hash, prewarm
 from repro.sim.simulator import SimulationResult, Simulator
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.ingest import window
@@ -76,11 +76,6 @@ _PROCESS_TRACES: Dict[TraceKey, ColumnarTrace] = {}
 
 #: serialized traces installed by the pool initializer (worker side)
 _WORKER_TRACE_BYTES: Dict[TraceKey, bytes] = {}
-
-#: resolved kernel name installed by the pool initializer — the parent
-#: resolves its :class:`RunOptions` exactly once and ships the name
-_WORKER_KERNEL: Optional[str] = None
-
 
 #: soft cap on cached traces; a long-lived process sweeping many distinct
 #: (benchmark, length, seed) shapes resets the cache instead of growing it
@@ -132,39 +127,19 @@ def cell_trace(cell: CampaignCell) -> ColumnarTrace:
     return trace
 
 
-def _execute_cell(
-    cell: CampaignCell, kernel: Optional[str]
-) -> Tuple[SimulationResult, Dict[str, object]]:
-    """Run one cell's simulation on its (cached) trace.
-
-    ``kernel`` is the resolved kernel name the executor threads through.
-    Returns the result plus the execution facts the telemetry journal
-    records per cell: which kernel was requested and whether it actually
-    ran.
-    """
-    trace = cell_trace(cell)
-    simulator = Simulator(cell.config)
-    result = simulator.run(
-        trace,
-        warmup_fraction=cell.warmup_fraction,
-        options=RunOptions(kernel=kernel),
+def _execute_cell(cell: CampaignCell) -> SimulationResult:
+    """Run one cell's simulation on its (cached) trace and the specialized
+    kernel of its configuration."""
+    return Simulator(cell.config).run(
+        cell_trace(cell), warmup_fraction=cell.warmup_fraction
     )
-    info: Dict[str, object] = {
-        "kernel": simulator.kernel_requested,
-        "kernel_used": simulator.kernel_used,
-    }
-    return result, info
 
 
 def _init_worker(
-    trace_bytes: Dict[TraceKey, bytes],
-    configs=(),
-    metrics_on: bool = False,
-    kernel: Optional[str] = None,
+    trace_bytes: Dict[TraceKey, bytes], configs=(), metrics_on: bool = False
 ) -> None:
-    """Pool initializer: install the parent's serialized traces and resolved
-    kernel name, prewarm the campaign's specialized simulation kernels, and
-    reset metrics.
+    """Pool initializer: install the parent's serialized traces, prewarm the
+    campaign's specialized simulation kernels, and reset metrics.
 
     Kernels are cached per config content-hash (see :mod:`repro.sim.kernels`).
     A forked worker inherits the kernels the parent compiled before the pool
@@ -178,15 +153,13 @@ def _init_worker(
     a clean slate either way, and the enabled flag is set explicitly from
     the parent's state (fork inherits it, spawn would not).
     """
-    global _WORKER_KERNEL
     _WORKER_TRACE_BYTES.update(trace_bytes)
-    _WORKER_KERNEL = kernel
     obs_metrics.registry.clear()
     if metrics_on:
         obs_metrics.enable()
     else:
         obs_metrics.disable()
-    if configs and resolve_kernel(kernel) == "specialized":
+    if configs:
         prewarm(configs)
 
 
@@ -197,10 +170,9 @@ def _pool_chunk(cells: List[CampaignCell]) -> Tuple[list, Optional[dict]]:
     once from the initializer's bytes).  Results cross the process boundary
     as plain dictionaries (the store's JSON shape) rather than live objects,
     keeping the pickled payload small and identical to what lands on disk.
-    The remaining elements of a record are observation payloads: the
+    The third element of a record is an observation payload: the
     ``(worker pid, start, end)`` epoch timing (two clock reads per
-    multi-millisecond cell, so it rides along unconditionally) and the
-    execution-facts dict for the telemetry journal.
+    multi-millisecond cell, so it rides along unconditionally).
 
     Returns ``(records, dump)``.  With metrics on, ``dump`` holds what this
     worker counted since its previous chunk (the registry is cleared after
@@ -211,9 +183,8 @@ def _pool_chunk(cells: List[CampaignCell]) -> Tuple[list, Optional[dict]]:
     records = []
     for cell in cells:
         start = time.time()
-        result, info = _execute_cell(cell, _WORKER_KERNEL)
-        payload = result_to_dict(result)
-        records.append((cell.key(), payload, (os.getpid(), start, time.time()), info))
+        payload = result_to_dict(_execute_cell(cell))
+        records.append((cell.key(), payload, (os.getpid(), start, time.time())))
     dump = None
     if obs_metrics.enabled():
         dump = obs_metrics.registry.dump()
@@ -237,9 +208,10 @@ class ParallelExecutor:
         already-stored cells are skipped.  Shorthand for
         ``options=RunOptions(store=...)``.
     options:
-        A :class:`repro.api.RunOptions` (kernel, jobs, store URL).  The
-        kernel name is resolved exactly once here and threaded through the
-        serial path and the pool initializer.  Mixing ``options=`` with the
+        A :class:`repro.api.RunOptions` (jobs, store URL).  Campaigns run
+        the specialized kernel only, so any other ``kernel`` raises
+        ``ValueError``, as a collector does: both belong to
+        :meth:`Simulator.run`.  Mixing ``options=`` with the
         ``jobs=``/``store=`` keywords raises ``ValueError``.
     progress:
         Optional ``progress(event, cell, done, total)`` callback.
@@ -276,10 +248,12 @@ class ParallelExecutor:
                 "campaign execution does not support collectors; attach one "
                 "through Simulator.run instead"
             )
+        if options.kernel not in (None, "specialized"):
+            raise ValueError(
+                f"campaign execution runs the specialized kernel only, not "
+                f"{options.kernel!r}; run another through Simulator.run instead"
+            )
         self.options = options
-        #: resolved kernel name — computed once, threaded through the serial
-        #: path and shipped to pool workers
-        self._kernel = options.resolved_kernel()
         jobs = options.jobs
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -338,13 +312,12 @@ class ParallelExecutor:
             self.jobs,
         )
         if pending:
-            if self._kernel == "specialized":
-                # Compile every kernel once, here: forked pool workers inherit
-                # the cache (their initializer's prewarm only hits it), and the
-                # serial path runs on it.  Prewarm compiles are uncounted and
-                # per-cell probes all hit, so the kernel cache hit/miss
-                # counters are invariant across job counts.
-                prewarm({cell.config.with_name("kernel-prewarm"): None for cell in pending})
+            # Compile every kernel once, here: forked pool workers inherit
+            # the cache (their initializer's prewarm only hits it), and the
+            # serial path runs on it.  Prewarm compiles are uncounted and
+            # per-cell probes all hit, so the kernel cache hit/miss
+            # counters are invariant across job counts.
+            prewarm({cell.config.with_name("kernel-prewarm"): None for cell in pending})
             if self.jobs > 1 and len(pending) > 1:
                 done = self._run_pool(pending, results, done, total)
             # Any cells a broken pool failed to deliver fall through to the
@@ -353,10 +326,10 @@ class ParallelExecutor:
             parent_pid = os.getpid()
             for cell in remaining:
                 start = time.time()
-                result, info = _execute_cell(cell, self._kernel)
+                result = _execute_cell(cell)
                 end = time.time()
                 self._observe_cell(cell, parent_pid, start, end)
-                self._journal_cell(cell, end - start, parent_pid, info)
+                self._journal_cell(cell, end - start, parent_pid)
                 done = self._record(cell, result, results, done, total)
 
         elapsed = time.perf_counter() - started
@@ -393,13 +366,7 @@ class ParallelExecutor:
             return journal
         return TelemetryJournal(journal)
 
-    def _journal_cell(
-        self,
-        cell: CampaignCell,
-        wall_seconds: float,
-        pid: int,
-        info: Dict[str, object],
-    ) -> None:
+    def _journal_cell(self, cell: CampaignCell, wall_seconds: float, pid: int) -> None:
         """Append the journal record of one computed cell.
 
         Store hits are not journaled per cell: the run footer counts them
@@ -418,7 +385,6 @@ class ParallelExecutor:
             "worker_pid": pid,
             "source": "computed",
         }
-        record.update(info)
         try:
             self.active_journal.cell(**record)
         except OSError as error:
@@ -545,7 +511,6 @@ class ParallelExecutor:
                     payloads,
                     distinct_configs,
                     obs_metrics.enabled(),
-                    self._kernel,
                 ),
             ) as pool:
                 self.used_pool = True
@@ -561,10 +526,10 @@ class ParallelExecutor:
                             # chunk: worker-side metrics are counters, which
                             # sum in any arrival order.
                             obs_metrics.registry.merge(dump)
-                        for key, payload, (pid, start, end), info in records:
+                        for key, payload, (pid, start, end) in records:
                             cell = by_key[key]
                             self._observe_cell(cell, pid, start, end)
-                            self._journal_cell(cell, end - start, pid, info)
+                            self._journal_cell(cell, end - start, pid)
                             done = self._record(
                                 cell, result_from_dict(payload), results, done, total
                             )

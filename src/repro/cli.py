@@ -47,11 +47,11 @@ directory layout):
 ``obs``
     Query the telemetry journals a campaign store accumulates
     (``telemetry.jsonl``, written by ``--metrics``/``--journal`` sweeps):
-    ``history`` tabulates every recorded run (when, host, cells, cells/sec,
-    kernel fallbacks), ``compare RUN_A RUN_B`` prints per-cell wall-time
-    deltas and flags regressions beyond ``--threshold``, ``cells --slowest
-    N`` lists the slowest cells of one run, and ``export`` renders a run's
-    merged metrics as OpenMetrics/Prometheus text for external scrapers.
+    ``history`` tabulates every recorded run (when, host, cells, cells/sec),
+    ``compare RUN_A RUN_B`` prints per-cell wall-time deltas and flags
+    regressions beyond ``--threshold``, ``cells --slowest N`` lists the
+    slowest cells of one run, and ``export`` renders a run's merged metrics
+    as OpenMetrics/Prometheus text for external scrapers.
     Runs are addressed by id prefix or the shorthands ``last``/``prev``.
 
 ``report``
@@ -128,7 +128,7 @@ from repro.obs.attribution import attribute_run, format_attribution
 from repro.obs.collector import RunCollector
 from repro.obs.logs import configure as configure_logging
 from repro.obs.logs import run_context
-from repro.obs.progress import ProgressReporter
+from repro.obs.progress import make_progress
 from repro.obs.traceevent import TraceEventLog
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import run_configuration
@@ -791,20 +791,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cell_progress(
-    quiet: bool, fallback_lines: bool = True
-) -> Optional[ProgressReporter]:
-    """Per-cell progress reporter shared by ``sweep``/``dse``/``figure4``.
-
-    Interactive terminals get one self-updating line (done/total, cells/s,
-    ETA); non-interactive streams fall back to a plain line per cell when
-    ``fallback_lines`` (the historical behaviour) or stay silent otherwise.
-    """
-    if quiet:
-        return None
-    return ProgressReporter(fallback_lines=fallback_lines)
-
-
 def _write_trace_log(trace_log: Optional[TraceEventLog], path: Optional[str]) -> None:
     """Persist a trace-event log collected behind ``--trace-out``."""
     if trace_log is None or path is None:
@@ -837,7 +823,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"repro: {error}", file=sys.stderr)
         return 2
     trace_log = TraceEventLog() if args.trace_out else None
-    progress = _cell_progress(args.quiet)
+    progress = make_progress(args.quiet)
 
     executor = ParallelExecutor(
         jobs=args.jobs,
@@ -913,7 +899,7 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         print(f"repro: {error}", file=sys.stderr)
         return 2
     trace_log = TraceEventLog() if args.trace_out else None
-    progress = _cell_progress(args.quiet)
+    progress = make_progress(args.quiet)
     result = run_dse(
         space,
         strategy=args.strategy,
@@ -977,7 +963,7 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
         return 2
     # Interactive-only progress: non-TTY figure4 output stays exactly the
     # final table, as before (fallback_lines=False).
-    progress = _cell_progress(quiet=False, fallback_lines=False)
+    progress = make_progress(fallback_lines=False)
     results = ParallelExecutor(jobs=args.jobs, progress=progress).run(spec)
     progress.finish()
     rows = []

@@ -42,13 +42,15 @@ is adapted once at entry by :func:`repro.workloads.columnar.as_columnar`.
 
 Event-driven scheduler
 ----------------------
-The loop is built on :class:`repro.sim.events.EventWheel`: instead of
-polling every stage every cycle, each source of future activity registers
-the cycle it next acts —
+A specialized kernel (:mod:`repro.sim.kernels`) runs every production
+simulation; the loop here is the plain oracle the kernels are held to, and
+runs only when :meth:`repro.sim.simulator.Simulator.run` selects it (the
+generic kernel, or a collector attached).  Instead of polling every stage
+every cycle, each source of future activity says when it next acts:
 
-* instruction completions sit in a next-cycle bucket (computes, stores,
-  L1-hit load returns) or, further out, in the wheel (load returns that
-  miss or wait for a translation);
+* one heap of ``(cycle, seq)`` holds every pending completion: computes and
+  stores complete the cycle after they issue, a load when the interface
+  returns its data, and the retire stage pops whatever is due;
 * the issue stage runs only while ready or deferred instructions exist;
 * the L1 interface ticks only while it reports itself non-quiescent (it
   aggregates its components — load queue, store buffer, merge buffer, input
@@ -56,26 +58,15 @@ the cycle it next acts —
   store commit re-arms it);
 * commit and fetch are gated by their own cheap occupancy checks.
 
-When no stage has work in the current cycle and the wheel holds a future
-event, the clock jumps straight to it.  All skipped cycles are accounted
-into ``pipeline.cycles`` exactly as if they had been simulated, and
-intra-cycle ordering is pinned (fixed stage order, FIFO buckets,
-seq-ordered ready heap), so results equal those of polling every component
-every cycle (``tests/golden/pipeline_identity.json`` pins them).
+When no stage has work in the current cycle and a completion is pending,
+the clock jumps straight to the earliest one.  All skipped cycles are
+accounted into ``pipeline.cycles`` exactly as if they had been simulated,
+and intra-cycle ordering is pinned (fixed stage order, seq-ordered ready
+heap; a completion only wakes consumers onto that heap, so the order in
+which one cycle's completions retire does not matter), so results equal
+those of polling every component every cycle
+(``tests/golden/pipeline_identity.json`` pins them).
 ``fast_forwarded_cycles`` records how many cycles the last run skipped.
-
-A specialized kernel (:mod:`repro.sim.kernels`) may replace this loop; the
-loop stays as the generic oracle the kernels are held to.
-
-Hot-path notes
---------------
-``run`` is the innermost loop of every sweep, so its bookkeeping is arrays
-indexed by sequence number rather than dictionaries (``in_rob``,
-``produced``, ``consumers``), instructions completing one cycle out
-(computes, stores, L1-hit notifications) take a bucket list instead of the
-event wheel, and per-cycle statistics are accumulated in locals and flushed
-once at the end of the run (sums of integers, so the flushed totals are
-bit-identical to per-cycle accumulation).
 """
 
 from __future__ import annotations
@@ -83,10 +74,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from repro.sim.config import PipelineParameters
-from repro.sim.events import EventWheel
 from repro.stats import StatCounters
 
 
@@ -178,47 +168,25 @@ class OutOfOrderPipeline:
     ) -> PipelineResult:
         """Event-driven execution: stages run only when they have events.
 
-        Bookkeeping is data-oriented: instead of per-instruction entry
-        objects, parallel seq-indexed arrays carry the issued/completed flags
-        and dependency counts, and the ROB itself is a deque of seqs.  Flag
-        reads become byte loads, which matters at one-to-two million
-        instruction events per second of sweep.  ``seqs`` is the ``range``
-        of the run's sequence numbers in fetch order — the loop's only view
-        of the trace besides ``trace_arrays``.
+        Parallel seq-indexed arrays carry the issued/completed flags and
+        dependency counts, and the ROB is a deque of seqs.  ``seqs`` is the
+        ``range`` of the run's sequence numbers in fetch order — the loop's
+        only view of the trace besides ``trace_arrays``.
         """
         params = self.params
         max_cycles = self.max_cycles or (200 * total + 100_000)
         issue_width = params.issue_width
         fetch_width = params.fetch_width
         commit_width = params.commit_width
-
-        interface = self.interface
-        begin_cycle = interface.begin_cycle
-        can_accept_load = interface.can_accept_load
-        can_accept_store = interface.can_accept_store
-        reserve_load_slot = interface.reserve_load_slot
-        reserve_store_slot = interface.reserve_store_slot
-        submit_load = interface.submit_load
-        submit_store = interface.submit_store
-        commit_store = interface.commit_store
-        tick = interface.tick
-        quiescent = interface.quiescent
-
         rob_entries = params.rob_entries
-        #: the ROB as a deque of seqs (program order)
-        rob_q: Deque[int] = deque()
-        rob_len = 0  # len(rob_q), maintained inline (hot gate checks)
+        interface = self.interface
         heappush = heapq.heappush
         heappop = heapq.heappop
 
-        #: load returns further than one cycle out live in the wheel
-        #: (single producer: bare payloads, FIFO per bucket)
-        wheel = EventWheel()
-        schedule = wheel.schedule
-        pop_due = wheel.pop_due
-        #: local mirror of wheel.next_cycle() (int comparisons on the hot path)
-        NEVER = float("inf")
-        wheel_next = NEVER
+        #: the ROB as a deque of seqs (program order)
+        rob_q: Deque[int] = deque()
+        #: min-heap of (cycle, seq): every completion not yet retired
+        completions: List[Tuple[int, int]] = []
 
         next_fetch = 0
         committed = 0
@@ -229,20 +197,16 @@ class OutOfOrderPipeline:
         in_rob = bytearray(capacity)
         #: seq -> issued flag
         issued_f = bytearray(capacity)
-        #: seq -> completed flag
+        #: seq -> completed flag (the instruction's result is available)
         completed_f = bytearray(capacity)
-        #: seq -> 1 once the instruction's result is available
-        produced = bytearray(capacity)
         #: seq -> outstanding producer count while dispatched
         pending_deps = [0] * capacity
         #: seq-indexed instruction facts (shared across runs of one trace)
         kinds, addresses, sizes, producers_of = trace_arrays
         #: seq -> waiting consumer seqs (None when nobody waits)
         consumers: List[Optional[List[int]]] = [None] * capacity
-        #: instructions ready at dispatch, in fetch order (ascending seq) —
-        #: the common case, kept out of the heap entirely
-        ready_fifo: Deque[int] = deque()
-        #: min-heap of seqs woken by completing producers (oldest first)
+        #: min-heap of ready seqs (oldest first): ready at dispatch or woken
+        #: by their last completing producer
         ready_heap: List[int] = []
         #: memory ops that were ready but found no slot this cycle, plus any
         #: ready instructions beyond this cycle's issue width (ascending seq)
@@ -251,8 +215,6 @@ class OutOfOrderPipeline:
         #: True while ``deferred`` may hold more than slot-starved stores
         #: (issue-width leftovers of unknown kind block clock jumps)
         deferred_blocking = False
-        #: seqs completing exactly next cycle (computes, stores, L1 hits)
-        due_next: List[int] = []
         #: stores must claim store-buffer entries in program order (as real
         #: store queues allocate at dispatch); otherwise younger stores can
         #: fill the SB and deadlock an older store at the ROB head.
@@ -260,10 +222,7 @@ class OutOfOrderPipeline:
         store_order_head = 0
 
         loads = stores = computes = 0
-        # Per-cycle counters accumulated locally, flushed at the end of run().
-        cycles_counted = 0
         issued_total = 0
-        dispatched_total = 0
 
         # Observation plumbing: every cycle is classified into exactly one
         # category (deltas of the loop's own counters decide which), tallied
@@ -274,15 +233,11 @@ class OutOfOrderPipeline:
         cat_memory = cat_buffer = cat_idle = cat_ff = 0
         events_seen = 0
         sample_every = collector.sample_every if collecting else 0
-        next_sample = sample_every if sample_every else NEVER
-        if sample_every:
-            occ_lq = interface.load_queue
-            occ_sb = interface.store_buffer
-            occ_mb = interface.merge_buffer
+        next_sample = sample_every or float("inf")
 
         # The interface may carry state from a warm-up run of the same trace;
         # start ticking it unless it positively reports itself idle.
-        interface_active = not quiescent()
+        interface_active = not interface.quiescent()
 
         while committed < total:
             if cycle > max_cycles:
@@ -296,107 +251,62 @@ class OutOfOrderPipeline:
                 fetch_before = next_fetch
 
             # ----------------------------------------------------------
-            # 1. Retire completions scheduled for this cycle.  Processing
-            #    order within one cycle does not affect outcomes (waking a
-            #    consumer only pushes onto the ready heap, which issues in
-            #    seq order regardless), so the bucket of one-cycle
-            #    completions is drained before the wheel.
+            # 1. Retire completions due by this cycle.  Their order does
+            #    not affect outcomes: waking a consumer only pushes onto
+            #    the ready heap, which issues in seq order regardless.
             # ----------------------------------------------------------
-            if due_next:
-                due_now = due_next
-                due_next = []
+            while completions and completions[0][0] <= cycle:
+                seq = heappop(completions)[1]
                 if collecting:
-                    events_seen += len(due_now)
-                for seq in due_now:
-                    if completed_f[seq]:
-                        continue
-                    completed_f[seq] = 1
-                    produced[seq] = 1
-                    waiting = consumers[seq]
-                    if waiting is not None:
-                        consumers[seq] = None
-                        for consumer in waiting:
-                            left = pending_deps[consumer] - 1
-                            pending_deps[consumer] = left
-                            if left == 0 and not issued_f[consumer]:
-                                heappush(ready_heap, consumer)
-            if wheel_next <= cycle:
-                wheel_due = pop_due(cycle)
-                if collecting:
-                    events_seen += len(wheel_due)
-                for seq in wheel_due:
-                    if completed_f[seq]:
-                        continue
-                    completed_f[seq] = 1
-                    produced[seq] = 1
-                    waiting = consumers[seq]
-                    if waiting is not None:
-                        consumers[seq] = None
-                        for consumer in waiting:
-                            left = pending_deps[consumer] - 1
-                            pending_deps[consumer] = left
-                            if left == 0 and not issued_f[consumer]:
-                                heappush(ready_heap, consumer)
-                wheel_next = wheel.next_cycle()
-                if wheel_next is None:
-                    wheel_next = NEVER
+                    events_seen += 1
+                if completed_f[seq]:
+                    continue
+                completed_f[seq] = 1
+                waiting = consumers[seq]
+                if waiting is not None:
+                    consumers[seq] = None
+                    for consumer in waiting:
+                        left = pending_deps[consumer] - 1
+                        pending_deps[consumer] = left
+                        if left == 0 and not issued_f[consumer]:
+                            heappush(ready_heap, consumer)
 
             # ----------------------------------------------------------
             # 2. Issue ready instructions (oldest first, up to issue width).
             #    The stage only runs while instructions are ready/deferred.
-            #    Three ascending sources are merged by seq — the deferred
-            #    list, the dispatch FIFO and the wake heap — so the issue
-            #    order is identical to popping one min-heap of all of them,
-            #    without funnelling every instruction through heap churn.
+            #    The deferred list and the ready heap are merged by seq.
             # ----------------------------------------------------------
-            if ready_fifo or ready_heap or deferred:
-                begin_cycle(cycle)  # reset the per-cycle slot counters
+            if ready_heap or deferred:
+                interface.begin_cycle(cycle)  # reset the per-cycle slot counters
                 issued = 0
                 postponed: List[int] = []
                 postponed_load = False
                 loads_blocked = stores_blocked = False
                 di = 0
                 dn = len(deferred)
-                # Neither wakes nor deferrals can appear mid-issue, so the
-                # single-source common case (dispatch FIFO only) is decided
-                # once per cycle and skips the three-way merge entirely.
-                simple = not dn and not ready_heap
                 while issued < issue_width:
-                    if simple:
-                        if not ready_fifo:
-                            break
-                        seq = ready_fifo.popleft()
+                    if di < dn and not (ready_heap and ready_heap[0] < deferred[di]):
+                        seq = deferred[di]
+                        di += 1
+                    elif ready_heap:
+                        seq = heappop(ready_heap)
                     else:
-                        s_def = deferred[di] if di < dn else NEVER
-                        s_fifo = ready_fifo[0] if ready_fifo else NEVER
-                        s_heap = ready_heap[0] if ready_heap else NEVER
-                        if s_def <= s_fifo:
-                            if s_def <= s_heap:
-                                if s_def is NEVER:
-                                    break  # every source is empty
-                                seq = s_def
-                                di += 1
-                            else:
-                                seq = heappop(ready_heap)
-                        elif s_fifo <= s_heap:
-                            seq = ready_fifo.popleft()
-                        else:
-                            seq = heappop(ready_heap)
+                        break
                     if not in_rob[seq] or issued_f[seq]:
                         continue
                     kind = kinds[seq]
                     if kind == 0:  # compute: completes next cycle
                         issued_f[seq] = 1
-                        due_next.append(seq)
+                        heappush(completions, (cycle + 1, seq))
                         issued += 1
                     elif kind == 1:  # load
                         if (
                             not loads_blocked
-                            and can_accept_load()
-                            and reserve_load_slot()
+                            and interface.can_accept_load()
+                            and interface.reserve_load_slot()
                         ):
                             issued_f[seq] = 1
-                            submit_load(seq, addresses[seq], sizes[seq], cycle)
+                            interface.submit_load(seq, addresses[seq], sizes[seq], cycle)
                             interface_active = True
                             issued += 1
                         else:
@@ -413,17 +323,17 @@ class OutOfOrderPipeline:
                         if (
                             not stores_blocked
                             and in_store_order
-                            and can_accept_store()
-                            and reserve_store_slot()
+                            and interface.can_accept_store()
+                            and interface.reserve_store_slot()
                         ):
                             store_order_head += 1
                             issued_f[seq] = 1
-                            submit_store(seq, addresses[seq], sizes[seq], cycle)
+                            interface.submit_store(seq, addresses[seq], sizes[seq], cycle)
                             interface_active = True
                             # Stores produce no register value: they are
                             # complete (for commit) once their address is
                             # computed.
-                            due_next.append(seq)
+                            heappush(completions, (cycle + 1, seq))
                             issued += 1
                         else:
                             stores_blocked = True
@@ -444,18 +354,13 @@ class OutOfOrderPipeline:
 
             # ----------------------------------------------------------
             # 3. Advance the interface while it has scheduled activity;
-            #    schedule load completions.
+            #    schedule load completions, no earlier than next cycle.
             # ----------------------------------------------------------
             if interface_active:
-                for tag, ready_cycle in tick(cycle):
+                for tag, ready_cycle in interface.tick(cycle):
                     if not 0 <= tag < capacity or not in_rob[tag] or completed_f[tag]:
                         continue
-                    if ready_cycle <= cycle + 1:
-                        due_next.append(tag)
-                    else:
-                        schedule(ready_cycle, tag)
-                        if ready_cycle < wheel_next:
-                            wheel_next = ready_cycle
+                    heappush(completions, (max(ready_cycle, cycle + 1), tag))
 
             # ----------------------------------------------------------
             # 4. Commit in order.
@@ -464,7 +369,6 @@ class OutOfOrderPipeline:
                 commits = 0
                 while commits < commit_width and rob_q and completed_f[rob_q[0]]:
                     seq = rob_q.popleft()
-                    rob_len -= 1
                     commits += 1
                     committed += 1
                     last_commit_cycle = cycle
@@ -473,15 +377,13 @@ class OutOfOrderPipeline:
                         loads += 1
                     elif kind == 2:
                         stores += 1
-                        commit_store(seq, cycle)
+                        interface.commit_store(seq, cycle)
                         # The committed store must now drain SB -> MB -> cache.
                         interface_active = True
                     else:
                         computes += 1
                     in_rob[seq] = 0
                     consumers[seq] = None
-
-            cycles_counted += 1
 
             # ----------------------------------------------------------
             # 5. Fetch / dispatch into the ROB.
@@ -491,11 +393,10 @@ class OutOfOrderPipeline:
                 while (
                     fetched < fetch_width
                     and next_fetch < total
-                    and rob_len < rob_entries
+                    and len(rob_q) < rob_entries
                 ):
                     seq = seqs[next_fetch]
                     rob_q.append(seq)
-                    rob_len += 1
                     in_rob[seq] = 1
                     if kinds[seq] == 2:
                         store_order.append(seq)
@@ -505,7 +406,7 @@ class OutOfOrderPipeline:
                         for producer in producers:
                             # A producer before this run's slice (or already
                             # committed) is not in the ROB and counts as done.
-                            if produced[producer] or not in_rob[producer]:
+                            if completed_f[producer] or not in_rob[producer]:
                                 continue
                             waiting = consumers[producer]
                             if waiting is None:
@@ -514,17 +415,17 @@ class OutOfOrderPipeline:
                             pending += 1
                         pending_deps[seq] = pending
                     if pending == 0:
-                        # Fetch order is ascending seq: a plain FIFO append.
-                        ready_fifo.append(seq)
+                        # Younger than every dispatched seq: never sifts.
+                        heappush(ready_heap, seq)
                     next_fetch += 1
                     fetched += 1
-                dispatched_total += fetched
 
             # ----------------------------------------------------------
             # Observation: classify this cycle (one category per counted
             # cycle; first match wins) and sample structure occupancy.
             # ``interface_active`` still reflects activity *during* this
             # cycle — the disarm check below runs after classification.
+            # ``cycle + 1`` counts the cycles simulated so far.
             # ----------------------------------------------------------
             if collecting:
                 if committed > commit_before:
@@ -539,14 +440,14 @@ class OutOfOrderPipeline:
                     cat_buffer += 1
                 else:
                     cat_idle += 1
-                if cycles_counted >= next_sample:
+                if cycle + 1 >= next_sample:
                     next_sample += sample_every
                     collector.sample(
                         cycle,
-                        rob_len,
-                        occ_lq.occupancy,
-                        occ_sb.occupancy,
-                        occ_mb.occupancy,
+                        len(rob_q),
+                        interface.load_queue.occupancy,
+                        interface.store_buffer.occupancy,
+                        interface.merge_buffer.occupancy,
                     )
 
             cycle += 1
@@ -557,12 +458,12 @@ class OutOfOrderPipeline:
             #    cycle or reports itself quiescent, in which case its event
             #    is descheduled until a submit or commit re-arms it.
             # ----------------------------------------------------------
-            if interface_active and quiescent():
+            if interface_active and interface.quiescent():
                 interface_active = False
 
             # ----------------------------------------------------------
             # 7. No event scheduled for this cycle: jump the clock to the
-            #    next wheel event.  Every skipped cycle would have been a
+            #    next completion.  Every skipped cycle would have been a
             #    complete no-op (nothing to retire/issue/tick/commit/fetch),
             #    so only the cycle counter advances — results stay
             #    bit-identical.
@@ -578,13 +479,11 @@ class OutOfOrderPipeline:
             #    completion event, so anything else is safe to jump across.
             # ----------------------------------------------------------
             if (
-                not ready_fifo
-                and not ready_heap
-                and not due_next
+                not ready_heap
                 and not interface_active
-                and wheel_next is not NEVER
-                and wheel_next > cycle
-                and (next_fetch >= total or rob_len >= rob_entries)
+                and completions
+                and completions[0][0] > cycle
+                and (next_fetch >= total or len(rob_q) >= rob_entries)
                 and committed < total
                 and not (rob_q and completed_f[rob_q[0]])
                 and (
@@ -595,31 +494,31 @@ class OutOfOrderPipeline:
                         and (
                             store_order_head >= len(store_order)
                             or store_order[store_order_head] not in deferred
-                            or not can_accept_store()
+                            or not interface.can_accept_store()
                         )
                     )
                 )
             ):
-                skipped = wheel_next - cycle
-                cycles_counted += skipped
+                skipped = completions[0][0] - cycle
                 self.fast_forwarded_cycles += skipped
                 if collecting:
                     cat_ff += skipped
-                cycle = wheel_next
+                cycle += skipped
 
         total_cycles = last_commit_cycle + 1
         interface.finalize(total_cycles)
-        # Flush the locally accumulated per-cycle counters in one shot.
+        # Flush the run's counters in one shot: the clock counts every
+        # simulated and skipped cycle, and every fetched seq was dispatched.
         stats = self.stats
         stats.add("pipeline.issued", issued_total)
-        stats.add("pipeline.cycles", cycles_counted)
-        stats.add("pipeline.dispatched", dispatched_total)
+        stats.add("pipeline.cycles", cycle)
+        stats.add("pipeline.dispatched", next_fetch)
         stats.set("pipeline.total_cycles", total_cycles)
         stats.set("pipeline.committed", committed)
         if collecting:
             # Every loop iteration classified exactly one counted cycle and
             # every jump accounted its skipped stretch, so the categories sum
-            # to ``cycles_counted`` == ``total_cycles`` by construction.
+            # to the final clock == ``total_cycles`` by construction.
             collector.record_categories(
                 cat_commit,
                 cat_issue,

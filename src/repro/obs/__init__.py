@@ -10,7 +10,7 @@ CI's perf-ab gate bounds the disabled overhead below 2%.
 Four pillars, one module each:
 
 :mod:`repro.obs.metrics`
-    Counter/gauge/histogram registry (cells/sec, wheel events, worker
+    Counter/gauge/histogram registry (cells/sec, kernel compiles, worker
     utilisation); no-op unless :func:`repro.obs.metrics.enable` ran.
 :mod:`repro.obs.collector` / :mod:`repro.obs.attribution`
     Per-run cycle classification (categories partition the run and sum to

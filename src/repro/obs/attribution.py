@@ -48,7 +48,7 @@ class RunAttribution:
     cycles: Dict[str, int] = field(default_factory=dict)
     #: structure -> (dynamic_pj, leakage_pj)
     energy: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-    #: events the run dispatched through the event wheel (0 if uncollected)
+    #: completions the run retired, duplicates included (0 if uncollected)
     events_dispatched: int = 0
     #: derived rates lifted off the stat counters (ipc, miss rates, ...)
     rates: Dict[str, float] = field(default_factory=dict)
@@ -153,9 +153,9 @@ def format_attribution(attribution: RunAttribution) -> str:
     if attribution.events_dispatched:
         lines.append("")
         lines.append(
-            f"event wheel: {attribution.events_dispatched} completion events "
-            f"dispatched ({attribution.events_dispatched / total:.3f}/cycle)"
+            f"completions: {attribution.events_dispatched} retired "
+            f"({attribution.events_dispatched / total:.3f}/cycle)"
             if total
-            else f"event wheel: {attribution.events_dispatched} events"
+            else f"completions: {attribution.events_dispatched} retired"
         )
     return "\n".join(lines)

@@ -83,8 +83,8 @@ class RunCollector:
         }
         #: (cycle, rob, load_queue, store_buffer, merge_buffer) samples
         self.samples: List[Tuple[int, int, int, int, int]] = []
-        #: events dispatched through the run's event wheel (incl. the
-        #: next-cycle bucket, which is the wheel's one-cycle fast path)
+        #: completions the run's completion heap retired, a completion
+        #: scheduled twice for one seq counted twice
         self.events_dispatched = 0
         #: total cycles of the run as the pipeline reported them
         self.total_cycles = 0
@@ -115,7 +115,7 @@ class RunCollector:
         categories["fast_forwarded"] += fast_forwarded
 
     def record_run(self, total_cycles: int, instructions: int, events: int) -> None:
-        """Record run totals (cycle count, instruction count, wheel events)."""
+        """Record run totals (cycle count, instruction count, completions)."""
         self.total_cycles += total_cycles
         self.instructions += instructions
         self.events_dispatched += events

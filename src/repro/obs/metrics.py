@@ -3,7 +3,7 @@
 The simulator's :class:`~repro.stats.StatCounters` are *results*: they feed
 the energy model and the golden bit-identity net, so nothing operational may
 ever leak into them.  This registry is the operational side — how fast cells
-complete, how many events the wheel dispatched, how utilised the workers
+complete, how many kernels were compiled, how utilised the workers
 were — kept in a completely separate namespace that is **off by default**
 and never serialised into result records.
 
@@ -21,7 +21,7 @@ Design constraints:
   sorted, JSON-able output so emitted metrics can be asserted and diffed.
 
 Naming follows the ``<subsystem>.<metric>`` convention of the stat counters
-(``campaign.cells_completed``, ``wheel.events_dispatched``, ...).
+(``campaign.cells_completed``, ``kernel.cache.miss``, ...).
 """
 
 from __future__ import annotations

@@ -18,16 +18,17 @@ uses):
     :mod:`repro.obs.hostinfo`), total cells, job count.
 ``cell``
     One line per cell the run computed: cell/config/trace content hashes,
-    wall seconds, worker pid, kernel used / fallback reason and
-    ``source: "computed"``.  Cells served from the store get no line; the
-    footer counts them.  (Older journals also hold ``source: "store"``
-    lines, and journals written before the run path was unified carry
+    wall seconds, worker pid and ``source: "computed"``.  Cells served from
+    the store get no line; the footer counts them.  (Older journals also
+    hold ``source: "store"`` lines, cells naming their kernel and any
+    fallback reason, and, from before the run path was unified,
     ``scheduler`` and ``frontend``; the schema keeps all of these, so they
     still validate, and the readers skip store lines.)
 ``run_end``
-    One footer per execution: totals, elapsed wall time, cells/sec, kernel
-    fallback tally, and the run's merged metrics registry dump — which is
-    what ``repro obs export`` renders as OpenMetrics text after the fact.
+    One footer per execution: totals, elapsed wall time, cells/sec, and the
+    run's merged metrics registry dump — which is what ``repro obs export``
+    renders as OpenMetrics text after the fact.  (Older footers also carry
+    a ``kernel_fallbacks`` tally.)
 
 Writes are **append-only and atomic per line**: each record is a single
 ``os.write`` to an ``O_APPEND`` descriptor, so concurrent writers (several
@@ -38,7 +39,10 @@ the torn line first: the same single write carries ``\n\n`` before the
 record, so the torn line ends and a blank line marks it.  The reader skips
 an unparseable line only when it is the last line or a blank line follows
 it; a journal written whole never holds a blank line, so corruption
-anywhere else still raises.
+anywhere else still raises.  Appenders in one process (``repro serve``'s
+request journal and its sweeps' journals share one file) hold one lock
+across the tail check and the write, so none takes another's line in
+flight for a torn one.
 Like all of ``repro.obs`` the journal is opt-in and operational-only:
 nothing here feeds result records, so simulation output stays bit-identical
 with telemetry on or off.
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -58,7 +63,6 @@ from repro.obs.hostinfo import host_metadata
 from repro.obs.traceevent import SchemaError, validate_payload
 
 __all__ = [
-    "JOURNAL_NAME",
     "SCHEMA_PATH",
     "SCHEMA_VERSION",
     "TelemetryJournal",
@@ -77,14 +81,14 @@ __all__ = [
     "parse_openmetrics",
 ]
 
-#: journal filename, created next to the campaign store's ``campaign.json``
-JOURNAL_NAME = "telemetry.jsonl"
-
 #: the checked-in schema every journal line must satisfy
 SCHEMA_PATH = Path(__file__).parent / "telemetry_record.schema.json"
 
 #: current journal record schema version (stamped into ``run_start``)
 SCHEMA_VERSION = 1
+
+#: held across an append's torn-tail check and its write
+_APPEND_LOCK = threading.Lock()
 
 
 def load_schema(path: Union[str, Path] = SCHEMA_PATH) -> dict:
@@ -126,12 +130,13 @@ class TelemetryJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            size = os.fstat(fd).st_size
-            if size and os.pread(fd, 1, size - 1) != b"\n":
-                # A crashed append left a torn last line: end it and mark it
-                # with a blank line, in the same write as this record.
-                data = b"\n\n" + data
-            os.write(fd, data)
+            with _APPEND_LOCK:
+                size = os.fstat(fd).st_size
+                if size and os.pread(fd, 1, size - 1) != b"\n":
+                    # A crashed append left a torn last line: end it and mark
+                    # it with a blank line, in the same write as this record.
+                    data = b"\n\n" + data
+                os.write(fd, data)
         finally:
             os.close(fd)
         self.records_written += 1
@@ -239,19 +244,6 @@ class JournalRun:
         """Cells this run actually simulated (store hits excluded)."""
         return [cell for cell in self.cells if cell.get("source") == "computed"]
 
-    def kernel_fallback_count(self) -> int:
-        """Total kernel fallbacks across the run (footer tally, else cells).
-
-        Current sweeps never fall back (a collector, the one reason, is
-        rejected) and write neither field; older journals still count.
-        """
-        tally = (self.footer or {}).get("kernel_fallbacks")
-        if isinstance(tally, dict):
-            return sum(int(v) for v in tally.values())
-        return sum(
-            1 for cell in self.computed_cells if cell.get("kernel_fallback_reason")
-        )
-
 
 def read_journal(path: Union[str, Path]) -> List[dict]:
     """Every parseable record in a journal file, in file order.
@@ -286,19 +278,19 @@ def resolve_journal(path: Union[str, Path]) -> Path:
     journal sits next to ``campaign.json``), or a path ending in the
     journal name that does not exist yet — the CLI reports that cleanly.
     """
+    # Imported here: repro.campaign's package init imports the executor,
+    # which imports this module.
+    from repro.campaign.backends import journal_path, parse_store_url
+
     telemetry = getattr(path, "telemetry_path", None)
     if telemetry is not None:
         return Path(telemetry)
     text = str(path)
-    if text.startswith("sqlite:"):
-        db = Path(text[len("sqlite:"):])
-        return db.with_name(db.name + ".telemetry.jsonl")
-    if text.startswith("json:"):
-        return Path(text[len("json:"):]) / JOURNAL_NAME
-    candidate = Path(text)
-    if candidate.is_dir():
-        return candidate / JOURNAL_NAME
-    return candidate
+    if text.startswith(("json:", "sqlite:")):
+        return journal_path(*parse_store_url(text))
+    if Path(text).is_dir():
+        return journal_path("json", text)
+    return Path(text)
 
 
 def load_runs(path: Union[str, Path]) -> List[JournalRun]:
@@ -349,7 +341,7 @@ def resolve_run(runs: List[JournalRun], token: str) -> JournalRun:
 # Queries (repro obs history / compare / cells / export)
 # ----------------------------------------------------------------------
 def format_history(runs: List[JournalRun]) -> str:
-    """Tabulate every run in the journal: when, host, totals, rate, fallbacks."""
+    """Tabulate every run in the journal: when, host, totals, rate."""
     from repro.analysis.reporting import format_table
 
     if not runs:
@@ -372,12 +364,10 @@ def format_history(runs: List[JournalRun]) -> str:
                 footer.get("cells_computed", len(run.computed_cells)),
                 footer.get("cells_skipped", "?"),
                 f"{rate:.2f}" if isinstance(rate, (int, float)) else "?",
-                run.kernel_fallback_count(),
             ]
         )
     return format_table(
-        ["run", "started", "host", "computed", "skipped", "cells/s", "fallbacks"],
-        rows,
+        ["run", "started", "host", "computed", "skipped", "cells/s"], rows
     )
 
 
@@ -487,15 +477,11 @@ def format_cells(run: JournalRun, cells: List[dict]) -> str:
             cell.get("config", "?"),
             f"{float(cell.get('wall_seconds', 0.0)) * 1000.0:.1f}",
             cell.get("worker_pid", "?"),
-            cell.get("kernel_used", "?"),
-            cell.get("kernel_fallback_reason") or "-",
         ]
         for cell in cells
     ]
     header = f"run {run.run_id}: {len(cells)} slowest computed cells"
-    return header + "\n" + format_table(
-        ["benchmark", "config", "ms", "pid", "kernel", "fallback"], rows
-    )
+    return header + "\n" + format_table(["benchmark", "config", "ms", "pid"], rows)
 
 
 # ----------------------------------------------------------------------

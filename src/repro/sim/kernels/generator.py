@@ -10,12 +10,12 @@ Python module whose single entry point::
 is equivalent to the event-driven pipeline loop of
 :meth:`repro.cpu.pipeline.OutOfOrderPipeline._run_event_driven` with the
 interface tick, the acceptance checks and the stat accounting *fused in* and
-specialized for that one configuration.  Retire is transcribed from the
-generic loop; fetch, commit, the ready queue and issue are not (generator
-v12).  The ROB is a window of seqs and one heap holds every ready seq
-(:func:`_loop_head`), and issue does work proportional to what can issue
-(:func:`_issue_stage`).  Equivalence arguments in those docstrings and the
-differential tests, which also compare every clock jump, hold them to it:
+specialized for that one configuration.  Both hold their ready seqs in
+one heap, but a kernel keeps its own completion queue, its ROB is a window
+of seqs (:func:`_loop_head`), and its issue stage does work proportional to
+what can issue (:func:`_issue_stage`).  Equivalence arguments in those
+docstrings and the differential tests, which also compare every clock
+jump, hold them to it:
 
 * config-dependent branches are resolved at generation time (interface kind,
   MALEC way determination on/off, merge granularity, TLB/cache geometry,
@@ -92,7 +92,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 13
+GENERATOR_VERSION = 14
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -379,9 +379,16 @@ def _prologue(spec: dict) -> str:
 
 
 def _loop_head(spec: dict) -> str:
-    """Loop state and the retire stage, which is transcribed from
-    ``_run_event_driven``; fetch, commit and the ready queue are not:
+    """Loop state and the retire stage, which hold the generic loop's
+    facts in other shapes:
 
+    * **Completions.**  The generic loop keeps one heap of ``(cycle,
+      seq)``.  A kernel appends those due next cycle to ``due_next`` and
+      files later ones in a calendar queue: per-cycle buckets plus a
+      min-heap with one entry per bucket cycle, so loads completing
+      together cost one heap push.  Retiring a cycle's completions in any
+      order is equivalent: each only wakes consumers onto the ready heap,
+      which issues in seq order.
     * **The ROB is the seq window** ``[rob_head, fetch_seq)``.  ``seqs``
       is a step-1 ``range`` (a guard checks it), and fetch and commit
       both go in seq order, so the generic ``rob_q`` holds exactly the
@@ -389,15 +396,9 @@ def _loop_head(spec: dict) -> str:
       ``committed`` is ``rob_head - seqs.start``.  ``completed_f`` has a
       spare byte and nothing at or past ``fetch_seq`` has completed, so
       ``completed_f[rob_head]`` is the generic ``rob_q and
-      completed_f[rob_q[0]]``.  ``produced`` mirrored ``completed_f``.
-    * **One ready heap.**  Fetch pushes the seqs ready at dispatch onto
-      the wake heap instead of a FIFO beside it.  A fetched seq exceeds
-      every dispatched one, so the push never sifts, and the heap pops
-      the smallest ready seq first, as the generic FIFO-heap merge does.
+      completed_f[rob_q[0]]``.
     * ``NEVER`` is an int above any seq or cycle, so the issue merge and
-      the clock jump compare ints only.  ``pipeline.cycles`` is the clock
-      itself: each iteration and each jump advance it as they advance
-      the generic ``cycles_counted``.
+      the clock jump compare ints only.
     """
     q = _quiescent_expr(spec)
     complete = """\
@@ -419,8 +420,8 @@ if waiting is not None:
     max_cycles = pipeline.max_cycles or (200 * total + 100000)
     heappush = heapq.heappush
     heappop = heapq.heappop
-    # Single-component EventWheel, inlined: per-cycle buckets + a min-heap
-    # with one entry per distinct bucket cycle (see repro.sim.events).
+    # Completions later than next cycle: a calendar queue of per-cycle
+    # buckets and a min-heap with one entry per distinct bucket cycle.
     wheel_buckets = {{}}
     wheel_buckets_get = wheel_buckets.get
     wheel_buckets_pop = wheel_buckets.pop
@@ -476,11 +477,10 @@ def _issue_stage(spec: dict) -> str:
     """The issue stage, equivalent to the generic one but not transcribed:
     it never re-examines a memory op that cannot issue.
 
-    The generic stage merges its deferred list, the dispatch FIFO and the
-    wake heap by seq and pops every refused memory op again each cycle.
-    Here one heap holds the FIFO's seqs too (see :func:`_loop_head`), so
-    the merge takes the deferred list, the heap and one store candidate.
-    Two facts make most of the generic pops no-ops:
+    The generic stage merges its deferred list and the ready heap by seq
+    and pops every refused memory op again each cycle.  Here the merge
+    takes the deferred list, the heap and one store candidate.  Two facts
+    make most of the generic pops no-ops:
 
     * stores claim store-buffer entries in program order, so only
       ``store_order[store_order_head]`` can issue.  Refusing any other store
@@ -695,7 +695,7 @@ def _cold_params(spec: dict) -> str:
     loop, and the objects the rest of their structures hang off."""
     extra = {"wt": "way_tables, uwt,", "wdu": "wdu_table, wdu_touch, wdu_capacity,"}
     lines = (
-        "stats, layout, max_address, utlb, utlb_referenced, utlb_ppages, tlb, translation,",
+        "layout, max_address, utlb, utlb_referenced, utlb_ppages, tlb, translation,",
         "bank_slot_of, bank_tags, bank_dirty, bank_stamps, bank_tick, l2,",
         extra.get(spec.get("way_determination"), ""),
     )
@@ -913,17 +913,13 @@ def _l2_miss(spec: dict) -> str:
     """``l2_miss(addr, line, dirty)``: ``L2Cache.access``'s miss of the line
     number ``line`` of ``addr`` on the flat columns: the DRAM read, the fill
     at the lowest of the set's stamps (``dirty`` for a write-back), and a
-    dirty victim's DRAM write at its own line address.  The ``dram.*``
-    names are interned at their first event of a run, as ``DRAMModel``
-    interns them, so the stats key order matches the generic loop's."""
+    dirty victim's DRAM write at its own line address."""
     sets, ways = _l2_geometry(spec)
     set_bits = sets.bit_length() - 1
     return f"""
     def l2_miss(addr, line, dirty):
         if addr >= dram_limit:
             dram_check(addr)
-        if not {_COLD['l2_miss']}:
-            stats.handle("dram.read")
         {_COLD['l2_miss']} += 1
         l2_set = line & {sets - 1}
         l2_base = l2_set * {ways}
@@ -941,8 +937,6 @@ def _l2_miss(spec: dict) -> str:
             l2_victim = ((l2_victim << {set_bits}) | l2_set) << {_bits(spec)['line']}
             if l2_victim >= dram_limit:
                 dram_check(l2_victim)
-            if not {_COLD['l2_writeback']}:
-                stats.handle("dram.write")
             {_COLD['l2_writeback']} += 1"""
 
 
@@ -956,8 +950,6 @@ def _evict_listener(spec: dict) -> str:
         return f"""
 if vline in wdu_table:
     del wdu_table[vline]
-    if not {_COLD['wdu_invalidate']}:
-        stats.handle("wdu.invalidate")
     {_COLD['wdu_invalidate']} += 1"""
     if wd != "wt":
         return ""
@@ -1013,11 +1005,8 @@ wt_offset = way_tables._last_uwt_slot * {lpp}
 def _wdu_record(line: str, way: str, updates: str, evictions: str) -> str:
     """``WayDeterminationUnit.record`` of ``way`` for the line number
     ``line``, LRU eviction included, counted into ``updates`` and
-    ``evictions``: the hot feedback's or the cold fill listener's.  Each
-    interns the names at its own first event; the earlier interns them."""
+    ``evictions``: the hot feedback's or the cold fill listener's."""
     return f"""\
-if not {updates}:
-    stats.handle("wdu.update")
 {updates} += 1
 if {line} in wdu_table:
     wdu_table[{line}] = {way}
@@ -1025,8 +1014,6 @@ if {line} in wdu_table:
 else:
     if len(wdu_table) >= wdu_capacity:
         wdu_table.popitem(last=False)
-        if not {evictions}:
-            stats.handle("wdu.eviction")
         {evictions} += 1
     wdu_table[{line}] = {way}"""
 
@@ -1345,16 +1332,11 @@ def _wdu_predict(spec: dict) -> str:
     if spec["way_determination"] != "wdu":
         return ""
     text = f"""
-if not acc_wdu_lookup:
-    stats.handle("wdu.lookup")
-    stats.handle("way_pred.lookup")
 acc_wdu_lookup += 1
 wdu_line = physical_address >> {_bits(spec)["line"]}
 wdu_way = wdu_get(wdu_line)
 if wdu_way is not None:
     wdu_touch(wdu_line)
-    if not acc_wdu_known:
-        stats.handle("way_pred.known")
     acc_wdu_known += 1
     way_hint = wdu_way"""
     return _shift(text, 20)
@@ -1599,10 +1581,9 @@ def _flush_rows(spec: dict) -> list:
     that tuple, so a change to the model's accounting reaches the kernels
     unedited.  A row whose amount is not its guard carries a counter that
     the generic loop bumps, at times by zero, with the guard's event: it is
-    live exactly when that event happened.  The model interns some names
-    at their first event (``DRAMModel``'s and the WDU's ``stats.add``); the
-    kernel interns each at its own first event too, so the stats key order
-    matches, and their rows name them, to be added by name.  Guards are
+    live exactly when that event happened.  The model counts some events
+    by name (``DRAMModel``'s and the WDU's ``stats.add``), and their rows
+    name the counters, to be added by name.  Guards are
     expressions over hot accumulators and :data:`_COLD` slots, and no
     count is kept that others give: the L1 fills, L2 hits, DRAM reads and
     writes and the fills' uWT records flush from the misses.

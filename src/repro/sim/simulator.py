@@ -143,12 +143,8 @@ class Simulator:
         # so a sweep builds each cell shape's model once, not once per cell.
         self.energy_model = _energy_model_for(config)
         self.accountant = EnergyAccountant(self.energy_model)
-        #: kernel selection resolved by the last run() ("specialized"/"generic")
-        self.kernel_requested: Optional[str] = None
         #: whether the last run()'s measured pipeline executed a specialized kernel
         self.kernel_used = False
-        #: why the last run() fell back to the generic loop (None if it didn't)
-        self.kernel_fallback_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
     def _build_interface(self) -> BaseL1Interface:
@@ -179,41 +175,12 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _count_kernel_fallback(reason: str) -> None:
-        """Bump the ``kernel.fallback.<reason>`` counter iff metrics are on.
-
-        Lazy import: ``repro.obs`` pulls in this module (attribution), so a
-        top-level import would be circular — same idiom as the columnar
-        import in :meth:`run`.
-        """
-        from repro.obs import metrics as obs_metrics
-
-        if obs_metrics.enabled():
-            slug = reason.replace(" ", "_")
-            obs_metrics.registry.counter(f"kernel.fallback.{slug}").inc()
-
     def _kernel_entry(self, kernel: Optional[str], collector):
-        """Resolve the kernel selection and compile the entry point (or not).
-
-        Returns the compiled ``kernel_run`` callable, or ``None`` when the
-        generic loop should run — recording why in
-        ``kernel_fallback_reason`` so ``repro report`` can say so (and, with
-        metrics on, bumping ``kernel.fallback.<reason>`` so the observer
-        effect shows up in snapshots and telemetry journals too).
-        """
-        choice = resolve_kernel(kernel)
-        self.kernel_requested = choice
-        self.kernel_used = False
-        self.kernel_fallback_reason = None
-        if choice != "specialized":
-            return None
-        if collector is not None:
-            # Attribution instruments the generic loop's stages; specialized
-            # kernels have no per-stage hooks, so collector runs take the
-            # generic path (bit-identical results either way).
-            self.kernel_fallback_reason = "collector attached"
-            self._count_kernel_fallback(self.kernel_fallback_reason)
+        """The compiled ``kernel_run`` of this configuration, or ``None`` when
+        the generic loop runs: on request, or with a collector attached
+        (attribution instruments the generic loop's stages, which the
+        specialized kernels do not have; results are bit-identical)."""
+        if resolve_kernel(kernel) != "specialized" or collector is not None:
             return None
         return compile_kernel(self.config).entry
 
@@ -247,13 +214,12 @@ class Simulator:
         * ``kernel="specialized"`` (the default) runs a per-configuration
           generated kernel — the event-driven loop fused with the interface
           tick and batched stat accounting (see :mod:`repro.sim.kernels`);
-          ``"generic"`` keeps the interpreted loop as the oracle.  Results
-          are bit-identical either way.
+          ``"generic"`` runs the interpreted loop, the oracle the kernels
+          are held to.  Results are bit-identical either way.
         * ``collector`` attaches a :class:`repro.obs.collector.RunCollector`
           to the *measured* pipeline (warm-up cycles are discarded from
           results, so they are excluded from attribution too).  Observation
-          is strictly additive; collector runs fall back to the generic loop
-          and record why in ``kernel_fallback_reason``.
+          is strictly additive; collector runs take the generic loop.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must lie in [0, 1)")
@@ -265,6 +231,7 @@ class Simulator:
             options = RunOptions()
         collector = options.collector
         entry = self._kernel_entry(options.kernel, collector)
+        self.kernel_used = False
         view = as_columnar(trace)
         view.precompute_decompositions(self.config.cache.layout)
         total = len(view)

@@ -156,10 +156,11 @@ class StatCounters:
         )
 
     def as_dict(self) -> Dict[str, float]:
-        """Snapshot of all live counters as a plain dictionary (the flush)."""
+        """Snapshot of all live counters as a plain dictionary (the flush),
+        in name order: the order a result read back from a store has."""
         return {
             name: self._values[slot]
-            for slot, name in enumerate(self._names)
+            for name, slot in sorted(self._index.items())
             if self._live[slot]
         }
 

@@ -66,6 +66,12 @@ class TestExecutorOptions:
         with pytest.raises(ValueError, match="not both"):
             ParallelExecutor(jobs=1, options=RunOptions(jobs=2))
 
+    @pytest.mark.parametrize("kernel", ["generic", "quantum"])
+    def test_executor_runs_only_the_specialized_kernel(self, kernel):
+        with pytest.raises(ValueError, match="Simulator.run"):
+            ParallelExecutor(options=RunOptions(kernel=kernel))
+        assert ParallelExecutor(options=RunOptions(kernel="specialized", jobs=1))
+
     def test_executor_options_store_url(self, tmp_path):
         executor = ParallelExecutor(
             options=RunOptions(jobs=1, store=f"json:{tmp_path / 'store'}")

@@ -35,7 +35,7 @@ from repro.campaign.store import (
 from repro.obs import metrics as obs_metrics
 from repro.obs.telemetry import TelemetryJournal
 from repro.sim.config import MalecParameters, SimulationConfig
-from repro.sim.simulator import run_configuration
+from repro.sim.simulator import Simulator, run_configuration
 from repro.workloads.suites import benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -241,6 +241,22 @@ class TestExecutor:
         with pytest.raises(ValueError):
             ParallelExecutor(jobs=0)
 
+    def test_every_cell_runs_the_specialized_kernel(self, monkeypatch):
+        # Campaigns have no kernel choice: each cell of a serial fig4-mini
+        # sweep runs on its configuration's specialized kernel.
+        used = []
+        run = Simulator.run
+
+        def recording_run(simulator, *args, **kwargs):
+            result = run(simulator, *args, **kwargs)
+            used.append(simulator.kernel_used)
+            return result
+
+        monkeypatch.setattr(Simulator, "run", recording_run)
+        spec = replace(campaign_preset("fig4-mini"), instructions=300)
+        ParallelExecutor(jobs=1).run(spec)
+        assert used == [True] * len(spec.cells())
+
     def test_pool_workers_inherit_the_parents_kernels(self, tmp_path, monkeypatch):
         # The parent compiles every kernel before the pool forks, so the
         # workers' initializer prewarm only hits the inherited cache: every
@@ -282,10 +298,10 @@ from repro.campaign.store import result_to_dict
 parent = os.getpid()
 execute_cell = executor_mod._execute_cell
 
-def die_in_workers(cell, kernel):
+def die_in_workers(cell):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
-    return execute_cell(cell, kernel)
+    return execute_cell(cell)
 
 executor_mod._execute_cell = die_in_workers
 executor = executor_mod.ParallelExecutor(jobs=2)
@@ -326,11 +342,11 @@ from repro.campaign.spec import campaign_preset
 parent = os.getpid()
 execute_cell = executor_mod._execute_cell
 
-def stall_in_workers(cell, kernel):
+def stall_in_workers(cell):
     first = cell.benchmark == "gzip" and cell.config.name == "Base1ldst"
     if os.getpid() != parent and not first:
         time.sleep(600)
-    return execute_cell(cell, kernel)
+    return execute_cell(cell)
 
 def interrupt(event, cell, done, total):
     raise KeyboardInterrupt
@@ -372,10 +388,10 @@ class TestWriteErrors:
         execute_cell = executor_mod._execute_cell
         late_cells = []
 
-        def execute_in_order(cell, kernel):
+        def execute_in_order(cell):
             if len(writes) >= 4:
                 late_cells.append(cell)
-            return execute_cell(cell, kernel)
+            return execute_cell(cell)
 
         warnings = []
         monkeypatch.setattr(owner, method, fill_the_disk_on_the_fourth)

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 import subprocess
+import sys
+import threading
 
 import pytest
 
-from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import campaign_preset
 from repro.campaign.store import ResultStore
@@ -33,13 +34,9 @@ from repro.obs import hostinfo
 from repro.obs import metrics as obs_metrics
 from repro.obs import logs as obs_logs
 from repro.obs import telemetry
-from repro.obs.collector import RunCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import TelemetryJournal
 from repro.sim.config import SimulationConfig
-from repro.sim.simulator import run_configuration
-from repro.workloads.suites import benchmark_profile
-from repro.workloads.synthetic import generate_trace
 
 INSTRUCTIONS = 400
 
@@ -190,9 +187,6 @@ class TestJournal:
             wall_seconds=0.25,
             worker_pid=123,
             source="computed",
-            kernel="specialized",
-            kernel_used=True,
-            kernel_fallback_reason="",
             # written by journals from before the single run path; the
             # schema keeps both optional so old journals still validate
             scheduler="event",
@@ -227,29 +221,75 @@ class TestJournal:
         assert run.footer["cells_per_sec"] == 4.0
         assert len(run.cells) == 2
         assert [c["key"] for c in run.computed_cells] == ["abc"]
-        assert run.kernel_fallback_count() == 0
 
-    def test_old_style_fallback_tally_still_reads(self, tmp_path):
-        # Sweeps used to tally kernel fallbacks in the footer; the schema
-        # keeps the field optional, so such journals still load and count.
+    def test_old_kernel_fields_still_load(self, tmp_path, capsys):
+        # Sweeps used to journal each cell's kernel and its fallback reason
+        # and to tally fallbacks in the footer; the schema keeps the fields
+        # optional, so such journals still load, validate and print.
         path = tmp_path / "telemetry.jsonl"
         journal = TelemetryJournal(path)
-        journal.run_start("fig4-mini", cells_total=0, jobs=1)
+        journal.run_start("fig4-mini", cells_total=1, jobs=1)
+        journal.cell(
+            key="abc",
+            benchmark="gzip",
+            config="MALEC",
+            wall_seconds=0.25,
+            worker_pid=123,
+            source="computed",
+            kernel="specialized",
+            kernel_used=False,
+            kernel_fallback_reason="collector attached",
+        )
         footer = {
             "record": "run_end",
             "run_id": journal.run_id,
-            "cells_total": 0,
-            "cells_computed": 0,
+            "cells_total": 1,
+            "cells_computed": 1,
             "cells_skipped": 0,
             "elapsed_seconds": 0.5,
-            "cells_per_sec": 0.0,
+            "cells_per_sec": 2.0,
             "kernel_fallbacks": {"collector attached": 1},
         }
         with path.open("a") as handle:
             handle.write(json.dumps(footer) + "\n")
         assert telemetry._journal_schema_errors(path) == []
         (run,) = telemetry.load_runs(path)
-        assert run.kernel_fallback_count() == 1
+        assert [cell["key"] for cell in run.computed_cells] == ["abc"]
+        assert main(["obs", "history", str(path)]) == 0
+        assert main(["obs", "cells", str(path)]) == 0
+        assert "MALEC" in capsys.readouterr().out
+
+    def test_threads_appending_to_one_journal_write_no_blank_line(self, tmp_path):
+        # repro serve appends request records on a handler thread while a
+        # sweep appends on its worker thread, to one file.  Neither may
+        # take the other's line in flight for a torn tail.
+        path = tmp_path / "telemetry.jsonl"
+
+        def append(name):
+            journal = TelemetryJournal(path)
+            for index in range(1000):
+                journal.serve_request("GET", f"/{name}/" + "x" * (200 + index % 900), 200, 0.0)
+
+        threads = [threading.Thread(target=append, args=(name,)) for name in "ab"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2000 and all(lines)
+
+    @pytest.mark.parametrize("scheme", ("json", "sqlite"))
+    def test_resolve_journal_follows_the_store(self, tmp_path, scheme):
+        url = f"{scheme}:{tmp_path / 'store'}"
+        store = ResultStore(url)
+        assert telemetry.resolve_journal(url) == store.telemetry_path
+        store.close()
 
     def test_truncated_final_line_is_tolerated(self, tmp_path):
         path = tmp_path / "telemetry.jsonl"
@@ -393,16 +433,10 @@ class TestExecutorTelemetry:
         assert isinstance(run.footer["metrics"], dict)
         assert len(run.computed_cells) == 15
         cell = run.computed_cells[0]
-        for field in (
-            "key",
-            "config_hash",
-            "wall_seconds",
-            "worker_pid",
-            "kernel",
-            "kernel_used",
-        ):
+        for field in ("key", "config_hash", "wall_seconds", "worker_pid"):
             assert field in cell
-        assert "scheduler" not in cell and "frontend" not in cell
+        for field in ("kernel", "kernel_used", "scheduler", "frontend"):
+            assert field not in cell
 
         # Resume: the footer counts the store hits; no cell record repeats them.
         executor2 = ParallelExecutor(jobs=2, store=store)
@@ -482,18 +516,6 @@ class TestKernelCounters:
             kernels._CACHE.clear()
             kernels._CACHE.update(saved)
 
-    def test_collector_fallback_counter(self):
-        trace = generate_trace(benchmark_profile("gzip"), instructions=INSTRUCTIONS)
-        obs_metrics.enable()
-        run_configuration(
-            SimulationConfig.malec(),
-            trace,
-            warmup_fraction=0.25,
-            options=RunOptions(collector=RunCollector(), kernel="specialized"),
-        )
-        snapshot = obs_metrics.registry.snapshot()
-        assert snapshot["kernel.fallback.collector_attached"] == 1
-
 
 # ----------------------------------------------------------------------
 # repro obs CLI
@@ -515,9 +537,6 @@ def _write_comparable_journal(
                 wall_seconds=seconds,
                 worker_pid=1,
                 source="computed",
-                kernel="specialized",
-                kernel_used=True,
-                kernel_fallback_reason="",
             )
         registry = MetricsRegistry()
         registry.counter("campaign.cells_completed").inc(len(cells))
