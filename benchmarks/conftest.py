@@ -14,17 +14,11 @@ the regenerated tables).
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.analysis.experiments import ExperimentResults
 from repro.campaign import CampaignSpec, ParallelExecutor
 from repro.sim.config import SimulationConfig
-
-#: worker processes for the Fig. 4 sweep (results are bit-identical either
-#: way; set e.g. REPRO_BENCH_JOBS=4 to shorten the harness wall-clock)
-BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 #: representative benchmarks per suite (kept small so the harness stays fast;
 #: extend to repro.workloads.ALL_BENCHMARKS for a full sweep)
@@ -54,4 +48,4 @@ def figure4_results() -> ExperimentResults:
         instructions=TRACE_INSTRUCTIONS,
         warmup_fraction=WARMUP_FRACTION,
     )
-    return ParallelExecutor(jobs=BENCH_JOBS).run(spec)
+    return ParallelExecutor(jobs=1).run(spec)

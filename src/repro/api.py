@@ -25,7 +25,7 @@ run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["RunOptions"]
@@ -35,9 +35,8 @@ __all__ = ["RunOptions"]
 class RunOptions:
     """Everything that configures a simulation run, in one object.
 
-    ``None`` fields mean "use the built-in default"; :meth:`resolved_kernel`
-    applies the default and validates the name, raising ``ValueError`` on
-    a bad one.
+    ``None`` fields mean "use the built-in default".  A bad kernel name
+    raises ``ValueError`` when the run starts.
     """
 
     #: hot-loop kernel: ``"specialized"`` (default) or ``"generic"``
@@ -50,21 +49,3 @@ class RunOptions:
     #: result store: a store URL (``json:dir`` / ``sqlite:db``), a bare
     #: directory path, a live ``ResultStore``, or ``None`` (no persistence)
     store: Any = None
-
-    # ------------------------------------------------------------------
-    def resolved_kernel(self) -> str:
-        """The effective kernel name (validated)."""
-        from repro.sim.kernels import resolve_kernel
-
-        return resolve_kernel(self.kernel)
-
-    def open_store(self):
-        """The live :class:`~repro.campaign.store.ResultStore` this run
-        persists to, or ``None``.  Accepts every ``store=`` spelling."""
-        from repro.campaign.store import open_store
-
-        return open_store(self.store)
-
-    def with_overrides(self, **fields: Any) -> "RunOptions":
-        """A copy with the given fields replaced."""
-        return replace(self, **fields)

@@ -46,6 +46,7 @@ from repro.campaign.spec import CampaignCell, CampaignSpec
 from repro.campaign.store import (
     ResultStore,
     StoreWriteError,
+    open_store,
     result_from_dict,
     result_to_dict,
 )
@@ -260,7 +261,7 @@ class ParallelExecutor:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.store = options.open_store()
+        self.store = open_store(options.store)
         self.progress = progress
         self.trace_log = trace_log
         self.journal = journal

@@ -5,8 +5,10 @@ the top-level ``README.md`` for a full walk-through and the campaign
 directory layout):
 
 ``compare``
-    Run one benchmark through a chosen set of configurations and print
-    normalized execution time and energy (the quickstart as a command).
+    Run one benchmark through Base1ldst, Base2ld1st and MALEC and print
+    normalized execution time and energy (the quickstart as a command).  The
+    three cells run through the campaign engine, serially, on the traces
+    ``figure4`` uses.
 
 ``figure4``
     Sweep the five Fig. 4 configurations over one or more benchmarks and
@@ -75,6 +77,11 @@ wall-clock campaign spans (per-worker cell execution, DSE rung boundaries)
 as Chrome trace-event JSON.  Interactive terminals get a self-updating
 progress line on ``sweep``/``dse``/``figure4``.
 
+Each sub-command's handler is bound to its parser with ``set_defaults``.  A
+handler reports a bad invocation by raising :class:`UsageError`; :func:`main`
+turns it, and an unsupported store URL, into ``repro: <reason>`` on stderr
+and exit status 2, with no traceback.
+
 Examples::
 
     python -m repro compare gzip
@@ -105,13 +112,15 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.analysis.locality import PageLocalityAnalyzer
 from repro.analysis.reporting import format_frontier, format_table, frontier_csv
 from repro.api import RunOptions
 from repro.campaign.aggregate import summarize_results, summarize_store
+from repro.campaign.backends import parse_store_url
 from repro.campaign.executor import ParallelExecutor, cell_trace
 from repro.campaign.spec import PRESET_NAMES, CampaignSpec, campaign_preset
 from repro.campaign.store import StoreURLError, open_store
@@ -124,6 +133,7 @@ from repro.dse.objectives import (
 from repro.dse.space import SPACE_PRESET_NAMES, space_preset
 from repro.dse.strategies import STRATEGY_NAMES
 from repro.obs import metrics as obs_metrics
+from repro.obs import telemetry
 from repro.obs.attribution import attribute_run, format_attribution
 from repro.obs.collector import RunCollector
 from repro.obs.logs import configure as configure_logging
@@ -132,10 +142,9 @@ from repro.obs.progress import make_progress
 from repro.obs.traceevent import TraceEventLog
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import run_configuration
-from repro.workloads.binfmt import TraceFormatError, dump_rtrc
+from repro.workloads.binfmt import dump_rtrc
 from repro.workloads.ingest import (
     TRACE_FORMATS,
-    TraceParseError,
     dump_jsonl,
     interleave,
     load_trace,
@@ -147,7 +156,28 @@ from repro.workloads.registry import register_trace
 from repro.workloads.suites import EXTENDED_BENCHMARKS, benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
-_FIG4_ORDER = ["Base1ldst", "Base2ld1st_1cycleL1", "Base2ld1st", "MALEC", "MALEC_3cycleL1"]
+#: the five Fig. 4 configurations by name, in the figure's column order
+_FIG4_SUITE = {config.name: config for config in SimulationConfig.figure4_suite()}
+
+#: unreadable or malformed trace input (``TraceParseError`` and
+#: ``TraceFormatError`` subclass ``ValueError``)
+_TRACE_ERRORS = (OSError, ValueError)
+
+
+class UsageError(Exception):
+    """A bad invocation: :func:`main` prints ``repro: <message>`` to stderr
+    and returns exit status 2, with no traceback."""
+
+
+@contextmanager
+def _usage_errors(*errors: type) -> Iterator[None]:
+    """Re-raise ``errors`` from the block as :class:`UsageError`, keeping the
+    message (a ``KeyError``'s without the quotes ``str`` adds)."""
+    try:
+        yield
+    except errors as error:
+        message = error.args[0] if isinstance(error, KeyError) else str(error)
+        raise UsageError(message) from None
 
 
 def _positive_int(text: str) -> int:
@@ -192,6 +222,47 @@ def _add_trace_file_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_campaign_options(
+    parser: argparse.ArgumentParser, *flags: str, noun: str = "preset"
+) -> None:
+    """Add the named flags that ``sweep``, ``dse`` and ``figure4`` share, in
+    the order given; ``noun`` names what ``--benchmarks``, ``--instructions``
+    and ``--warmup`` override (a campaign preset or a search space)."""
+    options = {
+        "--benchmarks": dict(
+            nargs="+",
+            choices=sorted(EXTENDED_BENCHMARKS),
+            default=None,
+            help=f"restrict the {noun} to these benchmarks (default: the {noun}'s own)",
+        ),
+        "--instructions": dict(
+            type=_positive_int,
+            default=None,
+            help=f"override the {noun}'s per-benchmark trace length",
+        ),
+        "--warmup": dict(
+            type=_warmup_fraction,
+            default=None,
+            help=f"override the {noun}'s warm-up fraction",
+        ),
+        "--jobs": dict(
+            type=_positive_int,
+            default=None,
+            help="worker processes (default: one per CPU core)",
+        ),
+        "--quiet": dict(action="store_true", help="suppress per-cell progress output"),
+        "--trace-out": dict(
+            default=None,
+            metavar="FILE",
+            help="export per-worker cell spans (and dse's batch/rung "
+            "boundaries) as Chrome trace-event JSON (open in Perfetto / "
+            "chrome://tracing)",
+        ),
+    }
+    for flag in flags:
+        parser.add_argument(flag, **options[flag])
+
+
 def _add_transform_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--window",
@@ -218,8 +289,7 @@ def _add_transform_options(parser: argparse.ArgumentParser) -> None:
 def _parse_window(text: str):
     """``START:STOP`` -> (start, stop); STOP may be empty (end of trace).
 
-    Raises ``ValueError`` (a usage error: callers print the message and
-    exit 2, never a traceback).
+    Raises ``ValueError``, which ``ingest convert`` reports as a usage error.
     """
     start_text, _, stop_text = text.partition(":")
     try:
@@ -244,27 +314,42 @@ def _apply_transforms(trace, args):
     return trace
 
 
-def _register_trace_files(paths) -> List[str]:
-    """Load and register every ``--trace-file``; returns the workload names."""
-    names: List[str] = []
-    for path in paths:
-        handle = register_trace(load_trace(path))
-        names.append(handle.name)
-        print(f"ingested {path} as {handle.name} ({handle.length} instr)", file=sys.stderr)
-    return names
+def _workloads(args: argparse.Namespace) -> Optional[List[str]]:
+    """The named benchmarks plus every ``--trace-file``, loaded and registered.
 
-
-def _merge_workloads(benchmarks, trace_files) -> Optional[List[str]]:
-    """Combine ``--benchmarks``/positional names with ``--trace-file`` traces.
-
-    Returns ``None`` to keep the preset's own grid (nothing was selected);
-    otherwise the explicit workload list — ingested traces replace the grid
-    when they are the only selection.
+    Returns ``None`` when nothing was selected (a preset or space keeps its
+    own benchmarks); ingested traces run alone when no benchmark is named.
     """
-    trace_names = _register_trace_files(trace_files or [])
-    if benchmarks is None and not trace_names:
-        return None
-    return list(benchmarks or []) + trace_names
+    names = list(args.benchmarks or [])
+    with _usage_errors(*_TRACE_ERRORS):
+        for path in args.trace_files or []:
+            handle = register_trace(load_trace(path))
+            names.append(handle.name)
+            print(f"ingested {path} as {handle.name} ({handle.length} instr)", file=sys.stderr)
+    return names or None
+
+
+def _fig4_config(name: str) -> SimulationConfig:
+    """The Fig. 4 configuration called ``name``."""
+    if name not in _FIG4_SUITE:
+        raise UsageError(
+            f"unknown configuration {name!r}; choose from {', '.join(_FIG4_SUITE)}"
+        )
+    return _FIG4_SUITE[name]
+
+
+def _campaign(name: str, configurations, workloads, args) -> CampaignSpec:
+    """The campaign of ``configurations`` x ``workloads`` at the invocation's
+    ``--instructions`` and ``--warmup``; an unknown workload or a repeated
+    configuration is a usage error."""
+    with _usage_errors(KeyError, ValueError):
+        return CampaignSpec(
+            name=name,
+            configurations=tuple(configurations),
+            benchmarks=tuple(workloads),
+            instructions=args.instructions,
+            warmup_fraction=args.warmup,
+        )
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
@@ -319,6 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("benchmark", choices=sorted(EXTENDED_BENCHMARKS))
     _add_common_options(compare)
+    compare.set_defaults(handler=_cmd_compare)
 
     figure4 = commands.add_parser(
         "figure4", help="run the five Fig. 4 configurations over benchmarks"
@@ -333,13 +419,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"benchmark profiles from `repro list` (e.g. {', '.join(sorted(EXTENDED_BENCHMARKS)[:3])}, ...)",
     )
     _add_common_options(figure4)
-    figure4.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker processes for the sweep (default: one per CPU core)",
-    )
+    _add_campaign_options(figure4, "--jobs")
     _add_trace_file_option(figure4)
+    figure4.set_defaults(handler=_cmd_figure4)
 
     sweep = commands.add_parser(
         "sweep", help="run a campaign preset through the parallel sweep engine"
@@ -351,31 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="preset",
         help=f"campaign preset: one of {', '.join(PRESET_NAMES)}",
     )
-    sweep.add_argument(
-        "--benchmarks",
-        nargs="+",
-        choices=sorted(EXTENDED_BENCHMARKS),
-        default=None,
-        help="restrict the preset to these benchmarks (default: preset's grid)",
-    )
-    sweep.add_argument(
-        "--instructions",
-        type=_positive_int,
-        default=None,
-        help="override the preset's per-benchmark trace length",
-    )
-    sweep.add_argument(
-        "--warmup",
-        type=_warmup_fraction,
-        default=None,
-        help="override the preset's warm-up fraction",
-    )
-    sweep.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker processes for the sweep (default: one per CPU core)",
-    )
+    _add_campaign_options(sweep, "--benchmarks", "--instructions", "--warmup", "--jobs")
     sweep.add_argument(
         "--store",
         default=None,
@@ -383,16 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"{_STORE_HELP}; completed cells persist and re-runs resume "
         "(default: in-memory only)",
     )
-    sweep.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress output"
-    )
-    sweep.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="export per-worker cell-execution spans as Chrome trace-event "
-        "JSON (open in Perfetto / chrome://tracing)",
-    )
+    _add_campaign_options(sweep, "--quiet", "--trace-out")
     sweep.add_argument(
         "--journal",
         default=None,
@@ -402,6 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "automatically when both --store and --metrics are given)",
     )
     _add_trace_file_option(sweep)
+    sweep.set_defaults(handler=_cmd_sweep)
 
     dse = commands.add_parser(
         "dse",
@@ -434,30 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated minimized objectives, from: "
         f"{', '.join(OBJECTIVE_NAMES)} (default: %(default)s)",
     )
-    dse.add_argument(
-        "--benchmarks",
-        nargs="+",
-        choices=sorted(EXTENDED_BENCHMARKS),
-        default=None,
-        help="restrict the space to these benchmarks (default: space's subset)",
-    )
-    dse.add_argument(
-        "--instructions",
-        type=_positive_int,
-        default=None,
-        help="override the space's full-length trace size",
-    )
-    dse.add_argument(
-        "--warmup",
-        type=_warmup_fraction,
-        default=None,
-        help="override the space's warm-up fraction",
-    )
-    dse.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker processes for the evaluations (default: one per CPU core)",
+    _add_campaign_options(
+        dse, "--benchmarks", "--instructions", "--warmup", "--jobs", noun="space"
     )
     dse.add_argument(
         "--seed",
@@ -480,17 +508,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the frontier as CSV to FILE "
         "(default: <store dir>/frontier.csv when --store is given)",
     )
-    dse.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress output"
-    )
-    dse.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE",
-        help="export batch/rung boundaries and per-worker cell spans as "
-        "Chrome trace-event JSON (open in Perfetto / chrome://tracing)",
-    )
+    _add_campaign_options(dse, "--quiet", "--trace-out")
     _add_trace_file_option(dse)
+    dse.set_defaults(handler=_cmd_dse)
 
     ingest = commands.add_parser(
         "ingest", help="convert, inspect and combine externally captured traces"
@@ -519,6 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--name", default=None, help="trace name embedded in the output"
     )
     _add_transform_options(convert)
+    convert.set_defaults(handler=_cmd_convert)
 
     inspect = ingest_commands.add_parser(
         "inspect", help="print a trace's statistics and content fingerprint"
@@ -530,6 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="input format (default: sniffed from each file extension)",
     )
+    inspect.set_defaults(handler=_cmd_inspect)
 
     interleave_cmd = ingest_commands.add_parser(
         "interleave",
@@ -548,12 +570,14 @@ def _build_parser() -> argparse.ArgumentParser:
     interleave_cmd.add_argument(
         "--name", default=None, help="name of the merged trace (default: joined names)"
     )
+    interleave_cmd.set_defaults(handler=_cmd_interleave)
 
     locality = commands.add_parser(
         "locality", help="print Sec. III / Fig. 1 locality statistics"
     )
     locality.add_argument("benchmarks", nargs="+", choices=sorted(EXTENDED_BENCHMARKS))
     locality.add_argument("--instructions", type=_positive_int, default=5000)
+    locality.set_defaults(handler=_cmd_locality)
 
     obs = commands.add_parser(
         "obs", help="query the telemetry journals of a campaign store"
@@ -581,11 +605,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "history", help="tabulate every run recorded in the journal"
     )
     _obs_store_argument(obs_history)
+    obs_history.set_defaults(handler=_cmd_history)
 
     obs_compare = obs_commands.add_parser(
         "compare", help="per-cell wall-time deltas between two runs"
     )
     _obs_store_argument(obs_compare)
+    obs_compare.set_defaults(handler=_cmd_compare_runs)
     obs_compare.add_argument(
         "run_a", metavar="RUN_A", help="baseline run: id prefix, 'last' or 'prev'"
     )
@@ -609,6 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "cells", help="list the slowest computed cells of one run"
     )
     _obs_store_argument(obs_cells)
+    obs_cells.set_defaults(handler=_cmd_cells)
     obs_cells.add_argument(
         "--run",
         default="last",
@@ -628,6 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="render a run's merged metrics as OpenMetrics/Prometheus text",
     )
     _obs_store_argument(obs_export)
+    obs_export.set_defaults(handler=_cmd_export)
     obs_export.add_argument(
         "--run",
         default="last",
@@ -664,6 +692,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default worker processes per submitted sweep (a submission "
         "may override with its own \"jobs\" field)",
     )
+    serve.set_defaults(handler=_cmd_serve)
 
     report = commands.add_parser(
         "report",
@@ -682,7 +711,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="configs",
         metavar="NAME",
-        help=f"configuration(s) to run, from: {', '.join(_FIG4_ORDER)} "
+        help=f"configuration(s) to run, from: {', '.join(_FIG4_SUITE)} "
         "(repeatable; default: all five)",
     )
     _add_common_options(report)
@@ -713,9 +742,10 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="kernel_source",
         metavar="NAME",
         help="print the generated specialized-kernel source for the named "
-        f"configuration ({', '.join(_FIG4_ORDER)}) and exit",
+        f"configuration ({', '.join(_FIG4_SUITE)}) and exit",
     )
     _add_trace_file_option(report)
+    report.set_defaults(handler=_cmd_report)
 
     profile = commands.add_parser(
         "profile",
@@ -741,15 +771,17 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write collapsed stacks (flamegraph.pl / speedscope input)",
     )
+    profile.set_defaults(handler=_cmd_profile)
 
-    commands.add_parser("list", help="list the available benchmark profiles")
+    listing = commands.add_parser("list", help="list the available benchmark profiles")
+    listing.set_defaults(handler=_cmd_list)
     return parser
 
 
 # ----------------------------------------------------------------------
 # Sub-command implementations
 # ----------------------------------------------------------------------
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     rows = []
     for name in EXTENDED_BENCHMARKS:
         profile = benchmark_profile(name)
@@ -759,28 +791,25 @@ def _cmd_list() -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    trace = generate_trace(benchmark_profile(args.benchmark), instructions=args.instructions)
-    configurations = [
+    configurations = (
         SimulationConfig.base_1ldst(),
         SimulationConfig.base_2ld1st(),
         SimulationConfig.malec(),
+    )
+    spec = _campaign("compare", configurations, [args.benchmark], args)
+    results = ParallelExecutor(jobs=1).run(spec).runs[0].results
+    baseline = results[configurations[0].name]
+    rows = [
+        [
+            name,
+            result.cycles,
+            result.cycles / baseline.cycles,
+            result.energy.total_pj / baseline.energy.total_pj,
+            result.way_coverage,
+            result.merged_load_fraction,
+        ]
+        for name, result in results.items()
     ]
-    baseline = None
-    rows = []
-    for config in configurations:
-        result = run_configuration(config, trace, warmup_fraction=args.warmup)
-        if baseline is None:
-            baseline = result
-        rows.append(
-            [
-                config.name,
-                result.cycles,
-                result.cycles / baseline.cycles,
-                result.energy.total_pj / baseline.energy.total_pj,
-                result.way_coverage,
-                result.merged_load_fraction,
-            ]
-        )
     print(f"benchmark: {args.benchmark} ({args.instructions} instructions)")
     print(
         format_table(
@@ -800,28 +829,14 @@ def _write_trace_log(trace_log: Optional[TraceEventLog], path: Optional[str]) ->
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
+    with _usage_errors(KeyError):
         preset = campaign_preset(args.preset)
-    except KeyError as error:
-        # The raised message already names the valid presets; exit like any
-        # other usage error (2) instead of surfacing a traceback.
-        print(f"repro: {error.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        workloads = _merge_workloads(args.benchmarks, args.trace_files)
-    except (TraceParseError, TraceFormatError, OSError, ValueError) as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
     spec = preset.with_overrides(
-        benchmarks=workloads,
+        benchmarks=_workloads(args),
         instructions=args.instructions,
         warmup_fraction=args.warmup,
     )
-    try:
-        store = open_store(args.store)
-    except StoreURLError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
+    store = open_store(args.store)
     trace_log = TraceEventLog() if args.trace_out else None
     progress = make_progress(args.quiet)
 
@@ -869,35 +884,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dse(args: argparse.Namespace) -> int:
-    try:
+    with _usage_errors(KeyError):
         space = space_preset(args.space)
-    except KeyError as error:
-        print(f"repro: {error.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        workloads = _merge_workloads(args.benchmarks, args.trace_files)
-    except (TraceParseError, TraceFormatError, OSError, ValueError) as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
     space = space.with_overrides(
-        benchmarks=workloads,
+        benchmarks=_workloads(args),
         instructions=args.instructions,
         warmup_fraction=args.warmup,
     )
     objectives = tuple(key.strip() for key in args.objectives.split(",") if key.strip())
-    try:
-        # Usage errors only: validate the objective keys up front so that a
-        # ValueError escaping run_dse below is a genuine engine failure with
-        # a traceback, not a silent exit(2).
+    # Usage errors only: validate the objective keys up front so that a
+    # ValueError escaping run_dse below is a genuine engine failure with
+    # a traceback, not a silent exit(2).
+    with _usage_errors(ValueError):
         resolve_objectives(objectives)
-    except ValueError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
-    try:
-        store = open_store(args.store)
-    except StoreURLError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
+    store = open_store(args.store)
     trace_log = TraceEventLog() if args.trace_out else None
     progress = make_progress(args.quiet)
     result = run_dse(
@@ -942,25 +942,10 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure4(args: argparse.Namespace) -> int:
-    try:
-        workloads = _merge_workloads(args.benchmarks or None, args.trace_files)
-    except (TraceParseError, TraceFormatError, OSError, ValueError) as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
+    workloads = _workloads(args)
     if not workloads:
-        print("repro: figure4 needs benchmark names and/or --trace-file", file=sys.stderr)
-        return 2
-    try:
-        spec = CampaignSpec(
-            name="figure4",
-            configurations=tuple(SimulationConfig.figure4_suite()),
-            benchmarks=tuple(workloads),
-            instructions=args.instructions,
-            warmup_fraction=args.warmup,
-        )
-    except KeyError as error:
-        print(f"repro: {error.args[0]}", file=sys.stderr)
-        return 2
+        raise UsageError("figure4 needs benchmark names and/or --trace-file")
+    spec = _campaign("figure4", _FIG4_SUITE.values(), workloads, args)
     # Interactive-only progress: non-TTY figure4 output stays exactly the
     # final table, as before (fallback_lines=False).
     progress = make_progress(fallback_lines=False)
@@ -972,16 +957,16 @@ def _cmd_figure4(args: argparse.Namespace) -> int:
         energy = run.normalized_energy("Base1ldst")
         rows.append(
             [run.benchmark]
-            + [cycles[name] for name in _FIG4_ORDER]
+            + [cycles[name] for name in _FIG4_SUITE]
             + [energy["MALEC"]["total"]]
         )
     geomean = results.geomean_normalized_cycles("Base1ldst")
-    rows.append(["geo. mean"] + [geomean[name] for name in _FIG4_ORDER] + [
+    rows.append(["geo. mean"] + [geomean[name] for name in _FIG4_SUITE] + [
         results.geomean_normalized_energy("Base1ldst")["MALEC"]
     ])
     print(
         format_table(
-            ["benchmark"] + _FIG4_ORDER + ["MALEC energy"],
+            ["benchmark"] + list(_FIG4_SUITE) + ["MALEC energy"],
             rows,
         )
     )
@@ -1005,41 +990,35 @@ def _write_trace(trace, output: Path) -> None:
         dump_rtrc(trace, output)
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    try:
-        if args.ingest_command == "convert":
-            trace = load_trace(args.input, fmt=args.format, name=args.name)
-            trace = _apply_transforms(trace, args)
-            output = (
-                Path(args.output) if args.output else _default_convert_output(args.input)
-            )
-            output.parent.mkdir(parents=True, exist_ok=True)
-            _write_trace(trace, output)
-            print(
-                f"wrote {output}: {trace.summary()}\n"
-                f"fingerprint {trace.fingerprint()}"
-            )
-            return 0
-        if args.ingest_command == "inspect":
-            for path in args.inputs:
-                trace = load_trace(path, fmt=args.format)
-                print(f"{path}: {trace.summary()}")
-                print(f"  fingerprint {trace.fingerprint()}")
-            return 0
-        if args.ingest_command == "interleave":
-            traces = [load_trace(path) for path in args.inputs]
-            merged = interleave(traces, granularity=args.granularity, name=args.name)
-            output = Path(args.output)
-            output.parent.mkdir(parents=True, exist_ok=True)
-            _write_trace(merged, output)
-            print(f"wrote {output}: {merged.summary()}")
-            return 0
-    except (TraceParseError, TraceFormatError, OSError, ValueError) as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
-    raise AssertionError(
-        f"unhandled ingest command {args.ingest_command!r}"
-    )  # pragma: no cover
+@_usage_errors(*_TRACE_ERRORS)
+def _cmd_convert(args: argparse.Namespace) -> int:
+    trace = load_trace(args.input, fmt=args.format, name=args.name)
+    trace = _apply_transforms(trace, args)
+    output = Path(args.output) if args.output else _default_convert_output(args.input)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    _write_trace(trace, output)
+    print(f"wrote {output}: {trace.summary()}\nfingerprint {trace.fingerprint()}")
+    return 0
+
+
+@_usage_errors(*_TRACE_ERRORS)
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    for path in args.inputs:
+        trace = load_trace(path, fmt=args.format)
+        print(f"{path}: {trace.summary()}")
+        print(f"  fingerprint {trace.fingerprint()}")
+    return 0
+
+
+@_usage_errors(*_TRACE_ERRORS)
+def _cmd_interleave(args: argparse.Namespace) -> int:
+    traces = [load_trace(path) for path in args.inputs]
+    merged = interleave(traces, granularity=args.granularity, name=args.name)
+    output = Path(args.output)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    _write_trace(merged, output)
+    print(f"wrote {output}: {merged.summary()}")
+    return 0
 
 
 def _cmd_locality(args: argparse.Namespace) -> int:
@@ -1067,49 +1046,14 @@ _REPORT_BENCHMARKS = ("gzip", "swim", "djpeg")
 
 def _cmd_report(args: argparse.Namespace) -> int:
     if args.kernel_source is not None:
-        suite = {config.name: config for config in SimulationConfig.figure4_suite()}
-        if args.kernel_source not in suite:
-            print(
-                f"repro: unknown configuration {args.kernel_source!r}; choose "
-                f"from {', '.join(_FIG4_ORDER)}",
-                file=sys.stderr,
-            )
-            return 2
         # Imported lazily: the generator is only needed for this debug dump.
         from repro.sim.kernels import kernel_source
 
-        print(kernel_source(suite[args.kernel_source]), end="")
+        print(kernel_source(_fig4_config(args.kernel_source)), end="")
         return 0
-    try:
-        workloads = _merge_workloads(args.benchmarks or None, args.trace_files)
-    except (TraceParseError, TraceFormatError, OSError, ValueError) as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
-    if not workloads:
-        workloads = list(_REPORT_BENCHMARKS)
-    suite = {config.name: config for config in SimulationConfig.figure4_suite()}
-    config_names = args.configs if args.configs else list(_FIG4_ORDER)
-    configs = []
-    for name in config_names:
-        if name not in suite:
-            print(
-                f"repro: unknown configuration {name!r}; choose from "
-                f"{', '.join(_FIG4_ORDER)}",
-                file=sys.stderr,
-            )
-            return 2
-        configs.append(suite[name])
-    try:
-        spec = CampaignSpec(
-            name="report",
-            configurations=tuple(configs),
-            benchmarks=tuple(workloads),
-            instructions=args.instructions,
-            warmup_fraction=args.warmup,
-        )
-    except (KeyError, ValueError) as error:
-        print(f"repro: {error.args[0]}", file=sys.stderr)
-        return 2
+    workloads = _workloads(args) or _REPORT_BENCHMARKS
+    configs = [_fig4_config(name) for name in args.configs or _FIG4_SUITE]
+    spec = _campaign("report", configs, workloads, args)
 
     # Attribution needs per-cycle collector callbacks the fused kernels do
     # not emit, so these runs always take the generic interpreter path.
@@ -1168,82 +1112,69 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    # Imported lazily: journal queries never need the simulator stack warm.
-    from repro.obs import telemetry
-
+@contextmanager
+def _journal_runs(args: argparse.Namespace) -> Iterator[List[telemetry.JournalRun]]:
+    """The runs of the journal an ``obs`` command names, by either store
+    spelling; a ``ValueError`` in the block (an unknown or ambiguous run
+    token, a malformed dump) is a usage error."""
     if args.store is not None and args.store_url is not None:
-        print(
-            "repro: pass the store positionally or with --store, not both",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError("pass the store positionally or with --store, not both")
     target = args.store_url if args.store_url is not None else args.store
     if target is None:
-        print("repro: obs needs a store (STORE argument or --store URL)", file=sys.stderr)
-        return 2
+        raise UsageError("obs needs a store (STORE argument or --store URL)")
     if args.store_url is not None or re.match(r"^[A-Za-z][A-Za-z0-9+.-]*:", target):
         # URL spelling: validate the scheme so a typo exits 2 with the
         # supported list instead of "no telemetry journal at bogus:...".
-        from repro.campaign.backends import parse_store_url
-
-        try:
-            parse_store_url(target)
-        except StoreURLError as error:
-            print(f"repro: {error}", file=sys.stderr)
-            return 2
+        parse_store_url(target)
     journal_path = telemetry.resolve_journal(target)
     if not journal_path.exists():
-        print(
-            f"repro: no telemetry journal at {journal_path} (run a sweep "
-            "with --metrics and --store, or --journal, first)",
-            file=sys.stderr,
+        raise UsageError(
+            f"no telemetry journal at {journal_path} (run a sweep "
+            "with --metrics and --store, or --journal, first)"
         )
-        return 2
     try:
         runs = telemetry.load_runs(journal_path)
     except (OSError, ValueError) as error:
-        print(f"repro: cannot read {journal_path}: {error}", file=sys.stderr)
-        return 2
-    try:
-        if args.obs_command == "history":
-            print(telemetry.format_history(runs))
-            return 0
-        if args.obs_command == "compare":
-            comparison = telemetry.compare_runs(
-                telemetry.resolve_run(runs, args.run_a),
-                telemetry.resolve_run(runs, args.run_b),
-                threshold_pct=args.threshold,
-            )
-            print(telemetry.format_compare(comparison))
-            if args.check and comparison["regressions"]:
-                return 1
-            return 0
-        if args.obs_command == "cells":
-            run = telemetry.resolve_run(runs, args.run)
-            print(telemetry.format_cells(run, telemetry.slowest_cells(run, args.slowest)))
-            return 0
-        if args.obs_command == "export":
-            run = telemetry.resolve_run(runs, args.run)
-            dump = (run.footer or {}).get("metrics")
-            if not isinstance(dump, dict):
-                print(
-                    f"repro: run {run.run_id} recorded no metrics dump "
-                    "(the sweep ran without --metrics)",
-                    file=sys.stderr,
-                )
-                return 2
-            from repro.obs.metrics import render_openmetrics
+        raise UsageError(f"cannot read {journal_path}: {error}") from None
+    with _usage_errors(ValueError):
+        yield runs
 
-            print(render_openmetrics(dump), end="")
-            return 0
-    except ValueError as error:
-        # Unknown/ambiguous run tokens and malformed dumps are usage errors.
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
-    raise AssertionError(
-        f"unhandled obs command {args.obs_command!r}"
-    )  # pragma: no cover
+
+def _cmd_history(args: argparse.Namespace) -> int:
+    with _journal_runs(args) as runs:
+        print(telemetry.format_history(runs))
+    return 0
+
+
+def _cmd_compare_runs(args: argparse.Namespace) -> int:
+    with _journal_runs(args) as runs:
+        comparison = telemetry.compare_runs(
+            telemetry.resolve_run(runs, args.run_a),
+            telemetry.resolve_run(runs, args.run_b),
+            threshold_pct=args.threshold,
+        )
+        print(telemetry.format_compare(comparison))
+    return 1 if args.check and comparison["regressions"] else 0
+
+
+def _cmd_cells(args: argparse.Namespace) -> int:
+    with _journal_runs(args) as runs:
+        run = telemetry.resolve_run(runs, args.run)
+        print(telemetry.format_cells(run, telemetry.slowest_cells(run, args.slowest)))
+    return 0
+
+
+def _cmd_export(args: argparse.Namespace) -> int:
+    with _journal_runs(args) as runs:
+        run = telemetry.resolve_run(runs, args.run)
+        dump = (run.footer or {}).get("metrics")
+        if not isinstance(dump, dict):
+            raise UsageError(
+                f"run {run.run_id} recorded no metrics dump "
+                "(the sweep ran without --metrics)"
+            )
+        print(obs_metrics.render_openmetrics(dump), end="")
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1254,14 +1185,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = ReproServer(
             args.store, host=args.host, port=args.port, jobs=args.jobs
         )
-    except StoreURLError as error:
-        print(f"repro: {error}", file=sys.stderr)
-        return 2
     except OSError as error:
-        print(
-            f"repro: cannot bind {args.host}:{args.port}: {error}", file=sys.stderr
-        )
-        return 2
+        raise UsageError(f"cannot bind {args.host}:{args.port}: {error}") from None
     print(f"repro serve: listening on {server.url} (store {server.store.url})")
     print(
         "endpoints: POST /api/v1/campaigns, GET /api/v1/campaigns/<id>"
@@ -1288,34 +1213,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "figure4":
-        return _cmd_figure4(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "dse":
-        return _cmd_dse(args)
-    if args.command == "ingest":
-        return _cmd_ingest(args)
-    if args.command == "locality":
-        return _cmd_locality(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point used by ``python -m repro`` and the console script."""
+    """Entry point used by ``python -m repro`` and the console script.
+
+    The one place a usage error ends: a :class:`UsageError` from a handler,
+    or a :class:`StoreURLError` from an unsupported ``--store`` scheme,
+    prints ``repro: <message>`` to stderr and returns 2.
+    """
     args = _build_parser().parse_args(argv)
     configure_logging(
         verbose=args.verbose, quiet=args.log_quiet, json_lines=args.log_json
@@ -1324,7 +1228,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         obs_metrics.enable()
     try:
         with run_context(args.command):
-            return _dispatch(args)
+            return args.handler(args)
+    except (UsageError, StoreURLError) as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 2
     finally:
         if args.metrics:
             print(

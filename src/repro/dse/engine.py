@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.campaign.backends import atomic_write_text
 from repro.campaign.executor import ParallelExecutor, ProgressCallback
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import ResultStore, open_store
+from repro.campaign.store import ResultStore
 from repro.dse.objectives import DEFAULT_OBJECTIVES, Objective, resolve_objectives
 from repro.dse.pareto import ParetoPoint, frontier_and_ranks
 from repro.dse.space import SearchSpace, format_value
@@ -47,7 +47,11 @@ class Evaluator:
     """Turns (space indices, trace length) into evaluated candidates.
 
     One evaluator is shared by all rungs of a search, accumulating the
-    simulated/resumed cell counts across batches.
+    simulated/resumed cell counts across batches.  Every batch runs on its
+    one :class:`~repro.campaign.executor.ParallelExecutor`, which opens the
+    store once, so the batches of a search write through one
+    :class:`ResultStore`: the JSON backend's manifest conflict detection is
+    per writer, and they are the same writer.
     """
 
     def __init__(
@@ -61,13 +65,9 @@ class Evaluator:
     ) -> None:
         self.space = space
         self.objectives = tuple(objectives)
-        self.jobs = jobs
-        # Coerce store URLs ("json:dir", "sqlite:file.db", bare paths) up
-        # front so every batch reuses ONE ResultStore instance: the JSON
-        # backend's manifest conflict detection is per-writer, and the
-        # batches of a single search are intentionally the same writer.
-        self.store = open_store(store)
-        self.progress = progress
+        self.executor = ParallelExecutor(
+            jobs=jobs, store=store, progress=progress, trace_log=trace_log
+        )
         #: optional TraceEventLog: each batch becomes a span on the parent's
         #: track (its boundary doubles as the halving-rung marker) and the
         #: executor adds per-worker cell spans inside it
@@ -96,12 +96,7 @@ class Evaluator:
             warmup_fraction=space.warmup_fraction,
             seed=space.seed,
         )
-        executor = ParallelExecutor(
-            jobs=self.jobs,
-            store=self.store,
-            progress=self.progress,
-            trace_log=self.trace_log,
-        )
+        executor = self.executor
         batch_start = time.time()
         results = executor.run(spec)
         batch_end = time.time()
@@ -284,7 +279,7 @@ def run_dse(
         cells_simulated=evaluator.simulated,
         cells_resumed=evaluator.resumed,
     )
-    store = evaluator.store
+    store = evaluator.executor.store
     if store is not None:
         atomic_write_text(
             store.root / "dse.json",

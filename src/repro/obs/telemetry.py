@@ -39,10 +39,14 @@ the torn line first: the same single write carries ``\n\n`` before the
 record, so the torn line ends and a blank line marks it.  The reader skips
 an unparseable line only when it is the last line or a blank line follows
 it; a journal written whole never holds a blank line, so corruption
-anywhere else still raises.  Appenders in one process (``repro serve``'s
-request journal and its sweeps' journals share one file) hold one lock
-across the tail check and the write, so none takes another's line in
-flight for a torn one.
+anywhere else still raises.  Every append holds an exclusive ``flock`` on
+its own descriptor across the tail check and the write, so no appender
+takes another's line in flight for a torn one: not another thread
+(``repro serve``'s request journal and its sweeps' journals share one
+file), nor another process (two sweeps on one store).  The append unlocks
+before it closes the descriptor, because a process forked mid-append (a
+pool worker of ``repro serve``) keeps a copy of it, and the lock would
+last as long as that copy.
 Like all of ``repro.obs`` the journal is opt-in and operational-only:
 nothing here feeds result records, so simulation output stays bit-identical
 with telemetry on or off.
@@ -50,9 +54,9 @@ with telemetry on or off.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -86,9 +90,6 @@ SCHEMA_PATH = Path(__file__).parent / "telemetry_record.schema.json"
 
 #: current journal record schema version (stamped into ``run_start``)
 SCHEMA_VERSION = 1
-
-#: held across an append's torn-tail check and its write
-_APPEND_LOCK = threading.Lock()
 
 
 def load_schema(path: Union[str, Path] = SCHEMA_PATH) -> dict:
@@ -130,14 +131,20 @@ class TelemetryJournal:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(str(self.path), os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
         try:
-            with _APPEND_LOCK:
-                size = os.fstat(fd).st_size
-                if size and os.pread(fd, 1, size - 1) != b"\n":
-                    # A crashed append left a torn last line: end it and mark
-                    # it with a blank line, in the same write as this record.
-                    data = b"\n\n" + data
-                os.write(fd, data)
+            # Each appender locks its own descriptor, so this excludes other
+            # threads and other processes alike.
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            size = os.fstat(fd).st_size
+            if size and os.pread(fd, 1, size - 1) != b"\n":
+                # A crashed append left a torn last line: end it and mark
+                # it with a blank line, in the same write as this record.
+                data = b"\n\n" + data
+            os.write(fd, data)
         finally:
+            # Unlock before closing: a child forked meanwhile (a pool worker
+            # of repro serve) holds a copy of this descriptor, and a flock
+            # lasts until the last copy closes.
+            fcntl.flock(fd, fcntl.LOCK_UN)
             os.close(fd)
         self.records_written += 1
 

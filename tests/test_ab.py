@@ -145,17 +145,28 @@ def fake_driver(tmp_path, monkeypatch):
     return trees
 
 
-def test_driver_records_matching_trees(tmp_path, fake_driver):
+@pytest.mark.parametrize(
+    "workloads, name",
+    [
+        (["fig4-sim"], "AB_base000_head000_fig4-sim.json"),
+        (["dse-halving", "sweep-json"], "AB_base000_head000_sweep-json+dse-halving.json"),
+        ([], "AB_base000_head000.json"),
+    ],
+    ids=["one-workload", "two-in-benchmark-order", "all-workloads"],
+)
+def test_driver_records_matching_trees(tmp_path, fake_driver, workloads, name):
     fake_driver["base"] = _fake_tree(tmp_path / "base")
     fake_driver["head"] = _fake_tree(tmp_path / "head")
-    argv = ["base", "head", "--workload", "fig4-sim", "--pairs", "2", "--seconds", "1"]
-    assert ab.main(argv) == 0
-    record = json.loads((tmp_path / "records" / "AB_base000_head000.json").read_text())
-    measured = record["workloads"]["fig4-sim"]
-    assert [run["first"] for run in measured["runs"]] == ["base", "head"]
-    cpu = measured["metrics"]["cpu_s"]
-    assert cpu["ratio"]["interval"] == [1.0, 1.0]
-    assert cpu["wins"] == {"head": 0, "base": 0}
+    flags = [flag for workload in workloads for flag in ("--workload", workload)]
+    assert ab.main(["base", "head", *flags, "--pairs", "2", "--seconds", "1"]) == 0
+    assert [path.name for path in (tmp_path / "records").iterdir()] == [name]
+    record = json.loads((tmp_path / "records" / name).read_text())
+    assert sorted(record["workloads"]) == sorted(workloads or ab.WORKLOADS)
+    for measured in record["workloads"].values():
+        assert [run["first"] for run in measured["runs"]] == ["base", "head"]
+        cpu = measured["metrics"]["cpu_s"]
+        assert cpu["ratio"]["interval"] == [1.0, 1.0]
+        assert cpu["wins"] == {"head": 0, "base": 0}
     assert record["regressions"] == []
 
 
@@ -184,7 +195,7 @@ def test_a_head_past_its_limit_fails_the_driver_and_is_recorded(tmp_path, fake_d
     fake_driver["head"] = _fake_tree(tmp_path / "head", cpu_s=4.5 * 1.25)
     argv = ["base", "head", "--workload", "sweep-json", "--pairs", "2", "--seconds", "1"]
     assert ab.main(argv) == 1
-    record = json.loads((tmp_path / "records" / "AB_base000_head000.json").read_text())
+    record = json.loads((tmp_path / "records" / "AB_base000_head000_sweep-json.json").read_text())
     assert record["regressions"] == ["sweep-json cpu_s"]
     assert "wholly above its limit: sweep-json cpu_s" in capsys.readouterr().err
 
@@ -193,7 +204,7 @@ def test_head_defaults_to_the_working_tree(tmp_path, fake_driver, monkeypatch):
     fake_driver["base"] = _fake_tree(tmp_path / "base")
     monkeypatch.setattr(ab, "ROOT", _fake_tree(tmp_path / "worktree"))
     assert ab.main(["base", "--workload", "fig4-sim", "--pairs", "1", "--seconds", "1"]) == 0
-    record = json.loads((tmp_path / "records" / "AB_base000_worktree.json").read_text())
+    record = json.loads((tmp_path / "records" / "AB_base000_worktree_fig4-sim.json").read_text())
     assert record["head"]["revision"] == "worktree"
     runs = (tmp_path / "runs.log").read_text().splitlines()
     assert sorted(line.split()[0] for line in runs) == ["base", "worktree"]

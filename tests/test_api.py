@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.api`: RunOptions resolution, ``options=`` as the
+"""Tests for :mod:`repro.api`: RunOptions' fields, ``options=`` as the
 only run keyword, and the executor's options=/keyword exclusivity rule."""
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 import repro
 from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
-from repro.campaign.store import ResultStore
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator, run_configuration
 from repro.workloads.suites import benchmark_profile
@@ -22,29 +21,16 @@ from repro.workloads.synthetic import generate_trace
 
 
 class TestRunOptions:
-    def test_defaults_resolve(self):
-        assert RunOptions().resolved_kernel() == "specialized"
-
     def test_fields(self):
         names = [field.name for field in dataclasses.fields(RunOptions)]
         assert names == ["kernel", "collector", "jobs", "store"]
 
     def test_bad_kernel_is_loud(self):
+        trace = generate_trace(benchmark_profile("gzip"), 200)
         with pytest.raises(ValueError, match="kernel"):
-            RunOptions(kernel="quantum").resolved_kernel()
-
-    def test_with_overrides(self):
-        options = RunOptions(kernel="generic")
-        bumped = options.with_overrides(jobs=4)
-        assert bumped.kernel == "generic" and bumped.jobs == 4
-        assert options.jobs is None  # frozen original untouched
-
-    def test_open_store_from_url(self, tmp_path):
-        options = RunOptions(store=f"sqlite:{tmp_path / 's.db'}")
-        store = options.open_store()
-        assert isinstance(store, ResultStore)
-        store.close()
-        assert RunOptions().open_store() is None
+            run_configuration(
+                SimulationConfig.base_1ldst(), trace, options=RunOptions(kernel="quantum")
+            )
 
 
 class TestSimulatorOptions:

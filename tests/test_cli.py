@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _build_parser, main
+from repro.obs.telemetry import TelemetryJournal
 from repro.workloads.columnar import ColumnarTrace
 from repro.workloads.ingest import load_trace
 from repro.workloads.registry import clear_registry
@@ -218,6 +219,49 @@ class TestCli:
         assert "cumulative" in output
         assert f"collapsed stacks written to {target}" in output
         assert target.read_text()
+
+
+class TestUsageErrors:
+    """Bad invocations end in one ``repro: <reason>`` on stderr and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["report", "--kernel-source", "NOPE"], "unknown configuration 'NOPE'"),
+            (["report", "gzip", "--config", "NOPE"], "unknown configuration 'NOPE'"),
+            (["sweep", "fig4-mini", "--store", "bogus:x"], "unsupported store scheme 'bogus'"),
+            (["dse", "malec-mini", "--store", "bogus:x"], "unsupported store scheme 'bogus'"),
+            (["serve", "--store", "bogus:x"], "unsupported store scheme 'bogus'"),
+            (["obs", "history", "--store", "bogus:x"], "unsupported store scheme 'bogus'"),
+            (["obs", "history"], "obs needs a store"),
+            (["obs", "history", "{tmp}", "--store", "{tmp}"], "not both"),
+            (["obs", "export", "{tmp}/telemetry.jsonl"], "recorded no metrics dump"),
+            (["ingest", "inspect", "{tmp}/nope.rtrc"], "nope.rtrc"),
+            (["ingest", "interleave", "{tmp}/nope.rtrc", "-o", "{tmp}/mix.rtrc"], "nope.rtrc"),
+        ],
+        ids=[
+            "kernel-source",
+            "report-config",
+            "sweep-store",
+            "dse-store",
+            "serve-store",
+            "obs-store",
+            "obs-no-store",
+            "obs-two-stores",
+            "obs-export-no-metrics",
+            "inspect-missing",
+            "interleave-missing",
+        ],
+    )
+    def test_exits_2_without_a_traceback(self, argv, reason, tmp_path, capsys):
+        journal = TelemetryJournal(tmp_path / "telemetry.jsonl")
+        journal.run_start("fig4-mini", cells_total=0, jobs=1)
+        journal.run_end(cells_computed=0, cells_skipped=0, elapsed_seconds=0.0)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: ") and reason in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestIngestCli:

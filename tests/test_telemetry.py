@@ -20,9 +20,12 @@ OpenMetrics exposition round-trip.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -54,6 +57,13 @@ def _isolate_obs_state():
 
 def _mini_spec():
     return campaign_preset("fig4-mini").with_overrides(instructions=INSTRUCTIONS)
+
+
+def _append_requests(path, name):
+    """Append 1,000 request records of 200 to 1,100 bytes to one journal."""
+    journal = TelemetryJournal(path)
+    for index in range(1000):
+        journal.serve_request("GET", f"/{name}/" + "x" * (200 + index % 900), 200, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -259,30 +269,64 @@ class TestJournal:
         assert main(["obs", "cells", str(path)]) == 0
         assert "MALEC" in capsys.readouterr().out
 
-    def test_threads_appending_to_one_journal_write_no_blank_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "start",
+        [threading.Thread, multiprocessing.get_context("fork").Process],
+        ids=["threads", "processes"],
+    )
+    def test_threads_appending_to_one_journal_write_no_blank_line(self, tmp_path, start):
         # repro serve appends request records on a handler thread while a
-        # sweep appends on its worker thread, to one file.  Neither may
-        # take the other's line in flight for a torn tail.
+        # sweep appends on its worker thread, to one file; two sweeps on one
+        # store append from two processes.  No appender may take another's
+        # line in flight for a torn tail.
         path = tmp_path / "telemetry.jsonl"
-
-        def append(name):
-            journal = TelemetryJournal(path)
-            for index in range(1000):
-                journal.serve_request("GET", f"/{name}/" + "x" * (200 + index % 900), 200, 0.0)
-
-        threads = [threading.Thread(target=append, args=(name,)) for name in "ab"]
+        workers = [start(target=_append_requests, args=(path, name)) for name in "ab"]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(worker.is_alive() for worker in workers)
         lines = path.read_text().splitlines()
         assert len(lines) == 2000 and all(lines)
+
+    def test_a_fork_during_an_append_does_not_keep_the_journal_locked(self, tmp_path):
+        # repro serve's executor forks pool workers while handler threads
+        # append.  A child forked mid-append keeps a copy of the locked
+        # descriptor for as long as it lives, so the next append must not
+        # wait on it.
+        path = tmp_path / "telemetry.jsonl"
+        journal = TelemetryJournal(path)
+        fork = multiprocessing.get_context("fork")
+        children = []
+        write = os.write
+
+        def write_and_fork(fd, data):
+            if not children:
+                children.append(fork.Process(target=time.sleep, args=(60,)))
+                children[0].start()
+            return write(fd, data)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "write", write_and_fork)
+            journal.serve_request("GET", "/a", 200, 0.0)
+        second = threading.Thread(
+            target=journal.serve_request, args=("GET", "/b", 200, 0.0), daemon=True
+        )
+        try:
+            second.start()
+            second.join(timeout=10)
+            assert not second.is_alive()
+        finally:
+            for child in children:
+                child.terminate()
+                child.join()
+            second.join()
+        assert len(path.read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("scheme", ("json", "sqlite"))
     def test_resolve_journal_follows_the_store(self, tmp_path, scheme):

@@ -24,10 +24,13 @@ and whether the claim rule of ``CONTRIBUTING.md`` holds: at least ten
 pairs, HEAD better in at least nine tenths of them, and the medians apart
 by more than BASE's interquartile distance.
 
-It writes one JSON record, ``benchmarks/perf/AB_<base>_<head>.json``, and
-exits 1 on a regression: a metric whose interval lies wholly above its
-limit, which is 1 + its bound, or 1.02 for fig4-sim ``cpu_s``, or one
-that BASE won in every pair with a median ratio above that limit.  With
+It writes one JSON record, ``benchmarks/perf/AB_<base>_<head>.json``; when
+``--workload`` narrows the run, the name ends in its workloads, in
+``BENCHMARK.json`` order joined by ``+`` (``AB_<base>_<head>_fig4-sim.json``),
+so records of other workloads keep their files.  It exits 1 on a
+regression: a metric whose interval lies wholly above its limit, which is
+1 + its bound, or 1.02 for fig4-sim ``cpu_s``, or one that BASE won in
+every pair with a median ratio above that limit.  With
 few pairs the interval runs from about the smallest ratio to the largest,
 so one lucky pair would keep the first rule open on its own.
 """
@@ -322,7 +325,11 @@ def main(argv=None):
     ]
     record["regressions"] = regressions
     RECORD_DIR.mkdir(parents=True, exist_ok=True)
-    path = RECORD_DIR / f"AB_{labels['base']}_{labels['head']}.json"
+    name = f"AB_{labels['base']}_{labels['head']}"
+    measured = [workload for workload in WORKLOADS if workload in workloads]
+    if len(measured) < len(WORKLOADS):
+        name += "_" + "+".join(measured)
+    path = RECORD_DIR / f"{name}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
     if regressions:
