@@ -13,23 +13,25 @@
   big-endian hosts fall back to one byteswapped ``array``).
 
 Every trace is born in this form.  :class:`TraceWriter` is the one
-encoder: the synthetic generator, the ingest parsers, the JSONL reader and
-the trace transforms append records to it, and :meth:`TraceWriter.finish`
-hands the packed ``.rtrc`` bytes to :meth:`ColumnarTrace.from_rtrc_bytes`,
-the one decoder.  Decoding costs a fixed number of bulk byte operations,
-which is what campaign pool workers pay on their first cell.
+encoder: the ingest parsers, the JSONL reader and the trace transforms
+append records to it one at a time, the synthetic generator hands it whole
+columns in one :meth:`TraceWriter.add_columns` call (packed by byte-lane
+slice assignment, the reverse of the decoder's lift), and
+:meth:`TraceWriter.finish` hands the packed ``.rtrc`` bytes to
+:meth:`ColumnarTrace.from_rtrc_bytes`, the one decoder.  Decoding costs a
+fixed number of bulk byte operations, which is what campaign pool workers
+pay on their first cell.
 
 Batched interpretation
 ----------------------
 The pipeline consumes the columns in bulk rather than record-at-a-time:
 
 * :meth:`ColumnarTrace.precompute_decompositions` range-checks the whole
-  address column against the layout with one ``max()``;
+  address column against the layout with one ``max()`` per trace, cached;
 * :meth:`ColumnarTrace.pipeline_arrays` classifies access kinds and resolves
   dependency distances to absolute producer seqs with column passes
-  (``bytes`` scans, ``array.tolist``, a regex run-finder over the non-zero
-  ``ndeps`` bytes) and is cached per view, shared by every configuration of
-  a sweep;
+  (``bytes`` scans, ``array.tolist``, one pass over the dependency pool) and
+  is cached per view, shared by every configuration of a sweep;
 * the pipeline walks sequence numbers as a ``range`` — no per-instruction
   attribute loads at fetch.
 
@@ -42,21 +44,22 @@ happens access-by-access inside the interfaces.
 
 The writer rejects a field that does not fit its ``.rtrc`` width (or a
 non-positive size or dependency distance) as it is appended, so a parser
-can name the offending input line.  The decoder validates every payload:
-truncated or oversized bodies, unknown kind codes, zero dependency
-distances, zero-size memory accesses and a dependency pool inconsistent
-with the per-record ``ndeps`` counts all raise
+can name the offending input line; :meth:`TraceWriter.add_columns` checks
+the widths column by column and names the offending record.  The decoder
+validates every payload: truncated or oversized bodies, unknown kind codes,
+zero dependency distances, zero-size memory accesses and a dependency pool
+inconsistent with the per-record ``ndeps`` counts all raise
 :class:`~repro.workloads.binfmt.TraceFormatError` with the offending
 record/entry in the message.
 """
 
 from __future__ import annotations
 
-import re
 import struct
 import sys
 from array import array
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import sub
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
@@ -77,9 +80,6 @@ _RECORD_SIZE = _RECORD.size
 
 #: kind codes are 0/1/2; anything else in the kinds column is corrupt
 _VALID_KINDS = b"\x00\x01\x02"
-
-#: finds runs of records that carry dependencies (non-zero ``ndeps`` bytes)
-_DEP_RUNS = re.compile(rb"[^\x00]+")
 
 _ZERO_U32 = b"\x00\x00\x00\x00"
 
@@ -139,6 +139,22 @@ def _width_error(kind, address, size, ndeps) -> str:
     return f"record fields not integers (kind={kind!r}, address={address!r}, size={size!r})"
 
 
+def _packed(typecode: str, values: Sequence[int], field: str, owner: str = "record") -> array:
+    """``values`` as an ``array(typecode)``, the width of their ``.rtrc`` field.
+
+    A value the width cannot hold raises
+    :class:`~repro.workloads.binfmt.TraceFormatError` naming its index.
+    """
+    try:
+        return array(typecode, values)
+    except OverflowError:
+        top = (1 << 8 * array(typecode).itemsize) - 1
+        index = next(i for i, value in enumerate(values) if not 0 <= value <= top)
+        raise TraceFormatError(
+            f"{owner} {index}: {field} {values[index]} outside the .rtrc range 0..{top}"
+        ) from None
+
+
 class TraceWriter:
     """Packs ``.rtrc`` records and the u32 dependency pool: the one encoder.
 
@@ -148,9 +164,11 @@ class TraceWriter:
     fit: more than 255 distances, a distance outside ``1..2**32-1``, a size
     outside ``0..65535`` (or below 1 for a load or store), an address outside
     ``0..2**64-1``.  The message names the field, not the record, so each
-    caller can point at its own input line.  :meth:`finish` hands the packed
-    bytes to :meth:`ColumnarTrace.from_rtrc_bytes`, which validates them once
-    more as a whole.
+    caller can point at its own input line.  :meth:`add_columns` appends
+    whole columns at once (the synthetic generator's one call).
+    :meth:`finish` hands the packed bytes to
+    :meth:`ColumnarTrace.from_rtrc_bytes`, which validates them once more as a
+    whole.
     """
 
     __slots__ = ("records", "deps")
@@ -177,6 +195,53 @@ class TraceWriter:
             raise TraceFormatError(_width_error(kind, address, size, len(deps))) from None
         if deps:
             self.deps.extend(deps)
+
+    def add_columns(
+        self,
+        kinds: Sequence[int],
+        ndeps: Sequence[int],
+        sizes: Sequence[int],
+        addresses: Sequence[int],
+        deps: Sequence[int],
+    ) -> None:
+        """Append whole columns: record ``i`` is ``kinds[i]``, ``ndeps[i]``,
+        ``sizes[i]`` and ``addresses[i]``, and ``deps`` holds every record's
+        backward distances in record order.
+
+        The records are packed by byte-lane slice assignment, the reverse of
+        :meth:`ColumnarTrace.from_rtrc_bytes`' lift.  Each column is checked
+        against its width as a whole: a kind code, distance count, size,
+        address or distance that does not fit raises
+        :class:`~repro.workloads.binfmt.TraceFormatError` naming the first
+        record (or pool entry) that holds it.  Unknown kind codes, zero
+        distances, zero-size loads and stores and a pool that disagrees with
+        ``ndeps`` fail in :meth:`finish`, which validates the whole trace.
+        """
+        count = len(kinds)
+        if not len(ndeps) == len(sizes) == len(addresses) == count:
+            raise TraceFormatError(
+                f"columns of unequal length: {count} kinds, {len(ndeps)} ndeps, "
+                f"{len(sizes)} sizes, {len(addresses)} addresses"
+            )
+        kinds = _packed("B", kinds, "kind code")
+        ndeps = _packed("B", ndeps, "dependency count")
+        sizes = _packed("H", sizes, "size")
+        addresses = _packed("Q", addresses, "address")
+        deps = _packed("I", deps, "distance", "dependency pool entry")
+        if sys.byteorder == "big":  # pragma: no cover - LE hosts everywhere we run
+            sizes.byteswap()
+            addresses.byteswap()
+        records = bytearray(count * _RECORD_SIZE)
+        records[0::_RECORD_SIZE] = kinds
+        records[1::_RECORD_SIZE] = ndeps
+        size_lanes = memoryview(sizes).cast("B")
+        records[2::_RECORD_SIZE] = size_lanes[0::2]
+        records[3::_RECORD_SIZE] = size_lanes[1::2]
+        address_lanes = memoryview(addresses).cast("B")
+        for lane in range(8):
+            records[4 + lane :: _RECORD_SIZE] = address_lanes[lane::8]
+        self.records += records
+        self.deps += deps
 
     def extend(self, trace: "ColumnarTrace", start: int, stop: int) -> None:
         """Append records ``[start, stop)`` of ``trace``, distances as they are."""
@@ -246,6 +311,7 @@ class ColumnarTrace:
         "_deps_bytes",
         "_dep_offsets",
         "_pipeline_arrays",
+        "_max_address",
         "_fingerprint",
     )
 
@@ -274,6 +340,7 @@ class ColumnarTrace:
         self._deps_bytes = deps_bytes
         self._dep_offsets = None
         self._pipeline_arrays = None
+        self._max_address = None
         self._fingerprint = None
 
     # ------------------------------------------------------------------
@@ -436,25 +503,20 @@ class ColumnarTrace:
 
         Built with column passes: the kinds column is reused as-is (``.rtrc``
         kind codes *are* the pipeline's 0/1/2 encoding), sizes/addresses
-        become plain lists in one ``tolist`` call each, and producer tuples
-        are resolved only for the records a C-level run-scan over the
-        ``ndeps`` bytes says carry dependencies.
+        become plain lists in one ``tolist`` call each, and producers resolve
+        in one pass over the dependency pool: each entry's owner record comes
+        from repeating every seq ``ndeps`` times, and a producer seq before
+        the trace start is dropped.
         """
         arrays = self._pipeline_arrays
         if arrays is None:
-            producers: List[Tuple[int, ...]] = [()] * len(self.kinds)
-            ndeps = self.ndeps
+            count = len(self.kinds)
+            producers: List[Tuple[int, ...]] = [()] * count
             if self._deps_bytes:
-                pool = self.deps_pool
-                offsets = self.dep_offsets()
-                for match in _DEP_RUNS.finditer(ndeps):
-                    for seq in range(match.start(), match.end()):
-                        base = offsets[seq]
-                        producers[seq] = tuple(
-                            seq - d
-                            for d in pool[base : base + ndeps[seq]]
-                            if d <= seq
-                        )
+                owners = list(chain.from_iterable(map(repeat, range(count), self.ndeps)))
+                for seq, producer in zip(owners, map(sub, owners, self.deps_pool)):
+                    if producer >= 0:
+                        producers[seq] += (producer,)
             arrays = self._pipeline_arrays = (
                 self.kinds,
                 self.addresses.tolist(),
@@ -467,16 +529,18 @@ class ColumnarTrace:
         """Range-check the address column against ``layout`` (default: the
         trace's own) and return the number of memory references.
 
-        One ``max()`` over the column: an address past ``max_address``
-        raises :meth:`AddressLayout.check`'s ``ValueError``, so
-        :meth:`repro.sim.simulator.Simulator.run` rejects such a trace before
-        it simulates (the column is unsigned, so no address is negative).
-        The name dates from when this call warmed a per-layout memo of
-        address decompositions; it stays because the perfbench tracer
-        (``perfbench/tracer.py``) times the call by name.
+        The column's ``max()`` is taken once per trace and cached: an address
+        past ``max_address`` raises :meth:`AddressLayout.check`'s
+        ``ValueError``, so :meth:`repro.sim.simulator.Simulator.run` rejects
+        such a trace before it simulates (the column is unsigned, so no
+        address is negative).  The name dates from when this call warmed a
+        per-layout memo of address decompositions; it stays because the
+        perfbench tracer (``perfbench/tracer.py``) times the call by name.
         """
-        target = layout if layout is not None else self.layout
-        target.check(max(self.addresses, default=0))
+        top = self._max_address
+        if top is None:
+            top = self._max_address = max(self.addresses, default=0)
+        (layout if layout is not None else self.layout).check(top)
         return len(self.kinds) - self.kinds.count(0)
 
     # ------------------------------------------------------------------

@@ -93,7 +93,7 @@ def register_trace(trace, name: Optional[str] = None) -> TraceHandle:
     )
     _TRACES[name] = trace
     _HANDLES[name] = handle
-    logger.info(
+    logger.debug(
         "registered trace %s (%d instructions, suite %s, %s)",
         name,
         handle.length,

@@ -376,6 +376,16 @@ class TestTraceFileSweeps:
         stdout = capsys.readouterr().out
         assert "sample@" in stdout and "geo. mean" in stdout
 
+    def test_a_trace_file_is_named_once_on_stderr(self, capsys):
+        argv = [
+            "figure4", "--trace-file", str(DATA / "sample.lackey"),
+            "--instructions", "400", "--jobs", "1",
+        ]
+        assert main(argv) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if "sample@" in line]
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"ingested {DATA / 'sample.lackey'} as sample@")
+
     def test_figure4_without_workloads_exits_2(self, capsys):
         assert main(["figure4"]) == 2
         assert "benchmark names and/or --trace-file" in capsys.readouterr().err

@@ -13,7 +13,9 @@ The structural guarantees the columnar trace view rests on:
   dependency distances and zero-size memory records are all rejected with
   a :class:`~repro.workloads.binfmt.TraceFormatError` naming the offender;
 * **bounds** — dependency distances reaching before the start of the trace
-  are dropped from producer tuples exactly like the object path drops them.
+  are dropped from producer tuples exactly like the object path drops them;
+* **bulk writing** — ``TraceWriter.add_columns`` packs the same bytes as
+  record-by-record ``add``.
 
 Each property is a plain checker driven by ``hypothesis`` when installed
 and by a seeded ``random`` sweep otherwise (the pattern of
@@ -56,8 +58,9 @@ def fallback_seeds():
     return pytest.mark.parametrize("seed", range(FALLBACK_CASES))
 
 
-def random_trace(seed: int, max_len: int = 60) -> MemoryTrace:
-    """A random but well-formed trace: mixed kinds, deps, odd sizes."""
+def random_trace(seed: int, max_len: int = 60, max_deps: int = 3) -> MemoryTrace:
+    """A random but well-formed trace: mixed kinds, up to ``max_deps``
+    distances a record, odd sizes."""
     rng = random.Random(seed)
     instructions = []
     for seq in range(rng.randint(1, max_len)):
@@ -65,7 +68,7 @@ def random_trace(seed: int, max_len: int = 60) -> MemoryTrace:
         deps = ()
         if seq and rng.random() < 0.4:
             deps = tuple(
-                rng.randint(1, seq) for _ in range(rng.randint(1, min(3, seq)))
+                rng.randint(1, seq) for _ in range(rng.randint(1, min(max_deps, seq)))
             )
         if roll < 0.4:
             instructions.append(Instruction(kind=InstructionKind.COMPUTE, deps=deps))
@@ -82,6 +85,19 @@ def random_trace(seed: int, max_len: int = 60) -> MemoryTrace:
     return MemoryTrace(
         name=f"prop{seed}", instructions=instructions, suite="PROP"
     )
+
+
+def random_columns(seed: int, max_len: int = 60):
+    """Random full-width ``add_columns`` arguments: every kind, 0-3 distances
+    a record, sizes, addresses and distances up to their ``.rtrc`` widths."""
+    rng = random.Random(seed)
+    count = rng.randint(0, max_len)
+    kinds = [rng.randrange(3) for _ in range(count)]
+    ndeps = [rng.choice((0, 0, 1, 2, 3)) for _ in range(count)]
+    sizes = [rng.randint(1, 0xFFFF) for _ in range(count)]
+    addresses = [rng.randrange(1 << 64) for _ in range(count)]
+    deps = [rng.randint(1, 0xFFFFFFFF) for _ in range(sum(ndeps))]
+    return kinds, ndeps, sizes, addresses, deps
 
 
 def build_pipeline_arrays(instructions, capacity: int):
@@ -225,17 +241,33 @@ def check_zero_size_memory_rejected(seed: int) -> None:
 
 
 def check_pipeline_arrays_match_object_path(seed: int) -> None:
-    """Batched interpretation equals build_pipeline_arrays, bit for bit."""
-    trace = random_trace(seed)
-    view = trace.columnar()
-    kinds, addresses, sizes, producers = view.pipeline_arrays()
-    o_kinds, o_addresses, o_sizes, o_producers = build_pipeline_arrays(
-        trace.instructions, len(trace.instructions)
-    )
-    assert bytes(o_kinds) == bytes(kinds)
-    assert list(o_addresses) == list(addresses)
-    assert list(o_sizes) == list(sizes)
-    assert list(o_producers) == list(producers)
+    """Batched interpretation equals build_pipeline_arrays, bit for bit, with
+    up to three distances a record and with at most one."""
+    for max_deps in (3, 1):
+        trace = random_trace(seed, max_deps=max_deps)
+        view = trace.columnar()
+        kinds, addresses, sizes, producers = view.pipeline_arrays()
+        o_kinds, o_addresses, o_sizes, o_producers = build_pipeline_arrays(
+            trace.instructions, len(trace.instructions)
+        )
+        assert bytes(o_kinds) == bytes(kinds)
+        assert list(o_addresses) == list(addresses)
+        assert list(o_sizes) == list(sizes)
+        assert list(o_producers) == list(producers)
+
+
+def check_add_columns_matches_add(seed: int) -> None:
+    """Whole columns pack the same records and pool as one ``add`` a record."""
+    kinds, ndeps, sizes, addresses, deps = random_columns(seed)
+    one_by_one = TraceWriter()
+    start = 0
+    for kind, count, size, address in zip(kinds, ndeps, sizes, addresses):
+        one_by_one.add(kind, address, size, deps[start : start + count])
+        start += count
+    bulk = TraceWriter()
+    bulk.add_columns(kinds, ndeps, sizes, addresses, deps)
+    assert bulk.records == one_by_one.records and bulk.deps == one_by_one.deps
+    assert bulk.finish("cols").to_bytes() == one_by_one.finish("cols").to_bytes()
 
 
 def check_out_of_range_deps_dropped(seed: int) -> None:
@@ -297,6 +329,7 @@ CHECKERS = (
     check_pipeline_arrays_match_object_path,
     check_out_of_range_deps_dropped,
     check_head_and_slice_consistency,
+    check_add_columns_matches_add,
 )
 
 
@@ -453,6 +486,53 @@ class TestTraceWriter:
         assert list(view.sizes) == [4, 65535, 1]
         assert record_deps(view, 1) == (1,) * 255
         assert record_deps(view, 2) == ((1 << 32) - 1,)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("addresses", -1, "record 1: address -1 outside"),
+            ("addresses", 1 << 64, f"record 1: address {1 << 64} outside"),
+            ("sizes", 65536, "record 1: size 65536 outside"),
+            ("deps", 1 << 32, f"dependency pool entry 0: distance {1 << 32} outside"),
+        ],
+    )
+    def test_add_columns_rejects_what_a_width_cannot_hold(self, column, value, message):
+        columns = {
+            "kinds": [0, 1],
+            "ndeps": [0, 1],
+            "sizes": [4, 8],
+            "addresses": [0, 0x1000],
+            "deps": [1],
+        }
+        columns[column][-1] = value
+        writer = TraceWriter()
+        with pytest.raises(TraceFormatError, match=message):
+            writer.add_columns(**columns)
+        assert len(writer.finish("untouched")) == 0
+
+    @pytest.mark.parametrize(
+        "kinds, deps, message",
+        [
+            ([0, 3], [1], "unknown .rtrc instruction kind code 3 \\(record 1\\)"),
+            ([0, 1], [0], "dependency pool: entry 0 is zero"),
+        ],
+        ids=["kind-code-3", "zero-distance"],
+    )
+    def test_finish_rejects_what_add_columns_leaves_to_it(self, kinds, deps, message):
+        writer = TraceWriter()
+        writer.add_columns(kinds, [0, 1], [4, 8], [0, 0x1000], deps)
+        with pytest.raises(TraceFormatError, match=message):
+            writer.finish("corrupt")
+
+    def test_add_columns_appends_after_single_records(self):
+        mixed = TraceWriter()
+        mixed.add(1, 0x40, 8)
+        mixed.add_columns([0, 2], [1, 0], [4, 4], [0, 0x80], [1])
+        mixed.add(0, 0, 4, (2,))
+        single = TraceWriter()
+        for fields in ((1, 0x40, 8), (0, 0, 4, (1,)), (2, 0x80, 4), (0, 0, 4, (2,))):
+            single.add(*fields)
+        assert mixed.finish("mix").to_bytes() == single.finish("mix").to_bytes()
 
 
 class TestPlainListAdapter:

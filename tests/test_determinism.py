@@ -10,11 +10,14 @@ parallel sweeps (and store-resumed sweeps) would disagree.
 from __future__ import annotations
 
 import hashlib
+import re
 
 import pytest
 
+from repro.memory.address import DEFAULT_LAYOUT, AddressLayout
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
+from repro.workloads.profiles import BenchmarkProfile, StreamKind, StreamSpec
 from repro.workloads.suites import EXTENDED_BENCHMARKS, benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -111,10 +114,129 @@ TRACE_DIGESTS = {
 
 
 def test_every_profile_has_a_pinned_digest():
-    assert tuple(TRACE_DIGESTS) == tuple(EXTENDED_BENCHMARKS)
+    assert tuple(TRACE_DIGESTS) == tuple(SEEDED_DIGESTS) == tuple(EXTENDED_BENCHMARKS)
 
 
 @pytest.mark.parametrize("name", EXTENDED_BENCHMARKS)
 def test_synthetic_trace_bytes_are_pinned(name):
     payload = generate_trace(benchmark_profile(name), instructions=2000).to_bytes()
     assert hashlib.sha256(payload).hexdigest() == TRACE_DIGESTS[name]
+
+
+#: sha256 of the ``.rtrc`` bytes of fig4-sim's traces (the perfbench workload:
+#: six profiles at 20,000 instructions), at trace seeds ``profile.seed + 0``
+#: and ``profile.seed + 3`` (campaign seeds 0 and 3).
+FIG4_SIM_DIGESTS = {
+    ("gzip", 0): "ad73a9101151145b85b0405245312992948d7423e376df4b2d01abf35b88160f",
+    ("gzip", 3): "5dca56a1cfd35d217119ab950ade56b2519d41950b0b5d6bafecb2c6acb759e2",
+    ("gcc", 0): "bffa7c8626ae24c5c90409f34bf27edfdcb2c2044119b4c5980cc81eedd65df6",
+    ("gcc", 3): "44f4fbef5507f33f0da8b365d9420d4691b860d3e39eb26840551c890c6cad9a",
+    ("mcf", 0): "0a656dfe1f8f10e15f7e2f025fef825cd60d421afa1ec24fb2e1047b3ee1288c",
+    ("mcf", 3): "f93b754679e84fd82b01de7e0f8e3725507b4df270278e1e4840fde0a5278a08",
+    ("swim", 0): "8c7fb3a571e9e7c6f23c6aa6213342a9fd0e4d4e82465f56eb6a986d704e634e",
+    ("swim", 3): "3a8b9bdf2b9d08b06045fcf9ec6c0831ed33eda5113fb254ed729d616898391f",
+    ("art", 0): "4338874b0e129f38ced68bb661131a395db1074cc441af3b838bc3fdaef07bb3",
+    ("art", 3): "bd003c0ba94417563e1e28ea1a19b8ac9b6e872354825d990c0125a6c5d856a8",
+    ("djpeg", 0): "0b5f10eb2682218a41f4287fb523d26a255d67506438c789136498f248b856ab",
+    ("djpeg", 3): "c6dba98a9952dd139d3c269c412f755fcda034f3954f2a30324026a1ded9abfc",
+}
+
+#: sha256 of every profile's 777-instruction trace at seed 12345: a length
+#: and a seed that no profile uses by default.
+SEEDED_DIGESTS = {
+    "gzip": "881003481067a5d4741020bd95155b5da3c5571f420bf1d8713d9b8a8fe57292",
+    "vpr": "296bcb732c36997ad9a94f47aaa5837a3fa9c7e887a0375d1ec31f1f6dda5296",
+    "gcc": "d85a7d1c337e30f0a1fc67bd45914ab856e6fc2e9c8b1bc5740f6517d406f22a",
+    "mcf": "2151744480b32cbe92319c3a4a3086a2b2b8af61bd4b53c12c0a79f3ffda893a",
+    "crafty": "c31d6364a5421ecb1e23c8de5d5abf0062215b68646ae6507d34af9fe0f4278d",
+    "parser": "f2cfb9a24ab4afc27c905d421c6ecb90448e6f751cd0ffd5fa9d96a9d5d4f267",
+    "eon": "e296d4e8fda8d42a89f00a3ec6efbf4af3e56f49688e6f6988557abdf071c7a4",
+    "perlbmk": "ff1b7ecdbc55d06974e7af3f861ba375a0596b6f28e3ac9baf575a66559f7390",
+    "gap": "5cfa5f070616b22d07ea2433562a20c7698746c52673767ce46c37c54e0e52bf",
+    "vortex": "be6218945a68db87d70d2afd55482784c060074e2b61d49ebfacbd8f15289395",
+    "bzip2": "8b7008442ea080afd7a7117c3c624d3c4e30c5fa7d537fc17999d0e8b1f48383",
+    "twolf": "1ec3843ec8cb7c9b4b2cb95039b3e083b5418e5716aea1abaab4d520611af812",
+    "wupwise": "5c1ff25818c10897fcb3f03aa41dc8192bdda4ced87206553099d9cc9d59eb6e",
+    "swim": "9e9b8dc0d459198d9a6cb4038a3d9574b4e56d12e8a7607e4de588e9a9e56b10",
+    "mgrid": "8a39e6f7d92a024019e828af6a6c8fe47a5d14b0500cd8d173495d1d38da8e9e",
+    "applu": "932bf1961bce8d9642225f05d95edf38658391c569ce4c48b6e06d8498f9851d",
+    "mesa": "b1553aad68e250bb7c7dddbd419d6cf7544a9fb326908ccb8a4de632c9d33c87",
+    "galgel": "5c5272425cd5d1507c690237b4912a58745cb80c25f099f64bc921d1cb4dfb36",
+    "art": "e03aabe499e8dc4419ce8b949575942002b56ff561bbd05a879ebaf83dd9ac9e",
+    "equake": "99f7666a71b15d8e7eb4af92eb1724bb79aa63d50f71094a6ba6db397b1789de",
+    "facerec": "ee49c6e6b2fc538ed23f3f4b8739f162dc4c163d5d61b63eafd0e6d3b963250a",
+    "ammp": "5d6f8a42fd853ccc3975789500288da1d8f9fbd4bfe93138a73b450e573f4799",
+    "lucas": "15fce95952c94ab537caa31e436d041e1dcff9f44425c06221a41fd393f2bc9a",
+    "fma3d": "18c6bc153ad94e28fcf3499a3f876ea1ceee5fd68d1dcecb1473324b3b4d22e0",
+    "sixtrack": "0bddb9ddc0ba8e03018ad78935b151f61d904989036ecc9750c80d5df3f4d5b8",
+    "apsi": "ddbe63ef80628bf70c855626bd02363423797016bec4121a8e3ab9fb54187192",
+    "cjpeg": "9c6d7f12ebb5a701ae49473efddc8e42f6167ef02f2e9c32640539c85507131f",
+    "djpeg": "eedb3f321907cb8b26ab000b4b93bbc06ad933ca533b87cae09313fa3ec3702c",
+    "h263dec": "b1be227024fe354150145b9118c4b5b7cc57e80f671d1e1857d7178347d2cac6",
+    "h263enc": "54b3eb25c6481393ee8e626f72cf755d3445a70c68f26844ec12b4ad04e137ca",
+    "h264dec": "ebb7d79ad85fbfe25be4f35ae9d0926ef4a10ba30c1c6195c9f9364a5cfc6eef",
+    "h264enc": "b6ab8fdd210beeabac365730784003c7c73881aeb2100f4116247964817c3a9f",
+    "jpg2000dec": "5013920c989b88c950361c9a067c04c3b9deaf0335870a89b33b0137044ff293",
+    "jpg2000enc": "f9e2afffbbc5b990d1ac72be0518be7fe24783a3a922206dc2f26aa84ea269f7",
+    "mpeg2dec": "146bd980f460b7d55b6c25e2dacc8cd495aae47f3152d973f2ebd7021323c520",
+    "mpeg2enc": "b8e3e41dede24c0989daf2bcdc4b052c02c30aee4cdd926ee9e97fc37b40beeb",
+    "mpeg4dec": "0861d7eac01ee09cbfc775519fe684c8e49bae6ee3b8046011c201f6cc0f5e1f",
+    "mpeg4enc": "324731d123721ce0989d0ea7e6f8a7180d33b77dce0eaf73d18b9abe6ce1bc70",
+    "ptrchase": "fbdab410162b241d9948c3d5cc9db5b9eedd67a28926b13e8ce40c2b595d4c4a",
+    "streamwrite": "d32ad094f4ecba76aa4a013b2be9a24649f7ec5ca85c711f512d56981de0878e",
+    "tlbthrash": "b4997c86642db01956e06bc25a04b677dfbe3635d059cfe8731f8564980d33da",
+    "depchase": "2b7a8cdc1ba1ffb642418356cb808b5abf0b5197cb13167a92d9ac799584db03",
+    "mlpladder": "e5cd2ab9a6ef1946bbfe678f987fa238a0038ed310c206248c4340643391ec41",
+}
+
+
+@pytest.mark.parametrize("name, offset", FIG4_SIM_DIGESTS)
+def test_fig4_sim_trace_bytes_are_pinned(name, offset):
+    profile = benchmark_profile(name)
+    trace = generate_trace(profile, instructions=20_000, seed=profile.seed + offset)
+    assert hashlib.sha256(trace.to_bytes()).hexdigest() == FIG4_SIM_DIGESTS[name, offset]
+
+
+@pytest.mark.parametrize("name", EXTENDED_BENCHMARKS)
+def test_seeded_trace_bytes_are_pinned(name):
+    payload = generate_trace(benchmark_profile(name), instructions=777, seed=12345).to_bytes()
+    assert hashlib.sha256(payload).hexdigest() == SEEDED_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "streams, layout, message",
+    [
+        # A backward stride walks the offset below the page start.
+        (
+            (StreamSpec(StreamKind.SEQUENTIAL, stride_bytes=-8),),
+            DEFAULT_LAYOUT,
+            "page offset -8 outside the page",
+        ),
+        # A stride past the page size leaves the offset beyond the page.
+        (
+            (StreamSpec(StreamKind.SEQUENTIAL, stride_bytes=8192),),
+            DEFAULT_LAYOUT,
+            "page offset 4608 outside the page",
+        ),
+        # 18 address bits hold 64 pages; the first stream region starts at 64.
+        (
+            (StreamSpec(StreamKind.POINTER_CHASE),),
+            AddressLayout(address_bits=18),
+            "page id 0x42 outside the address space",
+        ),
+        # Stream weights that sum to infinity cannot be drawn from.
+        (
+            (
+                StreamSpec(StreamKind.HOT_REGION, weight=float("inf")),
+                StreamSpec(StreamKind.SEQUENTIAL),
+            ),
+            DEFAULT_LAYOUT,
+            "Total of weights must be finite",
+        ),
+    ],
+    ids=["negative-stride", "stride-past-page", "page-id-past-layout", "infinite-weights"],
+)
+def test_generator_rejects_what_it_cannot_draw_or_compose(streams, layout, message):
+    profile = BenchmarkProfile(name="bad", suite="TEST", streams=streams)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_trace(profile, instructions=3000, layout=layout)
