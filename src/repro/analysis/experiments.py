@@ -91,8 +91,3 @@ class ExperimentResults:
             name: geometric_mean(series) if series else 0.0
             for name, series in values.items()
         }
-
-    def mean_stat(self, config: str, extractor) -> float:
-        """Arithmetic mean of ``extractor(result)`` over all benchmarks."""
-        values = [extractor(run.results[config]) for run in self.runs]
-        return sum(values) / len(values) if values else 0.0

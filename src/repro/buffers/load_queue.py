@@ -29,10 +29,6 @@ class LoadQueue:
         self.stats = stats if stats is not None else StatCounters()
         #: tag -> issue cycle
         self._entries: Dict[Any, int] = {}
-        # Per-access counters resolved to integer slots once (hot path).
-        self._h_allocate = self.stats.handle("lq.allocate")
-        self._h_total_latency = self.stats.handle("lq.total_latency")
-        self._h_completed = self.stats.handle("lq.completed")
 
     # ------------------------------------------------------------------
     @property
@@ -51,8 +47,8 @@ class LoadQueue:
         The interfaces submit a load the cycle its address computation
         finishes, so dispatch and issue coincide.  Raises ``RuntimeError``
         when the queue is full and ``ValueError`` for a tag already present.
-        The ``lq.allocate`` charge is left to the caller, which folds it
-        into one fused submission bump.
+        The ``lq.allocate`` charge is left to the caller, which counts it
+        in its submission pattern.
         """
         if len(self._entries) >= self.entries:
             raise RuntimeError("load queue overflow")
@@ -70,5 +66,5 @@ class LoadQueue:
         statistics.
         """
         issue_cycle = self._entries.pop(tag)
-        self.stats.bump(self._h_total_latency, cycle - issue_cycle)
-        self.stats.bump(self._h_completed)
+        self.stats.add("lq.total_latency", cycle - issue_cycle)
+        self.stats.add("lq.completed")

@@ -39,14 +39,6 @@ class MergeBuffer:
         self.layout = layout
         self.stats = stats if stats is not None else StatCounters()
         self._entries: List[int] = []
-        # Per-access counters resolved to integer slots once (hot path).
-        self._h_merged_store = self.stats.handle("mb.merged_store")
-        self._h_eviction = self.stats.handle("mb.eviction")
-        self._h_allocate = self.stats.handle("mb.allocate")
-        self._h_lookup_offset = self.stats.handle("mb.lookup_offset")
-        self._h_lookup_full = self.stats.handle("mb.lookup_full")
-        self._h_forward_hit = self.stats.handle("mb.forward_hit")
-        self._h_lookup_page_shared = self.stats.handle("mb.lookup_page_shared")
 
     # ------------------------------------------------------------------
     @property
@@ -74,15 +66,15 @@ class MergeBuffer:
         line_address = self.layout.line_address(virtual_address)
         entries = self._entries
         if line_address in entries:
-            self.stats.bump(self._h_merged_store)
+            self.stats.add("mb.merged_store")
             return None
 
         evicted: Optional[int] = None
         if len(entries) >= self.entries:
             evicted = entries.pop(0)
-            self.stats.bump(self._h_eviction)
+            self.stats.add("mb.eviction")
         entries.append(line_address)
-        self.stats.bump(self._h_allocate)
+        self.stats.add("mb.allocate")
         return evicted
 
     def drain(self) -> List[int]:
@@ -99,4 +91,4 @@ class MergeBuffer:
     # ------------------------------------------------------------------
     def charge_shared_page_lookup(self) -> None:
         """Charge the per-cycle shared page-id comparison of the split structure."""
-        self.stats.bump(self._h_lookup_page_shared)
+        self.stats.add("mb.lookup_page_shared")

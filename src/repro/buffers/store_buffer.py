@@ -47,13 +47,6 @@ class StoreBuffer:
         self._entries: List[StoreEntry] = []
         #: the first ``_committed_count`` entries are committed, waiting to drain
         self._committed_count = 0
-        # Per-access counters resolved to integer slots once (hot path).
-        self._h_insert = self.stats.handle("sb.insert")
-        self._h_lookup_offset = self.stats.handle("sb.lookup_offset")
-        self._h_lookup_full = self.stats.handle("sb.lookup_full")
-        self._h_forward_hit = self.stats.handle("sb.forward_hit")
-        self._h_lookup_page_shared = self.stats.handle("sb.lookup_page_shared")
-        self._h_drain = self.stats.handle("sb.drain")
 
     # ------------------------------------------------------------------
     @property
@@ -71,7 +64,7 @@ class StoreBuffer:
         if self.full:
             raise RuntimeError("store buffer overflow")
         self._entries.append((tag, virtual_address, size))
-        self.stats.bump(self._h_insert)
+        self.stats.add("sb.insert")
 
     # ------------------------------------------------------------------
     # Load forwarding lookups (the per-load search of the entries is
@@ -79,7 +72,7 @@ class StoreBuffer:
     # ------------------------------------------------------------------
     def charge_shared_page_lookup(self) -> None:
         """Charge the per-cycle shared page-id comparison of the split structure."""
-        self.stats.bump(self._h_lookup_page_shared)
+        self.stats.add("sb.lookup_page_shared")
 
     # ------------------------------------------------------------------
     # Commit path
@@ -104,6 +97,6 @@ class StoreBuffer:
         """Remove and return the oldest committed store, if any."""
         if not self._committed_count:
             return None
-        self.stats.bump(self._h_drain)
+        self.stats.add("sb.drain")
         self._committed_count -= 1
         return self._entries.pop(0)

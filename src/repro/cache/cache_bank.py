@@ -70,50 +70,36 @@ class CacheBank:
         self.array = SetAssociativeArray(
             num_sets=layout.l1_sets_per_bank, ways=layout.l1_associativity
         )
-        # Per-access counters resolved to integer slots once (hot path).
-        stats = self.stats
-        self._h_eviction = stats.handle("l1.eviction")
-        self._h_writeback = stats.handle("l1.writeback")
-        self._h_ctrl = stats.handle("l1.ctrl")
-        self._h_tag_read = stats.handle("l1.tag_read")
-        self._h_data_read = stats.handle("l1.data_read")
-        self._h_data_write = stats.handle("l1.data_write")
-        self._h_tag_write = stats.handle("l1.tag_write")
-        self._h_reduced_access = stats.handle("l1.reduced_access")
-        self._h_conventional_access = stats.handle("l1.conventional_access")
-        self._h_subblock_pair_read = stats.handle("l1.subblock_pair_read")
-        self._h_way_hint_wrong = stats.handle("l1.way_hint_wrong")
-        self._h_fill = stats.handle("l1.fill")
-        # Fixed per-access counter patterns, flushed with one bump_many call.
+        # Fixed per-access counter patterns, counted with one add_many call.
         ways = layout.l1_associativity
         self._combo_conv_read = (
-            (self._h_ctrl, 1),
-            (self._h_tag_read, ways),
-            (self._h_data_read, ways),
-            (self._h_conventional_access, 1),
-            (self._h_subblock_pair_read, 1),
+            ("l1.ctrl", 1),
+            ("l1.tag_read", ways),
+            ("l1.data_read", ways),
+            ("l1.conventional_access", 1),
+            ("l1.subblock_pair_read", 1),
         )
         self._combo_reduced_read = (
-            (self._h_ctrl, 1),
-            (self._h_data_read, 1),
-            (self._h_reduced_access, 1),
-            (self._h_subblock_pair_read, 1),
+            ("l1.ctrl", 1),
+            ("l1.data_read", 1),
+            ("l1.reduced_access", 1),
+            ("l1.subblock_pair_read", 1),
         )
         self._combo_conv_write = (
-            (self._h_ctrl, 1),
-            (self._h_tag_read, ways),
-            (self._h_conventional_access, 1),
+            ("l1.ctrl", 1),
+            ("l1.tag_read", ways),
+            ("l1.conventional_access", 1),
         )
         self._combo_reduced_write = (
-            (self._h_ctrl, 1),
-            (self._h_data_write, 1),
-            (self._h_reduced_access, 1),
+            ("l1.ctrl", 1),
+            ("l1.data_write", 1),
+            ("l1.reduced_access", 1),
         )
         self._combo_fill = (
-            (self._h_ctrl, 1),
-            (self._h_fill, 1),
-            (self._h_data_write, 1),
-            (self._h_tag_write, 1),
+            ("l1.ctrl", 1),
+            ("l1.fill", 1),
+            ("l1.data_write", 1),
+            ("l1.tag_write", 1),
         )
 
     # ------------------------------------------------------------------
@@ -172,19 +158,19 @@ class CacheBank:
             # (Direct slot access: way hints come from way tables/WDU and are
             # in range by construction.)
             array = self.array
-            stats.bump_many(self._combo_reduced_read)
+            stats.add_many(self._combo_reduced_read)
             if array._tags[set_index * array.ways + way_hint] == tag:
                 array.find_way(set_index, tag)  # refresh replacement state
                 return True, way_hint, True, False
             # A wrong hint requires a second, conventional access; way tables
             # never produce this (validity is tracked), but WDU-style
             # predictors might.
-            stats.bump(self._h_way_hint_wrong)
+            stats.add("l1.way_hint_wrong")
             hit, way, reduced, _ = self.read_parts(set_index, tag, None)
             return hit, way, reduced, True
 
         # Conventional access: all tag arrays and all data arrays probed.
-        stats.bump_many(self._combo_conv_read)
+        stats.add_many(self._combo_conv_read)
         way = self.array.find_way(set_index, tag)
         if way is not None:
             return True, way, False, False
@@ -201,16 +187,16 @@ class CacheBank:
         if way_hint is not None:
             array = self.array
             if array._tags[set_index * array.ways + way_hint] == tag:
-                stats.bump_many(self._combo_reduced_write)
+                stats.add_many(self._combo_reduced_write)
                 array.mark_dirty(set_index, way_hint)
                 array.find_way(set_index, tag)
                 return True, way_hint, True
-            stats.bump(self._h_way_hint_wrong)
+            stats.add("l1.way_hint_wrong")
 
-        stats.bump_many(self._combo_conv_write)
+        stats.add_many(self._combo_conv_write)
         way = self.array.find_way(set_index, tag)
         if way is not None:
-            stats.bump(self._h_data_write, 1)
+            stats.add("l1.data_write")
             self.array.mark_dirty(set_index, way)
             return True, way, False
         return False, None, False
@@ -229,12 +215,12 @@ class CacheBank:
         evicted_address: Optional[int] = None
         if evicted_tag is not None:
             evicted_address = self._line_address_from(set_index, evicted_tag)
-            self.stats.bump(self._h_eviction)
+            self.stats.add("l1.eviction")
             if evicted_dirty:
-                self.stats.bump(self._h_writeback)
+                self.stats.add("l1.writeback")
             if self._on_evict is not None:
                 self._on_evict(evicted_address, way)
-        self.stats.bump_many(self._combo_fill)
+        self.stats.add_many(self._combo_fill)
         if self._on_fill is not None:
             self._on_fill(self.layout.line_address(physical_address), way)
         return way, evicted_address, evicted_dirty

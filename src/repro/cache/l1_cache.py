@@ -29,6 +29,12 @@ LineListener = Callable[[int, int], None]
 class L1DataCache:
     """Four-bank L1 data cache with miss handling and fill/evict listeners."""
 
+    # Fixed per-access counter patterns, counted with one add_many call.
+    _combo_load_hit = (("l1.load", 1), ("l1.load_hit", 1))
+    _combo_load_miss = (("l1.load", 1), ("l1.load_miss", 1))
+    _combo_store_hit = (("l1.store", 1), ("l1.store_hit", 1))
+    _combo_store_miss = (("l1.store", 1), ("l1.store_miss", 1))
+
     def __init__(
         self,
         layout: AddressLayout = DEFAULT_LAYOUT,
@@ -54,18 +60,6 @@ class L1DataCache:
             )
             for index in range(layout.l1_banks)
         ]
-        # Per-access counters resolved to integer slots once (hot path).
-        self._h_load = self.stats.handle("l1.load")
-        self._h_load_hit = self.stats.handle("l1.load_hit")
-        self._h_load_miss = self.stats.handle("l1.load_miss")
-        self._h_store = self.stats.handle("l1.store")
-        self._h_store_hit = self.stats.handle("l1.store_hit")
-        self._h_store_miss = self.stats.handle("l1.store_miss")
-        self._h_data_write = self.stats.handle("l1.data_write")
-        self._combo_load_hit = ((self._h_load, 1), (self._h_load_hit, 1))
-        self._combo_load_miss = ((self._h_load, 1), (self._h_load_miss, 1))
-        self._combo_store_hit = ((self._h_store, 1), (self._h_store_hit, 1))
-        self._combo_store_miss = ((self._h_store, 1), (self._h_store_miss, 1))
 
     # ------------------------------------------------------------------
     # Listener plumbing (keeps way tables / WDU coherent with the cache)
@@ -110,10 +104,10 @@ class L1DataCache:
         tag = physical_address >> layout._tag_shift
         hit, way, reduced, hint_wrong = bank.read_parts(set_index, tag, way_hint)
         if hit:
-            self.stats.bump_many(self._combo_load_hit)
+            self.stats.add_many(self._combo_load_hit)
             return True, way, self.hit_latency, reduced, bank_index, hint_wrong
 
-        self.stats.bump_many(self._combo_load_miss)
+        self.stats.add_many(self._combo_load_miss)
         miss_latency = self.l2.access(physical_address, is_write=False)
         way, evicted_address, evicted_dirty = bank.fill_parts(
             physical_address, set_index, tag, False
@@ -135,15 +129,15 @@ class L1DataCache:
         tag = physical_address >> layout._tag_shift
         hit, way, reduced = bank.write_parts(set_index, tag, way_hint)
         if hit:
-            self.stats.bump_many(self._combo_store_hit)
+            self.stats.add_many(self._combo_store_hit)
             return True, way, self.hit_latency, reduced, bank_index
 
-        self.stats.bump_many(self._combo_store_miss)
+        self.stats.add_many(self._combo_store_miss)
         miss_latency = self.l2.access(physical_address, is_write=False)
         way, evicted_address, evicted_dirty = bank.fill_parts(
             physical_address, set_index, tag, True
         )
-        self.stats.bump(self._h_data_write, 1)
+        self.stats.add("l1.data_write")
         if evicted_dirty:
             self.l2.access(evicted_address, is_write=True)
         return False, way, self.hit_latency + miss_latency, False, bank_index
@@ -162,11 +156,6 @@ class L1DataCache:
     def occupancy(self) -> int:
         """Number of valid lines across all banks."""
         return sum(bank.occupancy() for bank in self.banks)
-
-    @property
-    def load_miss_rate(self) -> float:
-        """Fraction of loads that missed so far."""
-        return self.stats.ratio("l1.load_miss", "l1.load")
 
     @property
     def miss_rate(self) -> float:

@@ -36,6 +36,9 @@ class L2Cache:
 
     CAPACITY_BYTES = 1024 * 1024
     ASSOCIATIVITY = 16
+    # Fixed per-access counter patterns, counted with one add_many call.
+    _combo_hit = (("l2.access", 1), ("l2.hit", 1))
+    _combo_miss = (("l2.access", 1), ("l2.miss", 1))
 
     def __init__(
         self,
@@ -52,14 +55,6 @@ class L2Cache:
         self._set_mask = self.num_sets - 1
         self._set_bits = self.num_sets.bit_length() - 1
         self.array = SetAssociativeArray(num_sets=self.num_sets, ways=self.ASSOCIATIVITY)
-        # Per-access counters resolved to integer slots once (hot path).
-        self._h_access = self.stats.handle("l2.access")
-        self._h_hit = self.stats.handle("l2.hit")
-        self._h_miss = self.stats.handle("l2.miss")
-        self._h_writeback = self.stats.handle("l2.writeback")
-        # Fixed per-access counter patterns, flushed with one bump_many call.
-        self._combo_hit = ((self._h_access, 1), (self._h_hit, 1))
-        self._combo_miss = ((self._h_access, 1), (self._h_miss, 1))
 
     # ------------------------------------------------------------------
     def _set_and_tag(self, physical_address: int) -> tuple[int, int]:
@@ -77,16 +72,16 @@ class L2Cache:
         set_index, tag = self._set_and_tag(physical_address)
         way = self.array.find_way(set_index, tag)
         if way is not None:
-            self.stats.bump_many(self._combo_hit)
+            self.stats.add_many(self._combo_hit)
             if is_write:
                 self.array.mark_dirty(set_index, way)
             return self.latency_cycles
 
-        self.stats.bump_many(self._combo_miss)
+        self.stats.add_many(self._combo_miss)
         dram_latency = self.dram.read(physical_address)
         _, evicted_tag, evicted_dirty = self.array.fill(set_index, tag, dirty=is_write)
         if evicted_dirty:
-            self.stats.bump(self._h_writeback)
+            self.stats.add("l2.writeback")
             victim_line = (evicted_tag << self._set_bits) | set_index
             self.dram.write(self.layout.address_of_line(victim_line))
         return self.latency_cycles + dram_latency

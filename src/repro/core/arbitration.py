@@ -69,16 +69,6 @@ class ArbitrationUnit:
             "none": None,
         }[merge_granularity]
         self.stats = stats if stats is not None else StatCounters()
-        # Per-cycle counters resolved to integer slots once (hot path).
-        self._h_mbe_bank_conflict = self.stats.handle("arb.mbe_bank_conflict")
-        self._h_line_compare = self.stats.handle("arb.line_compare")
-        self._h_merged_load = self.stats.handle("arb.merged_load")
-        self._h_rejected_result_bus = self.stats.handle("arb.rejected_result_bus")
-        self._h_rejected_bank_conflict = self.stats.handle("arb.rejected_bank_conflict")
-        self._h_granted_load = self.stats.handle("arb.granted_load")
-        self._h_way_hint_assigned = self.stats.handle("arb.way_hint_assigned")
-        self._h_cycles = self.stats.handle("arb.cycles")
-        self._h_bank_accesses = self.stats.handle("arb.bank_accesses")
 
     def arbitrate(
         self,
@@ -125,34 +115,34 @@ class ArbitrationUnit:
                 key = address >> merge_shift
                 merged = False
                 for owner in bank_owner.values():
-                    stats.bump(self._h_line_compare)
+                    stats.add("arb.line_compare")
                     if owner[0][1] >> merge_shift == key:
                         if len(serviced) >= result_buses:
                             break
                         owner[1].append(load)
                         serviced.append(load)
                         merged = True
-                        stats.bump(self._h_merged_load)
+                        stats.add("arb.merged_load")
                         break
                 if merged:
                     continue
             if len(serviced) >= result_buses:
-                stats.bump(self._h_rejected_result_bus)
+                stats.add("arb.rejected_result_bus")
                 continue
             bank = (address >> line_bits) & bank_mask
             if bank in bank_owner:
-                stats.bump(self._h_rejected_bank_conflict)
+                stats.add("arb.rejected_bank_conflict")
                 continue
             bank_request = [load, [], None]
             bank_owner[bank] = bank_request
             bank_requests.append(bank_request)
             serviced.append(load)
-            stats.bump(self._h_granted_load)
+            stats.add("arb.granted_load")
 
         mbe_granted = False
         if mbe is not None:
             if ((mbe >> line_bits) & bank_mask) in bank_owner:
-                stats.bump(self._h_mbe_bank_conflict)
+                stats.add("arb.mbe_bank_conflict")
             else:
                 mbe_granted = True
 
@@ -168,12 +158,12 @@ class ArbitrationUnit:
                 code = codes[offset + ((bank_request[0][1] >> line_bits) & line_mask)]
                 if code:
                     bank_request[2] = code - 1
-                    stats.bump(self._h_way_hint_assigned)
+                    stats.add("arb.way_hint_assigned")
             if mbe_granted:
                 code = codes[offset + ((mbe >> line_bits) & line_mask)]
                 if code:
                     mbe_hint = code - 1
-                    stats.bump(self._h_way_hint_assigned)
-        stats.bump(self._h_cycles)
-        stats.bump(self._h_bank_accesses, len(bank_requests) + mbe_granted)
+                    stats.add("arb.way_hint_assigned")
+        stats.add("arb.cycles")
+        stats.add("arb.bank_accesses", len(bank_requests) + mbe_granted)
         return bank_requests, serviced, mbe_granted, mbe_hint

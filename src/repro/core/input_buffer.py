@@ -60,15 +60,6 @@ class InputBuffer:
         self._held: Deque[Load] = deque()
         self._new: List[Load] = []
         self._mbe: Optional[int] = None
-        # Per-cycle counters resolved to integer slots once (hot path).
-        self._h_load_in = self.stats.handle("input_buffer.load_in")
-        self._h_mbe_in = self.stats.handle("input_buffer.mbe_in")
-        self._h_page_compare = self.stats.handle("input_buffer.page_compare")
-        self._h_group_selected = self.stats.handle("input_buffer.group_selected")
-        self._h_group_size = self.stats.handle("input_buffer.group_size")
-        self._h_overflow_cycle = self.stats.handle("input_buffer.overflow_cycle")
-        self._h_held_loads = self.stats.handle("input_buffer.held_loads")
-        self._h_mbe_out = self.stats.handle("input_buffer.mbe_out")
 
     # ------------------------------------------------------------------
     # Occupancy
@@ -83,14 +74,14 @@ class InputBuffer:
     def add_load(self, tag: Any, address: int, size: int) -> None:
         """Submit a load that finished address computation this cycle."""
         self._new.append((tag, address, size))
-        self.stats.bump(self._h_load_in)
+        self.stats.add("input_buffer.load_in")
 
     def add_mbe(self, line_address: int) -> None:
         """Submit the virtual line address of an evicted merge-buffer entry."""
         if self._mbe is not None:
             raise RuntimeError("the MBE slot is already occupied")
         self._mbe = line_address
-        self.stats.bump(self._h_mbe_in)
+        self.stats.add("input_buffer.mbe_in")
 
     # ------------------------------------------------------------------
     # Page-group selection
@@ -128,10 +119,10 @@ class InputBuffer:
             if mbe >> shift != page:
                 mbe = None
         stats = self.stats
-        if compares:  # integer sum: one bump of n is bit-identical to n bumps
-            stats.bump(self._h_page_compare, compares)
-        stats.bump(self._h_group_selected)
-        stats.bump(self._h_group_size, len(loads) + (mbe is not None))
+        if compares:  # integer sum: one add of n is bit-identical to n adds
+            stats.add("input_buffer.page_compare", compares)
+        stats.add("input_buffer.group_selected")
+        stats.add("input_buffer.group_size", len(loads) + (mbe is not None))
         return page, loads, mbe
 
     # ------------------------------------------------------------------
@@ -147,7 +138,7 @@ class InputBuffer:
         self._new = [load for load in self._new if load not in gone]
         if mbe_serviced:
             self._mbe = None
-            self.stats.bump(self._h_mbe_out)
+            self.stats.add("input_buffer.mbe_out")
 
     def end_cycle(self) -> int:
         """Carry unserviced loads over to the next cycle.
@@ -159,8 +150,8 @@ class InputBuffer:
             self._new = []
         held = len(self._held)
         if held > self.held_capacity:
-            self.stats.bump(self._h_overflow_cycle)
-        self.stats.bump(self._h_held_loads, held)
+            self.stats.add("input_buffer.overflow_cycle")
+        self.stats.add("input_buffer.held_loads", held)
         return held
 
     def take_mbe(self) -> Optional[int]:

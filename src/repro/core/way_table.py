@@ -80,20 +80,6 @@ class WayTableHierarchy:
         self._last_uwt_slot: Optional[int] = None
         translation.utlb.add_eviction_callback(self._on_utlb_replacement)
         translation.tlb.add_eviction_callback(self._on_tlb_replacement)
-        # Per-event counters resolved to integer slots once (hot path).
-        handle = self.stats.handle
-        self._h_uwt_read = handle("uwt.read")
-        self._h_uwt_update = handle("uwt.update")
-        self._h_uwt_transfer = handle("uwt.entry_transfer")
-        self._h_wt_update = handle("wt.update")
-        self._h_wt_clear = handle("wt.clear")
-        self._h_wt_transfer = handle("wt.entry_transfer")
-        self._h_feedback_update = handle("way_pred.feedback_update")
-        self._h_uwt_writeback = handle("uwt.writeback")
-        self._h_wt_page_invalidated = handle("wt.page_invalidated")
-        self._h_fill_unmapped = handle("way_pred.fill_unmapped")
-        self._h_evict_unmapped = handle("way_pred.evict_unmapped")
-        self._h_unencodable = handle("way_pred.unencodable_way")
 
     # ------------------------------------------------------------------
     # TLB synchronisation
@@ -112,14 +98,14 @@ class WayTableHierarchy:
             tlb_slot = tlb.reverse_lookup(old_physical_page, count_event=False)
             if tlb_slot is not None:
                 self.wt[self._entry(tlb_slot)] = self.uwt[entry]
-                self.stats.bump(self._h_wt_transfer)
-                self.stats.bump(self._h_uwt_writeback)
+                self.stats.add("wt.entry_transfer")
+                self.stats.add("uwt.writeback")
         # Load the WT entry of the incoming page so the uWT immediately covers
         # it.  The page is TLB resident: a translation fills the TLB before
         # the uTLB.
         tlb_slot = tlb.lookup(new_virtual_page, count_event=False)
         self.uwt[entry] = self.wt[self._entry(tlb_slot)]
-        self.stats.bump(self._h_uwt_transfer)
+        self.stats.add("uwt.entry_transfer")
         if self._last_uwt_slot == slot:
             self._last_uwt_slot = None
 
@@ -128,9 +114,9 @@ class WayTableHierarchy:
     ) -> None:
         """TLB slot recycled: all way information of the old page is lost."""
         self.wt[self._entry(slot)] = self._zeros
-        self.stats.bump(self._h_wt_clear)
+        self.stats.add("wt.clear")
         if old_physical_page is not None:
-            self.stats.bump(self._h_wt_page_invalidated)
+            self.stats.add("wt.page_invalidated")
 
     # ------------------------------------------------------------------
     # Prediction path
@@ -147,7 +133,7 @@ class WayTableHierarchy:
         """
         slot = self.translation.utlb.lookup(virtual_page, count_event=False)
         self._last_uwt_slot = slot
-        self.stats.bump(self._h_uwt_read)
+        self.stats.add("uwt.read")
         return self.uwt, slot * self.lines_per_page
 
     # ------------------------------------------------------------------
@@ -181,42 +167,42 @@ class WayTableHierarchy:
         if self._last_uwt_slot is None:
             return
         line_in_page = self.layout.line_in_page(physical_address)
-        self.stats.bump(self._h_uwt_update)
+        self.stats.add("uwt.update")
         self._record(self.uwt, self._last_uwt_slot, line_in_page, way)
-        self.stats.bump(self._h_feedback_update)
+        self.stats.add("way_pred.feedback_update")
 
     def _locate(self, physical_address: int):
-        """``(codes, slot, update counter)`` of the entry owning the page of
+        """``(codes, slot, update counter name)`` of the entry owning the page of
         ``physical_address``, the uWT's before the WT's, or ``None``.
         """
         ppage = self.layout.page_id(physical_address)
         slot = self.translation.utlb.reverse_lookup(ppage)
         if slot is not None:
-            return self.uwt, slot, self._h_uwt_update
+            return self.uwt, slot, "uwt.update"
         slot = self.translation.tlb.reverse_lookup(ppage)
         if slot is not None:
-            return self.wt, slot, self._h_wt_update
+            return self.wt, slot, "wt.update"
         return None
 
     def on_line_fill(self, line_address: int, way: int) -> None:
         """L1 installed a line: set its validity/way in the owning entry."""
         located = self._locate(line_address)
         if located is None:
-            self.stats.bump(self._h_fill_unmapped)
+            self.stats.add("way_pred.fill_unmapped")
             return
-        codes, slot, h_update = located
-        self.stats.bump(h_update)
+        codes, slot, update = located
+        self.stats.add(update)
         if not self._record(codes, slot, self.layout.line_in_page(line_address), way):
-            self.stats.bump(self._h_unencodable)
+            self.stats.add("way_pred.unencodable_way")
 
     def on_line_evict(self, line_address: int, way: int) -> None:
         """L1 evicted a line: clear its validity in the owning entry."""
         located = self._locate(line_address)
         if located is None:
-            self.stats.bump(self._h_evict_unmapped)
+            self.stats.add("way_pred.evict_unmapped")
             return
-        codes, slot, h_update = located
-        self.stats.bump(h_update)
+        codes, slot, update = located
+        self.stats.add(update)
         codes[slot * self.lines_per_page + self.layout.line_in_page(line_address)] = 0
 
     def attach_to_cache(self, l1_cache) -> None:

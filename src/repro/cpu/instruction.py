@@ -9,10 +9,13 @@ be sliced or concatenated) and are resolved to absolute sequence numbers when
 the trace is lifted into its columnar view
 (:meth:`repro.workloads.columnar.ColumnarTrace.pipeline_arrays`).
 
-Trace generation and decoding build one :class:`Instruction` per record, so
-the class is a hand-rolled ``__slots__`` class (no per-instance ``__dict__``)
-and the kind predicates (``is_load`` ...) are plain attributes computed once
-at construction instead of properties.
+Trace generation and decoding write columnar records directly
+(:class:`repro.workloads.columnar.TraceWriter`) and build no
+:class:`Instruction`; the objects serve traces built by hand (tests,
+examples), which :meth:`repro.workloads.columnar.ColumnarTrace.from_trace`
+lifts into columns.  The class is a hand-rolled ``__slots__`` class (no
+per-instance ``__dict__``) and the kind predicates (``is_load`` ...) are
+plain attributes computed once at construction.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ from repro.dse.pareto import (
     dominates,
     frontier_and_ranks,
     pareto_frontier,
-    rank_by_label,
 )
 from repro.dse.space import (
     SPACE_PRESET_NAMES,
@@ -100,7 +99,6 @@ __all__ = [
     "frontier_and_ranks",
     "int_range",
     "pareto_frontier",
-    "rank_by_label",
     "resolve_objectives",
     "run_dse",
     "space_preset",

@@ -120,8 +120,3 @@ def frontier_and_ranks(
         key=_frontier_order,
     )
     return frontier, {point.label: rank for point, rank in zip(points, ranks)}
-
-
-def rank_by_label(points: Sequence[ParetoPoint]) -> Dict[str, int]:
-    """Convenience view of :func:`dominance_ranks` keyed by point label."""
-    return {point.label: rank for point, rank in zip(points, dominance_ranks(points))}

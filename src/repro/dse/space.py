@@ -10,10 +10,10 @@ identically, which is what makes frontiers reproducible across job counts
 and across store resumes.
 
 A point compiles into a concrete configuration via
-:meth:`SearchSpace.candidate` and further into the
-:class:`~repro.campaign.spec.CampaignCell` grid (one cell per benchmark) via
-:meth:`SearchSpace.cells_for`, so all evaluations flow through the existing
-content-hash-keyed result store and process-pool executor.
+:meth:`SearchSpace.candidate`; the engine sweeps candidates as
+:class:`~repro.campaign.spec.CampaignSpec` grids, so all evaluations flow
+through the existing content-hash-keyed result store and process-pool
+executor.
 
 Named presets:
 
@@ -36,9 +36,8 @@ import enum
 from dataclasses import dataclass, field, is_dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.spec import CampaignCell
 from repro.sim.config import SimulationConfig
-from repro.workloads.registry import validate_workload, workload_trace_hash
+from repro.workloads.registry import validate_workload
 from repro.workloads.suites import LOCALITY_DIVERSE_BENCHMARKS
 
 
@@ -113,10 +112,6 @@ class Candidate:
     name: str
     config: SimulationConfig
     assignment: Tuple[Tuple[str, object], ...]
-
-    def assignment_dict(self) -> Dict[str, object]:
-        """The dimension assignment as a plain dict (for reports)."""
-        return dict(self.assignment)
 
 
 # ----------------------------------------------------------------------
@@ -198,23 +193,6 @@ class SearchSpace:
     def candidates(self, indices: Sequence[int]) -> List[Candidate]:
         """Compile several points (deterministic: ordered as given)."""
         return [self.candidate(index) for index in indices]
-
-    # ------------------------------------------------------------------
-    def cells_for(
-        self, candidate: Candidate, instructions: Optional[int] = None
-    ) -> List[CampaignCell]:
-        """The campaign cells evaluating ``candidate`` (one per benchmark)."""
-        return [
-            CampaignCell(
-                benchmark=benchmark,
-                config=candidate.config,
-                instructions=instructions or self.instructions,
-                warmup_fraction=self.warmup_fraction,
-                seed=self.seed,
-                trace_hash=workload_trace_hash(benchmark),
-            )
-            for benchmark in self.benchmarks
-        ]
 
     def describe(self) -> dict:
         """JSON-able manifest of the space (stored alongside DSE results)."""

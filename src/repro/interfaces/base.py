@@ -62,6 +62,11 @@ class BaseL1Interface(ABC):
     load_slots: int
     store_slots: int
     flexible_slots: int
+    # The per-load submission charge (interface and load queue counters).
+    _combo_load_submit = (("interface.loads_submitted", 1), ("lq.allocate", 1))
+    # The SB+MB lookup charges of the per-load forwarding search.
+    _combo_fwd_full = (("sb.lookup_full", 1), ("mb.lookup_full", 1))
+    _combo_fwd_split = (("sb.lookup_offset", 1), ("mb.lookup_offset", 1))
 
     def __init__(
         self,
@@ -85,26 +90,6 @@ class BaseL1Interface(ABC):
         self._cycle_stores_used = 0
         self._cycle_flex_used = 0
         self._current_cycle = 0
-        # Per-access counters resolved to integer slots once (hot path).
-        self._h_loads_submitted = self.stats.handle("interface.loads_submitted")
-        self._h_stores_submitted = self.stats.handle("interface.stores_submitted")
-        self._h_mbe_queued = self.stats.handle("interface.mbe_queued")
-        self._h_mbe_written = self.stats.handle("interface.mbe_written")
-        self._h_load_accesses = self.stats.handle("interface.load_accesses")
-        # Fused per-load submission charge (interface + load queue counters).
-        self._combo_load_submit = (
-            (self._h_loads_submitted, 1),
-            (self.load_queue._h_allocate, 1),
-        )
-        # Fused SB+MB lookup charges for the per-load forwarding search.
-        self._combo_fwd_full = (
-            (self.store_buffer._h_lookup_full, 1),
-            (self.merge_buffer._h_lookup_full, 1),
-        )
-        self._combo_fwd_split = (
-            (self.store_buffer._h_lookup_offset, 1),
-            (self.merge_buffer._h_lookup_offset, 1),
-        )
 
     # ------------------------------------------------------------------
     # Per-cycle slot management (address computation units, Table I)
@@ -157,13 +142,13 @@ class BaseL1Interface(ABC):
     def submit_load(self, tag: Any, address: int, size: int, cycle: int) -> None:
         """Accept a load whose address computation finished this cycle."""
         self.load_queue.allocate_issued(tag, cycle)
-        self.stats.bump_many(self._combo_load_submit)
+        self.stats.add_many(self._combo_load_submit)
         self._enqueue_load(tag, address, size)
 
     def submit_store(self, tag: Any, address: int, size: int, cycle: int) -> None:
         """Accept a store whose address computation finished this cycle."""
         self.store_buffer.insert(tag, address, size)
-        self.stats.bump(self._h_stores_submitted)
+        self.stats.add("interface.stores_submitted")
         self._on_store_submitted(address, size, cycle)
 
     def commit_store(self, tag: Any, cycle: int) -> None:
@@ -186,7 +171,7 @@ class BaseL1Interface(ABC):
     def _queue_writeback(self, line_address: int) -> None:
         """Queue the line of an evicted merge-buffer entry for its cache write."""
         self._pending_writebacks.append(PendingWriteback(line_address))
-        self.stats.bump(self._h_mbe_queued)
+        self.stats.add("interface.mbe_queued")
 
     # ------------------------------------------------------------------
     # Per-cycle servicing
@@ -255,8 +240,8 @@ class BaseL1Interface(ABC):
         All configurations perform these searches for every load; MALEC uses
         the split page/offset structures.  Each call charges one full-width
         (``sb.lookup_full``/``mb.lookup_full``) or offset-segment
-        (``*.lookup_offset``, with ``split``) lookup on both buffers in one
-        fused bump.  The store buffer is scanned youngest first for a store
+        (``*.lookup_offset``, with ``split``) lookup on both buffers with
+        one pattern.  The store buffer is scanned youngest first for a store
         overlapping ``[virtual_address, virtual_address + size)`` and the
         merge buffer for the load's line; each scan counts at most one
         ``*.forward_hit``.  Forwarding hits are counted but the load still
@@ -264,16 +249,14 @@ class BaseL1Interface(ABC):
         across configurations (the paper excludes SB/MB energy).
         """
         stats = self.stats
-        store_buffer = self.store_buffer
-        merge_buffer = self.merge_buffer
-        stats.bump_many(self._combo_fwd_split if split else self._combo_fwd_full)
+        stats.add_many(self._combo_fwd_split if split else self._combo_fwd_full)
         end = virtual_address + size
-        for _tag, start, length in reversed(store_buffer._entries):
+        for _tag, start, length in reversed(self.store_buffer._entries):
             if start < end and virtual_address < start + length:
-                stats.bump(store_buffer._h_forward_hit)
+                stats.add("sb.forward_hit")
                 break
-        if (virtual_address & ~self.layout._line_offset_mask) in merge_buffer._entries:
-            stats.bump(merge_buffer._h_forward_hit)
+        if (virtual_address & ~self.layout._line_offset_mask) in self.merge_buffer._entries:
+            stats.add("mb.forward_hit")
 
     def _writeback_to_cache(self, writeback: PendingWriteback, way_hint: Optional[int] = None) -> None:
         """Perform the cache write of an evicted merge-buffer entry."""
@@ -281,7 +264,7 @@ class BaseL1Interface(ABC):
             physical, _ = self.translation.translate_pair(writeback.virtual_line_address)
             writeback.physical_line_address = self.layout.line_address(physical)
         self.hierarchy.l1.store_parts(writeback.physical_line_address, way_hint=way_hint)
-        self.stats.bump(self._h_mbe_written)
+        self.stats.add("interface.mbe_written")
 
     # ------------------------------------------------------------------
     # End-of-run drain

@@ -67,7 +67,7 @@ class BaselineSingleInterface(BaseL1Interface):
             self._forwarding_lookups(address, size, split=False)
             latency = self.hierarchy.l1.load_parts(physical)[2]
             completions.append((tag, cycle + translation_latency + latency))
-            self.stats.bump(self._h_load_accesses)
+            self.stats.add("interface.load_accesses")
         elif self._pending_writebacks:
             self._writeback_to_cache(self._pending_writebacks.popleft())
         return completions

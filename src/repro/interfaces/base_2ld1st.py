@@ -91,7 +91,7 @@ class BaselineDualLoadInterface(BaseL1Interface):
             latency = load_parts(physical)[2]
             bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
             completions.append((tag, cycle + translation_latency + latency))
-            stats.bump(self._h_load_accesses)
+            stats.add("interface.load_accesses")
             serviced += 1
 
         # One merge-buffer write-back through the read/write port.
@@ -106,6 +106,6 @@ class BaselineDualLoadInterface(BaseL1Interface):
             if bank_accesses.get(bank, 0) < self._MAX_ACCESSES_PER_BANK:
                 self._pending_writebacks.popleft()
                 self.hierarchy.l1.store_parts(writeback.physical_line_address)
-                self.stats.bump(self._h_mbe_written)
+                self.stats.add("interface.mbe_written")
 
         return completions

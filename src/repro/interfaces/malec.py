@@ -50,6 +50,14 @@ class MalecInterface(BaseL1Interface):
     load_slots = 1
     store_slots = 0
     flexible_slots = 2
+    # Way-prediction accounting patterns, one per bank access.
+    _combo_way_unknown = (("malec.way_lookup", 1),)
+    _combo_way_known = (("malec.way_lookup", 1), ("malec.way_known", 1))
+    _combo_way_reduced = (
+        ("malec.way_lookup", 1),
+        ("malec.way_known", 1),
+        ("malec.reduced_access", 1),
+    )
 
     def __init__(
         self,
@@ -98,21 +106,6 @@ class MalecInterface(BaseL1Interface):
             self.wdu.attach_to_cache(hierarchy.l1)
         #: line addresses of MBEs waiting for the Input Buffer's single MBE slot
         self._mbe_backlog: Deque[int] = deque()
-        # Per-cycle counters resolved to integer slots once (hot path).
-        self._h_group_cycles = self.stats.handle("malec.group_cycles")
-        self._h_group_loads = self.stats.handle("malec.group_loads")
-        self._h_loads_merged = self.stats.handle("interface.loads_merged")
-        self._h_way_lookup = self.stats.handle("malec.way_lookup")
-        self._h_way_known = self.stats.handle("malec.way_known")
-        self._h_reduced_access = self.stats.handle("malec.reduced_access")
-        # Fixed way-prediction accounting patterns (one bump_many per access).
-        self._combo_way_unknown = ((self._h_way_lookup, 1),)
-        self._combo_way_known = ((self._h_way_lookup, 1), (self._h_way_known, 1))
-        self._combo_way_reduced = (
-            (self._h_way_lookup, 1),
-            (self._h_way_known, 1),
-            (self._h_reduced_access, 1),
-        )
 
     # ------------------------------------------------------------------
     # Back-pressure and queuing
@@ -144,7 +137,7 @@ class MalecInterface(BaseL1Interface):
         # Unlike the baselines, evicted MBEs travel through the Input Buffer
         # so their cache write can share a page group's translation.
         self._mbe_backlog.append(line_address)
-        self.stats.bump(self._h_mbe_queued)
+        self.stats.add("interface.mbe_queued")
 
     # ------------------------------------------------------------------
     # Per-cycle servicing
@@ -190,13 +183,13 @@ class MalecInterface(BaseL1Interface):
             physical_address = frame | (mbe & self.layout._page_offset_mask)
             way_hint = self._wdu_hint(physical_address, mbe_hint)
             reduced = self.hierarchy.l1.store_parts(physical_address, way_hint=way_hint)[3]
-            self.stats.bump(self._h_mbe_written)
+            self.stats.add("interface.mbe_written")
             self._account_way_prediction(way_hint, reduced)
 
         input_buffer.retire(serviced, mbe_granted)
         input_buffer.end_cycle()
-        self.stats.bump(self._h_group_cycles)
-        self.stats.bump(self._h_group_loads, loads_granted)
+        self.stats.add("malec.group_cycles")
+        self.stats.add("malec.group_loads", loads_granted)
         return completions
 
     def _wdu_hint(self, physical_address: int, way_hint: Optional[int]) -> Optional[int]:
@@ -232,8 +225,8 @@ class MalecInterface(BaseL1Interface):
         hit, way, latency, reduced, _, _ = self.hierarchy.l1.load_parts(
             physical_address, way_hint=way_hint
         )
-        self.stats.bump(self._h_load_accesses)
-        self.stats.bump(self._h_loads_merged, len(merged))
+        self.stats.add("interface.load_accesses")
+        self.stats.add("interface.loads_merged", len(merged))
         self._account_way_prediction(way_hint, reduced)
 
         if way_hint is None and hit:
@@ -253,11 +246,11 @@ class MalecInterface(BaseL1Interface):
         if self.way_determination == "none":
             return
         if way_hint is None:
-            self.stats.bump_many(self._combo_way_unknown)
+            self.stats.add_many(self._combo_way_unknown)
         elif reduced:
-            self.stats.bump_many(self._combo_way_reduced)
+            self.stats.add_many(self._combo_way_reduced)
         else:
-            self.stats.bump_many(self._combo_way_known)
+            self.stats.add_many(self._combo_way_known)
 
     # ------------------------------------------------------------------
     # Reporting helpers

@@ -134,10 +134,10 @@ class MetricsRegistry:
     """A named collection of counters, gauges and histograms.
 
     ``counter``/``gauge``/``histogram`` are get-or-create (idempotent per
-    name, like the stat counters' ``handle``); asking for an existing name
-    with a different instrument kind raises, so a typo never silently forks
-    a metric.  Thread-safe: the executor updates metrics from the thread
-    draining pool results while the CLI may snapshot concurrently.
+    name); asking for an existing name with a different instrument kind
+    raises, so a typo never silently forks a metric.  Thread-safe: the
+    executor updates metrics from the thread draining pool results while
+    the CLI may snapshot concurrently.
     """
 
     def __init__(self) -> None:
@@ -275,11 +275,6 @@ class MetricsRegistry:
                         )
             else:
                 raise ValueError(f"metric {name!r} has unknown kind {kind!r}")
-
-    def snapshot_openmetrics(self) -> str:
-        """The registry rendered as OpenMetrics text (see
-        :func:`render_openmetrics`)."""
-        return render_openmetrics(self.dump())
 
     def clear(self) -> None:
         """Drop every metric (test isolation / fresh runs)."""

@@ -24,12 +24,12 @@ jump, hold them to it:
   objects the run never rebinds (the generator documents each hoist; e.g.
   ``InputBuffer._held`` is rebound by ``retire`` and is therefore *never*
   hoisted);
-* stat bumps are batched into local integer accumulators (the cold paths'
-  into a list of their own) that flush into ``StatCounters`` once at the
-  end of the run, through one table (:func:`_flush_rows`) whose counter
-  patterns are the model's own ``_combo_*`` tuples wherever it has one.
-  Sums of integers commute, so the flushed totals are bit-identical to
-  per-access bumping.
+* counts are batched into local integer accumulators (the cold paths'
+  into a list of their own) that flush into ``StatCounters`` by name once
+  at the end of the run, through one table (:func:`_flush_rows`) of
+  ``(name, times)`` patterns, the model's own ``_combo_*`` tuples wherever
+  it has one.  Sums of integers commute, so the flushed totals are
+  bit-identical to per-access counting.
 
 The uTLB, L1 and L2 misses are emitted once per kernel (generator v13), as
 functions that a module-level factory binds to the run (:func:`_cold_paths`).
@@ -92,7 +92,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 14
+GENERATOR_VERSION = 15
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -1575,172 +1575,157 @@ def _flush_rows(spec: dict) -> list:
     """The batched counters: one ``(guard, pattern, amount)`` row per event.
 
     When accumulator ``guard`` is non-zero at the end of a run, the epilogue
-    adds ``amount * times`` to each ``(slot, times)`` pair of ``pattern``, an
-    expression over the run's objects that it evaluates then.  Wherever the
-    model counts an event with a ``_combo_*`` tuple, the row's pattern is
-    that tuple, so a change to the model's accounting reaches the kernels
-    unedited.  A row whose amount is not its guard carries a counter that
-    the generic loop bumps, at times by zero, with the guard's event: it is
-    live exactly when that event happened.  The model counts some events
-    by name (``DRAMModel``'s and the WDU's ``stats.add``), and their rows
-    name the counters, to be added by name.  Guards are
-    expressions over hot accumulators and :data:`_COLD` slots, and no
-    count is kept that others give: the L1 fills, L2 hits, DRAM reads and
-    writes and the fills' uWT records flush from the misses.
+    adds ``amount * times`` to each ``(name, times)`` pair of ``pattern``
+    with :meth:`repro.stats.StatCounters.add_many`.  Wherever the model
+    counts an event with a ``_combo_*`` tuple, the row's pattern is that
+    tuple, an expression over the run's objects that the epilogue evaluates
+    then, so a change to the model's accounting reaches the kernels
+    unedited; every other pattern is a literal tuple of counter names.  A
+    row whose amount is not its guard carries a counter that the generic
+    loop adds, at times by zero, with the guard's event: it is live exactly
+    when that event happened.  Guards are expressions over hot
+    accumulators and :data:`_COLD` slots, and no count is kept that others
+    give: the L1 fills, L2 hits, DRAM reads and writes and the fills' uWT
+    records flush from the misses.
     """
     c = _COLD
     fills = f"{c['l1_load_miss']} + {c['l1_store_miss']}"
 
-    def once(*handles: str) -> str:
-        """A pattern counting each of ``handles`` once (no model tuple)."""
-        return "(" + ", ".join(f"({handle}, 1)" for handle in handles) + ",)"
+    def once(*names: str) -> str:
+        """A pattern counting each of ``names`` once (no model tuple)."""
+        return "(" + ", ".join(f'("{name}", 1)' for name in names) + ",)"
 
     # (guard, pattern[, amount]): the amount is the guard unless given
     rows = [
         ("acc_load_submit", "interface._combo_load_submit"),
-        ("acc_store_submit", once("interface._h_stores_submitted", "store_buffer._h_insert")),
+        ("acc_store_submit", once("interface.stores_submitted", "sb.insert")),
         ("acc_utlb_hit", "utlb._combo_hit"),
         # a uTLB miss that hits the TLB refills one uTLB slot
         (c["tlb_hit"], "utlb._combo_miss"),
         (c["tlb_hit"], "tlb._combo_hit"),
-        (c["tlb_hit"], once("utlb._h_fill")),
+        (c["tlb_hit"], once("utlb.fill")),
         (c["tlb_miss"], "utlb._combo_miss"),
         (c["tlb_miss"], "tlb._combo_miss"),
-        (c["utlb_eviction"], once("utlb._h_eviction")),
-        ("acc_sb_forward", once("store_buffer._h_forward_hit")),
-        ("acc_mb_forward", once("merge_buffer._h_forward_hit")),
-        ("acc_load_accesses", once("interface._h_load_accesses")),
-        ("acc_lq_completed", once("load_queue._h_completed")),
-        ("acc_lq_completed", once("load_queue._h_total_latency"), "acc_lq_latency"),
+        (c["utlb_eviction"], once("utlb.eviction")),
+        ("acc_sb_forward", once("sb.forward_hit")),
+        ("acc_mb_forward", once("mb.forward_hit")),
+        ("acc_load_accesses", once("interface.load_accesses")),
+        ("acc_lq_completed", once("lq.completed")),
+        ("acc_lq_completed", once("lq.total_latency"), "acc_lq_latency"),
         ("acc_l1_conv_hit", "bank0._combo_conv_read"),
         ("acc_l1_conv_hit", "l1._combo_load_hit"),
         (c["l1_load_miss"], "bank0._combo_conv_read"),
         (c["l1_load_miss"], "l1._combo_load_miss"),
         (fills, "bank0._combo_fill"),
-        (c["l1_evict"], once("bank0._h_eviction")),
-        (c["l1_writeback"], once("bank0._h_writeback")),
+        (c["l1_evict"], once("l1.eviction")),
+        (c["l1_writeback"], once("l1.writeback")),
         # the L2 serves the L1 misses and dirty victims; the rest of those hit
         (f"{fills} + {c['l1_writeback']} - {c['l2_miss']}", "l2._combo_hit"),
         (c["l2_miss"], "l2._combo_miss"),
-        (c["l2_miss"], ("dram.read",)),
-        (c["l2_writeback"], once("l2._h_writeback")),
-        (c["l2_writeback"], ("dram.write",)),
-        ("acc_sb_drain", once("store_buffer._h_drain")),
-        ("acc_mb_merged", once("merge_buffer._h_merged_store")),
+        (c["l2_miss"], once("dram.read")),
+        (c["l2_writeback"], once("l2.writeback", "dram.write")),
+        ("acc_sb_drain", once("sb.drain")),
+        ("acc_mb_merged", once("mb.merged_store")),
         # every merge-buffer eviction queues its line for the cache
-        ("acc_mb_eviction", once("merge_buffer._h_eviction", "interface._h_mbe_queued")),
-        ("acc_mb_allocate", once("merge_buffer._h_allocate")),
-        ("acc_mbe_written", once("interface._h_mbe_written")),
+        ("acc_mb_eviction", once("mb.eviction", "interface.mbe_queued")),
+        ("acc_mb_allocate", once("mb.allocate")),
+        ("acc_mbe_written", once("interface.mbe_written")),
         # a conventional write hit: CacheBank.write_parts and store_parts
         ("acc_store_conv_hit", "bank0._combo_conv_write"),
-        ("acc_store_conv_hit", once("bank0._h_data_write")),
+        ("acc_store_conv_hit", once("l1.data_write")),
         ("acc_store_conv_hit", "l1._combo_store_hit"),
         # a store miss: the conventional write probe, then store_parts' fill
         (c["l1_store_miss"], "bank0._combo_conv_write"),
         (c["l1_store_miss"], "l1._combo_store_miss"),
-        (c["l1_store_miss"], once("l1._h_data_write")),
+        (c["l1_store_miss"], once("l1.data_write")),
     ]
     if spec["kind"] != "MALEC":
         rows.append(("acc_fwd_full", "interface._combo_fwd_full"))
     else:
         rows += [
             ("acc_fwd_split", "interface._combo_fwd_split"),
-            ("acc_load_accesses", once("interface._h_loads_merged"), "acc_loads_merged"),
+            ("acc_load_accesses", once("interface.loads_merged"), "acc_loads_merged"),
             ("acc_l1_reduced_hit", "bank0._combo_reduced_read"),
             ("acc_l1_reduced_hit", "l1._combo_load_hit"),
-            ("acc_ib_load_in", once("ib._h_load_in")),
-            ("acc_mbe_in", once("ib._h_mbe_in")),
-            ("acc_page_compare", once("ib._h_page_compare")),
-            ("acc_group_selected", once("ib._h_group_selected")),
-            ("acc_group_selected", once("ib._h_group_size"), "acc_group_size"),
-            ("acc_mbe_out", once("ib._h_mbe_out")),
-            ("acc_ib_overflow", once("ib._h_overflow_cycle")),
-            ("acc_end_cycles", once("ib._h_held_loads"), "acc_held_loads"),
-            ("acc_line_compare", once("arbitration._h_line_compare")),
-            ("acc_merged_load", once("arbitration._h_merged_load")),
-            ("acc_rej_bus", once("arbitration._h_rejected_result_bus")),
-            ("acc_rej_bank", once("arbitration._h_rejected_bank_conflict")),
-            ("acc_granted", once("arbitration._h_granted_load")),
-            ("acc_way_hint_assigned", once("arbitration._h_way_hint_assigned")),
-            ("acc_arb_mbe_conflict", once("arbitration._h_mbe_bank_conflict")),
-            ("acc_arb_cycles", once("arbitration._h_cycles")),
-            ("acc_arb_cycles", once("arbitration._h_bank_accesses"), "acc_bank_accesses"),
-            (
-                "acc_shared_page",
-                once("store_buffer._h_lookup_page_shared", "merge_buffer._h_lookup_page_shared"),
-            ),
-            ("acc_group_cycles", once("interface._h_group_cycles")),
-            ("acc_group_cycles", once("interface._h_group_loads"), "acc_group_loads"),
+            ("acc_ib_load_in", once("input_buffer.load_in")),
+            ("acc_mbe_in", once("input_buffer.mbe_in")),
+            ("acc_page_compare", once("input_buffer.page_compare")),
+            ("acc_group_selected", once("input_buffer.group_selected")),
+            ("acc_group_selected", once("input_buffer.group_size"), "acc_group_size"),
+            ("acc_mbe_out", once("input_buffer.mbe_out")),
+            ("acc_ib_overflow", once("input_buffer.overflow_cycle")),
+            ("acc_end_cycles", once("input_buffer.held_loads"), "acc_held_loads"),
+            ("acc_line_compare", once("arb.line_compare")),
+            ("acc_merged_load", once("arb.merged_load")),
+            ("acc_rej_bus", once("arb.rejected_result_bus")),
+            ("acc_rej_bank", once("arb.rejected_bank_conflict")),
+            ("acc_granted", once("arb.granted_load")),
+            ("acc_way_hint_assigned", once("arb.way_hint_assigned")),
+            ("acc_arb_mbe_conflict", once("arb.mbe_bank_conflict")),
+            ("acc_arb_cycles", once("arb.cycles")),
+            ("acc_arb_cycles", once("arb.bank_accesses"), "acc_bank_accesses"),
+            ("acc_shared_page", once("sb.lookup_page_shared", "mb.lookup_page_shared")),
+            ("acc_group_cycles", once("malec.group_cycles")),
+            ("acc_group_cycles", once("malec.group_loads"), "acc_group_loads"),
         ]
         if spec["way_determination"] != "none":
             rows += [
                 # the MBE's hinted write (_l1_store_inline)
                 ("acc_store_reduced_hit", "bank0._combo_reduced_write"),
                 ("acc_store_reduced_hit", "l1._combo_store_hit"),
-                ("acc_way_hint_wrong", once("bank0._h_way_hint_wrong")),
+                ("acc_way_hint_wrong", once("l1.way_hint_wrong")),
                 ("acc_way_unknown", "interface._combo_way_unknown"),
                 ("acc_way_known", "interface._combo_way_known"),
                 ("acc_way_reduced", "interface._combo_way_reduced"),
             ]
         if spec["way_determination"] == "wt":
             # a reverse lookup that misses the uTLB probes the TLB
-            via_utlb = ("utlb._h_reverse_lookup", "utlb._h_reverse_hit")
-            via_tlb = ("utlb._h_reverse_lookup", "utlb._h_reverse_miss", "tlb._h_reverse_lookup")
-            transfers = ("way_tables._h_wt_transfer", "way_tables._h_uwt_writeback")
+            via_utlb = ("utlb.reverse_lookup", "utlb.reverse_hit")
+            via_tlb = ("utlb.reverse_lookup", "utlb.reverse_miss", "tlb.reverse_lookup")
             rows += [
-                ("acc_uwt_read", once("way_tables._h_uwt_read")),
-                (c["tlb_hit"], once("way_tables._h_uwt_transfer")),
-                (c["uwt_writeback"], once(*transfers)),
-                (c["locate_uwt"], once(*via_utlb, "way_tables._h_uwt_update")),
+                ("acc_uwt_read", once("uwt.read")),
+                (c["tlb_hit"], once("uwt.entry_transfer")),
+                (c["uwt_writeback"], once("wt.entry_transfer", "uwt.writeback")),
+                (c["locate_uwt"], once(*via_utlb, "uwt.update")),
                 # a fill records its way in the uWT entry of its page
-                (fills, once(*via_utlb, "way_tables._h_uwt_update")),
-                (c["locate_wt"], once(*via_tlb, "tlb._h_reverse_hit", "way_tables._h_wt_update")),
+                (fills, once(*via_utlb, "uwt.update")),
+                (c["locate_wt"], once(*via_tlb, "tlb.reverse_hit", "wt.update")),
                 (
                     c["evict_unmapped"],
-                    once(*via_tlb, "tlb._h_reverse_miss", "way_tables._h_evict_unmapped"),
+                    once(*via_tlb, "tlb.reverse_miss", "way_pred.evict_unmapped"),
                 ),
             ]
             if not spec["restrict"]:
-                rows.append((c["unencodable"], once("way_tables._h_unencodable")))
+                rows.append((c["unencodable"], once("way_pred.unencodable_way")))
             if spec["feedback"]:
-                feedback = once("way_tables._h_uwt_update", "way_tables._h_feedback_update")
-                rows.append(("acc_feedback", feedback))
+                rows.append(("acc_feedback", once("uwt.update", "way_pred.feedback_update")))
         elif spec["way_determination"] == "wdu":
             rows += [
-                ("acc_wdu_lookup", ("wdu.lookup", "way_pred.lookup")),
-                ("acc_wdu_known", ("way_pred.known",)),
+                ("acc_wdu_lookup", once("wdu.lookup", "way_pred.lookup")),
+                ("acc_wdu_known", once("way_pred.known")),
                 # records come from the hot feedback and the cold fill listener
-                ("acc_wdu_update", ("wdu.update",)),
-                (c["wdu_update"], ("wdu.update",)),
-                ("acc_wdu_eviction", ("wdu.eviction",)),
-                (c["wdu_eviction"], ("wdu.eviction",)),
-                (c["wdu_invalidate"], ("wdu.invalidate",)),
+                ("acc_wdu_update", once("wdu.update")),
+                (c["wdu_update"], once("wdu.update")),
+                ("acc_wdu_eviction", once("wdu.eviction")),
+                (c["wdu_eviction"], once("wdu.eviction")),
+                (c["wdu_invalidate"], once("wdu.invalidate")),
             ]
     return [(guard, pattern, rest[0] if rest else guard) for guard, pattern, *rest in rows]
 
 
 def _epilogue(spec: dict) -> str:
-    rows, adds = [], []
-    for guard, pattern, amount in _flush_rows(spec):
-        if isinstance(pattern, tuple):
-            adds.append(f"    if {guard}:")
-            adds += [f'        stats.add("{name}", {amount})' for name in pattern]
-        else:
-            rows.append(f"        ({guard}, {pattern}, {amount}),")
-    rows, adds = "\n".join(rows), "\n".join(adds)
+    rows = "\n".join(
+        f"        ({guard}, {pattern}, {amount}),"
+        for guard, pattern, amount in _flush_rows(spec)
+    )
     return f"""
     # ---- run boundary: flush batched accumulators, then finalize ----
     pipeline.fast_forwarded_cycles += fast_forwarded
-    values = stats._values
-    live = stats._live
     for guard, pattern, amount in (
 {rows}
     ):
         if guard:
-            for slot, times in pattern:
-                values[slot] += amount * times
-                live[slot] = True
-{adds}
+            stats.add_many(pattern, amount)
     total_cycles = last_commit_cycle + 1
     interface.finalize(total_cycles)
     stats.add("pipeline.issued", issued_total)

@@ -47,9 +47,6 @@ class PageTable:
         self._vpage_to_ppage: Dict[int, int] = {}
         self._used_frames: set[int] = set()
         self._next_index = 0
-        # Per-walk counters resolved to integer slots once (hot path).
-        self._h_allocation = self.stats.handle("page_table.allocation")
-        self._h_walk = self.stats.handle("page_table.walk")
 
     # ------------------------------------------------------------------
     def _allocate_frame(self) -> int:
@@ -73,8 +70,8 @@ class PageTable:
         if ppage is None:
             ppage = self._allocate_frame()
             self._vpage_to_ppage[virtual_page] = ppage
-            self.stats.bump(self._h_allocation)
-        self.stats.bump(self._h_walk)
+            self.stats.add("page_table.allocation")
+        self.stats.add("page_table.walk")
         return ppage
 
     @property

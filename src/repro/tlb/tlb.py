@@ -65,19 +65,9 @@ class TLB:
         self._referenced = bytearray(entries) if seed is None else None
         self._hand = 0
         self._eviction_callbacks: List[EvictionCallback] = []
-        # Per-access counters resolved to integer slots once (hot path); the
-        # f-string name construction otherwise runs on every lookup.
-        self._h_lookup = self.stats.handle(f"{name}.lookup")
-        self._h_miss = self.stats.handle(f"{name}.miss")
-        self._h_hit = self.stats.handle(f"{name}.hit")
-        self._h_reverse_lookup = self.stats.handle(f"{name}.reverse_lookup")
-        self._h_reverse_miss = self.stats.handle(f"{name}.reverse_miss")
-        self._h_reverse_hit = self.stats.handle(f"{name}.reverse_hit")
-        self._h_eviction = self.stats.handle(f"{name}.eviction")
-        self._h_fill = self.stats.handle(f"{name}.fill")
-        # Fixed per-lookup counter patterns, flushed with one bump_many call.
-        self._combo_hit = ((self._h_lookup, 1), (self._h_hit, 1))
-        self._combo_miss = ((self._h_lookup, 1), (self._h_miss, 1))
+        # Fixed per-lookup counter patterns, counted with one add_many call.
+        self._combo_hit = ((f"{name}.lookup", 1), (f"{name}.hit", 1))
+        self._combo_miss = ((f"{name}.lookup", 1), (f"{name}.miss", 1))
 
     # ------------------------------------------------------------------
     def add_eviction_callback(self, callback: EvictionCallback) -> None:
@@ -97,10 +87,10 @@ class TLB:
         slot = self._by_vpage.get(virtual_page)
         if slot is None:
             if count_event:
-                self.stats.bump_many(self._combo_miss)
+                self.stats.add_many(self._combo_miss)
             return None
         if count_event:
-            self.stats.bump_many(self._combo_hit)
+            self.stats.add_many(self._combo_hit)
         if self._referenced is not None:
             self._referenced[slot] = 1
         return slot
@@ -111,14 +101,14 @@ class TLB:
         Used on cache line fills/evictions, which know only physical tags.
         """
         if count_event:
-            self.stats.bump(self._h_reverse_lookup)
+            self.stats.add(f"{self.name}.reverse_lookup")
         slot = self._by_ppage.get(physical_page)
         if slot is None:
             if count_event:
-                self.stats.bump(self._h_reverse_miss)
+                self.stats.add(f"{self.name}.reverse_miss")
             return None
         if count_event:
-            self.stats.bump(self._h_reverse_hit)
+            self.stats.add(f"{self.name}.reverse_hit")
         return slot
 
     @property
@@ -168,7 +158,7 @@ class TLB:
         slot = self._victim()
         old_ppage = self._ppages[slot]
         if old_ppage is not None:
-            self.stats.bump(self._h_eviction)
+            self.stats.add(f"{self.name}.eviction")
             self._by_vpage.pop(self._vpages[slot], None)
             self._by_ppage.pop(old_ppage, None)
         for callback in self._eviction_callbacks:
@@ -179,7 +169,7 @@ class TLB:
         self._by_ppage[physical_page] = slot
         if self._referenced is not None:
             self._referenced[slot] = 1
-        self.stats.bump(self._h_fill)
+        self.stats.add(f"{self.name}.fill")
         return slot
 
 
@@ -210,7 +200,6 @@ class TLBHierarchy:
         )
         self.utlb = TLB(utlb_entries, name="utlb", stats=self.stats)
         self.tlb = TLB(tlb_entries, name="tlb", stats=self.stats, seed=seed + 1)
-        self._h_walk = self.stats.handle("tlb.walk")
         self._page_shift = layout.page_offset_bits
 
     def translate_pair(self, virtual_address: int):
@@ -237,10 +226,10 @@ class TLBHierarchy:
         utlb = self.utlb
         slot = utlb._by_vpage.get(virtual_page)
         if slot is not None:
-            self.stats.bump_many(utlb._combo_hit)
+            self.stats.add_many(utlb._combo_hit)
             utlb._referenced[slot] = 1
             return (utlb._ppages[slot], 0)
-        self.stats.bump_many(utlb._combo_miss)
+        self.stats.add_many(utlb._combo_miss)
         tlb_slot = self.tlb.lookup(virtual_page)
         if tlb_slot is not None:
             ppage = self.tlb._ppages[tlb_slot]
@@ -257,7 +246,7 @@ class TLBHierarchy:
         call it, so they share the walk and the TLB's random draws.
         """
         ppage = self.page_table.translate_page(virtual_page)
-        self.stats.bump(self._h_walk)
+        self.stats.add("tlb.walk")
         self.tlb.insert(virtual_page, ppage)
         self.utlb.insert(virtual_page, ppage)
         return ppage

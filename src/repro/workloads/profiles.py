@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Tuple
 
 
@@ -45,7 +46,8 @@ class StreamSpec:
     kind:
         Behavioural template.
     weight:
-        Relative probability of an access being drawn from this stream.
+        Relative probability of an access being drawn from this stream
+        (finite and positive).
     footprint_pages:
         Number of distinct pages the stream cycles through.
     stride_bytes:
@@ -66,8 +68,8 @@ class StreamSpec:
     store_fraction: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("stream weight must be positive")
+        if not (isfinite(self.weight) and self.weight > 0):
+            raise ValueError(f"stream weight must be finite and positive, got {self.weight!r}")
         if self.footprint_pages <= 0:
             raise ValueError("stream footprint must cover at least one page")
         if not 0 <= self.page_stay_probability <= 1:
@@ -118,6 +120,12 @@ class BenchmarkProfile:
     def __post_init__(self) -> None:
         if not self.streams:
             raise ValueError("a profile needs at least one access stream")
+        # summed left to right, as the generator's cumulative weights are
+        weight_total = 0.0
+        for stream in self.streams:
+            weight_total += stream.weight
+        if not isfinite(weight_total):
+            raise ValueError(f"stream weights must have a finite sum, got {weight_total!r}")
         if not 0 < self.memory_fraction < 1:
             raise ValueError("memory_fraction must be in (0, 1)")
         for probability in (

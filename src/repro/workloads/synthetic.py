@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from bisect import bisect
 from itertools import accumulate
-from math import isfinite
 from typing import Optional
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
@@ -72,8 +71,7 @@ class SyntheticTraceGenerator:
         ``instructions`` and ``seed`` default to the profile's values, so a
         plain ``generate()`` is fully deterministic per benchmark.  An address
         outside the layout raises :meth:`AddressLayout.compose`'s
-        ``ValueError``, and stream weights whose total is not finite raise
-        ``random.choices``' ``ValueError`` at the first weighted pick.
+        ``ValueError``.
         """
         profile = self.profile
         layout = self.layout
@@ -113,7 +111,6 @@ class SyntheticTraceGenerator:
         several = len(streams) > 1
         cumulative = list(accumulate(spec.weight for spec in streams))
         weight_total = cumulative[-1] + 0.0
-        weights_finite = isfinite(weight_total)
         last_stream = len(streams) - 1
 
         switch_probability = profile.stream_switch_probability
@@ -153,8 +150,6 @@ class SyntheticTraceGenerator:
                     current, previous = previous, current
                 else:
                     previous = current
-                    if not weights_finite:
-                        raise ValueError("Total of weights must be finite")
                     current = bisect(cumulative, draw() * weight_total, 0, last_stream)
 
             # Advance the stream to its next address.

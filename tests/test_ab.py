@@ -170,6 +170,21 @@ def test_driver_records_matching_trees(tmp_path, fake_driver, workloads, name):
     assert record["regressions"] == []
 
 
+def test_a_seeded_record_is_named_by_its_seed(tmp_path, fake_driver):
+    fake_driver["base"] = _fake_tree(tmp_path / "base")
+    fake_driver["head"] = _fake_tree(tmp_path / "head")
+    records = tmp_path / "records"
+    argv = ["base", "head", "--workload", "fig4-sim", "--pairs", "1", "--seconds", "1"]
+    assert ab.main(argv) == 0
+    written = (records / "AB_base000_head000_fig4-sim.json").read_bytes()
+    assert ab.main(argv + ["--seed", "3"]) == 0
+    names = sorted(path.name for path in records.iterdir())
+    assert names == ["AB_base000_head000_fig4-sim.json", "AB_base000_head000_fig4-sim_seed3.json"]
+    assert (records / "AB_base000_head000_fig4-sim.json").read_bytes() == written
+    seeded = json.loads((records / "AB_base000_head000_fig4-sim_seed3.json").read_text())
+    assert seeded["settings"]["seed"] == 3
+
+
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1)])
 def test_a_run_that_is_not_correct_ends_the_driver(tmp_path, fake_driver, capsys, correct, failed):
     fake_driver["base"] = _fake_tree(tmp_path / "base")

@@ -173,7 +173,7 @@ class TestL1DataCache:
         l1 = L1DataCache()
         l1.load_parts(addr(6, 0))
         l1.load_parts(addr(6, 0))
-        assert l1.load_miss_rate == 0.5
+        assert (l1.stats["l1.load_miss"], l1.stats["l1.load"]) == (1, 2)
         assert 0 < l1.miss_rate <= 0.5
 
     def test_occupancy_grows_with_distinct_lines(self):

@@ -663,8 +663,8 @@ class TestModelCounterPatterns:
             simulator = Simulator(config)
             for bank in simulator.interface.hierarchy.l1.banks:
                 bank._combo_conv_read = tuple(
-                    (slot, 2 if slot == bank._h_ctrl else times)
-                    for slot, times in bank._combo_conv_read
+                    (name, 2 if name == "l1.ctrl" else times)
+                    for name, times in bank._combo_conv_read
                 )
             results[kernel] = simulator.run(trace, options=RunOptions(kernel=kernel))
         assert_results_identical(results["specialized"], results["generic"], "l1.ctrl x2")

@@ -112,7 +112,6 @@ class TestAggregationEdgeCases:
         results = ExperimentResults(runs=[], configurations=["A", "B"])
         assert results.geomean_normalized_cycles("A") == {"A": 0.0, "B": 0.0}
         assert results.geomean_normalized_energy("A") == {"A": 0.0, "B": 0.0}
-        assert results.mean_stat("A", lambda r: r.cycles) == 0.0
 
     def test_geomeans_over_unknown_suite(self):
         run = BenchmarkRun(benchmark="gzip", suite="spec2000int")

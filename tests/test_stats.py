@@ -30,6 +30,32 @@ class TestBasics:
         assert len(stats) == 2
         assert sorted(stats) == ["a", "b"]
 
+    def test_adding_zero_makes_a_counter_live(self):
+        stats = StatCounters()
+        stats.add("a", 0)
+        stats.add_many((("b", 3),), 0)
+        assert "a" in stats and "b" in stats
+        assert len(stats) == 2
+        assert stats.as_dict() == {"a": 0.0, "b": 0.0}
+
+    def test_values_read_back_as_floats_and_set_keeps_its_value(self):
+        stats = StatCounters()
+        stats.add("added", 2)
+        stats.add_many((("patterned", 1),), 3)
+        stats.set("set", 7)
+        assert type(stats["added"]) is float and stats["added"] == 2.0
+        assert type(stats["patterned"]) is float and stats["patterned"] == 3.0
+        assert type(stats["set"]) is int and stats["set"] == 7
+
+
+class TestPatterns:
+    def test_add_many_scales_each_pair_by_the_amount(self):
+        stats = StatCounters()
+        pattern = (("l1.ctrl", 1), ("l1.tag_read", 4))
+        stats.add_many(pattern)
+        stats.add_many(pattern, 5)
+        assert stats.as_dict() == {"l1.ctrl": 6.0, "l1.tag_read": 24.0}
+
 
 class TestAggregation:
     def test_ratio(self):
@@ -49,13 +75,6 @@ class TestAggregation:
         stats.add("b", 2)
         assert stats.total("a", "b", "missing") == 3
 
-    def test_with_prefix(self):
-        stats = StatCounters()
-        stats.add("l1.hit", 1)
-        stats.add("l1.miss", 2)
-        stats.add("tlb.hit", 3)
-        assert stats.with_prefix("l1.") == {"l1.hit": 1, "l1.miss": 2}
-
     def test_merge(self):
         a = StatCounters()
         b = StatCounters()
@@ -66,21 +85,23 @@ class TestAggregation:
         assert a["x"] == 3
         assert a["y"] == 5
 
-    def test_update_from_mapping(self):
-        stats = StatCounters()
-        stats.update_from({"a": 2, "b": 3})
-        stats.update_from({"a": 1})
-        assert stats["a"] == 3
-        assert stats["b"] == 3
-
     def test_clear(self):
         stats = StatCounters()
         stats.add("x")
+        stats.set("y", 3)
         stats.clear()
         assert len(stats) == 0
+        assert "x" not in stats and stats.get("y", -1) == -1
+        assert stats.as_dict() == {}
 
 
 class TestPresentation:
+    def test_as_dict_is_sorted_by_name(self):
+        stats = StatCounters()
+        for name in ("tlb.miss", "l1.hit", "arb.cycles", "l1.ctrl"):
+            stats.add(name)
+        assert list(stats.as_dict()) == ["arb.cycles", "l1.ctrl", "l1.hit", "tlb.miss"]
+
     def test_as_dict_snapshot_is_independent(self):
         stats = StatCounters()
         stats.add("x", 1)

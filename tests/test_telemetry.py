@@ -37,7 +37,7 @@ from repro.obs import hostinfo
 from repro.obs import metrics as obs_metrics
 from repro.obs import logs as obs_logs
 from repro.obs import telemetry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, render_openmetrics
 from repro.obs.telemetry import TelemetryJournal
 from repro.sim.config import SimulationConfig
 
@@ -150,7 +150,7 @@ class TestOpenMetrics:
         histogram.observe(0.05)
         histogram.observe(0.5)
         histogram.observe(9.0)
-        text = registry.snapshot_openmetrics()
+        text = render_openmetrics(registry.dump())
         assert text.endswith("# EOF\n")
         samples = telemetry.parse_openmetrics(text)
         assert samples["kernel_cache_hit_total"] == 12
@@ -165,10 +165,9 @@ class TestOpenMetrics:
         registry = MetricsRegistry()
         registry.counter("b").inc()
         registry.counter("a").inc()
-        assert registry.snapshot_openmetrics() == registry.snapshot_openmetrics()
-        assert registry.snapshot_openmetrics().index("# TYPE a counter") < (
-            registry.snapshot_openmetrics().index("# TYPE b counter")
-        )
+        text = render_openmetrics(registry.dump())
+        assert text == render_openmetrics(registry.dump())
+        assert text.index("# TYPE a counter") < text.index("# TYPE b counter")
 
     def test_parse_rejects_missing_eof(self):
         with pytest.raises(ValueError):

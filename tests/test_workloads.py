@@ -156,6 +156,20 @@ class TestProfilesRegistry:
         with pytest.raises(ValueError):
             StreamSpec(kind=StreamKind.HOT_REGION, page_stay_probability=2.0)
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan"), -1.0])
+    def test_stream_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(ValueError, match=f"got {weight!r}$"):
+            StreamSpec(kind=StreamKind.HOT_REGION, weight=weight)
+
+    def test_stream_weights_must_have_a_finite_sum(self):
+        # Each weight is finite; their sum overflows to infinity.
+        streams = (
+            StreamSpec(kind=StreamKind.HOT_REGION, weight=1e308),
+            StreamSpec(kind=StreamKind.SEQUENTIAL, weight=1e308),
+        )
+        with pytest.raises(ValueError, match="finite sum, got inf$"):
+            BenchmarkProfile(name="bad", suite=SPEC_INT, streams=streams)
+
 
 class TestTraceJsonl:
     @pytest.mark.parametrize("suffix", ["jsonl", "jsonl.gz"])

@@ -27,7 +27,9 @@ by more than BASE's interquartile distance.
 It writes one JSON record, ``benchmarks/perf/AB_<base>_<head>.json``; when
 ``--workload`` narrows the run, the name ends in its workloads, in
 ``BENCHMARK.json`` order joined by ``+`` (``AB_<base>_<head>_fig4-sim.json``),
-so records of other workloads keep their files.  It exits 1 on a
+and a ``--seed`` other than 0 appends ``_seed<N>``
+(``AB_<base>_<head>_fig4-sim_seed3.json``), so records of other workloads
+and seeds keep their files.  It exits 1 on a
 regression: a metric whose interval lies wholly above its limit, which is
 1 + its bound, or 1.02 for fig4-sim ``cpu_s``, or one that BASE won in
 every pair with a median ratio above that limit.  With
@@ -329,6 +331,8 @@ def main(argv=None):
     measured = [workload for workload in WORKLOADS if workload in workloads]
     if len(measured) < len(WORKLOADS):
         name += "_" + "+".join(measured)
+    if args.seed:
+        name += f"_seed{args.seed}"
     path = RECORD_DIR / f"{name}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path}")
