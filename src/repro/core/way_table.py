@@ -223,9 +223,3 @@ class WayTableHierarchy:
         """Bits of one entry with a separate valid bit and way id (192)."""
         way_bits = max(1, (self.layout.l1_associativity - 1).bit_length())
         return (1 + way_bits) * self.lines_per_page
-
-    @property
-    def total_storage_bits(self) -> int:
-        """Combined uWT + WT data-array storage."""
-        entries = (len(self.uwt) + len(self.wt)) // self.lines_per_page
-        return entries * self.storage_bits

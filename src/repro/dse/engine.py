@@ -29,7 +29,12 @@ from repro.campaign.backends import atomic_write_text
 from repro.campaign.executor import ParallelExecutor, ProgressCallback
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
-from repro.dse.objectives import DEFAULT_OBJECTIVES, Objective, resolve_objectives
+from repro.dse.objectives import (
+    DEFAULT_OBJECTIVES,
+    Objective,
+    objective_values,
+    resolve_objectives,
+)
 from repro.dse.pareto import ParetoPoint, frontier_and_ranks
 from repro.dse.space import SearchSpace, format_value
 from repro.dse.strategies import (
@@ -143,30 +148,24 @@ class Evaluator:
             )
             registry.counter("dse.cells_resumed").inc(len(executor.skipped_cells))
 
-        baseline = {
-            run.benchmark: run.results[space.baseline.name] for run in results.runs
-        }
         keys = tuple(objective.key for objective in self.objectives)
-        evaluated = []
-        for candidate in candidates:
-            per_benchmark = {
-                run.benchmark: run.results[candidate.name] for run in results.runs
-            }
-            values = tuple(
-                objective.evaluate(per_benchmark, baseline)
-                for objective in self.objectives
+        values = objective_values(
+            results,
+            [candidate.name for candidate in candidates],
+            space.baseline.name,
+            self.objectives,
+        )
+        return [
+            EvaluatedCandidate(
+                index=candidate.index,
+                name=candidate.name,
+                assignment=candidate.assignment,
+                instructions=instructions,
+                objective_keys=keys,
+                values=candidate_values,
             )
-            evaluated.append(
-                EvaluatedCandidate(
-                    index=candidate.index,
-                    name=candidate.name,
-                    assignment=candidate.assignment,
-                    instructions=instructions,
-                    objective_keys=keys,
-                    values=values,
-                )
-            )
-        return evaluated
+            for candidate, candidate_values in zip(candidates, values)
+        ]
 
 
 @dataclass

@@ -22,8 +22,9 @@ Built-ins:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
+from repro.analysis.experiments import ExperimentResults
 from repro.analysis.reporting import geometric_mean
 from repro.sim.simulator import SimulationResult
 
@@ -56,6 +57,24 @@ class Objective:
         return geometric_mean(
             self.ratio(candidate[name], baseline[name]) for name in sorted(candidate)
         )
+
+
+def objective_values(
+    results: ExperimentResults,
+    names: Sequence[str],
+    baseline: str,
+    objectives: Sequence[Objective],
+) -> List[Tuple[float, ...]]:
+    """The objective values of each configuration in ``names`` over the
+    benchmarks of ``results``, against configuration ``baseline``'s results
+    on the same benchmarks (the DSE engine's candidates, a served sweep's
+    frontier points)."""
+    base = {run.benchmark: run.results[baseline] for run in results.runs}
+    values = []
+    for name in names:
+        candidate = {run.benchmark: run.results[name] for run in results.runs}
+        values.append(tuple(objective.evaluate(candidate, base) for objective in objectives))
+    return values
 
 
 def _runtime_ratio(result: SimulationResult, base: SimulationResult) -> float:

@@ -7,15 +7,13 @@ banks, sub-blocks), a simple fixed-latency DRAM model and the
 data cache, the unified L2 and DRAM together.
 """
 
-from repro.memory.address import AddressLayout, DEFAULT_LAYOUT, align_down, align_up
+from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.memory.dram import DRAMModel
 from repro.memory.hierarchy import MemoryHierarchy
 
 __all__ = [
     "AddressLayout",
     "DEFAULT_LAYOUT",
-    "align_down",
-    "align_up",
     "DRAMModel",
     "MemoryHierarchy",
 ]

@@ -46,20 +46,6 @@ def _log2(value: int) -> int:
     return value.bit_length() - 1
 
 
-def align_down(address: int, granule: int) -> int:
-    """Align ``address`` downwards to a multiple of ``granule``."""
-    if not _is_power_of_two(granule):
-        raise ValueError(f"granule {granule} must be a power of two")
-    return address & ~(granule - 1)
-
-
-def align_up(address: int, granule: int) -> int:
-    """Align ``address`` upwards to a multiple of ``granule``."""
-    if not _is_power_of_two(granule):
-        raise ValueError(f"granule {granule} must be a power of two")
-    return (address + granule - 1) & ~(granule - 1)
-
-
 @dataclass(frozen=True)
 class AddressLayout:
     """Geometry of the simulated address space and L1 data cache.
@@ -198,10 +184,6 @@ class AddressLayout:
         """Index of the line inside its page (0..lines_per_page-1)."""
         return self.line_number(address) & self._line_in_page_mask
 
-    def subblock_in_line(self, address: int) -> int:
-        """Index of the 128-bit sub-block inside the line."""
-        return self.line_offset(address) >> self._subblock_shift
-
     def bank_index(self, address: int) -> int:
         """L1 bank servicing this address (line-interleaved)."""
         return self.line_number(address) & self._bank_mask
@@ -241,26 +223,6 @@ class AddressLayout:
     def address_of_line(self, line_number: int) -> int:
         """Inverse of :meth:`line_number`."""
         return self.check(line_number << self.line_offset_bits)
-
-    def same_page(self, a: int, b: int) -> bool:
-        """True if both addresses fall within the same page."""
-        return self.page_id(a) == self.page_id(b)
-
-    def same_line(self, a: int, b: int) -> bool:
-        """True if both addresses fall within the same cache line."""
-        return self.line_number(a) == self.line_number(b)
-
-    def same_subblock_pair(self, a: int, b: int) -> bool:
-        """True if both addresses fall within the same aligned pair of sub-blocks.
-
-        MALEC expects sub-blocked data arrays to return two adjacent
-        sub-blocks per read (Sec. IV), doubling the probability that two loads
-        can share one data-array access.  Two addresses can share such a read
-        when they sit in the same line and in the same aligned sub-block pair.
-        """
-        if not self.same_line(a, b):
-            return False
-        return (self.subblock_in_line(a) >> 1) == (self.subblock_in_line(b) >> 1)
 
 
 #: Default geometry used throughout the reproduction (Table II of the paper).

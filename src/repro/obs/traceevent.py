@@ -53,7 +53,6 @@ class TraceEventLog:
     def __init__(self) -> None:
         self.events: List[dict] = []
         self._named_processes: Dict[int, str] = {}
-        self._named_threads: Dict[tuple, str] = {}
 
     # ------------------------------------------------------------------
     # Metadata (names shown by the viewer)
@@ -69,21 +68,6 @@ class TraceEventLog:
                 "ph": "M",
                 "pid": pid,
                 "tid": 0,
-                "args": {"name": name},
-            }
-        )
-
-    def name_thread(self, pid: int, tid: int, name: str) -> None:
-        """Label thread ``tid`` of process ``pid`` in the viewer (idempotent)."""
-        if self._named_threads.get((pid, tid)) == name:
-            return
-        self._named_threads[(pid, tid)] = name
-        self.events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
                 "args": {"name": name},
             }
         )

@@ -51,7 +51,7 @@ from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import PRESET_NAMES, CampaignSpec, campaign_preset
 from repro.campaign.store import ResultStore, open_store
-from repro.dse.objectives import DEFAULT_OBJECTIVES, resolve_objectives
+from repro.dse.objectives import DEFAULT_OBJECTIVES, objective_values, resolve_objectives
 from repro.dse.pareto import ParetoPoint, pareto_frontier
 from repro.obs.logs import get_logger
 from repro.obs.telemetry import TelemetryJournal
@@ -536,23 +536,11 @@ def _frontier_payload(job: CampaignJob, results: ExperimentResults) -> dict:
     (the campaign presets put the paper's Base1ldst first), so the baseline
     itself sits at ``(1.0, 1.0)``.
     """
-    by_benchmark = {run.benchmark: run.results for run in results.runs}
     config_names = job.spec.configuration_names()
     objectives = resolve_objectives(DEFAULT_OBJECTIVES)
     baseline_name = config_names[0]
-    baseline = {
-        benchmark: by_config[baseline_name]
-        for benchmark, by_config in by_benchmark.items()
-    }
-    points = []
-    for name in config_names:
-        candidate = {
-            benchmark: by_config[name] for benchmark, by_config in by_benchmark.items()
-        }
-        values = tuple(
-            objective.evaluate(candidate, baseline) for objective in objectives
-        )
-        points.append(ParetoPoint(label=name, values=values))
+    values = objective_values(results, config_names, baseline_name, objectives)
+    points = [ParetoPoint(label=name, values=value) for name, value in zip(config_names, values)]
     frontier = pareto_frontier(points)
 
     def as_dict(point: ParetoPoint) -> dict:

@@ -152,6 +152,17 @@ class SimulationConfig:
         """uTLB/TLB ports (Table I: Base2ld1st has 1 rd/wt + 2 rd)."""
         return 3 if self.interface is InterfaceKind.BASE_2LD1ST else 1
 
+    @property
+    def restrict_way_allocation(self) -> bool:
+        """Whether L1 fills avoid the way the 2-bit way-table code of their
+        line cannot express (Sec. V): only MALEC with way tables, when its
+        option asks for it."""
+        return (
+            self.interface is InterfaceKind.MALEC
+            and self.malec_options.way_determination == "wt"
+            and self.malec_options.restrict_way_allocation
+        )
+
     def energy_model_config(self) -> EnergyModelConfig:
         """Structural description consumed by the energy model."""
         is_malec = self.interface is InterfaceKind.MALEC

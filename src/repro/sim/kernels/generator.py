@@ -38,9 +38,9 @@ Bit-identity strategy — *probe, then commit or delegate*: every inlined fast
 path starts with side-effect-free probes (dict ``.get`` and list reads).  Only
 when the whole probe succeeds does the kernel apply the inline effects;
 otherwise it calls the exact original method before having mutated anything,
-so the two slow paths left, a page walk and a way-hint mismatch on a load,
-run the canonical code and charge the canonical counters.  Taken in the
-kernel, on the flat cache, TLB and way-table columns, are:
+so the one slow path left, a page walk, runs the canonical code and charges
+the canonical counters.  Taken in the kernel, on the flat cache, TLB and
+way-table columns, are:
 
 * every translation but the walk: the uTLB hit and, on a uTLB miss, the TLB
   probe and the uTLB refill with its second-chance victim and, for MALEC's
@@ -50,8 +50,11 @@ kernel, on the flat cache, TLB and way-table columns, are:
   TLB's random replacement draws;
 * the store drain (``StoreBuffer.pop_committed``,
   ``MergeBuffer.commit_store`` and ``_queue_writeback``);
-* L1 writes: MALEC's MBE write (reduced when its way hint matches),
-  Base2ld1st's port write-back and Base1ldst's ``_writeback_to_cache``;
+* L1 loads and writes (:func:`_l1_load_inline`, :func:`_l1_store_inline`):
+  a MALEC access with a way hint probes the hinted slot, reduced when it
+  holds the line, conventional after a wrong hint; the rest are
+  conventional.  The writes are MALEC's MBE write, Base2ld1st's port
+  write-back and Base1ldst's ``_writeback_to_cache``;
 * the conventional L1 miss of a load or a store: the L2 access (on an L2
   miss the DRAM read, the fill at the set's lowest stamp and the dirty L2
   victim's DRAM write), the L1 fill with the evict and fill listeners in the
@@ -88,11 +91,13 @@ touching anything.  There is no silent fallback to the generic loop.
 
 from __future__ import annotations
 
+import re
+
 from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 15
+GENERATOR_VERSION = 16
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -124,12 +129,7 @@ def build_spec(config: SimulationConfig) -> dict:
         "hit_latency": config.cache.l1_hit_latency,
         "l2_latency": config.cache.l2_latency,
         "dram_latency": config.cache.dram_latency,
-        # the Simulator's rule for MemoryHierarchy(restrict_way_allocation=)
-        "restrict": (
-            config.interface is InterfaceKind.MALEC
-            and config.malec_options.way_determination == "wt"
-            and config.malec_options.restrict_way_allocation
-        ),
+        "restrict": config.restrict_way_allocation,
         "page_shift": layout.page_offset_bits,
         "page_off_mask": layout._page_offset_mask,
         "line_mask": line_mask,
@@ -345,7 +345,6 @@ def _prologue(spec: dict) -> str:
         lines.append("    pending_loads = interface._pending_loads")
     if kind == "MALEC":
         lines += [
-            "    load_parts = l1.load_parts",
             "    mbe_backlog = interface._mbe_backlog",
             "    mk_deque = deque",
         ]
@@ -370,8 +369,8 @@ def _prologue(spec: dict) -> str:
         f"    utlb_miss, l1_miss, cold = cold_paths(\n{_cold_params(spec)}\n    )",
     ]
     # every accumulator of the hot loop the flush table names
-    names = [name for guard, _, amount in _flush_rows(spec) for name in (guard, amount)]
-    accs = [name for name in dict.fromkeys(names) if name.startswith("acc_")]
+    rows = " ".join(guard + " " + amount for guard, _, amount in _flush_rows(spec))
+    accs = list(dict.fromkeys(re.findall(r"\bacc_\w+", rows)))
     lines += ["", "    # ---- batched accumulators, flushed at the run boundary ----"]
     for i in range(0, len(accs), 4):
         lines.append("    " + " = ".join(accs[i : i + 4]) + " = 0")
@@ -507,6 +506,9 @@ def _issue_stage(spec: dict) -> str:
     issued, and those sit in ``due_next``.  A narrower pipeline needs it.)
     """
     width = spec["issue"]
+    load, store = _issue_load(spec), _issue_store(spec)
+    # zero only the slot counters the kind's load and store tests use
+    slots = " = ".join(dict.fromkeys(re.findall(r"\w+_used", load + store)))
     return f"""
         # 2. Issue ready instructions (oldest first, up to issue width).
         s_store = NEVER
@@ -515,7 +517,7 @@ def _issue_stage(spec: dict) -> str:
             if parked[head_store]:
                 s_store = head_store
         if ready_heap or deferred or s_store is not NEVER:
-            loads_used = stores_used = flex_used = 0
+            {slots} = 0
             issued = 0
             postponed = []
             postponed_load = False
@@ -552,9 +554,9 @@ def _issue_stage(spec: dict) -> str:
                     due_next.append(seq)
                     issued += 1
                 elif kind == 1:  # load
-{_issue_load(spec)}
+{load}
                 else:  # store
-{_issue_store(spec)}
+{store}
             if di < dlen:
                 # The unexamined loads: out of issue width, or skipped
                 # behind loads_blocked (then possibly interleaved).
@@ -894,21 +896,6 @@ ptag = {phys} >> {bits['tag_shift']}"""
     return _shift(text, indent)
 
 
-def _l1_conventional_inline(spec: dict, phys: str, indent: int) -> str:
-    """The baselines' conventional (no way hint) L1 load probe, miss path
-    included.  Sets ``latency``, the only result the baselines read."""
-    text = f"""\
-{_l1_fields(spec, phys, 0)}
-l1_slot = bank_slot_of[pbank].get(ptag * {spec['sets']} + set_index)
-if l1_slot is not None:
-    bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
-    acc_l1_conv_hit += 1
-    latency = {spec['hit_latency']}
-else:
-    latency = l1_miss({phys}, pbank, set_index, ptag, 0)"""
-    return _shift(text, indent)
-
-
 def _l2_miss(spec: dict) -> str:
     """``l2_miss(addr, line, dirty)``: ``L2Cache.access``'s miss of the line
     number ``line`` of ``addr`` on the flat columns: the DRAM read, the fill
@@ -1082,6 +1069,48 @@ def _l1_miss(spec: dict) -> str:
         return latency"""
 
 
+def _hinted_probe(spec: dict, hit: str, wrong: str, conventional: str) -> str:
+    """A MALEC access with a way hint (``way_hint``, ``None`` when unknown):
+    ``hit`` when the hinted slot ``l1_slot`` holds the line, else the
+    conventional access, after counting a wrong hint in ``wrong``."""
+    ways = spec["ways"]
+    return f"""\
+if way_hint is not None and bank_tags[pbank][set_index * {ways} + way_hint] == ptag:
+    l1_slot = set_index * {ways} + way_hint
+    bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
+{_shift(hit, 4)}
+else:
+    if way_hint is not None:
+        {wrong} += 1
+{_shift(conventional, 4)}"""
+
+
+def _l1_load_inline(spec: dict, phys: str, hinted: bool, indent: int) -> str:
+    """``L1DataCache.load_parts`` on the flat columns: probe the hinted
+    slot (``hinted``: a reduced read when it holds the line; else the hint
+    was wrong, and ``CacheBank.read_parts`` has read the hinted way's data
+    array for nothing), then the conventional lookup.  A hit stamps the
+    slot; a miss fills the line (:func:`_l1_miss`).
+
+    Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``; with
+    ``hinted``, also ``way_hint``.  Sets ``latency`` and ``l1_slot``, which
+    is ``None`` after a miss.
+    """
+    hit = spec["hit_latency"]
+    conventional = f"""\
+l1_slot = bank_slot_of[pbank].get(ptag * {spec['sets']} + set_index)
+if l1_slot is not None:
+    bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
+    acc_l1_conv_hit += 1
+    latency = {hit}
+else:
+    latency = l1_miss({phys}, pbank, set_index, ptag, 0)"""
+    if hinted:
+        reduced = f"acc_l1_reduced_hit += 1\nlatency = {hit}"
+        conventional = _hinted_probe(spec, reduced, "acc_l1_hint_wrong", conventional)
+    return _shift(conventional, indent)
+
+
 def _l1_store_inline(spec: dict, phys: str, hinted: bool, indent: int) -> str:
     """``L1DataCache.store_parts`` on the flat columns: probe the hinted
     slot (``hinted``: a reduced write when it holds the line; else the hint
@@ -1089,32 +1118,20 @@ def _l1_store_inline(spec: dict, phys: str, hinted: bool, indent: int) -> str:
     and stamps it; a miss fills the line dirty (:func:`_l1_miss`).
 
     Expects ``pbank``, ``set_index`` and ``ptag`` of ``phys``; with
-    ``hinted``, also ``way_hint``, and sets ``reduced``.
+    ``hinted``, also ``way_hint``.
     """
-    sets, ways = spec["sets"], spec["ways"]
     conventional = f"""\
-l1_slot = bank_slot_of[pbank].get(ptag * {sets} + set_index)
+l1_slot = bank_slot_of[pbank].get(ptag * {spec['sets']} + set_index)
 if l1_slot is not None:
     bank_dirty[pbank][l1_slot] = 1
     bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
     acc_store_conv_hit += 1
 else:
     l1_miss({phys}, pbank, set_index, ptag, 1)"""
-    if not hinted:
-        return _shift(conventional, indent)
-    text = f"""\
-reduced = False
-if way_hint is not None and bank_tags[pbank][set_index * {ways} + way_hint] == ptag:
-    l1_slot = set_index * {ways} + way_hint
-    bank_dirty[pbank][l1_slot] = 1
-    bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
-    acc_store_reduced_hit += 1
-    reduced = True
-else:
-    if way_hint is not None:
-        acc_way_hint_wrong += 1
-{_shift(conventional, 4)}"""
-    return _shift(text, indent)
+    if hinted:
+        reduced = "bank_dirty[pbank][l1_slot] = 1\nacc_store_reduced_hit += 1"
+        conventional = _hinted_probe(spec, reduced, "acc_store_hint_wrong", conventional)
+    return _shift(conventional, indent)
 
 
 def _writeback_line(spec: dict, indent: int) -> str:
@@ -1166,7 +1183,8 @@ def _tick_1ldst(spec: dict) -> str:
                 tag, address, size = pending_loads.popleft()
 {_translate_pair_inline(spec, "address", 16)}
 {_forwarding_inline(spec, "address", "size", "acc_fwd_full", 16)}
-{_l1_conventional_inline(spec, "physical", 16)}
+{_l1_fields(spec, "physical", 16)}
+{_l1_load_inline(spec, "physical", False, 16)}
                 acc_load_accesses += 1
                 ready_cycle = cycle + translation_latency + latency
 {_release_and_schedule(16, "tag", "ready_cycle")}
@@ -1197,7 +1215,8 @@ def _tick_2ld1st(spec: dict) -> str:
                     bank = (address >> {bits['line']}) & {bits['bank_mask']}
 {_translate_pair_inline(spec, "address", 20)}
 {_forwarding_inline(spec, "address", "size", "acc_fwd_full", 20)}
-{_l1_conventional_inline(spec, "physical", 20)}
+{_l1_fields(spec, "physical", 20)}
+{_l1_load_inline(spec, "physical", False, 20)}
                     bank_accesses[bank] = bank_accesses.get(bank, 0) + 1
                     completions.append((tag, cycle + translation_latency + latency))
                     acc_load_accesses += 1
@@ -1291,38 +1310,26 @@ def _assign_ways(spec: dict) -> str:
                         acc_way_hint_assigned += 1"""
 
 
-def _way_acct(spec: dict) -> str:
-    if spec["way_determination"] == "none":
-        return ""
-    text = """\
-if way_hint is None:
-    acc_way_unknown += 1
-elif reduced:
-    acc_way_reduced += 1
-else:
-    acc_way_known += 1"""
-    return "\n" + _shift(text, 20)
-
-
 def _feedback(spec: dict) -> str:
     """An unknown way whose conventional access hit: the way tables record
     it through the last-entry register, which holds the group's uTLB slot
-    (``feedback_conventional_hit``); the WDU records it."""
+    (``feedback_conventional_hit``); the WDU records it for the line
+    ``wdu_line`` its prediction took.  The way is the hit slot's
+    (:func:`_l1_load_inline`)."""
     wd = spec["way_determination"]
     line_bits = _bits(spec)["line"]
+    way = f"l1_slot % {spec['ways']}"
     if wd == "wt" and spec["feedback"]:
         lpp = _lines_per_page(spec)
-        record = _record_way(spec, "l1_way")
         return f"""
-                    if way_hint is None and l1_hit:
+                    if way_hint is None and l1_slot is not None:
                         acc_feedback += 1
                         lip = (physical_address >> {line_bits}) & {lpp - 1}
-{_shift(record, 24)}"""
+{_shift(_record_way(spec, way), 24)}"""
     if wd == "wdu":
         return f"""
-                    if way_hint is None and l1_hit:
-                        wdu_line = physical_address >> {line_bits}
-{_shift(_wdu_record("wdu_line", "l1_way", "acc_wdu_update", "acc_wdu_eviction"), 24)}"""
+                    if way_hint is None and l1_slot is not None:
+{_shift(_wdu_record("wdu_line", way, "acc_wdu_update", "acc_wdu_eviction"), 24)}"""
     return ""
 
 
@@ -1343,9 +1350,21 @@ if wdu_way is not None:
 
 
 def _tick_malec(spec: dict) -> str:
+    """MALEC's tick.  Without a merge scan the arbitration loop enumerates
+    no ``position``; without way determination the accesses take no hint,
+    so the kernel binds no ``way_hint``; with a WDU the MBE's write takes
+    the WDU's way or none (only way tables give ``mbe_hint``)."""
     bits = _bits(spec)
     page_shift = spec["page_shift"]
     page_off_mask = spec["page_off_mask"]
+    wd = spec["way_determination"]
+    hinted = wd != "none"
+    hint = "way_hint" if hinted else "_hint"
+    arbitrated = "position, load in enumerate(members)"
+    if spec["merge_granularity"] == "none":
+        arbitrated = "load in members"
+    mbe_hint = {"wt": "\n                        mbe_hint = None", "wdu": "", "none": ""}[wd]
+    mbe_way = {"wt": "way_hint = mbe_hint\n", "wdu": "way_hint = None\n", "none": ""}[wd]
     return f"""\
             if store_buffer._committed_count:
 {_drain_inline(spec)}
@@ -1388,7 +1407,7 @@ def _tick_malec(spec: dict) -> str:
                 bank_requests = []
                 serviced = []
                 loads_granted = 0
-                for position, load in enumerate(members):
+                for {arbitrated}:
                     laddr = load[1]
                     bank = (laddr >> {bits['line']}) & {bits['bank_mask']}
                     merged = False{_merge_scan(spec)}
@@ -1411,48 +1430,22 @@ def _tick_malec(spec: dict) -> str:
                     if ((mbe >> {bits['line']}) & {bits['bank_mask']}) in bank_owner:
                         acc_arb_mbe_conflict += 1
                     else:
-                        mbe_granted = True
-                        mbe_hint = None{_assign_ways(spec)}
+                        mbe_granted = True{mbe_hint}{_assign_ways(spec)}
                 acc_arb_cycles += 1
                 acc_bank_accesses += len(bank_requests) + mbe_granted
                 if loads_granted:
                     acc_shared_page += 1
                 completions = []
                 # ---- per-bank servicing (_service_bank_request) ----
-                for (lseq, address, lsize), merged_requests, way_hint in bank_requests:
+                for (lseq, address, lsize), merged_requests, {hint} in bank_requests:
                     physical_address = (physical_page << {page_shift}) | (address & {page_off_mask})
 {_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec)}
 {_forwarding_inline(spec, "address", "lsize", "acc_fwd_split", 20)}
                     for _mseq, maddr, msize in merged_requests:
 {_forwarding_inline(spec, "maddr", "msize", "acc_fwd_split", 24)}
-                    # ---- L1 load: reduced probe (a miss delegates), conventional access
-                    if way_hint is not None:
-                        l1_slot = set_index * {spec['ways']} + way_hint
-                        if bank_tags[pbank][l1_slot] == ptag:
-                            bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
-                            acc_l1_reduced_hit += 1
-                            l1_hit = True
-                            l1_way = way_hint
-                            reduced = True
-                            latency = {spec['hit_latency']}
-                        else:
-                            l1_hit, l1_way, latency, reduced, _b, _w = load_parts(
-                                physical_address, way_hint=way_hint
-                            )
-                    else:
-                        l1_slot = bank_slot_of[pbank].get(ptag * {spec['sets']} + set_index)
-                        if l1_slot is not None:
-                            bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
-                            l1_way = l1_slot % {spec['ways']}
-                            acc_l1_conv_hit += 1
-                            l1_hit = True
-                            reduced = False
-                            latency = {spec['hit_latency']}
-                        else:
-                            latency = l1_miss(physical_address, pbank, set_index, ptag, 0)
-                            l1_hit = reduced = False
+{_l1_load_inline(spec, "physical_address", hinted, 20)}
                     acc_load_accesses += 1
-                    acc_loads_merged += len(merged_requests){_way_acct(spec)}{_feedback(spec)}
+                    acc_loads_merged += len(merged_requests){_feedback(spec)}
                     ready_cycle = cycle + translation_latency + latency
                     completions.append((lseq, ready_cycle))
                     for merged_load in merged_requests:
@@ -1460,10 +1453,9 @@ def _tick_malec(spec: dict) -> str:
                 if mbe_granted:
                     # ---- the MBE's write, the last bank access ----
                     physical_address = (physical_page << {page_shift}) | (mbe & {page_off_mask})
-                    way_hint = mbe_hint
-{_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec)}
-{_l1_store_inline(spec, "physical_address", spec["way_determination"] != "none", 20)}
-                    acc_mbe_written += 1{_way_acct(spec)}
+{_shift(mbe_way, 20)}{_l1_fields(spec, "physical_address", 20)}{_wdu_predict(spec)}
+{_l1_store_inline(spec, "physical_address", hinted, 20)}
+                    acc_mbe_written += 1
                 # ---- InputBuffer.retire + end_cycle ----
                 held_count = len(held) + len(new) - len(serviced)
                 if held_count:
@@ -1645,8 +1637,6 @@ def _flush_rows(spec: dict) -> list:
         rows += [
             ("acc_fwd_split", "interface._combo_fwd_split"),
             ("acc_load_accesses", once("interface.loads_merged"), "acc_loads_merged"),
-            ("acc_l1_reduced_hit", "bank0._combo_reduced_read"),
-            ("acc_l1_reduced_hit", "l1._combo_load_hit"),
             ("acc_ib_load_in", once("input_buffer.load_in")),
             ("acc_mbe_in", once("input_buffer.mbe_in")),
             ("acc_page_compare", once("input_buffer.page_compare")),
@@ -1655,12 +1645,9 @@ def _flush_rows(spec: dict) -> list:
             ("acc_mbe_out", once("input_buffer.mbe_out")),
             ("acc_ib_overflow", once("input_buffer.overflow_cycle")),
             ("acc_end_cycles", once("input_buffer.held_loads"), "acc_held_loads"),
-            ("acc_line_compare", once("arb.line_compare")),
-            ("acc_merged_load", once("arb.merged_load")),
             ("acc_rej_bus", once("arb.rejected_result_bus")),
             ("acc_rej_bank", once("arb.rejected_bank_conflict")),
             ("acc_granted", once("arb.granted_load")),
-            ("acc_way_hint_assigned", once("arb.way_hint_assigned")),
             ("acc_arb_mbe_conflict", once("arb.mbe_bank_conflict")),
             ("acc_arb_cycles", once("arb.cycles")),
             ("acc_arb_cycles", once("arb.bank_accesses"), "acc_bank_accesses"),
@@ -1668,21 +1655,36 @@ def _flush_rows(spec: dict) -> list:
             ("acc_group_cycles", once("malec.group_cycles")),
             ("acc_group_cycles", once("malec.group_loads"), "acc_group_loads"),
         ]
-        if spec["way_determination"] != "none":
+        if spec["merge_granularity"] != "none":
             rows += [
-                # the MBE's hinted write (_l1_store_inline)
+                ("acc_line_compare", once("arb.line_compare")),
+                ("acc_merged_load", once("arb.merged_load")),
+            ]
+        if spec["way_determination"] != "none":
+            # A hinted access (_hinted_probe) is reduced when the hint names
+            # the line's way; a wrong hint's load has read that way's data
+            # array first.  Every other bank access, load or MBE write, had
+            # no hint: its way was unknown.
+            reduced = ("acc_l1_reduced_hit", "acc_store_reduced_hit")
+            wrong = ("acc_l1_hint_wrong", "acc_store_hint_wrong")
+            unknown = " - ".join(("acc_load_accesses + acc_mbe_written",) + reduced + wrong)
+            rows += [
+                ("acc_l1_reduced_hit", "bank0._combo_reduced_read"),
+                ("acc_l1_reduced_hit", "l1._combo_load_hit"),
                 ("acc_store_reduced_hit", "bank0._combo_reduced_write"),
                 ("acc_store_reduced_hit", "l1._combo_store_hit"),
-                ("acc_way_hint_wrong", once("l1.way_hint_wrong")),
-                ("acc_way_unknown", "interface._combo_way_unknown"),
-                ("acc_way_known", "interface._combo_way_known"),
-                ("acc_way_reduced", "interface._combo_way_reduced"),
+                ("acc_l1_hint_wrong", "bank0._combo_reduced_read"),
+                *((acc, once("l1.way_hint_wrong")) for acc in wrong),
+                *((acc, "interface._combo_way_reduced") for acc in reduced),
+                *((acc, "interface._combo_way_known") for acc in wrong),
+                (unknown, "interface._combo_way_unknown"),
             ]
         if spec["way_determination"] == "wt":
             # a reverse lookup that misses the uTLB probes the TLB
             via_utlb = ("utlb.reverse_lookup", "utlb.reverse_hit")
             via_tlb = ("utlb.reverse_lookup", "utlb.reverse_miss", "tlb.reverse_lookup")
             rows += [
+                ("acc_way_hint_assigned", once("arb.way_hint_assigned")),
                 ("acc_uwt_read", once("uwt.read")),
                 (c["tlb_hit"], once("uwt.entry_transfer")),
                 (c["uwt_writeback"], once("wt.entry_transfer", "uwt.writeback")),

@@ -123,11 +123,7 @@ class Simulator:
             l1_hit_latency=config.cache.l1_hit_latency,
             l2_latency=config.cache.l2_latency,
             dram_latency=config.cache.dram_latency,
-            restrict_way_allocation=(
-                config.interface is InterfaceKind.MALEC
-                and config.malec_options.way_determination == "wt"
-                and config.malec_options.restrict_way_allocation
-            ),
+            restrict_way_allocation=config.restrict_way_allocation,
             stats=self.stats,
         )
         self.translation = TLBHierarchy(

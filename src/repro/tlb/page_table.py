@@ -73,8 +73,3 @@ class PageTable:
             self.stats.add("page_table.allocation")
         self.stats.add("page_table.walk")
         return ppage
-
-    @property
-    def mapped_pages(self) -> int:
-        """Number of virtual pages mapped so far (the workload footprint)."""
-        return len(self._vpage_to_ppage)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.address import AddressLayout, DEFAULT_LAYOUT, align_down, align_up
+from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 
 addresses = st.integers(min_value=0, max_value=DEFAULT_LAYOUT.max_address)
 
@@ -83,24 +83,6 @@ class TestFieldExtraction:
         banks = [layout.bank_index(layout.compose_line(5, line)) for line in range(8)]
         assert banks == [0, 1, 2, 3, 0, 1, 2, 3]
 
-    def test_same_line_and_page_predicates(self):
-        layout = DEFAULT_LAYOUT
-        a = layout.compose_line(3, 7, 0)
-        b = layout.compose_line(3, 7, 63)
-        c = layout.compose_line(3, 8, 0)
-        d = layout.compose_line(4, 7, 0)
-        assert layout.same_line(a, b)
-        assert layout.same_page(a, c)
-        assert not layout.same_line(a, c)
-        assert not layout.same_page(a, d)
-
-    def test_subblock_pairing(self):
-        layout = DEFAULT_LAYOUT
-        base = layout.compose_line(2, 5, 0)
-        assert layout.same_subblock_pair(base, base + 31)
-        assert not layout.same_subblock_pair(base, base + 32)
-        assert layout.same_subblock_pair(base + 32, base + 63)
-
     def test_compose_line_rejects_bad_fields(self):
         layout = DEFAULT_LAYOUT
         with pytest.raises(ValueError):
@@ -109,19 +91,6 @@ class TestFieldExtraction:
             layout.compose_line(0, 0, 64)
         with pytest.raises(ValueError):
             layout.compose(1 << 20, 0)
-
-
-class TestAlignment:
-    def test_align_down_up(self):
-        assert align_down(0x1234, 0x100) == 0x1200
-        assert align_up(0x1234, 0x100) == 0x1300
-        assert align_up(0x1200, 0x100) == 0x1200
-
-    def test_align_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            align_down(10, 3)
-        with pytest.raises(ValueError):
-            align_up(10, 6)
 
 
 class TestProperties:
@@ -152,13 +121,6 @@ class TestProperties:
             | layout.bank_index(address)
         )
         assert line_number == layout.line_number(address)
-
-    @given(addresses, addresses)
-    @settings(max_examples=200)
-    def test_same_line_implies_same_page(self, a, b):
-        layout = DEFAULT_LAYOUT
-        if layout.same_line(a, b):
-            assert layout.same_page(a, b)
 
     @given(addresses)
     @settings(max_examples=100)

@@ -200,15 +200,14 @@ class TestTraceEvents:
     def test_log_round_trips_and_validates(self, tmp_path):
         log = TraceEventLog()
         log.name_process(1, "worker")
-        log.name_thread(1, 2, "cells")
         log.add_span("cell", "campaign.cell", 10.0, 5.0, pid=1, tid=2)
         log.add_instant("rung 1", "dse.rung", 12.0, pid=1)
         log.add_counter("occupancy", "sim", 3.0, {"rob": 4, "lq": 1})
-        assert len(log) == 5
-        assert validate_trace_events(log.as_dict()) == 5
+        assert len(log) == 4
+        assert validate_trace_events(log.as_dict()) == 4
         target = tmp_path / "nested" / "trace.json"
         log.write(target)
-        assert validate_trace_events(target.read_text()) == 5
+        assert validate_trace_events(target.read_text()) == 4
 
     def test_metadata_events_are_idempotent(self):
         log = TraceEventLog()

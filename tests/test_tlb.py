@@ -27,7 +27,6 @@ class TestPageTable:
         table = PageTable()
         first = table.translate_page(42)
         assert table.translate_page(42) == first
-        assert table.mapped_pages == 1
 
     def test_distinct_pages_get_distinct_frames(self):
         table = PageTable()

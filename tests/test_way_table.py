@@ -235,11 +235,6 @@ class TestWayTableHierarchy:
         assert predicted_way(tables, 0, layout.line_in_page(paddr)) is None
         assert stats["wt.page_invalidated"] >= 1
 
-    def test_storage_accounting(self):
-        stats, translation, l1, tables = self._system()
-        # 16-entry uWT + 64-entry WT at 128 bits each (Fig. 3).
-        assert tables.total_storage_bits == (16 + 64) * 128
-
 
 class TestWayDeterminationUnit:
     def test_unknown_then_known(self):
