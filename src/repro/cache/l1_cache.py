@@ -156,10 +156,3 @@ class L1DataCache:
     def occupancy(self) -> int:
         """Number of valid lines across all banks."""
         return sum(bank.occupancy() for bank in self.banks)
-
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of all L1 accesses (loads and stores) that missed so far."""
-        misses = self.stats.total("l1.load_miss", "l1.store_miss")
-        accesses = self.stats.total("l1.load", "l1.store")
-        return misses / accesses if accesses else 0.0

@@ -90,8 +90,3 @@ class L2Cache:
         """True when the line is resident in the L2."""
         set_index, tag = self._set_and_tag(physical_address)
         return self.array.find_way(set_index, tag, update_replacement=False) is not None
-
-    @property
-    def miss_rate(self) -> float:
-        """Fraction of L2 accesses that missed so far."""
-        return self.stats.ratio("l2.miss", "l2.access")

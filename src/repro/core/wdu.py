@@ -112,11 +112,6 @@ class WayDeterminationUnit:
         return len(self._table)
 
     @property
-    def coverage(self) -> float:
-        """Fraction of predictions that returned a known way."""
-        return self.stats.ratio("way_pred.known", "way_pred.lookup")
-
-    @property
     def storage_bits(self) -> int:
         """Data storage: line tag + way id + valid bit per entry."""
         line_tag_bits = self.layout.address_bits - self.layout.line_offset_bits

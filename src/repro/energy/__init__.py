@@ -11,23 +11,21 @@ the normalized results of Fig. 4b depend on — follow the same size and port
 scaling, including the paper's observation that one additional read port
 raises L1 leakage by roughly 80 %.
 
-:mod:`repro.energy.energy_model` describes which SRAM arrays each
-configuration instantiates and how the event counters produced during
-simulation map onto array accesses; :mod:`repro.energy.accounting` turns a
-:class:`~repro.sim.stats.StatCounters` snapshot plus a cycle count into a
+:class:`~repro.energy.accounting.EnergyAccountant` is built from a
+:class:`~repro.sim.config.SimulationConfig` alone: it knows which SRAM arrays
+that configuration instantiates and how the event counters produced during
+simulation map onto array accesses, and turns a
+:class:`~repro.stats.StatCounters` snapshot plus a cycle count into a
 structured :class:`~repro.energy.accounting.EnergyReport`.
 """
 
 from repro.energy.cacti import CactiParameters, SRAMArraySpec, SRAMEnergyModel
-from repro.energy.energy_model import EnergyModelConfig, InterfaceEnergyModel
 from repro.energy.accounting import EnergyAccountant, EnergyReport, StructureEnergy
 
 __all__ = [
     "CactiParameters",
     "SRAMArraySpec",
     "SRAMEnergyModel",
-    "EnergyModelConfig",
-    "InterfaceEnergyModel",
     "EnergyAccountant",
     "EnergyReport",
     "StructureEnergy",

@@ -9,7 +9,7 @@ the actual per-cycle servicing of loads and merge-buffer write-backs in
 
 The pipeline talks to interfaces exclusively through the methods documented
 in :mod:`repro.cpu.pipeline`; the simulator additionally reads the interface's
-statistics and asks for its energy-model configuration.
+statistics.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Any, Deque, List, Optional, Tuple
 from repro.buffers.load_queue import LoadQueue
 from repro.buffers.merge_buffer import MergeBuffer
 from repro.buffers.store_buffer import StoreBuffer
+from repro.cache.l1_cache import L1DataCache
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
@@ -45,12 +45,12 @@ class BaseL1Interface(ABC):
 
     Parameters
     ----------
-    hierarchy:
-        The L1/L2/DRAM hierarchy the interface accesses.
+    l1:
+        The L1 data cache the interface accesses (its L2 and DRAM behind it).
     translation:
         The uTLB/TLB hierarchy used for address translation.
     stats:
-        Shared statistics collection (usually the hierarchy's).
+        Shared statistics collection (the L1's when omitted).
 
     Each concrete interface fixes its per-cycle address-computation slots
     (Table I) as the class constants :attr:`load_slots` (dedicated load
@@ -70,7 +70,7 @@ class BaseL1Interface(ABC):
 
     def __init__(
         self,
-        hierarchy: MemoryHierarchy,
+        l1: L1DataCache,
         translation: TLBHierarchy,
         stats: Optional[StatCounters] = None,
         lq_entries: int = 40,
@@ -78,10 +78,10 @@ class BaseL1Interface(ABC):
         mb_entries: int = 4,
         layout: AddressLayout = DEFAULT_LAYOUT,
     ) -> None:
-        self.hierarchy = hierarchy
+        self.l1 = l1
         self.translation = translation
         self.layout = layout
-        self.stats = stats if stats is not None else hierarchy.stats
+        self.stats = stats if stats is not None else l1.stats
         self.load_queue = LoadQueue(lq_entries, stats=self.stats)
         self.store_buffer = StoreBuffer(sb_entries, layout=layout, stats=self.stats)
         self.merge_buffer = MergeBuffer(mb_entries, layout=layout, stats=self.stats)
@@ -263,7 +263,7 @@ class BaseL1Interface(ABC):
         if writeback.physical_line_address is None:
             physical, _ = self.translation.translate_pair(writeback.virtual_line_address)
             writeback.physical_line_address = self.layout.line_address(physical)
-        self.hierarchy.l1.store_parts(writeback.physical_line_address, way_hint=way_hint)
+        self.l1.store_parts(writeback.physical_line_address, way_hint=way_hint)
         self.stats.add("interface.mbe_written")
 
     # ------------------------------------------------------------------

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
+from repro.cache.l1_cache import L1DataCache
 from repro.interfaces.base import BaseL1Interface, CompletedAccess
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
@@ -29,12 +29,12 @@ class BaselineSingleInterface(BaseL1Interface):
 
     def __init__(
         self,
-        hierarchy: MemoryHierarchy,
+        l1: L1DataCache,
         translation: TLBHierarchy,
         stats: Optional[StatCounters] = None,
         **kwargs,
     ) -> None:
-        super().__init__(hierarchy, translation, stats=stats, **kwargs)
+        super().__init__(l1, translation, stats=stats, **kwargs)
         #: (tag, address, size) of loads waiting for the cache port
         self._pending_loads: Deque[Tuple[Any, int, int]] = deque()
 
@@ -65,7 +65,7 @@ class BaselineSingleInterface(BaseL1Interface):
             tag, address, size = self._pending_loads.popleft()
             physical, translation_latency = self.translation.translate_pair(address)
             self._forwarding_lookups(address, size, split=False)
-            latency = self.hierarchy.l1.load_parts(physical)[2]
+            latency = self.l1.load_parts(physical)[2]
             completions.append((tag, cycle + translation_latency + latency))
             self.stats.add("interface.load_accesses")
         elif self._pending_writebacks:

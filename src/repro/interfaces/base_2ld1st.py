@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.cache.l1_cache import L1DataCache
 from repro.interfaces.base import BaseL1Interface, CompletedAccess
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
@@ -40,12 +40,12 @@ class BaselineDualLoadInterface(BaseL1Interface):
 
     def __init__(
         self,
-        hierarchy: MemoryHierarchy,
+        l1: L1DataCache,
         translation: TLBHierarchy,
         stats: Optional[StatCounters] = None,
         **kwargs,
     ) -> None:
-        super().__init__(hierarchy, translation, stats=stats, **kwargs)
+        super().__init__(l1, translation, stats=stats, **kwargs)
         #: (tag, address, size) of loads waiting for a read port
         self._pending_loads: Deque[Tuple[Any, int, int]] = deque()
 
@@ -79,7 +79,7 @@ class BaselineDualLoadInterface(BaseL1Interface):
         stats = self.stats
         bank_index = self.layout.bank_index
         translate_pair = self.translation.translate_pair
-        load_parts = self.hierarchy.l1.load_parts
+        load_parts = self.l1.load_parts
 
         # Demand loads: oldest first, up to the number of read ports.
         serviced = 0
@@ -105,7 +105,7 @@ class BaselineDualLoadInterface(BaseL1Interface):
             bank = self.layout.bank_index(writeback.physical_line_address)
             if bank_accesses.get(bank, 0) < self._MAX_ACCESSES_PER_BANK:
                 self._pending_writebacks.popleft()
-                self.hierarchy.l1.store_parts(writeback.physical_line_address)
+                self.l1.store_parts(writeback.physical_line_address)
                 self.stats.add("interface.mbe_written")
 
         return completions

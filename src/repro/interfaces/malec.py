@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
+from repro.cache.l1_cache import L1DataCache
 from repro.core.arbitration import ArbitrationUnit
 from repro.core.input_buffer import InputBuffer
 from repro.core.way_table import WayTableHierarchy
@@ -33,7 +34,6 @@ from repro.interfaces.base import (
     CompletedAccess,
     PendingWriteback,
 )
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
@@ -61,7 +61,7 @@ class MalecInterface(BaseL1Interface):
 
     def __init__(
         self,
-        hierarchy: MemoryHierarchy,
+        l1: L1DataCache,
         translation: TLBHierarchy,
         stats: Optional[StatCounters] = None,
         way_determination: str = "wt",
@@ -73,7 +73,7 @@ class MalecInterface(BaseL1Interface):
         merge_window: int = 3,
         **kwargs,
     ) -> None:
-        super().__init__(hierarchy, translation, stats=stats, **kwargs)
+        super().__init__(l1, translation, stats=stats, **kwargs)
         if way_determination not in WAY_DETERMINATION_SCHEMES:
             raise ValueError(
                 f"way_determination {way_determination!r} not in {WAY_DETERMINATION_SCHEMES}"
@@ -98,12 +98,12 @@ class MalecInterface(BaseL1Interface):
                 stats=self.stats,
                 enable_feedback_update=enable_feedback_update,
             )
-            self.way_tables.attach_to_cache(hierarchy.l1)
+            self.way_tables.attach_to_cache(l1)
         elif way_determination == "wdu":
             self.wdu = WayDeterminationUnit(
                 entries=wdu_entries, layout=self.layout, stats=self.stats
             )
-            self.wdu.attach_to_cache(hierarchy.l1)
+            self.wdu.attach_to_cache(l1)
         #: line addresses of MBEs waiting for the Input Buffer's single MBE slot
         self._mbe_backlog: Deque[int] = deque()
 
@@ -182,7 +182,7 @@ class MalecInterface(BaseL1Interface):
             # The MBE's write, the last bank access: no result bus needed.
             physical_address = frame | (mbe & self.layout._page_offset_mask)
             way_hint = self._wdu_hint(physical_address, mbe_hint)
-            reduced = self.hierarchy.l1.store_parts(physical_address, way_hint=way_hint)[3]
+            reduced = self.l1.store_parts(physical_address, way_hint=way_hint)[3]
             self.stats.add("interface.mbe_written")
             self._account_way_prediction(way_hint, reduced)
 
@@ -222,7 +222,7 @@ class MalecInterface(BaseL1Interface):
         for _tag, merged_address, merged_size in merged:
             self._forwarding_lookups(merged_address, merged_size, split=True)
 
-        hit, way, latency, reduced, _, _ = self.hierarchy.l1.load_parts(
+        hit, way, latency, reduced, _, _ = self.l1.load_parts(
             physical_address, way_hint=way_hint
         )
         self.stats.add("interface.load_accesses")
@@ -251,22 +251,6 @@ class MalecInterface(BaseL1Interface):
             self.stats.add_many(self._combo_way_reduced)
         else:
             self.stats.add_many(self._combo_way_known)
-
-    # ------------------------------------------------------------------
-    # Reporting helpers
-    # ------------------------------------------------------------------
-    @property
-    def way_coverage(self) -> float:
-        """Fraction of L1 accesses serviced with a known, valid way."""
-        return self.stats.ratio("malec.way_known", "malec.way_lookup")
-
-    @property
-    def merged_load_fraction(self) -> float:
-        """Fraction of serviced loads that shared another load's bank access."""
-        merged = self.stats.get("interface.loads_merged")
-        accesses = self.stats.get("interface.load_accesses")
-        total = merged + accesses
-        return merged / total if total else 0.0
 
     def finalize(self, cycle: int) -> None:
         """Drain the Input Buffer's MBE backlog in addition to the base drain."""

@@ -1,19 +1,20 @@
-"""Memory substrate: address arithmetic, DRAM model and hierarchy glue.
+"""Memory substrate: address arithmetic and the DRAM model.
 
 This package provides the lowest layer of the MALEC reproduction: the
 address-space geometry shared by every other component (pages, cache lines,
-banks, sub-blocks), a simple fixed-latency DRAM model and the
-:class:`~repro.memory.hierarchy.MemoryHierarchy` container that wires the L1
-data cache, the unified L2 and DRAM together.
+banks, sub-blocks) and a simple fixed-latency DRAM model.  The
+:class:`~repro.sim.simulator.Simulator` chains a
+:class:`~repro.memory.dram.DRAMModel` behind the unified
+:class:`~repro.cache.l2_cache.L2Cache` and the
+:class:`~repro.cache.l1_cache.L1DataCache` from the configuration's
+:class:`~repro.sim.config.CacheParameters`.
 """
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.memory.dram import DRAMModel
-from repro.memory.hierarchy import MemoryHierarchy
 
 __all__ = [
     "AddressLayout",
     "DEFAULT_LAYOUT",
     "DRAMModel",
-    "MemoryHierarchy",
 ]

@@ -64,8 +64,3 @@ class DRAMModel:
         self._check(address)
         self.stats.add("dram.write")
         return self.latency_cycles
-
-    @property
-    def accesses(self) -> int:
-        """Total number of reads and writes serviced so far."""
-        return int(self.stats.get("dram.read") + self.stats.get("dram.write"))

@@ -334,8 +334,22 @@ class ReproServer:
         logger.info("serve: listening on %s (store %s)", self.url, self.store.url)
 
     def shutdown(self) -> None:
-        """Stop accepting requests, let the current sweep finish, exit."""
-        self._httpd.shutdown()
+        """Stop accepting requests, let the current sweep finish, exit.
+
+        The listener's loop sees a stop request only when its ``select``
+        returns, so shutting the listening socket down wakes it at once
+        instead of at its next poll (0.5 s); where the platform refuses,
+        the poll ends the loop.
+        """
+        stopper = threading.Thread(
+            target=self._httpd.shutdown, name="repro-serve-stop", daemon=True
+        )
+        stopper.start()
+        try:
+            self._httpd.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        stopper.join()
         self._httpd.server_close()
         self._queue.put(None)
         if self._worker_thread is not None:

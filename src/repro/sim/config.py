@@ -14,7 +14,6 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.energy.energy_model import EnergyModelConfig
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 
 
@@ -161,25 +160,6 @@ class SimulationConfig:
             self.interface is InterfaceKind.MALEC
             and self.malec_options.way_determination == "wt"
             and self.malec_options.restrict_way_allocation
-        )
-
-    def energy_model_config(self) -> EnergyModelConfig:
-        """Structural description consumed by the energy model."""
-        is_malec = self.interface is InterfaceKind.MALEC
-        uses_wt = is_malec and self.malec_options.way_determination == "wt"
-        uses_wdu = is_malec and self.malec_options.way_determination == "wdu"
-        return EnergyModelConfig(
-            l1_ports=self.l1_read_ports,
-            tlb_ports=self.tlb_ports,
-            has_way_tables=uses_wt,
-            wdu_entries=self.malec_options.wdu_entries if uses_wdu else 0,
-            wdu_ports=self.malec_options.result_buses,
-            include_buffers=self.include_buffer_energy,
-            utlb_entries=self.tlb.utlb_entries,
-            tlb_entries=self.tlb.tlb_entries,
-            sb_entries=self.sb_entries,
-            mb_entries=self.mb_entries,
-            layout=self.cache.layout,
         )
 
     def table1_row(self) -> dict:

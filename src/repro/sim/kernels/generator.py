@@ -97,7 +97,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 16
+GENERATOR_VERSION = 17
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -249,7 +249,7 @@ def _guards(spec: dict) -> str:
         _check(f"load_queue.entries != {spec['lq']}"),
         _check(f"store_buffer.entries != {spec['sb']}"),
         _check(f"merge_buffer.entries != {spec['mb_entries']}"),
-        "    l1 = interface.hierarchy.l1",
+        "    l1 = interface.l1",
         "    banks = l1.banks",
         _check(f"l1.hit_latency != {spec['hit_latency']}"),
         _check(f"len(banks) != {spec['nbanks']}"),
@@ -1075,8 +1075,7 @@ def _hinted_probe(spec: dict, hit: str, wrong: str, conventional: str) -> str:
     conventional access, after counting a wrong hint in ``wrong``."""
     ways = spec["ways"]
     return f"""\
-if way_hint is not None and bank_tags[pbank][set_index * {ways} + way_hint] == ptag:
-    l1_slot = set_index * {ways} + way_hint
+if way_hint is not None and bank_tags[pbank][(l1_slot := set_index * {ways} + way_hint)] == ptag:
     bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
 {_shift(hit, 4)}
 else:

@@ -1,6 +1,6 @@
 """Top-level simulator: configuration + trace -> performance and energy.
 
-:class:`Simulator` instantiates the memory hierarchy, the translation path,
+:class:`Simulator` instantiates the L1/L2/DRAM chain, the translation path,
 the selected L1 interface model and the out-of-order pipeline from a
 :class:`~repro.sim.config.SimulationConfig`, runs a workload trace through
 them and collects a :class:`SimulationResult` carrying the execution time,
@@ -15,40 +15,39 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
 from repro.api import RunOptions
+from repro.cache.l1_cache import L1DataCache
+from repro.cache.l2_cache import L2Cache
 from repro.cpu.instruction import Instruction
 from repro.cpu.pipeline import OutOfOrderPipeline
 from repro.energy.accounting import EnergyAccountant, EnergyReport
-from repro.energy.energy_model import InterfaceEnergyModel
 from repro.interfaces.base import BaseL1Interface
 from repro.interfaces.base_1ldst import BaselineSingleInterface
 from repro.interfaces.base_2ld1st import BaselineDualLoadInterface
 from repro.interfaces.malec import MalecInterface
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.dram import DRAMModel
 from repro.sim.config import InterfaceKind, SimulationConfig
 from repro.sim.kernels import compile_kernel, resolve_kernel
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
 
-#: per-process memo of energy models, keyed by the (frozen, hashable)
-#: simulation configuration.  A model is a pure function of the config —
-#: array specs, event map and the memoised access/leakage energies — so one
+#: per-process memo of energy accountants, keyed by the (frozen, hashable)
+#: simulation configuration.  An accountant is a pure function of the config
+#: — array specs, event map and the memoised access/leakage energies — so one
 #: instance can be shared by every Simulator of a sweep cell shape.
-_ENERGY_MODEL_CACHE: Dict[SimulationConfig, InterfaceEnergyModel] = {}
+_ACCOUNTANT_CACHE: Dict[SimulationConfig, EnergyAccountant] = {}
 
-_ENERGY_MODEL_CACHE_LIMIT = 512
+_ACCOUNTANT_CACHE_LIMIT = 512
 
 
-def _energy_model_for(config: SimulationConfig) -> InterfaceEnergyModel:
-    """Build (or fetch) the energy model of ``config``."""
-    model = _ENERGY_MODEL_CACHE.get(config)
-    if model is None:
-        if len(_ENERGY_MODEL_CACHE) >= _ENERGY_MODEL_CACHE_LIMIT:
-            _ENERGY_MODEL_CACHE.clear()
-        model = _ENERGY_MODEL_CACHE[config] = InterfaceEnergyModel(
-            config.energy_model_config()
-        )
-    return model
+def _accountant_for(config: SimulationConfig) -> EnergyAccountant:
+    """Build (or fetch) the energy accountant of ``config``."""
+    accountant = _ACCOUNTANT_CACHE.get(config)
+    if accountant is None:
+        if len(_ACCOUNTANT_CACHE) >= _ACCOUNTANT_CACHE_LIMIT:
+            _ACCOUNTANT_CACHE.clear()
+        accountant = _ACCOUNTANT_CACHE[config] = EnergyAccountant(config)
+    return accountant
 
 
 def _guarded_ratio(numerator: float, denominator: float) -> float:
@@ -118,12 +117,18 @@ class Simulator:
     def __init__(self, config: SimulationConfig) -> None:
         self.config = config
         self.stats = StatCounters()
-        self.hierarchy = MemoryHierarchy(
-            layout=config.cache.layout,
-            l1_hit_latency=config.cache.l1_hit_latency,
-            l2_latency=config.cache.l2_latency,
-            dram_latency=config.cache.dram_latency,
+        cache = config.cache
+        dram = DRAMModel(
+            latency_cycles=cache.dram_latency, layout=cache.layout, stats=self.stats
+        )
+        l2 = L2Cache(
+            latency_cycles=cache.l2_latency, layout=cache.layout, dram=dram, stats=self.stats
+        )
+        self.l1 = L1DataCache(
+            layout=cache.layout,
+            hit_latency=cache.l1_hit_latency,
             restrict_way_allocation=config.restrict_way_allocation,
+            l2=l2,
             stats=self.stats,
         )
         self.translation = TLBHierarchy(
@@ -135,10 +140,9 @@ class Simulator:
             seed=config.seed,
         )
         self.interface = self._build_interface()
-        # Energy models are immutable once built; memoised per configuration
-        # so a sweep builds each cell shape's model once, not once per cell.
-        self.energy_model = _energy_model_for(config)
-        self.accountant = EnergyAccountant(self.energy_model)
+        # Accountants are immutable once built; memoised per configuration
+        # so a sweep builds each cell shape's arrays once, not once per cell.
+        self.accountant = _accountant_for(config)
         #: whether the last run()'s measured pipeline executed a specialized kernel
         self.kernel_used = False
 
@@ -153,12 +157,12 @@ class Simulator:
             layout=config.cache.layout,
         )
         if config.interface is InterfaceKind.BASE_1LDST:
-            return BaselineSingleInterface(self.hierarchy, self.translation, **common)
+            return BaselineSingleInterface(self.l1, self.translation, **common)
         if config.interface is InterfaceKind.BASE_2LD1ST:
-            return BaselineDualLoadInterface(self.hierarchy, self.translation, **common)
+            return BaselineDualLoadInterface(self.l1, self.translation, **common)
         malec = config.malec_options
         return MalecInterface(
-            self.hierarchy,
+            self.l1,
             self.translation,
             way_determination=malec.way_determination,
             wdu_entries=malec.wdu_entries,
@@ -199,10 +203,11 @@ class Simulator:
 
         ``warmup_fraction`` runs the first part of the trace only to warm the
         caches, TLBs and way tables; its cycles and events are discarded
-        before the measured portion starts.  The paper measures warmed-up
-        Simpoint phases, so the experiment harness uses a non-zero warm-up to
-        keep compulsory misses from dominating the (much shorter) synthetic
-        traces.
+        before the measured portion starts.  The counters are cleared before
+        every measured portion, so a simulator run again reports only the
+        latest run's events.  The paper measures warmed-up Simpoint phases,
+        so the experiment harness uses a non-zero warm-up to keep compulsory
+        misses from dominating the (much shorter) synthetic traces.
 
         ``options`` (a :class:`repro.api.RunOptions`; ``None`` means the
         defaults) selects the kernel and an optional collector:
@@ -244,7 +249,7 @@ class Simulator:
                     self.interface, params=params, stats=self.stats, kernel=entry
                 )
                 warmup_pipeline.run(view.run_slice(0, warmup_count))
-                self.stats.clear()
+            self.stats.clear()
             pipeline = OutOfOrderPipeline(
                 self.interface,
                 params=params,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 from repro.workloads.suites import benchmark_profile
@@ -33,12 +32,6 @@ def layout() -> AddressLayout:
 def stats() -> StatCounters:
     """A fresh, empty statistics collection."""
     return StatCounters()
-
-
-@pytest.fixture
-def hierarchy(stats) -> MemoryHierarchy:
-    """A default L1/L2/DRAM hierarchy sharing the ``stats`` fixture."""
-    return MemoryHierarchy(stats=stats)
 
 
 @pytest.fixture

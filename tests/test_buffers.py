@@ -5,9 +5,9 @@ import pytest
 from repro.buffers.load_queue import LoadQueue
 from repro.buffers.merge_buffer import MergeBuffer
 from repro.buffers.store_buffer import StoreBuffer
+from repro.cache.l1_cache import L1DataCache
 from repro.interfaces.base_1ldst import BaselineSingleInterface
 from repro.memory.address import DEFAULT_LAYOUT
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
@@ -22,7 +22,7 @@ def forwarding_interface():
     """
     stats = StatCounters()
     interface = BaselineSingleInterface(
-        MemoryHierarchy(stats=stats), TLBHierarchy(stats=stats), stats=stats
+        L1DataCache(stats=stats), TLBHierarchy(stats=stats), stats=stats
     )
     return stats, interface
 

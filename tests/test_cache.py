@@ -7,7 +7,7 @@ from repro.cache.l1_cache import L1DataCache
 from repro.cache.l2_cache import L2Cache
 from repro.memory.address import DEFAULT_LAYOUT
 from repro.memory.dram import DRAMModel
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.stats import StatCounters
 
 layout = DEFAULT_LAYOUT
 
@@ -169,12 +169,12 @@ class TestL1DataCache:
         l1.load_parts(addr(5, 0))
         assert seen and seen[0][0] == "fill"
 
-    def test_miss_rates(self):
+    def test_miss_counts(self):
         l1 = L1DataCache()
         l1.load_parts(addr(6, 0))
         l1.load_parts(addr(6, 0))
         assert (l1.stats["l1.load_miss"], l1.stats["l1.load"]) == (1, 2)
-        assert 0 < l1.miss_rate <= 0.5
+        assert (l1.stats["l1.store_miss"], l1.stats["l1.store"]) == (0, 0)
 
     def test_occupancy_grows_with_distinct_lines(self):
         l1 = L1DataCache()
@@ -204,11 +204,11 @@ class TestL2AndDRAM:
         l2.access(addr(9, 0))
         assert l2.access(addr(9, 0)) == l2.latency_cycles
 
-    def test_l2_miss_rate(self):
+    def test_l2_miss_counts(self):
         l2 = L2Cache()
         l2.access(addr(9, 0))
         l2.access(addr(9, 0))
-        assert l2.miss_rate == 0.5
+        assert (l2.stats["l2.miss"], l2.stats["l2.access"]) == (1, 2)
 
     def test_dirty_victim_written_back_at_its_own_address(self, monkeypatch):
         l2 = L2Cache()
@@ -255,7 +255,7 @@ class TestL2AndDRAM:
         dram = DRAMModel()
         assert dram.read(0) == dram.latency_cycles
         assert dram.write(0) == dram.latency_cycles
-        assert dram.accesses == 2
+        assert (dram.stats["dram.read"], dram.stats["dram.write"]) == (1, 1)
         last = 256 * 1024 * 1024 - 1
         assert dram.read(last) == dram.latency_cycles
         with pytest.raises(ValueError):
@@ -266,24 +266,33 @@ class TestL2AndDRAM:
             DRAMModel(latency_cycles=-1)
 
 
-class TestMemoryHierarchy:
-    def test_l1_miss_fills_both_levels(self):
-        hierarchy = MemoryHierarchy()
-        hit, _, latency, _, _, _ = hierarchy.l1.load_parts(addr(10, 0))
-        assert not hit
-        # The miss latency includes L2 and DRAM.
-        assert latency == 2 + 12 + 54
-        assert hierarchy.l1.contains(addr(10, 0))
-        assert hierarchy.l2.contains(addr(10, 0))
+def chain(stats=None, l1_hit_latency=2, l2_latency=12, dram_latency=54):
+    """An L1 in front of its own L2 and DRAM, all counting into ``stats``."""
+    stats = stats if stats is not None else StatCounters()
+    dram = DRAMModel(latency_cycles=dram_latency, stats=stats)
+    l2 = L2Cache(latency_cycles=l2_latency, dram=dram, stats=stats)
+    return L1DataCache(hit_latency=l1_hit_latency, l2=l2, stats=stats)
 
-    def test_shared_stats_object(self):
-        hierarchy = MemoryHierarchy()
-        hierarchy.l1.load_parts(addr(10, 0))
-        assert hierarchy.stats["l1.load"] == 1
-        assert hierarchy.stats["l2.access"] == 1
-        assert hierarchy.stats["dram.read"] == 1
+
+class TestL1L2DRAMChain:
+    def test_l1_miss_fills_both_levels(self):
+        l1 = chain()
+        hit, _, latency, _, _, _ = l1.load_parts(addr(10, 0))
+        assert not hit
+        # The miss latency includes L2 and DRAM (Table II: 2 + 12 + 54).
+        assert latency == 2 + 12 + 54
+        assert l1.contains(addr(10, 0))
+        assert l1.l2.contains(addr(10, 0))
+
+    def test_shared_stats_object(self, stats):
+        l1 = chain(stats)
+        l1.load_parts(addr(10, 0))
+        assert l1.stats is l1.l2.stats is l1.l2.dram.stats is stats
+        assert stats["l1.load"] == 1
+        assert stats["l2.access"] == 1
+        assert stats["dram.read"] == 1
 
     def test_latency_overrides(self):
-        hierarchy = MemoryHierarchy(l1_hit_latency=1, l2_latency=5, dram_latency=10)
-        latency = hierarchy.l1.load_parts(addr(11, 0))[2]
+        l1 = chain(l1_hit_latency=1, l2_latency=5, dram_latency=10)
+        latency = l1.load_parts(addr(11, 0))[2]
         assert latency == 1 + 5 + 10

@@ -6,12 +6,12 @@ import itertools
 
 import pytest
 
+from repro.cache.l1_cache import L1DataCache
 from repro.core.arbitration import ArbitrationUnit
 from repro.core.input_buffer import InputBuffer
 from repro.core.way_table import WayTableHierarchy
 from repro.interfaces.malec import MalecInterface
 from repro.memory.address import DEFAULT_LAYOUT
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
@@ -111,7 +111,7 @@ class TestInputBuffer:
         # The MALEC interface stalls address computation once the Input
         # Buffer holds more loads than its storage (plus the one in flight).
         interface = MalecInterface(
-            MemoryHierarchy(), TLBHierarchy(), input_buffer_capacity=1
+            L1DataCache(), TLBHierarchy(), input_buffer_capacity=1
         )
         buffer = interface.input_buffer
         buffer.add_load(*load(0, 0))

@@ -1,13 +1,17 @@
 """Tests for the CACTI-like energy model and the energy accounting."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy.accounting import EnergyAccountant, EnergyReport, StructureEnergy
 from repro.energy.cacti import CactiParameters, SRAMArraySpec, SRAMEnergyModel
-from repro.energy.energy_model import EnergyModelConfig, InterfaceEnergyModel
+from repro.sim.config import MalecParameters, SimulationConfig
 from repro.stats import StatCounters
+
+BASE1 = SimulationConfig.base_1ldst()
 
 
 def spec(rows=32, row_bits=512, output_bits=256, ports=1, is_cam=False, search_bits=0):
@@ -57,15 +61,14 @@ class TestSRAMEnergyModel:
     def test_leakage_energy_scales_with_cycles(self):
         """Leakage energy is an array's leakage power times cycles (1 mW over
         a 1 ns cycle is 1 pJ); the accountant's report is where it is formed."""
-        model = InterfaceEnergyModel(EnergyModelConfig())
-        accountant = EnergyAccountant(model)
-        power = model.sram.leakage_mw(model.specs["utlb.vtag"])
+        accountant = EnergyAccountant(BASE1)
+        power = accountant.sram.leakage_mw(accountant.specs["utlb.vtag"])
         for cycles in (0, 1000, 2000):
             report = accountant.report(StatCounters(), cycles)
             assert report.structures["utlb.vtag"].leakage_pj == power * cycles
 
     def test_negative_cycles_rejected(self):
-        accountant = EnergyAccountant(InterfaceEnergyModel(EnergyModelConfig()))
+        accountant = EnergyAccountant(BASE1)
         with pytest.raises(ValueError):
             accountant.report(StatCounters(), -1)
 
@@ -85,76 +88,77 @@ class TestSRAMEnergyModel:
         assert model.read_energy_pj(spec(rows=rows, ports=ports + 1)) > base
 
 
-class TestInterfaceEnergyModel:
+class TestEnergyAccountantArrays:
     def test_baseline_has_no_way_tables(self):
-        model = InterfaceEnergyModel(EnergyModelConfig())
-        assert "uwt" not in model.specs and "wt" not in model.specs
-        assert "l1.tag" in model.specs and "tlb.vtag" in model.specs
+        accountant = EnergyAccountant(BASE1)
+        assert "uwt" not in accountant.specs and "wt" not in accountant.specs
+        assert "l1.tag" in accountant.specs and "tlb.vtag" in accountant.specs
 
     def test_malec_model_has_way_tables(self):
-        model = InterfaceEnergyModel(EnergyModelConfig(has_way_tables=True))
-        assert model.specs["uwt"].rows == 16
-        assert model.specs["wt"].rows == 64
-        assert model.specs["uwt"].row_bits == 128
+        accountant = EnergyAccountant(SimulationConfig.malec())
+        assert accountant.specs["uwt"].rows == 16
+        assert accountant.specs["wt"].rows == 64
+        assert accountant.specs["uwt"].row_bits == 128
 
     def test_wdu_model(self):
-        model = InterfaceEnergyModel(EnergyModelConfig(wdu_entries=16, wdu_ports=4))
-        assert model.specs["wdu"].rows == 16
-        assert model.specs["wdu"].ports == 4
+        accountant = EnergyAccountant(
+            SimulationConfig.malec(malec_options=MalecParameters(way_determination="wdu"))
+        )
+        assert accountant.specs["wdu"].rows == 16
+        assert accountant.specs["wdu"].ports == 4
 
     def test_port_counts_propagate(self):
-        model = InterfaceEnergyModel(EnergyModelConfig(l1_ports=2, tlb_ports=3))
-        assert model.specs["l1.data"].ports == 2
-        assert model.specs["tlb.vtag"].ports == 3
+        accountant = EnergyAccountant(SimulationConfig.base_2ld1st())
+        assert accountant.specs["l1.data"].ports == 2
+        assert accountant.specs["tlb.vtag"].ports == 3
 
     def test_dynamic_energy_from_events(self):
-        model = InterfaceEnergyModel(EnergyModelConfig())
+        accountant = EnergyAccountant(BASE1)
         stats = StatCounters()
         stats.add("l1.tag_read", 4)
         stats.add("l1.data_read", 4)
         stats.add("utlb.lookup", 1)
-        totals = model.dynamic_energy_pj(stats)
+        totals = accountant.dynamic_energy_pj(stats)
         assert totals["l1.tag"] > 0 and totals["l1.data"] > 0 and totals["utlb.vtag"] > 0
         assert totals["l1.data"] > totals["l1.tag"]
 
     def test_control_energy_charged_per_access(self):
-        model = InterfaceEnergyModel(EnergyModelConfig())
+        accountant = EnergyAccountant(BASE1)
         stats = StatCounters()
         stats.add("l1.ctrl", 10)
-        totals = model.dynamic_energy_pj(stats)
+        totals = accountant.dynamic_energy_pj(stats)
         assert totals["l1.control"] == pytest.approx(
-            10 * model.sram.parameters.l1_control_energy_pj
+            10 * accountant.sram.parameters.l1_control_energy_pj
         )
 
     def test_unknown_events_are_ignored(self):
-        model = InterfaceEnergyModel(EnergyModelConfig())
+        accountant = EnergyAccountant(BASE1)
         stats = StatCounters()
         stats.add("nonsense.event", 100)
-        totals = model.dynamic_energy_pj(stats)
+        totals = accountant.dynamic_energy_pj(stats)
         assert sum(totals.values()) == 0
 
     def test_leakage_includes_all_l1_arrays(self):
-        model = InterfaceEnergyModel(EnergyModelConfig())
-        leakage = model.leakage_power_mw()
-        single_array = model.sram.leakage_mw(model.specs["l1.data"])
+        accountant = EnergyAccountant(BASE1)
+        leakage = accountant.leakage_power_mw()
+        single_array = accountant.sram.leakage_mw(accountant.specs["l1.data"])
         assert leakage["l1.data"] == pytest.approx(16 * single_array)
 
     def test_buffers_optional(self):
-        without = InterfaceEnergyModel(EnergyModelConfig(include_buffers=False))
-        with_buffers = InterfaceEnergyModel(EnergyModelConfig(include_buffers=True))
+        without = EnergyAccountant(BASE1)
+        with_buffers = EnergyAccountant(replace(BASE1, include_buffer_energy=True))
         assert "sb" not in without.specs
         assert "sb" in with_buffers.specs and "mb" in with_buffers.specs
 
     def test_access_energy_kind_validation(self):
-        model = InterfaceEnergyModel(EnergyModelConfig())
+        accountant = EnergyAccountant(BASE1)
         with pytest.raises(ValueError):
-            model.access_energy_pj("l1.tag", "erase")
+            accountant.access_energy_pj("l1.tag", "erase")
 
 
 class TestEnergyAccounting:
     def _report(self, cycles=1000):
-        model = InterfaceEnergyModel(EnergyModelConfig(has_way_tables=True))
-        accountant = EnergyAccountant(model)
+        accountant = EnergyAccountant(SimulationConfig.malec())
         stats = StatCounters()
         stats.add("l1.tag_read", 400)
         stats.add("l1.data_read", 400)
@@ -187,9 +191,8 @@ class TestEnergyAccounting:
             self._report().normalized_to(empty)
 
     def test_negative_cycles_rejected(self):
-        model = InterfaceEnergyModel(EnergyModelConfig())
         with pytest.raises(ValueError):
-            EnergyAccountant(model).report(StatCounters(), -5)
+            EnergyAccountant(BASE1).report(StatCounters(), -5)
 
     def test_summary_lists_structures(self):
         text = self._report().summary()

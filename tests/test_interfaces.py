@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.cache.l1_cache import L1DataCache
 from repro.interfaces.base_1ldst import BaselineSingleInterface
 from repro.interfaces.base_2ld1st import BaselineDualLoadInterface
 from repro.interfaces.malec import MalecInterface
 from repro.memory.address import DEFAULT_LAYOUT
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
 
@@ -19,9 +19,9 @@ def addr(page: int, line: int, offset: int = 0) -> int:
 
 def build(interface_cls, **kwargs):
     stats = StatCounters()
-    hierarchy = MemoryHierarchy(stats=stats)
+    l1 = L1DataCache(stats=stats)
     translation = TLBHierarchy(stats=stats)
-    interface = interface_cls(hierarchy, translation, stats=stats, **kwargs)
+    interface = interface_cls(l1, translation, stats=stats, **kwargs)
     return stats, interface
 
 
@@ -218,14 +218,13 @@ class TestMalecInterface:
         assert stats["l1.tag_read"] == 0
         assert stats["malec.way_known"] == 1
 
-    def test_way_coverage_property(self):
+    def test_way_coverage_counters(self):
         stats, interface = build(MalecInterface)
         for cycle in range(4):
             interface.begin_cycle(cycle)
             interface.submit_load(f"ld{cycle}", addr(1, cycle % 2), 4, cycle)
             interface.tick(cycle)
-        assert 0.0 <= interface.way_coverage <= 1.0
-        assert interface.way_coverage > 0
+        assert 0 < stats["malec.way_known"] <= stats["malec.way_lookup"]
 
     def test_wdu_mode_predicts_after_training(self):
         stats, interface = build(MalecInterface, way_determination="wdu", wdu_entries=8)
@@ -244,7 +243,7 @@ class TestMalecInterface:
         interface.submit_load("a", addr(1, 0), 4, 0)
         interface.tick(0)
         assert stats["l1.reduced_access"] == 0
-        assert interface.way_coverage == 0.0
+        assert stats["malec.way_known"] == stats["malec.way_lookup"] == 0
 
     def test_invalid_way_determination_rejected(self):
         with pytest.raises(ValueError):

@@ -567,7 +567,7 @@ class TestWrongWayHints:
         # L1 reduced access that MALEC's way accounting does not count as one;
         # the rest of the wrong hints are MBE writes'.
         stats = specialized.stats
-        wrong_loads = stats["l1.reduced_access"] - stats["malec.reduced_access"]
+        wrong_loads = stats["l1.reduced_access"] - stats.get("malec.reduced_access", 0.0)
         assert 0 < wrong_loads < stats["l1.way_hint_wrong"]
 
 
@@ -718,7 +718,7 @@ class TestModelCounterPatterns:
         results = {}
         for kernel in ("specialized", "generic"):
             simulator = Simulator(config)
-            for bank in simulator.interface.hierarchy.l1.banks:
+            for bank in simulator.l1.banks:
                 bank._combo_conv_read = tuple(
                     (name, 2 if name == "l1.ctrl" else times)
                     for name, times in bank._combo_conv_read

@@ -24,9 +24,9 @@ import random
 
 import pytest
 
+from repro.cache.l1_cache import L1DataCache
 from repro.cache.set_assoc import SetAssociativeArray
 from repro.memory.address import AddressLayout
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.core.way_table import WayTableHierarchy
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
@@ -136,10 +136,10 @@ def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
     rng = random.Random(seed)
     stats = StatCounters()
     layout = AddressLayout()
-    hierarchy = MemoryHierarchy(layout=layout, stats=stats)
+    l1 = L1DataCache(layout=layout, stats=stats)
     translation = TLBHierarchy(layout=layout, stats=stats, seed=seed)
     way_tables = WayTableHierarchy(translation, layout=layout, stats=stats)
-    way_tables.attach_to_cache(hierarchy.l1)
+    way_tables.attach_to_cache(l1)
 
     pages = [rng.randrange(1 << 10) for _ in range(6)]
     for _ in range(accesses):
@@ -154,9 +154,9 @@ def check_way_predictions_match_tag_array(accesses: int, seed: int) -> None:
         way = codes[offset + line_in_page] - 1  # a code is the way plus one
         physical_line = layout.line_address(physical)
         if way >= 0:
-            assert hierarchy.l1.way_of(physical_line) == way, (hex(virtual), way)
+            assert l1.way_of(physical_line) == way, (hex(virtual), way)
         # Access (and possibly fill) the line, mutating cache + way tables.
-        hierarchy.l1.load_parts(physical)
+        l1.load_parts(physical)
 
 
 def check_tlb_insert_lookup_consistency(entries: int, seed: int) -> None:

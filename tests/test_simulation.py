@@ -1,14 +1,21 @@
 """Integration tests: configuration, simulator, sweep results, reporting,
 and coarse checks of the paper's headline claims on small traces."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.reporting import format_table, geometric_mean, normalize
 from repro.campaign.executor import ParallelExecutor, cell_trace
 from repro.campaign.spec import CampaignSpec
-from repro.energy.energy_model import EnergyModelConfig
-from repro.sim.config import InterfaceKind, MalecParameters, SimulationConfig
-from repro.sim.simulator import run_configuration
+from repro.sim.config import (
+    CacheParameters,
+    InterfaceKind,
+    MalecParameters,
+    SimulationConfig,
+    TLBParameters,
+)
+from repro.sim.simulator import Simulator, run_configuration
 from repro.workloads.suites import benchmark_profile
 from repro.workloads.synthetic import generate_trace
 
@@ -56,17 +63,66 @@ class TestSimulationConfig:
         assert base2.table1_row()["addr_comp_per_cycle"] == "2 ld + 1 st"
         assert malec.table1_row()["addr_comp_per_cycle"] == "1 ld + 2 ld/st"
 
-    def test_energy_model_config_derivation(self):
-        malec = SimulationConfig.malec()
-        config = malec.energy_model_config()
-        assert isinstance(config, EnergyModelConfig)
-        assert config.has_way_tables and config.wdu_entries == 0
-        wdu = SimulationConfig.malec(
-            malec_options=MalecParameters(way_determination="wdu", wdu_entries=32)
+    def test_every_model_field_reaches_the_model(self):
+        """Each model-facing field, off its default, is read back where the
+        model uses it (the pipeline widths are read by each run's pipeline,
+        which the simulator does not keep)."""
+        malec = MalecParameters(
+            way_determination="wdu",
+            wdu_entries=24,
+            enable_feedback_update=False,
+            merge_granularity="line",
+            result_buses=3,
+            input_buffer_capacity=3,
+            merge_window=2,
+            restrict_way_allocation=False,
         )
-        assert wdu.energy_model_config().wdu_entries == 32
-        base = SimulationConfig.base_2ld1st().energy_model_config()
-        assert base.l1_ports == 2 and not base.has_way_tables
+        config = SimulationConfig(
+            name="off-defaults",
+            interface=InterfaceKind.MALEC,
+            cache=CacheParameters(l1_hit_latency=3, l2_latency=9, dram_latency=41),
+            tlb=TLBParameters(utlb_entries=8, tlb_entries=32, walk_latency=17),
+            malec_options=malec,
+            lq_entries=20,
+            sb_entries=12,
+            mb_entries=6,
+            include_buffer_energy=True,
+            seed=5,
+        )
+        sim = Simulator(config)
+        assert sim.l1.hit_latency == 3
+        assert sim.l1.l2.latency_cycles == 9
+        assert sim.l1.l2.dram.latency_cycles == 41
+        translation = sim.translation
+        assert (translation.utlb.entries, translation.tlb.entries) == (8, 32)
+        assert translation.walk_latency == 17
+        assert translation.page_table.seed == 5
+        interface = sim.interface
+        assert interface.l1 is sim.l1 and interface.translation is translation
+        assert interface.load_queue.entries == 20
+        assert interface.store_buffer.entries == 12
+        assert interface.merge_buffer.entries == 6
+        assert interface.way_determination == "wdu" and interface.way_tables is None
+        assert interface.wdu.entries == 24
+        assert interface.arbitration.merge_granularity == "line"
+        assert interface.arbitration.result_buses == 3
+        assert interface.arbitration.merge_window == 2
+        assert interface.input_buffer.held_capacity == 3
+        specs = sim.accountant.specs
+        assert (specs["wdu"].rows, specs["wdu"].ports) == (24, 3)
+        assert (specs["sb"].rows, specs["mb"].rows) == (12, 6)
+        assert (specs["utlb.vtag"].rows, specs["tlb.vtag"].rows) == (8, 32)
+        assert "uwt" not in specs and "wt" not in specs
+        # The two options only MALEC's way tables read.
+        wt = Simulator(replace(config, malec_options=replace(malec, way_determination="wt")))
+        assert wt.interface.way_tables.enable_feedback_update is False
+        assert not any(bank.restrict_way_allocation for bank in wt.l1.banks)
+        assert (wt.accountant.specs["uwt"].rows, wt.accountant.specs["wt"].rows) == (8, 32)
+        assert "wdu" not in wt.accountant.specs
+        # Base2ld1st's extra ports (Table I): 2 on the L1 arrays, 3 on the TLBs.
+        base = Simulator(SimulationConfig.base_2ld1st()).accountant.specs
+        assert base["l1.tag"].ports == base["l1.data"].ports == 2
+        assert base["utlb.vtag"].ports == base["tlb.vtag"].ports == 3
 
     def test_with_name(self):
         config = SimulationConfig.malec().with_name("MALEC-ablation")
@@ -104,6 +160,20 @@ class TestSimulator:
         warmed = run_configuration(SimulationConfig.base_1ldst(), trace, warmup_fraction=0.5)
         assert warmed.instructions < full.instructions
         assert warmed.cycles < full.cycles
+
+    def test_every_run_starts_from_clean_counters(self):
+        # Two runs of one simulator without warm-up: the second counts only
+        # its own instructions and loads, and prices its energy from them
+        # (the warm second pass misses less, so it costs less).
+        trace = generate_trace(benchmark_profile("gzip"), instructions=600)
+        simulator = Simulator(SimulationConfig.malec())
+        first = simulator.run(trace)
+        second = simulator.run(trace)
+        for result in (first, second):
+            assert result.stats["pipeline.dispatched"] == len(trace)
+            assert result.stats["interface.loads_submitted"] == result.loads
+        assert second.loads == first.loads
+        assert second.energy.dynamic_pj < first.energy.dynamic_pj
 
     def test_invalid_warmup_rejected(self, trace):
         with pytest.raises(ValueError):

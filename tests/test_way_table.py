@@ -282,4 +282,4 @@ class TestWayDeterminationUnit:
         wdu.predict(addr(0, 0))
         wdu.record(addr(0, 0), 1)
         wdu.predict(addr(0, 0))
-        assert wdu.coverage == 0.5
+        assert (wdu.stats["way_pred.known"], wdu.stats["way_pred.lookup"]) == (1, 2)
