@@ -16,12 +16,21 @@ into an :class:`~repro.analysis.experiments.ExperimentResults`:
   parent** as a :class:`~repro.workloads.columnar.ColumnarTrace`, and its
   ``.rtrc`` bytes (:meth:`~repro.workloads.columnar.ColumnarTrace.to_bytes`:
   a header plus the buffers the trace already holds, no re-encode) are
-  shipped to the workers through the pool initializer — workers lift each
+  shipped to the workers through the pool initializer (or with a later
+  run's chunks, below) — workers lift each
   trace into columns at most once per process instead of regenerating (or
   re-parsing) it per task;
 * cells are dispatched as one pool task per chunk, so scheduling overhead is
   one pickled batch per chunk rather than one round-trip per cell, and
   results stream back chunk by chunk as they finish;
+* outside a ``with executor:`` block each :meth:`~ParallelExecutor.run`
+  starts its own pool and joins its workers before it returns; inside one,
+  every run reuses one pool of ``jobs`` workers, started by the first run
+  that needs it and joined when the block exits (a design-space
+  exploration runs all its batches so).  Forked workers hold only what
+  existed when they were forked, so a chunk of a later run carries the
+  ``.rtrc`` bytes of its traces that the pool was not started with, and
+  the worker prewarms its cells' kernels before the first of them;
 * the serial path shares one process-wide trace cache (the same cache the
   workers use), so repeated sweeps in one process — the perf harness's
   best-of-N runs, an interactive session re-running presets — never
@@ -75,13 +84,18 @@ ProgressCallback = Callable[[str, CampaignCell, int, int], None]
 #: this process and by pool workers (one decode per trace per process)
 _PROCESS_TRACES: Dict[TraceKey, ColumnarTrace] = {}
 
-#: serialized traces installed by the pool initializer (worker side)
+#: serialized traces shipped by the parent (worker side): installed by the
+#: pool initializer and by chunks of later runs on a kept pool
 _WORKER_TRACE_BYTES: Dict[TraceKey, bytes] = {}
 
 #: soft cap on cached traces; a long-lived process sweeping many distinct
 #: (benchmark, length, seed) shapes resets the cache instead of growing it
 #: without bound (a reset only costs regeneration, never correctness)
 _TRACE_CACHE_LIMIT = 256
+
+
+def _trace_key(cell: CampaignCell) -> TraceKey:
+    return (cell.benchmark, cell.instructions, cell.trace_seed(), cell.trace_hash)
 
 
 def cell_trace(cell: CampaignCell) -> ColumnarTrace:
@@ -93,7 +107,7 @@ def cell_trace(cell: CampaignCell) -> ColumnarTrace:
     profile.  Every harness that simulates a workload resolves it here, so
     ``repro figure4``, ``report`` and ``sweep`` run the same trace.
     """
-    key = (cell.benchmark, cell.instructions, cell.trace_seed(), cell.trace_hash)
+    key = _trace_key(cell)
     trace = _PROCESS_TRACES.get(key)
     if obs_metrics.enabled():
         obs_metrics.registry.counter(
@@ -136,39 +150,34 @@ def _execute_cell(cell: CampaignCell) -> SimulationResult:
     )
 
 
-def _init_worker(
-    trace_bytes: Dict[TraceKey, bytes], configs=(), metrics_on: bool = False
-) -> None:
-    """Pool initializer: install the parent's serialized traces, prewarm the
-    campaign's specialized simulation kernels, and reset metrics.
-
-    Kernels are cached per config content-hash (see :mod:`repro.sim.kernels`).
-    A forked worker inherits the kernels the parent compiled before the pool
-    started, so its prewarm only hits the cache; a spawned worker compiles
-    each distinct configuration shape here instead of on its first cell of
-    each shape.
+def _init_worker(trace_bytes: Dict[TraceKey, bytes]) -> None:
+    """Pool initializer: install the parent's serialized traces and reset
+    metrics.
 
     A forked worker inherits the parent's already-populated metrics registry;
     counting on top of it would double every parent-side value once the
     parent merges the worker's chunk dumps back, so the registry starts from
-    a clean slate either way, and the enabled flag is set explicitly from
-    the parent's state (fork inherits it, spawn would not).
+    a clean slate either way.
     """
     _WORKER_TRACE_BYTES.update(trace_bytes)
     obs_metrics.registry.clear()
-    if metrics_on:
-        obs_metrics.enable()
-    else:
-        obs_metrics.disable()
-    if configs:
-        prewarm(configs)
 
 
-def _pool_chunk(cells: List[CampaignCell]) -> Tuple[list, Optional[dict]]:
+def _pool_chunk(
+    cells: List[CampaignCell], trace_bytes: Dict[TraceKey, bytes], metrics_on: bool
+) -> Tuple[list, Optional[dict]]:
     """Process-pool task: simulate a chunk of cells, one record per cell.
 
+    First the worker installs ``trace_bytes``, the traces of the chunk that
+    the pool was not started with, sets the metrics switch to the parent's
+    (fork inherits it, spawn would not, and a kept pool outlives a run) and
+    prewarms the cells' kernels.  Kernels are cached per content hash (see
+    :mod:`repro.sim.kernels`): a forked worker inherits those the parent
+    compiled before the pool started, and compiles any other here, uncounted,
+    so the kernel cache's hit and miss counts match a serial run's.
+
     The worker finds each cell's trace in its per-process cache (decoded
-    once from the initializer's bytes).  Results cross the process boundary
+    once from the shipped bytes).  Results cross the process boundary
     as plain dictionaries (the store's JSON shape) rather than live objects,
     keeping the pickled payload small and identical to what lands on disk.
     The third element of a record is an observation payload: the
@@ -181,6 +190,12 @@ def _pool_chunk(cells: List[CampaignCell]) -> Tuple[list, Optional[dict]]:
     ``jobs=4`` metrics snapshot includes worker-side counters; with metrics
     off it is ``None``.
     """
+    _WORKER_TRACE_BYTES.update(trace_bytes)
+    if metrics_on:
+        obs_metrics.enable()
+    else:
+        obs_metrics.disable()
+    prewarm(cell.config for cell in cells)
     records = []
     for cell in cells:
         start = time.time()
@@ -195,6 +210,13 @@ def _pool_chunk(cells: List[CampaignCell]) -> Tuple[list, Optional[dict]]:
 
 class ParallelExecutor:
     """Executes campaign specs; the one engine behind the CLI, bench and tests.
+
+    Used as a context manager, it keeps one process pool across the runs of
+    the block (see the module docstring)::
+
+        with ParallelExecutor(jobs=4) as executor:
+            for spec in specs:
+                executor.run(spec)
 
     Parameters
     ----------
@@ -274,6 +296,19 @@ class ParallelExecutor:
         self.cell_timings: List[Tuple[CampaignCell, int, float, float]] = []
         #: True if the last run() actually used a process pool
         self.used_pool = False
+        #: inside a ``with`` block: the pool runs keep, and the trace keys
+        #: its workers were started with
+        self._scoped = False
+        self._pool = None
+        self._pool_traces: frozenset = frozenset()
+
+    def __enter__(self) -> "ParallelExecutor":
+        self._scoped = True
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._scoped = False
+        self._close_pool()
 
     # ------------------------------------------------------------------
     def run(self, spec: CampaignSpec) -> ExperimentResults:
@@ -313,12 +348,12 @@ class ParallelExecutor:
             self.jobs,
         )
         if pending:
-            # Compile every kernel once, here: forked pool workers inherit
-            # the cache (their initializer's prewarm only hits it), and the
-            # serial path runs on it.  Prewarm compiles are uncounted and
-            # per-cell probes all hit, so the kernel cache hit/miss
-            # counters are invariant across job counts.
-            prewarm({cell.config.with_name("kernel-prewarm"): None for cell in pending})
+            # Compile every kernel once, here: workers forked after this
+            # inherit the cache (their prewarm only hits it), and the serial
+            # path runs on it.  Prewarm compiles are uncounted and per-cell
+            # probes all hit, so the kernel cache hit/miss counters are
+            # invariant across job counts.
+            prewarm(cell.config for cell in pending)
             if self.jobs > 1 and len(pending) > 1:
                 done = self._run_pool(pending, results, done, total)
             # Any cells a broken pool failed to deliver fall through to the
@@ -467,10 +502,39 @@ class ParallelExecutor:
         """
         payloads: Dict[TraceKey, bytes] = {}
         for cell in pending:
-            key = (cell.benchmark, cell.instructions, cell.trace_seed(), cell.trace_hash)
+            key = _trace_key(cell)
             if key not in payloads:
                 payloads[key] = cell_trace(cell).to_bytes()
         return payloads
+
+    def _start_pool(self, pending: List[CampaignCell]) -> None:
+        """Start a pool whose workers hold the traces of ``pending``.  A pool
+        kept for a ``with`` block gets all ``jobs`` workers, since later runs
+        may bring more cells; a run's own gets no more workers than cells."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        payloads = self._trace_payloads(pending)
+        workers = self.jobs if self._scoped else min(self.jobs, len(pending))
+        self._pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(payloads,)
+        )
+        self._pool_traces = frozenset(payloads)
+
+    def _close_pool(self, stop: bool = False) -> None:
+        """Shut the pool down, if there is one, and join its workers, so none
+        outlives its owner.  ``stop`` terminates them first, as
+        ``Pool.terminate()`` did: a run cut short (an interrupt, a failed
+        store write, a broken pool) must not wait for chunks whose results
+        are dropped."""
+        pool, self._pool = self._pool, None
+        self._pool_traces = frozenset()
+        if pool is None:
+            return
+        if stop:
+            # Before Python 3.14 the executor has no public call for this.
+            for process in list((pool._processes or {}).values()):
+                process.terminate()
+        pool.shutdown(wait=True)
 
     def _run_pool(
         self,
@@ -490,59 +554,47 @@ class ParallelExecutor:
         """
         # Imported here, not at module level, so importing the executor
         # costs no more than before.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import as_completed
 
         by_key = {cell.key(): cell for cell in pending}
         try:
-            payloads = self._trace_payloads(pending)
-            workers = min(self.jobs, len(pending))
-            # Distinct configuration shapes, deduplicated by identity-relevant
-            # fields inside prewarm's content hash; shipped to workers, which
-            # prewarm them (a cache hit after the parent's prewarm under fork).
-            distinct_configs = tuple(
-                {cell.config.with_name("kernel-prewarm"): None for cell in pending}
+            if self._pool is None:
+                self._start_pool(pending)
+            # The traces the workers were not started with ride along with
+            # each chunk whose cells use them.
+            extra = self._trace_payloads(
+                [cell for cell in pending if _trace_key(cell) not in self._pool_traces]
             )
+            metrics_on = obs_metrics.enabled()
             # One pickled batch per chunk instead of one round-trip per cell;
             # chunks come back in completion order.
-            chunksize = max(1, len(pending) // (workers * 4))
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(
-                    payloads,
-                    distinct_configs,
-                    obs_metrics.enabled(),
-                ),
-            ) as pool:
-                self.used_pool = True
-                try:
-                    futures = [
-                        pool.submit(_pool_chunk, pending[index : index + chunksize])
-                        for index in range(0, len(pending), chunksize)
-                    ]
-                    for future in as_completed(futures):
-                        records, dump = future.result()
-                        if dump is not None:
-                            # A chunk's counts since the worker's previous
-                            # chunk: worker-side metrics are counters, which
-                            # sum in any arrival order.
-                            obs_metrics.registry.merge(dump)
-                        for key, payload, (pid, start, end) in records:
-                            cell = by_key[key]
-                            self._observe_cell(cell, pid, start, end)
-                            self._journal_cell(cell, end - start, pid)
-                            done = self._record(
-                                cell, result_from_dict(payload), results, done, total
-                            )
-                except BaseException:
-                    # Cut short (an interrupt, a failed store write, a broken
-                    # pool): stop the workers now, as Pool.terminate() did,
-                    # instead of letting the pool's shutdown wait for chunks
-                    # whose results are dropped.  Before Python 3.14 the
-                    # executor has no public call for this.
-                    for process in list((pool._processes or {}).values()):
-                        process.terminate()
-                    raise
+            chunksize = max(1, len(pending) // (min(self.jobs, len(pending)) * 4))
+            self.used_pool = True
+            try:
+                futures = []
+                for index in range(0, len(pending), chunksize):
+                    chunk = pending[index : index + chunksize]
+                    traces = {key: extra[key] for key in map(_trace_key, chunk) if key in extra}
+                    futures.append(self._pool.submit(_pool_chunk, chunk, traces, metrics_on))
+                for future in as_completed(futures):
+                    records, dump = future.result()
+                    if dump is not None:
+                        # A chunk's counts since the worker's previous
+                        # chunk: worker-side metrics are counters, which
+                        # sum in any arrival order.
+                        obs_metrics.registry.merge(dump)
+                    for key, payload, (pid, start, end) in records:
+                        cell = by_key[key]
+                        self._observe_cell(cell, pid, start, end)
+                        self._journal_cell(cell, end - start, pid)
+                        done = self._record(
+                            cell, result_from_dict(payload), results, done, total
+                        )
+            except BaseException:
+                # A pool whose run was cut short is dropped; the next run
+                # that needs one starts a fresh pool.
+                self._close_pool(stop=True)
+                raise
         except StoreWriteError:
             raise
         except (OSError, PermissionError, RuntimeError, ImportError) as error:
@@ -557,6 +609,9 @@ class ParallelExecutor:
             )
             if obs_metrics.enabled():
                 obs_metrics.registry.counter("campaign.pool_fallbacks").inc()
+        finally:
+            if not self._scoped:
+                self._close_pool()
         return done
 
     # ------------------------------------------------------------------

@@ -7,7 +7,8 @@ examples and the tests.  Evaluation batches are expressed as ordinary
 configuration plus the scheduled candidates over the space's benchmarks —
 and executed by :class:`~repro.campaign.executor.ParallelExecutor`, so:
 
-* ``jobs`` fans each batch out over worker processes;
+* ``jobs`` fans each batch out over worker processes, one pool for the
+  whole search, whose workers are joined before :func:`run_dse` returns;
 * an attached :class:`~repro.campaign.store.ResultStore` persists every
   cell under its content-hash key, which makes exploration resumable after
   an interrupt and deduplicates evaluations *across strategies* (a halving
@@ -56,7 +57,9 @@ class Evaluator:
     one :class:`~repro.campaign.executor.ParallelExecutor`, which opens the
     store once, so the batches of a search write through one
     :class:`ResultStore`: the JSON backend's manifest conflict detection is
-    per writer, and they are the same writer.
+    per writer, and they are the same writer.  :func:`run_dse` runs the
+    search inside ``with evaluator.executor:``, so the batches share one
+    process pool too.
     """
 
     def __init__(
@@ -264,7 +267,9 @@ def run_dse(
         space, resolved, jobs=jobs, store=store, progress=progress,
         trace_log=trace_log,
     )
-    pool, trail = search.run(space, evaluator, budget=budget)
+    # One pool serves every batch of the search; it is joined on the way out.
+    with evaluator.executor:
+        pool, trail = search.run(space, evaluator, budget=budget)
     pool = sorted(pool, key=lambda candidate: candidate.index)
     frontier, ranks = extract_frontier(pool)
     result = DseResult(

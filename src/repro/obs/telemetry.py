@@ -18,7 +18,11 @@ uses):
     :mod:`repro.obs.hostinfo`), total cells, job count.
 ``cell``
     One line per cell the run computed: cell/config/trace content hashes,
-    wall seconds, worker pid and ``source: "computed"``.  Cells served from
+    wall seconds, worker pid and ``source: "computed"``.  The cell ``key``
+    identifies the configuration; ``config_hash`` names the cell's kernel
+    shape (:func:`repro.sim.kernels.content_hash`), which configurations
+    differing only in numbers a kernel reads at run time share (since
+    generator v18).  Cells served from
     the store get no line; the footer counts them.  (Older journals also
     hold ``source: "store"`` lines, cells naming their kernel and any
     fallback reason, and, from before the run path was unified,

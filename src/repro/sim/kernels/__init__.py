@@ -7,12 +7,20 @@ the event-driven pipeline loop fused with the configuration's interface tick
 and batched stat accounting, which flushes through the model's own counter
 patterns (see :mod:`repro.sim.kernels.generator`).
 
-Programs are cached per *content hash*: a digest of the primitive spec the
-generator consumed (excluding the config's name and seed) plus the generator
-version, so every sweep cell sharing a configuration shape compiles once —
-the campaign executor calls :func:`prewarm` with the pending cells' distinct
-configs in the parent, before any pool forks, so forked workers inherit the
-compiled programs.
+Programs are cached per *content hash*: a digest of the configuration's
+*shape* — what selects the code the generator emits (the interface kind,
+MALEC's way determination, merge granularity and feedback, restricted
+allocation, and the L1/L2 geometry the shifts and masks derive from) —
+plus the generator version.  The numbers the code only uses as operands
+(the pipeline widths, the LQ, SB and MB depths, the L1, L2 and DRAM
+latencies, MALEC's result buses, merge window and Input Buffer capacity)
+are read from the live objects once per run, and the name and seed are
+left out, so configurations that differ only in those share one kernel:
+Fig. 4's five configurations compile three, and ``malec-sensitivity``'s
+217 compile three.  The campaign executor calls :func:`prewarm` with the
+pending cells' configs in the parent, so forked workers inherit the
+compiled programs; a worker forked earlier prewarms its chunk's
+configurations itself.
 
 ``"specialized"`` is the default; ``RunOptions(kernel="generic")`` runs the
 interpreted event loop of :class:`repro.cpu.pipeline.OutOfOrderPipeline`
@@ -88,12 +96,12 @@ class KernelProgram:
 
 
 def content_hash(config: SimulationConfig) -> str:
-    """Digest of everything the generated code depends on.
+    """Digest of the configuration's kernel shape (:func:`build_spec`).
 
-    Two configs differing only in ``name``/``seed`` hash identically (the
-    spec excludes both), so sweep cells share one compiled kernel.  The
-    generator version is part of the spec, so emitted-code changes roll the
-    hash over.
+    Two configs differing only in ``name``/``seed`` or in the numbers a
+    kernel reads at run time hash identically, so they share one compiled
+    kernel.  The generator version is part of the spec, so emitted-code
+    changes roll the hash over.
     """
     spec = build_spec(config)
     return hashlib.sha256(repr(sorted(spec.items())).encode("utf-8")).hexdigest()
@@ -167,12 +175,15 @@ def compile_kernel(config: SimulationConfig, _count: bool = True) -> KernelProgr
 
 
 def prewarm(configs: Iterable[SimulationConfig]) -> int:
-    """Compile the kernels of ``configs`` (deduplicated); returns the count.
+    """Compile the kernels of ``configs`` (deduplicated by content hash);
+    returns the count.
 
-    The campaign executor calls it in the parent before a pool forks, so
-    forked workers inherit the compiled kernels; the pool-worker initializer
-    calls it too, which only hits the cache in a forked worker and compiles
-    each distinct configuration once, up front, in a spawned one.
+    The campaign executor calls it in the parent before a run's cells are
+    dispatched, so workers forked after that inherit the compiled kernels;
+    a pool worker calls it too on each chunk's configurations, which only
+    hits the cache for an inherited kernel and compiles, once per worker,
+    any kernel the parent compiled after the fork (or, spawned, any at
+    all).
     """
     compiled = 0
     seen = set()

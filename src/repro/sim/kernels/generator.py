@@ -18,8 +18,13 @@ docstrings and the differential tests, which also compare every clock
 jump, hold them to it:
 
 * config-dependent branches are resolved at generation time (interface kind,
-  MALEC way determination on/off, merge granularity, TLB/cache geometry,
-  buffer depths inlined as literals);
+  MALEC way determination, merge granularity, feedback, restricted
+  allocation, and the L1/L2 geometry the shifts and masks come from);
+* every number the code only uses as an operand (the pipeline widths, the
+  LQ, SB and MB depths, the L1, L2 and DRAM latencies, and MALEC's result
+  buses, merge window and Input Buffer capacity) is read into a local once
+  per run, from the object that holds it (:func:`_prologue`), so
+  configurations that differ only in such numbers share one kernel;
 * attribute lookups are hoisted to locals once per run — but only for
   objects the run never rebinds (the generator documents each hoist; e.g.
   ``InputBuffer._held`` is rebound by ``retire`` and is therefore *never*
@@ -84,9 +89,11 @@ generic run over the same interface observes identical structures.
 
 The emitted module also begins with a battery of *runtime guards*: if the
 live pipeline/interface does not match the generation-time spec (someone
-swapped the replacement policy, resized a buffer, attached a collector, …)
+swapped the replacement policy, reshaped the cache, attached a collector, …)
 ``kernel_run`` raises ``RuntimeError`` naming the failed check before
-touching anything.  There is no silent fallback to the generic loop.
+touching anything.  There is no silent fallback to the generic loop.  The
+guards check what the code's shape was generated for; the numbers read
+into locals need none.
 """
 
 from __future__ import annotations
@@ -97,7 +104,7 @@ from repro.cache.l2_cache import L2Cache
 from repro.sim.config import InterfaceKind, SimulationConfig
 
 #: bump when the emitted code changes so content hashes (and caches) roll over
-GENERATOR_VERSION = 17
+GENERATOR_VERSION = 18
 
 #: interface kinds this generator can specialize
 KIND_CLASSES = {
@@ -108,10 +115,14 @@ KIND_CLASSES = {
 
 
 def build_spec(config: SimulationConfig) -> dict:
-    """Flatten ``config`` into the primitive values the generator consumes.
+    """Flatten ``config`` into the primitive values that select the code the
+    generator emits: its *shape*.
 
-    The spec deliberately excludes ``name`` and ``seed``: two configurations
-    differing only in those share one compiled kernel (content-hash cache).
+    The spec holds what the generator branches on or derives shifts and
+    masks from, and nothing else: the numbers the code only uses as operands
+    are read at run time (:func:`_prologue`), and ``name`` and ``seed`` are
+    left out too, so configurations differing only in those share one
+    compiled kernel (content-hash cache).
     """
     layout = config.cache.layout
     line_mask = layout._line_offset_mask
@@ -119,16 +130,6 @@ def build_spec(config: SimulationConfig) -> dict:
         "generator": GENERATOR_VERSION,
         "kind": config.interface.value,
         "class_name": KIND_CLASSES[config.interface.value],
-        "rob": config.pipeline.rob_entries,
-        "fetch": config.pipeline.fetch_width,
-        "issue": config.pipeline.issue_width,
-        "commit": config.pipeline.commit_width,
-        "lq": config.lq_entries,
-        "sb": config.sb_entries,
-        "mb_entries": config.mb_entries,
-        "hit_latency": config.cache.l1_hit_latency,
-        "l2_latency": config.cache.l2_latency,
-        "dram_latency": config.cache.dram_latency,
         "restrict": config.restrict_way_allocation,
         "page_shift": layout.page_offset_bits,
         "page_off_mask": layout._page_offset_mask,
@@ -142,10 +143,7 @@ def build_spec(config: SimulationConfig) -> dict:
         malec = config.malec_options
         spec.update(
             way_determination=malec.way_determination,
-            result_buses=malec.result_buses,
-            merge_window=malec.merge_window,
             merge_granularity=malec.merge_granularity,
-            held_capacity=malec.input_buffer_capacity,
         )
         if malec.way_determination == "wt":
             spec["feedback"] = malec.enable_feedback_update
@@ -234,10 +232,6 @@ def _guards(spec: dict) -> str:
         _check("type(seqs) is not range or seqs.step != 1 or seqs.stop > capacity"),
         _check(f'type(interface).__name__ != "{spec["class_name"]}"'),
         _check("interface.stats is not stats"),
-        _check(f"params.rob_entries != {spec['rob']}"),
-        _check(f"params.fetch_width != {spec['fetch']}"),
-        _check(f"params.issue_width != {spec['issue']}"),
-        _check(f"params.commit_width != {spec['commit']}"),
         "    layout = interface.layout",
         _check(f"layout.page_offset_bits != {spec['page_shift']}"),
         _check(f"layout._page_offset_mask != {spec['page_off_mask']}"),
@@ -246,22 +240,16 @@ def _guards(spec: dict) -> str:
         "    load_queue = interface.load_queue",
         "    store_buffer = interface.store_buffer",
         "    merge_buffer = interface.merge_buffer",
-        _check(f"load_queue.entries != {spec['lq']}"),
-        _check(f"store_buffer.entries != {spec['sb']}"),
-        _check(f"merge_buffer.entries != {spec['mb_entries']}"),
         "    l1 = interface.l1",
         "    banks = l1.banks",
-        _check(f"l1.hit_latency != {spec['hit_latency']}"),
         _check(f"len(banks) != {spec['nbanks']}"),
         "    bank0 = banks[0]",
         _check(f"bank0.array.num_sets != {spec['sets']}"),
         _check(f"bank0.array.ways != {spec['ways']}"),
         _check(f"bank0.restrict_way_allocation != {spec['restrict']}"),
         "    l2 = l1.l2",
-        _check(f"l2.latency_cycles != {spec['l2_latency']}"),
         _check(f"l2.array.num_sets != {l2_sets}"),
         _check(f"l2.array.ways != {l2_ways}"),
-        _check(f"l2.dram.latency_cycles != {spec['dram_latency']}"),
         "    translation = interface.translation",
         "    utlb = translation.utlb",
         "    tlb = translation.tlb",
@@ -297,9 +285,6 @@ def _guards(spec: dict) -> str:
             _check("interface.store_slots != 0"),
             _check("interface.flexible_slots != 2"),
             _check(f'interface.way_determination != "{spec["way_determination"]}"'),
-            _check(f"ib.held_capacity != {spec['held_capacity']}"),
-            _check(f"arbitration.result_buses != {spec['result_buses']}"),
-            _check(f"arbitration.merge_window != {spec['merge_window']}"),
             _check(f'arbitration.merge_granularity != "{spec["merge_granularity"]}"'),
         ]
         # the listeners and the uTLB callback the kernel takes inline
@@ -321,9 +306,34 @@ def _guards(spec: dict) -> str:
 
 
 def _prologue(spec: dict) -> str:
+    """The run's locals: the numbers the code uses as operands, read from
+    the objects that hold them (so one kernel serves every value; the hot
+    loop reads a local as cheaply as a constant), then the stable
+    structures, the cold paths and the accumulators."""
     kind = spec["kind"]
     bits = _bits(spec)
     lines = [
+        "",
+        "    # ---- the numbers the code uses as operands, read once per run ----",
+        "    rob_entries = params.rob_entries",
+        "    fetch_width = params.fetch_width",
+        "    issue_width = params.issue_width",
+        "    commit_width = params.commit_width",
+        "    lq_capacity = load_queue.entries",
+        "    sb_capacity = store_buffer.entries",
+        "    mb_capacity = merge_buffer.entries",
+        "    hit_latency = l1.hit_latency",
+        "    l2_hit_latency = hit_latency + l2.latency_cycles",
+        "    dram_hit_latency = l2_hit_latency + l2.dram.latency_cycles",
+    ]
+    if kind == "MALEC":
+        lines += [
+            "    held_capacity = ib.held_capacity",
+            "    result_buses = arbitration.result_buses",
+        ]
+        if spec["merge_granularity"] != "none":
+            lines.append("    merge_window = arbitration.merge_window")
+    lines += [
         "",
         "    # ---- hoisted structures (stable objects only: these attribute",
         "    # slots are mutated in place but never rebound during a run) ----",
@@ -505,7 +515,6 @@ def _issue_stage(spec: dict) -> str:
     never decide a jump: the width only runs out after computes or stores
     issued, and those sit in ``due_next``.  A narrower pipeline needs it.)
     """
-    width = spec["issue"]
     load, store = _issue_load(spec), _issue_store(spec)
     # zero only the slot counters the kind's load and store tests use
     slots = " = ".join(dict.fromkeys(re.findall(r"\w+_used", load + store)))
@@ -525,7 +534,7 @@ def _issue_stage(spec: dict) -> str:
             di = 0
             dn = dlen = len(deferred)
             simple = not dn and s_store is NEVER
-            while issued < {width}:
+            while issued < issue_width:
                 if simple:
                     if not ready_heap:
                         break
@@ -567,7 +576,7 @@ def _issue_stage(spec: dict) -> str:
                         postponed.sort()
                 else:
                     postponed = deferred[di:]
-            deferred_blocking = issued == {width} and bool(
+            deferred_blocking = issued == issue_width and bool(
                 (postponed and postponed[-1] > seq)
                 or (parked_count and parked_max > seq)
             )
@@ -591,8 +600,8 @@ def _issue_load(spec: dict) -> str:
                     accepted = False
                     if (
                         not loads_blocked
-                        and len(lq_entries) < {spec['lq']}
-                        and len(ib._held) < {spec['held_capacity'] + 1}
+                        and len(lq_entries) < lq_capacity
+                        and len(ib._held) <= held_capacity
                     ):
                         if loads_used < 1:
                             loads_used += 1
@@ -620,7 +629,7 @@ def _issue_load(spec: dict) -> str:
                     if (
                         not loads_blocked
                         and {slot}
-                        and len(lq_entries) < {spec['lq']}
+                        and len(lq_entries) < lq_capacity
                         and len(pending_loads) < 4
                     ):
                         {consume}
@@ -648,7 +657,7 @@ def _issue_store(spec: dict) -> str:
     return f"""\
                     if (
                         store_order[store_order_head] == seq
-                        and len(sb_entries) < {spec['sb']}
+                        and len(sb_entries) < sb_capacity
                         and {slot_check}
                     ):
                         {consume}
@@ -699,6 +708,7 @@ def _cold_params(spec: dict) -> str:
     lines = (
         "layout, max_address, utlb, utlb_referenced, utlb_ppages, tlb, translation,",
         "bank_slot_of, bank_tags, bank_dirty, bank_stamps, bank_tick, l2,",
+        "l2_hit_latency, dram_hit_latency,",
         extra.get(spec.get("way_determination"), ""),
     )
     return "\n".join(" " * 8 + line for line in lines if line)
@@ -857,7 +867,7 @@ dline = daddr & {spec['line_neg_mask']}
 if dline in mb_lines:
     acc_mb_merged += 1
 else:
-    if len(mb_lines) >= {spec['mb_entries']}:
+    if len(mb_lines) >= mb_capacity:
         evicted = mb_lines.pop(0)
         acc_mb_eviction += 1
         {queue}
@@ -1016,7 +1026,6 @@ def _l1_miss(spec: dict) -> str:
     bits = _bits(spec)
     line_bits = bits["line"]
     ways = spec["ways"]
-    hit = spec["hit_latency"] + spec["l2_latency"]
     exclude = ""
     if spec["restrict"]:  # CacheBank.excluded_way_for: (line_in_page // banks) % ways
         lip = f"pline & {_lines_per_page(spec) - 1}"
@@ -1031,10 +1040,10 @@ def _l1_miss(spec: dict) -> str:
         l2_slot = l2_slot_of_get(pline)
         if l2_slot is not None:
             l2_stamps[l2_slot] = next(l2_tick)
-            latency = {hit}
+            latency = l2_hit_latency
         else:
             l2_miss(phys, pline, 0)
-            latency = {hit + spec['dram_latency']}
+            latency = dram_hit_latency
         base = set_index * {ways}
         stamps = bank_stamps[pbank]
         window = stamps[base : base + {ways}]{exclude}
@@ -1095,17 +1104,16 @@ def _l1_load_inline(spec: dict, phys: str, hinted: bool, indent: int) -> str:
     ``hinted``, also ``way_hint``.  Sets ``latency`` and ``l1_slot``, which
     is ``None`` after a miss.
     """
-    hit = spec["hit_latency"]
     conventional = f"""\
 l1_slot = bank_slot_of[pbank].get(ptag * {spec['sets']} + set_index)
 if l1_slot is not None:
     bank_stamps[pbank][l1_slot] = next(bank_tick[pbank])
     acc_l1_conv_hit += 1
-    latency = {hit}
+    latency = hit_latency
 else:
     latency = l1_miss({phys}, pbank, set_index, ptag, 0)"""
     if hinted:
-        reduced = f"acc_l1_reduced_hit += 1\nlatency = {hit}"
+        reduced = "acc_l1_reduced_hit += 1\nlatency = hit_latency"
         conventional = _hinted_probe(spec, reduced, "acc_l1_hint_wrong", conventional)
     return _shift(conventional, indent)
 
@@ -1253,12 +1261,12 @@ def _merge_scan(spec: dict) -> str:
         "subblock": "subblock_shift",
     }[gran]
     return f"""
-                    if position <= {spec['merge_window']}:
+                    if position <= merge_window:
                         merge_key = laddr >> {shift}
                         for owner in bank_owner.values():
                             acc_line_compare += 1
                             if owner[0][1] >> {shift} == merge_key:
-                                if loads_granted >= {spec['result_buses']}:
+                                if loads_granted >= result_buses:
                                     break
                                 owner[1].append(load)
                                 serviced.append(load)
@@ -1412,7 +1420,7 @@ def _tick_malec(spec: dict) -> str:
                     merged = False{_merge_scan(spec)}
                     if merged:
                         continue
-                    if loads_granted >= {spec['result_buses']}:
+                    if loads_granted >= result_buses:
                         acc_rej_bus += 1
                         continue
                     if bank in bank_owner:
@@ -1469,7 +1477,7 @@ def _tick_malec(spec: dict) -> str:
                 if mbe_granted:
                     ib._mbe = None
                     acc_mbe_out += 1
-                if held_count > {spec['held_capacity']}:
+                if held_count > held_capacity:
                     acc_ib_overflow += 1
                 acc_held_loads += held_count
                 acc_end_cycles += 1
@@ -1492,7 +1500,7 @@ def _loop_tail(spec: dict) -> str:
         # a committing store is the store buffer's oldest uncommitted entry).
         if completed_f[rob_head]:
             last_commit_cycle = cycle
-            commit_end = rob_head + {spec['commit']}
+            commit_end = rob_head + commit_width
             while True:
                 if kinds[rob_head] == 2:
                     stores += 1
@@ -1504,11 +1512,11 @@ def _loop_tail(spec: dict) -> str:
 
         # 5. Fetch / dispatch: the next seqs join the ROB window.
         if fetch_seq < fetch_end:
-            fetch_stop = fetch_seq + {spec['fetch']}
+            fetch_stop = fetch_seq + fetch_width
             if fetch_stop > fetch_end:
                 fetch_stop = fetch_end
-            if fetch_stop > rob_head + {spec['rob']}:
-                fetch_stop = rob_head + {spec['rob']}
+            if fetch_stop > rob_head + rob_entries:
+                fetch_stop = rob_head + rob_entries
             for seq in range(fetch_seq, fetch_stop):
                 if kinds[seq] == 2:
                     store_order.append(seq)
@@ -1541,7 +1549,7 @@ def _loop_tail(spec: dict) -> str:
             and not interface_active
             and wheel_next is not NEVER
             and wheel_next > cycle
-            and (fetch_seq >= fetch_end or fetch_seq - rob_head >= {spec['rob']})
+            and (fetch_seq >= fetch_end or fetch_seq - rob_head >= rob_entries)
             and rob_head < fetch_end
             and not completed_f[rob_head]
             and (
@@ -1552,7 +1560,7 @@ def _loop_tail(spec: dict) -> str:
                     and (
                         store_order_head >= len(store_order)
                         or not parked[store_order[store_order_head]]
-                        or len(sb_entries) >= {spec['sb']}
+                        or len(sb_entries) >= sb_capacity
                     )
                 )
             )

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.memory.address import AddressLayout, DEFAULT_LAYOUT
 from repro.stats import StatCounters
 from repro.tlb.tlb import TLBHierarchy
@@ -20,6 +26,28 @@ def pytest_addoption(parser):
         help="number of seeded configuration shapes the kernel differential "
         "runs (tests/test_kernel_differential.py::TestShapeFuzz; default 32)",
     )
+
+
+@pytest.fixture
+def run_python():
+    """``run(script, *args)``: run ``script`` in a fresh interpreter that
+    imports this ``repro``, with ``args`` as its ``sys.argv[1:]``.
+
+    A hang fails the test through ``subprocess.TimeoutExpired``.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def run(script: str, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", script, *args],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    return run
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -81,8 +82,11 @@ def test_gate_trips_only_when_the_interval_lies_wholly_past_its_limit(workload, 
         ([0.998, 1.021, 1.028, 1.047, 1.089], False),
         # an unchanged tree against itself can lose every pair by a little
         ([1.002, 1.004, 1.008, 1.011, 1.015], False),
+        # three pairs all lost past the limit: an unchanged tree does that
+        # one time in eight, so the rule waits for five pairs
+        ([1.017, 1.023, 1.036], False),
     ],
-    ids=["all-lost-past-limit", "one-won", "all-lost-within-limit"],
+    ids=["all-lost-past-limit", "one-won", "all-lost-within-limit", "three-pairs-all-lost"],
 )
 def test_gate_trips_when_the_base_wins_every_pair_past_the_limit(ratios, regression):
     base = [4.0] * len(ratios)
@@ -108,8 +112,10 @@ def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_past_the_spread():
 
 
 def _fake_tree(root, correct=True, failed=0, cpu_s=4.5):
-    """A tree whose perfbench prints one fixed result line and appends the
-    tree's name and its arguments to ``runs.log`` beside the tree."""
+    """A tree whose perfbench prints one fixed result line and appends one
+    JSON line to ``runs.log`` beside the tree: the tree's name, the
+    directory it ran in, that directory's entries and its arguments.  A
+    copy of the tree logs under the same name, to the same file."""
     result = {
         "correct": correct,
         "attempted": 3,
@@ -120,15 +126,26 @@ def _fake_tree(root, correct=True, failed=0, cpu_s=4.5):
             "peak_rss_mb": {"value": 48.0, "unit": "MB"},
         },
     }
-    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench").mkdir(parents=True, exist_ok=True)
     (root / "perfbench" / "run.py").write_text(
-        "import sys\n"
+        "import json, sys\n"
         "from pathlib import Path\n"
-        "with open(Path.cwd().parent / 'runs.log', 'a') as log:\n"
-        "    log.write(' '.join([Path.cwd().name] + sys.argv[1:]) + '\\n')\n"
+        "here = Path.cwd()\n"
+        f"with open({str(root.parent / 'runs.log')!r}, 'a') as log:\n"
+        "    entries = sorted(path.name for path in here.iterdir())\n"
+        f"    log.write(json.dumps([{root.name!r}, str(here), entries] + sys.argv[1:]) + '\\n')\n"
         f"print({json.dumps(json.dumps(result))})\n"
     )
     return root
+
+
+def _runs(tmp_path):
+    """The ``(tree name, directory, entries, arguments)`` of every run logged."""
+    lines = (tmp_path / "runs.log").read_text().splitlines()
+    return [
+        (name, here, entries, " ".join(args))
+        for name, here, entries, *args in map(json.loads, lines)
+    ]
 
 
 @pytest.fixture
@@ -200,9 +217,9 @@ def test_pairs_swap_which_tree_runs_first_and_every_run_is_untraced(tmp_path, fa
     fake_driver["head"] = _fake_tree(tmp_path / "head")
     argv = ["base", "head", "--workload", "fig4-sim", "--pairs", "3", "--seconds", "2.5"]
     assert ab.main(argv + ["--seed", "7"]) == 0
-    runs = [line.split(" ", 1) for line in (tmp_path / "runs.log").read_text().splitlines()]
-    assert [tree for tree, _ in runs] == ["base", "head", "head", "base", "base", "head"]
-    assert {args for _, args in runs} == {"--workload fig4-sim --seed 7 --seconds 2.5 --trace 0"}
+    runs = _runs(tmp_path)
+    assert [tree for tree, *_ in runs] == ["base", "head", "head", "base", "base", "head"]
+    assert {args for *_, args in runs} == {"--workload fig4-sim --seed 7 --seconds 2.5 --trace 0"}
 
 
 def test_a_head_past_its_limit_fails_the_driver_and_is_recorded(tmp_path, fake_driver, capsys):
@@ -215,14 +232,42 @@ def test_a_head_past_its_limit_fails_the_driver_and_is_recorded(tmp_path, fake_d
     assert "wholly above its limit: sweep-json cpu_s" in capsys.readouterr().err
 
 
-def test_head_defaults_to_the_working_tree(tmp_path, fake_driver, monkeypatch):
+def _git(tree, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=ab", "-c", "user.email=ab@example.com", *args],
+        cwd=tree,
+        check=True,
+        capture_output=True,
+    )
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_head_defaults_to_a_copy_of_the_working_tree(tmp_path, fake_driver, monkeypatch):
+    # The working tree is a repository whose perfbench was edited after
+    # its commit, beside one untracked file, one ignored file and one
+    # tracked file deleted since.  The head runs from a copy of it, with
+    # the edit, the untracked file and neither of the others.
     fake_driver["base"] = _fake_tree(tmp_path / "base")
-    monkeypatch.setattr(ab, "ROOT", _fake_tree(tmp_path / "worktree"))
+    worktree = _fake_tree(tmp_path / "worktree")
+    (worktree / ".gitignore").write_text("ignored.txt\n")
+    (worktree / "deleted.txt").write_text("gone\n")
+    _git(worktree, "init", "--quiet")
+    _git(worktree, "add", ".")
+    _git(worktree, "commit", "--quiet", "-m", "fake tree")
+    _fake_tree(worktree, cpu_s=4.0)
+    (worktree / "deleted.txt").unlink()
+    (worktree / "untracked.txt").write_text("kept\n")
+    (worktree / "ignored.txt").write_text("left out\n")
+    monkeypatch.setattr(ab, "ROOT", worktree)
     assert ab.main(["base", "--workload", "fig4-sim", "--pairs", "1", "--seconds", "1"]) == 0
     record = json.loads((tmp_path / "records" / "AB_base000_worktree_fig4-sim.json").read_text())
     assert record["head"]["revision"] == "worktree"
-    runs = (tmp_path / "runs.log").read_text().splitlines()
-    assert sorted(line.split()[0] for line in runs) == ["base", "worktree"]
+    assert record["workloads"]["fig4-sim"]["runs"][0]["head"]["cpu_s"] == 4.0
+    runs = {name: (here, entries) for name, here, entries, _args in _runs(tmp_path)}
+    assert sorted(runs) == ["base", "worktree"]
+    # neither side runs in the repository itself
+    assert str(worktree) not in {here for here, _entries in runs.values()}
+    assert runs["worktree"][1] == [".gitignore", "perfbench", "untracked.txt"]
 
 
 def test_a_name_that_is_not_a_commit_is_a_usage_error(monkeypatch, capsys):

@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import errno
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
-
-import repro
 
 import repro.campaign.executor as executor_mod
 from repro.campaign.aggregate import results_from_store, summarize_store
@@ -66,22 +62,6 @@ def a_cell(**overrides) -> CampaignCell:
     )
     defaults.update(overrides)
     return CampaignCell(**defaults)
-
-
-def run_python(script: str) -> subprocess.CompletedProcess:
-    """Run ``script`` in a fresh interpreter that imports this ``repro``.
-
-    A hang fails the test through ``subprocess.TimeoutExpired``.
-    """
-    src = str(Path(repro.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-c", script],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 def assert_results_equal(left, right) -> None:
@@ -259,7 +239,7 @@ class TestExecutor:
 
     def test_pool_workers_inherit_the_parents_kernels(self, tmp_path, monkeypatch):
         # The parent compiles every kernel before the pool forks, so the
-        # workers' initializer prewarm only hits the inherited cache: every
+        # workers' chunk prewarm only hits the inherited cache: every
         # kernel source is generated in the parent process.
         if multiprocessing.get_all_start_methods()[0] != "fork":
             pytest.skip("workers inherit the parent's kernels only by fork")
@@ -282,7 +262,7 @@ class TestExecutor:
         assert len(pids) == len(CONFIGS)
         assert set(pids) == {str(os.getpid())}
 
-    def test_killed_workers_end_in_a_serial_finish(self):
+    def test_killed_workers_end_in_a_serial_finish(self, run_python):
         # Every pool worker SIGKILLs itself on its first cell.  The sweep
         # must not hang: the broken pool raises and the serial pass
         # computes every cell, exactly as a jobs=1 sweep does.
@@ -327,7 +307,7 @@ print(json.dumps({"used_pool": executor.used_pool, "cells": cells}))
         }
         assert out["cells"] == json.loads(json.dumps(expected))
 
-    def test_interrupted_sweep_stops_its_workers(self):
+    def test_interrupted_sweep_stops_its_workers(self, run_python):
         # The first cell finishes and the progress callback interrupts the
         # sweep while the other worker is stalled in its chunk: run() must
         # raise at once instead of waiting for a chunk it would drop.
@@ -361,6 +341,107 @@ except KeyboardInterrupt:
         child = run_python(script)
         assert child.returncode == 0, child.stderr
         assert child.stdout.split() == ["interrupted", "True"]
+
+
+def count_pools(monkeypatch) -> list:
+    """Sizes of the process pools started from now on, in start order."""
+    sizes: list = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sizes.append(kwargs["max_workers"])
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    return sizes
+
+
+def cells_by_key(results) -> dict:
+    return {
+        f"{run.benchmark}/{name}": result_to_dict(result)
+        for run in results.runs
+        for name, result in run.results.items()
+    }
+
+
+class TestPoolLifetime:
+    """No pool outlives its owner: perfbench books a worker's CPU only once
+    the worker is waited for, so a pool left alive would hide its work.  A
+    run outside a ``with`` block joins its own pool before it returns; a
+    block keeps one pool of ``jobs`` workers across its runs and joins it
+    on exit."""
+
+    def test_an_unscoped_run_leaves_no_live_child(self, monkeypatch):
+        sizes = count_pools(monkeypatch)
+        executor = ParallelExecutor(jobs=2)
+        executor.run(small_spec(benchmarks=BENCHMARKS[:2], instructions=300))
+        if not executor.used_pool:
+            pytest.skip("process pool unavailable on this platform")
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_a_scoped_pool_is_sized_at_jobs(self, monkeypatch):
+        sizes = count_pools(monkeypatch)
+        with ParallelExecutor(jobs=3) as executor:
+            executor.run(small_spec(configurations=CONFIGS[:1], benchmarks=BENCHMARKS[:2]))
+            if not executor.used_pool:
+                pytest.skip("process pool unavailable on this platform")
+        assert sizes == [3]
+        assert multiprocessing.active_children() == []
+
+    def test_runs_in_one_scope_share_one_pool_and_match_jobs_1(self, monkeypatch):
+        # The second run brings a kernel shape the first lacked, compiled in
+        # the parent after the workers were forked, and a trace registered
+        # between the runs: its bytes and its kernel reach the workers with
+        # their chunks, so results and kernel cache counters match jobs=1.
+        from repro.sim import kernels
+        from repro.workloads import registry
+
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        monkeypatch.setattr(registry, "_TRACES", {})
+        monkeypatch.setattr(registry, "_HANDLES", {})
+        sizes = count_pools(monkeypatch)
+        base_2ld1st = SimulationConfig.base_2ld1st()
+        first = small_spec(configurations=(CONFIGS[0], base_2ld1st), instructions=300)
+        ingested = generate_trace(benchmark_profile("djpeg"), instructions=300)
+
+        def scoped_runs(jobs):
+            obs_metrics.registry.clear()
+            obs_metrics.enable()
+            try:
+                with ParallelExecutor(jobs=jobs) as executor:
+                    results = [executor.run(first)]
+                    pooled = [executor.used_pool]
+                    handle = registry.register_trace(ingested, name="djpeg-ingested")
+                    second = small_spec(
+                        configurations=(base_2ld1st, SimulationConfig.malec()),
+                        benchmarks=("gzip", handle.name),
+                        instructions=300,
+                    )
+                    results.append(executor.run(second))
+                    pooled.append(executor.used_pool)
+            finally:
+                obs_metrics.disable()
+            snapshot = obs_metrics.registry.snapshot()
+            counters = {
+                name: snapshot.get(name, 0.0)
+                for name in ("kernel.cache.hit", "kernel.cache.miss", "campaign.cells_completed")
+            }
+            return [cells_by_key(result) for result in results], counters, pooled
+
+        pooled_cells, pooled_counters, pooled = scoped_runs(jobs=2)
+        if not all(pooled):
+            pytest.skip("process pool unavailable on this platform")
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []
+        serial_cells, serial_counters, _ = scoped_runs(jobs=1)
+        assert pooled_cells == serial_cells
+        assert pooled_counters == serial_counters
+        assert serial_counters == {
+            "kernel.cache.hit": 10.0,
+            "kernel.cache.miss": 0.0,
+            "campaign.cells_completed": 10.0,
+        }
 
 
 class TestWriteErrors:

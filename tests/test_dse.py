@@ -8,8 +8,13 @@ across a kill/resume of the result store.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+
 import pytest
 
+from repro.campaign.executor import ParallelExecutor
 from repro.campaign.store import ResultStore
 from repro.dse.engine import Evaluator, extract_frontier, run_dse
 from repro.dse.objectives import (
@@ -540,6 +545,111 @@ class TestFrontierReports:
         value = 0.8029955969695887
         line = frontier_csv([fake_eval(0, (value, 1.0))]).splitlines()[1]
         assert float(line.split(",")[1]) == value
+
+
+# ----------------------------------------------------------------------
+# One pool per exploration
+# ----------------------------------------------------------------------
+#: the space of :func:`pooled_search`, as source for a child interpreter
+POOLED_SPACE = "space_preset('malec-mini').with_overrides(instructions=1000)"
+
+
+def pooled_search(jobs):
+    """A three-rung halving search (250, 500 and 1,000 instructions)."""
+    space = space_preset("malec-mini").with_overrides(instructions=1000)
+    return run_dse(space, strategy="halving", budget=4, jobs=jobs)
+
+
+def canonical(describe: dict) -> str:
+    return json.dumps(describe, sort_keys=True)
+
+
+class TestOnePoolPerExploration:
+    """A pooled search runs every batch on one pool, joined before
+    :func:`run_dse` returns; a pool broken in one batch is dropped, that
+    batch finishes serially, and the next batch starts a fresh pool."""
+
+    def test_every_rung_runs_on_the_same_two_workers(self, monkeypatch):
+        batches = []
+        run = ParallelExecutor.run
+
+        def recorded_run(executor, spec):
+            results = run(executor, spec)
+            pids = {pid for _cell, pid, _start, _end in executor.cell_timings}
+            batches.append((executor.used_pool, pids))
+            return results
+
+        monkeypatch.setattr(ParallelExecutor, "run", recorded_run)
+        pooled = pooled_search(jobs=2)
+        if not all(used for used, _pids in batches):
+            pytest.skip("process pool unavailable on this platform")
+        assert len(batches) == 3
+        workers = set().union(*(pids for _used, pids in batches))
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert multiprocessing.active_children() == []
+        assert canonical(pooled.describe()) == canonical(pooled_search(jobs=1).describe())
+
+    def test_a_worker_killed_in_the_second_batch(self, tmp_path, run_python):
+        # Every worker SIGKILLs itself on its first cell of the second
+        # batch, which the parent then finishes serially; the third batch
+        # runs on a fresh pool, and the frontier equals a serial search's.
+        if multiprocessing.get_all_start_methods()[0] != "fork":
+            pytest.skip("the patched executor reaches workers only by fork")
+        script = f"""
+import json, multiprocessing, os, signal, sys
+import repro.campaign.executor as executor_mod
+from repro.campaign.executor import ParallelExecutor
+from repro.dse import run_dse, space_preset
+from repro.dse.engine import Evaluator
+
+parent = os.getpid()
+marker = sys.argv[1]
+execute_cell = executor_mod._execute_cell
+evaluate = Evaluator.evaluate
+run = ParallelExecutor.run
+batches = []
+
+def die_in_the_second_batch(cell):
+    if os.getpid() != parent:
+        with open(marker) as handle:
+            if handle.read() == "2":
+                os.kill(os.getpid(), signal.SIGKILL)
+    return execute_cell(cell)
+
+def numbered_evaluate(evaluator, *args, **kwargs):
+    with open(marker, "w") as handle:
+        handle.write(str(evaluator.batches + 1))
+    return evaluate(evaluator, *args, **kwargs)
+
+def recorded_run(executor, spec):
+    results = run(executor, spec)
+    pids = sorted({{pid for _cell, pid, _start, _end in executor.cell_timings}})
+    batches.append([executor.used_pool, pids])
+    return results
+
+executor_mod._execute_cell = die_in_the_second_batch
+Evaluator.evaluate = numbered_evaluate
+ParallelExecutor.run = recorded_run
+result = run_dse({POOLED_SPACE}, strategy="halving", budget=4, jobs=2)
+print(json.dumps({{
+    "parent": parent,
+    "batches": batches,
+    "children": len(multiprocessing.active_children()),
+    "describe": result.describe(),
+}}))
+"""
+        child = run_python(script, str(tmp_path / "batch"))
+        assert child.returncode == 0, child.stderr
+        out = json.loads(child.stdout.splitlines()[-1])
+        parent = out["parent"]
+        (used1, first), (used2, second), (used3, third) = out["batches"]
+        assert used1 and used2 and used3
+        assert len(first) == 2 and parent not in first
+        assert second == [parent]
+        assert third and parent not in third and not set(third) & set(first)
+        assert "process pool failed" in child.stderr
+        assert out["children"] == 0
+        assert canonical(out["describe"]) == canonical(pooled_search(jobs=1).describe())
 
 
 # ----------------------------------------------------------------------

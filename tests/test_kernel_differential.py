@@ -17,7 +17,8 @@ generic loop does.
 
 A budget test counts the model calls a kernel makes per access: only page
 walks leave it, also when way hints are forced wrong.  Shape tests hold
-every generated ``kernel_run`` to the code its shape runs.
+every generated ``kernel_run`` to the code its shape runs, and one kernel
+per shape runs every value of the numbers it reads at run time.
 
 The net also locks down the fallback contract: collector runs take the
 generic path with results unchanged, a kernel compiled for a different configuration is
@@ -68,6 +69,8 @@ from repro.sim.kernels import (
     resolve_kernel,
 )
 from repro.sim.simulator import Simulator, run_configuration
+from repro.dse import space_preset
+from repro.memory.address import AddressLayout
 from repro.workloads.columnar import as_columnar
 from repro.workloads.profiles import BenchmarkProfile, StreamKind, StreamSpec
 from repro.workloads.suites import STRESS_BENCHMARKS, benchmark_profile
@@ -988,6 +991,89 @@ class TestFallbackContract:
             resolve_kernel("bogus")
 
 
+def with_value(config: SimulationConfig, path: str, value) -> SimulationConfig:
+    """``config`` with the field at the dotted ``path`` set to ``value``."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = with_value(getattr(config, head), rest, value)
+    return replace(config, **{head: value})
+
+
+#: every number a kernel reads into a local at run time, and values to run
+#: it at (Fig. 4's value among them)
+HOISTED_VALUES = {
+    "cache.l1_hit_latency": (1, 2, 3, 4),
+    "cache.l2_latency": (6, 12, 20),
+    "cache.dram_latency": (20, 54, 120),
+    "pipeline.rob_entries": (8, 32, 168),
+    "pipeline.fetch_width": (1, 3, 6),
+    "pipeline.issue_width": (1, 2, 8),
+    "pipeline.commit_width": (1, 3, 6),
+    "lq_entries": (4, 12, 40),
+    "sb_entries": (2, 8, 24),
+    "mb_entries": (1, 4, 8),
+}
+#: MALEC's numbers read into locals
+MALEC_HOISTED_VALUES = {
+    "malec_options.result_buses": (1, 2, 4, 6),
+    "malec_options.input_buffer_capacity": (1, 2, 3),
+    "malec_options.merge_window": (0, 1, 2, 3, 4),
+}
+HOISTED_CASES = [
+    (config, path)
+    for config in (SimulationConfig.malec(), SimulationConfig.base_2ld1st())
+    for path in sorted(HOISTED_VALUES)
+    + (sorted(MALEC_HOISTED_VALUES) if config.interface is InterfaceKind.MALEC else [])
+]
+
+
+class TestHoistedNumbers:
+    """A kernel reads the numbers its code only uses as operands (latencies,
+    depths, widths, MALEC's result buses, Input Buffer capacity and merge
+    window) from the live objects once per run.  So one compiled kernel
+    runs every value, back to back in one process, and each run equals the
+    generic loop."""
+
+    @pytest.mark.parametrize(
+        "config, path", HOISTED_CASES, ids=[f"{c.name}-{p}" for c, p in HOISTED_CASES]
+    )
+    def test_every_value_runs_on_one_kernel(self, config, path):
+        program = compile_kernel(config)
+        values = {**HOISTED_VALUES, **MALEC_HOISTED_VALUES}[path]
+        for value in values:
+            variant = with_value(config, path, value)
+            assert compile_kernel(variant) is program, (path, value)
+            assert_pipelines_identical(
+                variant, trace_for("gzip", 600), 0.3, f"{config.name} {path}={value}"
+            )
+
+
+#: the MALEC default and configurations differing from it in one field that
+#: selects the code a kernel runs, each a shape of its own
+CODE_SELECTING_VARIANTS = [
+    SimulationConfig.malec(),
+    SimulationConfig.base_1ldst(),
+    SimulationConfig.base_2ld1st(),
+    _malec(way_determination="wdu"),
+    _malec(way_determination="none"),
+    _malec(merge_granularity="line"),
+    _malec(merge_granularity="subblock"),
+    _malec(merge_granularity="none"),
+    _malec(enable_feedback_update=False),
+    _malec(restrict_way_allocation=False),
+    *(
+        replace(SimulationConfig.malec(), cache=CacheParameters(layout=AddressLayout(**geometry)))
+        for geometry in (
+            {"page_bytes": 8192},
+            {"line_bytes": 32},
+            {"l1_capacity_bytes": 64 * 1024},
+            {"l1_associativity": 8},
+            {"l1_banks": 2},
+        )
+    ),
+]
+
+
 class TestKernelCache:
     def test_content_hash_ignores_name_and_seed(self):
         malec = SimulationConfig.malec()
@@ -997,9 +1083,21 @@ class TestKernelCache:
         malec = SimulationConfig.malec()
         assert compile_kernel(malec) is compile_kernel(malec.with_name("other"))
 
-    def test_distinct_configs_get_distinct_kernels(self):
-        hashes = {content_hash(config) for config in FIG4_CONFIGS}
-        assert len(hashes) == len(FIG4_CONFIGS)
+    def test_fig4_configs_share_three_kernels(self):
+        # Base2ld1st's and MALEC's two L1 latencies are numbers the kernels
+        # read at run time: one kernel per interface kind
+        assert len({content_hash(config) for config in FIG4_CONFIGS}) == 3
+
+    def test_code_selecting_fields_never_share_a_kernel(self):
+        hashes = [content_hash(config) for config in CODE_SELECTING_VARIANTS]
+        assert len(set(hashes)) == len(CODE_SELECTING_VARIANTS)
+
+    def test_malec_sensitivity_shares_three_kernels(self):
+        # MALEC with way tables, MALEC with a WDU, and the baseline
+        space = space_preset("malec-sensitivity")
+        configs = [space.baseline] + [c.config for c in space.candidates(range(space.size))]
+        assert len(configs) == 217
+        assert len({content_hash(config) for config in configs}) == 3
 
     def test_cache_reset_drops_stale_linecache_entries(self, monkeypatch):
         # Every compiled source is registered with linecache; a cache reset

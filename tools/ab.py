@@ -7,7 +7,10 @@ Run::
 
 BASE and HEAD name git revisions; HEAD defaults to this working tree,
 uncommitted changes included.  Each named revision is cloned with
-``git clone`` into a temporary directory.  For each workload the driver runs
+``git clone`` into a temporary directory, and the working tree is copied
+into one (its tracked files with their edits, and the untracked files git
+does not ignore), so neither side runs in the repository itself and the
+head stays as it was when the driver started.  For each workload the driver runs
 ``--pairs`` pairs of untraced ``perfbench/run.py`` runs, one run of each
 tree per pair, and swaps which tree goes first from pair to pair, so drift
 in the host's speed lands on both sides.  Every run uses the benchmark of
@@ -31,10 +34,12 @@ and a ``--seed`` other than 0 appends ``_seed<N>``
 (``AB_<base>_<head>_fig4-sim_seed3.json``), so records of other workloads
 and seeds keep their files.  It exits 1 on a
 regression: a metric whose interval lies wholly above its limit, which is
-1 + its bound, or 1.02 for fig4-sim ``cpu_s``, or one that BASE won in
-every pair with a median ratio above that limit.  With
-few pairs the interval runs from about the smallest ratio to the largest,
-so one lucky pair would keep the first rule open on its own.
+1 + its bound, or 1.02 for fig4-sim ``cpu_s``, or, from five pairs on,
+one that BASE won in every pair with a median ratio above that limit.
+With few pairs the interval runs from about the smallest ratio to the
+largest, so one lucky pair would keep the first rule open on its own; an
+unchanged tree loses all of three pairs one time in eight, but all of
+five only one time in 32, so the second rule waits for five.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import math
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -66,6 +72,9 @@ TIGHT_LIMITS = {("fig4-sim", "cpu_s"): 1.02}
 #: (CONTRIBUTING.md)
 CLAIM_PAIRS = 10
 CLAIM_SHARE = 0.9
+#: the fewest pairs that let a base winning every pair fail the gate: an
+#: unchanged tree loses all of n pairs with probability 2**-n
+ALL_LOST_PAIRS = 5
 RESAMPLES = 2000
 CONFIDENCE = 0.95
 
@@ -122,6 +131,7 @@ def summarize(workload, metric, base, head, seed):
         and base_median - head_median > base_q3 - base_q1
     )
     ceiling = limit(workload, metric)
+    all_lost = len(ratios) >= ALL_LOST_PAIRS and base_wins == len(ratios)
     return {
         "base": {"median": base_median, "q1": base_q1, "q3": base_q3},
         "head": {"median": head_median, "q1": head_q1, "q3": head_q3},
@@ -129,7 +139,7 @@ def summarize(workload, metric, base, head, seed):
         "wins": {"head": head_wins, "base": base_wins},
         "claim": claim,
         "limit": ceiling,
-        "regression": low > ceiling or (base_wins == len(ratios) and median_ratio > ceiling),
+        "regression": low > ceiling or (all_lost and median_ratio > ceiling),
     }
 
 
@@ -179,6 +189,26 @@ def checkout(revision, scratch):
     tree = Path(tempfile.mkdtemp(prefix="tree-", dir=scratch))
     git("clone", "--quiet", "--no-checkout", str(ROOT), str(tree))
     git("checkout", "--quiet", "--detach", revision, cwd=tree)
+    return tree
+
+
+def snapshot(scratch):
+    """A copy of the working tree, uncommitted edits included, in a new
+    directory under ``scratch``: the tracked files and the untracked ones
+    git does not ignore.  Returns its path."""
+    tree = Path(tempfile.mkdtemp(prefix="worktree-", dir=scratch))
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT,
+        check=True,
+        capture_output=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        source = ROOT / name
+        # a tracked file deleted in the working tree is not copied
+        if source.is_file():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, tree / name)
     return tree
 
 
@@ -306,7 +336,7 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="ab-") as scratch:
         trees = {
             "base": checkout(commits["base"], scratch),
-            "head": ROOT if args.head is None else checkout(commits["head"], scratch),
+            "head": snapshot(scratch) if args.head is None else checkout(commits["head"], scratch),
         }
         try:
             for workload in workloads:
