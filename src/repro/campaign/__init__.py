@@ -44,6 +44,7 @@ from repro.campaign.store import (
     ResultStore,
     StoreBackend,
     StoreConflictError,
+    StoreReadError,
     StoreURLError,
     StoreWriteError,
     open_store,
@@ -58,6 +59,7 @@ __all__ = [
     "ResultStore",
     "StoreBackend",
     "StoreConflictError",
+    "StoreReadError",
     "StoreURLError",
     "StoreWriteError",
     "open_store",

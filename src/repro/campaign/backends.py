@@ -32,6 +32,14 @@ Backends are addressed by **store URL**:
 :func:`parse_store_url` and :func:`repro.campaign.store.open_store` turn a
 URL into a live store everywhere a ``--store`` flag or ``store=`` kwarg
 exists (sweep / dse / executor / serve / telemetry-journal placement).
+
+Both backends store one canonical text per record,
+``json.dumps(record, indent=1, sort_keys=True)`` byte for byte
+(:func:`canonical_json`).  Passing ``indent`` turns CPython's C encoder
+off, so the text is built from C-encoded flat containers instead, and only
+the nested levels are joined in Python.  Records are read as bytes and
+parsed once; a record that does not parse raises :class:`StoreReadError`
+naming the store, the cell and (``json:``) the file.
 """
 
 from __future__ import annotations
@@ -43,8 +51,11 @@ import sqlite3
 import time
 import uuid
 from abc import ABC, abstractmethod
+from functools import lru_cache
+from itertools import repeat
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 
 class StoreURLError(ValueError):
@@ -59,6 +70,13 @@ class StoreWriteError(OSError):
     """A campaign's own write failed: a cell record into its store or a line
     into its telemetry journal.  The message names the store (or journal);
     the failed call's error is the ``__cause__``."""
+
+
+class StoreReadError(ValueError):
+    """A stored cell record does not parse.  The message names the store,
+    the cell key and, for ``json:``, the file, and says that deleting the
+    record makes the next run recompute the cell; the decode error is the
+    ``__cause__``."""
 
 
 #: recognised store URL schemes, in documentation order
@@ -142,14 +160,76 @@ def _strip_meta(manifest: Optional[dict]) -> Optional[dict]:
     return {k: v for k, v in manifest.items() if k not in _MANIFEST_META_KEYS}
 
 
-def _dump_record(record: dict) -> str:
-    """The canonical serialized form of a cell record.
+#: containers the canonical encoder joins by hand when they nest
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(level: int) -> Tuple[Callable, str, str]:
+    """The C encoder of a flat container that opens at nesting ``level``,
+    the text that opens its items and the text that closes them."""
+    inner = "\n" + " " * (level + 1)
+    encoder = c_make_encoder(
+        None,  # no cycle check: a flat container holds no container
+        json.JSONEncoder().default,
+        encode_basestring_ascii,
+        None,  # no indent: the item separator carries it
+        ": ",
+        "," + inner,
+        True,  # sort_keys
+        False,  # skipkeys
+        True,  # allow_nan
+    )
+    return encoder, inner, "\n" + " " * level
+
+
+def _encode_level(obj, level: int) -> str:
+    """The dict, list or tuple ``obj`` as ``json.dumps(indent=1,
+    sort_keys=True)`` writes it when it opens at nesting ``level``: a flat
+    one in one C call, one holding containers joined here."""
+    encoder, inner, outer = _flat_encoder(level)
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if not any(map(isinstance, values, repeat(_CONTAINERS))):
+        text = "".join(encoder(obj, 0))
+        return text[0] + inner + text[1:-1] + outer + text[-1] if obj else text
+    if is_dict:
+        keys = sorted(obj)
+        values = [obj[key] for key in keys]
+    texts = [
+        _encode_level(value, level + 1)
+        if isinstance(value, _CONTAINERS)
+        else "".join(encoder(value, 0))
+        for value in values
+    ]
+    if not is_dict:
+        return "[" + inner + ("," + inner).join(texts) + outer + "]"
+    # encode_basestring_ascii raises TypeError for a key that is not a str,
+    # which json.dumps coerces: canonical_json leaves such dicts to it
+    items = [f"{encode_basestring_ascii(key)}: {text}" for key, text in zip(keys, texts)]
+    return "{" + inner + ("," + inner).join(items) + outer + "}"
+
+
+def canonical_json(obj) -> str:
+    """``json.dumps(obj, indent=1, sort_keys=True)``, byte for byte: the
+    canonical text of a cell record.
 
     Both backends store exactly this text, so a cell computed against a
     JSON store and one computed against an SQLite store are bit-identical
     on disk — the acceptance contract of the pluggable-backend redesign.
+    Each flat dict or list is one call of a cached C encoder whose item
+    separator carries the indent; only containers that hold containers are
+    joined in Python.  Whatever that path cannot encode (a non-string key
+    of a nested dict, a cycle, an unserializable value) and Pythons without
+    the C encoder go to ``json.dumps`` itself, which returns the text or
+    raises its own error.
     """
-    return json.dumps(record, indent=1, sort_keys=True)
+    if c_make_encoder is not None and isinstance(obj, _CONTAINERS):
+        try:
+            return _encode_level(obj, 0)
+        except (TypeError, ValueError, RecursionError):
+            pass
+    return json.dumps(obj, indent=1, sort_keys=True)
 
 
 class StoreBackend(ABC):
@@ -177,7 +257,8 @@ class StoreBackend(ABC):
     # ------------------------------------------------------------------
     @abstractmethod
     def get(self, key: str) -> Optional[dict]:
-        """The stored record of ``key``, or ``None``."""
+        """The stored record of ``key``, or ``None``; a record that does not
+        parse raises :class:`StoreReadError` (as in :meth:`iterate`)."""
 
     @abstractmethod
     def put(self, key: str, record: dict) -> None:
@@ -209,6 +290,24 @@ class StoreBackend(ABC):
 
     def close(self) -> None:
         """Release any held resources (connections); safe to call twice."""
+
+    # ------------------------------------------------------------------
+    def _parse(self, key: str, data: Union[str, bytes]) -> dict:
+        """The stored record ``data`` of ``key``, parsed; a record that does
+        not parse raises :class:`StoreReadError`."""
+        try:
+            return json.loads(data)
+        except ValueError as error:
+            raise StoreReadError(
+                f"store {self.url}: the record of cell {key} does not parse "
+                f"({error}); {self._removal(key)} and the next run recomputes "
+                "the cell"
+            ) from error
+
+    @abstractmethod
+    def _removal(self, key: str) -> str:
+        """How to delete the stored record of ``key``, for an error message:
+        the file or the row to delete."""
 
     def __len__(self) -> int:
         return len(self.keys())
@@ -247,6 +346,7 @@ class JsonDirectoryBackend(StoreBackend):
         self.root = Path(root)
         self.cell_dir = self.root / self.CELL_DIR
         self.cell_dir.mkdir(parents=True, exist_ok=True)
+        self._cell_prefix = f"{self.cell_dir}{os.sep}"
         #: per-instance writer token: one executor (or DSE engine) instance
         #: writes several manifests legitimately; other instances conflict
         self._writer_token = uuid.uuid4().hex
@@ -266,29 +366,35 @@ class JsonDirectoryBackend(StoreBackend):
         return journal_path(self.scheme, self.root)
 
     # ------------------------------------------------------------------
-    def _cell_path(self, key: str) -> Path:
-        return self.cell_dir / f"{key}.json"
+    def _cell_path(self, key: str) -> str:
+        return f"{self._cell_prefix}{key}.json"
 
     # ------------------------------------------------------------------
+    def _removal(self, key: str) -> str:
+        return f"delete {self._cell_path(key)}"
+
     def get(self, key: str) -> Optional[dict]:
         try:
-            text = self._cell_path(key).read_text()
+            with open(self._cell_path(key), "rb") as handle:
+                data = handle.read()
         except (FileNotFoundError, ValueError):
             # No record: the file is absent, or the key (``repro serve``
             # passes one from the request path) names no possible file,
             # such as one holding a NUL byte.
             return None
-        return json.loads(text)
+        return self._parse(key, data)
 
     def put(self, key: str, record: dict) -> None:
-        atomic_write_text(self._cell_path(key), _dump_record(record))
+        atomic_write_text(Path(self._cell_path(key)), canonical_json(record))
 
     def keys(self) -> List[str]:
         return sorted(path.stem for path in self.cell_dir.glob("*.json"))
 
     def iterate(self) -> Iterator[dict]:
         for key in self.keys():
-            yield json.loads(self._cell_path(key).read_text())
+            record = self.get(key)
+            if record is not None:  # not deleted since it was listed
+                yield record
 
     # ------------------------------------------------------------------
     def _read_manifest_raw(self) -> Optional[dict]:
@@ -304,9 +410,7 @@ class JsonDirectoryBackend(StoreBackend):
         payload = dict(manifest)
         payload["manifest_version"] = version + 1
         payload["manifest_writer"] = self._writer_token
-        atomic_write_text(
-            self.root / self.MANIFEST, json.dumps(payload, indent=1, sort_keys=True)
-        )
+        atomic_write_text(self.root / self.MANIFEST, canonical_json(payload))
         self._written_manifest = dict(manifest)
 
     def manifest(self) -> Optional[dict]:
@@ -436,7 +540,10 @@ class SqliteBackend(StoreBackend):
         ).fetchone()
         if row is None:
             return None
-        return json.loads(row[0])
+        return self._parse(key, row[0])
+
+    def _removal(self, key: str) -> str:
+        return f"delete its row from the cells table (key = '{key}')"
 
     def put(self, key: str, record: dict) -> None:
         # One implicit transaction per statement (isolation_level=None +
@@ -445,7 +552,7 @@ class SqliteBackend(StoreBackend):
         self._connect().execute(
             "INSERT INTO cells (key, record) VALUES (?, ?) "
             "ON CONFLICT(key) DO UPDATE SET record = excluded.record",
-            (key, _dump_record(record)),
+            (key, canonical_json(record)),
         )
 
     def keys(self) -> List[str]:
@@ -460,10 +567,10 @@ class SqliteBackend(StoreBackend):
 
     def iterate(self) -> Iterator[dict]:
         rows = self._connect().execute(
-            "SELECT record FROM cells ORDER BY key"
+            "SELECT key, record FROM cells ORDER BY key"
         ).fetchall()
-        for row in rows:
-            yield json.loads(row[0])
+        for key, text in rows:
+            yield self._parse(key, text)
 
     # ------------------------------------------------------------------
     def write_manifest(self, manifest: dict) -> None:

@@ -384,7 +384,7 @@ class ParallelExecutor:
                     obs_metrics.registry.dump() if obs_metrics.enabled() else None
                 ),
             )
-        return self._assemble(spec, results)
+        return self._assemble(spec, cells, results)
 
     # ------------------------------------------------------------------
     def _resolve_journal(self) -> Optional[TelemetryJournal]:
@@ -616,11 +616,14 @@ class ParallelExecutor:
 
     # ------------------------------------------------------------------
     def _assemble(
-        self, spec: CampaignSpec, results: Dict[str, SimulationResult]
+        self,
+        spec: CampaignSpec,
+        cells: List[CampaignCell],
+        results: Dict[str, SimulationResult],
     ) -> ExperimentResults:
         experiment = ExperimentResults(configurations=spec.configuration_names())
         by_benchmark: Dict[str, BenchmarkRun] = {}
-        for cell in spec.cells():
+        for cell in cells:
             run = by_benchmark.get(cell.benchmark)
             if run is None:
                 run = by_benchmark[cell.benchmark] = BenchmarkRun(

@@ -118,8 +118,21 @@ class CampaignCell:
     trace_hash: str = ""
 
     def key(self) -> str:
-        """Deterministic content hash identifying this cell."""
-        return cell_key(self)
+        """Deterministic content hash identifying this cell.
+
+        Computed once per cell object and kept beside its fields, not as
+        one, so equality, hashing and pickles never see it: a lookup
+        through :func:`cell_key`'s cache rehashes the whole configuration.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = cell_key(self)
+        return key
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_key", None)
+        return state
 
     def trace_seed(self) -> int:
         """The RNG seed of this cell's synthetic trace.
@@ -141,8 +154,10 @@ def cell_key(cell: CampaignCell) -> str:
     renaming a configuration without changing parameters *does* change the
     key — the name is part of how results are aggregated.
 
-    Memoised: cells are frozen (hashable) and campaigns ask for the same
-    cell's key several times per run (store probe, record, assembly).
+    Memoised: cells are frozen (hashable), and every run of a campaign
+    builds its cells anew, so a resumed campaign asks again for the keys
+    of the cells an earlier run built (each cell object keeps its own,
+    :meth:`CampaignCell.key`).
     """
     payload = {
         "benchmark": cell.benchmark,

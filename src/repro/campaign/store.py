@@ -23,16 +23,25 @@ the store alone, without re-running any simulation.  Keys are pure functions
 of the cell content and puts are atomic + idempotent, so the store is safe
 to share between the worker processes of one sweep and between successive
 sweeps: a re-run simply resumes from the cells that finished.
+
+:func:`result_from_dict` is the one path from a stored record (or a pool
+chunk's payload) to a result.  It interns every stat, energy-structure and
+configuration name (:func:`sys.intern`, the interpreter's one table of
+shared strings), so all results decoded in a process share one string per
+distinct name instead of each holding the copies its own ``json.loads``
+made.  A record that does not parse raises :class:`StoreReadError`.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import Iterator, List, Optional, Union
 
 from repro.campaign.backends import (
     StoreBackend,
     StoreConflictError,
+    StoreReadError,
     StoreURLError,
     StoreWriteError,
     backend_for_url,
@@ -46,6 +55,7 @@ __all__ = [
     "ResultStore",
     "StoreBackend",
     "StoreConflictError",
+    "StoreReadError",
     "StoreURLError",
     "StoreWriteError",
     "open_store",
@@ -77,24 +87,28 @@ def result_to_dict(result: SimulationResult) -> dict:
 
 
 def result_from_dict(data: dict) -> SimulationResult:
-    """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` output."""
+    """Rebuild a :class:`SimulationResult` from :func:`result_to_dict` output.
+
+    Names are interned, so every decoded result shares one string per
+    name; values, key order and equality are those of ``data``."""
+    intern = sys.intern
     energy = EnergyReport(
         cycles=data["energy"]["cycles"],
         structures={
-            name: StructureEnergy(
+            intern(name): StructureEnergy(
                 dynamic_pj=item["dynamic_pj"], leakage_pj=item["leakage_pj"]
             )
             for name, item in data["energy"]["structures"].items()
         },
     )
     return SimulationResult(
-        config_name=data["config_name"],
+        config_name=intern(data["config_name"]),
         cycles=data["cycles"],
         instructions=data["instructions"],
         loads=data["loads"],
         stores=data["stores"],
         energy=energy,
-        stats=dict(data["stats"]),
+        stats={intern(name): value for name, value in data["stats"].items()},
     )
 
 
@@ -169,7 +183,9 @@ class ResultStore:
         return key
 
     def get(self, cell: CampaignCell) -> Optional[SimulationResult]:
-        """The stored result of ``cell``, or ``None`` if it has not run yet."""
+        """The stored result of ``cell``, or ``None`` if it has not run yet.
+
+        A stored record that does not parse raises :class:`StoreReadError`."""
         record = self.backend.get(cell.key())
         if record is None:
             return None

@@ -26,6 +26,14 @@ def pytest_addoption(parser):
         help="number of seeded configuration shapes the kernel differential "
         "runs (tests/test_kernel_differential.py::TestShapeFuzz; default 32)",
     )
+    parser.addoption(
+        "--record-fuzz",
+        type=int,
+        default=200,
+        metavar="N",
+        help="number of random JSON values each record-codec property test "
+        "encodes (tests/test_record_codec.py; default 200)",
+    )
 
 
 @pytest.fixture
@@ -48,6 +56,12 @@ def run_python():
         )
 
     return run
+
+
+@pytest.fixture
+def record_fuzz(request) -> int:
+    """``--record-fuzz N``: random values per record-codec property test."""
+    return request.config.getoption("record_fuzz")
 
 
 @pytest.fixture

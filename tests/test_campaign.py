@@ -7,11 +7,14 @@ import errno
 import json
 import multiprocessing
 import os
+import pickle
+import sqlite3
 from dataclasses import replace
 
 import pytest
 
 import repro.campaign.executor as executor_mod
+import repro.campaign.spec as spec_mod
 from repro.campaign.aggregate import results_from_store, summarize_store
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import (
@@ -24,6 +27,7 @@ from repro.campaign.spec import (
 )
 from repro.campaign.store import (
     ResultStore,
+    StoreReadError,
     StoreWriteError,
     result_from_dict,
     result_to_dict,
@@ -105,6 +109,15 @@ class TestSpec:
         assert cell_key(a_cell(config=renamed)) != cell_key(base)
         retuned = replace(CONFIGS[1], malec_options=MalecParameters(result_buses=1))
         assert cell_key(a_cell(config=retuned)) != cell_key(a_cell(config=CONFIGS[1]))
+
+    def test_the_kept_key_is_no_field(self):
+        cell = a_cell()
+        pickled, hashed = pickle.dumps(cell), hash(cell)
+        key = cell.key()
+        assert pickle.dumps(cell) == pickled
+        assert hash(cell) == hashed and cell == a_cell()
+        assert replace(cell, seed=1).key() != key
+        assert pickle.loads(pickled).key() == key
 
     def test_duplicate_configuration_names_rejected(self):
         with pytest.raises(ValueError):
@@ -188,6 +201,26 @@ class TestExecutor:
                     resumed.run_for(benchmark).results[config.name],
                     baseline.run_for(benchmark).results[config.name],
                 )
+
+    def test_a_resume_expands_the_grid_and_keys_each_cell_once(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(tmp_path / "camp")
+        spec = small_spec(instructions=200)
+        ParallelExecutor(jobs=1, store=store).run(spec)
+        expansions, keyed = [], []
+        cells = CampaignSpec.cells
+        monkeypatch.setattr(
+            CampaignSpec, "cells", lambda self: expansions.append(self) or cells(self)
+        )
+        monkeypatch.setattr(
+            spec_mod, "cell_key", lambda cell: keyed.append(cell) or cell_key(cell)
+        )
+        executor = ParallelExecutor(jobs=1, store=store)
+        resumed = executor.run(spec)
+        assert len(expansions) == 1
+        assert len(keyed) == len(executor.skipped_cells) == len(cells(spec))
+        assert [run.benchmark for run in resumed.runs] == list(BENCHMARKS)
 
     def test_partial_store_runs_only_missing_cells(self, tmp_path):
         store = ResultStore(tmp_path / "camp")
@@ -492,6 +525,44 @@ class TestWriteErrors:
         assert len(writes) == 4 and not late_cells and not warnings
         assert "campaign.pool_fallbacks" not in obs_metrics.registry.snapshot()
         assert executor.used_pool == (jobs > 1)
+
+
+class TestReadErrors:
+    """A stored record that does not parse ends the run with an error that
+    names the store, the cell and (json:) the file, and says how to
+    recover, at any job count."""
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("scheme", ("json", "sqlite"))
+    def test_a_truncated_record_ends_the_run(self, tmp_path, scheme, jobs):
+        spec = small_spec(instructions=200)
+        url = f"{scheme}:{tmp_path / 'store'}"
+        ParallelExecutor(jobs=1, store=url).run(spec)
+        key = spec.cells()[3].key()
+        if scheme == "json":
+            where = tmp_path / "store" / "cells" / f"{key}.json"
+            where.write_bytes(where.read_bytes()[:100])
+        else:
+            db = sqlite3.connect(tmp_path / "store")
+            with db:
+                db.execute(
+                    "UPDATE cells SET record = substr(record, 1, 100) WHERE key = ?",
+                    (key,),
+                )
+            db.close()
+        executor = ParallelExecutor(jobs=jobs, store=url)
+        for read in (lambda: executor.run(spec), lambda: list(executor.store.records())):
+            with pytest.raises(StoreReadError) as raised:
+                read()
+            message = str(raised.value)
+            assert url in message and key in message
+            assert "delete" in message and "recomputes the cell" in message
+            if scheme == "json":
+                assert str(where) in message
+            assert isinstance(raised.value.__cause__, json.JSONDecodeError)
+        assert not executor.completed_cells
+        assert multiprocessing.active_children() == []
+        executor.store.close()
 
 
 class TestAggregate:
