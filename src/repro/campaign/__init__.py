@@ -6,7 +6,8 @@ one process and one session:
 * :mod:`repro.campaign.spec` — declarative :class:`CampaignSpec` grids with
   named presets and deterministic per-cell content hashes;
 * :mod:`repro.campaign.store` — :class:`ResultStore`, one atomic JSON record
-  per completed cell under a campaign directory;
+  per completed cell in a campaign directory (:class:`JsonStore`) or an
+  SQLite database (:class:`SqliteStore`);
 * :mod:`repro.campaign.executor` — :class:`ParallelExecutor`, process-pool
   fan-out with per-worker trace caches, store-based resume and serial
   fallback;
@@ -41,8 +42,9 @@ from repro.campaign.spec import (
     config_to_dict,
 )
 from repro.campaign.store import (
+    JsonStore,
     ResultStore,
-    StoreBackend,
+    SqliteStore,
     StoreConflictError,
     StoreReadError,
     StoreURLError,
@@ -56,8 +58,9 @@ __all__ = [
     "CampaignCell",
     "CampaignSpec",
     "ParallelExecutor",
+    "JsonStore",
     "ResultStore",
-    "StoreBackend",
+    "SqliteStore",
     "StoreConflictError",
     "StoreReadError",
     "StoreURLError",

@@ -372,8 +372,8 @@ class ParallelExecutor:
         self._flush_run_observations(elapsed)
         if self.store is not None:
             # Fail loudly if a concurrent sweep of a *different* campaign
-            # clobbered this store's manifest while we ran (json: backend;
-            # the sqlite: backend never loses manifest writes).
+            # clobbered this store's manifest while we ran (json: stores;
+            # an sqlite: store never loses manifest writes).
             self.store.check_manifest()
         if self.active_journal is not None:
             self.active_journal.run_end(

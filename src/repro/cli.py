@@ -80,7 +80,8 @@ progress line on ``sweep``/``dse``/``figure4``.
 Each sub-command's handler is bound to its parser with ``set_defaults``.  A
 handler reports a bad invocation by raising :class:`UsageError`; :func:`main`
 turns it, and an unsupported store URL, into ``repro: <reason>`` on stderr
-and exit status 2, with no traceback.
+and exit status 2, with no traceback.  A store error (a record that does not
+parse, a failed write, a clobbered manifest) ends the same way with status 1.
 
 Examples::
 
@@ -123,7 +124,13 @@ from repro.campaign.aggregate import summarize_results, summarize_store
 from repro.campaign.backends import parse_store_url
 from repro.campaign.executor import ParallelExecutor, cell_trace
 from repro.campaign.spec import PRESET_NAMES, CampaignSpec, campaign_preset
-from repro.campaign.store import StoreURLError, open_store
+from repro.campaign.store import (
+    StoreConflictError,
+    StoreReadError,
+    StoreURLError,
+    StoreWriteError,
+    open_store,
+)
 from repro.dse.engine import run_dse
 from repro.dse.objectives import (
     DEFAULT_OBJECTIVES,
@@ -1218,7 +1225,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     The one place a usage error ends: a :class:`UsageError` from a handler,
     or a :class:`StoreURLError` from an unsupported ``--store`` scheme,
-    prints ``repro: <message>`` to stderr and returns 2.
+    prints ``repro: <message>`` to stderr and returns 2.  A store that
+    cannot be read or written (:class:`StoreReadError`,
+    :class:`StoreWriteError`, :class:`StoreConflictError`) prints
+    ``repro: <message>`` too and returns 1: the invocation was fine.
     """
     args = _build_parser().parse_args(argv)
     configure_logging(
@@ -1232,6 +1242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, StoreURLError) as error:
         print(f"repro: {error}", file=sys.stderr)
         return 2
+    except (StoreReadError, StoreWriteError, StoreConflictError) as error:
+        print(f"repro: {error}", file=sys.stderr)
+        return 1
     finally:
         if args.metrics:
             print(

@@ -56,7 +56,7 @@ class Evaluator:
     simulated/resumed cell counts across batches.  Every batch runs on its
     one :class:`~repro.campaign.executor.ParallelExecutor`, which opens the
     store once, so the batches of a search write through one
-    :class:`ResultStore`: the JSON backend's manifest conflict detection is
+    :class:`ResultStore`: the JSON store's manifest conflict detection is
     per writer, and they are the same writer.  :func:`run_dse` runs the
     search inside ``with evaluator.executor:``, so the batches share one
     process pool too.

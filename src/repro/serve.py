@@ -33,6 +33,9 @@ GET    ``/api/v1/campaigns/<id>``          poll one campaign's progress
 GET    ``/api/v1/campaigns/<id>/frontier`` Pareto frontier of a finished sweep
 GET    ``/api/v1/cells/<key>``             one stored cell record, verbatim
 ====== =================================== ====================================
+
+A cell whose stored record does not parse is a 409 carrying the store's
+message, which names the file or row to delete.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.analysis.experiments import ExperimentResults
 from repro.api import RunOptions
 from repro.campaign.executor import ParallelExecutor
 from repro.campaign.spec import PRESET_NAMES, CampaignSpec, campaign_preset
-from repro.campaign.store import ResultStore, open_store
+from repro.campaign.store import ResultStore, StoreReadError, open_store
 from repro.dse.objectives import DEFAULT_OBJECTIVES, objective_values, resolve_objectives
 from repro.dse.pareto import ParetoPoint, pareto_frontier
 from repro.obs.logs import get_logger
@@ -418,7 +421,12 @@ class ReproServer:
         ):
             return self._frontier(route[1])
         if len(route) == 2 and route[0] == "cells" and method == "GET":
-            record = self.store.record(route[1])
+            try:
+                record = self.store.record(route[1])
+            except StoreReadError as error:
+                # The cell exists, but its stored record blocks the read
+                # until someone deletes it; the message says what to delete.
+                raise _RequestError(409, str(error)) from error
             if record is None:
                 raise _RequestError(404, f"no stored cell {route[1]!r}")
             return 200, record

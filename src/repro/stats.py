@@ -20,6 +20,7 @@ counts through the same patterns at the end of a run.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterable, Iterator, Tuple
 
 
@@ -101,8 +102,14 @@ class StatCounters:
 
     def as_dict(self) -> Dict[str, float]:
         """Snapshot of all live counters as a plain dictionary, in name
-        order: the order a result read back from a store has."""
-        return dict(sorted(self._counts.items()))
+        order: the order a result read back from a store has.
+
+        Names are interned, so the results of every run in a process share
+        one string per name, as decoded results do, even where a model
+        builds a name per instance or each kernel holds its own constants."""
+        counts = self._counts
+        names = sorted(counts)
+        return dict(zip(map(sys.intern, names), map(counts.__getitem__, names)))
 
     def clear(self) -> None:
         """Forget every counter."""

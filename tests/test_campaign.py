@@ -489,7 +489,7 @@ class TestWriteErrors:
     def test_a_full_disk_ends_the_run(self, tmp_path, monkeypatch, target, scheme, jobs):
         store = ResultStore(f"{scheme}:{tmp_path / 'store'}")
         journal = TelemetryJournal(tmp_path / "telemetry.jsonl")
-        owner, method = (store.backend, "put") if target == "store" else (journal, "cell")
+        owner, method = (store, "_write") if target == "store" else (journal, "cell")
         write = getattr(owner, method)
         writes = []
 

@@ -1,10 +1,14 @@
 """Tests for the command-line front end."""
 
+import errno
 import json
+import os
+import sqlite3
 from pathlib import Path
 
 import pytest
 
+from repro.campaign.store import JsonStore, ResultStore, SqliteStore, StoreReadError
 from repro.cli import _build_parser, main
 from repro.obs.telemetry import TelemetryJournal
 from repro.workloads.columnar import ColumnarTrace
@@ -262,6 +266,56 @@ class TestUsageErrors:
         assert captured.err.startswith("repro: ") and reason in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+class TestStoreErrors:
+    """A store that cannot be read or written ends ``repro sweep`` with one
+    ``repro: <message>`` line on stderr and exit status 1, not a traceback:
+    the invocation itself was fine."""
+
+    ARGV = ["sweep", "fig4-mini", "--instructions", "200", "--quiet"]
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("scheme", ("json", "sqlite"))
+    def test_a_record_that_does_not_parse(self, tmp_path, capsys, scheme, jobs):
+        url = f"{scheme}:{tmp_path / 'store'}"
+        assert main([*self.ARGV, "--jobs", "1", "--store", url]) == 0
+        store = ResultStore(url)
+        key = store.keys()[3]
+        if scheme == "json":
+            where = tmp_path / "store" / "cells" / f"{key}.json"
+            where.write_bytes(where.read_bytes()[:100])
+        else:
+            db = sqlite3.connect(tmp_path / "store")
+            with db:
+                db.execute(
+                    "UPDATE cells SET record = substr(record, 1, 100) WHERE key = ?", (key,)
+                )
+            db.close()
+        with pytest.raises(StoreReadError) as raised:
+            store.record(key)
+        store.close()
+        capsys.readouterr()
+        assert main([*self.ARGV, "--jobs", str(jobs), "--store", url]) == 1
+        assert capsys.readouterr().err == f"repro: {raised.value}\n"
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("scheme", ("json", "sqlite"))
+    def test_a_full_disk(self, tmp_path, capsys, monkeypatch, scheme, jobs):
+        url = f"{scheme}:{tmp_path / 'store'}"
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        keys = []
+
+        def fill_the_disk(store, key, text):
+            keys.append(key)
+            raise full
+
+        store_class = {"json": JsonStore, "sqlite": SqliteStore}[scheme]
+        monkeypatch.setattr(store_class, "_write", fill_the_disk)
+        assert main([*self.ARGV, "--jobs", str(jobs), "--store", url]) == 1
+        assert capsys.readouterr().err == (
+            f"repro: store {url}: cannot write cell {keys[0]}: {full}\n"
+        )
 
 
 class TestIngestCli:

@@ -7,11 +7,11 @@
   N`` of them per generator.  ``hypothesis`` drives one generator when it is
   installed; a seeded ``random`` sweep, which leans on record-shaped
   values, always runs.
-* Both backends store every fig4-mini golden record as exactly that text.
+* Both stores hold every fig4-mini golden record as exactly that text.
 * Results decoded from a ``json:`` and an ``sqlite:`` store equal the
   computed ones and share one string object per stat, energy-structure
   and configuration name, so a decoded result retains a bounded number of
-  bytes (tracemalloc).
+  bytes (tracemalloc).  Computed results share their stat names too.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ class TestGoldenRecords:
             path.stem: path.read_text() for path in json_store.cell_dir.glob("*.json")
         }
         assert on_disk == expected
-        db = sqlite3.connect(sqlite_store.backend.path)
+        db = sqlite3.connect(sqlite_store.path)
         try:
             assert dict(db.execute("SELECT key, record FROM cells")) == expected
         finally:
@@ -231,6 +231,17 @@ class TestGoldenRecords:
                 decoded += 1
         assert decoded == 2 * len(GOLDEN)
         assert len(seen) < sum(len(result.stats) for _, result in computed)
+
+    def test_computed_results_share_their_names(self, computed):
+        # Models build some names per instance (a TLB's f"{name}.hit") and
+        # each kernel holds its own constants: as_dict interns them all.
+        seen: dict = {}
+        configurations = set()
+        for _cell, result in computed:
+            configurations.add(result.config_name)
+            for name in result.stats:
+                assert seen.setdefault(name, name) is name, (result.config_name, name)
+        assert len(configurations) > 1
 
     def test_a_decoded_result_retains_a_bounded_number_of_bytes(self, stores):
         json_store = stores[0]

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import socket
+import sqlite3
 import struct
 import threading
 import time
@@ -19,6 +21,7 @@ import time
 import pytest
 
 from repro.campaign.spec import campaign_preset
+from repro.campaign.store import StoreReadError
 from repro.obs import telemetry
 from repro.serve import MAX_JOBS, ReproServer, _Handler, _RequestError
 from repro.sim.simulator import SimulationResult
@@ -349,6 +352,57 @@ class TestEndpoints:
     def test_frontier_before_done_is_409(self, server):
         status, _ = request(server, "GET", "/api/v1/campaigns/c0001/frontier")
         assert status == 404  # not submitted at all
+
+
+class TestUnreadableRecords:
+    """A cell whose stored record does not parse is answered 409 with the
+    store's message (which names the file or row to delete), journaled,
+    with nothing logged as an error and the connection kept."""
+
+    KEY = "0123456789abcdef0123"
+
+    @pytest.mark.parametrize("scheme", ("json", "sqlite"))
+    def test_a_record_that_does_not_parse_is_409(self, tmp_path, scheme):
+        if scheme == "json":
+            (tmp_path / "store" / "cells").mkdir(parents=True)
+            (tmp_path / "store" / "cells" / f"{self.KEY}.json").write_text('{\n "key": ')
+        else:
+            db = sqlite3.connect(tmp_path / "store")
+            with db:
+                db.execute("CREATE TABLE cells (key TEXT PRIMARY KEY, record TEXT NOT NULL)")
+                db.execute("INSERT INTO cells VALUES (?, ?)", (self.KEY, '{\n "key": '))
+            db.close()
+        errors = []
+        handler = logging.Handler(logging.ERROR)
+        handler.emit = errors.append
+        logging.getLogger("repro").addHandler(handler)
+        server = ReproServer(f"{scheme}:{tmp_path / 'store'}", port=0, jobs=1)
+        server.start()
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            conn.request("GET", f"/api/v1/cells/{self.KEY}")
+            response = conn.getresponse()
+            status, payload = response.status, json.loads(response.read())
+            sock = conn.sock
+            conn.request("GET", "/api/v1/health")
+            follow = conn.getresponse()
+            assert follow.status == 200 and json.loads(follow.read())["cells"] == 1
+            assert conn.sock is sock  # answered on the same connection
+            with pytest.raises(StoreReadError) as raised:
+                server.store.record(self.KEY)
+        finally:
+            conn.close()
+            server.shutdown()
+            logging.getLogger("repro").removeHandler(handler)
+        assert status == 409
+        assert payload == {"error": str(raised.value)}
+        assert self.KEY in payload["error"] and "delete" in payload["error"]
+        assert errors == []
+        records = telemetry.read_journal(server.store.telemetry_path)
+        served = [
+            (rec["path"], rec["status"]) for rec in records if rec["record"] == "serve_request"
+        ]
+        assert served == [(f"/api/v1/cells/{self.KEY}", 409), ("/api/v1/health", 200)]
 
 
 class TestRoundTrip:

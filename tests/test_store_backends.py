@@ -1,26 +1,28 @@
-"""Tests for the pluggable store backends: URL parsing, the backend
-contract, manifest-conflict detection and multi-process SQLite writes."""
+"""Tests for the campaign stores: URL parsing, the store contract on both
+schemes, manifest-conflict detection, multi-process SQLite writes, and the
+store methods perfbench's tracer times."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.campaign.backends import (
-    JsonDirectoryBackend,
-    SqliteBackend,
-    StoreConflictError,
-    StoreURLError,
-    backend_for_url,
-    parse_store_url,
-)
+from repro.campaign.backends import StoreConflictError, StoreURLError, parse_store_url
 from repro.campaign.executor import ParallelExecutor
-from repro.campaign.spec import CampaignSpec, campaign_preset
-from repro.campaign.store import ResultStore, open_store
+from repro.campaign.spec import CampaignCell, CampaignSpec, campaign_preset
+from repro.campaign.store import JsonStore, ResultStore, SqliteStore, open_store
+from repro.energy.accounting import EnergyReport, StructureEnergy
 from repro.sim.config import SimulationConfig
+from repro.sim.simulator import SimulationResult
+
+ROOT = Path(__file__).resolve().parents[1]
 
 INSTRUCTIONS = 600
 CONFIGS = (SimulationConfig.base_1ldst(), SimulationConfig.malec())
@@ -66,17 +68,32 @@ class TestParseStoreUrl:
         with pytest.raises(StoreURLError):
             parse_store_url("")
 
-    def test_backend_for_url(self, tmp_path):
-        json_backend = backend_for_url(f"json:{tmp_path / 'a'}")
-        sqlite_backend = backend_for_url(f"sqlite:{tmp_path / 'b.db'}")
+    def test_result_store_opens_the_subclass_its_scheme_names(self, tmp_path):
+        stores = [
+            ResultStore(f"json:{tmp_path / 'a'}"),
+            ResultStore(tmp_path / "b"),
+            ResultStore(f"sqlite:{tmp_path / 'c.db'}"),
+            JsonStore(tmp_path / "d"),
+            SqliteStore(f"sqlite:{tmp_path / 'e.db'}"),
+        ]
         try:
-            assert isinstance(json_backend, JsonDirectoryBackend)
-            assert isinstance(sqlite_backend, SqliteBackend)
-            assert json_backend.url.startswith("json:")
-            assert sqlite_backend.url.startswith("sqlite:")
+            assert [type(store) for store in stores] == [
+                JsonStore, JsonStore, SqliteStore, JsonStore, SqliteStore
+            ]
+            assert stores[0].url == f"json:{tmp_path / 'a'}"
+            assert stores[1].url == f"json:{tmp_path / 'b'}"
+            assert stores[2].url == f"sqlite:{tmp_path / 'c.db'}"
+            assert stores[2].root == tmp_path and stores[0].root == tmp_path / "a"
         finally:
-            json_backend.close()
-            sqlite_backend.close()
+            for store in stores:
+                store.close()
+
+    def test_a_subclass_refuses_the_other_scheme(self, tmp_path):
+        with pytest.raises(StoreURLError):
+            JsonStore(f"sqlite:{tmp_path / 'a.db'}")
+        with pytest.raises(StoreURLError):
+            SqliteStore(f"json:{tmp_path / 'b'}")
+        assert not (tmp_path / "a.db").exists()
 
 
 class TestOpenStore:
@@ -87,62 +104,72 @@ class TestOpenStore:
         assert open_store(store) is store
         store.close()
         json_store = open_store(tmp_path / "plain")
-        assert isinstance(json_store.backend, JsonDirectoryBackend)
+        assert isinstance(json_store, JsonStore)
         json_store.close()
 
 
-def record_fixture(key="k" * 20, cycles=123):
-    return {
-        "key": key,
-        "benchmark": "gzip",
-        "config_name": "Base1ldst",
-        "result": {"cycles": cycles},
-    }
+def cell_fixture(benchmark="gzip"):
+    return CampaignCell(benchmark, CONFIGS[0], INSTRUCTIONS)
 
 
-class TestBackendContract:
+def result_fixture(cycles=123):
+    """A hand-built result: the store keeps whatever it is given."""
+    return SimulationResult(
+        config_name="Base1ldst",
+        cycles=cycles,
+        instructions=INSTRUCTIONS,
+        loads=200,
+        stores=100,
+        energy=EnergyReport(
+            cycles=cycles, structures={"l1": StructureEnergy(dynamic_pj=1.5, leakage_pj=0.25)}
+        ),
+        stats={"l1.load": 200.0, "l1.load_miss": 3.0},
+    )
+
+
+class TestStoreContract:
     @pytest.fixture(params=["json", "sqlite"])
-    def backend(self, request, tmp_path):
-        if request.param == "json":
-            backend = JsonDirectoryBackend(tmp_path / "store")
-        else:
-            backend = SqliteBackend(tmp_path / "store.db")
-        yield backend
-        backend.close()
+    def store(self, request, tmp_path):
+        store = ResultStore(f"{request.param}:{tmp_path / 'store'}")
+        yield store
+        store.close()
 
-    def test_put_get_roundtrip(self, backend):
-        record = record_fixture()
-        assert backend.get(record["key"]) is None
+    def test_put_get_roundtrip(self, store):
+        cell, result = cell_fixture(), result_fixture()
+        assert store.get(cell) is None and store.record(cell.key()) is None
         # A key no file can be named after (repro serve passes keys from
         # the request path) is a miss too, not an error.
-        assert backend.get("bad\x00key") is None
-        backend.put(record["key"], record)
-        assert backend.get(record["key"]) == record
-        assert len(backend) == 1
-        assert list(backend.keys()) == [record["key"]]
-        assert list(backend.iterate()) == [record]
+        assert store.record("bad\x00key") is None
+        key = store.put(cell, result)
+        assert key == cell.key()
+        assert store.get(cell) == result
+        record = store.record(key)
+        assert record["key"] == key and record["benchmark"] == "gzip"
+        assert len(store) == 1
+        assert store.keys() == [key]
+        assert list(store.records()) == [record]
 
-    def test_put_is_idempotent_and_last_write_wins(self, backend):
-        key = "a" * 20
-        backend.put(key, record_fixture(key, cycles=1))
-        backend.put(key, record_fixture(key, cycles=2))
-        assert len(backend) == 1
-        assert backend.get(key)["result"]["cycles"] == 2
+    def test_put_is_idempotent_and_last_write_wins(self, store):
+        cell = cell_fixture()
+        store.put(cell, result_fixture(cycles=1))
+        store.put(cell, result_fixture(cycles=2))
+        assert len(store) == 1
+        assert store.get(cell).cycles == 2
 
-    def test_len_counts_the_keys(self, backend):
+    def test_len_counts_the_keys(self, store):
         # SQLite counts in the database; both must agree with keys().
-        assert len(backend) == len(backend.keys()) == 0
-        for key in ("a" * 20, "b" * 20, "c" * 20, "a" * 20):
-            backend.put(key, record_fixture(key))
-        assert len(backend) == len(backend.keys()) == 3
+        assert len(store) == len(store.keys()) == 0
+        for benchmark in ("gzip", "swim", "djpeg", "gzip"):
+            store.put(cell_fixture(benchmark), result_fixture())
+        assert len(store) == len(store.keys()) == 3
 
-    def test_manifest_roundtrip(self, backend):
-        manifest = {"name": "fig4", "benchmarks": ["gzip"], "instructions": 600}
-        backend.write_manifest(manifest)
-        assert backend.manifest() == manifest
+    def test_manifest_roundtrip(self, store):
+        spec = small_spec()
+        store.write_manifest(spec)
+        assert store.manifest() == spec.describe()
         # Internal bookkeeping keys never leak into the returned manifest.
-        assert "manifest_version" not in backend.manifest()
-        backend.check_manifest()
+        assert "manifest_version" not in store.manifest()
+        store.check_manifest()
 
 
 class TestBitIdenticalAcrossBackends:
@@ -156,7 +183,7 @@ class TestBitIdenticalAcrossBackends:
         sqlite_records = {r["key"]: r for r in sqlite_store.records()}
         assert json_records == sqlite_records
         # Byte-for-byte: the on-disk JSON cell equals the SQLite row text.
-        db = sqlite3.connect(sqlite_store.backend.path)
+        db = sqlite3.connect(sqlite_store.path)
         try:
             for key, text in db.execute("SELECT key, record FROM cells"):
                 on_disk = (json_store.cell_dir / f"{key}.json").read_text()
@@ -203,7 +230,7 @@ class TestManifestConflicts:
         first.write_manifest(small_spec())
         second.write_manifest(small_spec(instructions=900))
         # Nothing was lost: both manifests are retrievable and check passes.
-        assert len(first.backend.manifests()) == 2
+        assert len(first.manifests()) == 2
         first.check_manifest()
         second.check_manifest()
         assert second.manifest()["instructions"] == 900
@@ -227,13 +254,13 @@ class TestJsonInterleavedWriters:
         monkeypatch.setattr(os, "replace", replace)
 
     def test_same_key_puts_both_succeed(self, tmp_path, monkeypatch):
-        first = JsonDirectoryBackend(tmp_path / "store")
-        second = JsonDirectoryBackend(tmp_path / "store")
-        record = record_fixture()
-        self._inside_first_rename(monkeypatch, lambda: second.put(record["key"], record))
-        first.put(record["key"], record)
-        assert first.get(record["key"]) == record
-        assert list(first.keys()) == [record["key"]]
+        first = ResultStore(f"json:{tmp_path / 'store'}")
+        second = ResultStore(f"json:{tmp_path / 'store'}")
+        cell, result = cell_fixture(), result_fixture()
+        self._inside_first_rename(monkeypatch, lambda: second.put(cell, result))
+        first.put(cell, result)
+        assert first.get(cell) == result
+        assert first.keys() == [cell.key()]
         assert not list((tmp_path / "store").rglob("*.tmp"))
 
     def test_same_content_manifests_both_succeed(self, tmp_path, monkeypatch):
@@ -304,8 +331,6 @@ class TestConcurrentSqliteWriters:
     def test_open_retries_a_lost_wal_switch(self, tmp_path, monkeypatch):
         """Processes opening a fresh file at once race to switch it to WAL;
         the loser's "database is locked" is retried, not raised."""
-        import repro.campaign.backends as backends
-
         connect = sqlite3.connect
         refusals = []
 
@@ -323,12 +348,94 @@ class TestConcurrentSqliteWriters:
                 return getattr(self._conn, name)
 
         monkeypatch.setattr(
-            backends.sqlite3,
+            sqlite3,
             "connect",
             lambda *args, **kwargs: LosesTheWalSwitchOnce(connect(*args, **kwargs)),
         )
-        backend = SqliteBackend(tmp_path / "fresh.db")
+        store = ResultStore(f"sqlite:{tmp_path / 'fresh.db'}")
         assert refusals
-        (mode,) = backend._connect().execute("PRAGMA journal_mode").fetchone()
+        (mode,) = store._connect().execute("PRAGMA journal_mode").fetchone()
         assert mode == "wal"
-        backend.close()
+        store.close()
+
+
+#: run in a child process: perfbench's tracer wraps the classes for good
+TRACED_SWEEPS = r"""
+import json
+import sys
+
+from tracer import KEY, PARENT, Tracer, install
+
+tracer = Tracer()
+install(tracer)
+
+from repro.campaign import JsonStore, ParallelExecutor, ResultStore, SqliteStore
+from repro.campaign import campaign_preset
+
+spec = campaign_preset("fig4-mini").with_overrides(benchmarks=("gzip",), instructions=200)
+for url in sys.argv[1:]:
+    store = ResultStore(url)
+    for _ in range(2):  # the second run resumes: every get is a hit
+        ParallelExecutor(jobs=1, store=store).run(spec)
+    assert store.record(spec.cells()[0].key())["benchmark"] == "gzip"
+    store.close()
+
+
+def inside_a_get(span):
+    while span[PARENT] is not None:
+        span = tracer.spans[span[PARENT]]
+        if span[KEY] == "store.get_s":
+            return True
+    return False
+
+
+wrapped = ("put", "get", "record", "write_manifest", "check_manifest")
+print(json.dumps({
+    "counts": dict(tracer.counts),
+    "spans": sorted({span[KEY] for span in tracer.spans}),
+    "records_in_gets": sum(
+        span[KEY] == "store.record_s" and inside_a_get(span) for span in tracer.spans
+    ),
+    "shared": all(
+        getattr(JsonStore, name) is getattr(SqliteStore, name) is ResultStore.__dict__[name]
+        for name in wrapped
+    ),
+}))
+"""
+
+
+class TestPerfbenchSeesEveryStoreLayer:
+    """perfbench's tracer times ``put``, ``get``, ``record``,
+    ``write_manifest`` and ``check_manifest`` by wrapping them in
+    ``ResultStore.__dict__``: both stores' calls must reach those wrappers."""
+
+    def test_traced_sweeps_record_every_store_span(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+        urls = [f"json:{tmp_path / 'store'}", f"sqlite:{tmp_path / 'store.db'}"]
+        completed = subprocess.run(
+            [sys.executable, "-c", TRACED_SWEEPS, *urls],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        traced = json.loads(completed.stdout.splitlines()[-1])
+        cells = len(campaign_preset("fig4-mini").configurations)
+        # Per store: one fresh run (misses, puts) and one resumed run (hits).
+        assert traced["counts"]["store.puts"] == 2 * cells
+        assert traced["counts"]["store.gets"] == 4 * cells
+        assert traced["counts"]["store.get_hits"] == 2 * cells
+        for span in (
+            "store.put_s",
+            "store.get_s",
+            "store.record_s",
+            "store.manifest_s",
+            "store.serialize_s",
+            "store.deserialize_s",
+        ):
+            assert span in traced["spans"]
+        assert traced["records_in_gets"] == 0
+        assert traced["shared"]
